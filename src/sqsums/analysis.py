@@ -231,17 +231,23 @@ class _ExactQ:
 
 
 def _q_exact(params: Params):
-    """Q = S*S'' - (S')^2 as an exact object for c in {-1, +1}."""
+    """Q = S*S'' - (S')^2 as an exact object for c in {-1, +1}.
+
+    S = N/D is taken unreduced and Q comes from one cleared identity,
+    Q*D^4 = D^2 (N N'' - N'^2) - N^2 (D D'' - D'^2), with no gcd.
+    """
     n = int(params.n) if params.n.denominator == 1 else None
     if params.c == Fraction(-1):
-        f = exactalg.f_poly_direct(params.l)
-        q = f * f.derivative().derivative() - f.derivative() ** 2
-        return _ExactQ(q)
-    if params.c == Fraction(1) and n is not None:
-        g = exactalg.g_rational(n)
-        q = g * g.derivative().derivative() - g.derivative() * g.derivative()
-        return _ExactQ(q)
-    return None
+        num, den = exactalg.RationalFn(exactalg.f_poly_direct(params.l)).pair
+    elif params.c == Fraction(1) and n is not None:
+        num, den = exactalg.g_rational(n).pair
+    else:
+        return None
+    n1, d1 = num.derivative(), den.derivative()
+    q = den * den * (num * n1.derivative() - n1 * n1) - num * num * (
+        den * d1.derivative() - d1 * d1
+    )
+    return _ExactQ(exactalg.RationalFn(q, den ** 4))
 
 
 def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:

@@ -8,9 +8,14 @@ solutions with exact zero residuals.
 
 Scope is deliberately small: ring operations, formal derivatives, Moebius
 substitutions and exact evaluation.  No factorization or general computer
-algebra.  Every denominator produced here is a product of linear factors
-with roots in {0, 1, -1, 1/2, -1/2}, which the reduction fast path exploits;
-a generic primitive-remainder-sequence gcd remains as fallback.
+algebra.  Arithmetic is fraction-free: a polynomial is a tuple of integers
+over one common denominator, and a rational function keeps its numerator
+and denominator unreduced.  Equality is cross-multiplication, residuals
+are cleared polynomial identities, and evaluation at p/q is homogeneous
+integer Horner with one Fraction built at the end.  A polynomial gcd runs
+only when the lowest-terms form is observed (``num``, ``den``, hashing,
+``repr``, serialization, float evaluation, or an exact evaluation where the
+stored denominator vanishes).
 """
 
 from __future__ import annotations
@@ -60,21 +65,43 @@ class UnsupportedFamilyError(ValueError):
 
 
 class RationalPoly:
-    """Dense univariate polynomial with Fraction coefficients, ascending degree.
+    """Dense univariate polynomial with rational coefficients, ascending degree.
 
-    ``var`` is a symbol descriptor only ('x', 's', 'u', 'w', 't'); binary
-    operations require matching descriptors.  Trailing zeros are trimmed,
-    the zero polynomial has an empty coefficient tuple and degree -1.
+    Stored as integer numerators over one positive common denominator, in
+    lowest terms, so ring operations run on Python integers and equal
+    polynomials have equal representations.  ``coeffs`` gives the
+    coefficients as Fractions.  ``var`` is a symbol descriptor only ('x',
+    's', 'u', 'w', 't'); binary operations require matching descriptors.
+    Trailing zeros are trimmed, the zero polynomial has an empty coefficient
+    tuple and degree -1.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("_ints", "_den", "var", "_coeffs")
 
     def __init__(self, coeffs: Iterable[CoefLike] = (), var: str = "x") -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._init([c.numerator * (den // c.denominator) for c in cs], den, var)
+
+    def _init(self, ints: list[int], den: int, var: str) -> None:
+        while ints and not ints[-1]:
+            ints.pop()
+        if den != 1:
+            g = math.gcd(den, *ints)
+            if g != 1:
+                ints = [c // g for c in ints]
+                den //= g
+        object.__setattr__(self, "_ints", tuple(ints))
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "var", var)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _from_ints(cls, ints: list[int], den: int, var: str) -> "RationalPoly":
+        """sum ints[k] X^k / den (den > 0), without Fraction conversion."""
+        p = object.__new__(cls)
+        p._init(ints, den, var)
+        return p
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("RationalPoly is immutable")
@@ -92,18 +119,26 @@ class RationalPoly:
         return cls((0, 1), var)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            object.__setattr__(
+                self, "_coeffs", tuple(Fraction(c, self._den) for c in self._ints)
+            )
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self._ints) else Fraction(0)
 
     def _check_var(self, other: "RationalPoly") -> None:
-        if self.var != other.var and self.coeffs and other.coeffs:
+        if self.var != other.var and self._ints and other._ints:
             raise ValueError(f"mixed variables {self.var!r} and {other.var!r}")
 
     def __eq__(self, other) -> bool:
@@ -111,13 +146,13 @@ class RationalPoly:
             other = RationalPoly((other,), self.var)
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._ints == other._ints and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._ints, self._den))
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly((-c for c in self.coeffs), self.var)
+        return RationalPoly._from_ints([-c for c in self._ints], self._den, self.var)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -125,13 +160,14 @@ class RationalPoly:
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
+        a = [c * other._den for c in self._ints]
+        b = [c * self._den for c in other._ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out, self.var if self.coeffs else other.var)
+            a[i] += c
+        var = self.var if self._ints else other.var
+        return RationalPoly._from_ints(a, self._den * other._den, var)
 
     __radd__ = __add__
 
@@ -143,21 +179,19 @@ class RationalPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return RationalPoly.zero(self.var)
-            return RationalPoly((c * other for c in self.coeffs), self.var)
+            other = RationalPoly((other,), self.var)
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._check_var(other)
         if self.is_zero or other.is_zero:
             return RationalPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        b = other._ints
+        out = [0] * (len(self._ints) + len(b) - 1)
+        for i, a in enumerate(self._ints):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return RationalPoly(out, self.var if self.coeffs else other.var)
+                for j, c in enumerate(b):
+                    out[i + j] += a * c
+        return RationalPoly._from_ints(out, self._den * other._den, self.var)
 
     __rmul__ = __mul__
 
@@ -177,36 +211,39 @@ class RationalPoly:
         return result
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly(
-            (i * c for i, c in enumerate(self.coeffs) if i > 0), self.var
+        return RationalPoly._from_ints(
+            [i * c for i, c in enumerate(self._ints)][1:], self._den, self.var
         )
 
     def __call__(self, v):
-        """Horner evaluation; exact on Fraction input, float on float."""
-        acc = v * 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + (float(c) if isinstance(v, float) else c)
-        return acc
+        """Horner evaluation; exact on rational input, float on float."""
+        if isinstance(v, float):
+            acc = v * 0
+            for c in reversed(self.coeffs):
+                acc = acc * v + float(c)
+            return acc
+        return Fraction(*self._at(Fraction(v)))
+
+    def _at(self, v: Fraction) -> tuple[int, int]:
+        """(a, b) with self(v) = a/b and b > 0, by homogeneous integer Horner.
+
+        With v = p/q, a/q = sum c_k p^k q^(deg-k) and b/q = den * q^deg.
+        """
+        p, q = v.numerator, v.denominator
+        acc, qk = 0, 1
+        for c in reversed(self._ints):
+            acc = acc * p + c * qk
+            qk *= q
+        return acc * q, self._den * qk
 
     def compose_linear(self, a: CoefLike, b: CoefLike) -> "RationalPoly":
         """p(a*X + b); the result is reported in variable 'x'."""
-        arg = RationalPoly((b, a), "x")
-        acc = RationalPoly.zero("x")
-        for c in reversed(self.coeffs):
-            acc = acc * arg + c
-        return acc
+        return _poly_compose_mobius(self, a, b, 0, 1)
 
     def divmod_linear(self, root: Fraction) -> tuple["RationalPoly", Fraction]:
-        """Synthetic division by the monic linear (X - root)."""
-        if self.is_zero:
-            return self, Fraction(0)
-        q = [Fraction(0)] * (len(self.coeffs) - 1)
-        acc = Fraction(0)
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = self.coeffs[i] + root * acc
-            q[i - 1] = acc
-        rem = self.coeffs[0] + root * acc
-        return RationalPoly(q, self.var), rem
+        """Division by the monic linear (X - root)."""
+        q, r = _divmod(self, RationalPoly((-Fraction(root), 1), self.var))
+        return q, r.coeff(0)
 
     def to_json(self) -> dict:
         return {
@@ -228,141 +265,87 @@ class RationalPoly:
         return "RationalPoly(" + " + ".join(parts) + ")"
 
 
-# Roots of every linear denominator factor this artifact constructs.
-_CANDIDATE_ROOTS = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
-
-_COPRIME_GAP = 1 << 16
-
-
-def _int_clear(p: RationalPoly) -> list[int]:
-    """Primitive integer coefficient list (content removed)."""
-    den = math.lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    return [c // g for c in ints] if g > 1 else ints
+def _divmod(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
+    """Quotient and remainder of polynomial division over the rationals."""
+    rem, bc = list(a.coeffs), b.coeffs
+    quo = [Fraction(0)] * max(0, len(rem) - len(bc) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        q = quo[i] = rem[i + len(bc) - 1] / bc[-1]
+        for j, c in enumerate(bc):
+            rem[i + j] -= q * c
+    return RationalPoly(quo, a.var), RationalPoly(rem, a.var)
 
 
-def _certified_coprime(a: RationalPoly, b: RationalPoly) -> bool:
-    """True certifies gcd(a, b) = 1; False is inconclusive.
+def _coprime_mod_p(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True certifies that the integer polynomials a, b have no common factor.
 
-    Any common factor g evaluated at an integer k beyond the Cauchy root
-    bound M satisfies |g(k)| >= (k - M)^deg(g), so a small integer gcd of
-    the two values at k = M + 2^16 rules out a nonconstant common factor.
+    Euclid in GF(p), p = 2^61 - 1.  When p divides neither leading
+    coefficient, a common factor over Q survives reduction mod p with its
+    degree, so a constant gcd mod p rules one out.  False is inconclusive.
     """
-    ia, ib = _int_clear(a), _int_clear(b)
-
-    def root_bound(cs: list[int]) -> int:
-        lead = abs(cs[-1])
-        m = max(abs(c) for c in cs[:-1]) if len(cs) > 1 else 0
-        return 1 + (m + lead - 1) // lead
-
-    k = min(root_bound(ia), root_bound(ib)) + _COPRIME_GAP
-
-    def eval_int(cs: list[int]) -> int:
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * k + c
-        return acc
-
-    return math.gcd(abs(eval_int(ia)), abs(eval_int(ib))) < _COPRIME_GAP
+    p = (1 << 61) - 1
+    a, b = [c % p for c in a], [c % p for c in b]
+    if not (a[-1] and b[-1]):
+        return False
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer polynomials (lead(b)-scaled)."""
-    r = list(a)
-    lead_b = b[-1]
-    while len(r) >= len(b) and any(r):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        shift = len(r) - len(b)
-        coef = r[-1]
-        r = [c * lead_b for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= coef * bc
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _lowest_terms(num: RationalPoly, den: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
+    """Divide out gcd(num, den): a modular coprimality test, else Euclid.
+
+    Each Euclidean remainder is scaled to its primitive integer part, which
+    keeps the coefficients of the remainder sequence small.
+    """
+    if den.degree == 0 or _coprime_mod_p(num._ints, den._ints):
+        return num, den
+    g, r = num, den
+    while not r.is_zero:
+        ints = _divmod(g, r)[1]._ints
+        content = math.gcd(*ints)
+        g, r = r, RationalPoly._from_ints([c // content for c in ints], 1, num.var)
+    return _divmod(num, g)[0], _divmod(den, g)[0]
 
 
-def _primitive(cs: list[int]) -> list[int]:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
-    return [c // g for c in cs] if g > 1 else cs
-
-
-def _poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd by a primitive pseudo-remainder sequence (fallback path)."""
-    pa, pb = _int_clear(a), _int_clear(b)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while pb:
-        pa, pb = pb, _primitive(_pseudo_rem(pa, pb))
-    lead = Fraction(pa[-1])
-    return RationalPoly((Fraction(c) / lead for c in pa), a.var)
-
-
-def _reduced_pair(num: RationalPoly, den: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
-    """gcd-reduce and content-normalize (den primitive integer, positive lead)."""
+def _scaled(num: RationalPoly, den: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
+    """Scale so den is a primitive integer polynomial with positive lead."""
     if den.is_zero:
         raise ZeroDivisionError("rational function with zero denominator")
-    var = den.var if num.is_zero else num.var
     if num.is_zero:
-        return RationalPoly.zero(var), RationalPoly.one(var)
-    if den.degree > 0:
-        for r in _CANDIDATE_ROOTS:
-            while den.degree > 0 and den(r) == 0 and num(r) == 0:
-                num, _ = num.divmod_linear(r)
-                den, _ = den.divmod_linear(r)
-        if den.degree > 0 and not _certified_coprime(num, den):
-            g = _poly_gcd(num, den)
-            if g.degree > 0:
-                num = _exact_div(num, g)
-                den = _exact_div(den, g)
-    if den.degree == 0:
-        return num / den.coeffs[0], RationalPoly.one(var)
-    scale = Fraction(math.lcm(*(c.denominator for c in den.coeffs)))
-    ints = [c * scale for c in den.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(int(c)))
-    scale /= g
-    if ints[-1] < 0:
-        scale = -scale
-    return num * scale, den * scale
-
-
-def _exact_div(p: RationalPoly, d: RationalPoly) -> RationalPoly:
-    """Exact polynomial quotient (remainder must vanish)."""
-    if d.is_zero:
-        raise ZeroDivisionError
-    out = [Fraction(0)] * (p.degree - d.degree + 1)
-    rem = list(p.coeffs)
-    dl = d.coeffs[-1]
-    for i in range(len(out) - 1, -1, -1):
-        q = rem[i + d.degree] / dl
-        out[i] = q
-        if q:
-            for j, dc in enumerate(d.coeffs):
-                rem[i + j] -= q * dc
-    if any(rem[: d.degree]):
-        raise ArithmeticError("division was not exact")
-    return RationalPoly(out, p.var)
+        return RationalPoly.zero(den.var), RationalPoly.one(den.var)
+    content = math.gcd(*den._ints)
+    if den._ints[-1] < 0:
+        content = -content
+    var = num.var if den.degree == 0 else den.var
+    if content == 1 and den._den == 1 and var == den.var:
+        return num, den
+    return (
+        num * Fraction(den._den, content),
+        RationalPoly._from_ints([c // content for c in den._ints], 1, var),
+    )
 
 
 class RationalFn:
-    """Quotient of RationalPoly values, stored gcd-reduced and normalized."""
+    """Quotient N/D of RationalPoly values, kept unreduced.
 
-    __slots__ = ("num", "den")
+    The only normalization on construction is scalar: D is a primitive
+    integer polynomial with a positive leading coefficient (and D = 1 when
+    N = 0).  Arithmetic, equality (N1*D2 == N2*D1), derivatives and exact
+    evaluation take no polynomial gcd; ``pair`` is the stored (N, D).
+    ``num`` and ``den`` are the lowest-terms pair, computed by one gcd on
+    first use and cached; hashing, serialization, ``repr``,
+    ``is_polynomial`` and float evaluation use it.
+    """
+
+    __slots__ = ("_n", "_d", "_reduced")
 
     def __init__(
         self,
@@ -377,16 +360,37 @@ class RationalFn:
             den = RationalPoly((den,), num.var)
         if num.degree > 0 and den.degree > 0 and num.var != den.var:
             raise ValueError(f"mixed variables {num.var!r} and {den.var!r}")
-        num, den = _reduced_pair(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num, den = _scaled(num, den)
+        object.__setattr__(self, "_n", num)
+        object.__setattr__(self, "_d", den)
+        object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
+    def _lowest(self) -> tuple[RationalPoly, RationalPoly]:
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced", _scaled(*_lowest_terms(self._n, self._d)))
+        return self._reduced
+
+    @property
+    def pair(self) -> tuple[RationalPoly, RationalPoly]:
+        """The stored, unreduced (N, D)."""
+        return self._n, self._d
+
+    @property
+    def num(self) -> RationalPoly:
+        """Numerator of the lowest-terms form."""
+        return self._lowest()[0]
+
+    @property
+    def den(self) -> RationalPoly:
+        """Denominator of the lowest-terms form: primitive, integer, positive lead."""
+        return self._lowest()[1]
+
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self._n.is_zero
 
     @property
     def is_polynomial(self) -> bool:
@@ -397,10 +401,12 @@ class RationalFn:
             other = RationalFn(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self._d == other._d:
+            return self._n == other._n
+        return self._n * other._d == other._n * self._d
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash(self._lowest())
 
     @staticmethod
     def _coerce(v) -> "RationalFn":
@@ -411,13 +417,11 @@ class RationalFn:
         raise TypeError(f"cannot coerce {type(v).__name__} to RationalFn")
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
+        return RationalFn(-self._n, self._d)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return RationalFn(self._n * other._d + other._n * self._d, self._d * other._d)
 
     __radd__ = __add__
 
@@ -429,7 +433,7 @@ class RationalFn:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
+        return RationalFn(self._n * other._n, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -437,30 +441,40 @@ class RationalFn:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+        return RationalFn(self._n * other._d, self._d * other._n)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def derivative(self) -> "RationalFn":
-        return RationalFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        n, d = self._n, self._d
+        return RationalFn(n.derivative() * d - n * d.derivative(), d * d)
 
     def __call__(self, v):
-        dv = self.den(v)
+        """Exact on rational input; float input uses the lowest-terms pair."""
+        if not isinstance(v, float):
+            v = Fraction(v)
+            a, b = self._n._at(v)
+            c, d = self._d._at(v)
+            if c:
+                return Fraction(a * d, b * c)
+        num, den = self._lowest()  # float input, or D(v) = 0
+        dv = den(v)
         if dv == 0:
             raise ZeroDivisionError(f"evaluation at a pole ({v})")
-        return self.num(v) / dv
+        return num(v) / dv
 
     def compose_mobius(self, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike) -> "RationalFn":
         """Substitute X -> (a*X + b)/(c*X + d)."""
         if Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c) == 0:
             raise ValueError("degenerate substitution")
-        num_c, den_n = _poly_compose_mobius(self.num, a, b, c, d)
-        den_c, den_d = _poly_compose_mobius(self.den, a, b, c, d)
-        return RationalFn(num_c * den_d, den_c * den_n)
+        # With P_c = (cX+d)^deg(P) P((aX+b)/(cX+d)), N/D becomes
+        # N_c (cX+d)^(deg D - deg N) / D_c: no surplus power of cX+d is formed.
+        num_c = _poly_compose_mobius(self._n, a, b, c, d)
+        den_c = _poly_compose_mobius(self._d, a, b, c, d)
+        shift = self._d.degree - self._n.degree
+        lin = RationalPoly((d, c), "x")
+        return RationalFn(num_c * lin ** max(shift, 0), den_c * lin ** max(-shift, 0))
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -477,23 +491,18 @@ class RationalFn:
 
 def _poly_compose_mobius(
     p: RationalPoly, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike
-) -> tuple[RationalPoly, RationalPoly]:
-    """p((a*X+b)/(c*X+d)) as numerator and (c*X+d)^deg denominator."""
-    if p.is_zero:
-        return RationalPoly.zero("x"), RationalPoly.one("x")
+) -> RationalPoly:
+    """(c*X+d)^deg * p((a*X+b)/(c*X+d)), a polynomial in 'x'."""
     lin_num = RationalPoly((b, a), "x")
     lin_den = RationalPoly((d, c), "x")
-    deg = p.degree
-    # Horner with a denominator ladder: acc_k = acc_{k+1} * lin_num + c_k * lin_den^(deg-k)
-    acc = RationalPoly.zero("x")
-    power = RationalPoly.one("x")
-    for i, c_i in enumerate(reversed(p.coeffs)):
-        if i == 0:
-            acc = RationalPoly((c_i,), "x")
-        else:
+    # Horner with a denominator ladder on the integer numerators:
+    # acc_k = acc_{k+1} * lin_num + c_k * lin_den^(deg-k)
+    acc, power = RationalPoly.zero("x"), RationalPoly.one("x")
+    for i, c_i in enumerate(reversed(p._ints)):
+        if i:
             power = power * lin_den
-            acc = acc * lin_num + c_i * power
-    return acc, power if deg > 0 else RationalPoly.one("x")
+        acc = acc * lin_num + power * c_i
+    return acc / p._den
 
 
 def poly_on_rational(p: RationalPoly, f: RationalFn) -> RationalFn:
@@ -549,17 +558,16 @@ def f_value(n: int, x):
     Exact on Fraction input; on floats the all-positive Horner sum keeps the
     relative error at rounding level.
     """
-    cs = f_poly_parseval(n).coeffs[::2]
     if isinstance(x, Fraction):
-        s2 = (x - Fraction(1, 2)) ** 2
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * s2 + c
-        return acc
-    s2 = (float(x) - 0.5) ** 2
+        return f_poly_parseval(n)(x - Fraction(1, 2))
+    return _float_horner(f_poly_parseval(n).coeffs[::2], (float(x) - 0.5) ** 2)
+
+
+def _float_horner(cs: Sequence[Fraction], t: float) -> float:
+    """sum cs[k] t^k in floats, highest power first."""
     acc = 0.0
     for c in reversed(cs):
-        acc = acc * s2 + float(c)
+        acc = acc * t + float(c)
     return acc
 
 
@@ -585,27 +593,15 @@ def g_series_coeffs(n: int) -> RationalPoly:
 @lru_cache(maxsize=None)
 def g_rational(n: int) -> RationalFn:
     """G_n as a rational function of x (u-series with u = 1/(1+2x))."""
-    p = g_series_coeffs(n)
-    num, den = _poly_compose_mobius(p, 0, 1, 2, 1)
-    return RationalFn(num, den)
+    return RationalFn(g_series_coeffs(n)).compose_mobius(0, 1, 2, 1)
 
 
 def g_value(n: int, x):
     """Evaluate G_n through its positive odd u-coefficients."""
-    cs = g_series_coeffs(n).coeffs[1::2]
     if isinstance(x, Fraction):
-        u = Fraction(1) / (1 + 2 * x)
-        u2 = u * u
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * u2 + c
-        return acc * u
+        return g_series_coeffs(n)(1 / (1 + 2 * x))
     u = 1.0 / (1.0 + 2.0 * float(x))
-    u2 = u * u
-    acc = 0.0
-    for c in reversed(cs):
-        acc = acc * u2 + float(c)
-    return acc * u
+    return _float_horner(g_series_coeffs(n).coeffs[1::2], u * u) * u
 
 
 @lru_cache(maxsize=None)
@@ -625,28 +621,16 @@ def j_series_coeffs(n: int) -> RationalPoly:
 @lru_cache(maxsize=None)
 def j_rational(n: int) -> RationalFn:
     """J_n as a rational function of x (w-series with w = (1-x)/(1+x))."""
-    p = j_series_coeffs(n)
-    num, den = _poly_compose_mobius(p, -1, 1, 1, 1)
-    return RationalFn(num, den)
+    return RationalFn(j_series_coeffs(n)).compose_mobius(-1, 1, 1, 1)
 
 
 def j_value(n: int, x):
     """Evaluate J_n through its positive odd w-coefficients."""
-    cs = j_series_coeffs(n).coeffs[1::2]
     if isinstance(x, Fraction):
-        w = (1 - x) / (1 + x)
-        w2 = w * w
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * w2 + c
-        return acc * w
+        return j_series_coeffs(n)((1 - x) / (1 + x))
     xf = float(x)
     w = (1.0 - xf) / (1.0 + xf)
-    w2 = w * w
-    acc = 0.0
-    for c in reversed(cs):
-        acc = acc * w2 + float(c)
-    return acc * w
+    return _float_horner(j_series_coeffs(n).coeffs[1::2], w * w) * w
 
 
 @lru_cache(maxsize=None)
@@ -663,8 +647,7 @@ def u_rational(n: int) -> RationalFn:
     series = [Fraction(0)] * (2 * n + 1)
     for k in range(n + 1):
         series[2 * k] = pref * math.comb(n, k) ** 2 / math.comb(2 * n, 2 * k)
-    vnum, vden = _poly_compose_mobius(RationalPoly(series, "v"), 1, -1, 1, 1)
-    route_one = RationalFn(vnum, vden)
+    route_one = RationalFn(RationalPoly(series, "v")).compose_mobius(1, -1, 1, 1)
     route_two = RationalFn(f_poly_parseval(n)).compose_mobius(1, -1, 2, 2)
     if route_one != route_two:
         raise ArithmeticError(f"the two constructions of U_{n} disagree")
@@ -773,12 +756,27 @@ def eq_u(n: int) -> OdeSpec:
     return OdeSpec(f"U_{n}", a2, a1, a0)
 
 
+def _cleared_residual(
+    f: RationalFn, a2: RationalPoly, a1: RationalPoly, a0: RationalPoly
+) -> RationalFn:
+    """a2*y'' + a1*y' + a0*y for y = N/D, as a polynomial identity over D^3.
+
+    With W = N'D - ND': y' = W/D^2 and y'' = ((N''D - ND'')D - 2D'W)/D^3.
+    A zero numerator needs no denominator, so D^3 is formed only otherwise.
+    """
+    n, d = f._n, f._d
+    n1, d1 = n.derivative(), d.derivative()
+    w = n1 * d - n * d1
+    r = a2 * ((n1.derivative() * d - n * d1.derivative()) * d - 2 * d1 * w) + (
+        a1 * w + a0 * n * d
+    ) * d
+    return RationalFn(r) if r.is_zero else RationalFn(r, d ** 3)
+
+
 def ode_residual_poly(y: Union[RationalPoly, RationalFn], ode: OdeSpec) -> RationalFn:
     """Exact residual of the named equation applied to y; zero iff y solves it."""
     f = y if isinstance(y, RationalFn) else RationalFn(y)
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    return d2 * RationalFn(ode.a2) + d1 * RationalFn(ode.a1) + f * RationalFn(ode.a0)
+    return _cleared_residual(f, ode.a2, ode.a1, ode.a0)
 
 
 @dataclass(frozen=True)
@@ -843,13 +841,12 @@ def heun_residual(
     f = y if isinstance(y, RationalFn) else RationalFn(y)
     if transform == "negate":
         f = f.compose_mobius(-1, 0, 0, 1)
+    # Multiplied through by s = x(x-1)(2x-1), the Heun operator becomes
+    # s*y'' + (gamma(x-1)(2x-1) + delta*x(2x-1) + 2*epsilon*x(x-1))*y'
+    # + 2(alpha*beta*x - q)*y, whose residual is a cleared identity.
     x = RationalPoly.x()
-    sing = RationalFn(x) * RationalFn(x - 1) * RationalFn(x - Fraction(1, 2))
-    p = (
-        RationalFn(RationalPoly((hp.gamma,))) / RationalFn(x)
-        + RationalFn(RationalPoly((hp.delta,))) / RationalFn(x - 1)
-        + RationalFn(RationalPoly((hp.epsilon,))) / RationalFn(x - Fraction(1, 2))
-    )
-    qq = RationalFn(hp.alpha * hp.beta * x - hp.q) / sing
-    d1 = f.derivative()
-    return d1.derivative() + p * d1 + qq * f
+    xm1, tx1 = x - 1, 2 * x - 1
+    s = x * xm1 * tx1
+    a1 = hp.gamma * xm1 * tx1 + hp.delta * x * tx1 + 2 * hp.epsilon * x * xm1
+    a0 = 2 * (hp.alpha * hp.beta * x - hp.q)
+    return _cleared_residual(f, s, a1, a0) / s

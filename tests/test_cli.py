@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -167,6 +168,37 @@ class TestJsonSchema:
         witness = doc["report"]["witnesses"]["g_rational"]
         assert witness["num"]["coeffs"] == ["1/1"]
         assert witness["den"]["coeffs"] == ["1/1", "2/1"]
+
+
+# SHA-256 of the stdout of each command, recorded before the exact layer moved
+# from gcd-reduced Fraction coefficients to unreduced integer-coefficient
+# pairs.  The witnesses, the item verdicts and every printed margin must stay
+# byte-identical across changes of the exact representation.
+GOLDEN = {
+    ("verify", "--family", "bernstein", "--n-max", "13", "--format", "json"):
+        "33777d40c37c78024ca339c68993e4e32355893efba281166c97b47b12d00c39",
+    ("verify", "--family", "baskakov", "--n-max", "13", "--format", "json"):
+        "b04add10a6fb513539d1b1c7ec87200fa2b5512e81d638f394ef1a88fcddd29a",
+    ("verify", "--family", "bbh", "--n-max", "13", "--format", "json"):
+        "4bb0d5d66cfb9ea4b376845208cf4523612650a89b60bf6787b42f94c0a5ee05",
+    ("verify", "--family", "mkz", "--n-max", "13", "--format", "json"):
+        "f63fa304c0bc790c381a0f402cb1386fb1b681749312482dfbe201dbc7346b17",
+    ("scan", "--family", "bernstein", "-n", "5", "--kind", "logconvexity", "--format", "json"):
+        "83fd6179dd978c22773a8a99d3c1534c6ab92a6dfbb70d4e85c2627f4da40648",
+    ("scan", "--family", "bernstein", "-n", "20", "--kind", "logconvexity", "--format", "json"):
+        "b3ff808730edd17fa29c603db1757ee8b1e2131ea457a37941f16f38c2e4a9a9",
+    ("scan", "--family", "baskakov", "-n", "5", "--kind", "logconvexity", "--format", "json"):
+        "9c2bf170f1bb93b65720504f1ee4c3344b9a72200fb35c82c6a5cab1d82ebb12",
+    ("scan", "--family", "baskakov", "-n", "20", "--kind", "logconvexity", "--format", "json"):
+        "093008a2aca40d0fc49f5a567280371842f8637066198cc82813993944724937",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda a: "-".join(a[0:5:2]))
+def test_golden_bytes(argv):
+    code, out, _ = invoke(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
 class TestErrors:

@@ -126,11 +126,12 @@ class TestRationalFn:
         assert RationalFn.from_json(json.loads(blob)) == f
 
     def test_reduction_beyond_candidate_roots(self):
-        # the common factor x^2 - 2 has irrational roots, so the fast
-        # deflation path cannot see it; the remainder-sequence gcd must
+        # the common factor x^2 - 2 has irrational roots; the lowest-terms
+        # form must still divide it out
         common = X * X - 2
         f = RationalFn(common * (X + 1), common * (X + 3))
         assert f == RationalFn(X + 1, X + 3)
+        assert (f.num, f.den) == (X + 1, X + 3)
 
     def test_coprime_with_irrational_roots_stays_put(self):
         f = RationalFn(X * X - 2, X * X - 3)
@@ -142,6 +143,60 @@ class TestRationalFn:
         f = RationalFn(X, RationalPoly([Fraction(-1, 3), Fraction(-2, 3)]))
         assert f.den == RationalPoly([1, 2])
         assert f.num == -3 * X
+
+    def test_removable_singularity_evaluates_to_the_limit(self):
+        f = RationalFn((X - 1) * (X + 1), (X - 1) * (X + 3))
+        assert f(Fraction(1)) == Fraction(1, 2)
+        assert f(1.0) == 0.5
+
+    def test_pole_behind_a_common_factor_still_raises(self):
+        f = RationalFn((X + 1) * (X - 1), (X - 1) ** 2)
+        with pytest.raises(ZeroDivisionError):
+            f(Fraction(1))
+
+    def test_equal_functions_hash_equal(self):
+        common = X * X - 2
+        a = RationalFn(3 * common * (X + 1), common * (2 * X + 6))
+        b = RationalFn(Fraction(3, 2) * (X + 1), X + 3)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b, RationalFn(X + 1, X + 3)}) == 2
+
+    @given(small_polys, small_polys.filter(lambda p: not p.is_zero), small_fracs)
+    @settings(max_examples=60)
+    def test_exact_evaluation_matches_fraction_horner(self, p, q, x):
+        # reference: plain Fraction Horner on the coefficient tuples
+        def horner(poly):
+            acc = Fraction(0)
+            for c in reversed(poly.coeffs):
+                acc = acc * x + c
+            return acc
+
+        assert p(x) == horner(p)
+        if horner(q) != 0:
+            assert RationalFn(p, q)(x) == horner(p) / horner(q)
+
+    def test_no_gcd_outside_the_lowest_terms_form(self, monkeypatch):
+        from sqsums import analysis, exactalg
+
+        def forbidden(*args):
+            raise AssertionError("polynomial gcd on the arithmetic path")
+
+        monkeypatch.setattr(exactalg, "_lowest_terms", forbidden)
+        for build in (g_rational, j_rational, u_rational):
+            build.cache_clear()  # construction must run under the patch too
+        n = 4
+        g, j, u = g_rational(n), j_rational(n), u_rational(n)
+        assert ode_residual_poly(g, eq_g(n)).is_zero
+        assert heun_residual(g, HeunParams.rational_case(n), "negate").is_zero
+        assert ode_residual_poly(j, eq_j(n)).is_zero
+        assert ode_residual_poly(u, eq_u(n)).is_zero
+        assert g == j_rational(n - 1).compose_mobius(1, 0, 1, 1)
+        assert u == RationalFn(f_poly_direct(n)).compose_mobius(1, 0, 1, 1)
+        assert g / (X + 1) * (X + 1) == g
+        assert g.derivative() - g.derivative() == 0
+        q = analysis._q_exact(Params(n, 1))
+        assert q(Fraction(2, 7)) > 0
 
 
 def _shift_to_centered(p: RationalPoly) -> RationalPoly:
@@ -270,6 +325,57 @@ class TestHeun:
     def test_unknown_transform_rejected(self):
         with pytest.raises(ValueError):
             heun_residual(X, HeunParams.polynomial_case(1), "reflect")
+
+
+_EPS = Fraction(1, 10 ** 30)
+
+
+def _perturbed(y):
+    """y with _EPS added to its x^1 numerator coefficient."""
+    if isinstance(y, RationalPoly):
+        return y + _EPS * X
+    return RationalFn(y.num + _EPS * X, y.den)
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_ode_residuals_detect_a_tiny_coefficient_fault(self, n):
+        cases = [
+            (f_poly_direct(n), eq_f(n)),
+            (g_rational(n), eq_g(n)),
+            (j_rational(n), eq_j(n)),
+            (u_rational(n), eq_u(n)),
+        ]
+        for y, spec in cases:
+            assert ode_residual_poly(y, spec).is_zero
+            assert not ode_residual_poly(_perturbed(y), spec).is_zero, spec.label
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_heun_residuals_detect_a_tiny_coefficient_fault(self, n):
+        f_hp, g_hp = HeunParams.polynomial_case(n), HeunParams.rational_case(n)
+        assert not heun_residual(_perturbed(f_poly_direct(n)), f_hp).is_zero
+        assert not heun_residual(_perturbed(g_rational(n)), g_hp, "negate").is_zero
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_substitutions_detect_a_tiny_coefficient_fault(self, n):
+        assert _perturbed(g_rational(n)) != j_rational(n - 1).compose_mobius(1, 0, 1, 1)
+        assert g_rational(n) != _perturbed(j_rational(n - 1)).compose_mobius(1, 0, 1, 1)
+        u_from_f = RationalFn(f_poly_direct(n)).compose_mobius(1, 0, 1, 1)
+        assert _perturbed(u_rational(n)) != u_from_f
+        assert u_rational(n) != RationalFn(_perturbed(f_poly_direct(n))).compose_mobius(1, 0, 1, 1)
+
+
+class TestLargeIndex:
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_baskakov_ode_and_heun(self, n):
+        g = g_rational(n)
+        assert ode_residual_poly(g, eq_g(n)).is_zero
+        assert heun_residual(g, HeunParams.rational_case(n), "negate").is_zero
+
+    def test_mkz_and_bbh_ode(self):
+        n = 60
+        assert ode_residual_poly(j_rational(n), eq_j(n)).is_zero
+        assert ode_residual_poly(u_rational(n), eq_u(n)).is_zero
 
 
 def _geom_sq_sum_baskakov(n: int, x: Fraction, terms: int = 400) -> Fraction:
