@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .core import DomainError, FamilyId, Params
+from .core import DomainError, FamilyId, Params, RationalLike
 from .bounds import s_value
 from .evalnum import s_closed
 from . import exactalg
@@ -23,6 +23,7 @@ __all__ = [
     "ScanReport",
     "conjecture_grid",
     "convexity_scan",
+    "has_exact_q",
     "logconvexity_scan",
     "monotonicity_check",
     "ode_residual_scan",
@@ -159,7 +160,7 @@ def ode_residual_scan(params: Params, grid: Sequence[float], h: float) -> ScanRe
 # ---------------------------------------------------------------------------
 
 
-def convexity_scan(family: FamilyId, n: int, grid: Sequence[Real]) -> ScanReport:
+def convexity_scan(family: FamilyId, n: RationalLike, grid: Sequence[Real]) -> ScanReport:
     """Second-difference margins of the squared-basis sum over a grid.
 
     The Bernstein family uses the exact route: its centered representation
@@ -167,8 +168,10 @@ def convexity_scan(family: FamilyId, n: int, grid: Sequence[Real]) -> ScanReport
     derivative values.  Other families use second divided differences of
     neighbor triples, reported on the interior points.
     """
-    subject = {"family": family.name, "n": n}
-    if family.name == "bernstein" or (family.name == "general" and family.c == -1):
+    family.base_params(n)  # rejects an index the family does not admit
+    n = int(n) if Fraction(n).denominator == 1 else Fraction(n)  # f_poly_parseval needs an int
+    subject = {"family": family.name, "n": n if isinstance(n, int) else _fmt(n)}
+    if family.key == "bernstein":
         d2 = exactalg.f_poly_parseval(n).derivative().derivative()
         margins = []
         for x in grid:
@@ -222,32 +225,28 @@ def monotonicity_check(n: int, grid: Sequence[Real]) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ExactQ:
-    fn: object
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.fn(x)
+def has_exact_q(params: Params) -> bool:
+    """Whether Q has an exact rational form: c in {-1, +1} at natural n."""
+    return params.c in (-1, 1) and params.n.denominator == 1
 
 
-def _q_exact(params: Params):
-    """Q = S*S'' - (S')^2 as an exact object for c in {-1, +1}.
+def _q_exact(params: Params) -> Optional[exactalg.RationalFn]:
+    """Q = S*S'' - (S')^2 as an exact rational function, or None.
 
     S = N/D is taken unreduced and Q comes from one cleared identity,
     Q*D^4 = D^2 (N N'' - N'^2) - N^2 (D D'' - D'^2), with no gcd.
     """
-    n = int(params.n) if params.n.denominator == 1 else None
-    if params.c == Fraction(-1):
-        num, den = exactalg.RationalFn(exactalg.f_poly_direct(params.l)).pair
-    elif params.c == Fraction(1) and n is not None:
-        num, den = exactalg.g_rational(n).pair
-    else:
+    if not has_exact_q(params):
         return None
+    if params.c < 0:
+        num, den = exactalg.RationalFn(exactalg.f_poly_direct(params.l)).pair
+    else:
+        num, den = exactalg.g_rational(int(params.n)).pair
     n1, d1 = num.derivative(), den.derivative()
     q = den * den * (num * n1.derivative() - n1 * n1) - num * num * (
         den * d1.derivative() - d1 * d1
     )
-    return _ExactQ(exactalg.RationalFn(q, den ** 4))
+    return exactalg.RationalFn(q, den ** 4)
 
 
 def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:
@@ -303,14 +302,11 @@ def logconvexity_scan(
     status = {"conjecture": "log-convexity of S", "status": "unproven", "asserted": False}
     if qfun is not None:
         xs = [Fraction(x) for x in grid] if grid is not None else conjecture_grid(params, count)
-        sup = params.domain_sup
         margins = []
         kept = []
         for x in xs:
             if not params.in_domain(x):
                 raise DomainError(f"x={x} outside I_c = {params.domain_str()}")
-            if sup is not None and x == sup and params.c == Fraction(1):
-                continue
             try:
                 margins.append(qfun(x))
                 kept.append(x)

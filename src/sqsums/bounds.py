@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Callable, NamedTuple, Optional, Union
 
-from .core import FamilyId, ParameterError
+from .core import FamilyId, ParameterError, RationalLike
 from . import evalnum, exactalg
 
 __all__ = [
@@ -29,6 +29,8 @@ _NEARFIELD_SUP = 20.0
 _DECADES = tuple(float(10 ** j) for j in range(0, 7))
 
 Real = Union[float, Fraction]
+# (label, value) per bound, and notes on the bounds left out.
+_Bounds = tuple[list[tuple[str, float]], list[str]]
 
 
 @dataclass(frozen=True)
@@ -55,33 +57,7 @@ class BoundReport:
         }
 
 
-def s_value(family: FamilyId, n: int, x: Real, rtol: float = 1e-12) -> float:
-    """The squared-basis sum of a family, by its most accurate route.
-
-    Families with exact representations evaluate their positive-coefficient
-    series (fully exact on Fraction input); the Szasz family and general
-    non-exact parameters go through the closed-form kernels.
-    """
-    family.require_in_domain(x)
-    name = family.name
-    if name == "bernstein":
-        v = exactalg.f_value(n, x)
-    elif name == "bbh":
-        v = exactalg.u_value(n, x)
-    elif name == "mkz":
-        v = exactalg.j_value(n, x)
-    elif name == "baskakov":
-        v = exactalg.g_value(n, x)
-    elif name == "general" and family.c == -1:
-        v = exactalg.f_value(n, x)
-    elif name == "general" and family.c == 1:
-        v = exactalg.g_value(n, x)
-    else:
-        return evalnum.s_closed(family.base_params(n), float(x), rtol).value
-    return v if isinstance(x, Fraction) else float(v)
-
-
-def _bernstein_bounds(n: int, x: float) -> tuple[list[tuple[str, float]], list[str]]:
+def _bernstein_bounds(n: int, x: float) -> _Bounds:
     base = 1.0 + 4.0 * (n - 1) * x * (1.0 - x)
     out = [("inv_sqrt", base ** -0.5)]
     notes = []
@@ -92,11 +68,11 @@ def _bernstein_bounds(n: int, x: float) -> tuple[list[tuple[str, float]], list[s
     return out, notes
 
 
-def _bbh_bounds(n: int, x: float) -> tuple[list[tuple[str, float]], list[str]]:
+def _bbh_bounds(n: int, x: float) -> _Bounds:
     return [("inv_sqrt", (x + 1.0) / math.sqrt(x * x + (4.0 * n - 2.0) * x + 1.0))], []
 
 
-def _baskakov_bounds(n: int, x: float) -> tuple[list[tuple[str, float]], list[str]]:
+def _baskakov_bounds(n: int, x: float) -> _Bounds:
     base = 4.0 * (n + 1) * x * (1.0 + x) + 1.0
     return [
         ("refined_power", base ** (-n / (2.0 * (n + 1)))),
@@ -104,7 +80,7 @@ def _baskakov_bounds(n: int, x: float) -> tuple[list[tuple[str, float]], list[st
     ], []
 
 
-def _mkz_bounds(n: int, x: float) -> tuple[list[tuple[str, float]], list[str]]:
+def _mkz_bounds(n: int, x: float) -> _Bounds:
     base = (1.0 - x) ** 2 / (x * x + (4.0 * n + 6.0) * x + 1.0)
     return [
         ("refined_power", base ** ((n + 1) / (2.0 * (n + 2)))),
@@ -112,17 +88,43 @@ def _mkz_bounds(n: int, x: float) -> tuple[list[tuple[str, float]], list[str]]:
     ], []
 
 
-def _szasz_bounds(n: int, x: float) -> tuple[list[tuple[str, float]], list[str]]:
+def _szasz_bounds(n: int, x: float) -> _Bounds:
     return [("inv_sqrt", (4.0 * n * x + 1.0) ** -0.5)], []
 
 
-_BOUND_TABLE = {
-    "bernstein": (_bernstein_bounds, 1),
-    "bbh": (_bbh_bounds, 1),
-    "baskakov": (_baskakov_bounds, 1),
-    "mkz": (_mkz_bounds, 0),
-    "szasz": (_szasz_bounds, 1),
+class _Family(NamedTuple):
+    """Exact value of S (None: closed form only), bound formulas, least index."""
+
+    value: Optional[Callable[[int, Real], Real]]
+    bounds: Callable[[int, float], _Bounds]
+    n_min: int
+
+
+# Keyed by FamilyId.key.  The exact values go through the module at call time
+# so that a patched ``exactalg`` attribute is the one that runs.
+_FAMILIES = {
+    "bernstein": _Family(lambda n, x: exactalg.f_value(n, x), _bernstein_bounds, 1),
+    "bbh": _Family(lambda n, x: exactalg.u_value(n, x), _bbh_bounds, 1),
+    "baskakov": _Family(lambda n, x: exactalg.g_value(n, x), _baskakov_bounds, 1),
+    "mkz": _Family(lambda n, x: exactalg.j_value(n, x), _mkz_bounds, 0),
+    "szasz": _Family(None, _szasz_bounds, 1),
 }
+
+
+def s_value(family: FamilyId, n: RationalLike, x: Real, rtol: float = 1e-12) -> float:
+    """The squared-basis sum of a family, by its most accurate route.
+
+    Families with exact representations evaluate their positive-coefficient
+    series at natural n (fully exact on Fraction input); the Szasz family,
+    general non-exact parameters and fractional indices go through the
+    closed-form kernels.
+    """
+    family.require_in_domain(x)
+    row = _FAMILIES.get(family.key)
+    if row is None or row.value is None or int(n) != n:
+        return evalnum.s_closed(family.base_params(n), float(x), rtol).value
+    v = row.value(int(n), x)
+    return v if isinstance(x, Fraction) else float(v)
 
 
 def bound_values(family: FamilyId, n: int, x: Real) -> BoundReport:
@@ -131,23 +133,15 @@ def bound_values(family: FamilyId, n: int, x: Real) -> BoundReport:
     Bounds that need a larger index (the refined power bound at n = 1 for
     the Bernstein family) are omitted with a note, never an error.
     """
-    name = family.name
-    if name == "general":
-        if family.c == -1:
-            name = "bernstein"
-        elif family.c == 1:
-            name = "baskakov"
-        elif family.c == 0:
-            name = "szasz"
-        else:
-            raise ParameterError(f"no proven bounds for general c={family.c}")
-    fn, n_min = _BOUND_TABLE[name]
-    if n < n_min:
-        raise ParameterError(f"family {name!r} bounds need n >= {n_min}, got n={n}")
+    row = _FAMILIES.get(family.key)
+    if row is None:
+        raise ParameterError(f"no proven bounds for general c={family.c}")
+    if n < row.n_min:
+        raise ParameterError(f"family {family.key!r} bounds need n >= {row.n_min}, got n={n}")
     family.require_in_domain(x)
     xf = float(x)
     value = float(s_value(family, n, x))
-    bounds, notes = fn(n, xf)
+    bounds, notes = row.bounds(n, xf)
     min_margin = min(b - value for _, b in bounds)
     return BoundReport(family, n, xf, value, tuple(bounds), min_margin, tuple(notes))
 
@@ -158,7 +152,7 @@ def standard_grid(family: FamilyId, count: int = 256) -> list[float]:
     sup = family.domain_sup
     if sup is not None:
         hi = float(sup)
-        if family.name == "mkz":
+        if not family.in_domain(hi):
             hi -= 2.0 ** -20  # open right end
         lo = 0.0
     else:

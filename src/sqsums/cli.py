@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__, analysis, bounds, evalnum, exactalg, legendre
-from .core import DomainError, FamilyId, ParameterError, Params
+from .core import FAMILY_NAMES, DomainError, FamilyId, ParameterError
 
 __all__ = ["main", "run", "OUTPUT_SCHEMA"]
 
@@ -35,9 +35,6 @@ OUTPUT_SCHEMA = {
     },
     "oneOf": [{"required": ["results"]}, {"required": ["report"]}],
 }
-
-_FAMILIES = ("bernstein", "szasz", "baskakov", "bbh", "mkz", "general")
-
 
 def _fmt_float(v: float) -> str:
     return f"{v:.17g}"
@@ -198,137 +195,57 @@ def _cmd_table(args, out) -> int:
     return 0
 
 
-def _verify_items(family: FamilyId, n_max: int):
-    """(name, thunk) pairs for the exact identity suite of a family."""
-    name = family.name
-    if name == "general":
-        if family.c == Fraction(-1):
-            name = "bernstein"
-        elif family.c == Fraction(1):
-            name = "baskakov"
-    ns = range(1, n_max + 1)
-    if name == "bernstein":
-        return [
-            (
-                "parseval",
-                lambda: all(
-                    exactalg.f_poly_parseval(n).compose_linear(1, Fraction(-1, 2))
-                    == exactalg.f_poly_direct(n)
-                    for n in ns
-                ),
-            ),
-            ("recurrences", lambda: all(exactalg.recurrence_check(n) for n in ns)),
-            (
-                "ode",
-                lambda: all(
-                    exactalg.ode_residual_poly(exactalg.f_poly_direct(n), exactalg.eq_f(n)).is_zero
-                    for n in ns
-                ),
-            ),
-            (
-                "heun",
-                lambda: all(
-                    exactalg.heun_residual(
-                        exactalg.f_poly_direct(n), exactalg.HeunParams.polynomial_case(n)
-                    ).is_zero
-                    for n in ns
-                ),
-            ),
-            (
-                "legendre",
-                lambda: all(
-                    legendre.neuschel_check_exact(n, Fraction(1, 8)) == 0
-                    and legendre.neuschel_check_exact(n, Fraction(2, 5)) == 0
-                    for n in ns
-                )
-                and all(legendre.derivative_relations_check(n, Fraction(3, 2)) for n in range(1, min(n_max, 8) + 1)),
-            ),
-        ]
-    if name == "baskakov":
-        return [
-            (
-                "ode",
-                lambda: all(
-                    exactalg.ode_residual_poly(exactalg.g_rational(n), exactalg.eq_g(n)).is_zero
-                    for n in ns
-                ),
-            ),
-            (
-                "heun",
-                lambda: all(
-                    exactalg.heun_residual(
-                        exactalg.g_rational(n), exactalg.HeunParams.rational_case(n), "negate"
-                    ).is_zero
-                    for n in ns
-                ),
-            ),
-            (
-                "substitution",
-                lambda: all(
-                    exactalg.g_rational(n) == exactalg.j_rational(n - 1).compose_mobius(1, 0, 1, 1)
-                    for n in ns
-                ),
-            ),
-        ]
-    if name == "bbh":
-        return [
-            (
-                "ode",
-                lambda: all(
-                    exactalg.ode_residual_poly(exactalg.u_rational(n), exactalg.eq_u(n)).is_zero
-                    for n in ns
-                ),
-            ),
-            (
-                "substitution",
-                lambda: all(
-                    exactalg.u_rational(n)
-                    == exactalg.RationalFn(exactalg.f_poly_direct(n)).compose_mobius(1, 0, 1, 1)
-                    for n in ns
-                ),
-            ),
-        ]
-    if name == "mkz":
-        return [
-            (
-                "ode",
-                lambda: all(
-                    exactalg.ode_residual_poly(exactalg.j_rational(n), exactalg.eq_j(n)).is_zero
-                    for n in range(0, n_max + 1)
-                ),
-            ),
-            (
-                "substitution",
-                lambda: all(
-                    exactalg.j_rational(n) == exactalg.g_rational(n + 1).compose_mobius(1, 0, -1, 1)
-                    for n in range(0, n_max + 1)
-                ),
-            ),
-        ]
-    raise ParameterError(
-        f"family {family.name!r} has no exact identity suite; "
-        "use 'scan --kind ode' for the numerical residual check"
-    )
-
-
-def _verify_witnesses(family: FamilyId) -> dict:
-    """Serialized exact objects at the smallest index, as wire-format samples."""
-    name = family.name
-    if name == "general":
-        name = "bernstein" if family.c == Fraction(-1) else "baskakov"
-    if name == "bernstein":
-        return {"f_poly": exactalg.f_poly_direct(1).to_json()}
-    if name == "baskakov":
-        return {"g_rational": exactalg.g_rational(1).to_json()}
-    if name == "bbh":
-        return {"u_rational": exactalg.u_rational(1).to_json()}
-    return {"j_rational": exactalg.j_rational(0).to_json()}
+# Exact identity suites keyed by FamilyId.key: the first index, the witness
+# (a label and the exact object to build at the first index) and one check
+# per item, which must hold at every index from the first to --n-max.  The
+# checks look functions up in their modules at call time, so a patched
+# module attribute is the one that runs.
+_SUITES = {
+    "bernstein": (1, ("f_poly", lambda n: exactalg.f_poly_direct(n)), (
+        ("parseval", lambda n: exactalg.f_poly_parseval(n).compose_linear(1, Fraction(-1, 2))
+            == exactalg.f_poly_direct(n)),
+        ("recurrences", lambda n: exactalg.recurrence_check(n)),
+        ("ode", lambda n: exactalg.ode_residual_poly(
+            exactalg.f_poly_direct(n), exactalg.eq_f(n)).is_zero),
+        ("heun", lambda n: exactalg.heun_residual(
+            exactalg.f_poly_direct(n), exactalg.HeunParams.polynomial_case(n)).is_zero),
+        ("legendre", lambda n: legendre.neuschel_check_exact(n, Fraction(1, 8)) == 0
+            and legendre.neuschel_check_exact(n, Fraction(2, 5)) == 0
+            and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2)))),
+    )),
+    "baskakov": (1, ("g_rational", lambda n: exactalg.g_rational(n)), (
+        ("ode", lambda n: exactalg.ode_residual_poly(
+            exactalg.g_rational(n), exactalg.eq_g(n)).is_zero),
+        ("heun", lambda n: exactalg.heun_residual(
+            exactalg.g_rational(n), exactalg.HeunParams.rational_case(n), "negate").is_zero),
+        ("substitution", lambda n: exactalg.g_rational(n)
+            == exactalg.j_rational(n - 1).compose_mobius(1, 0, 1, 1)),
+    )),
+    "bbh": (1, ("u_rational", lambda n: exactalg.u_rational(n)), (
+        ("ode", lambda n: exactalg.ode_residual_poly(
+            exactalg.u_rational(n), exactalg.eq_u(n)).is_zero),
+        ("substitution", lambda n: exactalg.u_rational(n)
+            == exactalg.RationalFn(exactalg.f_poly_direct(n)).compose_mobius(1, 0, 1, 1)),
+    )),
+    "mkz": (0, ("j_rational", lambda n: exactalg.j_rational(n)), (
+        ("ode", lambda n: exactalg.ode_residual_poly(
+            exactalg.j_rational(n), exactalg.eq_j(n)).is_zero),
+        ("substitution", lambda n: exactalg.j_rational(n)
+            == exactalg.g_rational(n + 1).compose_mobius(1, 0, -1, 1)),
+    )),
+}
 
 
 def _cmd_verify(args, out) -> int:
     family = _family_from_args(args)
-    items = _verify_items(family, args.n_max)
-    outcomes = [(name, bool(thunk())) for name, thunk in items]
+    if family.key not in _SUITES:
+        raise ParameterError(
+            f"family {family.name!r} has no exact identity suite; "
+            "use 'scan --kind ode' for the numerical residual check"
+        )
+    first, (label, build), items = _SUITES[family.key]
+    ns = range(first, args.n_max + 1)
+    outcomes = [(name, all(check(n) for n in ns)) for name, check in items]
     ok = all(passed for _, passed in outcomes)
     if args.format == "json":
         doc = {
@@ -336,7 +253,7 @@ def _cmd_verify(args, out) -> int:
             "params": _params_doc(family, n_max=args.n_max),
             "report": {
                 "items": {name: ("OK" if passed else "FAIL") for name, passed in outcomes},
-                "witnesses": _verify_witnesses(family),
+                "witnesses": {label: build(first).to_json()},
             },
             "versions": _versions(),
         }
@@ -411,20 +328,23 @@ def _cmd_scan(args, out) -> int:
         if args.grid is None:
             raise ParameterError("scan --kind convexity requires --grid")
         grid = _parse_grid(args.grid, family)
-        report = analysis.convexity_scan(family, int(n), grid)
+        report = analysis.convexity_scan(family, n, grid)
     elif args.kind == "monotonicity":
+        if family.key != "bernstein":
+            raise ParameterError(
+                f"scan --kind monotonicity covers the Bernstein family only, got family {family.name!r}"
+            )
         count = args.count or 129
         grid = [Fraction(i, count - 1) for i in range(count)]
         report = analysis.monotonicity_check(int(n), grid)
-    else:  # logconvexity
-        if params.c in (Fraction(-1), Fraction(1)) and params.n.denominator == 1:
-            report = analysis.logconvexity_scan(params, count=args.count or 1024)
-        else:
-            if args.grid is None:
-                raise ParameterError(
-                    "scan --kind logconvexity needs --grid for families without an exact route"
-                )
-            report = analysis.logconvexity_scan(params, grid=_parse_grid(args.grid, family))
+    elif analysis.has_exact_q(params):  # logconvexity from here on
+        report = analysis.logconvexity_scan(params, count=args.count or 1024)
+    elif args.grid is None:
+        raise ParameterError(
+            "scan --kind logconvexity needs --grid for families without an exact route"
+        )
+    else:
+        report = analysis.logconvexity_scan(params, grid=_parse_grid(args.grid, family))
     if args.format == "json":
         doc = {
             "command": "scan",
@@ -454,11 +374,10 @@ def _cmd_info(args, out) -> int:
     doc = {"family": family.name, "domain": family.domain_str()}
     if family.name == "general":
         doc["c"] = _fmt_rat(family.c)
-        canonical = FamilyId.from_c(family.c)
-        if canonical.name != "general":
-            doc["classified_as"] = canonical.name
-    if family.name in ("bbh", "mkz"):
-        doc["base_family"] = "bernstein" if family.name == "bbh" else "baskakov"
+    if family.key != family.name:
+        doc["classified_as"] = family.key
+    if family.base_family != family.key:
+        doc["base_family"] = family.base_family
     if args.n is not None:
         n = _parse_rational(args.n, "n")
         params = family.base_params(n)
@@ -491,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p: argparse.ArgumentParser, need_family: bool = True) -> None:
-        p.add_argument("--family", choices=_FAMILIES, required=need_family)
+        p.add_argument("--family", choices=FAMILY_NAMES, required=need_family)
         p.add_argument("-c", default=None, help="family parameter (general only), rational")
         p.add_argument("-n", default=None, help="operator index, rational")
         p.add_argument("--rtol", type=float, default=1e-12)

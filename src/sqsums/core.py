@@ -11,12 +11,13 @@ of unity: the functions are nonnegative and sum to 1 pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 __all__ = [
     "DomainError",
+    "FAMILY_NAMES",
     "FamilyId",
     "ParameterError",
     "Params",
@@ -48,6 +49,31 @@ def _as_fraction(value: RationalLike, name: str) -> Fraction:
         raise ParameterError(f"{name} must be rational, got {value!r}") from exc
 
 
+class _Interval(NamedTuple):
+    """[0, sup], or [0, sup) when not closed; [0, +inf) when sup is None."""
+
+    sup: Optional[Fraction]
+    closed: bool = True
+
+    @classmethod
+    def of_c(cls, c: Fraction) -> "_Interval":
+        """The domain I_c: [0, -1/c] for c < 0, [0, +inf) otherwise."""
+        return cls(-1 / c if c < 0 else None)
+
+    def __contains__(self, x: Union[float, Fraction]) -> bool:
+        if x < 0:
+            return False
+        sup = self.sup
+        if sup is None:
+            return True
+        if sup.denominator == 1:
+            sup = sup.numerator  # float-to-int comparison is exact and much cheaper
+        return x <= sup if self.closed else x < sup
+
+    def __str__(self) -> str:
+        return "[0, +inf)" if self.sup is None else f"[0, {self.sup}{']' if self.closed else ')'}"
+
+
 @dataclass(frozen=True)
 class Params:
     """Validated operator parameters.
@@ -63,6 +89,7 @@ class Params:
     n: Fraction
     c: Fraction
     l: Optional[int] = None
+    _domain: _Interval = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = _as_fraction(self.n, "n")
@@ -87,6 +114,7 @@ class Params:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "l", l)
+        object.__setattr__(self, "_domain", _Interval.of_c(c))
 
     @property
     def n_float(self) -> float:
@@ -99,29 +127,44 @@ class Params:
     @property
     def domain_sup(self) -> Optional[Fraction]:
         """Right endpoint of I_c (None for unbounded families)."""
-        return -1 / self.c if self.c < 0 else None
+        return self._domain.sup
 
     def domain_str(self) -> str:
-        sup = self.domain_sup
-        return f"[0, {sup}]" if sup is not None else "[0, +inf)"
+        return str(self._domain)
 
     def in_domain(self, x: Union[float, Fraction]) -> bool:
-        if x < 0:
-            return False
-        sup = self.domain_sup
-        return sup is None or x <= sup
+        return x in self._domain
 
     def require_in_domain(self, x: Union[float, Fraction]) -> None:
         if not self.in_domain(x):
             raise DomainError(f"x={x} outside the domain I_c = {self.domain_str()}")
 
 
-_NAMED_C = {
-    "bernstein": Fraction(-1),
-    "szasz": Fraction(0),
-    "baskakov": Fraction(1),
+class _Family(NamedTuple):
+    """One row of the family table.
+
+    The squared-basis sum of the family is that of the (n, c) family ``base``
+    at index ``n + shift`` and point ``to_base(x)``.  ``domain`` is the
+    family's own domain where it is not I_c.
+    """
+
+    base: str
+    c: Optional[Fraction]  # None: the tag carries its own c
+    n_min: Optional[int] = None  # least natural index; None: any positive rational
+    shift: int = 0
+    to_base: Optional[Callable[[float], float]] = None
+    domain: Optional[_Interval] = None
+
+
+_FAMILIES = {
+    "bernstein": _Family("bernstein", Fraction(-1), 1),
+    "szasz": _Family("szasz", Fraction(0)),
+    "baskakov": _Family("baskakov", Fraction(1)),
+    "bbh": _Family("bernstein", Fraction(-1), 1, 0, lambda x: x / (1.0 + x), _Interval(None)),
+    "mkz": _Family("baskakov", Fraction(1), 0, 1, lambda x: x / (1.0 - x), _Interval(Fraction(1), False)),
+    "general": _Family("general", None),
 }
-_FAMILY_NAMES = ("bernstein", "szasz", "baskakov", "bbh", "mkz", "general")
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -137,9 +180,10 @@ class FamilyId:
 
     name: str
     c: Optional[Fraction] = None
+    _domain: _Interval = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.name not in _FAMILY_NAMES:
+        if self.name not in _FAMILIES:
             raise ParameterError(f"unknown family {self.name!r}")
         if self.name == "general":
             if self.c is None:
@@ -147,68 +191,64 @@ class FamilyId:
             object.__setattr__(self, "c", _as_fraction(self.c, "c"))
         elif self.c is not None:
             raise ParameterError(f"family {self.name!r} does not take a c parameter")
+        object.__setattr__(self, "_domain", self._row.domain or _Interval.of_c(self.base_c))
 
     @classmethod
     def from_c(cls, c: RationalLike) -> "FamilyId":
-        c = _as_fraction(c, "c")
-        for name, cval in _NAMED_C.items():
-            if c == cval:
-                return cls(name)
-        return cls("general", c)
+        general = cls("general", c)
+        return general if general.key == "general" else cls(general.key)
+
+    @property
+    def _row(self) -> _Family:
+        return _FAMILIES[self.name]
+
+    @property
+    def key(self) -> str:
+        """The named family this tag denotes (``general`` with c in {-1, 0, 1}
+        resolves to bernstein, szasz or baskakov)."""
+        if self.c is not None:
+            for name, row in _FAMILIES.items():
+                if row.base == name and row.c == self.c:
+                    return name
+        return self.name
+
+    @property
+    def base_family(self) -> str:
+        """Name of the (n, c) family this family's sum is a substitution of."""
+        return _FAMILIES[self.key].base
 
     @property
     def base_c(self) -> Fraction:
         """Family parameter of the underlying (n, c) family."""
-        if self.name in _NAMED_C:
-            return _NAMED_C[self.name]
-        if self.name == "bbh":
-            return Fraction(-1)
-        if self.name == "mkz":
-            return Fraction(1)
-        return self.c  # general
+        return self.c if self.c is not None else self._row.c
 
     def base_params(self, n: RationalLike) -> Params:
         """Params of the underlying family (index shift n -> n+1 for mkz)."""
         n = _as_fraction(n, "n")
-        if self.name in ("bernstein", "bbh", "mkz"):
-            if n.denominator != 1 or (self.name != "mkz" and n < 1) or (self.name == "mkz" and n < 0):
-                raise ParameterError(f"family {self.name!r} needs a natural index, got n={n}")
-        if self.name == "mkz":
-            return Params(n + 1, Fraction(1))
-        return Params(n, self.base_c)
+        n_min = self._row.n_min
+        if n_min is not None and (n.denominator != 1 or n < n_min):
+            raise ParameterError(f"family {self.name!r} needs a natural index, got n={n}")
+        return Params(n + self._row.shift, self.base_c)
 
     def substitution(self, x: float) -> float:
         """Map a point of this family's domain into the base family's domain."""
-        if self.name == "bbh":
-            return x / (1.0 + x)
-        if self.name == "mkz":
-            if x >= 1.0:
-                raise DomainError(f"x={x} outside the domain [0, 1) of family 'mkz'")
-            return x / (1.0 - x)
-        return x
+        to_base = self._row.to_base
+        if to_base is None:
+            return x
+        if not self._domain.closed and x >= self._domain.sup:  # the map's pole
+            raise DomainError(f"x={x} outside the domain {self.domain_str()} of family {self.name!r}")
+        return to_base(x)
 
     @property
     def domain_sup(self) -> Optional[Fraction]:
         """Right endpoint of the family domain (None when unbounded)."""
-        if self.name == "mkz" or self.name == "bernstein":
-            return Fraction(1)
-        if self.name in ("bbh", "szasz", "baskakov"):
-            return None
-        return -1 / self.c if self.c < 0 else None
+        return self._domain.sup
 
     def domain_str(self) -> str:
-        if self.name == "mkz":
-            return "[0, 1)"
-        sup = self.domain_sup
-        return f"[0, {sup}]" if sup is not None else "[0, +inf)"
+        return str(self._domain)
 
     def in_domain(self, x: Union[float, Fraction]) -> bool:
-        if x < 0:
-            return False
-        if self.name == "mkz":
-            return x < 1
-        sup = self.domain_sup
-        return sup is None or x <= sup
+        return x in self._domain
 
     def require_in_domain(self, x: Union[float, Fraction]) -> None:
         if not self.in_domain(x):

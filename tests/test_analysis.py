@@ -94,6 +94,26 @@ class TestConvexityScan:
         with pytest.raises(ValueError):
             convexity_scan(FamilyId("szasz"), 1, [0.1, 0.2])
 
+    def test_fractional_index_is_not_truncated(self):
+        # the margins at n = 3/2 are the second divided differences of S at
+        # n = 3/2, not those of the n = 1 sum
+        params = Params(Fraction(3, 2), Fraction(1, 2))
+        grid = [0.25 * i for i in range(9)]
+        rep = convexity_scan(FamilyId("general", Fraction(1, 2)), Fraction(3, 2), grid)
+        s = [s_closed(params, x).value for x in grid]
+        expected = [
+            2.0 * ((s[i + 1] - s[i]) / 0.25 - (s[i] - s[i - 1]) / 0.25) / 0.5
+            for i in range(1, len(grid) - 1)
+        ]
+        assert list(rep.margins) == expected
+        assert rep.subject == {"family": "general", "n": "3/2"}
+        truncated = convexity_scan(FamilyId("general", Fraction(1, 2)), 1, grid)
+        assert rep.margins != truncated.margins
+
+    def test_natural_index_keeps_an_int_subject(self):
+        rep = convexity_scan(FamilyId("baskakov"), Fraction(3), [0.0, 0.5, 1.0])
+        assert rep.subject == {"family": "baskakov", "n": 3}
+
 
 class TestMonotonicityCheck:
     def test_decrease_then_increase(self):
@@ -123,7 +143,7 @@ class TestLogConvexityScan:
         from sqsums.analysis import _q_exact
 
         q = _q_exact(Params(1, -1))
-        assert q.fn == RationalPoly([0, 8, -8])
+        assert q == RationalPoly([0, 8, -8])
         rep = logconvexity_scan(Params(1, -1), count=128)
         assert rep.min_margin == 0  # zero exactly at both endpoints
         assert rep.argmin in (Fraction(0), Fraction(1))
@@ -133,7 +153,7 @@ class TestLogConvexityScan:
         from sqsums.analysis import _q_exact
 
         q = _q_exact(Params(1, 1))
-        assert q.fn == RationalFn(RationalPoly([4]), (2 * X + 1) ** 4)
+        assert q == RationalFn(RationalPoly([4]), (2 * X + 1) ** 4)
         rep = logconvexity_scan(Params(1, 1), count=128)
         assert all(m > 0 for m in rep.margins)
 

@@ -131,6 +131,38 @@ class TestScan:
         assert code == 0
         assert out.splitlines()[0] == "x,margin"
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ["--family", "szasz", "-n", "3"],
+            ["--family", "baskakov", "-n", "3"],
+            ["--family", "bbh", "-n", "3"],
+            ["--family", "mkz", "-n", "3"],
+            ["--family", "general", "-c", "-1/2", "-n", "3/2"],
+            ["--family", "general", "-c", "2", "-n", "3"],
+        ],
+        ids=lambda a: "-".join(a[1::2]),
+    )
+    def test_monotonicity_rejects_other_families(self, family):
+        code, out, err = invoke(["scan", *family, "--kind", "monotonicity"])
+        assert code == 2
+        assert out == ""
+        assert "Bernstein" in err
+
+    def test_monotonicity_accepts_general_bernstein(self):
+        argv = ["--kind", "monotonicity", "--format", "json"]
+        _, named, _ = invoke(["scan", "--family", "bernstein", "-n", "3", *argv])
+        code, general, _ = invoke(["scan", "--family", "general", "-c", "-1", "-n", "3", *argv])
+        assert code == 0
+        assert json.loads(general)["report"] == json.loads(named)["report"]
+
+    def test_convexity_keeps_a_fractional_index(self):
+        argv = ["scan", "--family", "baskakov", "--kind", "convexity", "--grid", "0:5:9", "--format", "json"]
+        _, frac, _ = invoke(argv + ["-n", "5/2"])
+        _, two, _ = invoke(argv + ["-n", "2"])
+        assert json.loads(frac)["report"]["subject"] == {"family": "baskakov", "n": "5/2"}
+        assert json.loads(frac)["report"]["margins"] != json.loads(two)["report"]["margins"]
+
 
 class TestJsonSchema:
     @pytest.mark.parametrize(
@@ -191,6 +223,52 @@ GOLDEN = {
         "9c2bf170f1bb93b65720504f1ee4c3344b9a72200fb35c82c6a5cab1d82ebb12",
     ("scan", "--family", "baskakov", "-n", "20", "--kind", "logconvexity", "--format", "json"):
         "093008a2aca40d0fc49f5a567280371842f8637066198cc82813993944724937",
+    # Recorded before the per-family dispatch in core, bounds, cli and
+    # analysis moved into one family table: the bound formulas and exact
+    # values per family, the general-c aliases, the info classification,
+    # the convexity margins and the bbh/mkz substitutions must not move.
+    ("bounds", "--family", "bernstein", "-n", "3", "--format", "json"):
+        "15ea7dc034e1821de95e47c6ffd29df55cf9fc7351e8f2ae5514ceb802048fa5",
+    ("bounds", "--family", "szasz", "-n", "3", "--format", "json"):
+        "5154dc7ef53f71ed6f35d364d9c416290fe5387151426fc103da11e7618fd62e",
+    ("bounds", "--family", "baskakov", "-n", "3", "--format", "json"):
+        "c60b03b704fae0dfbf579690c5847f8f57472fb2af29df7d3acd0bd0085e6c52",
+    ("bounds", "--family", "bbh", "-n", "3", "--format", "json"):
+        "546a8c0ff68f191ac67c04989dbe0c451273e1de5af85874d3ee07a7fee0d58d",
+    ("bounds", "--family", "mkz", "-n", "3", "--format", "json"):
+        "58573c8be6554fce3078cae59c7041f9118290575286a8b36178e950d96ec909",
+    ("bounds", "--family", "general", "-c", "-1", "-n", "3", "--format", "json"):
+        "07f78a8fd09695ea2b23982dd662b9b006ab2c837a893ff930e76dd1de04ba0f",
+    ("bounds", "--family", "general", "-c", "0", "-n", "3", "--format", "json"):
+        "a64ceb078f378671b5e6badb7c13bc973d16393630a8b1194df1dbea50eb4a02",
+    ("bounds", "--family", "general", "-c", "1", "-n", "3", "--format", "json"):
+        "ee3b21ca9b921068945efc6133ce79d5e7207670e3e72a62f4e1418d6b9a9e2e",
+    ("info", "--family", "bernstein", "-n", "3", "--format", "json"):
+        "20174767a19df684220fe222e6582161e21f6b552c4a589e294c5043e8bfbb16",
+    ("info", "--family", "szasz", "-n", "3", "--format", "json"):
+        "f3154976e7350ac7a6cba76b50655e26b46748f1921ccd47520397162f56a962",
+    ("info", "--family", "baskakov", "-n", "3", "--format", "json"):
+        "6baec66b2ef85355fec19b83e195897ef8ef972c2176d34973259d571ed5039f",
+    ("info", "--family", "bbh", "-n", "3", "--format", "json"):
+        "2dd65abadff76962845a772d006d08cc71745f1c909ffab6bb45ffe84e7b21e0",
+    ("info", "--family", "mkz", "-n", "3", "--format", "json"):
+        "6c546c885a1e440e372f68bd733569d5ece40bb3e4c13bc93ffea75e1e102228",
+    ("info", "--family", "general", "-c", "0", "-n", "3", "--format", "json"):
+        "6e67614b2906de20ce6027faec4d112ec68dc1fd23e4869fe62bee9ef29a68a5",
+    ("info", "--family", "general", "-c", "1/2", "-n", "3", "--format", "json"):
+        "a14cee8778ef629c433df8bb80f7a04cb9fe390c438cd34612a0c144a8cd68d7",
+    ("verify", "--family", "general", "-c", "-1", "--n-max", "6", "--format", "json"):
+        "3fb7b72e6abd3a728a4df31e26a09b10c28c2ce87c8751261be998204b8e9484",
+    ("verify", "--family", "general", "-c", "1", "--n-max", "6", "--format", "json"):
+        "bd557888e1e864e6902f7fc54971e1ce1ea33dee1bd4ee744be695a89480f726",
+    ("scan", "--family", "bernstein", "-n", "3", "--kind", "convexity", "--grid", "0:1:11", "--format", "json"):
+        "7f6a67cdec8fd0ec605f58c36685519cdfd676ba38d0676f02d902425df30900",
+    ("scan", "--family", "szasz", "-n", "3", "--kind", "convexity", "--grid", "0:5:11", "--format", "json"):
+        "31710fab776a4688a8c192b63ca336eb3087175a6a2e9bf2f8e7ad047dfe2b25",
+    ("eval", "--family", "bbh", "-n", "3", "-x", "2", "--format", "json"):
+        "5bf4fa4f4ec3d34e1319632120d10c15f44a853971bd2b6acc70804bfebb2077",
+    ("eval", "--family", "mkz", "-n", "3", "-x", "1/2", "--format", "json"):
+        "7449f3b4c4532ffd13c70e0fb597b5e2e74ead5f8bf0750f3e4325d7549b05ff",
 }
 
 

@@ -124,6 +124,34 @@ class TestFamilyId:
         with pytest.raises(ParameterError):
             FamilyId("bernstein").base_params(Fraction(3, 2))
 
+    @pytest.mark.parametrize(
+        "name,c,key,base",
+        [
+            ("bernstein", None, "bernstein", "bernstein"),
+            ("szasz", None, "szasz", "szasz"),
+            ("bbh", None, "bbh", "bernstein"),
+            ("mkz", None, "mkz", "baskakov"),
+            ("general", -1, "bernstein", "bernstein"),
+            ("general", 0, "szasz", "szasz"),
+            ("general", 1, "baskakov", "baskakov"),
+            ("general", Fraction(1, 2), "general", "general"),
+        ],
+    )
+    def test_key_and_base_family(self, name, c, key, base):
+        family = FamilyId(name, c)
+        assert family.key == key
+        assert family.base_family == base
+
+    def test_domains_match_base_params(self):
+        # a family without a change of variable has the domain of its Params
+        for c in (-1, Fraction(-1, 2), 0, 1, 2):
+            family = FamilyId("general", c)
+            params = family.base_params(-c if c < 0 else 1)
+            assert family.domain_sup == params.domain_sup
+            assert family.domain_str() == params.domain_str()
+        assert FamilyId("bbh").domain_str() == "[0, +inf)"
+        assert FamilyId("bernstein").domain_sup == 1
+
 
 def _brute_basis(n: float, c: float, k: int, x: float) -> float:
     """Independent: the defining product formula, no shared code."""
