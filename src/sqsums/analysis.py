@@ -120,10 +120,10 @@ def ode_residual_scan(params: Params, grid: Sequence[float], h: float) -> ScanRe
     """Residual of the second-order equation for S under finite differences.
 
     The margins are |a2*y'' + a1*y' + a0*y| normalized by the sum of the
-    three term magnitudes; they shrink like h^2 toward the exact residual
-    zero.  Points closer than 2h to the domain boundary are rejected (the
-    leading coefficient vanishes at x = 0, where the equation instead pins
-    the slope to y'(0) = -2n).
+    three term magnitudes (0 where all three vanish); they shrink like h^2
+    toward the exact residual zero.  Points closer than 2h to the domain
+    boundary are rejected (the leading coefficient vanishes at x = 0, where
+    the equation instead pins the slope to y'(0) = -2n).
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -145,7 +145,7 @@ def ode_residual_scan(params: Params, grid: Sequence[float], h: float) -> ScanRe
         a0 = 2.0 * n * (1.0 + 2.0 * c * x)
         residual = a2 * y2 + a1 * y1 + a0 * y0
         scale = abs(a2 * y2) + abs(a1 * y1) + abs(a0 * y0)
-        margins.append(abs(residual) / scale)
+        margins.append(abs(residual) / scale if scale else 0.0)  # |residual| <= scale
     return _report(
         "ode_residual",
         _params_subject(params),

@@ -319,6 +319,11 @@ def _cmd_scan(args, out) -> int:
     family = _family_from_args(args)
     n = _need_n(args)
     params = family.base_params(n)
+    if args.kind in ("ode", "logconvexity") and family.key != family.base_family:
+        raise ParameterError(
+            f"scan --kind {args.kind} covers the (n, c) families only, "
+            f"got the substitution family {family.name!r}"
+        )
     if args.kind == "ode":
         if args.grid is None:
             raise ParameterError("scan --kind ode requires --grid")
@@ -338,7 +343,8 @@ def _cmd_scan(args, out) -> int:
         grid = [Fraction(i, count - 1) for i in range(count)]
         report = analysis.monotonicity_check(int(n), grid)
     elif analysis.has_exact_q(params):  # logconvexity from here on
-        report = analysis.logconvexity_scan(params, count=args.count or 1024)
+        grid = None if args.grid is None else _parse_grid(args.grid, family)
+        report = analysis.logconvexity_scan(params, grid=grid, count=args.count or 1024)
     elif args.grid is None:
         raise ParameterError(
             "scan --kind logconvexity needs --grid for families without an exact route"

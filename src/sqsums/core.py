@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
+import numpy as np
+
 __all__ = [
     "DomainError",
     "FAMILY_NAMES",
@@ -343,9 +345,104 @@ def basis(params: Params, k: int, x: float) -> float:
     return math.exp(logp)
 
 
+# Blocks of the certified-series kernel grow fourfold from the first size to
+# the last.  A block costs about as much as 50 loop steps whatever its size
+# up to a few hundred, so most series of a table stop inside the first
+# block, and a series of 10^6 terms costs a few hundred calls.
+_BLOCK_FIRST = 256
+_BLOCK_LAST = 4096
+
+
+def _sq(v: np.ndarray) -> np.ndarray:
+    """Elementwise ``v ** 2`` with the bits of Python's float power.
+
+    Python's ``**`` calls libm ``pow``, which differs from ``v * v`` in the
+    last bit for about one double in a thousand; numpy's ``power`` computes
+    ``v * v`` and ``float_power`` calls ``pow``.
+    """
+    return np.float_power(v, 2.0)
+
+
+def _certified_sum(
+    ratio: Callable[[np.ndarray], np.ndarray],
+    k0: int,
+    tol: float,
+    max_steps: Optional[int] = None,
+    *,
+    step: int = 1,
+    cert: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    sup: float = 0.0,
+    total: float = 1.0,
+) -> tuple[float, Optional[float], int]:
+    """Sum a positive series from its term ratios, with a geometric tail bound.
+
+    The term starts at 1 and the sum at ``total``.  Step j (j = 0, 1, ...)
+    takes the index k = k0 + j*step, multiplies the term by ``ratio(k)`` and
+    adds it to the sum; it stops once r = max(cert(k), sup) has r < 1 and
+    tail = term*r/(1-r) <= tol*sum.  ``cert(k)`` must bound every later
+    ratio together with ``sup``; it defaults to the next ratio,
+    ``ratio(k + step)``.  Returns (sum, tail, steps), with tail None when
+    ``max_steps`` steps ran without a stop.
+
+    ``ratio`` and ``cert`` take a float64 array of indices, so each block
+    of steps costs one Python call.  Terms and partial sums come from
+    ``multiply.accumulate`` and ``add.accumulate`` seeded with the carried
+    term and sum; both run strictly left to right, so every value, tail
+    and step count is the one of the term-by-term loop.  Entries past the
+    stop may overflow; they are computed silently and never read.  An
+    infinite ratio at or before the stop is a ``** 2`` that Python refuses:
+    it makes the partial sum infinite or NaN, which is when the block is
+    searched for it, and raises the same OverflowError.  A certificate
+    overflows no earlier than the next ratio does, which holds for every
+    caller, so only the last step's certificate needs a separate look.
+    """
+    term = 1.0
+    done = 0
+    size = _BLOCK_FIRST
+    with np.errstate(all="ignore"):
+        while max_steps is None or done < max_steps:
+            count = size if max_steps is None else min(size, max_steps - done)
+            first = k0 + step * done
+            ks = np.arange(first, first + step * (count + (cert is None)), step, dtype=float)
+            if cert is None:
+                rs = ratio(ks)
+                rc, rs = rs[1:], rs[:-1]
+            else:
+                rs, rc = ratio(ks), cert(ks)
+            if sup:
+                rc = np.maximum(rc, sup)
+            terms = rs.copy()
+            terms[0] *= term  # the carried term and sum seed the accumulations
+            np.multiply.accumulate(terms, out=terms)
+            sums = terms.copy()
+            sums[0] += total
+            np.add.accumulate(sums, out=sums)
+            tails = terms * rc / (1.0 - rc)
+            stop = (rc < 1.0) & (tails <= tol * sums)
+            j = int(stop.argmax())
+            end = j + 1 if stop[j] else count
+            # an infinite ratio at or before the stop makes the sum inf or NaN
+            if not math.isfinite(sums[end - 1]):
+                _raise_on_overflow(rs[:end], rc[:end])
+            if stop[j]:
+                return float(sums[j]), float(tails[j]), done + j + 1
+            term, total = terms[-1], float(sums[-1])
+            done += count
+            size = min(4 * size, _BLOCK_LAST)
+    if done:
+        _raise_on_overflow(rs[-1:], rc[-1:])
+    return total, None, done
+
+
+def _raise_on_overflow(rs: np.ndarray, rc: np.ndarray) -> None:
+    """Raise where the loop's ``** 2`` would have: at an infinite ratio."""
+    if np.isinf(rs).any() or np.isinf(rc).any():
+        raise OverflowError(34, "Numerical result out of range")
+
+
 def _sum_unimodal_scaled(
-    ratio_up: Callable[[int], float],
-    ratio_down: Callable[[int], float],
+    ratio_up: Callable[[np.ndarray], np.ndarray],
+    ratio_down: Callable[[np.ndarray], np.ndarray],
     k0: int,
     tol: float,
     up_sup: float = 0.0,
@@ -353,41 +450,21 @@ def _sum_unimodal_scaled(
 ) -> tuple[float, int]:
     """Sum a positive unimodal sequence scaled so term k0 equals 1.
 
-    ``ratio_up(k)`` is t_{k+1}/t_k and ``ratio_down(k)`` is t_{k-1}/t_k.
-    The geometric tail certificate needs an upper bound on all remaining
-    ratios: the larger of the next ratio and ``up_sup`` (the limit of the
-    ratio stream, for streams that increase toward it).  Downward ratios
-    must be nonincreasing in the direction of travel, which holds for every
-    family here because the downward walk only runs when the peak is
-    interior.  Returns (scaled sum, number of terms).
+    ``ratio_up(k)`` is t_{k+1}/t_k and ``ratio_down(k)`` is t_{k-1}/t_k, both
+    vectorised over an index array.  The geometric tail certificate needs an
+    upper bound on all remaining ratios: the larger of the next ratio and
+    ``up_sup`` (the limit of the ratio stream, for streams that increase
+    toward it).  Downward ratios must be nonincreasing in the direction of
+    travel, which holds for every family here because the downward walk only
+    runs when the peak is interior.  At most ``max_terms`` terms are summed.
+    Returns (scaled sum, number of terms).
     """
-    acc = 1.0
-    terms = 1
-    t = 1.0
-    k = k0
-    while terms < max_terms:
-        r = ratio_up(k)
-        t *= r
-        k += 1
-        acc += t
-        terms += 1
-        r_next = max(ratio_up(k), up_sup)
-        if r_next < 1.0 and t * r_next / (1.0 - r_next) <= tol * acc:
-            break
-    t = 1.0
-    k = k0
-    while k > 0 and terms < max_terms:
-        r = ratio_down(k)
-        t *= r
-        k -= 1
-        acc += t
-        terms += 1
-        if k == 0:
-            break
-        r_next = ratio_down(k)
-        if r_next < 1.0 and t * r_next / (1.0 - r_next) <= tol * acc:
-            break
-    return acc, terms
+    acc, _, up = _certified_sum(ratio_up, k0, tol, max_terms - 1, sup=up_sup)
+    terms = 1 + up
+    acc, _, down = _certified_sum(
+        ratio_down, k0, tol, min(k0, max_terms - terms), step=-1, total=acc
+    )
+    return acc, terms + down
 
 
 def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]:

@@ -5,17 +5,24 @@ Gauss-Chebyshev quadrature of the integral representations.
 
 All three routes agree to near machine precision on the shared domain,
 which is the backbone of the verification suite.
+
+The series kernels sum their terms through ``core._certified_sum``, which
+evaluates the term ratios and the geometric tail certificate of a whole
+block of indices in numpy and reproduces the term-by-term loop bit for
+bit.  The quadrature ladder reuses its Chebyshev rules through a small
+cache keyed by (kind, node count).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, _sum_unimodal_scaled
+from .core import Params, _certified_sum, _sq, _sum_unimodal_scaled
 
 __all__ = [
     "EvalResult",
@@ -131,18 +138,18 @@ def _hyp2f1_diag_tail(a: float, z: float, rtol: float, max_terms: int = 2 * 10 *
         raise ValueError("negative non-integer parameter is outside the diagonal case")
     if z >= 1.0:
         raise ValueError(f"series diverges for z >= 1 with positive parameter (z={z})")
-    total = 1.0
-    term = 1.0
-    for k in range(max_terms):
-        term *= ((a + k) / (k + 1.0)) ** 2 * z
-        total += term
-        # ratios decrease toward z for a >= 1 and increase toward z below it
-        r = max(((a + k + 1) / (k + 2.0)) ** 2 * z, z)
-        if r < 1.0:
-            tail = term * r / (1.0 - r)
-            if tail <= rtol * total:
-                return total, tail, k + 2
-    raise ArithmeticError(f"series did not converge within {max_terms} terms")
+    # ratios decrease toward z for a >= 1 and increase toward z below it
+    total, tail, steps = _certified_sum(
+        lambda k: _sq((a + k) / (k + 1.0)) * z,
+        0,
+        rtol,
+        max_terms,
+        cert=lambda k: _sq((a + k + 1) / (k + 2.0)) * z,
+        sup=z,
+    )
+    if tail is None:
+        raise ArithmeticError(f"series did not converge within {max_terms} terms")
+    return total, tail, steps + 1
 
 
 def hyp2f1_diag(a: float, z: float, rtol: float = 1e-15) -> float:
@@ -160,18 +167,10 @@ def hyp2f1_diag(a: float, z: float, rtol: float = 1e-15) -> float:
 def _i0_series(z: float, rtol: float = 1e-16):
     """Direct even series sum_k (z^2/4)^k / (k!)^2 with certified tail."""
     q = z * z / 4.0
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        term *= q / ((k + 1.0) ** 2)
-        total += term
-        k += 1
-        r = q / ((k + 1.0) ** 2)
-        if r < 1.0 and term * r / (1.0 - r) <= rtol * total:
-            return total, k + 1
-        if k > 10 ** 6:
-            raise ArithmeticError("Bessel series did not converge")
+    total, tail, steps = _certified_sum(lambda k: q / _sq(k + 1.0), 0, rtol, 10 ** 6 + 1)
+    if tail is None:
+        raise ArithmeticError("Bessel series did not converge")
+    return total, steps + 1
 
 
 def _scaled_poisson_sq(mu: float, tol: float = 1e-17):
@@ -179,8 +178,8 @@ def _scaled_poisson_sq(mu: float, tol: float = 1e-17):
     k0 = int(mu)
     log_anchor = 2.0 * (k0 * math.log(mu) - math.lgamma(k0 + 1))
     scaled, terms = _sum_unimodal_scaled(
-        lambda k: (mu / (k + 1.0)) ** 2,
-        lambda k: (k / mu) ** 2,
+        lambda k: _sq(mu / (k + 1.0)),
+        lambda k: _sq(k / mu),
         k0,
         tol,
     )
@@ -268,17 +267,8 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
         mu = n * xf
         if mu <= 300.0:
             pref = math.exp(-2.0 * mu)
-            total = 1.0
-            term = 1.0
-            k = 0
-            while True:
-                term *= (mu / (k + 1.0)) ** 2
-                total += term
-                k += 1
-                r = (mu / (k + 1.0)) ** 2
-                if r < 1.0 and term * r / (1.0 - r) <= rtol * total:
-                    tail = term * r / (1.0 - r)
-                    return EvalResult(pref * total, Method.SERIES, pref * tail, k + 1)
+            total, tail, steps = _certified_sum(lambda k: _sq(mu / (k + 1.0)), 0, rtol)
+            return EvalResult(pref * total, Method.SERIES, pref * tail, steps + 1)
         value, terms = _scaled_poisson_sq(mu, tol=min(rtol, 1e-16))
         return EvalResult(value, Method.SERIES, rtol * value, terms)
 
@@ -293,23 +283,13 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
         return EvalResult(value, Method.SERIES, rtol * value, terms)
     rr = (xf / (1.0 + u)) ** 2
     zlim = (c * xf / (1.0 + u)) ** 2
-    total = 1.0
-    term = 1.0
-    k = 0
-    tail = math.inf
-    while True:
-        term *= ((n + k * c) / (k + 1.0)) ** 2 * rr
-        total += term
-        k += 1
-        r = max(((n + k * c) / (k + 1.0)) ** 2 * rr, zlim)
-        if r < 1.0:
-            tail = term * r / (1.0 - r)
-            if tail <= rtol * total:
-                break
-        if k > 2 * 10 ** 6:
-            raise ArithmeticError("series did not converge; use the quadrature route")
+    total, tail, steps = _certified_sum(
+        lambda k: _sq((n + k * c) / (k + 1.0)) * rr, 0, rtol, 2 * 10 ** 6 + 1, sup=zlim
+    )
+    if tail is None:
+        raise ArithmeticError("series did not converge; use the quadrature route")
     value = math.exp(pref_log) * total
-    return EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), k + 1)
+    return EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), steps + 1)
 
 
 def _pos_c_series_window(n: float, c: float, x: float, tol: float) -> tuple[float, int]:
@@ -328,8 +308,8 @@ def _pos_c_series_window(n: float, c: float, x: float, tol: float) -> tuple[floa
         + k0 * math.log(rho)
     )
     scaled, terms = _sum_unimodal_scaled(
-        lambda k: ((n + k * c) * rho / (k + 1.0)) ** 2,
-        lambda k: (k / ((n + (k - 1) * c) * rho)) ** 2,
+        lambda k: _sq((n + k * c) * rho / (k + 1.0)),
+        lambda k: _sq(k / ((n + (k - 1) * c) * rho)),
         k0,
         tol,
         up_sup=zlim,
@@ -426,10 +406,28 @@ def _s_integrand(params: Params, x: float):
     return f, RuleKind.CHEBYSHEV_01
 
 
+@functools.lru_cache(maxsize=8)
 def _rule(kind: RuleKind, m: int) -> QuadratureRule:
+    """The m-node rule of a kind, shared between calls and so read-only.
+
+    Bounded: eight rules serve the ladder levels that neighbouring points
+    revisit, where an unbounded cache would keep every level ever built.
+    """
     if kind is RuleKind.CHEBYSHEV_01:
-        return QuadratureRule.chebyshev_01(m)
-    return QuadratureRule.chebyshev_m11(m)
+        rule = QuadratureRule.chebyshev_01(m)
+    else:
+        rule = QuadratureRule.chebyshev_m11(m)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
+
+
+def _rule_mean(f, kind: RuleKind, m: int) -> float:
+    """Mean of f over the m nodes: the rule's value divided by pi.
+
+    The same bits as ``np.mean``, which sums pairwise and divides by m.
+    """
+    return float(np.add.reduce(f(_rule(kind, m).nodes))) / m
 
 
 def _min_nodes(params: Params, x: float) -> int:
@@ -474,11 +472,11 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
     xf = float(x)
     m = max(m, _min_nodes(params, xf))
     f, kind = _s_integrand(params, xf)
-    value = float(np.mean(f(_rule(kind, m).nodes)))
+    value = _rule_mean(f, kind, m)
     diff = math.inf
     while m < LADDER_MAX:
         m *= 2
-        new = float(np.mean(f(_rule(kind, m).nodes)))
+        new = _rule_mean(f, kind, m)
         diff = abs(new - value)
         value = new
         if diff <= max(1e-13, rtol * abs(new)):
@@ -580,7 +578,7 @@ def t_quad(params: Params, x: float, y: float, m: int = 64) -> float:
     params.require_in_domain(x)
     params.require_in_domain(y)
     f, kind = _t_integrand(params, float(x), float(y))
-    return float(np.mean(f(_rule(kind, m).nodes)))
+    return _rule_mean(f, kind, m)
 
 
 def _t_quad_adaptive(params: Params, x: float, y: float, rtol: float = RTOL_DEFAULT) -> float:
@@ -589,10 +587,10 @@ def _t_quad_adaptive(params: Params, x: float, y: float, rtol: float = RTOL_DEFA
     # its two diagonal restrictions; kernel values can be genuinely tiny,
     # so the stop is purely relative here
     m = max(LADDER_START, _min_nodes(params, x), _min_nodes(params, y))
-    value = float(np.mean(f(_rule(kind, m).nodes)))
+    value = _rule_mean(f, kind, m)
     while m < LADDER_MAX:
         m *= 2
-        new = float(np.mean(f(_rule(kind, m).nodes)))
+        new = _rule_mean(f, kind, m)
         diff = abs(new - value)
         value = new
         if new == 0.0 or diff <= rtol * abs(new):

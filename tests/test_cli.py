@@ -163,6 +163,42 @@ class TestScan:
         assert json.loads(frac)["report"]["subject"] == {"family": "baskakov", "n": "5/2"}
         assert json.loads(frac)["report"]["margins"] != json.loads(two)["report"]["margins"]
 
+    def test_ode_scan_through_a_vanishing_scale(self):
+        # at x = 1, the midpoint of I_c for c = -1/2, a2 and a0 vanish and the
+        # symmetric S' is exactly 0 at odd l: the residual is 0 as well
+        argv = ["scan", "--family", "general", "-c", "-1/2", "-n", "3/2", "--kind", "ode"]
+        code, out, err = invoke(argv + ["--grid", "0.2:1.8:5", "--format", "json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["grid"][2] == "1" and report["margins"][2] == "0"
+        assert report["violations"] == []
+
+    @pytest.mark.parametrize("kind", ["ode", "logconvexity"])
+    @pytest.mark.parametrize("family", ["bbh", "mkz"])
+    def test_substitution_families_have_no_ode_or_logconvexity_scan(self, family, kind):
+        code, out, err = invoke(
+            ["scan", "--family", family, "-n", "3", "--kind", kind, "--grid", "0.1:0.5:5"]
+        )
+        assert (code, out) == (2, "")
+        assert f"substitution family {family!r}" in err
+
+    @pytest.mark.parametrize(
+        "family, grid, points",
+        [("bernstein", "0:1:5", ["0", "1/4", "1/2", "3/4", "1"]), ("baskakov", "0:4:3", ["0", "2", "4"])],
+    )
+    def test_exact_logconvexity_honours_the_grid(self, family, grid, points):
+        argv = ["scan", "--family", family, "-n", "3", "--kind", "logconvexity", "--format", "json"]
+        code, out, _ = invoke(argv + ["--grid", grid])
+        report = json.loads(out)["report"]
+        assert code == 0 and report["status"]["route"] == "exact"
+        assert [g.replace("/1", "") for g in report["grid"]] == points
+        _, full, _ = invoke(argv)
+        full = json.loads(full)["report"]
+        assert len(full["grid"]) == 1024
+        for x, margin in zip(report["grid"], report["margins"]):
+            if x in full["grid"]:
+                assert full["margins"][full["grid"].index(x)] == margin
+
 
 class TestJsonSchema:
     @pytest.mark.parametrize(

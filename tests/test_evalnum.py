@@ -109,6 +109,29 @@ class TestQuadratureRules:
         with pytest.raises(ValueError):
             QuadratureRule.chebyshev_01(1)
 
+    def test_cached_rules_are_shared_and_read_only(self):
+        from sqsums.evalnum import _rule
+
+        rule = _rule(RuleKind.CHEBYSHEV_01, 48)
+        assert _rule(RuleKind.CHEBYSHEV_01, 48) is rule
+        assert _rule(RuleKind.CHEBYSHEV_M11, 48) is not rule
+        assert np.array_equal(rule.nodes, QuadratureRule.chebyshev_01(48).nodes)
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert _rule.cache_info().maxsize == 8
+        # the public constructors still hand out arrays of their own
+        QuadratureRule.chebyshev_01(48).nodes[0] = 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300))
+    def test_rule_mean_has_the_bits_of_np_mean(self, values):
+        from sqsums.evalnum import _rule_mean
+
+        m = len(values)
+        got = _rule_mean(lambda nodes: np.array(values), RuleKind.CHEBYSHEV_01, m)
+        assert got == float(np.mean(np.array(values)))
+
 
 def _brute_s(n: float, c: float, x: float, kmax: int = 4000) -> float:
     """Independent oracle: direct summation of squared basis values."""
