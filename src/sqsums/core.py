@@ -389,12 +389,13 @@ def _certified_sum(
     ``multiply.accumulate`` and ``add.accumulate`` seeded with the carried
     term and sum; both run strictly left to right, so every value, tail
     and step count is the one of the term-by-term loop.  Entries past the
-    stop may overflow; they are computed silently and never read.  An
-    infinite ratio at or before the stop is a ``** 2`` that Python refuses:
-    it makes the partial sum infinite or NaN, which is when the block is
-    searched for it, and raises the same OverflowError.  A certificate
-    overflows no earlier than the next ratio does, which holds for every
-    caller, so only the last step's certificate needs a separate look.
+    stop may overflow; they are computed silently and never read.  A
+    square that overflows at or before the stop, where Python's ``**``
+    raises OverflowError, makes the partial sum inf or NaN; only then are
+    the block's ratios evaluated again with overflow trapped, and the same
+    OverflowError raised.  A certificate overflows no earlier than the
+    next ratio does, which holds for every caller, so only the last step's
+    certificate needs a separate look.
     """
     term = 1.0
     done = 0
@@ -402,8 +403,10 @@ def _certified_sum(
     with np.errstate(all="ignore"):
         while max_steps is None or done < max_steps:
             count = size if max_steps is None else min(size, max_steps - done)
-            first = k0 + step * done
-            ks = np.arange(first, first + step * (count + (cert is None)), step, dtype=float)
+            # float(k0) +- offset rounds once, to the float of the loop's int
+            # index, also past 2^53 (every caller's k0 is a double)
+            ks = np.arange(done, done + count + (cert is None), dtype=float)
+            ks = float(k0) + ks if step == 1 else float(k0) - ks
             if cert is None:
                 rs = ratio(ks)
                 rc, rs = rs[1:], rs[:-1]
@@ -421,23 +424,33 @@ def _certified_sum(
             stop = (rc < 1.0) & (tails <= tol * sums)
             j = int(stop.argmax())
             end = j + 1 if stop[j] else count
-            # an infinite ratio at or before the stop makes the sum inf or NaN
             if not math.isfinite(sums[end - 1]):
-                _raise_on_overflow(rs[:end], rc[:end])
+                _raise_on_overflow(ratio, cert, ks[: end + (cert is None)])
             if stop[j]:
                 return float(sums[j]), float(tails[j]), done + j + 1
             term, total = terms[-1], float(sums[-1])
             done += count
             size = min(4 * size, _BLOCK_LAST)
-    if done:
-        _raise_on_overflow(rs[-1:], rc[-1:])
+    if done:  # the certificate of the last step
+        _raise_on_overflow(ratio, cert, ks[-1 - (cert is None):])
     return total, None, done
 
 
-def _raise_on_overflow(rs: np.ndarray, rc: np.ndarray) -> None:
-    """Raise where the loop's ``** 2`` would have: at an infinite ratio."""
-    if np.isinf(rs).any() or np.isinf(rc).any():
-        raise OverflowError(34, "Numerical result out of range")
+def _raise_on_overflow(
+    ratio: Callable[[np.ndarray], np.ndarray],
+    cert: Optional[Callable[[np.ndarray], np.ndarray]],
+    ks: np.ndarray,
+) -> None:
+    """Raise where the loop's ``** 2`` would have: evaluate the ratios and
+    certificates at ``ks`` again with overflow trapped (a square of inf or
+    of NaN, which Python also allows, does not trap)."""
+    with np.errstate(over="raise"):
+        try:
+            ratio(ks)
+            if cert is not None:
+                cert(ks)
+        except FloatingPointError:
+            raise OverflowError(34, "Numerical result out of range") from None
 
 
 def _sum_unimodal_scaled(

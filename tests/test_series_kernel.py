@@ -196,8 +196,8 @@ def _series_expect(params, x, rtol):
 )
 def test_s_series_matches_loops(c, n, x, rtol):
     params = Params(n, c)
-    if c == 0 and float(n) * x > 300.0:
-        x = 300.0 / float(n)
+    while c == 0 and float(n) * x > 300.0:  # the peak window from there
+        x = min(300.0 / float(n), math.nextafter(x, 0.0))
     if c > 0 and -(2.0 * float(n) / float(c)) * math.log1p(float(c) * x) < -_EXP_GUARD:
         return  # the peak window: see test_peak_windows_match_loops
     assert s_series(params, x, rtol) == _series_expect(params, x, rtol)
@@ -272,8 +272,9 @@ def test_peak_windows_match_loops(c, n, x, tol):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats(0.5, 500.0), st.integers(0, 400))
+@given(st.one_of(st.floats(0.5, 500.0), st.floats(2.0 ** 52, 1e19)), st.integers(0, 400))
 def test_sum_unimodal_term_cap(mu, max_terms):
+    # past 2^53 the loop's int index k converts to float(k) with rounding
     up, down = (lambda k: core._sq(mu / (k + 1.0))), (lambda k: core._sq(k / mu))
     ref_up, ref_down = (lambda k: (mu / (k + 1.0)) ** 2), (lambda k: (k / mu) ** 2)
     got = core._sum_unimodal_scaled(up, down, int(mu), 1e-16, max_terms=max_terms)
@@ -295,6 +296,15 @@ def test_overflowing_square_raises_like_python():
         ref_hyp2f1_tail(1e200, 1e-300, 1e-15, 10)
     with pytest.raises(OverflowError):
         _hyp2f1_diag_tail(1e200, 1e-300, 1e-15, 10)
+    # c = 1e200: (x/(1+cx))^2 underflows to 0, so the overflowed square
+    # times it is NaN, not inf; the loop still raised at the square
+    n, c, x = 1e6, 1e200, 0.3
+    rr, zlim = (x / (1.0 + c * x)) ** 2, (c * x / (1.0 + c * x)) ** 2
+    assert rr == 0.0
+    with pytest.raises(OverflowError):
+        ref_pos_c_series(n, c, rr, zlim, 1e-15)
+    with pytest.raises(OverflowError):
+        s_series(Params(10 ** 6, 10 ** 200), x)
 
 
 def test_entries_past_the_stop_stay_silent():
@@ -363,15 +373,48 @@ def test_caps_at_their_last_step():
         _i0_series(math.nextafter(z, math.inf))
 
 
+def test_overflow_checks_only_the_steps_taken():
+    def ref(ratio, tol):
+        total, term, k = 1.0, 1.0, 0
+        while True:
+            term *= ratio(k)
+            total += term
+            r = ratio(k + 1)
+            if r < 1.0 and term * r / (1.0 - r) <= tol * total:
+                return total, term * r / (1.0 - r), k + 1
+            k += 1
+
+    # a square overflows at step 3, after which the sum is inf and the
+    # tail test inf <= inf passes: the loop raised at step 3
+    with pytest.raises(OverflowError):
+        ref(lambda k: (1e200 if k == 3 else 0.5) ** 2, 1e-16)
+    with pytest.raises(OverflowError):
+        core._certified_sum(lambda k: core._sq(np.where(k == 3, 1e200, 0.5)), 0, 1e-16)
+    # the sum overflows by multiplication at step 1 and stops there; the
+    # square that would overflow at step 5 is never taken
+    expect = ref(lambda k: (1e100 if k < 2 else 0.5 if k < 5 else 1e200) ** 2, 1e-16)
+    assert expect == (math.inf, math.inf, 2)
+    got = core._certified_sum(
+        lambda k: core._sq(np.where(k < 2, 1e100, np.where(k < 5, 0.5, 1e200))), 0, 1e-16
+    )
+    assert got == expect
+
+
 def test_last_certificate_overflow_at_the_cap():
     # the loop forms the certificate of its last step before checking the
-    # cap, so an overflowing square there raises before the cap does
+    # cap, so a square that overflows there raises before the cap does
     def ratio(k):
-        return np.where(k < 5, 2.0, np.inf)
+        return core._sq(np.where(k < 5, 1.5, 1e200))
 
     with pytest.raises(OverflowError):
         core._certified_sum(ratio, 0, 1e-16, 5)
-    assert core._certified_sum(ratio, 0, 1e-16, 4) == (31.0, None, 4)
+    assert core._certified_sum(ratio, 0, 1e-16, 4) == (1 + 2.25 + 2.25 ** 2 + 2.25 ** 3 + 2.25 ** 4, None, 4)
+    # an inf or NaN that no square produced is summed on, as the loop did
+    total, tail, steps = core._certified_sum(lambda k: np.where(k < 5, 2.0, np.inf), 0, 1e-16, 8)
+    assert (total, tail, steps) == (math.inf, None, 8)
+    assert _outcome(_hyp2f1_diag_tail, 0.5, math.nan, 1e-15, 50) == _outcome(
+        ref_hyp2f1_tail, 0.5, math.nan, 1e-15, 50
+    )
 
 
 # ---------------------------------------------------------------------------
