@@ -315,6 +315,50 @@ def test_golden_bytes(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
+def _table(family, n, grid, fmt="csv"):
+    return ("table", "--family", *family, "-n", n, "--grid", grid, "--format", fmt)
+
+
+# Recorded before `table` moved from per-point route calls to the grid
+# routes: the criterion-1 battery (c = -1, -1/2, 0, 1, 2 at two indices,
+# 101 points on [0, min(sup, 20)]; szasz n = 25 enters the mu > 300 peak
+# window past x = 12), a c = 2 grid whose closed form hands over to
+# quadrature past x = 199.5, and one json table.
+GOLDEN_TABLE = {
+    _table(["bernstein"], "5", "0:1:101"):
+        "802fc97c1feb912919021d4b6567b561f75953ba62d74dc1f47e04399bf0ab2c",
+    _table(["bernstein"], "25", "0:1:101"):
+        "54082f080188071ceb8a274772be666971368a4ab93ed21944b0f2409c72f48d",
+    _table(["general", "-c", "-1/2"], "5/2", "0:2:101"):
+        "3497d8b6063c04c00733bca28f27aa72d47969b78fc8cd936fafc3f4b41a461b",
+    _table(["general", "-c", "-1/2"], "25/2", "0:2:101"):
+        "7830876f1b7057d5cddf2174f9f230c33ea785dfc08f81ed6a6e40d940fb4948",
+    _table(["szasz"], "5", "0:20:101"):
+        "d5b341d35b8c6ae1ca026db87dbc5195fe476908354d5897af10c80ac0e0e459",
+    _table(["szasz"], "25", "0:20:101"):
+        "349f274792e10998f6ced87b331937a8add2095d2a698a9718d3348162127d88",
+    _table(["baskakov"], "5", "0:20:101"):
+        "4e75feb4f1a7eacbf24fe76332b072007e4d36105d70d5c30ca7719b0ede8c79",
+    _table(["baskakov"], "25", "0:20:101"):
+        "9b83ed43d5cac8ce537c2a705abd4f85c0666201e371a7964fc16a9e79b5936d",
+    _table(["general", "-c", "2"], "5", "0:20:101"):
+        "d40c790f5331fe8b53de4769c91346c7270cde209aa1f0bba66a42a8b0989317",
+    _table(["general", "-c", "2"], "25", "0:20:101"):
+        "cee85fbfdce2c060d791aa7961940d11fc8f47fe70ab27ae7b25ffa4a610cc48",
+    _table(["general", "-c", "2"], "5", "100:400:11"):
+        "bc1db0e0bdd7e64639e504cde0b488e10a400edf99904e109796fc451adc9bfa",
+    _table(["general", "-c", "1/2"], "3", "0:10:21", "json"):
+        "5cbc2422b739ed606380087d1b0958ecbc4c5c79ebd70a0d46049e644dd86c39",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_TABLE), ids=lambda a: " ".join(a[2:]))
+def test_golden_table_bytes(argv):
+    code, out, _ = invoke(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE[argv]
+
+
 class TestErrors:
     def test_domain_violation_names_point_and_domain(self):
         code, _, err = invoke(["eval", "--family", "bernstein", "-n", "2", "-x", "1.5"])
