@@ -11,19 +11,21 @@ import time
 from fractions import Fraction
 
 from sqsums.core import Params
-from sqsums.evalnum import s_closed, s_quad, s_series
+from sqsums.evalnum import s_closed_grid, s_quad_grid, s_series_grid
 
 
 def sweep(params: Params, points: int, cap: float) -> tuple[float, float]:
     sup = params.domain_sup
     hi = float(sup) if sup is not None else cap
+    xs = [hi * i / (points - 1) for i in range(points)]
+    routes = (s_series_grid(params, xs), s_closed_grid(params, xs), s_quad_grid(params, xs))
     worst = 0.0
     arg = 0.0
-    for i in range(points):
-        x = hi * i / (points - 1)
-        a = s_series(params, x).value
-        b = s_closed(params, x).value
-        q = s_quad(params, x).value
+    for x, results in zip(xs, zip(*routes)):
+        for r in results:
+            if isinstance(r, Exception):
+                raise r
+        a, b, q = (r.value for r in results)
         scale = max(abs(a), abs(b), abs(q))
         d = max(abs(a - b), abs(a - q), abs(b - q)) / scale
         if d > worst:

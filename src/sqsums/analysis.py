@@ -230,11 +230,11 @@ def has_exact_q(params: Params) -> bool:
     return params.c in (-1, 1) and params.n.denominator == 1
 
 
-def _q_exact(params: Params) -> Optional[exactalg.RationalFn]:
-    """Q = S*S'' - (S')^2 as an exact rational function, or None.
+def _q_parts(params: Params) -> Optional[tuple[exactalg.RationalPoly, exactalg.RationalPoly]]:
+    """(P, D) with Q = S*S'' - (S')^2 = P / D^4 exactly, or None.
 
-    S = N/D is taken unreduced and Q comes from one cleared identity,
-    Q*D^4 = D^2 (N N'' - N'^2) - N^2 (D D'' - D'^2), with no gcd.
+    S = N/D is taken unreduced and P comes from one cleared identity,
+    P = Q*D^4 = D^2 (N N'' - N'^2) - N^2 (D D'' - D'^2), with no gcd.
     """
     if not has_exact_q(params):
         return None
@@ -246,7 +246,13 @@ def _q_exact(params: Params) -> Optional[exactalg.RationalFn]:
     q = den * den * (num * n1.derivative() - n1 * n1) - num * num * (
         den * d1.derivative() - d1 * d1
     )
-    return exactalg.RationalFn(q, den ** 4)
+    return q, den
+
+
+def _q_exact(params: Params) -> Optional[exactalg.RationalFn]:
+    """Q = S*S'' - (S')^2 as an exact rational function, or None."""
+    parts = _q_parts(params)
+    return None if parts is None else exactalg.RationalFn(parts[0], parts[1] ** 4)
 
 
 def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:
@@ -283,7 +289,9 @@ def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:
         while len(pts) < count:
             pts.add(Fraction(extra, count * 4 + 1))
             extra += 1
-    return sorted(pts)[:count]
+    # float rounding is monotone, so the float key orders as the exact values
+    # do, and equal floats fall back to the exact compare
+    return sorted(pts, key=lambda v: (float(v), v))[:count]
 
 
 def logconvexity_scan(
@@ -298,20 +306,28 @@ def logconvexity_scan(
     log-convexity: the report carries status 'unproven' and callers must
     not fail on negative margins.
     """
-    qfun = _q_exact(params)
+    parts = _q_parts(params)
     status = {"conjecture": "log-convexity of S", "status": "unproven", "asserted": False}
-    if qfun is not None:
+    if parts is not None:
+        # Q(x) = P(x) / D(x)^4: D by one Horner pass and raised to the 4th
+        # power, rather than Horner over the expanded D^4 (degree 4 deg D)
+        num, den = parts
         xs = [Fraction(x) for x in grid] if grid is not None else conjecture_grid(params, count)
         margins = []
         kept = []
         for x in xs:
             if not params.in_domain(x):
                 raise DomainError(f"x={x} outside I_c = {params.domain_str()}")
-            try:
-                margins.append(qfun(x))
-                kept.append(x)
-            except ZeroDivisionError:
-                continue
+            p, q = num._at(x)
+            d, e = den._at(x)
+            if d:
+                margins.append(Fraction(p * e ** 4, q * d ** 4))
+            else:  # D(x) = 0: the lowest-terms form decides
+                try:
+                    margins.append(exactalg.RationalFn(num, den ** 4)(x))
+                except ZeroDivisionError:
+                    continue
+            kept.append(x)
         status["route"] = "exact"
         return _report("log_convexity", _params_subject(params), kept, margins, status)
 

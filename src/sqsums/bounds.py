@@ -12,15 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .core import FamilyId, ParameterError, RationalLike
 from . import evalnum, exactalg
 
 __all__ = [
     "BoundReport",
+    "bound_reports",
     "bound_values",
     "s_value",
+    "s_values",
     "standard_grid",
 ]
 
@@ -111,6 +113,34 @@ _FAMILIES = {
 }
 
 
+def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real], rtol: float = 1e-12) -> list:
+    """``s_value`` at every point of ``xs``: the value, or the exception the
+    scalar call raises there.  The points on the closed-form route are one
+    ``evalnum.s_closed_grid`` call."""
+    row = _FAMILIES.get(family.key)
+    exact = row is not None and row.value is not None and int(n) == n
+    out: list = [None] * len(xs)
+    closed = []
+    for i, x in enumerate(xs):
+        try:
+            family.require_in_domain(x)
+            if exact:
+                v = row.value(int(n), x)
+                out[i] = v if isinstance(x, Fraction) else float(v)
+            else:
+                closed.append(i)
+        except Exception as exc:
+            out[i] = exc
+    if closed:
+        try:
+            results = evalnum.s_closed_grid(family.base_params(n), [float(xs[i]) for i in closed], rtol)
+        except Exception as exc:  # the same for every point
+            results = [exc] * len(closed)
+        for i, r in zip(closed, results):
+            out[i] = r if isinstance(r, Exception) else r.value
+    return out
+
+
 def s_value(family: FamilyId, n: RationalLike, x: Real, rtol: float = 1e-12) -> float:
     """The squared-basis sum of a family, by its most accurate route.
 
@@ -119,12 +149,27 @@ def s_value(family: FamilyId, n: RationalLike, x: Real, rtol: float = 1e-12) -> 
     general non-exact parameters and fractional indices go through the
     closed-form kernels.
     """
-    family.require_in_domain(x)
+    return evalnum._one(s_values(family, n, [x], rtol))
+
+
+def bound_reports(family: FamilyId, n: int, xs: Sequence[Real]) -> list[BoundReport]:
+    """``bound_values`` at every point of ``xs``, with the sums from one
+    ``s_values`` call; raises the error of the first point that has one."""
     row = _FAMILIES.get(family.key)
-    if row is None or row.value is None or int(n) != n:
-        return evalnum.s_closed(family.base_params(n), float(x), rtol).value
-    v = row.value(int(n), x)
-    return v if isinstance(x, Fraction) else float(v)
+    if row is None:
+        raise ParameterError(f"no proven bounds for general c={family.c}")
+    if n < row.n_min:
+        raise ParameterError(f"family {family.key!r} bounds need n >= {row.n_min}, got n={n}")
+    reports = []
+    for x, value in zip(xs, s_values(family, n, xs)):
+        if isinstance(value, Exception):
+            raise value
+        xf = float(x)
+        value = float(value)
+        bounds, notes = row.bounds(n, xf)
+        min_margin = min(b - value for _, b in bounds)
+        reports.append(BoundReport(family, n, xf, value, tuple(bounds), min_margin, tuple(notes)))
+    return reports
 
 
 def bound_values(family: FamilyId, n: int, x: Real) -> BoundReport:
@@ -133,17 +178,7 @@ def bound_values(family: FamilyId, n: int, x: Real) -> BoundReport:
     Bounds that need a larger index (the refined power bound at n = 1 for
     the Bernstein family) are omitted with a note, never an error.
     """
-    row = _FAMILIES.get(family.key)
-    if row is None:
-        raise ParameterError(f"no proven bounds for general c={family.c}")
-    if n < row.n_min:
-        raise ParameterError(f"family {family.key!r} bounds need n >= {row.n_min}, got n={n}")
-    family.require_in_domain(x)
-    xf = float(x)
-    value = float(s_value(family, n, x))
-    bounds, notes = row.bounds(n, xf)
-    min_margin = min(b - value for _, b in bounds)
-    return BoundReport(family, n, xf, value, tuple(bounds), min_margin, tuple(notes))
+    return bound_reports(family, n, [x])[0]
 
 
 def standard_grid(family: FamilyId, count: int = 256) -> list[float]:

@@ -75,7 +75,8 @@ def _parse_grid(spec: str, family: FamilyId) -> list[float]:
         raise ParameterError(f"grid endpoints must be ordered, got {a} >= {b}")
     for endpoint in (a, b):
         family.require_in_domain(endpoint)
-    return [a + (b - a) * i / (cnt - 1) for i in range(cnt)]
+    # a + (b-a)*i/(cnt-1) can round past b, but never below a
+    return [min(a + (b - a) * i / (cnt - 1), b) for i in range(cnt)]
 
 
 def _family_from_args(args) -> FamilyId:
@@ -113,23 +114,18 @@ def _versions() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _eval_rows(family: FamilyId, n: Fraction, x: float, rtol: float):
-    params = family.base_params(n)
-    xm = family.substitution(x)
-    results = [
-        evalnum.s_series(params, xm, rtol),
-        evalnum.s_closed(params, xm, rtol),
-        evalnum.s_quad(params, xm, rtol=rtol),
-    ]
-    return params, xm, results
-
-
 def _cmd_eval(args, out) -> int:
     family = _family_from_args(args)
     n = _need_n(args)
     x = float(_parse_rational(args.x, "x"))
     family.require_in_domain(x)
-    _, _, results = _eval_rows(family, n, x, args.rtol)
+    params = family.base_params(n)
+    xm = family.substitution(x)
+    results = [
+        evalnum.s_series(params, xm, args.rtol),
+        evalnum.s_closed(params, xm, args.rtol),
+        evalnum.s_quad(params, xm, rtol=args.rtol),
+    ]
     if args.format == "json":
         doc = {
             "command": "eval",
@@ -166,32 +162,33 @@ def _cmd_table(args, out) -> int:
     family = _family_from_args(args)
     n = _need_n(args)
     grid = _parse_grid(args.grid, family)
-    rows = []
-    records = []
-    for x in grid:
-        _, _, results = _eval_rows(family, n, x, args.rtol)
-        for r in results:
-            rows.append(
-                [_fmt_float(x), r.method.value, _fmt_float(r.value), _fmt_float(r.err_estimate)]
-            )
-            records.append(
-                {
-                    "x": _fmt_float(x),
-                    "method": r.method.value,
-                    "value": _fmt_float(r.value),
-                    "err_estimate": _fmt_float(r.err_estimate),
-                }
-            )
+    params = family.base_params(n)
+    xms = [family.substitution(x) for x in grid]
+    routes = (
+        evalnum.s_series_grid(params, xms, args.rtol),
+        evalnum.s_closed_grid(params, xms, args.rtol),
+        evalnum.s_quad_grid(params, xms, rtol=args.rtol),
+    )
+    # the error of the first point and route, as a point-by-point run raises it
+    for result in (r for point in zip(*routes) for r in point):
+        if isinstance(result, Exception):
+            raise result
+    cells = [
+        (_fmt_float(x), r.method.value, _fmt_float(r.value), _fmt_float(r.err_estimate))
+        for x, point in zip(grid, zip(*routes))
+        for r in point
+    ]
     if args.format == "json":
+        keys = ("x", "method", "value", "err_estimate")
         doc = {
             "command": "table",
             "params": _params_doc(family, n, grid=args.grid, rtol=_fmt_float(args.rtol)),
-            "results": records,
+            "results": [dict(zip(keys, cell)) for cell in cells],
             "versions": _versions(),
         }
         out.write(_emit_json(doc))
     else:  # text and csv share the csv table
-        out.write(_emit_csv(["x", "method", "value", "err_estimate"], rows))
+        out.write(_emit_csv(["x", "method", "value", "err_estimate"], cells))
     return 0
 
 
@@ -275,7 +272,7 @@ def _cmd_bounds(args, out) -> int:
         grid = _parse_grid(args.grid, family)
     else:
         grid = bounds.standard_grid(family)
-    reports = [bounds.bound_values(family, int(n), x) for x in grid]
+    reports = bounds.bound_reports(family, int(n), grid)
     worst = min(reports, key=lambda r: r.min_margin)
     ok = worst.min_margin >= -1e-12
     if args.format == "json":

@@ -10,6 +10,7 @@ of unity: the functions are nonnegative and sum to 1 pointwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -118,11 +119,11 @@ class Params:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "_domain", _Interval.of_c(c))
 
-    @property
+    @functools.cached_property
     def n_float(self) -> float:
         return float(self.n)
 
-    @property
+    @functools.cached_property
     def c_float(self) -> float:
         return float(self.c)
 
@@ -345,12 +346,20 @@ def basis(params: Params, k: int, x: float) -> float:
     return math.exp(logp)
 
 
-# Blocks of the certified-series kernel grow fourfold from the first size to
-# the last.  A block costs about as much as 50 loop steps whatever its size
-# up to a few hundred, so most series of a table stop inside the first
-# block, and a series of 10^6 terms costs a few hundred calls.
+# Blocks of the certified-series kernel.  A lone row's blocks grow fourfold
+# from the first size to the last: a block costs about as much as 50 loop
+# steps whatever its size up to a few hundred, so most single series stop
+# inside the first block, and a series of 10^6 terms costs a few hundred
+# calls.  Rows that share a block do not grow it, since they stop at
+# different steps and every entry past a row's stop is computed for
+# nothing; its width is set by the number of rows still running, about
+# _BLOCK_ENTRIES entries in all and never under _BLOCK_ROWS steps.  A call
+# sums at most _BATCH_ROWS rows at a time, which bounds its arrays.
 _BLOCK_FIRST = 256
-_BLOCK_LAST = 4096
+_BLOCK_LAST = 8192
+_BLOCK_ROWS = 64
+_BLOCK_ENTRIES = 8192
+_BATCH_ROWS = 256
 
 
 def _sq(v: np.ndarray) -> np.ndarray:
@@ -361,6 +370,198 @@ def _sq(v: np.ndarray) -> np.ndarray:
     ``v * v`` and ``float_power`` calls ``pow``.
     """
     return np.float_power(v, 2.0)
+
+
+class _Rows(NamedTuple):
+    """Per-row outcome of ``_certified_rows``, one list entry per row."""
+
+    total: list[float]
+    tail: list[Optional[float]]  # None where the step cap came before a stop
+    steps: list[int]
+    overflow: list[bool]  # a square overflowed at or before the stop
+
+    def outcomes(self, capped: str) -> list:
+        """Per row (sum, tail, steps), or the exception the loop raised: the
+        OverflowError of a square, or ArithmeticError(capped) where the step
+        cap came before a stop."""
+        return [
+            _overflow_error() if over else ArithmeticError(capped) if tail is None else (total, tail, steps)
+            for total, tail, steps, over in zip(self.total, self.tail, self.steps, self.overflow)
+        ]
+
+
+def _overflow_error() -> OverflowError:
+    """The error Python's float ``**`` raises on overflow."""
+    return OverflowError(34, "Numerical result out of range")
+
+
+def _certified_rows(
+    ratio: Callable[..., np.ndarray],
+    k0,
+    tol: float,
+    max_steps=None,
+    *,
+    step: int = 1,
+    cert: Optional[Callable[..., np.ndarray]] = None,
+    sup=None,
+    total=1.0,
+    args: tuple = (),
+) -> _Rows:
+    """Sum positive series from their term ratios, with geometric tail bounds.
+
+    Row i's term starts at 1 and its sum at ``total[i]``.  Step j (j = 0,
+    1, ...) takes the index k = k0[i] + j*step, multiplies the term by
+    ``ratio(k)`` and adds it to the sum; the row stops once
+    r = max(cert(k), sup[i]) has r < 1 and tail = term*r/(1-r) <= tol*sum,
+    or after ``max_steps[i]`` steps.  ``cert(k)`` must bound every later
+    ratio together with ``sup``; it defaults to the next ratio,
+    ``ratio(k + step)``.  ``k0``, ``max_steps``, ``sup``, ``total`` and each
+    entry of ``args`` are a sequence with one value per row or a number for
+    all rows; ``max_steps`` and ``sup`` may be None (no cap, no sup).
+
+    ``ratio`` and ``cert`` take a float64 array of indices, rows by block
+    steps, followed by ``args`` (column vectors of the rows in the block,
+    or the numbers), so each block costs one Python call for all rows, and
+    a row leaves the batch when it stops.  Terms and partial sums come from
+    ``multiply.accumulate`` and ``add.accumulate`` along each row, seeded
+    with the carried term and sum; both run strictly left to right, so
+    every value, tail and step count is the one of the term-by-term loop.
+    Entries past a row's stop may overflow; they are computed silently and
+    never read.  A square that overflows at or before the stop, where
+    Python's ``**`` raises OverflowError, makes the partial sum inf or NaN;
+    only then are the row's ratios evaluated again with overflow trapped,
+    and the row flagged in ``overflow``.  A certificate overflows no earlier
+    than the next ratio does, which holds for every caller, so only the
+    last step's certificate needs a separate look.
+    """
+    values = (k0, total, sup, max_steps, *args)
+    rows = next((len(v) for v in values if v is not None and not isinstance(v, (int, float))), 1)
+    if not rows:
+        return _Rows([], [], [], [])
+    if rows > _BATCH_ROWS:  # batches bound the block arrays
+
+        def part(v, first):
+            return v if v is None or isinstance(v, (int, float)) else v[first : first + _BATCH_ROWS]
+
+        parts = [
+            _certified_rows(
+                ratio, part(k0, first), tol, part(max_steps, first), step=step, cert=cert,
+                sup=part(sup, first), total=part(total, first), args=tuple(part(a, first) for a in args),
+            )
+            for first in range(0, rows, _BATCH_ROWS)
+        ]
+        return _Rows(*([v for p in parts for v in getattr(p, name)] for name in _Rows._fields))
+
+    def column(v):
+        return v if v is None or isinstance(v, (int, float)) else np.asarray(v, dtype=float).reshape(rows, 1)
+
+    # per-row values become columns, numbers stay numbers
+    k0, total, sup, *args = map(column, (k0, total, sup, *args))
+    if rows > 1 and isinstance(k0, (int, float)):
+        k0 = np.full((rows, 1), float(k0))
+    caps = None if max_steps is None else [int(cap) for cap in ([max_steps] * rows if isinstance(max_steps, (int, float)) else max_steps)]
+    out = _Rows(
+        [float(total)] * rows if isinstance(total, (int, float)) else total[:, 0].tolist(),
+        [None] * rows,
+        [0] * rows,
+        [False] * rows,
+    )
+    idx = list(range(rows))  # the rows still running
+    keep = None if caps is None else [cap > 0 for cap in caps]  # rows with a step to take
+    term = 1.0
+    extra = int(cert is None)  # one more index: the last step's next ratio
+    done = 0
+    size = _BLOCK_FIRST
+    with np.errstate(all="ignore"):
+        while True:
+            if keep is not None and not all(keep):  # rows leave the batch
+                if not any(keep):
+                    break
+                mask = np.array(keep)
+                k0, total, term, sup, *args = (
+                    v[mask] if isinstance(v, np.ndarray) else v for v in (k0, total, term, sup, *args)
+                )
+                idx = [i for i, kept in zip(idx, keep) if kept]
+                caps = None if caps is None else [cap for cap, kept in zip(caps, keep) if kept]
+            width = size if len(idx) == 1 else max(_BLOCK_ROWS, _BLOCK_ENTRIES // len(idx))
+            capped = None  # the rows whose cap falls in this block
+            if caps is not None:
+                width = min(width, max(caps) - done)
+                if min(caps) - done <= width:
+                    capped = [cap - done <= width for cap in caps]
+            # float(k0) +- offset rounds once, to the float of the loop's int
+            # index, also past 2^53 (every caller's k0 is a double)
+            offs = np.arange(done, done + width + extra, dtype=float)
+            ks = k0 + offs if step == 1 else k0 - offs
+            if ks.ndim == 1:  # one row with a number k0
+                ks = ks[None]
+            rs = ratio(ks, *args)
+            if cert is None:
+                rc, rs = rs[:, 1:], rs[:, :-1]
+            else:
+                rc = cert(ks, *args)
+            if sup is not None:
+                rc = np.maximum(rc, sup)
+            terms = rs.copy()
+            if done:  # the carried term and sum seed the accumulations
+                terms[:, :1] *= term
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            sums = terms.copy()
+            sums[:, :1] += total
+            np.add.accumulate(sums, axis=1, out=sums)
+            tails = terms * rc / (1.0 - rc)
+            stop = (rc < 1.0) & (tails <= tol * sums)
+            if capped is not None:  # no stop past a cap
+                stop &= offs[:width] < np.array(caps, dtype=float)[:, None]
+            hit = np.logical_or.reduce(stop, axis=1)
+            term, total = terms[:, -1:], sums[:, -1:]
+            event = hit | ~np.isfinite(total[:, 0])
+            if capped is not None:
+                event |= np.array(capped)
+            keep = None
+            for r in event.nonzero()[0].tolist():
+                # the row's last step in this block, and whether it ends there
+                row_capped = capped is not None and capped[r]
+                end = int(stop[r].argmax()) + 1 if hit[r] else caps[r] - done if row_capped else width
+                row_ks = ks[r : r + 1]
+                row_args = [a[r : r + 1] if isinstance(a, np.ndarray) else a for a in args]
+                over = not math.isfinite(sums[r, end - 1]) and _overflows(
+                    ratio, cert, row_ks[:, : end + extra], row_args
+                )
+                if row_capped and not hit[r] and not over:  # the certificate of the last step
+                    over = _overflows(ratio, cert, row_ks[:, end - 1 : end + extra], row_args)
+                if hit[r] or row_capped or over:
+                    i = idx[r]
+                    out.total[i] = float(sums[r, end - 1])
+                    out.tail[i] = float(tails[r, end - 1]) if hit[r] else None
+                    out.steps[i] = done + end
+                    out.overflow[i] = over
+                    if keep is None:
+                        keep = [True] * len(idx)
+                    keep[r] = False
+            done += width
+            if len(idx) == 1:
+                size = min(4 * size, _BLOCK_LAST)
+    return out
+
+
+def _overflows(
+    ratio: Callable[..., np.ndarray],
+    cert: Optional[Callable[..., np.ndarray]],
+    ks: np.ndarray,
+    cols: list,
+) -> bool:
+    """Whether the loop's ``** 2`` raised: the ratios and certificates at
+    ``ks`` evaluated again with overflow trapped (a square of inf or of NaN,
+    which Python also allows, does not trap)."""
+    with np.errstate(over="raise"):
+        try:
+            ratio(ks, *cols)
+            if cert is not None:
+                cert(ks, *cols)
+        except FloatingPointError:
+            return True
+    return False
 
 
 def _certified_sum(
@@ -374,83 +575,48 @@ def _certified_sum(
     sup: float = 0.0,
     total: float = 1.0,
 ) -> tuple[float, Optional[float], int]:
-    """Sum a positive series from its term ratios, with a geometric tail bound.
+    """One series through ``_certified_rows`` (a zero ``sup`` is none).
 
-    The term starts at 1 and the sum at ``total``.  Step j (j = 0, 1, ...)
-    takes the index k = k0 + j*step, multiplies the term by ``ratio(k)`` and
-    adds it to the sum; it stops once r = max(cert(k), sup) has r < 1 and
-    tail = term*r/(1-r) <= tol*sum.  ``cert(k)`` must bound every later
-    ratio together with ``sup``; it defaults to the next ratio,
-    ``ratio(k + step)``.  Returns (sum, tail, steps), with tail None when
-    ``max_steps`` steps ran without a stop.
-
-    ``ratio`` and ``cert`` take a float64 array of indices, so each block
-    of steps costs one Python call.  Terms and partial sums come from
-    ``multiply.accumulate`` and ``add.accumulate`` seeded with the carried
-    term and sum; both run strictly left to right, so every value, tail
-    and step count is the one of the term-by-term loop.  Entries past the
-    stop may overflow; they are computed silently and never read.  A
-    square that overflows at or before the stop, where Python's ``**``
-    raises OverflowError, makes the partial sum inf or NaN; only then are
-    the block's ratios evaluated again with overflow trapped, and the same
-    OverflowError raised.  A certificate overflows no earlier than the
-    next ratio does, which holds for every caller, so only the last step's
-    certificate needs a separate look.
+    Returns (sum, tail, steps), with tail None when ``max_steps`` steps ran
+    without a stop, and raises the loop's OverflowError.
     """
-    term = 1.0
-    done = 0
-    size = _BLOCK_FIRST
-    with np.errstate(all="ignore"):
-        while max_steps is None or done < max_steps:
-            count = size if max_steps is None else min(size, max_steps - done)
-            # float(k0) +- offset rounds once, to the float of the loop's int
-            # index, also past 2^53 (every caller's k0 is a double)
-            ks = np.arange(done, done + count + (cert is None), dtype=float)
-            ks = float(k0) + ks if step == 1 else float(k0) - ks
-            if cert is None:
-                rs = ratio(ks)
-                rc, rs = rs[1:], rs[:-1]
-            else:
-                rs, rc = ratio(ks), cert(ks)
-            if sup:
-                rc = np.maximum(rc, sup)
-            terms = rs.copy()
-            terms[0] *= term  # the carried term and sum seed the accumulations
-            np.multiply.accumulate(terms, out=terms)
-            sums = terms.copy()
-            sums[0] += total
-            np.add.accumulate(sums, out=sums)
-            tails = terms * rc / (1.0 - rc)
-            stop = (rc < 1.0) & (tails <= tol * sums)
-            j = int(stop.argmax())
-            end = j + 1 if stop[j] else count
-            if not math.isfinite(sums[end - 1]):
-                _raise_on_overflow(ratio, cert, ks[: end + (cert is None)])
-            if stop[j]:
-                return float(sums[j]), float(tails[j]), done + j + 1
-            term, total = terms[-1], float(sums[-1])
-            done += count
-            size = min(4 * size, _BLOCK_LAST)
-    if done:  # the certificate of the last step
-        _raise_on_overflow(ratio, cert, ks[-1 - (cert is None):])
-    return total, None, done
+    out = _certified_rows(ratio, float(k0), tol, max_steps, step=step, cert=cert, sup=sup or None, total=total)
+    if out.overflow[0]:
+        raise _overflow_error()
+    return out.total[0], out.tail[0], out.steps[0]
 
 
-def _raise_on_overflow(
-    ratio: Callable[[np.ndarray], np.ndarray],
-    cert: Optional[Callable[[np.ndarray], np.ndarray]],
-    ks: np.ndarray,
-) -> None:
-    """Raise where the loop's ``** 2`` would have: evaluate the ratios and
-    certificates at ``ks`` again with overflow trapped (a square of inf or
-    of NaN, which Python also allows, does not trap)."""
-    with np.errstate(over="raise"):
-        try:
-            ratio(ks)
-            if cert is not None:
-                cert(ks)
-        except FloatingPointError:
-            raise OverflowError(34, "Numerical result out of range") from None
+def _sum_unimodal_rows(
+    ratio_up: Callable[..., np.ndarray],
+    ratio_down: Callable[..., np.ndarray],
+    k0: list[float],
+    tol: float,
+    up_sup=None,
+    max_terms: int = 10 ** 7,
+    args: tuple = (),
+) -> tuple[list[float], list[int], list[bool]]:
+    """Sum positive unimodal sequences, each scaled so its term k0 equals 1.
+
+    ``ratio_up(k)`` is t_{k+1}/t_k and ``ratio_down(k)`` is t_{k-1}/t_k, both
+    vectorised over index arrays as in ``_certified_rows``, which also takes
+    the per-row ``up_sup`` and ``args``.  The geometric tail certificate
+    needs an upper bound on all remaining ratios: the larger of the next
+    ratio and ``up_sup`` (the limit of the ratio stream, for streams that
+    increase toward it).  Downward ratios must be nonincreasing in the
+    direction of travel, which holds for every family here because the
+    downward walk only runs when the peak is interior.  At most
+    ``max_terms`` terms are summed.  Returns the scaled sums, the numbers of
+    terms and the rows whose upward or downward walk overflowed.
+    """
+    if not k0:
+        return [], [], []
+    up = _certified_rows(ratio_up, k0, tol, max_terms - 1, sup=up_sup, args=args)
+    terms = [1 + steps for steps in up.steps]
+    down_cap = [0 if over else min(k, max_terms - t) for k, t, over in zip(k0, terms, up.overflow)]
+    down = _certified_rows(ratio_down, k0, tol, down_cap, step=-1, total=up.total, args=args)
+    return down.total, [t + steps for t, steps in zip(terms, down.steps)], [
+        a or b for a, b in zip(up.overflow, down.overflow)
+    ]
 
 
 def _sum_unimodal_scaled(
@@ -461,23 +627,12 @@ def _sum_unimodal_scaled(
     up_sup: float = 0.0,
     max_terms: int = 10 ** 7,
 ) -> tuple[float, int]:
-    """Sum a positive unimodal sequence scaled so term k0 equals 1.
-
-    ``ratio_up(k)`` is t_{k+1}/t_k and ``ratio_down(k)`` is t_{k-1}/t_k, both
-    vectorised over an index array.  The geometric tail certificate needs an
-    upper bound on all remaining ratios: the larger of the next ratio and
-    ``up_sup`` (the limit of the ratio stream, for streams that increase
-    toward it).  Downward ratios must be nonincreasing in the direction of
-    travel, which holds for every family here because the downward walk only
-    runs when the peak is interior.  At most ``max_terms`` terms are summed.
-    Returns (scaled sum, number of terms).
-    """
-    acc, _, up = _certified_sum(ratio_up, k0, tol, max_terms - 1, sup=up_sup)
-    terms = 1 + up
-    acc, _, down = _certified_sum(
-        ratio_down, k0, tol, min(k0, max_terms - terms), step=-1, total=acc
-    )
-    return acc, terms + down
+    """One sequence through ``_sum_unimodal_rows``: (scaled sum, number of
+    terms); raises the loop's OverflowError."""
+    scaled, terms, overflow = _sum_unimodal_rows(ratio_up, ratio_down, [float(k0)], tol, up_sup or None, max_terms)
+    if overflow[0]:
+        raise _overflow_error()
+    return scaled[0], terms[0]
 
 
 def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import Params, _certified_sum, _sq, _sum_unimodal_scaled
+from .core import Params, _certified_rows, _overflow_error, _sq, _sum_unimodal_rows
 
 __all__ = [
     "EvalResult",
@@ -96,19 +98,24 @@ class QuadratureRule:
     def chebyshev_m11(cls, m: int) -> "QuadratureRule":
         if m < 2:
             raise ValueError("need at least 2 nodes")
-        j = np.arange(1, m + 1)
-        nodes = np.cos((2 * j - 1) * np.pi / (2 * m))
-        weights = np.full(m, np.pi / m)
-        return cls(nodes, weights, RuleKind.CHEBYSHEV_M11)
+        nodes = _chebyshev_nodes(RuleKind.CHEBYSHEV_M11, np.array([m]))
+        return cls(nodes, np.full(m, np.pi / m), RuleKind.CHEBYSHEV_M11)
 
     @classmethod
     def chebyshev_01(cls, m: int) -> "QuadratureRule":
         if m < 2:
             raise ValueError("need at least 2 nodes")
-        j = np.arange(1, m + 1)
-        nodes = (1.0 + np.cos((2 * j - 1) * np.pi / (2 * m))) / 2.0
-        weights = np.full(m, np.pi / m)
-        return cls(nodes, weights, RuleKind.CHEBYSHEV_01)
+        nodes = _chebyshev_nodes(RuleKind.CHEBYSHEV_01, np.array([m]))
+        return cls(nodes, np.full(m, np.pi / m), RuleKind.CHEBYSHEV_01)
+
+
+def _chebyshev_nodes(kind: RuleKind, ms: np.ndarray) -> np.ndarray:
+    """The nodes of the m-node rule of a kind for each m in ``ms``, one rule
+    after the other in one array; each entry has the bits of its own rule."""
+    m = np.repeat(ms, ms)
+    j = np.arange(1, m.size + 1) - np.repeat(np.cumsum(ms) - ms, ms)
+    nodes = np.cos((2 * j - 1) * np.pi / (2 * m))
+    return (1.0 + nodes) / 2.0 if kind is RuleKind.CHEBYSHEV_01 else nodes
 
 
 # ---------------------------------------------------------------------------
@@ -116,40 +123,66 @@ class QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
+def _one(outcomes: list):
+    """The outcome of a one-point call, raised if it is an exception."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _is_nonpositive_int(a: float) -> bool:
     return a <= 0.0 and float(a).is_integer()
 
 
+def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 * 10 ** 6) -> list:
+    """Series value with a certified geometric tail bound and term count at
+    each z: (value, tail, terms), or the exception raised there.  The
+    non-terminating series of all points are rows of one kernel call."""
+    out: list = [None] * len(zs)
+    rows = []
+    for i, z in enumerate(zs):
+        try:
+            if z < 0.0:
+                raise ValueError(f"series argument must be nonnegative, got z={z}")
+            if z == 0.0:
+                out[i] = (1.0, 0.0, 1)
+            elif _is_nonpositive_int(a):
+                m = int(-a)
+                total = 1.0
+                term = 1.0
+                for k in range(m):
+                    term *= ((a + k) / (k + 1.0)) ** 2 * z
+                    total += term
+                out[i] = (total, 0.0, m + 1)
+            elif a < 0.0:
+                raise ValueError("negative non-integer parameter is outside the diagonal case")
+            elif z >= 1.0:
+                raise ValueError(f"series diverges for z >= 1 with positive parameter (z={z})")
+            else:
+                rows.append(i)
+        except Exception as exc:  # kept for this point; the others still run
+            out[i] = exc
+    if rows:
+        z = [zs[i] for i in rows]
+        # ratios decrease toward z for a >= 1 and increase toward z below it
+        sums = _certified_rows(
+            lambda k, z: _sq((a + k) / (k + 1.0)) * z,
+            0.0,
+            rtol,
+            max_terms,
+            cert=lambda k, z: _sq((a + k + 1) / (k + 2.0)) * z,
+            sup=z,
+            args=(z,),
+        ).outcomes(f"series did not converge within {max_terms} terms")
+        for i, s in zip(rows, sums):
+            out[i] = s if isinstance(s, Exception) else (s[0], s[1], s[2] + 1)
+    return out
+
+
 def _hyp2f1_diag_tail(a: float, z: float, rtol: float, max_terms: int = 2 * 10 ** 6):
     """Series value with a certified geometric tail bound and term count."""
-    if z < 0.0:
-        raise ValueError(f"series argument must be nonnegative, got z={z}")
-    if z == 0.0:
-        return 1.0, 0.0, 1
-    if _is_nonpositive_int(a):
-        m = int(-a)
-        total = 1.0
-        term = 1.0
-        for k in range(m):
-            term *= ((a + k) / (k + 1.0)) ** 2 * z
-            total += term
-        return total, 0.0, m + 1
-    if a < 0.0:
-        raise ValueError("negative non-integer parameter is outside the diagonal case")
-    if z >= 1.0:
-        raise ValueError(f"series diverges for z >= 1 with positive parameter (z={z})")
-    # ratios decrease toward z for a >= 1 and increase toward z below it
-    total, tail, steps = _certified_sum(
-        lambda k: _sq((a + k) / (k + 1.0)) * z,
-        0,
-        rtol,
-        max_terms,
-        cert=lambda k: _sq((a + k + 1) / (k + 2.0)) * z,
-        sup=z,
-    )
-    if tail is None:
-        raise ArithmeticError(f"series did not converge within {max_terms} terms")
-    return total, tail, steps + 1
+    return _one(_hyp2f1_rows(a, [z], rtol, max_terms))
 
 
 def hyp2f1_diag(a: float, z: float, rtol: float = 1e-15) -> float:
@@ -164,26 +197,51 @@ def hyp2f1_diag(a: float, z: float, rtol: float = 1e-15) -> float:
     return value
 
 
+def _i0_rows(zs: Sequence[float], rtol: float = 1e-16) -> list:
+    """Direct even series sum_k (z^2/4)^k / (k!)^2 with certified tail at
+    each z: (value, terms), or the exception raised there."""
+    q = [z * z / 4.0 for z in zs]
+    sums = _certified_rows(
+        lambda k, q: q / _sq(k + 1.0), 0.0, rtol, 10 ** 6 + 1, args=(q,)
+    ).outcomes("Bessel series did not converge")
+    return [s if isinstance(s, Exception) else (s[0], s[2] + 1) for s in sums]
+
+
 def _i0_series(z: float, rtol: float = 1e-16):
     """Direct even series sum_k (z^2/4)^k / (k!)^2 with certified tail."""
-    q = z * z / 4.0
-    total, tail, steps = _certified_sum(lambda k: q / _sq(k + 1.0), 0, rtol, 10 ** 6 + 1)
-    if tail is None:
-        raise ArithmeticError("Bessel series did not converge")
-    return total, steps + 1
+    return _one(_i0_rows([z], rtol))
+
+
+def _scaled_poisson_rows(mus: Sequence[float], tol: float = 1e-17) -> list:
+    """exp(-2*mu) * sum_k (mu^k / k!)^2 at each mu, summed around its peak in
+    log space: (value, terms), or the exception raised there."""
+    out: list = [None] * len(mus)
+    rows, k0, anchors = [], [], []
+    for i, mu in enumerate(mus):
+        try:
+            k = int(mu)
+            anchors.append(2.0 * (k * math.log(mu) - math.lgamma(k + 1)))
+            rows.append(i)
+            k0.append(float(k))
+        except Exception as exc:
+            out[i] = exc
+    mu = [mus[i] for i in rows]
+    scaled, terms, overflow = _sum_unimodal_rows(
+        lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), k0, tol, args=(mu,)
+    )
+    for r, i in enumerate(rows):
+        try:
+            if overflow[r]:
+                raise _overflow_error()
+            out[i] = (math.exp(anchors[r] - 2.0 * mu[r] + math.log(scaled[r])), terms[r])
+        except Exception as exc:
+            out[i] = exc
+    return out
 
 
 def _scaled_poisson_sq(mu: float, tol: float = 1e-17):
     """exp(-2*mu) * sum_k (mu^k / k!)^2, summed around its peak in log space."""
-    k0 = int(mu)
-    log_anchor = 2.0 * (k0 * math.log(mu) - math.lgamma(k0 + 1))
-    scaled, terms = _sum_unimodal_scaled(
-        lambda k: _sq(mu / (k + 1.0)),
-        lambda k: _sq(k / mu),
-        k0,
-        tol,
-    )
-    return math.exp(log_anchor - 2.0 * mu + math.log(scaled)), terms
+    return _one(_scaled_poisson_rows([mu], tol))
 
 
 def bessel_i0(z: float) -> float:
@@ -204,18 +262,32 @@ def bessel_i0(z: float) -> float:
         return math.inf
 
 
+def _bessel_i0e_rows(zs: Sequence[float]) -> list:
+    """exp(-z) * I0(z) at each z >= 0, or the exception raised there."""
+    out: list = [None] * len(zs)
+    small = [i for i, z in enumerate(zs) if z <= 600.0]
+    large = [i for i, z in enumerate(zs) if not z <= 600.0]
+    if small:
+        for i, s in zip(small, _i0_rows([zs[i] for i in small])):
+            out[i] = s if isinstance(s, Exception) else math.exp(-zs[i]) * s[0]
+    if large:
+        for i, s in zip(large, _scaled_poisson_rows([zs[i] / 2.0 for i in large])):
+            out[i] = s if isinstance(s, Exception) else s[0]
+    return out
+
+
 def bessel_i0e(z: float) -> float:
     """exp(-z) * I0(z), stable for every nonnegative argument."""
-    z = abs(float(z))
-    if z <= 600.0:
-        total, _ = _i0_series(z)
-        return math.exp(-z) * total
-    scaled, _ = _scaled_poisson_sq(z / 2.0)
-    return scaled
+    return _one(_bessel_i0e_rows([abs(float(z))]))
 
 
 # ---------------------------------------------------------------------------
-# S(x): series route
+# S(x): the three routes
+#
+# Each route evaluates a whole grid in one call and returns, per point, the
+# EvalResult or the exception the scalar call raises there; a point's
+# exception is kept, not raised, so the other points still run.  The scalar
+# routes are the one-point grids.
 # ---------------------------------------------------------------------------
 
 
@@ -239,6 +311,85 @@ def _neg_c_terms_log(params: Params, x: float) -> list[float]:
     return logs
 
 
+def _neg_c_sum(params: Params, x: float) -> float:
+    """The finite squared sum for c < 0, unscaled from log space."""
+    logs = _neg_c_terms_log(params, x)
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(lg - top) for lg in logs)
+
+
+def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
+    """``s_series`` at every point of ``xs``; the c >= 0 series of all points
+    are rows of one certified-series kernel call."""
+    if rtol <= 0:
+        raise ValueError("rtol must be positive")
+    n = params.n_float
+    c = params.c_float
+    # stop well below the requested tolerance; the certificate is reported
+    rtol = max(1e-16, 1e-3 * rtol)
+    out: list = [None] * len(xs)
+    direct, window = [], []  # (point, parameters) of the two c >= 0 sums
+    for i, x in enumerate(xs):
+        try:
+            params.require_in_domain(x)
+            xf = float(x)
+            if xf == 0.0:
+                out[i] = EvalResult(1.0, Method.SERIES, 0.0, 1)
+            elif c < 0:
+                value = _neg_c_sum(params, xf)
+                out[i] = EvalResult(value, Method.SERIES, 4e-16 * (params.l + 1) * value, params.l + 1)
+            elif c == 0.0:
+                mu = n * xf
+                (direct if mu <= 300.0 else window).append((i, mu))
+            else:
+                # prefactor (1+cx)^(-2n/c) times the squared-coefficient series
+                # in (x/(1+cx))^2; the term ratio tends to (cx/(1+cx))^2 < 1
+                u = c * xf
+                lp1 = math.log1p(u)
+                pref_log = -(2.0 * n / c) * lp1
+                if pref_log < -_EXP_GUARD:
+                    # the unscaled sum would overflow; sum around the peak in log space
+                    window.append((i, xf))
+                else:
+                    direct.append((i, (pref_log, (xf / (1.0 + u)) ** 2, (c * xf / (1.0 + u)) ** 2)))
+        except Exception as exc:
+            out[i] = exc
+
+    if c == 0.0:
+        mu = [p for _, p in direct]
+        sums = _certified_rows(lambda k, mu: _sq(mu / (k + 1.0)), 0.0, rtol, args=(mu,)).outcomes("")
+        for (i, mu), s in zip(direct, sums):
+            if isinstance(s, Exception):
+                out[i] = s
+                continue
+            pref = math.exp(-2.0 * mu)
+            out[i] = EvalResult(pref * s[0], Method.SERIES, pref * s[1], s[2] + 1)
+        windowed = _scaled_poisson_rows([p for _, p in window], tol=min(rtol, 1e-16))
+    elif c > 0.0:
+        pref_log, rr, zlim = zip(*(p for _, p in direct)) if direct else ((), (), ())
+        sums = _certified_rows(
+            lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr,
+            0.0,
+            rtol,
+            2 * 10 ** 6 + 1,
+            sup=zlim,
+            args=(rr,),
+        ).outcomes("series did not converge; use the quadrature route")
+        for (i, (pl, _, _)), s in zip(direct, sums):
+            if isinstance(s, Exception):
+                out[i] = s
+                continue
+            total, tail, steps = s
+            value = math.exp(pl) * total
+            out[i] = EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), steps + 1)
+        windowed = _pos_c_window_rows(n, c, [p for _, p in window], min(rtol, 1e-16))
+    else:
+        windowed = []
+    for (i, _), s in zip(window, windowed):
+        out[i] = s if isinstance(s, Exception) else EvalResult(s[0], Method.SERIES, rtol * s[0], s[1])
+    return out
+
+
 def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
     """S(x) summed from the squared-coefficient power series.
 
@@ -246,80 +397,113 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     up to rounding; otherwise the geometric certificate stops the sum once
     the tail drops below rtol times the partial sum.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
-    params.require_in_domain(x)
-    xf = float(x)
-    if xf == 0.0:
-        return EvalResult(1.0, Method.SERIES, 0.0, 1)
-    n = params.n_float
-    c = params.c_float
-    # stop well below the requested tolerance; the certificate is reported
-    rtol = max(1e-16, 1e-3 * rtol)
-
-    if c < 0:
-        logs = _neg_c_terms_log(params, xf)
-        top = max(logs)
-        value = math.exp(top) * math.fsum(math.exp(lg - top) for lg in logs)
-        return EvalResult(value, Method.SERIES, 4e-16 * (params.l + 1) * value, params.l + 1)
-
-    if c == 0.0:
-        mu = n * xf
-        if mu <= 300.0:
-            pref = math.exp(-2.0 * mu)
-            total, tail, steps = _certified_sum(lambda k: _sq(mu / (k + 1.0)), 0, rtol)
-            return EvalResult(pref * total, Method.SERIES, pref * tail, steps + 1)
-        value, terms = _scaled_poisson_sq(mu, tol=min(rtol, 1e-16))
-        return EvalResult(value, Method.SERIES, rtol * value, terms)
-
-    # c > 0: prefactor (1+cx)^(-2n/c) times the squared-coefficient series in
-    # (x/(1+cx))^2; the term ratio tends to (cx/(1+cx))^2 < 1.
-    u = c * xf
-    lp1 = math.log1p(u)
-    pref_log = -(2.0 * n / c) * lp1
-    if pref_log < -_EXP_GUARD:
-        # the unscaled sum would overflow; sum around the peak in log space
-        value, terms = _pos_c_series_window(n, c, xf, min(rtol, 1e-16))
-        return EvalResult(value, Method.SERIES, rtol * value, terms)
-    rr = (xf / (1.0 + u)) ** 2
-    zlim = (c * xf / (1.0 + u)) ** 2
-    total, tail, steps = _certified_sum(
-        lambda k: _sq((n + k * c) / (k + 1.0)) * rr, 0, rtol, 2 * 10 ** 6 + 1, sup=zlim
-    )
-    if tail is None:
-        raise ArithmeticError("series did not converge; use the quadrature route")
-    value = math.exp(pref_log) * total
-    return EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), steps + 1)
+    return _one(s_series_grid(params, [x], rtol))
 
 
-def _pos_c_series_window(n: float, c: float, x: float, tol: float) -> tuple[float, int]:
-    """Peak-anchored log-space sum of the c > 0 series with its prefactor.
+def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> list:
+    """Peak-anchored log-space sums of the c > 0 series with its prefactor
+    at each x: (value, terms), or the exception raised there.
 
     Terms are t_k = ((n + (k-1)c)...(n)/k!)^2 rho^(2k) (1+cx)^(-2n/c) with
     rho = x/(1+cx); the term-ratio stream tends to (c rho)^2 < 1 from above
     for n/c >= 1 and from below otherwise.
     """
-    rho = x / (1.0 + c * x)
-    zlim = (c * rho) ** 2
-    k0 = max(0, int((n * rho - 1.0) / (1.0 - c * rho)))
-    log_anchor = -(2.0 * n / c) * math.log1p(c * x) + 2.0 * (
-        math.fsum(math.log(n + j * c) for j in range(k0))
-        - math.lgamma(k0 + 1)
-        + k0 * math.log(rho)
-    )
-    scaled, terms = _sum_unimodal_scaled(
-        lambda k: _sq((n + k * c) * rho / (k + 1.0)),
-        lambda k: _sq(k / ((n + (k - 1) * c) * rho)),
+    out: list = [None] * len(xs)
+    rows, rho, zlim, k0, anchors = [], [], [], [], []
+    for i, x in enumerate(xs):
+        try:
+            r = x / (1.0 + c * x)
+            z = (c * r) ** 2
+            k = max(0, int((n * r - 1.0) / (1.0 - c * r)))
+            anchors.append(-(2.0 * n / c) * math.log1p(c * x) + 2.0 * (
+                math.fsum(math.log(n + j * c) for j in range(k))
+                - math.lgamma(k + 1)
+                + k * math.log(r)
+            ))
+            rows.append(i)
+            rho.append(r)
+            zlim.append(z)
+            k0.append(float(k))
+        except Exception as exc:
+            out[i] = exc
+    scaled, terms, overflow = _sum_unimodal_rows(
+        lambda k, rho: _sq((n + k * c) * rho / (k + 1.0)),
+        lambda k, rho: _sq(k / ((n + (k - 1) * c) * rho)),
         k0,
         tol,
         up_sup=zlim,
+        args=(rho,),
     )
-    return math.exp(log_anchor + math.log(scaled)), terms
+    for r, i in enumerate(rows):
+        try:
+            if overflow[r]:
+                raise _overflow_error()
+            out[i] = (math.exp(anchors[r] + math.log(scaled[r])), terms[r])
+        except Exception as exc:
+            out[i] = exc
+    return out
 
 
-# ---------------------------------------------------------------------------
-# S(x): closed-form route
-# ---------------------------------------------------------------------------
+def _pos_c_series_window(n: float, c: float, x: float, tol: float) -> tuple[float, int]:
+    """Peak-anchored log-space sum of the c > 0 series with its prefactor."""
+    return _one(_pos_c_window_rows(n, c, [x], tol))
+
+
+def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
+    """``s_closed`` at every point of ``xs``; the Bessel and diagonal
+    hypergeometric series of all points are rows of one kernel call each,
+    and the points handed over to quadrature are one ``s_quad_grid``."""
+    n = params.n_float
+    c = params.c_float
+    qtol = rtol
+    rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
+    out: list = [None] * len(xs)
+    bessel, hyp, quad = [], [], []  # (point, parameters) per kernel
+    for i, x in enumerate(xs):
+        try:
+            params.require_in_domain(x)
+            xf = float(x)
+            if xf == 0.0:
+                out[i] = EvalResult(1.0, Method.CLOSED_FORM, 0.0, 1)
+                continue
+            if c == 0.0:
+                bessel.append((i, 2.0 * n * xf))
+                continue
+            u = c * xf
+            if c < 0 and 1.0 + u == 0.0:  # right endpoint: only the top term survives
+                logs = _neg_c_terms_log(params, xf)
+                out[i] = EvalResult(math.exp(logs[-1]), Method.CLOSED_FORM, 0.0, 1)
+                continue
+            z = (u / (1.0 + u)) ** 2
+            pref_log = -(2.0 * n / c) * math.log1p(u)
+            if c < 0 and not (z < 1e10 and abs(pref_log) < _EXP_GUARD):
+                # near the endpoint the terminating series is unscaled in log space
+                value = _neg_c_sum(params, xf)
+                out[i] = EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), params.l + 1)
+            elif c > 0 and (z > Z_SWITCH or pref_log < -_EXP_GUARD):
+                quad.append((i, xf))
+            else:
+                hyp.append((i, (z, pref_log)))
+        except Exception as exc:
+            out[i] = exc
+
+    for (i, _), s in zip(bessel, _bessel_i0e_rows([p for _, p in bessel])):
+        out[i] = s if isinstance(s, Exception) else EvalResult(s, Method.CLOSED_FORM, 1e-15 * s, 0)
+    a = -float(params.l) if c < 0 else n / c if c else 0.0
+    for (i, (_, pref_log)), s in zip(hyp, _hyp2f1_rows(a, [p[0] for _, p in hyp], rtol)):
+        if isinstance(s, Exception):
+            out[i] = s
+            continue
+        value, tail, terms = s
+        pref = math.exp(pref_log)
+        if c < 0:
+            value *= pref
+            out[i] = EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), terms)
+        else:
+            out[i] = EvalResult(pref * value, Method.CLOSED_FORM, pref * tail + 1e-15 * pref * value, terms)
+    for (i, _), s in zip(quad, s_quad_grid(params, [p for _, p in quad], rtol=qtol)):
+        out[i] = s
+    return out
 
 
 def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
@@ -332,45 +516,7 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     argument beyond Z_SWITCH (or powers beyond the double range) the call
     delegates to the quadrature route.
     """
-    params.require_in_domain(x)
-    xf = float(x)
-    if xf == 0.0:
-        return EvalResult(1.0, Method.CLOSED_FORM, 0.0, 1)
-    n = params.n_float
-    c = params.c_float
-    qtol = rtol
-    rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
-
-    if c == 0.0:
-        value = bessel_i0e(2.0 * n * xf)
-        return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value, 0)
-
-    u = c * xf
-    if c < 0:
-        a = -float(params.l)
-        if 1.0 + u == 0.0:  # right endpoint: only the top term survives
-            logs = _neg_c_terms_log(params, xf)
-            return EvalResult(math.exp(logs[-1]), Method.CLOSED_FORM, 0.0, 1)
-        z = (u / (1.0 + u)) ** 2
-        pref_log = -(2.0 * n / c) * math.log1p(u)
-        if z < 1e10 and abs(pref_log) < _EXP_GUARD:
-            value, tail, terms = _hyp2f1_diag_tail(a, z, rtol)
-            value *= math.exp(pref_log)
-            return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), terms)
-        # near the endpoint the terminating series is unscaled in log space
-        logs = _neg_c_terms_log(params, xf)
-        top = max(logs)
-        value = math.exp(top) * math.fsum(math.exp(lg - top) for lg in logs)
-        return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), params.l + 1)
-
-    a = n / c
-    z = (u / (1.0 + u)) ** 2
-    pref_log = -(2.0 * n / c) * math.log1p(u)
-    if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-        return s_quad(params, xf, rtol=qtol)
-    value, tail, terms = _hyp2f1_diag_tail(a, z, rtol)
-    pref = math.exp(pref_log)
-    return EvalResult(pref * value, Method.CLOSED_FORM, pref * tail + 1e-15 * pref * value, terms)
+    return _one(s_closed_grid(params, [x], rtol))
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +524,35 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
 # ---------------------------------------------------------------------------
 
 
-def _s_integrand(params: Params, x: float):
-    """Integrand over the rule's interval and the rule kind it uses."""
+def _s_integrand(params: Params):
+    """The integrand over the rule's interval as f(t, p), the map from x to
+    its parameter p, and the rule kind it uses.  ``t`` and ``p`` may be
+    arrays of equal length, so the nodes of many points go in one call."""
     n = params.n_float
     c = params.c_float
     if c == 0.0:
-        def f(t: np.ndarray) -> np.ndarray:
-            return np.exp(-2.0 * n * x * (1.0 + t))
+        def f(t: np.ndarray, p) -> np.ndarray:
+            return np.exp(p * (1.0 + t))
 
-        return f, RuleKind.CHEBYSHEV_M11
+        return f, lambda x: -2.0 * n * x, RuleKind.CHEBYSHEV_M11
 
-    b2 = (1.0 + 2.0 * c * x) ** 2
+    def b2(x: float) -> float:
+        return (1.0 + 2.0 * c * x) ** 2
 
     if c < 0:
         l = params.l
 
-        def f(t: np.ndarray) -> np.ndarray:
-            return (t + (1.0 - t) * b2) ** l
+        def f(t: np.ndarray, p) -> np.ndarray:
+            return (t + (1.0 - t) * p) ** l
 
-        return f, RuleKind.CHEBYSHEV_01
+        return f, b2, RuleKind.CHEBYSHEV_01
 
     e = -n / c
 
-    def f(t: np.ndarray) -> np.ndarray:
-        return np.exp(e * np.log(t + (1.0 - t) * b2))
+    def f(t: np.ndarray, p) -> np.ndarray:
+        return np.exp(e * np.log(t + (1.0 - t) * p))
 
-    return f, RuleKind.CHEBYSHEV_01
+    return f, b2, RuleKind.CHEBYSHEV_01
 
 
 @functools.lru_cache(maxsize=8)
@@ -456,6 +605,80 @@ def _min_nodes(params: Params, x: float) -> int:
     return min(LADDER_MAX, int(2.0 * math.pi / width) + 1)
 
 
+# The integrand of many points is evaluated up to this many nodes at a
+# time, which bounds the arrays of a large grid.
+_NODES_PER_CALL = 4096
+
+
+def s_quad_grid(
+    params: Params, xs: Sequence[float], m: int = LADDER_START, rtol: float = RTOL_DEFAULT
+) -> list:
+    """``s_quad`` at every point of ``xs``.
+
+    The ladder runs level by level for all points still climbing it: the
+    nodes of all of them go through the integrand as one concatenated
+    array, and each point's mean is ``np.add.reduce`` over its own
+    contiguous segment, the bits of the one-point ladder (points with equal
+    node counts sit side by side, and a run of them is reduced as the rows
+    of one array, which sums each row pairwise as it sums a lone segment).
+    """
+    if m < 2:
+        raise ValueError("need m >= 2 quadrature nodes")
+    f, param, kind = _s_integrand(params)
+    out: list = [None] * len(xs)
+    points, ms, ps = [], [], []
+    for i, x in enumerate(xs):
+        try:
+            params.require_in_domain(x)
+            xf = float(x)
+            ms.append(max(m, _min_nodes(params, xf)))
+            ps.append(param(xf))
+            points.append(i)
+        except Exception as exc:
+            out[i] = exc
+    if not points:
+        return out
+
+    def level(js: list[int]) -> list[float]:
+        """Means of the points js at their current node counts."""
+        chunks, size = [[]], 0
+        for j in sorted(js, key=ms.__getitem__):
+            if chunks[-1] and size + ms[j] > _NODES_PER_CALL:
+                chunks.append([])
+                size = 0
+            chunks[-1].append(j)
+            size += ms[j]
+        means: dict[int, float] = {}
+        for chunk in chunks:
+            sizes = np.array([ms[j] for j in chunk], dtype=np.int64)
+            vals = f(_chebyshev_nodes(kind, sizes), np.repeat([ps[j] for j in chunk], sizes))
+            start = 0
+            for mm, run in itertools.groupby(chunk, key=ms.__getitem__):
+                run = list(run)
+                rows = vals[start : start + mm * len(run)].reshape(len(run), mm)
+                start += mm * len(run)
+                means.update(zip(run, (total / mm for total in np.add.reduce(rows, axis=1).tolist())))
+        return [means[j] for j in js]
+
+    values = level(list(range(len(points))))
+    diffs = [math.inf] * len(points)
+    climbing = [j for j in range(len(points)) if ms[j] < LADDER_MAX]
+    while climbing:
+        for j in climbing:
+            ms[j] *= 2
+        for j, mean in zip(climbing, level(climbing)):
+            diffs[j] = abs(mean - values[j])
+            values[j] = mean
+        climbing = [
+            j for j in climbing
+            if not diffs[j] <= max(1e-13, rtol * abs(values[j])) and ms[j] < LADDER_MAX
+        ]
+    for j, i in enumerate(points):
+        value = values[j]
+        out[i] = EvalResult(value, Method.QUADRATURE, max(diffs[j], 1e-16 * abs(value)), ms[j])
+    return out
+
+
 def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_DEFAULT) -> EvalResult:
     """S(x) from Gauss-Chebyshev quadrature of its integral representation.
 
@@ -466,22 +689,7 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
     integrand is a degree-l polynomial in t, so any node count past
     (l+1)/2 is already exact to rounding.
     """
-    if m < 2:
-        raise ValueError("need m >= 2 quadrature nodes")
-    params.require_in_domain(x)
-    xf = float(x)
-    m = max(m, _min_nodes(params, xf))
-    f, kind = _s_integrand(params, xf)
-    value = _rule_mean(f, kind, m)
-    diff = math.inf
-    while m < LADDER_MAX:
-        m *= 2
-        new = _rule_mean(f, kind, m)
-        diff = abs(new - value)
-        value = new
-        if diff <= max(1e-13, rtol * abs(new)):
-            break
-    return EvalResult(value, Method.QUADRATURE, max(diff, 1e-16 * abs(value)), m)
+    return _one(s_quad_grid(params, [x], m, rtol))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,65 @@ class TestTable:
         assert code == 2
         assert "count" in err
 
+    @pytest.mark.parametrize(
+        "family, grid, last",
+        [(["bernstein", "-n", "2"], "67/1000:1:101", "1"), (["general", "-c", "-1/2", "-n", "1"], "67/500:2:101", "2")],
+    )
+    def test_grid_stops_at_its_right_end(self, family, grid, last):
+        # a + (b-a)*i/(count-1) rounds past b here: 1.0000000000000002 and
+        # 2.0000000000000004, outside the closed domain
+        code, out, err = invoke(["table", "--family", *family, "--grid", grid, "--format", "csv"])
+        assert (code, err) == (0, "")
+        xs = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert len(xs) == 3 * 101 and xs[-3:] == [last] * 3
+
+    def test_first_error_in_grid_order(self):
+        # the c > 0 series needs more than 2*10^6 terms at every point
+        from sqsums.core import Params
+        from sqsums.evalnum import s_closed, s_quad, s_series
+
+        def first_error():
+            for x in (1e5, 1.5e5, 2e5):
+                for route in (s_series, s_closed, s_quad):
+                    try:
+                        route(Params(1, 1), x)
+                    except Exception as exc:
+                        return exc
+
+        expect = first_error()
+        assert type(expect) is ArithmeticError
+        with pytest.raises(ArithmeticError) as raised:
+            invoke(["table", "--family", "baskakov", "-n", "1", "--grid", "1e5:2e5:3"])
+        assert (type(raised.value), str(raised.value)) == (type(expect), str(expect))
+
+    def test_errors_raise_in_point_then_route_order(self, monkeypatch):
+        # a point-by-point run raises the error of the first point that has
+        # one, and there the series before the closed form before quadrature
+        from sqsums import evalnum
+
+        errors = {
+            "s_series_grid": {2: ArithmeticError("series at 2")},
+            "s_closed_grid": {1: OverflowError("closed at 1"), 2: ValueError("closed at 2")},
+            "s_quad_grid": {0: ZeroDivisionError("quad at 0")},
+        }
+        for name, planted in errors.items():
+            route = getattr(evalnum, name)
+
+            def patched(*args, route=route, planted=planted, **kwargs):
+                results = route(*args, **kwargs)
+                return [planted.get(i, r) for i, r in enumerate(results)]
+
+            monkeypatch.setattr(evalnum, name, patched)
+        argv = ["table", "--family", "szasz", "-n", "1", "--grid", "0:2:4"]
+        with pytest.raises(ZeroDivisionError, match="quad at 0"):
+            invoke(argv)
+        del errors["s_quad_grid"][0]
+        with pytest.raises(OverflowError, match="closed at 1"):
+            invoke(argv)
+        del errors["s_closed_grid"][1]
+        with pytest.raises(ArithmeticError, match="series at 2"):
+            invoke(argv)
+
 
 class TestVerify:
     def test_bernstein_suite_passes(self):

@@ -17,8 +17,11 @@ from sqsums.evalnum import (
     bessel_i0e,
     hyp2f1_diag,
     s_closed,
+    s_closed_grid,
     s_quad,
+    s_quad_grid,
     s_series,
+    s_series_grid,
     t_closed,
     t_quad,
 )
@@ -351,3 +354,77 @@ class TestKernel:
     def test_domain_checked(self):
         with pytest.raises(DomainError):
             t_closed(Params(2, -1), 0.5, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# Grid routes against the one-point routes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _grid_case(draw):
+    c = draw(st.sampled_from([Fraction(c, 6) for c in (-6, -3, -2, 0, 2, 3, 6, 12, 18)]))
+    if c < 0:
+        params = Params(-c * draw(st.integers(1, 30)), c)
+        sup = float(params.domain_sup)
+        x = st.one_of(st.floats(0.0, sup), st.sampled_from([0.0, sup, math.nextafter(sup, 0.0)]))
+    else:
+        params = Params(draw(st.fractions(Fraction(1, 4), Fraction(300), max_denominator=8)), c)
+        x = st.one_of(
+            st.just(0.0),
+            st.floats(1e-300, 1e-6),
+            st.floats(0.0, 30.0),
+            st.floats(30.0, 1000.0),
+            st.floats(1e5, 1e6) if c == 0 else st.nothing(),  # the Bessel peak window
+        )
+    xs = draw(st.lists(x, min_size=1, max_size=25))
+    return params, xs, draw(st.sampled_from([1e-12, 1e-15, 1e-8, 1e-3]))
+
+
+def _outcomes(route, params, xs, *args):
+    out = []
+    for x in xs:
+        try:
+            out.append(repr(route(params, x, *args)))
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _grid_outcomes(results):
+    return [(type(r), str(r)) if isinstance(r, Exception) else repr(r) for r in results]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_case())
+def test_grid_routes_are_the_point_routes(case):
+    # rows of one batch, points grouped by node count and chunked nodes give
+    # the EvalResult (or the exception) of each point on its own
+    params, xs, rtol = case
+    assert _grid_outcomes(s_series_grid(params, xs, rtol)) == _outcomes(s_series, params, xs, rtol)
+    assert _grid_outcomes(s_closed_grid(params, xs, rtol)) == _outcomes(s_closed, params, xs, rtol)
+    quad = _outcomes(s_quad, params, xs, 16, rtol)
+    assert _grid_outcomes(s_quad_grid(params, xs, 16, rtol)) == quad
+
+
+def test_grid_routes_keep_point_errors():
+    # a point outside the domain holds its DomainError; the others still run
+    params = Params(3, -1)
+    for route in (s_series_grid, s_closed_grid, s_quad_grid):
+        got = route(params, [0.5, 1.5, 0.25])
+        assert isinstance(got[1], DomainError) and "x=1.5" in str(got[1])
+        assert got[0] == {s_series_grid: s_series, s_closed_grid: s_closed, s_quad_grid: s_quad}[route](params, 0.5)
+        assert got[2].value == pytest.approx(s_series(params, 0.25).value, rel=1e-14)
+
+
+def test_chebyshev_nodes_have_the_bits_of_each_rule():
+    from sqsums.evalnum import _chebyshev_nodes
+
+    ms = np.array([2, 3, 16, 17, 100, 4096, 16])
+    both = {
+        RuleKind.CHEBYSHEV_M11: lambda m: np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)),
+        RuleKind.CHEBYSHEV_01: lambda m: (1.0 + np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m))) / 2.0,
+    }
+    for kind, rule in both.items():
+        got = np.split(_chebyshev_nodes(kind, ms), np.cumsum(ms)[:-1])
+        assert all(np.array_equal(g, rule(m)) for g, m in zip(got, ms))

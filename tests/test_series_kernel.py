@@ -25,6 +25,7 @@ from sqsums.evalnum import (
     bessel_i0e,
     s_closed,
     s_series,
+    s_series_grid,
 )
 
 # ---------------------------------------------------------------------------
@@ -512,3 +513,188 @@ def test_a_sum_that_overflows_is_no_overflow_error():
     expect = ref_hyp2f1_tail(53.0, 0.998046875, 1e-16, 2 * 10 ** 6)
     assert expect[0] == math.inf
     assert _hyp2f1_diag_tail(53.0, 0.998046875, 1e-16, 2 * 10 ** 6) == expect
+
+
+# ---------------------------------------------------------------------------
+# Row batches: every row of a batch is its own loop
+# ---------------------------------------------------------------------------
+
+
+def _row_outcomes(rows):
+    """The kernel's rows as the scalar kernel reports them."""
+    return [
+        OverflowError if over else (total, tail, steps)
+        for total, tail, steps, over in zip(rows.total, rows.tail, rows.steps, rows.overflow)
+    ]
+
+
+def ref_spike_loop(q, spike, k0, tol, cap):
+    """A loop of ratios q^2, with the square (1e200)^2 at index ``spike``."""
+
+    def ratio(k):
+        return (1e200 if k == spike else q) ** 2
+
+    total, term, j = 1.0, 1.0, 0
+    try:
+        while j < cap:
+            k = k0 + j
+            term *= ratio(k)
+            total += term
+            r = ratio(k + 1)
+            j += 1
+            if r < 1.0 and term * r / (1.0 - r) <= tol * total:
+                return total, term * r / (1.0 - r), j
+    except OverflowError:
+        return OverflowError
+    return total, None, j
+
+
+@st.composite
+def _spike_rows(draw):
+    q = draw(st.sampled_from([0.5, 0.9, 0.99, 0.999, 1.5, math.nan]))
+    k0 = float(draw(st.one_of(st.integers(0, 1000), st.integers(2 ** 53 - 2000, 2 ** 60))))
+    offset = draw(st.one_of(st.none(), st.integers(0, 3000)))
+    spike = -1.0 if offset is None else k0 + offset  # rounds as the loop's index does
+    return q, spike, k0, draw(st.integers(0, 3000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_spike_rows(), min_size=1, max_size=40), st.sampled_from([1e-16, 1e-10, 1e-3]))
+def test_row_batches_match_their_loops(rows, tol):
+    # rows stop in different blocks or hit their own cap; a spike at, past
+    # or after a row's stop raises, is never computed, or is never reached;
+    # NaN rows run to the cap; indices past 2^53 round as the loop's do
+    q, spike, k0, cap = (np.array(v) for v in zip(*rows))
+    got = core._certified_rows(
+        lambda k, q, spike: core._sq(np.where(k == spike, 1e200, q)), k0, tol, cap, args=(q, spike)
+    )
+    expect = [ref_spike_loop(qq, s, k, tol, c) for qq, s, k, c in rows]
+    assert repr(_row_outcomes(got)) == repr(expect)  # NaN sums compare by repr
+
+
+def _rows_outcome(result):
+    return (type(result), str(result)) if isinstance(result, Exception) else ("value", result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.floats(0.01, 3.0), st.integers(1, 40).map(float)),
+    st.lists(
+        st.one_of(st.floats(1e-300, 0.999), st.floats(0.9, 0.99999), st.just(math.nan)),
+        min_size=1,
+        max_size=30,
+    ),
+    _RTOLS,
+    st.one_of(st.just(20000), st.integers(0, 300)),
+)
+def test_hyp2f1_rows_match_loop(a, zs, rtol, max_terms):
+    got = [_rows_outcome(r) for r in evalnum._hyp2f1_rows(a, zs, rtol, max_terms)]
+    expect = [_outcome(ref_hyp2f1_tail, a, z, rtol, max_terms) for z in zs]
+    assert repr(got) == repr(expect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 600.0), st.floats(0.0, 5.0)), min_size=1, max_size=30))
+def test_i0_rows_match_loop(zs):
+    assert evalnum._i0_rows(zs) == [ref_i0_series(z, 1e-16) for z in zs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([Fraction(c, 6) for c in (0, 2, 3, 6, 12, 14)]),
+    st.integers(1, 40).map(Fraction),
+    st.lists(st.one_of(st.floats(1e-6, 20.0), st.floats(1e-300, 1e-6), st.floats(20.0, 400.0)), max_size=30),
+    st.sampled_from([1e-12, 1e-15, 1e-4]),
+)
+def test_series_grid_rows_match_loops(c, n, xs, rtol):
+    params = Params(n, c)
+    nf, cf = float(n), float(c)
+    if c == 0:  # below the peak window
+        xs = [min(x, 300.0 / nf) for x in xs if nf * min(x, 300.0 / nf) <= 300.0]
+    else:
+        xs = [x for x in xs if -(2.0 * nf / cf) * math.log1p(cf * x) >= -_EXP_GUARD]
+    assert s_series_grid(params, xs, rtol) == [_series_expect(params, x, rtol) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(0.5, 500.0), st.floats(2.0 ** 52, 1e19)), min_size=1, max_size=20),
+    st.integers(0, 400),
+)
+def test_unimodal_rows_match_loop(mus, max_terms):
+    # peak indices past 2^53 take the loop's rounded float(k)
+    scaled, terms, overflow = core._sum_unimodal_rows(
+        lambda k, mu: core._sq(mu / (k + 1.0)),
+        lambda k, mu: core._sq(k / mu),
+        [float(int(mu)) for mu in mus],
+        1e-16,
+        max_terms=max_terms,
+        args=(mus,),
+    )
+    expect = [
+        ref_sum_unimodal_scaled(
+            lambda k, mu=mu: (mu / (k + 1.0)) ** 2, lambda k, mu=mu: (k / mu) ** 2, int(mu), 1e-16, max_terms=max_terms
+        )
+        for mu in mus
+    ]
+    assert list(zip(scaled, terms)) == expect and not any(overflow)
+
+
+def test_heavy_rows_in_one_batch():
+    # caps met on their last step next to the floats that raise one step
+    # later, among rows that stop early
+    x = 115811.4776529441
+    xs = [1.0, x, math.nextafter(x, math.inf), 20.0]
+    got = [_rows_outcome(r) for r in s_series_grid(Params(1, 1), xs)]
+    assert got[1][1].terms_or_nodes == 2 * 10 ** 6 + 2
+    assert got[2] == (ArithmeticError, "series did not converge; use the quadrature route")
+    assert got == [_rows_outcome(r) for r in map(_unraised(s_series, Params(1, 1)), xs)]
+    z = 2000003.9999999998
+    zs = [0.5, z, math.nextafter(z, math.inf), 600.0]
+    got = [_rows_outcome(r) for r in evalnum._i0_rows(zs)]
+    assert got[1] == ("value", (math.inf, 10 ** 6 + 2))
+    assert got[2] == (ArithmeticError, "Bessel series did not converge")
+    assert got == [_outcome(ref_i0_series, z, 1e-16) for z in zs]
+
+
+def test_overflow_rows_in_one_batch():
+    # per-row n, c of the c > 0 series: a square that overflows at the first
+    # step (NaN after the underflowed rr), one past the stop that is never
+    # computed, and rows that stop normally
+    cases = [(3.0, 1.0, 2.0), (1e6, 1e200, 0.3), (1.0, 2e154, 1e-160), (25.0, 2.0, 20.0)]
+    n, c, rr, zlim = [], [], [], []
+    for nn, cc, x in cases:
+        u = cc * x
+        n.append(nn)
+        c.append(cc)
+        rr.append((x / (1.0 + u)) ** 2)
+        zlim.append((cc * x / (1.0 + u)) ** 2)
+    rows = core._certified_rows(
+        lambda k, n, c, rr: core._sq((n + k * c) / (k + 1.0)) * rr,
+        0.0,
+        1e-15,
+        2 * 10 ** 6 + 1,
+        sup=zlim,
+        args=(n, c, rr),
+    )
+    got = [
+        OverflowError if isinstance(r, OverflowError) else (r[0], r[1], r[2] + 1)
+        for r in rows.outcomes("capped")
+    ]
+    expect = []
+    for args in zip(n, c, rr, zlim):
+        try:
+            expect.append(ref_pos_c_series(*args, 1e-15))
+        except OverflowError:
+            expect.append(OverflowError)
+    assert got == expect and got[1] is OverflowError and got[2] is not OverflowError
+
+
+def _unraised(route, params):
+    def call(x):
+        try:
+            return route(params, x)
+        except ArithmeticError as exc:
+            return exc
+
+    return call
