@@ -24,8 +24,11 @@ from .evalnum import (
     bessel_i0e,
     hyp2f1_diag,
     s_closed,
+    s_closed_grid,
     s_quad,
+    s_quad_grid,
     s_series,
+    s_series_grid,
     t_closed,
     t_quad,
 )
@@ -68,8 +71,11 @@ __all__ = [
     "ode_residual_poly",
     "recurrence_check",
     "s_closed",
+    "s_closed_grid",
     "s_quad",
+    "s_quad_grid",
     "s_series",
+    "s_series_grid",
     "t_closed",
     "t_quad",
     "u_rational",

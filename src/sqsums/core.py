@@ -380,7 +380,7 @@ class _Rows(NamedTuple):
     steps: list[int]
     overflow: list[bool]  # a square overflowed at or before the stop
 
-    def outcomes(self, capped: str) -> list:
+    def outcomes(self, capped: str = "") -> list:
         """Per row (sum, tail, steps), or the exception the loop raised: the
         OverflowError of a square, or ArithmeticError(capped) where the step
         cap came before a stop."""
@@ -594,7 +594,7 @@ def _sum_unimodal_rows(
     up_sup=None,
     max_terms: int = 10 ** 7,
     args: tuple = (),
-) -> tuple[list[float], list[int], list[bool]]:
+) -> list:
     """Sum positive unimodal sequences, each scaled so its term k0 equals 1.
 
     ``ratio_up(k)`` is t_{k+1}/t_k and ``ratio_down(k)`` is t_{k-1}/t_k, both
@@ -605,17 +605,18 @@ def _sum_unimodal_rows(
     increase toward it).  Downward ratios must be nonincreasing in the
     direction of travel, which holds for every family here because the
     downward walk only runs when the peak is interior.  At most
-    ``max_terms`` terms are summed.  Returns the scaled sums, the numbers of
-    terms and the rows whose upward or downward walk overflowed.
+    ``max_terms`` terms are summed.  Returns per row (scaled sum, number of
+    terms), or the OverflowError of a square.
     """
     if not k0:
-        return [], [], []
+        return []
     up = _certified_rows(ratio_up, k0, tol, max_terms - 1, sup=up_sup, args=args)
     terms = [1 + steps for steps in up.steps]
     down_cap = [0 if over else min(k, max_terms - t) for k, t, over in zip(k0, terms, up.overflow)]
     down = _certified_rows(ratio_down, k0, tol, down_cap, step=-1, total=up.total, args=args)
-    return down.total, [t + steps for t, steps in zip(terms, down.steps)], [
-        a or b for a, b in zip(up.overflow, down.overflow)
+    return [
+        _overflow_error() if over_up or over_down else (scaled, t + steps)
+        for scaled, t, steps, over_up, over_down in zip(down.total, terms, down.steps, up.overflow, down.overflow)
     ]
 
 
@@ -629,10 +630,10 @@ def _sum_unimodal_scaled(
 ) -> tuple[float, int]:
     """One sequence through ``_sum_unimodal_rows``: (scaled sum, number of
     terms); raises the loop's OverflowError."""
-    scaled, terms, overflow = _sum_unimodal_rows(ratio_up, ratio_down, [float(k0)], tol, up_sup or None, max_terms)
-    if overflow[0]:
-        raise _overflow_error()
-    return scaled[0], terms[0]
+    (outcome,) = _sum_unimodal_rows(ratio_up, ratio_down, [float(k0)], tol, up_sup or None, max_terms)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]:

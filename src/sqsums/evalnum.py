@@ -6,11 +6,14 @@ Gauss-Chebyshev quadrature of the integral representations.
 All three routes agree to near machine precision on the shared domain,
 which is the backbone of the verification suite.
 
-The series kernels sum their terms through ``core._certified_sum``, which
-evaluates the term ratios and the geometric tail certificate of a whole
-block of indices in numpy and reproduces the term-by-term loop bit for
-bit.  The quadrature ladder reuses its Chebyshev rules through a small
-cache keyed by (kind, node count).
+Each route of S evaluates a whole grid in one call (``s_series_grid``,
+``s_closed_grid``, ``s_quad_grid``); the scalar ``s_series``, ``s_closed``
+and ``s_quad`` are the one-point grids.  The series of all points are rows
+of one ``core._certified_rows`` call, which evaluates the term ratios and
+the geometric tail certificates of a block of indices for every row in
+numpy and reproduces each row's term-by-term loop bit for bit.  The
+quadrature ladder climbs level by level for all points still short of
+agreement, with the nodes of every point in one array.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,8 +39,11 @@ __all__ = [
     "bessel_i0e",
     "hyp2f1_diag",
     "s_closed",
+    "s_closed_grid",
     "s_quad",
+    "s_quad_grid",
     "s_series",
+    "s_series_grid",
     "t_closed",
     "t_quad",
 ]
@@ -131,6 +137,16 @@ def _one(outcomes: list):
     return outcome
 
 
+def _finish(out: list, jobs: list, results: list, finish: Callable) -> None:
+    """For each job (point i, parameters p) and its result, set out[i] to
+    finish(p, result), or to the exception the result is or finish raises."""
+    for (i, p), r in zip(jobs, results):
+        try:
+            out[i] = r if isinstance(r, Exception) else finish(p, r)
+        except Exception as exc:
+            out[i] = exc
+
+
 def _is_nonpositive_int(a: float) -> bool:
     return a <= 0.0 and float(a).is_integer()
 
@@ -160,23 +176,21 @@ def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 
             elif z >= 1.0:
                 raise ValueError(f"series diverges for z >= 1 with positive parameter (z={z})")
             else:
-                rows.append(i)
+                rows.append((i, z))
         except Exception as exc:  # kept for this point; the others still run
             out[i] = exc
-    if rows:
-        z = [zs[i] for i in rows]
-        # ratios decrease toward z for a >= 1 and increase toward z below it
-        sums = _certified_rows(
-            lambda k, z: _sq((a + k) / (k + 1.0)) * z,
-            0.0,
-            rtol,
-            max_terms,
-            cert=lambda k, z: _sq((a + k + 1) / (k + 2.0)) * z,
-            sup=z,
-            args=(z,),
-        ).outcomes(f"series did not converge within {max_terms} terms")
-        for i, s in zip(rows, sums):
-            out[i] = s if isinstance(s, Exception) else (s[0], s[1], s[2] + 1)
+    z = [z for _, z in rows]
+    # ratios decrease toward z for a >= 1 and increase toward z below it
+    sums = _certified_rows(
+        lambda k, z: _sq((a + k) / (k + 1.0)) * z,
+        0.0,
+        rtol,
+        max_terms,
+        cert=lambda k, z: _sq((a + k + 1) / (k + 2.0)) * z,
+        sup=z,
+        args=(z,),
+    ).outcomes(f"series did not converge within {max_terms} terms")
+    _finish(out, rows, sums, lambda _, s: (s[0], s[1], s[2] + 1))
     return out
 
 
@@ -216,26 +230,18 @@ def _scaled_poisson_rows(mus: Sequence[float], tol: float = 1e-17) -> list:
     """exp(-2*mu) * sum_k (mu^k / k!)^2 at each mu, summed around its peak in
     log space: (value, terms), or the exception raised there."""
     out: list = [None] * len(mus)
-    rows, k0, anchors = [], [], []
+    rows = []  # (point, (mu, peak index, log of the peak term))
     for i, mu in enumerate(mus):
         try:
-            k = int(mu)
-            anchors.append(2.0 * (k * math.log(mu) - math.lgamma(k + 1)))
-            rows.append(i)
-            k0.append(float(k))
+            k0 = int(mu)
+            rows.append((i, (mu, float(k0), 2.0 * (k0 * math.log(mu) - math.lgamma(k0 + 1)))))
         except Exception as exc:
             out[i] = exc
-    mu = [mus[i] for i in rows]
-    scaled, terms, overflow = _sum_unimodal_rows(
-        lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), k0, tol, args=(mu,)
+    mu = [p[0] for _, p in rows]
+    sums = _sum_unimodal_rows(
+        lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), [p[1] for _, p in rows], tol, args=(mu,)
     )
-    for r, i in enumerate(rows):
-        try:
-            if overflow[r]:
-                raise _overflow_error()
-            out[i] = (math.exp(anchors[r] - 2.0 * mu[r] + math.log(scaled[r])), terms[r])
-        except Exception as exc:
-            out[i] = exc
+    _finish(out, rows, sums, lambda p, s: (math.exp(p[2] - 2.0 * p[0] + math.log(s[0])), s[1]))
     return out
 
 
@@ -265,14 +271,12 @@ def bessel_i0(z: float) -> float:
 def _bessel_i0e_rows(zs: Sequence[float]) -> list:
     """exp(-z) * I0(z) at each z >= 0, or the exception raised there."""
     out: list = [None] * len(zs)
-    small = [i for i, z in enumerate(zs) if z <= 600.0]
-    large = [i for i, z in enumerate(zs) if not z <= 600.0]
-    if small:
-        for i, s in zip(small, _i0_rows([zs[i] for i in small])):
-            out[i] = s if isinstance(s, Exception) else math.exp(-zs[i]) * s[0]
-    if large:
-        for i, s in zip(large, _scaled_poisson_rows([zs[i] / 2.0 for i in large])):
-            out[i] = s if isinstance(s, Exception) else s[0]
+    series = [(i, z) for i, z in enumerate(zs) if z <= 600.0]
+    peaks = [(i, z) for i, z in enumerate(zs) if not z <= 600.0]
+    if series:
+        _finish(out, series, _i0_rows([z for _, z in series]), lambda z, s: math.exp(-z) * s[0])
+    if peaks:
+        _finish(out, peaks, _scaled_poisson_rows([z / 2.0 for _, z in peaks]), lambda _, s: s[0])
     return out
 
 
@@ -345,8 +349,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
                 # prefactor (1+cx)^(-2n/c) times the squared-coefficient series
                 # in (x/(1+cx))^2; the term ratio tends to (cx/(1+cx))^2 < 1
                 u = c * xf
-                lp1 = math.log1p(u)
-                pref_log = -(2.0 * n / c) * lp1
+                pref_log = -(2.0 * n / c) * math.log1p(u)
                 if pref_log < -_EXP_GUARD:
                     # the unscaled sum would overflow; sum around the peak in log space
                     window.append((i, xf))
@@ -356,37 +359,35 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             out[i] = exc
 
     if c == 0.0:
-        mu = [p for _, p in direct]
-        sums = _certified_rows(lambda k, mu: _sq(mu / (k + 1.0)), 0.0, rtol, args=(mu,)).outcomes("")
-        for (i, mu), s in zip(direct, sums):
-            if isinstance(s, Exception):
-                out[i] = s
-                continue
+        mu = [mu for _, mu in direct]
+        sums = _certified_rows(lambda k, mu: _sq(mu / (k + 1.0)), 0.0, rtol, args=(mu,)).outcomes()
+
+        def szasz(mu, s):
             pref = math.exp(-2.0 * mu)
-            out[i] = EvalResult(pref * s[0], Method.SERIES, pref * s[1], s[2] + 1)
-        windowed = _scaled_poisson_rows([p for _, p in window], tol=min(rtol, 1e-16))
+            return EvalResult(pref * s[0], Method.SERIES, pref * s[1], s[2] + 1)
+
+        _finish(out, direct, sums, szasz)
+        windowed = _scaled_poisson_rows([mu for _, mu in window], tol=min(rtol, 1e-16))
     elif c > 0.0:
-        pref_log, rr, zlim = zip(*(p for _, p in direct)) if direct else ((), (), ())
         sums = _certified_rows(
             lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr,
             0.0,
             rtol,
             2 * 10 ** 6 + 1,
-            sup=zlim,
-            args=(rr,),
+            sup=[p[2] for _, p in direct],
+            args=([p[1] for _, p in direct],),
         ).outcomes("series did not converge; use the quadrature route")
-        for (i, (pl, _, _)), s in zip(direct, sums):
-            if isinstance(s, Exception):
-                out[i] = s
-                continue
+
+        def pos_c(p, s):
             total, tail, steps = s
-            value = math.exp(pl) * total
-            out[i] = EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), steps + 1)
-        windowed = _pos_c_window_rows(n, c, [p for _, p in window], min(rtol, 1e-16))
+            value = math.exp(p[0]) * total
+            return EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), steps + 1)
+
+        _finish(out, direct, sums, pos_c)
+        windowed = _pos_c_window_rows(n, c, [x for _, x in window], min(rtol, 1e-16))
     else:
         windowed = []
-    for (i, _), s in zip(window, windowed):
-        out[i] = s if isinstance(s, Exception) else EvalResult(s[0], Method.SERIES, rtol * s[0], s[1])
+    _finish(out, window, windowed, lambda _, s: EvalResult(s[0], Method.SERIES, rtol * s[0], s[1]))
     return out
 
 
@@ -409,38 +410,29 @@ def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> l
     for n/c >= 1 and from below otherwise.
     """
     out: list = [None] * len(xs)
-    rows, rho, zlim, k0, anchors = [], [], [], [], []
+    rows = []  # (point, (rho, ratio limit, peak index, log of the peak term))
     for i, x in enumerate(xs):
         try:
-            r = x / (1.0 + c * x)
-            z = (c * r) ** 2
-            k = max(0, int((n * r - 1.0) / (1.0 - c * r)))
-            anchors.append(-(2.0 * n / c) * math.log1p(c * x) + 2.0 * (
-                math.fsum(math.log(n + j * c) for j in range(k))
-                - math.lgamma(k + 1)
-                + k * math.log(r)
-            ))
-            rows.append(i)
-            rho.append(r)
-            zlim.append(z)
-            k0.append(float(k))
+            rho = x / (1.0 + c * x)
+            zlim = (c * rho) ** 2
+            k0 = max(0, int((n * rho - 1.0) / (1.0 - c * rho)))
+            log_anchor = -(2.0 * n / c) * math.log1p(c * x) + 2.0 * (
+                math.fsum(math.log(n + j * c) for j in range(k0))
+                - math.lgamma(k0 + 1)
+                + k0 * math.log(rho)
+            )
+            rows.append((i, (rho, zlim, float(k0), log_anchor)))
         except Exception as exc:
             out[i] = exc
-    scaled, terms, overflow = _sum_unimodal_rows(
+    sums = _sum_unimodal_rows(
         lambda k, rho: _sq((n + k * c) * rho / (k + 1.0)),
         lambda k, rho: _sq(k / ((n + (k - 1) * c) * rho)),
-        k0,
+        [p[2] for _, p in rows],
         tol,
-        up_sup=zlim,
-        args=(rho,),
+        up_sup=[p[1] for _, p in rows],
+        args=([p[0] for _, p in rows],),
     )
-    for r, i in enumerate(rows):
-        try:
-            if overflow[r]:
-                raise _overflow_error()
-            out[i] = (math.exp(anchors[r] + math.log(scaled[r])), terms[r])
-        except Exception as exc:
-            out[i] = exc
+    _finish(out, rows, sums, lambda p, s: (math.exp(p[3] + math.log(s[0])), s[1]))
     return out
 
 
@@ -458,7 +450,7 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
     qtol = rtol
     rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
     out: list = [None] * len(xs)
-    bessel, hyp, quad = [], [], []  # (point, parameters) per kernel
+    bessel, hyp, quad = [], [], []  # (point, parameters) per route
     for i, x in enumerate(xs):
         try:
             params.require_in_domain(x)
@@ -487,22 +479,23 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
         except Exception as exc:
             out[i] = exc
 
-    for (i, _), s in zip(bessel, _bessel_i0e_rows([p for _, p in bessel])):
-        out[i] = s if isinstance(s, Exception) else EvalResult(s, Method.CLOSED_FORM, 1e-15 * s, 0)
-    a = -float(params.l) if c < 0 else n / c if c else 0.0
-    for (i, (_, pref_log)), s in zip(hyp, _hyp2f1_rows(a, [p[0] for _, p in hyp], rtol)):
-        if isinstance(s, Exception):
-            out[i] = s
-            continue
+    if c == 0.0:
+        _finish(out, bessel, _bessel_i0e_rows([z for _, z in bessel]),
+                lambda _, v: EvalResult(v, Method.CLOSED_FORM, 1e-15 * v, 0))
+        return out
+
+    def diagonal(p, s):
         value, tail, terms = s
-        pref = math.exp(pref_log)
+        pref = math.exp(p[1])
         if c < 0:
             value *= pref
-            out[i] = EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), terms)
-        else:
-            out[i] = EvalResult(pref * value, Method.CLOSED_FORM, pref * tail + 1e-15 * pref * value, terms)
-    for (i, _), s in zip(quad, s_quad_grid(params, [p for _, p in quad], rtol=qtol)):
-        out[i] = s
+            return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), terms)
+        return EvalResult(pref * value, Method.CLOSED_FORM, pref * tail + 1e-15 * pref * value, terms)
+
+    a = -float(params.l) if c < 0 else n / c
+    _finish(out, hyp, _hyp2f1_rows(a, [p[0] for _, p in hyp], rtol), diagonal)
+    if quad:
+        _finish(out, quad, s_quad_grid(params, [x for _, x in quad], rtol=qtol), lambda _, r: r)
     return out
 
 

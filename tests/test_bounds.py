@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sqsums.core import FamilyId, ParameterError
-from sqsums.bounds import bound_values, s_value, standard_grid
+from sqsums.bounds import bound_reports, bound_values, s_value, s_values, standard_grid
 from sqsums.exactalg import RationalFn, RationalPoly, g_rational, j_rational
 
 
@@ -115,3 +115,21 @@ class TestValidation:
         assert max(grid) == 1e6
         grid = standard_grid(MKZ)
         assert max(grid) < 1.0
+
+
+class TestGridReports:
+    @pytest.mark.parametrize("family", [BERNSTEIN, BASKAKOV, SZASZ, BBH, MKZ], ids=lambda f: f.name)
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    def test_reports_are_the_point_reports(self, family, n):
+        # the szasz sums of the whole grid come from one closed-form grid call
+        grid = standard_grid(family)
+        assert bound_reports(family, n, grid) == [bound_values(family, n, x) for x in grid]
+
+    def test_first_point_error_is_raised(self):
+        with pytest.raises(Exception) as point:
+            bound_values(MKZ, 2, 1.5)
+        with pytest.raises(type(point.value)) as grid:
+            bound_reports(MKZ, 2, [0.5, 1.5, 2.5])
+        assert str(grid.value) == str(point.value) and "x=1.5" in str(grid.value)
+        values = s_values(BBH, Fraction(5, 2), [0.5, 1.0])
+        assert all(isinstance(v, ParameterError) and "natural index" in str(v) for v in values)
