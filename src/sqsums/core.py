@@ -564,28 +564,6 @@ def _overflows(
     return False
 
 
-def _certified_sum(
-    ratio: Callable[[np.ndarray], np.ndarray],
-    k0: int,
-    tol: float,
-    max_steps: Optional[int] = None,
-    *,
-    step: int = 1,
-    cert: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    sup: float = 0.0,
-    total: float = 1.0,
-) -> tuple[float, Optional[float], int]:
-    """One series through ``_certified_rows`` (a zero ``sup`` is none).
-
-    Returns (sum, tail, steps), with tail None when ``max_steps`` steps ran
-    without a stop, and raises the loop's OverflowError.
-    """
-    out = _certified_rows(ratio, float(k0), tol, max_steps, step=step, cert=cert, sup=sup or None, total=total)
-    if out.overflow[0]:
-        raise _overflow_error()
-    return out.total[0], out.tail[0], out.steps[0]
-
-
 def _sum_unimodal_rows(
     ratio_up: Callable[..., np.ndarray],
     ratio_down: Callable[..., np.ndarray],

@@ -436,11 +436,6 @@ def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> l
     return out
 
 
-def _pos_c_series_window(n: float, c: float, x: float, tol: float) -> tuple[float, int]:
-    """Peak-anchored log-space sum of the c > 0 series with its prefactor."""
-    return _one(_pos_c_window_rows(n, c, [x], tol))
-
-
 def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
     """``s_closed`` at every point of ``xs``; the Bessel and diagonal
     hypergeometric series of all points are rows of one kernel call each,

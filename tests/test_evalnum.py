@@ -428,3 +428,21 @@ def test_chebyshev_nodes_have_the_bits_of_each_rule():
     for kind, rule in both.items():
         got = np.split(_chebyshev_nodes(kind, ms), np.cumsum(ms)[:-1])
         assert all(np.array_equal(g, rule(m)) for g, m in zip(got, ms))
+
+
+def test_grid_routes_in_small_batches(monkeypatch):
+    # kernel batches of 3 rows and integrand calls of at most 40 nodes split
+    # every grid here; the results stay those of the whole grid at once
+    from sqsums import core, evalnum
+
+    cases = [
+        (Params(5, 1), [20.0 * i / 16 for i in range(17)]),
+        (Params(25, 0), [20.0 * i / 16 for i in range(17)]),
+        (Params(Fraction(25, 2), Fraction(-1, 2)), [2.0 * i / 16 for i in range(17)]),
+        (Params(3, 2), [100.0 + 300.0 * i / 10 for i in range(11)]),
+    ]
+    routes = (s_series_grid, s_closed_grid, s_quad_grid)
+    whole = [[_grid_outcomes(route(params, xs)) for route in routes] for params, xs in cases]
+    monkeypatch.setattr(core, "_BATCH_ROWS", 3)
+    monkeypatch.setattr(evalnum, "_NODES_PER_CALL", 40)
+    assert [[_grid_outcomes(route(params, xs)) for route in routes] for params, xs in cases] == whole
