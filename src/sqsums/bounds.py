@@ -4,7 +4,8 @@ Each family carries one or two proven upper bounds: an inverse-square-root
 bound, a sharper power bound derived from convexity plus the differential
 equation, or a central-binomial envelope.  ``bound_values`` evaluates every
 applicable bound next to the most accurate available value of the sum and
-reports the margins.
+reports the margins; ``bound_reports`` does so for a grid, with the sums
+of all its points from one call of the grid routes.
 """
 
 from __future__ import annotations

@@ -459,7 +459,9 @@ def _certified_rows(
     k0, total, sup, *args = map(column, (k0, total, sup, *args))
     if rows > 1 and isinstance(k0, (int, float)):
         k0 = np.full((rows, 1), float(k0))
-    caps = None if max_steps is None else [int(cap) for cap in ([max_steps] * rows if isinstance(max_steps, (int, float)) else max_steps)]
+    if isinstance(max_steps, (int, float)):
+        max_steps = [max_steps] * rows
+    caps = None if max_steps is None else [int(cap) for cap in max_steps]
     out = _Rows(
         [float(total)] * rows if isinstance(total, (int, float)) else total[:, 0].tolist(),
         [None] * rows,
@@ -593,8 +595,10 @@ def _sum_unimodal_rows(
     down_cap = [0 if over else min(k, max_terms - t) for k, t, over in zip(k0, terms, up.overflow)]
     down = _certified_rows(ratio_down, k0, tol, down_cap, step=-1, total=up.total, args=args)
     return [
-        _overflow_error() if over_up or over_down else (scaled, t + steps)
-        for scaled, t, steps, over_up, over_down in zip(down.total, terms, down.steps, up.overflow, down.overflow)
+        _overflow_error() if over or over_down else (scaled, t + steps)
+        for scaled, t, steps, over, over_down in zip(
+            down.total, terms, down.steps, up.overflow, down.overflow
+        )
     ]
 
 

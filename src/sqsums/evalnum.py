@@ -545,7 +545,8 @@ def _s_integrand(params: Params):
 
 @functools.lru_cache(maxsize=8)
 def _rule(kind: RuleKind, m: int) -> QuadratureRule:
-    """The m-node rule of a kind, shared between calls and so read-only.
+    """The m-node rule of a kind for the kernel T, shared between calls and
+    so read-only.
 
     Bounded: eight rules serve the ladder levels that neighbouring points
     revisit, where an unbounded cache would keep every level ever built.

@@ -64,7 +64,10 @@ class TestTable:
 
     @pytest.mark.parametrize(
         "family, grid, last",
-        [(["bernstein", "-n", "2"], "67/1000:1:101", "1"), (["general", "-c", "-1/2", "-n", "1"], "67/500:2:101", "2")],
+        [
+            (["bernstein", "-n", "2"], "67/1000:1:101", "1"),
+            (["general", "-c", "-1/2", "-n", "1"], "67/500:2:101", "2"),
+        ],
     )
     def test_grid_stops_at_its_right_end(self, family, grid, last):
         # a + (b-a)*i/(count-1) rounds past b here: 1.0000000000000002 and

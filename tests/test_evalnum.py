@@ -410,24 +410,26 @@ def test_grid_routes_are_the_point_routes(case):
 def test_grid_routes_keep_point_errors():
     # a point outside the domain holds its DomainError; the others still run
     params = Params(3, -1)
-    for route in (s_series_grid, s_closed_grid, s_quad_grid):
+    for route, point in ((s_series_grid, s_series), (s_closed_grid, s_closed), (s_quad_grid, s_quad)):
         got = route(params, [0.5, 1.5, 0.25])
         assert isinstance(got[1], DomainError) and "x=1.5" in str(got[1])
-        assert got[0] == {s_series_grid: s_series, s_closed_grid: s_closed, s_quad_grid: s_quad}[route](params, 0.5)
+        assert got[0] == point(params, 0.5)
         assert got[2].value == pytest.approx(s_series(params, 0.25).value, rel=1e-14)
 
 
 def test_chebyshev_nodes_have_the_bits_of_each_rule():
     from sqsums.evalnum import _chebyshev_nodes
 
+    # the expressions QuadratureRule used before the nodes were shared
     ms = np.array([2, 3, 16, 17, 100, 4096, 16])
-    both = {
-        RuleKind.CHEBYSHEV_M11: lambda m: np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)),
-        RuleKind.CHEBYSHEV_01: lambda m: (1.0 + np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m))) / 2.0,
-    }
-    for kind, rule in both.items():
-        got = np.split(_chebyshev_nodes(kind, ms), np.cumsum(ms)[:-1])
-        assert all(np.array_equal(g, rule(m)) for g, m in zip(got, ms))
+    for m, m11, m01 in zip(
+        ms,
+        np.split(_chebyshev_nodes(RuleKind.CHEBYSHEV_M11, ms), np.cumsum(ms)[:-1]),
+        np.split(_chebyshev_nodes(RuleKind.CHEBYSHEV_01, ms), np.cumsum(ms)[:-1]),
+    ):
+        j = np.arange(1, m + 1)
+        assert np.array_equal(m11, np.cos((2 * j - 1) * np.pi / (2 * m)))
+        assert np.array_equal(m01, (1.0 + np.cos((2 * j - 1) * np.pi / (2 * m))) / 2.0)
 
 
 def test_grid_routes_in_small_batches(monkeypatch):

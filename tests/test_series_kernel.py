@@ -644,7 +644,11 @@ def test_unimodal_rows_match_loop(mus, max_terms):
     )
     expect = [
         ref_sum_unimodal_scaled(
-            lambda k, mu=mu: (mu / (k + 1.0)) ** 2, lambda k, mu=mu: (k / mu) ** 2, int(mu), 1e-16, max_terms=max_terms
+            lambda k, mu=mu: (mu / (k + 1.0)) ** 2,
+            lambda k, mu=mu: (k / mu) ** 2,
+            int(mu),
+            1e-16,
+            max_terms=max_terms,
         )
         for mu in mus
     ]
