@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Params, _certified_rows, _overflow_error, _sq, _sum_unimodal_rows
+from .core import Params, _certified_rows, _sq, _sum_unimodal_rows
 
 __all__ = [
     "EvalResult",
