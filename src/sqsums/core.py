@@ -566,13 +566,17 @@ def _overflows(
     return False
 
 
+# The peak-window walks sum at most this many terms.
+_WINDOW_TERMS = 10 ** 7
+
+
 def _sum_unimodal_rows(
     ratio_up: Callable[..., np.ndarray],
     ratio_down: Callable[..., np.ndarray],
     k0: list[float],
     tol: float,
     up_sup=None,
-    max_terms: int = 10 ** 7,
+    max_terms: int = _WINDOW_TERMS,
     args: tuple = (),
 ) -> list:
     """Sum positive unimodal sequences, each scaled so its term k0 equals 1.
@@ -608,7 +612,7 @@ def _sum_unimodal_scaled(
     k0: int,
     tol: float,
     up_sup: float = 0.0,
-    max_terms: int = 10 ** 7,
+    max_terms: int = _WINDOW_TERMS,
 ) -> tuple[float, int]:
     """One sequence through ``_sum_unimodal_rows``: (scaled sum, number of
     terms); raises the loop's OverflowError."""
@@ -618,12 +622,68 @@ def _sum_unimodal_scaled(
     return outcome
 
 
+def _require_window_stop(terms: int) -> None:
+    """Raise where a peak-window walk ran to its term cap: its sum is then
+    short by an unknown amount."""
+    if terms >= _WINDOW_TERMS:
+        raise ArithmeticError(f"peak window did not converge within {_WINDOW_TERMS} terms")
+
+
+# _stirlerr and _bd0 are the terms of Loader's saddle-point form of the
+# Poisson weights (C. Loader, "Fast and Accurate Computation of Binomial
+# Probabilities", 2000).
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n > 15, from its asymptotic
+    series; the first omitted term is below 1.2e-16 there."""
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x without its cancellation, for |x - m| < 0.1 (x + m):
+    the series 2x sum_j v^(2j+1)/(2j+1) - (x - m) in v = (x - m)/(x + m)."""
+    d = x - m
+    v = d / (x + m)
+    s = d * v
+    ej = 2.0 * x * v
+    j = 1
+    while True:
+        ej *= v * v
+        s1 = s + ej / (2 * j + 1)
+        if s1 == s:
+            return s
+        s = s1
+        j += 1
+
+
+def _poisson_peak(mu: float) -> tuple[int, float]:
+    """The peak index k0 = floor(mu) of the Poisson weights e^-mu mu^k / k!
+    and the log of the weight there.
+
+    Past k0 = 15 the log is Loader's -stirlerr(k0) - bd0(k0, mu)
+    - log(2 pi k0)/2, accurate to a few units of 1e-16 however large mu is,
+    where k0 log(mu) - mu - lgamma(k0 + 1) loses about mu log(mu) ulps.
+    Raises ArithmeticError from k0 = 2^53 on, where float indices stop
+    advancing and a walk from the peak cannot move.
+    """
+    if mu >= 2.0 ** 53:
+        raise ArithmeticError(f"peak index of mu={mu} is past 2^53: the peak window cannot reach it")
+    k0 = int(mu)
+    if k0 <= 15:
+        return k0, k0 * math.log(mu) - mu - math.lgamma(k0 + 1)
+    return k0, -_stirlerr(k0) - _bd0(float(k0), mu) - 0.5 * math.log(2.0 * math.pi * k0)
+
+
 def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]:
     """Certified truncation of sum_k p_k(x).
 
     Stops once the next term and its geometric tail bound drop below
     ``tol`` times the partial sum; the result should be 1 up to rounding.
-    Returns (sum, number of terms).
+    Returns (sum, number of terms).  For c = 0 the sum is taken around its
+    peak from Loader's anchor (``_poisson_peak``) and raises ArithmeticError
+    where that window cannot reach the peak or finish the sum.
     """
     params.require_in_domain(x)
     n = params.n_float
@@ -639,11 +699,11 @@ def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]
 
     if c == 0.0:
         mu = n * xf
-        k0 = int(mu)
-        log_anchor = k0 * math.log(mu) - mu - math.lgamma(k0 + 1)
+        k0, log_anchor = _poisson_peak(mu)
         scaled, terms = _sum_unimodal_scaled(
             lambda k: mu / (k + 1.0), lambda k: k / mu, k0, tol
         )
+        _require_window_stop(terms)
         return math.exp(log_anchor + math.log(scaled)), terms
 
     a = n / c

@@ -14,6 +14,19 @@ the geometric tail certificates of a block of indices for every row in
 numpy and reproduces each row's term-by-term loop bit for bit.  The
 quadrature ladder climbs level by level for all points still short of
 agreement, with the nodes of every point in one array.
+
+Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
+
+- exp(-z) I0(z) for z > 600 (the c = 0 closed form, ``bessel_i0e``,
+  ``bessel_i0`` and ``t_closed``) is the 8-term Hankel expansion, whose
+  truncation error is below 1e-21 of the value there (``_hankel_i0e``);
+- the c = 0 series past mu = n x = 300 is walked from its peak, anchored
+  at Loader's saddle-point log of the Poisson weight (``core._poisson_peak``),
+  and raises ArithmeticError where the walk cannot reach the peak (index
+  2^53) or finish (10^7 terms);
+- the c > 0 series stops within 2*10^6 + 1 steps or raises, and
+  ``_pos_c_capped`` decides in O(1) where it provably cannot stop, so that
+  the error is raised without summing.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Params, _certified_rows, _sq, _sum_unimodal_rows
+from .core import Params, _certified_rows, _poisson_peak, _require_window_stop, _sq, _sum_unimodal_rows
 
 __all__ = [
     "EvalResult",
@@ -228,56 +241,93 @@ def _i0_series(z: float, rtol: float = 1e-16):
 
 def _scaled_poisson_rows(mus: Sequence[float], tol: float = 1e-17) -> list:
     """exp(-2*mu) * sum_k (mu^k / k!)^2 at each mu, summed around its peak in
-    log space: (value, terms), or the exception raised there."""
+    log space from Loader's anchor: (value, terms), or the exception raised
+    there (ArithmeticError where the window cannot reach the peak or finish)."""
     out: list = [None] * len(mus)
-    rows = []  # (point, (mu, peak index, log of the peak term))
+    rows = []  # (point, (mu, peak index, log of the Poisson weight there))
     for i, mu in enumerate(mus):
         try:
-            k0 = int(mu)
-            rows.append((i, (mu, float(k0), 2.0 * (k0 * math.log(mu) - math.lgamma(k0 + 1)))))
+            k0, log_pmf = _poisson_peak(mu)
+            rows.append((i, (mu, float(k0), log_pmf)))
         except Exception as exc:
             out[i] = exc
     mu = [p[0] for _, p in rows]
     sums = _sum_unimodal_rows(
         lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), [p[1] for _, p in rows], tol, args=(mu,)
     )
-    _finish(out, rows, sums, lambda p, s: (math.exp(p[2] - 2.0 * p[0] + math.log(s[0])), s[1]))
+
+    def finish(p, s):
+        _require_window_stop(s[1])
+        return math.exp(2.0 * p[2] + math.log(s[0])), s[1]
+
+    _finish(out, rows, sums, finish)
     return out
 
 
-def _scaled_poisson_sq(mu: float, tol: float = 1e-17):
-    """exp(-2*mu) * sum_k (mu^k / k!)^2, summed around its peak in log space."""
-    return _one(_scaled_poisson_rows([mu], tol))
+# Past this argument, exp(-z) I0(z) is the Hankel expansion.
+_HANKEL_Z = 600.0
+# Its coefficients ((1/2)_k)^2 / k!, k = 0..7, each exact in binary.
+_HANKEL = (1.0, 1 / 4, 9 / 32, 75 / 128, 3675 / 2048, 59535 / 8192, 2401245 / 65536, 57972915 / 262144)
+
+
+def _hankel_i0e(z: float) -> float:
+    """exp(-z) I0(z) for z > _HANKEL_Z from the Hankel expansion (DLMF 10.40.1)
+
+        (2 pi z)^(-1/2) sum_{k<K} ((1/2)_k)^2 / (k! (2z)^k),  K = 8.
+
+    The terms are Watson's lemma on exp(-z) I0(z) = (1/pi) int_0^2
+    exp(-zs) (s(2-s))^(-1/2) ds (DLMF 10.32.1 with s = 1 - cos(theta)),
+    expanding (2-s)^(-1/2) in s.  That binomial series has positive,
+    nonincreasing coefficients, so its remainder after K terms is at most
+    twice its K-th term on s <= 1; the rest of the integral is below
+    exp(-z).  The truncation error is therefore at most 2 t_K + exp(-z),
+    with t_K the first omitted term: below 1e-21 of the value from z = 600
+    on.  Rounding adds at most about 3e-16 (measured against mpmath at 40
+    digits up to z = 1e9).
+    """
+    w = 0.5 / z
+    total = 0.0
+    for coef in reversed(_HANKEL):
+        total = total * w + coef
+    return total / math.sqrt(2.0 * math.pi * z)
+
+
+def _i0_scaled_rows(zs: Sequence[float]) -> list:
+    """I0(z) = exp(scale) * value at each z >= 0 as (scale, value), or the
+    exception raised there: the certified power series with scale 0 up to
+    _HANKEL_Z, and the Hankel expansion of exp(-z) I0(z) with scale z past
+    it.  Every Bessel value reads this one split."""
+    out: list = [None] * len(zs)
+    series = [(i, z) for i, z in enumerate(zs) if z <= _HANKEL_Z]
+    _finish(out, series, _i0_rows([z for _, z in series]), lambda _, s: (0.0, s[0]))
+    for i, z in enumerate(zs):
+        if not z <= _HANKEL_Z:
+            out[i] = (z, _hankel_i0e(z))
+    return out
 
 
 def bessel_i0(z: float) -> float:
     """Modified Bessel function of the first kind, order zero.
 
     Power series with a certified truncation for moderate arguments; for
-    large arguments the exponentially scaled value is unscaled in log space
-    (returning inf once the true value exceeds the double range).
+    large arguments the Hankel value of exp(-z) I0(z) is unscaled in log
+    space (returning inf once the true value exceeds the double range).
     """
-    z = abs(float(z))
-    if z <= 600.0:
-        total, _ = _i0_series(z)
-        return total
-    scaled, _ = _scaled_poisson_sq(z / 2.0)
+    scale, value = _one(_i0_scaled_rows([abs(float(z))]))
+    if not scale:
+        return value
     try:
-        return math.exp(z + math.log(scaled))
+        return math.exp(scale + math.log(value))
     except OverflowError:
         return math.inf
 
 
 def _bessel_i0e_rows(zs: Sequence[float]) -> list:
     """exp(-z) * I0(z) at each z >= 0, or the exception raised there."""
-    out: list = [None] * len(zs)
-    series = [(i, z) for i, z in enumerate(zs) if z <= 600.0]
-    peaks = [(i, z) for i, z in enumerate(zs) if not z <= 600.0]
-    if series:
-        _finish(out, series, _i0_rows([z for _, z in series]), lambda z, s: math.exp(-z) * s[0])
-    if peaks:
-        _finish(out, peaks, _scaled_poisson_rows([z / 2.0 for _, z in peaks]), lambda _, s: s[0])
-    return out
+    return [
+        r if isinstance(r, Exception) else math.exp(r[0] - z) * r[1]
+        for z, r in zip(zs, _i0_scaled_rows(zs))
+    ]
 
 
 def bessel_i0e(z: float) -> float:
@@ -322,6 +372,47 @@ def _neg_c_sum(params: Params, x: float) -> float:
     return math.exp(top) * math.fsum(math.exp(lg - top) for lg in logs)
 
 
+# The c > 0 series takes at most this many kernel steps, then raises.
+_POS_C_STEPS = 2 * 10 ** 6 + 1
+_POS_C_CAPPED = "series did not converge; use the quadrature route"
+
+
+def _pos_c_capped(n: float, c: float, rr: float, zlim: float, pref_log: float, tol: float) -> bool:
+    """Whether the c > 0 series kernel of ``s_series_grid`` provably runs to
+    its step cap without stopping, decided in O(1).
+
+    Its terms are t_k = ((a)_k / k!)^2 (c^2 rr)^k with a = n/c, the step
+    ratios ((n + kc)/(k+1))^2 rr, and a step stops only when its certificate
+    r = max(next ratio, zlim) is below 1 and term r/(1-r) <= tol * sum.
+    The ratios move monotonically toward their limit below 1, so r < 1
+    only past the peak.  No step stops, then, when
+
+    - the ratio at index K = _POS_C_STEPS, the last step's certificate, is
+      still above 1: the peak lies beyond the cap; or
+    - past the peak, where terms fall, every term a stop could see is at
+      least the last one, t_K; every partial sum is at most
+      (1+cx)^(2a) = exp(-pref_log), since S <= 1; and r/(1-r) is at least
+      zlim/(1-zlim).  So no stop comes when t_K zlim/(1-zlim) exceeds
+      tol exp(-pref_log).
+
+    Both tests keep a margin that covers the rounding of lgamma and of the
+    logs (1e-12 of their magnitudes) and that of the kernel's running
+    product over K steps (well under 1e-6).  Unsure is False: the kernel
+    then runs as before.
+    """
+    if not (rr > 0.0 and zlim > 0.0) or max(n, c) >= 1e150:  # ratios of 0, or squares that may overflow
+        return False
+    a = n / c
+    lg_top, lg_a, lg_k = math.lgamma(a + _POS_C_STEPS), math.lgamma(a), math.lgamma(_POS_C_STEPS + 1.0)
+    log_ratio = 2.0 * math.log(c) + math.log(rr)
+    if 2.0 * math.log((a + _POS_C_STEPS) / (_POS_C_STEPS + 1.0)) + log_ratio > 1e-12 * (1.0 + abs(log_ratio)):
+        return True
+    log_last = 2.0 * (lg_top - lg_a - lg_k) + _POS_C_STEPS * log_ratio
+    log_cert = math.log(zlim) - math.log1p(-zlim)
+    margin = 1e-6 + 1e-12 * (abs(lg_top) + abs(lg_a) + lg_k + _POS_C_STEPS * abs(log_ratio) + abs(pref_log))
+    return log_last + log_cert - margin > math.log(tol) - pref_log
+
+
 def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
     """``s_series`` at every point of ``xs``; the c >= 0 series of all points
     are rows of one certified-series kernel call."""
@@ -354,7 +445,10 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
                     # the unscaled sum would overflow; sum around the peak in log space
                     window.append((i, xf))
                 else:
-                    direct.append((i, (pref_log, (xf / (1.0 + u)) ** 2, (c * xf / (1.0 + u)) ** 2)))
+                    rr, zlim = (xf / (1.0 + u)) ** 2, (c * xf / (1.0 + u)) ** 2
+                    if _pos_c_capped(n, c, rr, zlim, pref_log, rtol):
+                        raise ArithmeticError(_POS_C_CAPPED)
+                    direct.append((i, (pref_log, rr, zlim)))
         except Exception as exc:
             out[i] = exc
 
@@ -367,16 +461,24 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             return EvalResult(pref * s[0], Method.SERIES, pref * s[1], s[2] + 1)
 
         _finish(out, direct, sums, szasz)
-        windowed = _scaled_poisson_rows([mu for _, mu in window], tol=min(rtol, 1e-16))
+
+        def szasz_window(mu, s):
+            # a term |k - k0| steps from the peak carries about 4 |k - k0|
+            # units of rounding, and the mean |k - k0| under the squared
+            # weights is about sqrt(mu / pi); measured errors stay below
+            # 0.4e-16 sqrt(mu)
+            return EvalResult(s[0], Method.SERIES, s[0] * (rtol + 4.5e-16 * (math.sqrt(mu) + 2.0)), s[1])
+
+        _finish(out, window, _scaled_poisson_rows([mu for _, mu in window], tol=1e-16), szasz_window)
     elif c > 0.0:
         sums = _certified_rows(
             lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr,
             0.0,
             rtol,
-            2 * 10 ** 6 + 1,
+            _POS_C_STEPS,
             sup=[p[2] for _, p in direct],
             args=([p[1] for _, p in direct],),
-        ).outcomes("series did not converge; use the quadrature route")
+        ).outcomes(_POS_C_CAPPED)
 
         def pos_c(p, s):
             total, tail, steps = s
@@ -384,10 +486,8 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             return EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), steps + 1)
 
         _finish(out, direct, sums, pos_c)
-        windowed = _pos_c_window_rows(n, c, [x for _, x in window], min(rtol, 1e-16))
-    else:
-        windowed = []
-    _finish(out, window, windowed, lambda _, s: EvalResult(s[0], Method.SERIES, rtol * s[0], s[1]))
+        _finish(out, window, _pos_c_window_rows(n, c, [x for _, x in window], min(rtol, 1e-16)),
+                lambda _, s: EvalResult(s[0], Method.SERIES, rtol * s[0], s[1]))
     return out
 
 

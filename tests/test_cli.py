@@ -327,8 +327,10 @@ GOLDEN = {
     # the convexity margins and the bbh/mkz substitutions must not move.
     ("bounds", "--family", "bernstein", "-n", "3", "--format", "json"):
         "15ea7dc034e1821de95e47c6ffd29df55cf9fc7351e8f2ae5514ceb802048fa5",
+    # re-recorded with the Hankel kernel past 2 n x = 600, which moved
+    # s_value from 5.7e-9 to 2.1e-16 of scipy's i0e at x = 1e6
     ("bounds", "--family", "szasz", "-n", "3", "--format", "json"):
-        "5154dc7ef53f71ed6f35d364d9c416290fe5387151426fc103da11e7618fd62e",
+        "c54606aad74b42fe724fe542d1e7d64a095479ba1e2118561e51de183d0152b8",
     ("bounds", "--family", "baskakov", "-n", "3", "--format", "json"):
         "c60b03b704fae0dfbf579690c5847f8f57472fb2af29df7d3acd0bd0085e6c52",
     ("bounds", "--family", "bbh", "-n", "3", "--format", "json"):
@@ -337,8 +339,8 @@ GOLDEN = {
         "58573c8be6554fce3078cae59c7041f9118290575286a8b36178e950d96ec909",
     ("bounds", "--family", "general", "-c", "-1", "-n", "3", "--format", "json"):
         "07f78a8fd09695ea2b23982dd662b9b006ab2c837a893ff930e76dd1de04ba0f",
-    ("bounds", "--family", "general", "-c", "0", "-n", "3", "--format", "json"):
-        "a64ceb078f378671b5e6badb7c13bc973d16393630a8b1194df1dbea50eb4a02",
+    ("bounds", "--family", "general", "-c", "0", "-n", "3", "--format", "json"):  # as szasz
+        "0bacefe83e30a36687c5367f5a6a3b863e08c9c33729ea589220173e861e4a3e",
     ("bounds", "--family", "general", "-c", "1", "-n", "3", "--format", "json"):
         "ee3b21ca9b921068945efc6133ce79d5e7207670e3e72a62f4e1418d6b9a9e2e",
     ("info", "--family", "bernstein", "-n", "3", "--format", "json"):
@@ -397,8 +399,10 @@ GOLDEN_TABLE = {
         "7830876f1b7057d5cddf2174f9f230c33ea785dfc08f81ed6a6e40d940fb4948",
     _table(["szasz"], "5", "0:20:101"):
         "d5b341d35b8c6ae1ca026db87dbc5195fe476908354d5897af10c80ac0e0e459",
+    # re-recorded with Loader's anchor and the Hankel kernel past n x = 12:
+    # series and closed form went from 1.3e-12 to at most 2.1e-15 of i0e
     _table(["szasz"], "25", "0:20:101"):
-        "349f274792e10998f6ced87b331937a8add2095d2a698a9718d3348162127d88",
+        "098c2842326e71cfd3a8225322b2e8d29bdd919e4e4ba64f2ec338a664413f10",
     _table(["baskakov"], "5", "0:20:101"):
         "4e75feb4f1a7eacbf24fe76332b072007e4d36105d70d5c30ca7719b0ede8c79",
     _table(["baskakov"], "25", "0:20:101"):

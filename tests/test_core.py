@@ -237,6 +237,7 @@ class TestPartitionOfUnity:
             (Params(5, 2), [0.4, 3.0, 20.0]),
             (Params(Fraction(3, 2), Fraction(1, 2)), [0.7, 9.0]),
             (Params(50, 0), [10.0]),
+            (Params(1, 0), [1e6, 1e8]),  # Loader's anchor; k0 log mu - mu - lgamma was off by 7e-10
         ],
     )
     def test_sums_to_one(self, params, xs):

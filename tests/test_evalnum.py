@@ -61,8 +61,8 @@ class TestBesselI0:
 
     def test_against_scipy(self):
         special = pytest.importorskip("scipy.special")
-        for z in (0.1, 1.0, 10.0, 100.0, 650.0, 1000.0):
-            assert bessel_i0e(z) == pytest.approx(float(special.i0e(z)), rel=1e-13)
+        for z in (0.1, 1.0, 10.0, 100.0, 650.0, 1000.0, 1e4, 1e6, 1e8):
+            assert bessel_i0e(z) == pytest.approx(float(special.i0e(z)), rel=1e-15)
         for z in (0.5, 5.0, 50.0):
             assert bessel_i0(z) == pytest.approx(float(special.i0(z)), rel=1e-13)
 
@@ -298,6 +298,17 @@ class TestExtremeParameters:
         params = Params(200, 1)
         want = math.fsum(basis(params, k, 20.0) * basis(params, k, 10.0) for k in range(4000))
         assert t_closed(params, 20.0, 10.0) == pytest.approx(want, rel=1e-9)
+
+    def test_szasz_routes_against_i0e(self):
+        # series (peak window) and closed form (Hankel) against scipy's i0e,
+        # each within its own claimed error; 2 n x = z exactly for n = 1, 2, 4
+        special = pytest.importorskip("scipy.special")
+        zs = [math.nextafter(600.0, 700.0)] + np.geomspace(601.0, 2e8, 40).tolist()
+        for n in (1, 2, 4):
+            for z in zs:
+                want = float(special.i0e(z))
+                for got in (s_series(Params(n, 0), z / (2 * n)), s_closed(Params(n, 0), z / (2 * n))):
+                    assert abs(got.value - want) <= got.err_estimate, (n, z, got)
 
     def test_scaled_bessel_far_field(self):
         # closed form for c = 0 stays finite and positive arbitrarily far out

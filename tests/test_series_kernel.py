@@ -8,6 +8,7 @@ same point.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from sqsums.evalnum import (
     _EXP_GUARD,
     _hyp2f1_diag_tail,
     _i0_series,
+    bessel_i0,
     bessel_i0e,
     s_closed,
     s_series,
@@ -216,12 +218,11 @@ def test_s_series_matches_loops(c, n, x, rtol):
 
 
 def ref_scaled_poisson_sq(mu, tol):
-    k0 = int(mu)
-    log_anchor = 2.0 * (k0 * math.log(mu) - math.lgamma(k0 + 1))
+    k0, log_pmf = core._poisson_peak(mu)
     scaled, terms = ref_sum_unimodal_scaled(
         lambda k: (mu / (k + 1.0)) ** 2, lambda k: (k / mu) ** 2, k0, tol
     )
-    return math.exp(log_anchor - 2.0 * mu + math.log(scaled)), terms
+    return math.exp(2.0 * log_pmf + math.log(scaled)), terms
 
 
 def ref_pos_c_series_window(n, c, x, tol):
@@ -247,8 +248,7 @@ def ref_basis_sum(n, c, x, tol):
     """basis_sum for c >= 0 and x > 0."""
     if c == 0.0:
         mu = n * x
-        k0 = int(mu)
-        log_anchor = k0 * math.log(mu) - mu - math.lgamma(k0 + 1)
+        k0, log_anchor = core._poisson_peak(mu)
         scaled, terms = ref_sum_unimodal_scaled(lambda k: mu / (k + 1.0), lambda k: k / mu, k0, tol)
         return math.exp(log_anchor + math.log(scaled)), terms
     a = n / c
@@ -277,7 +277,7 @@ def ref_basis_sum(n, c, x, tol):
 )
 def test_peak_windows_match_loops(c, n, x, tol):
     if c == 0.0:
-        assert evalnum._scaled_poisson_sq(n * x, tol) == ref_scaled_poisson_sq(n * x, tol)
+        assert evalnum._scaled_poisson_rows([n * x], tol) == [ref_scaled_poisson_sq(n * x, tol)]
     else:
         assert evalnum._pos_c_window_rows(n, c, [x], tol) == [ref_pos_c_series_window(n, c, x, tol)]
     assert basis_sum(Params(n, c), x, tol) == ref_basis_sum(n, c, x, tol)
@@ -442,16 +442,27 @@ def _around(v):
 def test_szasz_series_straddles_mu_300(n):
     below, at, above = (mu / n for mu in _around(300.0))
     params = Params(n, 0)
-    values = []
+    results = []
     for x in (below, at, above):
         got = s_series(params, x)
         if n * x <= 300.0:
             assert got == _series_expect(params, x, 1e-12)
         else:
             assert (got.value, got.terms_or_nodes) == ref_scaled_poisson_sq(n * x, 1e-16)
-        values.append(got.value)
+        results.append(got)
     assert any(n * x > 300.0 for x in (below, at, above))
-    assert values[0] == pytest.approx(values[-1], rel=1e-13)
+    low, high = results[0], results[-1]
+    assert low.value == pytest.approx(high.value, rel=1e-13)
+    assert abs(low.value - high.value) <= low.err_estimate + high.err_estimate
+
+
+def ref_hankel_i0e(z):
+    """exp(-z) I0(z) from the Hankel expansion, its terms by their ratios."""
+    terms, term = [], 1.0
+    for k in range(1, 12):
+        terms.append(term)
+        term *= (k - 0.5) ** 2 / (2.0 * k * z)
+    return math.fsum(terms) / math.sqrt(2.0 * math.pi * z)
 
 
 def test_bessel_straddles_z_600():
@@ -459,8 +470,45 @@ def test_bessel_straddles_z_600():
     for z in (below, at):
         total, _ = ref_i0_series(z, 1e-16)
         assert bessel_i0e(z) == math.exp(-z) * total
-    assert bessel_i0e(above) == ref_scaled_poisson_sq(above / 2.0, 1e-17)[0]
-    assert bessel_i0e(below) == pytest.approx(bessel_i0e(above), rel=1e-13)
+    # the closed form (2 n x = z for n = 1): the Hankel side is within its
+    # claim of the reference; the series side misses its claim of 1e-15 by
+    # up to 3e-14 on [100, 600] (ROADMAP item 2), so the sides agree to 1e-13
+    low, high = s_closed(Params(1, 0), below / 2.0), s_closed(Params(1, 0), above / 2.0)
+    assert (low.value, high.value) == (bessel_i0e(below), bessel_i0e(above))
+    assert abs(high.value - ref_hankel_i0e(above)) <= high.err_estimate
+    assert low.value == pytest.approx(high.value, rel=1e-13)
+
+
+def test_bessel_i0_straddles_z_600_and_saturates():
+    # both sides of z = 600, z = 700 and the last finite value; the oracle
+    # splits exp(z) in halves so that it overflows no earlier
+    special = pytest.importorskip("scipy.special")
+
+    def oracle(z):
+        half = math.exp(z / 2.0)
+        return half * float(special.i0e(z)) * half
+
+    finite, inf = _crossing(lambda z: bessel_i0(z) == math.inf, 700.0, 720.0)
+    for z in (*_around(600.0), 700.0, finite):
+        assert bessel_i0(z) == pytest.approx(oracle(z), rel=1e-13)
+    assert bessel_i0(inf) == math.inf
+    # the edge sits where log I0 leaves the double range, to rounding
+    for z in (finite, inf):
+        assert z + math.log(float(special.i0e(z))) == pytest.approx(math.log(sys.float_info.max), abs=1e-12)
+
+
+def test_szasz_window_fails_loudly():
+    # peak indices past 2^53 cannot be walked; below that, a window wider
+    # than the walk's term cap cannot be finished: both raise at the route
+    for x in (2.0 ** 53, 1e17):
+        with pytest.raises(ArithmeticError, match="past 2"):
+            s_series(Params(1, 0), x)
+        with pytest.raises(ArithmeticError, match="past 2"):
+            basis_sum(Params(1, 0), x)
+    with pytest.raises(ArithmeticError, match="did not converge within 10000000 terms"):
+        s_series(Params(1, 0), 1e13)
+    with pytest.raises(ArithmeticError, match="did not converge within 10000000 terms"):
+        basis_sum(Params(1, 0), 1e13)
 
 
 def _pref_log(n, c, x):
@@ -548,10 +596,11 @@ def ref_spike_loop(q, spike, k0, tol, cap):
     total, term, j = 1.0, 1.0, 0
     try:
         while j < cap:
-            k = k0 + j
-            term *= ratio(k)
+            # the index of an int loop, rounded once to a float as the
+            # kernel's is (k + 1 would round twice past 2^53)
+            term *= ratio(k0 + j)
             total += term
-            r = ratio(k + 1)
+            r = ratio(k0 + (j + 1))
             j += 1
             if r < 1.0 and term * r / (1.0 - r) <= tol * total:
                 return total, term * r / (1.0 - r), j
@@ -571,6 +620,8 @@ def _spike_rows(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_spike_rows(), min_size=1, max_size=40), st.sampled_from([1e-16, 1e-10, 1e-3]))
+# the certificate of the step at 2^53 + 1 takes index 2^53 + 2, the spike
+@example([(0.5, 2.0 ** 53 + 2, 2.0 ** 53, 2)], 1e-16)
 def test_row_batches_match_their_loops(rows, tol):
     # rows stop in different blocks or hit their own cap; a spike at, past
     # or after a row's stop raises, is never computed, or is never reached;
@@ -713,3 +764,62 @@ def _unraised(route, params):
             return exc
 
     return call
+
+
+# ---------------------------------------------------------------------------
+# The O(1) verdict on the c > 0 series cap
+# ---------------------------------------------------------------------------
+
+
+def _pos_c_parts(n, c, x):
+    """The prefactor log, rr and ratio limit the c > 0 series route forms."""
+    u = c * x
+    return -(2.0 * n / c) * math.log1p(u), (x / (1.0 + u)) ** 2, (c * x / (1.0 + u)) ** 2
+
+
+def _kernel_caps(n, c, x, tol):
+    """Whether the c > 0 series kernel, run without the verdict, reaches its
+    step cap without a stop."""
+    _, rr, zlim = _pos_c_parts(n, c, x)
+    rows = core._certified_rows(
+        lambda k, rr: core._sq((n + k * c) / (k + 1.0)) * rr, 0.0, tol, evalnum._POS_C_STEPS,
+        sup=zlim, args=(rr,),
+    )
+    return rows.tail[0] is None and not rows.overflow[0]
+
+
+def _verdict(n, c, x, tol):
+    pref_log, rr, zlim = _pos_c_parts(n, c, x)
+    return evalnum._pos_c_capped(n, c, rr, zlim, pref_log, tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(1, 3)]),
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(5), Fraction(3, 2), Fraction(1, 4)]),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    st.sampled_from([1e-12, 1e-16, 1e-8]),
+)
+def test_cap_verdict_is_sound(c, n, offset, rtol):
+    # from the first float where the verdict fires to half again past it,
+    # the kernel run without the verdict reaches its cap too
+    nf, cf = float(n), float(c)
+    tol = max(1e-16, 1e-3 * rtol)
+    on = _crossing(lambda x: _verdict(nf, cf, x, tol), 1e3, 1e9)[1]
+    x = on * (1.0 + offset)
+    assert _verdict(nf, cf, x, tol)
+    assert _kernel_caps(nf, cf, x, tol)
+    with pytest.raises(ArithmeticError, match="use the quadrature route"):
+        s_series(Params(n, c), x, rtol)
+
+
+def test_cap_verdict_unsure_at_the_boundary():
+    # the kernel stops on its last step at x and caps one float later; the
+    # verdict leaves both to the kernel, so the result there is the kernel's
+    x = 115811.4776529441
+    for xx in (x, math.nextafter(x, math.inf)):
+        assert not _verdict(1.0, 1.0, xx, 1e-15)
+    assert not _kernel_caps(1.0, 1.0, x, 1e-15)
+    assert _kernel_caps(1.0, 1.0, math.nextafter(x, math.inf), 1e-15)
+    # far past it the verdict fires, and so would the kernel's cap
+    assert _verdict(1.0, 1.0, 1e6, 1e-15) and _kernel_caps(1.0, 1.0, 1e6, 1e-15)
