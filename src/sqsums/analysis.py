@@ -5,7 +5,10 @@ differential equation through finite differences of the closed-form
 evaluator; convexity and monotonicity claims are restated as sign
 conditions on differences; and the log-convexity conjecture scanner
 evaluates Q = S*S'' - (S')^2 (exactly where the family admits it) and
-reports margins without ever asserting the conjecture.
+reports margins without ever asserting the conjecture.  The exact Q is
+built in the paper's variables, s = x - 1/2 (Bernstein) and u = 1/(1+2x)
+(Baskakov), where it is an even polynomial R(t) in t = s^2 or t = u^2 of
+degree 2n; a margin is one homogeneous integer Horner pass over R.
 """
 
 from __future__ import annotations
@@ -230,29 +233,36 @@ def has_exact_q(params: Params) -> bool:
     return params.c in (-1, 1) and params.n.denominator == 1
 
 
-def _q_parts(params: Params) -> Optional[tuple[exactalg.RationalPoly, exactalg.RationalPoly]]:
-    """(P, D) with Q = S*S'' - (S')^2 = P / D^4 exactly, or None.
+def _q_even(params: Params) -> Optional[tuple[exactalg.RationalPoly, tuple[int, int, int, int]]]:
+    """(R, (a, b, c, d)) with Q(x) = R(y^2) exactly, y = (a x + b)/(c x + d), or None.
 
-    S = N/D is taken unreduced and P comes from one cleared identity,
-    P = Q*D^4 = D^2 (N N'' - N'^2) - N^2 (D D'' - D'^2), with no gcd.
+    y is the paper's variable: s = x - 1/2 for Bernstein, where S is the
+    even polynomial ``f_poly_parseval``, and u = 1/(1+2x) for Baskakov,
+    where S is the odd polynomial ``g_series_coeffs``.  With dy/dx = phi(y),
+    Q = phi^2 (S S_yy - S_y^2) + phi phi' S S_y is even in y (phi = 1 for s,
+    phi = -2u^2 for u), and R holds its even-index coefficients.
     """
     if not has_exact_q(params):
         return None
-    if params.c < 0:
-        num, den = exactalg.RationalFn(exactalg.f_poly_direct(params.l)).pair
-    else:
-        num, den = exactalg.g_rational(int(params.n)).pair
-    n1, d1 = num.derivative(), den.derivative()
-    q = den * den * (num * n1.derivative() - n1 * n1) - num * num * (
-        den * d1.derivative() - d1 * d1
-    )
-    return q, den
+    if params.c < 0:  # y = s = (2x - 1)/2
+        s, phi, mobius = exactalg.f_poly_parseval(params.l), (1,), (2, -1, 0, 2)
+    else:  # y = u = 1/(2x + 1)
+        s, phi, mobius = exactalg.g_series_coeffs(int(params.n)), (0, 0, -2), (0, 1, 2, 1)
+    phi, s1 = exactalg.RationalPoly(phi, s.var), s.derivative()
+    q = phi * phi * (s * s1.derivative() - s1 * s1) + phi * phi.derivative() * s * s1
+    if any(q._ints[1::2]):
+        raise ArithmeticError(f"Q has an odd power of {s.var}: {q!r}")
+    return exactalg.RationalPoly._from_ints(list(q._ints[::2]), q._den, "t"), mobius
 
 
 def _q_exact(params: Params) -> Optional[exactalg.RationalFn]:
-    """Q = S*S'' - (S')^2 as an exact rational function, or None."""
-    parts = _q_parts(params)
-    return None if parts is None else exactalg.RationalFn(parts[0], parts[1] ** 4)
+    """Q = S*S'' - (S')^2 as an exact rational function of x, or None."""
+    even = _q_even(params)
+    if even is None:
+        return None
+    r, (a, b, c, d) = even
+    y = exactalg.RationalFn(exactalg.RationalPoly((b, a)), exactalg.RationalPoly((d, c)))
+    return exactalg.poly_on_rational(r, y * y)
 
 
 def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:
@@ -306,30 +316,21 @@ def logconvexity_scan(
     log-convexity: the report carries status 'unproven' and callers must
     not fail on negative margins.
     """
-    parts = _q_parts(params)
+    even = _q_even(params)
     status = {"conjecture": "log-convexity of S", "status": "unproven", "asserted": False}
-    if parts is not None:
-        # Q(x) = P(x) / D(x)^4: D by one Horner pass and raised to the 4th
-        # power, rather than Horner over the expanded D^4 (degree 4 deg D)
-        num, den = parts
+    if even is not None:
+        # at x = p/q, t = y^2 = (a p + b q)^2 / (c p + d q)^2 and Q(x) = R(t)
+        # by one homogeneous integer Horner pass over R
+        r, (a, b, c, d) = even
         xs = [Fraction(x) for x in grid] if grid is not None else conjecture_grid(params, count)
         margins = []
-        kept = []
         for x in xs:
             if not params.in_domain(x):
                 raise DomainError(f"x={x} outside I_c = {params.domain_str()}")
-            p, q = num._at(x)
-            d, e = den._at(x)
-            if d:
-                margins.append(Fraction(p * e ** 4, q * d ** 4))
-            else:  # D(x) = 0: the lowest-terms form decides
-                try:
-                    margins.append(exactalg.RationalFn(num, den ** 4)(x))
-                except ZeroDivisionError:
-                    continue
-            kept.append(x)
+            p, q = x.numerator, x.denominator
+            margins.append(Fraction(*r._at(Fraction((a * p + b * q) ** 2, (c * p + d * q) ** 2))))
         status["route"] = "exact"
-        return _report("log_convexity", _params_subject(params), kept, margins, status)
+        return _report("log_convexity", _params_subject(params), xs, margins, status)
 
     if grid is None:
         raise ValueError("a float grid is required for families without an exact route")

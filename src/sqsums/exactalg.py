@@ -493,16 +493,26 @@ def _poly_compose_mobius(
     p: RationalPoly, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike
 ) -> RationalPoly:
     """(c*X+d)^deg * p((a*X+b)/(c*X+d)), a polynomial in 'x'."""
-    lin_num = RationalPoly((b, a), "x")
-    lin_den = RationalPoly((d, c), "x")
-    # Horner with a denominator ladder on the integer numerators:
-    # acc_k = acc_{k+1} * lin_num + c_k * lin_den^(deg-k)
-    acc, power = RationalPoly.zero("x"), RationalPoly.one("x")
+    fs = [Fraction(v) for v in (a, b, c, d)]
+    scale = math.lcm(*(f.denominator for f in fs))
+    a, b, c, d = (int(f * scale) for f in fs)
+    # Horner with a denominator ladder on integer lists, a..d scaled to
+    # integers (one factor of `scale` per degree goes to the denominator):
+    # acc_k = acc_{k+1} * (b + aX) + c_k * (d + cX)^(deg-k)
+    acc, power = [], [1]
     for i, c_i in enumerate(reversed(p._ints)):
         if i:
-            power = power * lin_den
-        acc = acc * lin_num + power * c_i
-    return acc / p._den
+            power = _times_linear(power, d, c)
+        acc = [u + c_i * v for u, v in zip(_times_linear(acc, b, a), power)]
+    return RationalPoly._from_ints(acc, p._den * scale ** max(p.degree, 0), "x")
+
+
+def _times_linear(ints: list[int], lo: int, hi: int) -> list[int]:
+    """The integer coefficient list of ints * (lo + hi X), by shift-and-add."""
+    out = [lo * v for v in ints] + [0]
+    for i, v in enumerate(ints):
+        out[i + 1] += hi * v
+    return out
 
 
 def poly_on_rational(p: RationalPoly, f: RationalFn) -> RationalFn:

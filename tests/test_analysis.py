@@ -2,7 +2,10 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sqsums import analysis, exactalg
 from sqsums.core import DomainError, FamilyId, Params
 from sqsums.analysis import (
     ScanReport,
@@ -13,7 +16,7 @@ from sqsums.analysis import (
     ode_residual_scan,
 )
 from sqsums.evalnum import s_closed
-from sqsums.exactalg import RationalFn, RationalPoly, f_poly_direct
+from sqsums.exactalg import RationalFn, RationalPoly, f_poly_direct, g_rational
 
 
 X = RationalPoly.x()
@@ -178,6 +181,72 @@ class TestLogConvexityScan:
     def test_float_route_requires_grid(self):
         with pytest.raises(ValueError):
             logconvexity_scan(Params(2, 0))
+
+
+def _q_oracle(params: Params) -> RationalFn:
+    """Q in x from S = N/D taken unreduced: Q = P / D^4 with the cleared
+    identity P = Q*D^4 = D^2 (N N'' - N'^2) - N^2 (D D'' - D'^2)."""
+    if params.c < 0:
+        num, den = RationalFn(f_poly_direct(params.l)).pair
+    else:
+        num, den = g_rational(int(params.n)).pair
+    n1, d1 = num.derivative(), den.derivative()
+    q = den * den * (num * n1.derivative() - n1 * n1) - num * num * (
+        den * d1.derivative() - d1 * d1
+    )
+    return RationalFn(q, den ** 4)
+
+
+def _matches_oracle(params: Params, grid=None) -> bool:
+    rep = logconvexity_scan(params, grid=grid)
+    oracle = _q_oracle(params)
+    return rep.margins == tuple(oracle(Fraction(x)) for x in rep.grid)
+
+
+_EXACT = [Params(n, c) for c in (-1, 1) for n in (1, 2, 7, 16)]
+
+
+class TestEvenQ:
+    """Q = R(y^2) in the paper's variables against the x-variable identity."""
+
+    @pytest.mark.parametrize("c", [-1, 1])
+    def test_q_exact_is_the_x_identity(self, c):
+        for n in range(1, 31):
+            assert analysis._q_exact(Params(n, c)) == _q_oracle(Params(n, c))
+
+    @pytest.mark.parametrize("params", _EXACT, ids=lambda p: f"c={p.c} n={p.n}")
+    def test_margins_on_the_default_grid(self, params):
+        assert _matches_oracle(params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(_EXACT),
+        st.one_of(
+            st.fractions(0, 1, max_denominator=10 ** 6),
+            st.fractions(0, 10 ** 4, max_denominator=997),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1e6),
+        ),
+    )
+    def test_margins_at_drawn_points(self, params, x):
+        # floats are dyadic rationals, as on the --grid path
+        if params.c < 0:
+            x = min(x, 1)
+        assert _matches_oracle(params, grid=[x])
+
+    @pytest.mark.parametrize("params", _EXACT[1::2], ids=lambda p: f"c={p.c} n={p.n}")
+    def test_perturbed_coefficient_is_caught(self, params, monkeypatch):
+        # R + t^k / 10^30 at the middle index k
+        r, mobius = analysis._q_even(params)
+        bad = r + RationalPoly([0] * (r.degree // 2) + [Fraction(1, 10 ** 30)], "t")
+        monkeypatch.setattr(analysis, "_q_even", lambda _: (bad, mobius))
+        assert not _matches_oracle(params)
+
+    def test_odd_coefficient_raises(self, monkeypatch):
+        # S = 1 + s + s^2 gives Q = 1 - 2s - 2s^2
+        monkeypatch.setattr(exactalg, "f_poly_parseval", lambda n: RationalPoly([1, 1, 1], "s"))
+        with pytest.raises(ArithmeticError, match="odd power"):
+            logconvexity_scan(Params(2, -1))
 
 
 class TestConjectureGrid:

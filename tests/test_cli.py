@@ -425,6 +425,40 @@ def test_golden_table_bytes(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE[argv]
 
 
+def _logconvex(family, *extra):
+    return ("scan", "--family", family, "-n", "7", "--kind", "logconvexity", *extra)
+
+
+# Recorded before the exact log-convexity margins moved from P/D^4 in x to
+# the even polynomial R(t) in the paper's variables: a non-default count, a
+# rational --grid (the float path), and the text and csv layouts.
+GOLDEN_SCAN = {
+    _logconvex("bernstein", "--count", "77", "--format", "json"):
+        "a37455c2a01d218b9b7b528424b9468adcb4a17c0e2486df9e4138d79c0f29ab",
+    _logconvex("bernstein", "--grid", "0:1/2:33", "--format", "json"):
+        "766e6ad36c7d7315927688f80829cde22788050785d411eb8ee618f1ae3725d3",
+    _logconvex("bernstein", "--format", "text"):
+        "2d1e4d19dbb590b4206279a3443694247c459adeee7f223f74d23d94932b013d",
+    _logconvex("bernstein", "--format", "csv"):
+        "058a62cf546abcad0f5a3b535fa8c91b46a20b978d9a55ab779f85a664edc1c3",
+    _logconvex("baskakov", "--count", "77", "--format", "json"):
+        "18185b307c820cb0d3fe7b2d7a5ebafa8cbd7be5e8e9bd87b2e0a4ae3d7cedc4",
+    _logconvex("baskakov", "--grid", "0:1/2:33", "--format", "json"):
+        "2595f7b2024c0fe20e881e5a30ced42e6ad54a1ab5a0647405f1b93c4d0e2010",
+    _logconvex("baskakov", "--format", "text"):
+        "97456962f49ed1de5b9b8d211c10a515388c65ba6c814cbaca1d4b82e6117417",
+    _logconvex("baskakov", "--format", "csv"):
+        "e27cac2fdeb29dce63690f219030f6029375971d24701c7e4224aa0d01c24fa9",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SCAN), ids=lambda a: " ".join((a[2], *a[7:])))
+def test_golden_scan_bytes(argv):
+    code, out, _ = invoke(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SCAN[argv]
+
+
 class TestErrors:
     def test_domain_violation_names_point_and_domain(self):
         code, _, err = invoke(["eval", "--family", "bernstein", "-n", "2", "-x", "1.5"])

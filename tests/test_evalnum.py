@@ -72,6 +72,7 @@ class TestBesselI0:
 
     def test_overflow_saturates(self):
         assert bessel_i0(10000.0) == math.inf
+        assert bessel_i0(math.inf) == math.inf
 
     @given(st.floats(min_value=0, max_value=30))
     @settings(max_examples=50)

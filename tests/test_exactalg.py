@@ -115,6 +115,21 @@ class TestRationalFn:
         g = f.compose_mobius(1, 0, 1, 1).compose_mobius(1, 0, -1, 1)
         assert g == f
 
+    @given(small_polys, small_polys, st.tuples(*[small_fracs] * 4), small_fracs)
+    @settings(max_examples=100)
+    def test_mobius_substitution_values(self, p, q, abcd, v):
+        # (N/D)((a v + b)/(c v + d)) at a rational v, against plain Fraction
+        # arithmetic on the stored coefficients
+        a, b, c, d = abcd
+        if a * d == b * c or c * v + d == 0:
+            return
+        w = (a * v + b) / (c * v + d)
+        num = sum(k * w ** i for i, k in enumerate(p.coeffs))
+        den = sum(k * w ** i for i, k in enumerate(q.coeffs))
+        if q.is_zero or den == 0:
+            return
+        assert RationalFn(p, q).compose_mobius(a, b, c, d)(v) == num / den
+
     def test_pole_evaluation_raises(self):
         f = RationalFn(RationalPoly.one(), X - 1)
         with pytest.raises(ZeroDivisionError):
