@@ -328,7 +328,7 @@ def logconvexity_scan(
             if not params.in_domain(x):
                 raise DomainError(f"x={x} outside I_c = {params.domain_str()}")
             p, q = x.numerator, x.denominator
-            margins.append(Fraction(*r._at(Fraction((a * p + b * q) ** 2, (c * p + d * q) ** 2))))
+            margins.append(r(Fraction((a * p + b * q) ** 2, (c * p + d * q) ** 2)))
         status["route"] = "exact"
         return _report("log_convexity", _params_subject(params), xs, margins, status)
 
