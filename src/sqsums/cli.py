@@ -9,13 +9,15 @@ margins never fail the process).
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__, analysis, bounds, evalnum, exactalg, legendre
 from .core import FAMILY_NAMES, DomainError, FamilyId, ParameterError
@@ -44,15 +46,15 @@ def _fmt_rat(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _emit_json(doc: dict) -> str:
+def _emit_json(command: str, params: dict, **body) -> str:
+    """The json document of a verb: its results or report between params and versions."""
+    doc = {"command": command, "params": params, **body, "versions": {"sqsums": __version__}}
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
 
 
@@ -105,10 +107,6 @@ def _params_doc(family: FamilyId, n: Optional[Fraction] = None, **extra) -> dict
     return doc
 
 
-def _versions() -> dict:
-    return {"sqsums": __version__}
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
@@ -127,21 +125,16 @@ def _cmd_eval(args, out) -> int:
         evalnum.s_quad(params, xm, rtol=args.rtol),
     ]
     if args.format == "json":
-        doc = {
-            "command": "eval",
-            "params": _params_doc(family, n, x=_fmt_float(x), rtol=_fmt_float(args.rtol)),
-            "results": [
-                {
-                    "method": r.method.value,
-                    "value": _fmt_float(r.value),
-                    "err_estimate": _fmt_float(r.err_estimate),
-                    "terms_or_nodes": r.terms_or_nodes,
-                }
-                for r in results
-            ],
-            "versions": _versions(),
-        }
-        out.write(_emit_json(doc))
+        params = _params_doc(family, n, x=_fmt_float(x), rtol=_fmt_float(args.rtol))
+        out.write(_emit_json("eval", params, results=[
+            {
+                "method": r.method.value,
+                "value": _fmt_float(r.value),
+                "err_estimate": _fmt_float(r.err_estimate),
+                "terms_or_nodes": r.terms_or_nodes,
+            }
+            for r in results
+        ]))
     elif args.format == "csv":
         rows = [
             [_fmt_float(x), r.method.value, _fmt_float(r.value), _fmt_float(r.err_estimate)]
@@ -180,13 +173,8 @@ def _cmd_table(args, out) -> int:
     ]
     if args.format == "json":
         keys = ("x", "method", "value", "err_estimate")
-        doc = {
-            "command": "table",
-            "params": _params_doc(family, n, grid=args.grid, rtol=_fmt_float(args.rtol)),
-            "results": [dict(zip(keys, cell)) for cell in cells],
-            "versions": _versions(),
-        }
-        out.write(_emit_json(doc))
+        params = _params_doc(family, n, grid=args.grid, rtol=_fmt_float(args.rtol))
+        out.write(_emit_json("table", params, results=[dict(zip(keys, cell)) for cell in cells]))
     else:  # text and csv share the csv table
         out.write(_emit_csv(["x", "method", "value", "err_estimate"], cells))
     return 0
@@ -241,24 +229,18 @@ def _cmd_verify(args, out) -> int:
             "use 'scan --kind ode' for the numerical residual check"
         )
     first, (label, build), items = _SUITES[family.key]
+    if args.n_max < first:
+        raise ParameterError(f"verify --n-max must be >= {first} for {family.name!r}, got {args.n_max}")
     ns = range(first, args.n_max + 1)
     outcomes = [(name, all(check(n) for n in ns)) for name, check in items]
-    ok = all(passed for _, passed in outcomes)
     if args.format == "json":
-        doc = {
-            "command": "verify",
-            "params": _params_doc(family, n_max=args.n_max),
-            "report": {
-                "items": {name: ("OK" if passed else "FAIL") for name, passed in outcomes},
-                "witnesses": {label: build(first).to_json()},
-            },
-            "versions": _versions(),
-        }
-        out.write(_emit_json(doc))
+        out.write(_emit_json("verify", _params_doc(family, n_max=args.n_max), report={
+            "items": {name: ("OK" if passed else "FAIL") for name, passed in outcomes},
+            "witnesses": {label: build(first).to_json()},
+        }))
     else:
-        for name, passed in outcomes:
-            out.write(f"{name}: {'OK' if passed else 'FAIL'}\n")
-    return 0 if ok else 1
+        out.write("".join(f"{name}: {'OK' if passed else 'FAIL'}\n" for name, passed in outcomes))
+    return 0 if all(passed for _, passed in outcomes) else 1
 
 
 def _cmd_bounds(args, out) -> int:
@@ -276,40 +258,34 @@ def _cmd_bounds(args, out) -> int:
     worst = min(reports, key=lambda r: r.min_margin)
     ok = worst.min_margin >= -1e-12
     if args.format == "json":
-        doc = {
-            "command": "bounds",
-            "params": _params_doc(family, n),
-            "report": {
-                "points": [r.to_json() for r in reports],
-                "min_margin": _fmt_float(worst.min_margin),
-                "argmin": _fmt_float(worst.x),
-            },
-            "versions": _versions(),
-        }
-        out.write(_emit_json(doc))
+        out.write(_emit_json("bounds", _params_doc(family, n), report={
+            "points": [r.to_json() for r in reports],
+            "min_margin": _fmt_float(worst.min_margin),
+            "argmin": _fmt_float(worst.x),
+        }))
     elif args.format == "csv":
-        rows = []
-        for r in reports:
-            for label, value in r.bounds:
-                rows.append(
-                    [
-                        _fmt_float(r.x),
-                        _fmt_float(r.s_value),
-                        label,
-                        _fmt_float(value),
-                        _fmt_float(value - r.s_value),
-                    ]
-                )
+        rows = [
+            [_fmt_float(r.x), _fmt_float(r.s_value), label, _fmt_float(value), _fmt_float(value - r.s_value)]
+            for r in reports
+            for label, value in r.bounds
+        ]
         out.write(_emit_csv(["x", "s_value", "bound", "value", "margin"], rows))
     else:
         for r in reports:
             parts = " ".join(f"{label}={_fmt_float(v)}" for label, v in r.bounds)
             out.write(
-                f"x={_fmt_float(r.x)} s={_fmt_float(r.s_value)} {parts} "
-                f"margin={_fmt_float(r.min_margin)}\n"
+                f"x={_fmt_float(r.x)} s={_fmt_float(r.s_value)} {parts} margin={_fmt_float(r.min_margin)}\n"
             )
         out.write(f"min_margin={_fmt_float(worst.min_margin)} at x={_fmt_float(worst.x)}\n")
     return 0 if ok else 1
+
+
+def _scan_count(args, least: int, default: int) -> int:
+    if args.count is None:
+        return default
+    if args.count < least:
+        raise ParameterError(f"scan --kind {args.kind} --family {args.family} needs --count >= {least}")
+    return args.count
 
 
 def _cmd_scan(args, out) -> int:
@@ -321,27 +297,26 @@ def _cmd_scan(args, out) -> int:
             f"scan --kind {args.kind} covers the (n, c) families only, "
             f"got the substitution family {family.name!r}"
         )
-    if args.kind == "ode":
+    if args.kind in ("ode", "convexity"):
         if args.grid is None:
-            raise ParameterError("scan --kind ode requires --grid")
+            raise ParameterError(f"scan --kind {args.kind} requires --grid")
         grid = _parse_grid(args.grid, family)
-        report = analysis.ode_residual_scan(params, grid, args.step)
-    elif args.kind == "convexity":
-        if args.grid is None:
-            raise ParameterError("scan --kind convexity requires --grid")
-        grid = _parse_grid(args.grid, family)
-        report = analysis.convexity_scan(family, n, grid)
+        if args.kind == "ode":
+            report = analysis.ode_residual_scan(params, grid, args.step)
+        else:
+            report = analysis.convexity_scan(family, n, grid)
     elif args.kind == "monotonicity":
         if family.key != "bernstein":
             raise ParameterError(
                 f"scan --kind monotonicity covers the Bernstein family only, got family {family.name!r}"
             )
-        count = args.count or 129
+        count = _scan_count(args, 2, 129)
         grid = [Fraction(i, count - 1) for i in range(count)]
         report = analysis.monotonicity_check(int(n), grid)
     elif analysis.has_exact_q(params):  # logconvexity from here on
         grid = None if args.grid is None else _parse_grid(args.grid, family)
-        report = analysis.logconvexity_scan(params, grid=grid, count=args.count or 1024)
+        least = 4 if grid is None and params.domain_sup is not None else 1  # conjecture_grid's minimum
+        report = analysis.logconvexity_scan(params, grid=grid, count=_scan_count(args, least, 1024))
     elif args.grid is None:
         raise ParameterError(
             "scan --kind logconvexity needs --grid for families without an exact route"
@@ -349,25 +324,15 @@ def _cmd_scan(args, out) -> int:
     else:
         report = analysis.logconvexity_scan(params, grid=_parse_grid(args.grid, family))
     if args.format == "json":
-        doc = {
-            "command": "scan",
-            "params": _params_doc(family, n, kind=args.kind),
-            "report": report.to_json(),
-            "versions": _versions(),
-        }
-        out.write(_emit_json(doc))
+        out.write(_emit_json("scan", _params_doc(family, n, kind=args.kind), report=report.to_json()))
     elif args.format == "csv":
-        rows = [
-            [analysis._fmt(x), analysis._fmt(m)] for x, m in zip(report.grid, report.margins)
-        ]
+        rows = [[analysis._fmt(x), analysis._fmt(m)] for x, m in zip(report.grid, report.margins)]
         out.write(_emit_csv(["x", "margin"], rows))
     else:
         status = f" status={report.status.get('status')}" if report.status.get("status") else ""
         out.write(
-            f"kind={report.kind} points={len(report.grid)} "
-            f"min_margin={analysis._fmt(report.min_margin)} "
-            f"argmin={analysis._fmt(report.argmin)} "
-            f"violations={len(report.violations)}{status}\n"
+            f"kind={report.kind} points={len(report.grid)} min_margin={analysis._fmt(report.min_margin)} "
+            f"argmin={analysis._fmt(report.argmin)} violations={len(report.violations)}{status}\n"
         )
     return 0
 
@@ -385,114 +350,149 @@ def _cmd_info(args, out) -> int:
         n = _parse_rational(args.n, "n")
         params = family.base_params(n)
         doc["n"] = _fmt_rat(n)
-        doc["base_params"] = {
-            "n": _fmt_rat(params.n),
-            "c": _fmt_rat(params.c),
-            "domain": params.domain_str(),
-        }
+        doc["base_params"] = {"n": _fmt_rat(params.n), "c": _fmt_rat(params.c), "domain": params.domain_str()}
         if params.l is not None:
             doc["base_params"]["l"] = params.l
     if args.format == "json":
-        out.write(_emit_json({"command": "info", "params": doc, "report": doc, "versions": _versions()}))
+        out.write(_emit_json("info", doc, report=doc))
     else:
-        for key, val in doc.items():
-            out.write(f"{key}: {val}\n")
+        out.write("".join(f"{key}: {val}\n" for key, val in doc.items()))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Parser and dispatch
+# Option table, parser and dispatch
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sqsums",
-        description="Evaluate and verify squared-basis sums of classical operator families.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+class _Opt(NamedTuple):
+    """One option; its value lands in the attribute named after the flag."""
 
-    def common(p: argparse.ArgumentParser, need_family: bool = True) -> None:
-        p.add_argument("--family", choices=FAMILY_NAMES, required=need_family)
-        p.add_argument("-c", default=None, help="family parameter (general only), rational")
-        p.add_argument("-n", default=None, help="operator index, rational")
-        p.add_argument("--rtol", type=float, default=1e-12)
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    p = sub.add_parser("eval", help="one point, all three evaluation methods")
-    common(p)
-    p.add_argument("-x", required=True, help="evaluation point")
-
-    p = sub.add_parser("table", help="grid of values per method (csv layout)")
-    common(p)
-    p.add_argument("--grid", required=True, help="a:b:count")
-
-    p = sub.add_parser("verify", help="exact identity suite for a family")
-    common(p)
-    p.add_argument("--n-max", type=int, default=10)
-
-    p = sub.add_parser("bounds", help="upper-bound margins at a point or grid")
-    common(p)
-    p.add_argument("-x", dest="x", default=None, help="single evaluation point")
-    p.add_argument("--grid", default=None, help="a:b:count (default: standard grid)")
-
-    p = sub.add_parser("scan", help="ode/convexity/logconvexity/monotonicity scans")
-    common(p)
-    p.add_argument("--kind", choices=("ode", "convexity", "logconvexity", "monotonicity"), required=True)
-    p.add_argument("--grid", default=None, help="a:b:count")
-    p.add_argument("--step", type=float, default=1e-3, help="finite-difference step for ode scans")
-    p.add_argument("--count", type=int, default=None, help="points for exact/rational scans")
-
-    p = sub.add_parser("info", help="echo parameters and family classification")
-    common(p)
-
-    return parser
+    flag: str
+    help: str = ""
+    type: Callable[[str], Any] = str
+    choices: tuple = ()
+    default: Any = None
+    required: bool = False
+    dest = property(lambda self: self.flag.lstrip("-").replace("-", "_"))
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
-    """Merge '-c -1/2' style pairs so negative rationals survive argparse."""
-    out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
+def _positive(kind: type) -> Callable[[str], Any]:
+    def convert(text: str):
+        if not 0 < (value := kind(text)) < math.inf:
+            raise ValueError(f"{text!r} is not {'an integer >= 1' if kind is int else 'finite and > 0'}")
+        return value
+
+    return convert
+
+
+_HELP = _Opt("--help")
+_TOP = {"-h": _HELP, "--help": _HELP}  # the options before the verb
+_COMMON = (
+    _Opt("--family", "operator family", choices=FAMILY_NAMES, required=True),
+    _Opt("-c", "family parameter (general only), rational"),
+    _Opt("-n", "operator index, rational"),
+    _Opt("--rtol", "relative tolerance", _positive(float), default=1e-12),
+    _Opt("--format", "output layout", choices=("text", "csv", "json"), default="text"),
+)
+# verb: (handler, help line, the verb's own options)
+_VERBS = {
+    "eval": (_cmd_eval, "one point, all three evaluation methods", (
+        _Opt("-x", "evaluation point", required=True),)),
+    "table": (_cmd_table, "grid of values per method (csv layout)", (
+        _Opt("--grid", "a:b:count", required=True),)),
+    "verify": (_cmd_verify, "exact identity suite for a family", (
+        _Opt("--n-max", "largest index checked", int, default=10),)),
+    "bounds": (_cmd_bounds, "upper-bound margins at a point or grid", (
+        _Opt("-x", "single evaluation point"), _Opt("--grid", "a:b:count (default: standard grid)"))),
+    "scan": (_cmd_scan, "ode/convexity/logconvexity/monotonicity scans", (
+        _Opt("--kind", "what to scan", choices=("ode", "convexity", "logconvexity", "monotonicity"),
+             required=True),
+        _Opt("--grid", "a:b:count"),
+        _Opt("--step", "finite-difference step for ode scans", _positive(float), default=1e-3),
+        _Opt("--count", "points for exact/rational scans", _positive(int)))),
+    "info": (_cmd_info, "echo parameters and family classification", ()),
+}
+
+
+def _classify(tok: str, opts: dict):
+    """None for a value, else (option or None if unknown, attached value or None).
+
+    As argparse: ``--opt=value``, unique long prefixes, ``-svalue``, ``-s=value``;
+    negative numbers and tokens with a space are values.
+    """
+    if not tok.startswith("-") or tok == "-":
+        return None
+    flag, eq, value = tok.partition("=")
+    if tok[1] != "-" and flag not in opts and tok[:2] in opts:
+        return opts[tok[:2]], tok[2:]
+    hits = [flag] if flag in opts else [f for f in opts if tok[1] == "-" and f.startswith(flag)]
+    if len(hits) > 1:
+        raise ParameterError(f"ambiguous option: {flag} could match {', '.join(hits)}")
+    if hits:
+        return opts[hits[0]], value if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok else (None, None)
+
+
+def _usage(verb: Optional[str] = None) -> str:
+    if verb is None:
+        head, rows = "usage: sqsums VERB [options]\n\nverbs:\n", [(v, spec[1]) for v, spec in _VERBS.items()]
+    else:
+        head, rows = f"usage: sqsums {verb} [-h] [options]\n\n{_VERBS[verb][1]}\n\noptions:\n", [
+            (f"{o.flag} " + ("{" + ",".join(o.choices) + "}" if o.choices else o.dest.upper()),
+             o.help + " (required)" * o.required + f" (default {o.default})" * (o.default is not None))
+            for o in (*_COMMON, *_VERBS[verb][2])
+        ]
+    width = max(len(left) for left, _ in rows)
+    return head + "".join(f"  {left:<{width}}  {right}".rstrip() + "\n" for left, right in rows)
+
+
+def _parse(argv: list[str]):
+    """The options of argv as attributes beside ``verb``, or the usage text
+    for -h/--help; a usage error raises ParameterError."""
+    if argv and _classify(argv[0], _TOP) == (_HELP, None):
+        return _usage()
+    if not argv or argv[0] not in _VERBS:
+        raise ParameterError(f"the first argument must be a verb: {', '.join(_VERBS)} (or --help)")
+    verb, rest, options = argv[0], argv[1:], (*_COMMON, *_VERBS[argv[0]][2])
+    opts = {**{o.flag: o for o in options}, **_TOP}
+    kinds = [_classify(tok, opts) for tok in rest]
+    args, unknown, i = {"verb": verb, **{o.dest: o.default for o in options}}, [], 0
+    missing = dict.fromkeys(o.flag for o in options if o.required)
+    while i < len(rest):
+        (opt, value), i = kinds[i] or (None, None), i + 1
+        if opt is _HELP and value is None:
+            return _usage(verb)
+        if opt is None or opt is _HELP:
+            unknown.append(rest[i - 1])
             continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in ("-c", "-n", "-x")
-            and nxt is not None
-            and len(nxt) > 1
-            and nxt[0] == "-"
-            and nxt[1].isdigit()
-        ):
-            out.append(tok + nxt)
-            skip = True
-        else:
-            out.append(tok)
-    return out
+        if value is None:  # the next token unless it is an option; '-<digit>...' may follow -c, -n, -x
+            if i == len(rest) or kinds[i] and not (len(opt.flag) == 2 and rest[i][1:2].isdigit()):
+                raise ParameterError(f"option {opt.flag} needs a value")
+            value, i = rest[i], i + 1
+        if opt.choices and value not in opt.choices:
+            raise ParameterError(f"option {opt.flag}: {value!r} is not one of {', '.join(opt.choices)}")
+        try:
+            args[opt.dest] = opt.type(value)
+        except ValueError as exc:
+            raise ParameterError(f"option {opt.flag}: {exc}") from None
+        missing.pop(opt.flag, None)
+    if missing:
+        raise ParameterError(f"{verb} requires {', '.join(missing)}")
+    if unknown:
+        raise ParameterError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**args)
 
 
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, write to stdout; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_normalize_argv(list(argv)))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
-    dispatch = {
-        "eval": _cmd_eval,
-        "table": _cmd_table,
-        "verify": _cmd_verify,
-        "bounds": _cmd_bounds,
-        "scan": _cmd_scan,
-        "info": _cmd_info,
-    }
-    try:
-        return dispatch[args.verb](args, sys.stdout)
-    except (ParameterError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        args = _parse(list(argv))
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return 0
+        return _VERBS[args.verb][0](args, sys.stdout)
+    except ValueError as exc:  # ParameterError and DomainError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,20 @@
+import argparse
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sqsums.cli import OUTPUT_SCHEMA, run
+import sqsums
+from sqsums.cli import OUTPUT_SCHEMA, _parse, run
+from sqsums.core import FAMILY_NAMES, ParameterError
 
 
 def invoke(argv):
@@ -482,3 +491,336 @@ class TestErrors:
         code, out, _ = invoke(["info", "--family", "general", "-c", "0"])
         assert code == 0
         assert "szasz" in out
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            (["--family", "bernstein", "--kind", "logconvexity", "--count", "2"], 4),
+            (["--family", "bernstein", "--kind", "logconvexity", "--count", "3"], 4),
+            (["--family", "general", "-c", "-1", "--kind", "logconvexity", "--count", "3"], 4),
+            (["--family", "bernstein", "--kind", "monotonicity", "--count", "1"], 2),
+            (["--family", "bernstein", "--kind", "logconvexity", "--count", "0"], 1),
+            (["--family", "baskakov", "--kind", "logconvexity", "--count=-5"], 1),
+            (["--family", "szasz", "--kind", "ode", "--grid", "0.5:3:6", "--count", "0"], 1),
+        ],
+    )
+    def test_scan_count_below_its_minimum(self, argv, least):
+        # --count 2 and 3 raised ZeroDivisionError, 0 meant 1024 and -5
+        # printed an empty report
+        code, out, err = invoke(["scan", "-n", "3", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f">= {least}" in err
+
+    @pytest.mark.parametrize(
+        "family, kind, count",
+        [("bernstein", "logconvexity", 4), ("bernstein", "monotonicity", 2), ("baskakov", "logconvexity", 1)],
+    )
+    def test_scan_count_at_its_minimum(self, family, kind, count):
+        code, out, err = invoke(["scan", "--family", family, "-n", "3", "--kind", kind, "--count", str(count)])
+        assert (code, err) == (0, "")
+        assert f"points={count} " in out
+
+    @pytest.mark.parametrize(
+        "family, n_max, first",
+        [("bernstein", "0", 1), ("bernstein", "-3", 1), ("baskakov", "0", 1), ("bbh", "0", 1), ("mkz", "-1", 0)],
+    )
+    def test_verify_n_max_below_the_first_index(self, family, n_max, first):
+        # the suite's range was empty, and all() of nothing printed OK
+        code, out, err = invoke(["verify", "--family", family, "--n-max", n_max])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f">= {first}" in err
+
+    def test_verify_n_max_at_the_first_index(self):
+        code, out, _ = invoke(["verify", "--family", "mkz", "--n-max", "0"])
+        assert (code, out) == (0, "ode: OK\nsubstitution: OK\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-12", "1e-400"])
+    def test_rtol_must_be_finite_and_positive(self, value):
+        # --rtol inf printed a closed form of 0.047 against the true 1/11
+        code, out, err = invoke(["eval", "--family", "baskakov", "-n", "1", "-x", "5", f"--rtol={value}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: option --rtol")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
+    def test_step_must_be_finite_and_positive(self, value):
+        # --step nan ended in an ArithmeticError traceback
+        argv = ["scan", "--family", "szasz", "-n", "2", "--kind", "ode", "--grid", "0.5:3:6"]
+        code, out, err = invoke(argv + [f"--step={value}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: option --step")
+
+
+class TestGrammar:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--family", "general", "-c", "-1/2", "-n", "3/2"],
+            ["info", "--family=general", "-c=-1/2", "-n=3/2"],
+            ["info", "--fam", "general", "-c-1/2", "-n3/2"],
+            ["info", "-n", "3/2", "--famil=general", "-c", "-0.5"],
+        ],
+    )
+    def test_option_spellings(self, argv):
+        code, out, err = invoke(argv + ["--form", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["c"] == "-1/2"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--family", "general", "-c", "--family", "szasz", "-n", "1", "-x", "1"],
+            ["eval", "--f", "szasz", "-n", "1", "-x", "1"],  # --family or --format
+            ["eval", "--family", "szasz", "-n", "1", "-x", "1", "--bogus"],
+            ["eval", "--family", "szasz", "-n", "1"],
+            ["eval", "--family", "sasz", "-n", "1", "-x", "1"],
+            ["--family", "szasz", "eval", "-n", "1", "-x", "1"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_usage_errors(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_help_lists_the_verbs(self, flag):
+        code, out, err = invoke([flag])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: sqsums")
+        for verb in ("eval", "table", "verify", "bounds", "scan", "info"):
+            assert f"\n  {verb} " in out
+
+    def test_verb_help_lists_its_options(self):
+        code, out, err = invoke(["eval", "--help"])
+        assert (code, err) == (0, "")
+        for flag in ("--family", "-c", "-n", "-x", "--rtol", "--format"):
+            assert f"\n  {flag} " in out
+        assert "--grid" not in out
+        _, scan, _ = invoke(["scan", "-h"])
+        assert "\n  --count " in scan and "\n  --kind {ode,convexity,logconvexity,monotonicity} " in scan
+
+    def test_help_before_a_later_error(self):
+        code, out, _ = invoke(["table", "--bogus", "-h", "--grid"])
+        assert code == 0 and out.startswith("usage: sqsums table")
+        code, out, _ = invoke(["table", "--family", "bogus", "-h"])
+        assert (code, out) == (2, "")
+
+
+def test_run_imports_neither_argparse_nor_locale():
+    # building an argparse tree cost about 1.9 ms of each operation, and its
+    # gettext lookups imported locale
+    script = (
+        "import sys\n"
+        "from sqsums import cli\n"
+        "code = cli.run(['info', '--family', 'szasz'])\n"
+        "print(code, sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sqsums.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+# ---------------------------------------------------------------------------
+# The argparse front end the option table replaced, kept as the reference
+# for the table's parser.
+# ---------------------------------------------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sqsums",
+        description="Evaluate and verify squared-basis sums of classical operator families.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def common(p: argparse.ArgumentParser, need_family: bool = True) -> None:
+        p.add_argument("--family", choices=FAMILY_NAMES, required=need_family)
+        p.add_argument("-c", default=None, help="family parameter (general only), rational")
+        p.add_argument("-n", default=None, help="operator index, rational")
+        p.add_argument("--rtol", type=float, default=1e-12)
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+
+    p = sub.add_parser("eval", help="one point, all three evaluation methods")
+    common(p)
+    p.add_argument("-x", required=True, help="evaluation point")
+
+    p = sub.add_parser("table", help="grid of values per method (csv layout)")
+    common(p)
+    p.add_argument("--grid", required=True, help="a:b:count")
+
+    p = sub.add_parser("verify", help="exact identity suite for a family")
+    common(p)
+    p.add_argument("--n-max", type=int, default=10)
+
+    p = sub.add_parser("bounds", help="upper-bound margins at a point or grid")
+    common(p)
+    p.add_argument("-x", dest="x", default=None, help="single evaluation point")
+    p.add_argument("--grid", default=None, help="a:b:count (default: standard grid)")
+
+    p = sub.add_parser("scan", help="ode/convexity/logconvexity/monotonicity scans")
+    common(p)
+    p.add_argument("--kind", choices=("ode", "convexity", "logconvexity", "monotonicity"), required=True)
+    p.add_argument("--grid", default=None, help="a:b:count")
+    p.add_argument("--step", type=float, default=1e-3, help="finite-difference step for ode scans")
+    p.add_argument("--count", type=int, default=None, help="points for exact/rational scans")
+
+    p = sub.add_parser("info", help="echo parameters and family classification")
+    common(p)
+
+    return parser
+
+
+def _normalize_argv(argv: list[str]) -> list[str]:
+    """Merge '-c -1/2' style pairs so negative rationals survive argparse."""
+    out = []
+    skip = False
+    for i, tok in enumerate(argv):
+        if skip:
+            skip = False
+            continue
+        nxt = argv[i + 1] if i + 1 < len(argv) else None
+        if (
+            tok in ("-c", "-n", "-x")
+            and nxt is not None
+            and len(nxt) > 1
+            and nxt[0] == "-"
+            and nxt[1].isdigit()
+        ):
+            out.append(tok + nxt)
+            skip = True
+        else:
+            out.append(tok)
+    return out
+
+
+def _positive(kind):
+    def convert(text):
+        if not 0 < (value := kind(text)) < math.inf:
+            raise ValueError(text)
+        return value
+
+    return convert
+
+
+def _argparse_parse(argv, strict=True):
+    """(exit code, parsed values or None) of the argparse front end.
+
+    ``strict`` adds the rejections of the option table: a non-finite or
+    non-positive --rtol or --step, and a --count below 1.
+    """
+    parser = _build_parser()
+    for sub in parser._actions[-1].choices.values() if strict else ():
+        for action in sub._actions:
+            if action.dest in ("rtol", "step", "count"):
+                action.type = _positive(action.type)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return 0, vars(parser.parse_args(_normalize_argv(argv)))
+        except SystemExit as exc:
+            return exc.code, None
+
+
+def _table_parse(argv):
+    """(exit code, parsed values or None) of the option table's parser."""
+    try:
+        parsed = _parse(list(argv))
+    except ParameterError:
+        return 2, None
+    return 0, None if isinstance(parsed, str) else vars(parsed)
+
+
+_VALUES = {
+    "--family": (*FAMILY_NAMES, "bogus", ""),
+    "-c": ("1", "-1", "-1/2", "1/2", "-.5", "2", "x", "-1e3"),
+    "-n": ("3", "-2", "5/2", "-1/2", "0.5", "q"),
+    "-x": ("0.5", "-1", "-3/4", "1e5", "-1e-3", "a b"),
+    "--rtol": ("1e-12", "1e-6", "0", "-1", "-.5", "nan", "inf", "abc", "1e-400"),
+    "--format": ("text", "csv", "json", "xml"),
+    "--grid": ("0:1:5", "0:2:9", "-1:1:3"),
+    "--n-max": ("3", "0", "-3", "1.5", "x"),
+    "--kind": ("ode", "convexity", "logconvexity", "monotonicity", "bogus"),
+    "--step": ("1e-3", "0", "-1", "nan", "inf", "x"),
+    "--count": ("64", "4", "1", "0", "-5", "x", "2.5"),
+}
+_REQUIRED = {
+    "eval": ("--family", "-n", "-x"),
+    "table": ("--family", "-n", "--grid"),
+    "verify": ("--family",),
+    "bounds": ("--family", "-n"),
+    "scan": ("--family", "-n", "--kind"),
+    "info": ("--family",),
+}
+_STRAYS = (
+    ["--bogus"], ["-q"], ["stray"], ["-1/2"], ["-7"], ["-"], [""], ["-c"], ["--grid"], ["--n"], ["--c"],
+    ["--f", "json"], ["-c", "--family", "szasz"], ["-x", "-c", "-1"], ["-h"], ["--help"], ["--he"],
+)
+
+
+@st.composite
+def _option(draw, flag=None):
+    """One option with a value, in one of its spellings."""
+    flag = flag or draw(st.sampled_from(list(_VALUES)))
+    value = draw(st.sampled_from(_VALUES[flag]))
+    if flag.startswith("--"):
+        name = flag[: draw(st.integers(3, len(flag)))]
+        return draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    return draw(st.sampled_from([[flag, value], [flag + value], [f"{flag}={value}"]]))
+
+
+@st.composite
+def _argvs(draw):
+    verb = draw(st.sampled_from([*_REQUIRED, *_REQUIRED, "frobnicate", "-h", "--he"]))
+    pieces = [draw(_option(flag)) for flag in _REQUIRED.get(verb, ())]
+    if pieces and draw(st.integers(0, 4)) == 0:  # a required option missing
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    pieces += draw(st.lists(st.one_of(_option(), _option(), st.sampled_from(_STRAYS)), max_size=4))
+    return [verb, *(tok for piece in draw(st.permutations(pieces)) for tok in piece)]
+
+
+_ADDED_REJECTIONS = [
+    ["eval", "--family", "baskakov", "-n", "1", "-x", "5", "--rtol", "inf"],
+    ["eval", "--family", "bernstein", "-n", "1", "-x", "0", "--rtol", "nan"],
+    ["table", "--family", "szasz", "-n", "1", "--grid", "0:1:5", "--rtol", "-1"],
+    ["scan", "--family", "szasz", "-n", "2", "--kind", "ode", "--grid", "0.5:3:6", "--step", "nan"],
+    ["scan", "--family", "szasz", "-n", "2", "--kind", "ode", "--grid", "0.5:3:6", "--step=0"],
+    ["scan", "--family", "bernstein", "-n", "3", "--kind", "logconvexity", "--count", "0"],
+    ["scan", "--family", "bernstein", "-n", "3", "--kind", "logconvexity", "--count", "-5"],
+    ["table", "--rtol", "0", "--family", "szasz", "-n", "1", "--grid", "0:2:9", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", _ADDED_REJECTIONS, ids=" ".join)
+def test_table_rejects_what_argparse_accepted(argv):
+    assert _argparse_parse(argv, strict=False)[0] == 0
+    assert _table_parse(argv) == (2, None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(_ADDED_REJECTIONS[0])
+@example(_ADDED_REJECTIONS[1])
+@example(_ADDED_REJECTIONS[2])
+@example(_ADDED_REJECTIONS[3])
+@example(_ADDED_REJECTIONS[4])
+@example(_ADDED_REJECTIONS[5])
+@example(_ADDED_REJECTIONS[6])
+@example(_ADDED_REJECTIONS[7])
+# parsed alike; the verbs reject them
+@example(["scan", "--family", "bernstein", "-n", "3", "--kind", "logconvexity", "--count", "2"])
+@example(["scan", "--family", "bernstein", "-n", "3", "--kind", "monotonicity", "--count", "1"])
+@example(["verify", "--family", "bernstein", "--n-max", "0"])
+@example(["verify", "--family", "bernstein", "--n-max", "-3"])
+# the grammar
+@example(["info", "--fam=general", "-c-1/2", "-n=3/2", "--form", "json"])
+@example(["eval", "--family", "general", "-c", "--family", "szasz", "-n", "1", "-x", "1"])
+@example(["eval", "--f", "szasz", "-n", "1", "-x", "1"])
+@example(["verify", "--n", "3", "--family", "mkz"])
+@example(["bounds", "--family", "szasz", "-n", "-1", "-x", "-.5"])
+@example(["table", "--bogus", "-h", "--grid"])
+@example([])
+def test_table_parser_matches_argparse(argv):
+    assert _table_parse(argv) == _argparse_parse(argv)
