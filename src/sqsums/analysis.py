@@ -255,16 +255,6 @@ def _q_even(params: Params) -> Optional[tuple[exactalg.RationalPoly, tuple[int, 
     return exactalg.RationalPoly._from_ints(list(q._ints[::2]), q._den, "t"), mobius
 
 
-def _q_exact(params: Params) -> Optional[exactalg.RationalFn]:
-    """Q = S*S'' - (S')^2 as an exact rational function of x, or None."""
-    even = _q_even(params)
-    if even is None:
-        return None
-    r, (a, b, c, d) = even
-    y = exactalg.RationalFn(exactalg.RationalPoly((b, a)), exactalg.RationalPoly((d, c)))
-    return exactalg.poly_on_rational(r, y * y)
-
-
 def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:
     """Rational scan grid: uniform plus quadratically clustered endpoints.
 

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__, analysis, bounds, evalnum, exactalg, legendre
-from .core import FAMILY_NAMES, DomainError, FamilyId, ParameterError
+from .core import FAMILY_NAMES, FamilyId, ParameterError
 
 __all__ = ["main", "run", "OUTPUT_SCHEMA"]
 
@@ -58,13 +58,6 @@ def _emit_csv(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _parse_rational(text: str, name: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"{name} must be rational ('p/q' or decimal), got {text!r}") from exc
-
-
 def _parse_grid(spec: str, family: FamilyId) -> list[float]:
     try:
         a_s, b_s, cnt_s = spec.split(":")
@@ -85,16 +78,10 @@ def _family_from_args(args) -> FamilyId:
     if args.family == "general":
         if args.c is None:
             raise ParameterError("family 'general' requires -c")
-        return FamilyId("general", _parse_rational(args.c, "c"))
+        return FamilyId("general", args.c)
     if args.c is not None:
         raise ParameterError("-c is only valid with --family general")
     return FamilyId(args.family)
-
-
-def _need_n(args) -> Fraction:
-    if args.n is None:
-        raise ParameterError("this command requires -n")
-    return _parse_rational(args.n, "n")
 
 
 def _params_doc(family: FamilyId, n: Optional[Fraction] = None, **extra) -> dict:
@@ -114,8 +101,7 @@ def _params_doc(family: FamilyId, n: Optional[Fraction] = None, **extra) -> dict
 
 def _cmd_eval(args, out) -> int:
     family = _family_from_args(args)
-    n = _need_n(args)
-    x = float(_parse_rational(args.x, "x"))
+    n, x = args.n, float(args.x)
     family.require_in_domain(x)
     params = family.base_params(n)
     xm = family.substitution(x)
@@ -153,9 +139,8 @@ def _cmd_eval(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     family = _family_from_args(args)
-    n = _need_n(args)
     grid = _parse_grid(args.grid, family)
-    params = family.base_params(n)
+    params = family.base_params(args.n)
     xms = [family.substitution(x) for x in grid]
     routes = (
         evalnum.s_series_grid(params, xms, args.rtol),
@@ -173,7 +158,7 @@ def _cmd_table(args, out) -> int:
     ]
     if args.format == "json":
         keys = ("x", "method", "value", "err_estimate")
-        params = _params_doc(family, n, grid=args.grid, rtol=_fmt_float(args.rtol))
+        params = _params_doc(family, args.n, grid=args.grid, rtol=_fmt_float(args.rtol))
         out.write(_emit_json("table", params, results=[dict(zip(keys, cell)) for cell in cells]))
     else:  # text and csv share the csv table
         out.write(_emit_csv(["x", "method", "value", "err_estimate"], cells))
@@ -245,20 +230,19 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_bounds(args, out) -> int:
     family = _family_from_args(args)
-    n = _need_n(args)
-    if n.denominator != 1:
-        raise ParameterError(f"bounds need a natural index, got n={n}")
+    if args.n.denominator != 1:
+        raise ParameterError(f"bounds need a natural index, got n={args.n}")
     if args.x is not None:
-        grid = [float(_parse_rational(args.x, "x"))]
+        grid = [float(args.x)]
     elif args.grid is not None:
         grid = _parse_grid(args.grid, family)
     else:
         grid = bounds.standard_grid(family)
-    reports = bounds.bound_reports(family, int(n), grid)
+    reports = bounds.bound_reports(family, int(args.n), grid)
     worst = min(reports, key=lambda r: r.min_margin)
     ok = worst.min_margin >= -1e-12
     if args.format == "json":
-        out.write(_emit_json("bounds", _params_doc(family, n), report={
+        out.write(_emit_json("bounds", _params_doc(family, args.n), report={
             "points": [r.to_json() for r in reports],
             "min_margin": _fmt_float(worst.min_margin),
             "argmin": _fmt_float(worst.x),
@@ -288,43 +272,32 @@ def _scan_count(args, least: int, default: int) -> int:
     return args.count
 
 
+def _scan_logconvexity(family, params, args):
+    if args.grid is not None:
+        return analysis.logconvexity_scan(params, grid=_parse_grid(args.grid, family))
+    if not analysis.has_exact_q(params):
+        raise ParameterError("scan --kind logconvexity needs --grid for families without an exact route")
+    least = 4 if params.domain_sup is not None else 1  # conjecture_grid's minimum
+    return analysis.logconvexity_scan(params, count=_scan_count(args, least, 1024))
+
+
+def _scan_monotonicity(family, params, args):
+    if family.key != "bernstein":
+        raise ParameterError(f"scan --kind monotonicity covers the Bernstein family only, "
+                             f"got family {family.name!r}")
+    count = _scan_count(args, 2, 129)
+    return analysis.monotonicity_check(int(args.n), [Fraction(i, count - 1) for i in range(count)])
+
+
 def _cmd_scan(args, out) -> int:
     family = _family_from_args(args)
-    n = _need_n(args)
-    params = family.base_params(n)
+    params = family.base_params(args.n)
     if args.kind in ("ode", "logconvexity") and family.key != family.base_family:
-        raise ParameterError(
-            f"scan --kind {args.kind} covers the (n, c) families only, "
-            f"got the substitution family {family.name!r}"
-        )
-    if args.kind in ("ode", "convexity"):
-        if args.grid is None:
-            raise ParameterError(f"scan --kind {args.kind} requires --grid")
-        grid = _parse_grid(args.grid, family)
-        if args.kind == "ode":
-            report = analysis.ode_residual_scan(params, grid, args.step)
-        else:
-            report = analysis.convexity_scan(family, n, grid)
-    elif args.kind == "monotonicity":
-        if family.key != "bernstein":
-            raise ParameterError(
-                f"scan --kind monotonicity covers the Bernstein family only, got family {family.name!r}"
-            )
-        count = _scan_count(args, 2, 129)
-        grid = [Fraction(i, count - 1) for i in range(count)]
-        report = analysis.monotonicity_check(int(n), grid)
-    elif analysis.has_exact_q(params):  # logconvexity from here on
-        grid = None if args.grid is None else _parse_grid(args.grid, family)
-        least = 4 if grid is None and params.domain_sup is not None else 1  # conjecture_grid's minimum
-        report = analysis.logconvexity_scan(params, grid=grid, count=_scan_count(args, least, 1024))
-    elif args.grid is None:
-        raise ParameterError(
-            "scan --kind logconvexity needs --grid for families without an exact route"
-        )
-    else:
-        report = analysis.logconvexity_scan(params, grid=_parse_grid(args.grid, family))
+        raise ParameterError(f"scan --kind {args.kind} covers the (n, c) families only, "
+                             f"got the substitution family {family.name!r}")
+    report = _KINDS[args.kind][0](family, params, args)
     if args.format == "json":
-        out.write(_emit_json("scan", _params_doc(family, n, kind=args.kind), report=report.to_json()))
+        out.write(_emit_json("scan", _params_doc(family, args.n, kind=args.kind), report=report.to_json()))
     elif args.format == "csv":
         rows = [[analysis._fmt(x), analysis._fmt(m)] for x, m in zip(report.grid, report.margins)]
         out.write(_emit_csv(["x", "margin"], rows))
@@ -347,9 +320,8 @@ def _cmd_info(args, out) -> int:
     if family.base_family != family.key:
         doc["base_family"] = family.base_family
     if args.n is not None:
-        n = _parse_rational(args.n, "n")
-        params = family.base_params(n)
-        doc["n"] = _fmt_rat(n)
+        params = family.base_params(args.n)
+        doc["n"] = _fmt_rat(args.n)
         doc["base_params"] = {"n": _fmt_rat(params.n), "c": _fmt_rat(params.c), "domain": params.domain_str()}
         if params.l is not None:
             doc["base_params"]["l"] = params.l
@@ -374,6 +346,7 @@ class _Opt(NamedTuple):
     choices: tuple = ()
     default: Any = None
     required: bool = False
+    excludes: str = ""  # an option that may not be given with this one
     dest = property(lambda self: self.flag.lstrip("-").replace("-", "_"))
 
 
@@ -386,33 +359,53 @@ def _positive(kind: type) -> Callable[[str], Any]:
     return convert
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not rational ('p/q' or decimal)") from None
+
+
 _HELP = _Opt("--help")
 _TOP = {"-h": _HELP, "--help": _HELP}  # the options before the verb
 _COMMON = (
     _Opt("--family", "operator family", choices=FAMILY_NAMES, required=True),
-    _Opt("-c", "family parameter (general only), rational"),
-    _Opt("-n", "operator index, rational"),
-    _Opt("--rtol", "relative tolerance", _positive(float), default=1e-12),
+    _Opt("-c", "family parameter (general only), rational", _rational),
     _Opt("--format", "output layout", choices=("text", "csv", "json"), default="text"),
 )
-# verb: (handler, help line, the verb's own options)
+_N = _Opt("-n", "operator index, rational", _rational, required=True)
+_RTOL = _Opt("--rtol", "relative tolerance", _positive(float), default=1e-12)
+_GRID = _Opt("--grid", "a:b:count", required=True)
+_COUNT = _Opt("--count", "points for exact/rational scans", _positive(int))
+# scan kind: (handler, called with the family, its (n, c) parameters and
+# args; the options it reads besides _COMMON and those of scan)
+_KINDS = {
+    "ode": (lambda family, params, args: analysis.ode_residual_scan(
+        params, _parse_grid(args.grid, family), args.step),
+        (_GRID, _Opt("--step", "finite-difference step for ode scans", _positive(float), default=1e-3))),
+    "convexity": (lambda family, params, args: analysis.convexity_scan(
+        family, args.n, _parse_grid(args.grid, family)), (_GRID,)),
+    "logconvexity": (_scan_logconvexity, (_GRID._replace(required=False, excludes="--count"), _COUNT)),
+    "monotonicity": (_scan_monotonicity, (_COUNT,)),
+}
+# verb: (handler, help line, the options it reads besides _COMMON)
 _VERBS = {
     "eval": (_cmd_eval, "one point, all three evaluation methods", (
-        _Opt("-x", "evaluation point", required=True),)),
-    "table": (_cmd_table, "grid of values per method (csv layout)", (
-        _Opt("--grid", "a:b:count", required=True),)),
+        _N, _RTOL, _Opt("-x", "evaluation point", _rational, required=True))),
+    "table": (_cmd_table, "grid of values per method (csv layout)", (_N, _RTOL, _GRID)),
     "verify": (_cmd_verify, "exact identity suite for a family", (
         _Opt("--n-max", "largest index checked", int, default=10),)),
     "bounds": (_cmd_bounds, "upper-bound margins at a point or grid", (
-        _Opt("-x", "single evaluation point"), _Opt("--grid", "a:b:count (default: standard grid)"))),
+        _N, _Opt("-x", "single evaluation point", _rational, excludes="--grid"),
+        _Opt("--grid", "a:b:count (default: standard grid)"))),
     "scan": (_cmd_scan, "ode/convexity/logconvexity/monotonicity scans", (
-        _Opt("--kind", "what to scan", choices=("ode", "convexity", "logconvexity", "monotonicity"),
-             required=True),
-        _Opt("--grid", "a:b:count"),
-        _Opt("--step", "finite-difference step for ode scans", _positive(float), default=1e-3),
-        _Opt("--count", "points for exact/rational scans", _positive(int)))),
-    "info": (_cmd_info, "echo parameters and family classification", ()),
+        _N, _Opt("--kind", "what to scan", choices=tuple(_KINDS), required=True))),
+    "info": (_cmd_info, "echo parameters and family classification", (
+        _N._replace(required=False),)),
 }
+# The options of each verb by flag; scan's include those of its kinds, which only a kind may require.
+_OPTIONS = {verb: {o.flag: o for o in (*_COMMON, *spec[2])} for verb, spec in _VERBS.items()}
+_OPTIONS["scan"].update((o.flag, o._replace(required=False)) for _, opts in _KINDS.values() for o in opts)
 
 
 def _classify(tok: str, opts: dict):
@@ -438,10 +431,11 @@ def _usage(verb: Optional[str] = None) -> str:
     if verb is None:
         head, rows = "usage: sqsums VERB [options]\n\nverbs:\n", [(v, spec[1]) for v, spec in _VERBS.items()]
     else:
+        lead = ("--family", "-c", "-n", "--rtol", "--format")  # listed first, in this order
         head, rows = f"usage: sqsums {verb} [-h] [options]\n\n{_VERBS[verb][1]}\n\noptions:\n", [
             (f"{o.flag} " + ("{" + ",".join(o.choices) + "}" if o.choices else o.dest.upper()),
              o.help + " (required)" * o.required + f" (default {o.default})" * (o.default is not None))
-            for o in (*_COMMON, *_VERBS[verb][2])
+            for o in sorted(_OPTIONS[verb].values(), key=lambda o: (*lead, o.flag).index(o.flag))
         ]
     width = max(len(left) for left, _ in rows)
     return head + "".join(f"  {left:<{width}}  {right}".rstrip() + "\n" for left, right in rows)
@@ -454,34 +448,38 @@ def _parse(argv: list[str]):
         return _usage()
     if not argv or argv[0] not in _VERBS:
         raise ParameterError(f"the first argument must be a verb: {', '.join(_VERBS)} (or --help)")
-    verb, rest, options = argv[0], argv[1:], (*_COMMON, *_VERBS[argv[0]][2])
-    opts = {**{o.flag: o for o in options}, **_TOP}
-    kinds = [_classify(tok, opts) for tok in rest]
-    args, unknown, i = {"verb": verb, **{o.dest: o.default for o in options}}, [], 0
-    missing = dict.fromkeys(o.flag for o in options if o.required)
+    verb, rest, opts = argv[0], argv[1:], {**_OPTIONS[argv[0]], **_TOP}
+    classes = [_classify(tok, opts) for tok in rest]
+    given, unknown, i = {}, [], 0
     while i < len(rest):
-        (opt, value), i = kinds[i] or (None, None), i + 1
+        (opt, value), i = classes[i] or (None, None), i + 1
         if opt is _HELP and value is None:
             return _usage(verb)
         if opt is None or opt is _HELP:
             unknown.append(rest[i - 1])
             continue
         if value is None:  # the next token unless it is an option; '-<digit>...' may follow -c, -n, -x
-            if i == len(rest) or kinds[i] and not (len(opt.flag) == 2 and rest[i][1:2].isdigit()):
+            if i == len(rest) or classes[i] and not (len(opt.flag) == 2 and rest[i][1:2].isdigit()):
                 raise ParameterError(f"option {opt.flag} needs a value")
             value, i = rest[i], i + 1
         if opt.choices and value not in opt.choices:
             raise ParameterError(f"option {opt.flag}: {value!r} is not one of {', '.join(opt.choices)}")
         try:
-            args[opt.dest] = opt.type(value)
+            given[opt.flag] = opt.type(value)
         except ValueError as exc:
             raise ParameterError(f"option {opt.flag}: {exc}") from None
-        missing.pop(opt.flag, None)
-    if missing:
-        raise ParameterError(f"{verb} requires {', '.join(missing)}")
+    kind = given.get("--kind") if verb == "scan" else None
+    name = f"scan --kind {kind}" if kind else verb
+    reads = {o.flag: o for opts in (_COMMON, _VERBS[verb][2], _KINDS[kind][1] if kind else ()) for o in opts}
+    if missing := [flag for flag, o in reads.items() if o.required and flag not in given]:
+        raise ParameterError(f"{name} requires {', '.join(missing)}")
     if unknown:
         raise ParameterError(f"unrecognized arguments: {' '.join(unknown)}")
-    return SimpleNamespace(**args)
+    if unread := [flag for flag in given if flag not in reads]:
+        raise ParameterError(f"{name} does not read {', '.join(unread)}")
+    if both := [o for o in reads.values() if o.flag in given and o.excludes in given]:
+        raise ParameterError(f"{name} reads {both[0].flag} or {both[0].excludes}, not both")
+    return SimpleNamespace(verb=verb, **{o.dest: given.get(flag, o.default) for flag, o in reads.items()})
 
 
 def run(argv: list[str]) -> int:

@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -232,11 +233,6 @@ def _i0_rows(zs: Sequence[float], rtol: float = 1e-16) -> list:
         lambda k, q: q / _sq(k + 1.0), 0.0, rtol, 10 ** 6 + 1, args=(q,)
     ).outcomes("Bessel series did not converge")
     return [s if isinstance(s, Exception) else (s[0], s[2] + 1) for s in sums]
-
-
-def _i0_series(z: float, rtol: float = 1e-16):
-    """Direct even series sum_k (z^2/4)^k / (k!)^2 with certified tail."""
-    return _one(_i0_rows([z], rtol))
 
 
 def _scaled_poisson_rows(mus: Sequence[float], tol: float = 1e-17) -> list:
@@ -560,9 +556,11 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
                 bessel.append((i, 2.0 * n * xf))
                 continue
             u = c * xf
-            if c < 0 and 1.0 + u == 0.0:  # right endpoint: only the top term survives
-                logs = _neg_c_terms_log(params, xf)
-                out[i] = EvalResult(math.exp(logs[-1]), Method.CLOSED_FORM, 0.0, 1)
+            if c < 0 and 1.0 + u == 0.0:  # right endpoint: S = p_l^2 = 1
+                # an x whose c*x only rounds to -1 is within two roundings of
+                # the endpoint, where dS/d(|c|x) = 2l
+                err = 0.0 if Fraction(xf) * params.c == -1 else 4 * params.l * 2.0 ** -53
+                out[i] = EvalResult(1.0, Method.CLOSED_FORM, err, 1)
                 continue
             z = (u / (1.0 + u)) ** 2
             pref_log = -(2.0 * n / c) * math.log1p(u)

@@ -143,8 +143,6 @@ class TestMonotonicityCheck:
 class TestLogConvexityScan:
     def test_bernstein_unity_case_exact_profile(self):
         # S for n=1, c=-1 gives Q(x) = 2 - 8(x - 1/2)^2 = 8x(1-x)
-        from sqsums.analysis import _q_exact
-
         q = _q_exact(Params(1, -1))
         assert q == RationalPoly([0, 8, -8])
         rep = logconvexity_scan(Params(1, -1), count=128)
@@ -153,8 +151,6 @@ class TestLogConvexityScan:
         assert not rep.violations
 
     def test_baskakov_unity_case_exact_profile(self):
-        from sqsums.analysis import _q_exact
-
         q = _q_exact(Params(1, 1))
         assert q == RationalFn(RationalPoly([4]), (2 * X + 1) ** 4)
         rep = logconvexity_scan(Params(1, 1), count=128)
@@ -181,6 +177,14 @@ class TestLogConvexityScan:
     def test_float_route_requires_grid(self):
         with pytest.raises(ValueError):
             logconvexity_scan(Params(2, 0))
+
+
+def _q_exact(params: Params) -> RationalFn:
+    """Q = S*S'' - (S')^2 as an exact rational function of x: R(y^2) with
+    the paper's variable y as a Mobius map of x."""
+    r, (a, b, c, d) = analysis._q_even(params)
+    y = RationalFn(RationalPoly((b, a)), RationalPoly((d, c)))
+    return exactalg.poly_on_rational(r, y * y)
 
 
 def _q_oracle(params: Params) -> RationalFn:
@@ -212,7 +216,7 @@ class TestEvenQ:
     @pytest.mark.parametrize("c", [-1, 1])
     def test_q_exact_is_the_x_identity(self, c):
         for n in range(1, 31):
-            assert analysis._q_exact(Params(n, c)) == _q_oracle(Params(n, c))
+            assert _q_exact(Params(n, c)) == _q_oracle(Params(n, c))
 
     @pytest.mark.parametrize("params", _EXACT, ids=lambda p: f"c={p.c} n={p.n}")
     def test_margins_on_the_default_grid(self, params):

@@ -4,9 +4,12 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -398,12 +401,15 @@ def _table(family, n, grid, fmt="csv"):
 # window past x = 12), a c = 2 grid whose closed form hands over to
 # quadrature past x = 199.5, and one json table.
 GOLDEN_TABLE = {
+    # re-recorded with the closed form exactly 1 at the right endpoint, where
+    # it printed the series' top term: 0.99999999999999956,
+    # 1.0000000000000053 and 1.0000000000000009 in these three tables
     _table(["bernstein"], "5", "0:1:101"):
-        "802fc97c1feb912919021d4b6567b561f75953ba62d74dc1f47e04399bf0ab2c",
+        "617c089cad0d90619525dd1ff7e4c80dfa6f604a8f38c5195a24ca17ecbd4baf",
     _table(["bernstein"], "25", "0:1:101"):
-        "54082f080188071ceb8a274772be666971368a4ab93ed21944b0f2409c72f48d",
+        "f52dfd806540003ac70064073a5cb2b1ac99deec621e14308c694cefe0c6d2b2",
     _table(["general", "-c", "-1/2"], "5/2", "0:2:101"):
-        "3497d8b6063c04c00733bca28f27aa72d47969b78fc8cd936fafc3f4b41a461b",
+        "78be814986963b683fcd23eca4f9fb8599a4cdc21f16c3d5ab5ad203dfdefdb9",
     _table(["general", "-c", "-1/2"], "25/2", "0:2:101"):
         "7830876f1b7057d5cddf2174f9f230c33ea785dfc08f81ed6a6e40d940fb4948",
     _table(["szasz"], "5", "0:20:101"):
@@ -706,22 +712,70 @@ def _positive(kind):
     return convert
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
+
+
+# What each verb and scan kind reads besides --family, -c and --format: the
+# options, those it requires, and a pair of which it reads at most one.
+_ROWS = {
+    "eval": ({"n", "rtol", "x"}, {"n", "x"}, ()),
+    "table": ({"n", "rtol", "grid"}, {"n", "grid"}, ()),
+    "verify": ({"n_max"}, set(), ()),
+    "bounds": ({"n", "x", "grid"}, {"n"}, ("x", "grid")),
+    "info": ({"n"}, set(), ()),
+    "ode": ({"n", "kind", "grid", "step"}, {"n", "grid"}, ()),
+    "convexity": ({"n", "kind", "grid"}, {"n", "grid"}, ()),
+    "logconvexity": ({"n", "kind", "grid", "count"}, {"n"}, ("grid", "count")),
+    "monotonicity": ({"n", "kind", "count"}, {"n"}, ()),
+}
+_SCAN_KINDS = ("ode", "convexity", "logconvexity", "monotonicity")
+_UNSET = object()
+
+
 def _argparse_parse(argv, strict=True):
     """(exit code, parsed values or None) of the argparse front end.
 
     ``strict`` adds the rejections of the option table: a non-finite or
-    non-positive --rtol or --step, and a --count below 1.
+    non-positive --rtol or --step, a --count below 1, a -c, -n or -x that is
+    not rational (these three parse to Fractions), and the rules of
+    ``_ROWS``: a verb has only the options it or one of its scan kinds reads,
+    and a given option the scan kind does not read, a missing one the verb
+    or kind requires and both of an exclusive pair are errors.
     """
     parser = _build_parser()
-    for sub in parser._actions[-1].choices.values() if strict else ():
-        for action in sub._actions:
+    defaults = {}
+    for verb, sub in parser._actions[-1].choices.items() if strict else ():
+        rows = _SCAN_KINDS if verb == "scan" else (verb,)
+        keep = {"help", "family", "c", "format"}.union(*(_ROWS[row][0] for row in rows))
+        for action in list(sub._actions):
+            if action.dest not in keep:
+                sub._remove_action(action)
+                for flag in action.option_strings:
+                    del sub._option_string_actions[flag]
+                continue
             if action.dest in ("rtol", "step", "count"):
                 action.type = _positive(action.type)
+            elif action.dest in ("c", "n", "x"):
+                action.type = _rational
+            if action.dest != "help":  # tell a given option from its default
+                defaults[action.dest], action.default = action.default, _UNSET
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
-            return 0, vars(parser.parse_args(_normalize_argv(argv)))
+            values = vars(parser.parse_args(_normalize_argv(argv)))
         except SystemExit as exc:
             return exc.code, None
+    if not strict:
+        return 0, values
+    reads, needs, pair = _ROWS[values["kind"] if values["verb"] == "scan" else values["verb"]]
+    given = {key for key, value in values.items() if value is not _UNSET}
+    reads = reads | {"verb", "family", "c", "format"}
+    if given - reads or needs - given or len(given & set(pair)) > 1:
+        return 2, None
+    return 0, {key: defaults[key] if value is _UNSET else value for key, value in values.items() if key in reads}
 
 
 def _table_parse(argv):
@@ -781,6 +835,87 @@ def _argvs(draw):
     return [verb, *(tok for piece in draw(st.permutations(pieces)) for tok in piece)]
 
 
+def _scan(kind, *extra):
+    return ["scan", "--family", "bernstein", "-n", "3", "--kind", kind, *extra]
+
+
+# Options a verb or scan kind does not read, or both of two it reads only
+# one of: each was accepted and dropped before.
+_UNREAD = [
+    ["verify", "--family", "mkz", "--n-max", "1", "-n", "99"],
+    ["verify", "--family", "mkz", "--n-max", "1", "--rtol", "5"],
+    ["bounds", "--family", "bernstein", "-n", "3", "--rtol", "1e-3"],
+    ["bounds", "--family", "bernstein", "-n", "3", "-x", "0.5", "--grid", "0:1:3"],
+    ["info", "--family", "szasz", "--rtol", "1e-3"],
+    _scan("ode", "--grid", "0.1:1:3", "--rtol", "1e-3"),
+    _scan("ode", "--grid", "0.1:1:3", "--count", "7"),
+    _scan("convexity", "--grid", "0:1:3", "--rtol", "1e-3"),
+    _scan("convexity", "--grid", "0:1:3", "--step", "1e-4"),
+    _scan("convexity", "--grid", "0:1:3", "--count", "7"),
+    _scan("logconvexity", "--rtol", "1e-3"),
+    _scan("logconvexity", "--step", "1e-4"),
+    _scan("logconvexity", "--grid", "0:1:3", "--count", "7"),
+    _scan("monotonicity", "--rtol", "1e-3"),
+    _scan("monotonicity", "--step", "1e-4"),
+    _scan("monotonicity", "--grid", "0:1:3"),
+]
+# Every option of each verb and scan kind, then the argv shapes the benchmark
+# workloads run (perfbench/workloads.py, Op.argv).
+_READ = [
+    ["eval", "--family", "general", "-c", "-1/2", "-n", "5/2", "-x", "3/4", "--rtol", "1e-9", "--format", "csv"],
+    ["table", "--family", "general", "-c", "2", "-n", "3", "--grid", "0:1:5", "--rtol=1e-9", "--format", "json"],
+    ["verify", "--family", "general", "-c", "1", "--n-max", "3", "--format", "json"],
+    ["bounds", "--family", "general", "-c", "-1", "-n", "3", "-x", "-1/4", "--format", "csv"],
+    ["bounds", "--family", "general", "-c", "-1", "-n", "3", "--grid", "0:1:5", "--format", "json"],
+    ["info", "--family", "general", "-c", "-1/2", "-n", "3/2", "--format", "json"],
+    ["scan", "--family", "general", "-c", "1/2", "-n", "2", "--kind", "ode", "--grid", "0.5:3:6", "--step", "1e-4",
+     "--format", "json"],
+    ["scan", "--family", "general", "-c", "1/2", "-n", "2", "--kind", "convexity", "--grid", "0:3:6", "--format", "csv"],
+    ["scan", "--family", "general", "-c", "-1", "-n", "3", "--kind", "logconvexity", "--grid", "0:1:5", "--format", "csv"],
+    ["scan", "--family", "general", "-c", "-1", "-n", "3", "--kind", "logconvexity", "--count", "64", "--format", "csv"],
+    ["scan", "--family", "general", "-c", "-1", "-n", "3", "--kind", "monotonicity", "--count", "9", "--format", "json"],
+    ["table", "--family", "bernstein", "-n", "5", "--grid", "1/40:39/40:101", "--format", "csv"],
+    ["table", "--family", "general", "-c", "-1/2", "-n", "5/2", "--grid", "1/20:39/20:101", "--format", "csv"],
+    ["eval", "--family", "szasz", "-n", "2", "-x", "123.456", "--format", "json"],
+    ["eval", "--family", "general", "-c", "1/2", "-n", "5", "-x", "45000000.0", "--format", "json"],
+    ["bounds", "--family", "mkz", "-n", "17", "--format", "json"],
+    ["verify", "--family", "bbh", "--n-max", "9", "--format", "json"],
+    ["scan", "--family", "baskakov", "-n", "13", "--kind", "logconvexity", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, reads", [(a, False) for a in _UNREAD] + [(a, True) for a in _READ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else ("reads" if v else "rejects"),
+)
+def test_each_row_reads_its_own_options(argv, reads):
+    if not reads:
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    # the values the argparse front end gave the verbs, which converted -c,
+    # -n and -x to Fractions
+    code, values = _table_parse(argv)
+    before = _argparse_parse(argv, strict=False)[1]
+    assert code == 0 and values["verb"] == argv[0]
+    for key, value in values.items():
+        old = before[key]
+        assert value == (Fraction(old) if key in ("c", "n", "x") and old is not None else old)
+
+
+def _readme_commands():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("sqsums ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv):
+    code, _, err = invoke(argv)
+    assert (code, err) == (0, "")
+
+
 _ADDED_REJECTIONS = [
     ["eval", "--family", "baskakov", "-n", "1", "-x", "5", "--rtol", "inf"],
     ["eval", "--family", "bernstein", "-n", "1", "-x", "0", "--rtol", "nan"],
@@ -790,13 +925,14 @@ _ADDED_REJECTIONS = [
     ["scan", "--family", "bernstein", "-n", "3", "--kind", "logconvexity", "--count", "0"],
     ["scan", "--family", "bernstein", "-n", "3", "--kind", "logconvexity", "--count", "-5"],
     ["table", "--rtol", "0", "--family", "szasz", "-n", "1", "--grid", "0:2:9", "-h"],
+    *_UNREAD,
 ]
 
 
 @pytest.mark.parametrize("argv", _ADDED_REJECTIONS, ids=" ".join)
 def test_table_rejects_what_argparse_accepted(argv):
     assert _argparse_parse(argv, strict=False)[0] == 0
-    assert _table_parse(argv) == (2, None)
+    assert _table_parse(argv) == _argparse_parse(argv) == (2, None)
 
 
 @settings(max_examples=400, deadline=None)

@@ -25,6 +25,7 @@ from sqsums.evalnum import (
     t_closed,
     t_quad,
 )
+from sqsums.exactalg import f_value
 
 
 class TestHyp2f1Diag:
@@ -185,8 +186,23 @@ class TestClosedRoute:
         assert s_closed(Params(1, 1), 0.5).value == pytest.approx(0.5, rel=1e-14)
 
     def test_right_endpoint_negative_c(self):
-        assert s_closed(Params(8, -1), 1.0).value == pytest.approx(1.0, rel=1e-13)
-        assert s_closed(Params(3, Fraction(-1, 2)), 2.0).value == pytest.approx(1.0, rel=1e-13)
+        # S = p_l^2 = 1 exactly at x = -1/c.  A float x below it whose c*x
+        # only rounds to -1 (-3/17 and -2/105 have one) gets 1 as well, with
+        # a bound on its distance from the exact S_{n,c}(x) = F_l(|c| x).
+        inexact = 0
+        for c in (Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(-3, 17), Fraction(-2, 105)):
+            xs = [float(-1 / c)]
+            while len(xs) < 5:
+                xs.append(math.nextafter(xs[-1], 0.0))
+            xs = [x for x in xs if Fraction(x) <= -1 / c and 1.0 + float(c) * x == 0.0]
+            for l in (1, 3, 8, 25, 120):
+                for x, r in zip(xs, s_closed_grid(Params(-c * l, c), xs)):
+                    error = abs(1 - f_value(l, -c * Fraction(x)))
+                    assert r.value == 1.0
+                    assert error <= r.err_estimate <= 4 * l * 2.0 ** -53
+                    assert (r.err_estimate == 0.0) == (Fraction(x) == -1 / c)
+                    inexact += Fraction(x) != -1 / c
+        assert inexact >= 2 * 5
 
     def test_delegates_past_series_switch(self):
         # c > 0 with huge x pushes the series argument beyond Z_SWITCH

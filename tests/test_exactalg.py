@@ -210,8 +210,9 @@ class TestRationalFn:
         assert u == RationalFn(f_poly_direct(n)).compose_mobius(1, 0, 1, 1)
         assert g / (X + 1) * (X + 1) == g
         assert g.derivative() - g.derivative() == 0
-        q = analysis._q_exact(Params(n, 1))
-        assert q(Fraction(2, 7)) > 0
+        r, (a, b, c, d) = analysis._q_even(Params(n, 1))  # Q = R(y^2), y = (a x + b)/(c x + d)
+        y = RationalFn(RationalPoly((b, a)), RationalPoly((d, c)))
+        assert exactalg.poly_on_rational(r, y * y)(Fraction(2, 7)) > 0
 
 
 def _shift_to_centered(p: RationalPoly) -> RationalPoly:

@@ -23,13 +23,18 @@ from sqsums.evalnum import (
     Z_SWITCH,
     _EXP_GUARD,
     _hyp2f1_diag_tail,
-    _i0_series,
     bessel_i0,
     bessel_i0e,
     s_closed,
     s_series,
     s_series_grid,
 )
+
+
+def _i0_series(z, rtol=1e-16):
+    """The kernel's direct even series sum_k (z^2/4)^k / (k!)^2 at one z."""
+    return evalnum._one(evalnum._i0_rows([z], rtol))
+
 
 # ---------------------------------------------------------------------------
 # The five reference loops
