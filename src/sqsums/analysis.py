@@ -245,14 +245,14 @@ def _q_even(params: Params) -> Optional[tuple[exactalg.RationalPoly, tuple[int, 
     if not has_exact_q(params):
         return None
     if params.c < 0:  # y = s = (2x - 1)/2
-        s, phi, mobius = exactalg.f_poly_parseval(params.l), (1,), (2, -1, 0, 2)
+        s, phi = exactalg.f_poly_parseval(params.l), (1,)
     else:  # y = u = 1/(2x + 1)
-        s, phi, mobius = exactalg.g_series_coeffs(int(params.n)), (0, 0, -2), (0, 1, 2, 1)
+        s, phi = exactalg.g_series_coeffs(int(params.n)), (0, 0, -2)
     phi, s1 = exactalg.RationalPoly(phi, s.var), s.derivative()
     q = phi * phi * (s * s1.derivative() - s1 * s1) + phi * phi.derivative() * s * s1
     if any(q._ints[1::2]):
         raise ArithmeticError(f"Q has an odd power of {s.var}: {q!r}")
-    return exactalg.RationalPoly._from_ints(list(q._ints[::2]), q._den, "t"), mobius
+    return exactalg.RationalPoly._from_ints(list(q._ints[::2]), q._den, "t"), exactalg.SERIES_MAPS[s.var]
 
 
 def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:

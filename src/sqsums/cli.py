@@ -168,8 +168,10 @@ def _cmd_table(args, out) -> int:
 # Exact identity suites keyed by FamilyId.key: the first index, the witness
 # (a label and the exact object to build at the first index) and one check
 # per item, which must hold at every index from the first to --n-max.  The
-# checks look functions up in their modules at call time, so a patched
-# module attribute is the one that runs.
+# rational families are checked in their series variables (u, v and w of
+# exactalg.SERIES_MAPS), where each sum is a polynomial.  The checks look
+# functions up in their modules at call time, so a patched module attribute
+# is the one that runs.
 _SUITES = {
     "bernstein": (1, ("f_poly", lambda n: exactalg.f_poly_direct(n)), (
         ("parseval", lambda n: exactalg.f_poly_parseval(n).compose_linear(1, Fraction(-1, 2))
@@ -184,24 +186,21 @@ _SUITES = {
             and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2)))),
     )),
     "baskakov": (1, ("g_rational", lambda n: exactalg.g_rational(n)), (
-        ("ode", lambda n: exactalg.ode_residual_poly(
-            exactalg.g_rational(n), exactalg.eq_g(n)).is_zero),
-        ("heun", lambda n: exactalg.heun_residual(
-            exactalg.g_rational(n), exactalg.HeunParams.rational_case(n), "negate").is_zero),
-        ("substitution", lambda n: exactalg.g_rational(n)
-            == exactalg.j_rational(n - 1).compose_mobius(1, 0, 1, 1)),
+        ("ode", lambda n: exactalg.series_residual(exactalg.eq_g(n), exactalg.g_series_coeffs(n)).is_zero),
+        ("heun", lambda n: exactalg.series_residual(exactalg.HeunParams.rational_case(n).operator(),
+            exactalg.g_series_coeffs(n), exactalg.NEGATE).is_zero),
+        ("substitution", lambda n: exactalg.substitution_identity(  # G_n = J_(n-1)(x/(1+x))
+            exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n))),
     )),
     "bbh": (1, ("u_rational", lambda n: exactalg.u_rational(n)), (
-        ("ode", lambda n: exactalg.ode_residual_poly(
-            exactalg.u_rational(n), exactalg.eq_u(n)).is_zero),
-        ("substitution", lambda n: exactalg.u_rational(n)
-            == exactalg.RationalFn(exactalg.f_poly_direct(n)).compose_mobius(1, 0, 1, 1)),
+        ("ode", lambda n: exactalg.series_residual(exactalg.eq_u(n), exactalg.u_series_coeffs(n)).is_zero),
+        ("substitution", lambda n: exactalg.substitution_identity(  # U_n = F_n(x/(1+x)), s = v/2
+            exactalg.f_poly_parseval(n), (1, 0, 1, 1), exactalg.u_series_coeffs(n), 2)),
     )),
     "mkz": (0, ("j_rational", lambda n: exactalg.j_rational(n)), (
-        ("ode", lambda n: exactalg.ode_residual_poly(
-            exactalg.j_rational(n), exactalg.eq_j(n)).is_zero),
-        ("substitution", lambda n: exactalg.j_rational(n)
-            == exactalg.g_rational(n + 1).compose_mobius(1, 0, -1, 1)),
+        ("ode", lambda n: exactalg.series_residual(exactalg.eq_j(n), exactalg.j_series_coeffs(n)).is_zero),
+        ("substitution", lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
+            exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n))),
     )),
 }
 
@@ -371,8 +370,10 @@ _TOP = {"-h": _HELP, "--help": _HELP}  # the options before the verb
 _COMMON = (
     _Opt("--family", "operator family", choices=FAMILY_NAMES, required=True),
     _Opt("-c", "family parameter (general only), rational", _rational),
-    _Opt("--format", "output layout", choices=("text", "csv", "json"), default="text"),
 )
+# the layouts a verb writes
+_FORMAT = _Opt("--format", "output layout", choices=("text", "csv", "json"), default="text")
+_TEXT_JSON = _FORMAT._replace(choices=("text", "json"))
 _N = _Opt("-n", "operator index, rational", _rational, required=True)
 _RTOL = _Opt("--rtol", "relative tolerance", _positive(float), default=1e-12)
 _GRID = _Opt("--grid", "a:b:count", required=True)
@@ -391,17 +392,17 @@ _KINDS = {
 # verb: (handler, help line, the options it reads besides _COMMON)
 _VERBS = {
     "eval": (_cmd_eval, "one point, all three evaluation methods", (
-        _N, _RTOL, _Opt("-x", "evaluation point", _rational, required=True))),
-    "table": (_cmd_table, "grid of values per method (csv layout)", (_N, _RTOL, _GRID)),
+        _FORMAT, _N, _RTOL, _Opt("-x", "evaluation point", _rational, required=True))),
+    "table": (_cmd_table, "grid of values per method (csv layout)", (_FORMAT, _N, _RTOL, _GRID)),
     "verify": (_cmd_verify, "exact identity suite for a family", (
-        _Opt("--n-max", "largest index checked", int, default=10),)),
+        _TEXT_JSON, _Opt("--n-max", "largest index checked", int, default=10),)),
     "bounds": (_cmd_bounds, "upper-bound margins at a point or grid", (
-        _N, _Opt("-x", "single evaluation point", _rational, excludes="--grid"),
+        _FORMAT, _N, _Opt("-x", "single evaluation point", _rational, excludes="--grid"),
         _Opt("--grid", "a:b:count (default: standard grid)"))),
     "scan": (_cmd_scan, "ode/convexity/logconvexity/monotonicity scans", (
-        _N, _Opt("--kind", "what to scan", choices=tuple(_KINDS), required=True))),
+        _FORMAT, _N, _Opt("--kind", "what to scan", choices=tuple(_KINDS), required=True))),
     "info": (_cmd_info, "echo parameters and family classification", (
-        _N._replace(required=False),)),
+        _TEXT_JSON, _N._replace(required=False))),
 }
 # The options of each verb by flag; scan's include those of its kinds, which only a kind may require.
 _OPTIONS = {verb: {o.flag: o for o in (*_COMMON, *spec[2])} for verb, spec in _VERBS.items()}

@@ -24,11 +24,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from .core import ParameterError, Params, RationalLike
 
 __all__ = [
+    "IDENTITY",
+    "NEGATE",
+    "SERIES_MAPS",
     "HeunParams",
     "OdeSpec",
     "RationalFn",
@@ -49,11 +53,17 @@ __all__ = [
     "j_rational",
     "j_series_coeffs",
     "j_value",
+    "mobius_compose",
+    "mobius_inverse",
+    "mobius_same",
     "ode_residual_poly",
     "poly_on_rational",
     "recurrence_check",
     "recurrence_residuals",
+    "series_residual",
+    "substitution_identity",
     "u_rational",
+    "u_series_coeffs",
     "u_value",
 ]
 
@@ -490,9 +500,9 @@ class RationalFn:
 
 
 def _poly_compose_mobius(
-    p: RationalPoly, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike
+    p: RationalPoly, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike, var: str = "x"
 ) -> RationalPoly:
-    """(c*X+d)^deg * p((a*X+b)/(c*X+d)), a polynomial in 'x'."""
+    """(c*X+d)^deg * p((a*X+b)/(c*X+d)), a polynomial in ``var``."""
     fs = [Fraction(v) for v in (a, b, c, d)]
     scale = math.lcm(*(f.denominator for f in fs))
     a, b, c, d = (int(f * scale) for f in fs)
@@ -504,7 +514,7 @@ def _poly_compose_mobius(
         if i:
             power = _times_linear(power, d, c)
         acc = [u + c_i * v for u, v in zip(_times_linear(acc, b, a), power)]
-    return RationalPoly._from_ints(acc, p._den * scale ** max(p.degree, 0), "x")
+    return RationalPoly._from_ints(acc, p._den * scale ** max(p.degree, 0), var)
 
 
 def _times_linear(ints: list[int], lo: int, hi: int) -> list[int]:
@@ -513,6 +523,42 @@ def _times_linear(ints: list[int], lo: int, hi: int) -> list[int]:
     for i, v in enumerate(ints):
         out[i + 1] += hi * v
     return out
+
+
+# A Moebius map X -> (a*X + b)/(c*X + d) as the integer matrix (a, b, c, d);
+# composing maps multiplies matrices, and a nonzero multiple is the same map.
+Mobius = tuple[int, int, int, int]
+IDENTITY: Mobius = (1, 0, 0, 1)
+NEGATE: Mobius = (-1, 0, 0, 1)
+# Each series variable as a map of x, keyed by the variable name of the
+# polynomials that ``f_poly_parseval`` and ``*_series_coeffs`` return.
+SERIES_MAPS: dict[str, Mobius] = {
+    "s": (2, -1, 0, 2),  # s = x - 1/2, Bernstein
+    "u": (0, 1, 2, 1),  # u = 1/(1+2x), Baskakov
+    "v": (1, -1, 1, 1),  # v = (x-1)/(x+1), Bleimann-Butzer-Hahn
+    "w": (-1, 1, 1, 1),  # w = (1-x)/(1+x), Meyer-Konig-Zeller
+}
+
+
+def mobius_compose(outer: Mobius, inner: Mobius) -> Mobius:
+    """The map outer(inner(X)): the matrix product outer * inner."""
+    a, b, c, d = outer
+    e, f, g, h = inner
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def mobius_inverse(m: Mobius) -> Mobius:
+    """The inverse map, as the adjugate matrix (a nonzero multiple of the inverse)."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+def mobius_same(m1: Mobius, m2: Mobius) -> bool:
+    """True iff m1 is nondegenerate and m2 is a nonzero multiple of it: one map."""
+    a, b, c, d = m1
+    return a * d != b * c and any(m2) and all(
+        p * s == q * r for (p, q), (r, s) in combinations(zip(m1, m2), 2)
+    )
 
 
 def poly_on_rational(p: RationalPoly, f: RationalFn) -> RationalFn:
@@ -603,7 +649,7 @@ def g_series_coeffs(n: int) -> RationalPoly:
 @lru_cache(maxsize=None)
 def g_rational(n: int) -> RationalFn:
     """G_n as a rational function of x (u-series with u = 1/(1+2x))."""
-    return RationalFn(g_series_coeffs(n)).compose_mobius(0, 1, 2, 1)
+    return RationalFn(g_series_coeffs(n)).compose_mobius(*SERIES_MAPS["u"])
 
 
 def g_value(n: int, x):
@@ -619,19 +665,20 @@ def j_series_coeffs(n: int) -> RationalPoly:
     """Squared Meyer-Konig-Zeller sum as an odd polynomial in w = (1-x)/(1+x)."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    out = [Fraction(0)] * (2 * n + 2)
-    for k in range(n + 1):
-        out[2 * k + 1] = Fraction(
-            math.factorial(2 * k) * math.factorial(2 * n - 2 * k),
-            math.factorial(k) ** 2 * math.factorial(n - k) ** 2 * 4 ** n,
-        )
-    return RationalPoly(out, "w")
+    out = [0] * (2 * n + 2)
+    out[1::2] = _central_products(n)
+    return RationalPoly._from_ints(out, 4 ** n, "w")
+
+
+def _central_products(n: int) -> list[int]:
+    """C(2k, k) C(2n-2k, n-k) for k = 0..n."""
+    return [math.comb(2 * k, k) * math.comb(2 * (n - k), n - k) for k in range(n + 1)]
 
 
 @lru_cache(maxsize=None)
 def j_rational(n: int) -> RationalFn:
     """J_n as a rational function of x (w-series with w = (1-x)/(1+x))."""
-    return RationalFn(j_series_coeffs(n)).compose_mobius(-1, 1, 1, 1)
+    return RationalFn(j_series_coeffs(n)).compose_mobius(*SERIES_MAPS["w"])
 
 
 def j_value(n: int, x):
@@ -644,6 +691,21 @@ def j_value(n: int, x):
 
 
 @lru_cache(maxsize=None)
+def u_series_coeffs(n: int) -> RationalPoly:
+    """Squared Bleimann-Butzer-Hahn sum as an even polynomial in v = (x-1)/(x+1).
+
+    Its v^(2k) coefficient is C(2k, k) C(2n-2k, n-k) / 4^n, which is
+    C(2n, n) C(n, k)^2 / (4^n C(2n, 2k)): the s^(2k) coefficient of F_n
+    divided by 4^k, as U_n(v) = F_n(v/2).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = [0] * (2 * n + 1)
+    out[::2] = _central_products(n)
+    return RationalPoly._from_ints(out, 4 ** n, "v")
+
+
+@lru_cache(maxsize=None)
 def u_rational(n: int) -> RationalFn:
     """U_n as a rational function of x, built twice and cross-checked.
 
@@ -651,13 +713,7 @@ def u_rational(n: int) -> RationalFn:
     substitutes s = (x-1)/(2(x+1)) into the centered Bernstein coefficients.
     The two constructions must agree exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pref = Fraction(math.comb(2 * n, n), 4 ** n)
-    series = [Fraction(0)] * (2 * n + 1)
-    for k in range(n + 1):
-        series[2 * k] = pref * math.comb(n, k) ** 2 / math.comb(2 * n, 2 * k)
-    route_one = RationalFn(RationalPoly(series, "v")).compose_mobius(1, -1, 1, 1)
+    route_one = RationalFn(u_series_coeffs(n)).compose_mobius(*SERIES_MAPS["v"])
     route_two = RationalFn(f_poly_parseval(n)).compose_mobius(1, -1, 2, 2)
     if route_one != route_two:
         raise ArithmeticError(f"the two constructions of U_{n} disagree")
@@ -724,13 +780,37 @@ class OdeSpec:
     a1: RationalPoly
     a0: RationalPoly
 
+    def in_variable(self, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike, var: str) -> "OdeSpec":
+        """The operator in ``var`` = v, where x = (a*v + b)/(c*v + d), by the chain rule.
+
+        With L = c*v + d, Delta = a*d - b*c and A_i = L^m a_i(x(v)), m the
+        largest degree of the a_i, dx/dv = Delta/L^2 gives, for Y = y o x,
+        Delta^2 L^m (a2 y'' + a1 y' + a0 y) o x = P2 Y'' + P1 Y' + P0 Y with
+        P2 = A2 L^4, P1 = 2c A2 L^3 + Delta A1 L^2 and P0 = Delta^2 A0.
+        """
+        delta = Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
+        if delta == 0:
+            raise ValueError("degenerate substitution")
+        m = max(p.degree for p in (self.a2, self.a1, self.a0))
+        lin = RationalPoly((d, c), var)
+        a2, a1, a0 = (
+            _poly_compose_mobius(p, a, b, c, d, var) * lin ** (m - max(p.degree, 0))
+            for p in (self.a2, self.a1, self.a0)
+        )
+        lin2 = lin * lin
+        p1 = (2 * Fraction(c) * a2 * lin + delta * a1) * lin2
+        return OdeSpec(self.label, a2 * lin2 * lin2, p1, delta * delta * a0)
+
+    def apply(self, y: RationalPoly) -> RationalPoly:
+        """a2*y'' + a1*y' + a0*y for a polynomial y in the operator's variable."""
+        y1 = y.derivative()
+        return self.a2 * y1.derivative() + self.a1 * y1 + self.a0 * y
+
 
 def _eq_nc(n: CoefLike, c: CoefLike, label: str) -> OdeSpec:
     """x(1+cx)(1+2cx) y'' + (4(n+c) x(1+cx) + 1) y' + 2n(1+2cx) y."""
-    a2 = _poly((0, 1)) * _poly((1, c)) * _poly((1, 2 * c))
-    a1 = 4 * (n + c) * _poly((0, 1)) * _poly((1, c)) + _poly((1,))
-    a0 = 2 * n * _poly((1, 2 * c))
-    return OdeSpec(label, a2, a1, a0)
+    k = 4 * (n + c)
+    return OdeSpec(label, _poly((0, 1, 3 * c, 2 * c * c)), _poly((1, k, k * c)), _poly((2 * n, 4 * n * c)))
 
 
 def eq_s(params: Params) -> OdeSpec:
@@ -765,15 +845,17 @@ def eq_u(n: int) -> OdeSpec:
     return OdeSpec(f"U_{n}", a2, a1, a0)
 
 
-def _cleared_residual(
-    f: RationalFn, a2: RationalPoly, a1: RationalPoly, a0: RationalPoly
-) -> RationalFn:
+def _cleared_residual(f: RationalFn, op: OdeSpec) -> RationalFn:
     """a2*y'' + a1*y' + a0*y for y = N/D, as a polynomial identity over D^3.
 
     With W = N'D - ND': y' = W/D^2 and y'' = ((N''D - ND'')D - 2D'W)/D^3.
-    A zero numerator needs no denominator, so D^3 is formed only otherwise.
+    A zero numerator needs no denominator, so D^3 is formed only otherwise;
+    a polynomial y (D = 1) needs neither.
     """
     n, d = f._n, f._d
+    if d.degree == 0:
+        return RationalFn(op.apply(n))
+    a2, a1, a0 = op.a2, op.a1, op.a0
     n1, d1 = n.derivative(), d.derivative()
     w = n1 * d - n * d1
     r = a2 * ((n1.derivative() * d - n * d1.derivative()) * d - 2 * d1 * w) + (
@@ -785,7 +867,7 @@ def _cleared_residual(
 def ode_residual_poly(y: Union[RationalPoly, RationalFn], ode: OdeSpec) -> RationalFn:
     """Exact residual of the named equation applied to y; zero iff y solves it."""
     f = y if isinstance(y, RationalFn) else RationalFn(y)
-    return _cleared_residual(f, ode.a2, ode.a1, ode.a0)
+    return _cleared_residual(f, ode)
 
 
 @dataclass(frozen=True)
@@ -810,6 +892,16 @@ class HeunParams:
                 object.__setattr__(self, name, Fraction(value))
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"Heun parameter {name} must be rational") from exc
+
+    def operator(self) -> OdeSpec:
+        """The Heun operator multiplied through by x(x-1)(2x-1), as an OdeSpec.
+
+        x(x-1)(2x-1)*y'' + (gamma(x-1)(2x-1) + delta*x(2x-1) + 2*epsilon*x(x-1))*y'
+        + 2(alpha*beta*x - q)*y.
+        """
+        g, d, e = self.gamma, self.delta, self.epsilon
+        a1 = _poly((g, -3 * g - d - 2 * e, 2 * (g + d + e)))
+        return OdeSpec("Heun", _poly((0, 1, -3, 2)), a1, _poly((-2 * self.q, 2 * self.alpha * self.beta)))
 
     @classmethod
     def for_s_family(cls, n: RationalLike, c: RationalLike) -> "HeunParams":
@@ -849,13 +941,37 @@ def heun_residual(
         raise ValueError(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
     f = y if isinstance(y, RationalFn) else RationalFn(y)
     if transform == "negate":
-        f = f.compose_mobius(-1, 0, 0, 1)
-    # Multiplied through by s = x(x-1)(2x-1), the Heun operator becomes
-    # s*y'' + (gamma(x-1)(2x-1) + delta*x(2x-1) + 2*epsilon*x(x-1))*y'
-    # + 2(alpha*beta*x - q)*y, whose residual is a cleared identity.
-    x = RationalPoly.x()
-    xm1, tx1 = x - 1, 2 * x - 1
-    s = x * xm1 * tx1
-    a1 = hp.gamma * xm1 * tx1 + hp.delta * x * tx1 + 2 * hp.epsilon * x * xm1
-    a0 = 2 * (hp.alpha * hp.beta * x - hp.q)
-    return _cleared_residual(f, s, a1, a0) / s
+        f = f.compose_mobius(*NEGATE)
+    op = hp.operator()
+    return _cleared_residual(f, op) / op.a2
+
+
+# ---------------------------------------------------------------------------
+# Identities in the series variables
+# ---------------------------------------------------------------------------
+
+
+def series_residual(spec: OdeSpec, y: RationalPoly, inner: Mobius = IDENTITY) -> RationalPoly:
+    """Cleared residual of spec at the function x -> y(t(inner(x))).
+
+    t = SERIES_MAPS[y.var] is y's series variable.  The operator moves to t
+    (``OdeSpec.in_variable``), where its coefficients have low degree, so the
+    residual is a banded product with the coefficients of y; it is zero iff
+    the function solves the equation.  ``inner=NEGATE`` gives the reflected
+    argument of the Heun forms.
+    """
+    x_of_t = mobius_inverse(mobius_compose(SERIES_MAPS[y.var], inner))
+    return spec.in_variable(*x_of_t, y.var).apply(y)
+
+
+def substitution_identity(y: RationalPoly, inner: Mobius, z: RationalPoly, scale: int = 1) -> bool:
+    """True iff two exact identities hold that give y(t(inner(x))) = z(t'(x)).
+
+    t and t' are the series variables of y and z.  The identities are the
+    map identity t o inner = t'/scale, a 2x2 integer matrix product up to
+    scale, and the coefficient identity y(r/scale) = z(r).
+    """
+    maps = mobius_compose(SERIES_MAPS[y.var], inner), mobius_compose((1, 0, 0, scale), SERIES_MAPS[z.var])
+    return mobius_same(*maps) and len(y._ints) == len(z._ints) and all(
+        a * z._den == b * y._den * scale ** k for k, (a, b) in enumerate(zip(y._ints, z._ints))
+    )

@@ -16,13 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import DomainError
-from .exactalg import (
-    RationalFn,
-    RationalPoly,
-    f_poly_direct,
-    f_value,
-    poly_on_rational,
-)
+from .exactalg import RationalPoly, f_poly_direct, f_value
 
 __all__ = [
     "LegendreMap",
@@ -162,18 +156,21 @@ def _relation_residuals(
 
 @lru_cache(maxsize=None)
 def _bridge_derivative_identity(n: int) -> bool:
-    """The mapped-derivative relation as an exact rational-function identity.
+    """The mapped-derivative relation as a cleared integer polynomial identity.
 
-    P_n'(t(x)) must equal ((1-2x) F_n'(x) + 2n F_n(x)) divided by
-    (1-2x)^(n-1) * 4x(1-x), as rational functions of x.
+    With t = N/D, N = 1 - 2x + 2x^2 and D = 1 - 2x, P_n'(t) must equal
+    ((1-2x) F_n'(x) + 2n F_n(x)) / (D^(n-1) 4x(1-x)).  Cleared, that is
+    D^(n-1) P_n'(N/D) 4x(1-x) = (1-2x) F_n' + 2n F_n, whose left side is the
+    homogeneous composition sum_k p_k N^k D^(n-1-k), formed by Horner.
     """
-    tmap = RationalFn(RationalPoly((1, -2, 2)), RationalPoly((1, -2)))
-    lhs = poly_on_rational(legendre_poly(n).derivative(), tmap)
+    big_n, d = RationalPoly((1, -2, 2)), RationalPoly((1, -2))
+    *lower, top = legendre_poly(n).derivative().coeffs
+    acc, d_power = RationalPoly((top,)), RationalPoly.one()
+    for c in reversed(lower):
+        d_power = d_power * d
+        acc = acc * big_n + c * d_power
     fn = f_poly_direct(n)
-    one_m2x = RationalPoly((1, -2))
-    numer = RationalFn(one_m2x * fn.derivative() + 2 * n * fn)
-    denom = RationalFn(one_m2x ** (n - 1) * RationalPoly((0, 4, -4)))
-    return lhs == numer / denom
+    return acc * RationalPoly((0, 4, -4)) == d * fn.derivative() + 2 * n * fn
 
 
 def derivative_relations_check(n: int, t: Fraction) -> bool:

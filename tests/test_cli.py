@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqsums
+from sqsums import cli, exactalg
 from sqsums.cli import OUTPUT_SCHEMA, _parse, run
 from sqsums.core import FAMILY_NAMES, ParameterError
 
@@ -159,6 +160,78 @@ class TestVerify:
         code, _, err = invoke(["verify", "--family", "szasz", "--n-max", "3"])
         assert code == 2
         assert "scan" in err
+
+    @pytest.mark.parametrize("verb", [["verify", "--n-max", "3"], ["info"]])
+    def test_writes_no_csv(self, verb):
+        code, out, err = invoke([verb[0], "--family", "mkz", *verb[1:], "--format", "csv"])
+        assert (code, out) == (2, "")
+        assert err == "error: option --format: 'csv' is not one of text, json\n"
+
+
+# The exact form each family's identity items read, and those items.
+_SERIES = {
+    "bernstein": ("f_poly_direct", ("ode", "heun")),
+    "baskakov": ("g_series_coeffs", ("ode", "heun", "substitution")),
+    "bbh": ("u_series_coeffs", ("ode", "substitution")),
+    "mkz": ("j_series_coeffs", ("ode", "substitution")),
+}
+
+
+class TestVerifySeriesRoute:
+    @pytest.mark.parametrize("family", list(_SERIES))
+    def test_a_tiny_coefficient_fault_fails_every_item_that_reads_it(self, family, monkeypatch):
+        name, items = _SERIES[family]
+        build = getattr(exactalg, name)
+
+        def nudged(n):
+            # 1e-30 more on the lowest nonzero coefficient
+            y = build(n)
+            k = next(i for i, c in enumerate(y.coeffs) if c)
+            return y + exactalg.RationalPoly([0] * k + [Fraction(1, 10 ** 30)], y.var)
+
+        assert invoke(["verify", "--family", family, "--n-max", "5"])[0] == 0
+        monkeypatch.setattr(exactalg, name, nudged)
+        code, out, _ = invoke(["verify", "--family", family, "--n-max", "5"])
+        assert code == 1
+        for item in items:
+            assert f"{item}: FAIL" in out
+
+    @pytest.mark.parametrize("family, var, wrong", [
+        ("baskakov", "w", (1, -1, 1, 1)),
+        ("baskakov", "u", (0, 1, 2, -1)),
+        ("mkz", "u", (0, 1, 1, 1)),
+        ("bbh", "s", (2, 1, 0, 2)),
+        ("bbh", "v", (-1, 1, 1, 1)),
+    ])
+    def test_a_wrong_map_fails_the_substitution(self, family, var, wrong, monkeypatch):
+        monkeypatch.setitem(exactalg.SERIES_MAPS, var, wrong)
+        code, out, _ = invoke(["verify", "--family", family, "--n-max", "5"])
+        assert code == 1 and "substitution: FAIL" in out
+
+    def test_compose_mobius_runs_only_for_the_witness(self, monkeypatch):
+        calls = []
+        compose = exactalg.RationalFn.compose_mobius
+
+        def counted(self, *abcd):
+            calls.append(abcd)
+            return compose(self, *abcd)
+
+        def clear():
+            for build in (exactalg.g_rational, exactalg.j_rational, exactalg.u_rational):
+                build.cache_clear()
+
+        monkeypatch.setattr(exactalg.RationalFn, "compose_mobius", counted)
+        for family, (first, (_, build), _) in cli._SUITES.items():
+            clear()
+            assert invoke(["verify", "--family", family, "--n-max", "13"])[0] == 0
+            assert calls == []
+            assert invoke(["verify", "--family", family, "--n-max", "13", "--format", "json"])[0] == 0
+            during_verify = calls[:]
+            calls.clear()
+            clear()
+            build(first)
+            assert during_verify == calls and (calls or family == "bernstein")
+            calls.clear()
 
 
 class TestBounds:
@@ -733,6 +806,8 @@ _ROWS = {
     "monotonicity": ({"n", "kind", "count"}, {"n"}, ()),
 }
 _SCAN_KINDS = ("ode", "convexity", "logconvexity", "monotonicity")
+# The layouts of the verbs that write no csv.
+_WRITES = {"verify": ("text", "json"), "info": ("text", "json")}
 _UNSET = object()
 
 
@@ -741,7 +816,8 @@ def _argparse_parse(argv, strict=True):
 
     ``strict`` adds the rejections of the option table: a non-finite or
     non-positive --rtol or --step, a --count below 1, a -c, -n or -x that is
-    not rational (these three parse to Fractions), and the rules of
+    not rational (these three parse to Fractions), a --format the verb does
+    not write (``_WRITES``), and the rules of
     ``_ROWS``: a verb has only the options it or one of its scan kinds reads,
     and a given option the scan kind does not read, a missing one the verb
     or kind requires and both of an exclusive pair are errors.
@@ -757,7 +833,9 @@ def _argparse_parse(argv, strict=True):
                 for flag in action.option_strings:
                     del sub._option_string_actions[flag]
                 continue
-            if action.dest in ("rtol", "step", "count"):
+            if action.dest == "format":
+                action.choices = _WRITES.get(verb, action.choices)
+            elif action.dest in ("rtol", "step", "count"):
                 action.type = _positive(action.type)
             elif action.dest in ("c", "n", "x"):
                 action.type = _rational
@@ -925,6 +1003,8 @@ _ADDED_REJECTIONS = [
     ["scan", "--family", "bernstein", "-n", "3", "--kind", "logconvexity", "--count", "0"],
     ["scan", "--family", "bernstein", "-n", "3", "--kind", "logconvexity", "--count", "-5"],
     ["table", "--rtol", "0", "--family", "szasz", "-n", "1", "--grid", "0:2:9", "-h"],
+    ["verify", "--family", "mkz", "--n-max", "2", "--format", "csv"],
+    ["info", "--family", "szasz", "--format=csv"],
     *_UNREAD,
 ]
 
@@ -945,6 +1025,8 @@ def test_table_rejects_what_argparse_accepted(argv):
 @example(_ADDED_REJECTIONS[5])
 @example(_ADDED_REJECTIONS[6])
 @example(_ADDED_REJECTIONS[7])
+@example(_ADDED_REJECTIONS[8])
+@example(_ADDED_REJECTIONS[9])
 # parsed alike; the verbs reject them
 @example(["scan", "--family", "bernstein", "-n", "3", "--kind", "logconvexity", "--count", "2"])
 @example(["scan", "--family", "bernstein", "-n", "3", "--kind", "monotonicity", "--count", "1"])

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 from sqsums.core import Params
 from sqsums.evalnum import s_closed
 from sqsums.exactalg import (
+    IDENTITY,
+    NEGATE,
+    SERIES_MAPS,
     HeunParams,
     RationalFn,
     RationalPoly,
     UnsupportedFamilyError,
+    _cleared_residual,
     eq_f,
     eq_g,
     eq_j,
@@ -28,10 +33,16 @@ from sqsums.exactalg import (
     j_rational,
     j_series_coeffs,
     j_value,
+    mobius_compose,
+    mobius_inverse,
+    mobius_same,
     ode_residual_poly,
     recurrence_check,
     recurrence_residuals,
+    series_residual,
+    substitution_identity,
     u_rational,
+    u_series_coeffs,
     u_value,
 )
 
@@ -469,3 +480,138 @@ class TestRationalFamilies:
         with pytest.raises(ValueError):
             u_rational(0)
         j_rational(0)  # allowed from index 0
+
+
+# ---------------------------------------------------------------------------
+# The identities in the series variables, against the x-level route
+# ---------------------------------------------------------------------------
+
+# x as a Moebius map (a, b, c, d) of the series variable, for each operator
+# that verify moves there: the Baskakov ODE, the Baskakov Heun form on G(-x),
+# and the Meyer-Konig-Zeller and Bleimann-Butzer-Hahn ODEs.
+_MAPS = {
+    "baskakov-ode": (lambda n: eq_g(n), "u", (-1, 1, 2, 0), IDENTITY),
+    "baskakov-heun": (lambda n: HeunParams.rational_case(n).operator(), "u", (1, -1, 2, 0), NEGATE),
+    "mkz-ode": (lambda n: eq_j(n), "w", (-1, 1, 1, 1), IDENTITY),
+    "bbh-ode": (lambda n: eq_u(n), "v", (1, 1, -1, 1), IDENTITY),
+}
+
+
+def _as_x(p: RationalPoly) -> RationalPoly:
+    return RationalPoly(p.coeffs, "x")
+
+
+class TestChainRule:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(_MAPS))
+    def test_transformed_operator_matches_the_x_level_residual(self, name, seed):
+        # an arbitrary non-solution y(t): the residual of the moved operator is
+        # Delta^2 L^m times the x-level residual of y o t, read at x = x(t)
+        rng = random.Random(seed)
+        build, var, (a, b, c, d), _ = _MAPS[name]
+        n = rng.randint(1, 12)
+        spec = build(n)
+        y = RationalPoly([rng.randint(-50, 50) for _ in range(rng.randint(1, 31))], var)
+        moved = spec.in_variable(a, b, c, d, var).apply(y)
+        on_x = RationalFn(_as_x(y)).compose_mobius(*mobius_inverse((a, b, c, d)))
+        residual = _cleared_residual(on_x, spec)
+        m = max(p.degree for p in (spec.a2, spec.a1, spec.a0))
+        factor = (a * d - b * c) ** 2 * RationalPoly((d, c)) ** m
+        assert not moved.is_zero
+        assert residual.compose_mobius(a, b, c, d) * factor == RationalFn(_as_x(moved))
+
+    @pytest.mark.parametrize("name", list(_MAPS))
+    def test_series_residual_reads_the_stated_map(self, name):
+        # series_residual inverts the variable's map itself: a multiple of the stated x(t)
+        build, var, x_of_t, inner = _MAPS[name]
+        assert mobius_same(mobius_inverse(mobius_compose(SERIES_MAPS[var], inner)), x_of_t)
+        y = RationalPoly(range(1, 12), var)
+        r, stated = series_residual(build(5), y, inner), build(5).in_variable(*x_of_t, var).apply(y)
+        assert r * (stated.coeffs[-1] / r.coeffs[-1]) == stated
+
+    def test_degenerate_map_rejected(self):
+        with pytest.raises(ValueError):
+            eq_g(2).in_variable(1, 2, 2, 4, "u")
+
+
+class TestMobius:
+    def test_product_is_composition(self):
+        f, g, x = (1, 2, 3, 5), (-1, 1, 1, 1), Fraction(2, 7)
+
+        def at(m, v):
+            return (m[0] * v + m[1]) / (m[2] * v + m[3])
+
+        assert at(mobius_compose(f, g), x) == at(f, at(g, x))
+        assert mobius_same(mobius_compose(f, mobius_inverse(f)), (1, 0, 0, 1))
+
+    def test_same_map_up_to_scale(self):
+        assert mobius_same((0, 1, 2, 1), (0, -3, -6, -3))
+        assert not mobius_same((0, 1, 2, 1), (0, 1, 2, -1))
+        assert not mobius_same((0, 1, 2, 1), (0, 0, 0, 0))
+        assert not mobius_same((1, 2, 2, 4), (1, 2, 2, 4))  # degenerate
+
+    def test_series_variables_compose_as_the_families_do(self):
+        # w(x/(1+x)) = u, u(x/(1-x)) = w, s(x/(1+x)) = v/2
+        assert mobius_same(mobius_compose(SERIES_MAPS["w"], (1, 0, 1, 1)), SERIES_MAPS["u"])
+        assert mobius_same(mobius_compose(SERIES_MAPS["u"], (1, 0, -1, 1)), SERIES_MAPS["w"])
+        assert mobius_same(mobius_compose(SERIES_MAPS["s"], (1, 0, 1, 1)),
+                           mobius_compose((1, 0, 0, 2), SERIES_MAPS["v"]))
+
+
+class TestSeriesRoute:
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 200])
+    def test_identities_hold(self, n):
+        g, j, u = g_series_coeffs(n), j_series_coeffs(n), u_series_coeffs(n)
+        assert series_residual(eq_g(n), g).is_zero
+        assert series_residual(HeunParams.rational_case(n).operator(), g, NEGATE).is_zero
+        assert series_residual(eq_j(n), j).is_zero
+        assert series_residual(eq_u(n), u).is_zero
+        assert substitution_identity(j_series_coeffs(n - 1), (1, 0, 1, 1), g)
+        assert substitution_identity(g_series_coeffs(n + 1), (1, 0, -1, 1), j)
+        assert substitution_identity(f_poly_parseval(n), (1, 0, 1, 1), u, 2)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_x_level_substitutions_agree(self, n):
+        # what the series route proves, read at the x level through compose_mobius
+        assert g_rational(n) == j_rational(n - 1).compose_mobius(1, 0, 1, 1)
+        assert j_rational(n) == g_rational(n + 1).compose_mobius(1, 0, -1, 1)
+        assert u_rational(n) == RationalFn(f_poly_direct(n)).compose_mobius(1, 0, 1, 1)
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 30])
+    def test_x_level_residuals_agree(self, n):
+        assert ode_residual_poly(g_rational(n), eq_g(n)).is_zero
+        assert heun_residual(g_rational(n), HeunParams.rational_case(n), "negate").is_zero
+        assert ode_residual_poly(j_rational(n), eq_j(n)).is_zero
+        assert ode_residual_poly(u_rational(n), eq_u(n)).is_zero
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_a_tiny_coefficient_fault_is_detected(self, n):
+        eps = Fraction(1, 10 ** 30)
+        g = g_series_coeffs(n) + RationalPoly([0, eps], "u")
+        j = j_series_coeffs(n) + RationalPoly([0, eps], "w")
+        u = u_series_coeffs(n) + RationalPoly([eps], "v")
+        assert not series_residual(eq_g(n), g).is_zero
+        assert not series_residual(HeunParams.rational_case(n).operator(), g, NEGATE).is_zero
+        assert not series_residual(eq_j(n), j).is_zero
+        assert not series_residual(eq_u(n), u).is_zero
+        assert not substitution_identity(j_series_coeffs(n - 1), (1, 0, 1, 1), g)
+        assert not substitution_identity(g_series_coeffs(n + 1), (1, 0, -1, 1), j)
+        assert not substitution_identity(f_poly_parseval(n), (1, 0, 1, 1), u, 2)
+
+    def test_a_wrong_map_fails_the_substitution(self):
+        n = 4
+        assert not substitution_identity(j_series_coeffs(n - 1), (1, 0, 2, 1), g_series_coeffs(n))
+        assert not substitution_identity(g_series_coeffs(n + 1), (1, 0, 1, 1), j_series_coeffs(n))
+        assert not substitution_identity(f_poly_parseval(n), (1, 0, 1, 1), u_series_coeffs(n), 4)
+
+    def test_series_builders_match_their_factorial_forms(self):
+        for n in range(1, 31):
+            pref = Fraction(math.comb(2 * n, n), 4 ** n)
+            assert u_series_coeffs(n).coeffs[::2] == tuple(
+                pref * math.comb(n, k) ** 2 / math.comb(2 * n, 2 * k) for k in range(n + 1)
+            )
+            assert j_series_coeffs(n).coeffs[1::2] == tuple(
+                Fraction(math.factorial(2 * k) * math.factorial(2 * n - 2 * k),
+                         math.factorial(k) ** 2 * math.factorial(n - k) ** 2 * 4 ** n)
+                for k in range(n + 1)
+            )

@@ -159,6 +159,19 @@ class TestDerivativeRelations:
         with pytest.raises(ValueError):
             derivative_relations_check(2, Fraction(1))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_bridge_identity_detects_a_perturbed_coefficient(self, n, monkeypatch):
+        from sqsums import exactalg, legendre
+
+        bridge = legendre._bridge_derivative_identity.__wrapped__  # uncached
+        assert bridge(n)
+        eps = Fraction(1, 10 ** 30)
+        monkeypatch.setattr(legendre, "f_poly_direct", lambda k: exactalg.f_poly_direct(k) + RationalPoly([0, eps]))
+        assert not bridge(n)
+        monkeypatch.undo()
+        monkeypatch.setattr(legendre, "legendre_poly", lambda k: legendre_poly(k) + RationalPoly([0, eps], "t"))
+        assert not bridge(n)
+
 
 class TestCosineForm:
     def test_single_cosine(self):
