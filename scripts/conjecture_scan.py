@@ -3,9 +3,10 @@
 
 For the polynomial (c = -1) and rational (c = +1) families, evaluates
 Q = S*S'' - (S')^2 exactly at rational grid points for every index up to
---n-max and writes one JSON report per (family, n).  Margins are reported
-as evidence; nothing here asserts the conjecture and the exit code is 0
-whenever the sweep completes.
+--n-max and writes one JSON report per (family, n).  Each line gives the
+scan's seconds, so one run (say --n-max 120) shows how the cost grows with
+n.  Margins are reported as evidence; nothing here asserts the conjecture
+and the exit code is 0 whenever the sweep completes.
 """
 
 import argparse
@@ -29,14 +30,16 @@ def main() -> None:
     start = time.monotonic()
     for c, tag in ((Fraction(-1), "bernstein"), (Fraction(1), "baskakov")):
         for n in range(1, args.n_max + 1):
+            t0 = time.perf_counter()
             rep = logconvexity_scan(Params(n, c), count=args.count)
+            seconds = time.perf_counter() - t0
             doc = rep.to_json()
             path = args.out / f"logconvexity_{tag}_n{n:02d}.json"
             path.write_text(json.dumps(doc, indent=2) + "\n")
             neg = len(rep.violations)
             print(
-                f"{tag:>9} n={n:2d}  min Q = {doc['min_margin']:>26} at x = {doc['argmin']}"
-                f"  negatives: {neg}"
+                f"{tag:>9} n={n:3d}  min Q = {doc['min_margin']:>26} at x = {doc['argmin']}"
+                f"  negatives: {neg}  scan: {seconds:.3f}s"
             )
     print(f"done in {time.monotonic() - start:.1f}s; reports in {args.out}/")
 

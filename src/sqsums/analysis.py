@@ -8,11 +8,19 @@ evaluates Q = S*S'' - (S')^2 (exactly where the family admits it) and
 reports margins without ever asserting the conjecture.  The exact Q is
 built in the paper's variables, s = x - 1/2 (Bernstein) and u = 1/(1+2x)
 (Baskakov), where it is an even polynomial R(t) in t = s^2 or t = u^2 of
-degree 2n; a margin is one homogeneous integer Horner pass over R.
+degree 2n.  The exact scan stays on integers from the grid to the margin:
+the grid is built as lowest-terms pairs (p, q), each point maps to t as an
+integer pair, and ``RationalPoly.values`` groups the points by the
+denominator of t, scales R's coefficients once per group and runs one
+numerator-only Horner pass per distinct t, so each margin costs one
+reduction (the Bernstein grid of 1024 points has 14 such denominators and
+513 distinct t, as x and 1 - x share one; the Baskakov grid has 992
+denominators for its 1024 points).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -25,6 +33,7 @@ from . import exactalg
 __all__ = [
     "ScanReport",
     "conjecture_grid",
+    "conjecture_grid_minimum",
     "convexity_scan",
     "has_exact_q",
     "logconvexity_scan",
@@ -81,10 +90,28 @@ class ScanReport:
         }
 
 
+def _float_key(m: Fraction) -> float:
+    """m rounded to a float, which is monotone in m; past the float range, +-inf."""
+    try:
+        return m.numerator / m.denominator
+    except OverflowError:
+        return math.inf if m.numerator > 0 else -math.inf
+
+
 def _report(kind: str, subject: dict, grid: Sequence, margins: Sequence, status=None) -> ScanReport:
-    pairs = list(zip(grid, margins))
-    min_x, min_m = min(pairs, key=lambda p: p[1], default=(0, 0))
-    violations = tuple((x, m) for x, m in pairs if m < 0)
+    if margins and all(isinstance(m, Fraction) for m in margins):
+        # the float keys order the margins as their exact values do except
+        # among equal keys, so only the margins at the least key are compared
+        # exactly; min keeps the first of equal minima
+        keys = [_float_key(m) for m in margins]
+        least = min(keys)
+        first = min((i for i, k in enumerate(keys) if k == least), key=margins.__getitem__)
+        min_x, min_m = grid[first], margins[first]
+        violations = tuple((x, m) for x, m in zip(grid, margins) if m.numerator < 0)
+    else:
+        pairs = list(zip(grid, margins))
+        min_x, min_m = min(pairs, key=lambda p: p[1], default=(0, 0))
+        violations = tuple((x, m) for x, m in pairs if m < 0)
     return ScanReport(
         kind,
         subject,
@@ -201,15 +228,21 @@ def monotonicity_check(n: int, grid: Sequence[Real]) -> ScanReport:
     Each point's margin is the drop toward the midpoint side: toward the
     next point left of 1/2, toward the previous point right of it, and
     against the exact midpoint value for a straddling point.  Exact on
-    Fraction grids.
+    Fraction grids, where F_n is the even polynomial R(t) in t = (x - 1/2)^2
+    evaluated at all points and the midpoint in one batch: the points
+    i/(count-1) share a few denominators of t, and x and 1 - x share t.
     """
     xs = list(grid)
     if any(xs[i] > xs[i + 1] for i in range(len(xs) - 1)):
         raise ValueError("grid must be sorted")
-    exact = all(isinstance(x, Fraction) for x in xs)
-    half = Fraction(1, 2) if exact else 0.5
-    vals = [exactalg.f_value(n, x if exact else float(x)) for x in xs]
-    mid = exactalg.f_value(n, half)
+    if all(isinstance(x, Fraction) for x in xs):
+        half = Fraction(1, 2)
+        r = _even_in_t(exactalg.f_poly_parseval(n))
+        *vals, mid = r.values(_t_pairs(exactalg.SERIES_MAPS["s"], [*xs, half]))
+    else:
+        half = 0.5
+        vals = [exactalg.f_value(n, float(x)) for x in xs]
+        mid = exactalg.f_value(n, half)
     margins = []
     for i, x in enumerate(xs):
         cand = []
@@ -233,6 +266,25 @@ def has_exact_q(params: Params) -> bool:
     return params.c in (-1, 1) and params.n.denominator == 1
 
 
+def _even_in_t(p: exactalg.RationalPoly) -> exactalg.RationalPoly:
+    """R with p(y) = R(y^2), t = y^2; an odd power of y raises ArithmeticError."""
+    if any(p._ints[1::2]):
+        raise ArithmeticError(f"odd power of {p.var} in {p!r}")
+    return exactalg.RationalPoly._from_ints(list(p._ints[::2]), p._den, "t")
+
+
+def _t_pairs(mobius: exactalg.Mobius, xs: Sequence[Fraction]) -> list[tuple[int, int]]:
+    """t = y^2 as a lowest-terms pair (N, D) for each x = p/q, y = (a p + b q)/(c p + d q)."""
+    a, b, c, d = mobius
+    out = []
+    for x in xs:
+        p, q = x.numerator, x.denominator
+        num, den = a * p + b * q, c * p + d * q
+        g = math.gcd(num, den)
+        out.append(((num // g) ** 2, (den // g) ** 2))
+    return out
+
+
 def _q_even(params: Params) -> Optional[tuple[exactalg.RationalPoly, tuple[int, int, int, int]]]:
     """(R, (a, b, c, d)) with Q(x) = R(y^2) exactly, y = (a x + b)/(c x + d), or None.
 
@@ -250,9 +302,13 @@ def _q_even(params: Params) -> Optional[tuple[exactalg.RationalPoly, tuple[int, 
         s, phi = exactalg.g_series_coeffs(int(params.n)), (0, 0, -2)
     phi, s1 = exactalg.RationalPoly(phi, s.var), s.derivative()
     q = phi * phi * (s * s1.derivative() - s1 * s1) + phi * phi.derivative() * s * s1
-    if any(q._ints[1::2]):
-        raise ArithmeticError(f"Q has an odd power of {s.var}: {q!r}")
-    return exactalg.RationalPoly._from_ints(list(q._ints[::2]), q._den, "t"), exactalg.SERIES_MAPS[s.var]
+    return _even_in_t(q), exactalg.SERIES_MAPS[s.var]
+
+
+def conjecture_grid_minimum(params: Params) -> int:
+    """The least count ``conjecture_grid`` accepts: 4 on a compact domain,
+    whose uniform part needs two points (count // 2 >= 2), else 1."""
+    return 4 if params.domain_sup is not None else 1
 
 
 def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:
@@ -260,38 +316,46 @@ def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:
 
     Compact domains cluster at both ends; unbounded domains map a uniform
     rational grid through u -> u/(1-u) and cluster near the origin.  The
-    grid is deduplicated and topped up to exactly ``count`` points.
+    grid is deduplicated and topped up to exactly ``count`` points; a count
+    below ``conjecture_grid_minimum`` raises ValueError.  The points are
+    built, deduplicated and sorted as lowest-terms integer pairs.
     """
-    pts: set[Fraction] = set()
-    sup = params.domain_sup
+    least = conjecture_grid_minimum(params)
+    if count < least:
+        raise ValueError(f"conjecture_grid needs count >= {least}, got {count}")
+    pts: set[tuple[int, int]] = set()
+
+    def add(p: int, q: int) -> None:
+        g = math.gcd(p, q)
+        pts.add((p // g, q // g))
+
     half = count // 2
     quarter = count // 4
+    sup = params.domain_sup
     if sup is not None:
         b = Fraction(sup)
+        bp, bq = b.numerator, b.denominator
         for j in range(half):
-            pts.add(b * j / (half - 1))
+            add(bp * j, bq * (half - 1))
+        sq = 2 * quarter * quarter
         for j in range(1, quarter + 1):
-            frac = Fraction(j * j, 2 * quarter * quarter)
-            pts.add(b * frac)
-            pts.add(b * (1 - frac))
-        extra = 1
-        while len(pts) < count:
-            pts.add(b * extra / (count * 4 + 1))
-            extra += 1
+            add(bp * j * j, bq * sq)
+            add(bp * (sq - j * j), bq * sq)
     else:
+        bp = bq = 1
         for j in range(half):
-            u = Fraction(j, half)
-            pts.add(u / (1 - u))
+            add(j, half - j)
+        sq = quarter * quarter
         for j in range(1, quarter + 1):
-            pts.add(Fraction(j * j, 4 * quarter * quarter))
-            pts.add(Fraction(quarter * quarter + j * j, quarter * quarter))
-        extra = 1
-        while len(pts) < count:
-            pts.add(Fraction(extra, count * 4 + 1))
-            extra += 1
+            add(j * j, 4 * sq)
+            add(sq + j * j, sq)
+    extra = 1
+    while len(pts) < count:
+        add(bp * extra, bq * (count * 4 + 1))
+        extra += 1
     # float rounding is monotone, so the float key orders as the exact values
     # do, and equal floats fall back to the exact compare
-    return sorted(pts, key=lambda v: (float(v), v))[:count]
+    return [x for _, x in sorted((p / q, Fraction(p, q)) for p, q in pts)]
 
 
 def logconvexity_scan(
@@ -309,16 +373,16 @@ def logconvexity_scan(
     even = _q_even(params)
     status = {"conjecture": "log-convexity of S", "status": "unproven", "asserted": False}
     if even is not None:
-        # at x = p/q, t = y^2 = (a p + b q)^2 / (c p + d q)^2 and Q(x) = R(t)
-        # by one homogeneous integer Horner pass over R
-        r, (a, b, c, d) = even
-        xs = [Fraction(x) for x in grid] if grid is not None else conjecture_grid(params, count)
-        margins = []
-        for x in xs:
-            if not params.in_domain(x):
-                raise DomainError(f"x={x} outside I_c = {params.domain_str()}")
-            p, q = x.numerator, x.denominator
-            margins.append(r(Fraction((a * p + b * q) ** 2, (c * p + d * q) ** 2)))
+        # Q(x) = R(t) at t = y^2 = (a p + b q)^2 / (c p + d q)^2 for x = p/q
+        r, mobius = even
+        if grid is None:
+            xs = conjecture_grid(params, count)
+        else:
+            xs = [Fraction(x) for x in grid]
+            for x in xs:
+                if not params.in_domain(x):
+                    raise DomainError(f"x={x} outside I_c = {params.domain_str()}")
+        margins = r.values(_t_pairs(mobius, xs))
         status["route"] = "exact"
         return _report("log_convexity", _params_subject(params), xs, margins, status)
 

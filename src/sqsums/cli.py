@@ -276,7 +276,7 @@ def _scan_logconvexity(family, params, args):
         return analysis.logconvexity_scan(params, grid=_parse_grid(args.grid, family))
     if not analysis.has_exact_q(params):
         raise ParameterError("scan --kind logconvexity needs --grid for families without an exact route")
-    least = 4 if params.domain_sup is not None else 1  # conjecture_grid's minimum
+    least = analysis.conjecture_grid_minimum(params)
     return analysis.logconvexity_scan(params, count=_scan_count(args, least, 1024))
 
 

@@ -1,8 +1,10 @@
 import statistics
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqsums import analysis, exactalg
@@ -139,6 +141,36 @@ class TestMonotonicityCheck:
         with pytest.raises(ValueError):
             monotonicity_check(2, [Fraction(1, 2), Fraction(1, 4)])
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("count", [2, 3, 100, 129])
+    def test_exact_margins_match_pointwise_values(self, n, count):
+        # the batch over t = (x - 1/2)^2 against one F_n(x) pass per point
+        grid = [Fraction(i, count - 1) for i in range(count)]
+        f = exactalg.f_poly_parseval(n)
+        vals = [_reference_value(f, x - Fraction(1, 2)) for x in grid]
+        mid = f.coeff(0)
+        expected = []
+        for i, x in enumerate(grid):
+            cand = []
+            if i + 1 < count and grid[i + 1] <= Fraction(1, 2):
+                cand.append(vals[i] - vals[i + 1])
+            if i >= 1 and grid[i - 1] >= Fraction(1, 2):
+                cand.append(vals[i] - vals[i - 1])
+            expected.append(min(cand) if cand else vals[i] - mid)
+        assert monotonicity_check(n, grid).margins == tuple(expected)
+
+    def test_default_grid_evaluates_in_one_batch(self, monkeypatch):
+        real, sizes = RationalPoly._at, []
+
+        def counting(self, points):
+            sizes.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(RationalPoly, "_at", counting)
+        monotonicity_check(5, [Fraction(i, 128) for i in range(129)])
+        # x and 1 - x share t = (x - 1/2)^2, and the midpoint is i = 64
+        assert sizes == [65]
+
 
 class TestLogConvexityScan:
     def test_bernstein_unity_case_exact_profile(self):
@@ -253,7 +285,230 @@ class TestEvenQ:
             logconvexity_scan(Params(2, -1))
 
 
+def _reference_grid(params: Params, count: int) -> list[Fraction]:
+    """conjecture_grid as it was built on Fractions, before the integer pairs."""
+    pts: set[Fraction] = set()
+    sup = params.domain_sup
+    half = count // 2
+    quarter = count // 4
+    if sup is not None:
+        b = Fraction(sup)
+        for j in range(half):
+            pts.add(b * j / (half - 1))
+        for j in range(1, quarter + 1):
+            frac = Fraction(j * j, 2 * quarter * quarter)
+            pts.add(b * frac)
+            pts.add(b * (1 - frac))
+        extra = 1
+        while len(pts) < count:
+            pts.add(b * extra / (count * 4 + 1))
+            extra += 1
+    else:
+        for j in range(half):
+            u = Fraction(j, half)
+            pts.add(u / (1 - u))
+        for j in range(1, quarter + 1):
+            pts.add(Fraction(j * j, 4 * quarter * quarter))
+            pts.add(Fraction(quarter * quarter + j * j, quarter * quarter))
+        extra = 1
+        while len(pts) < count:
+            pts.add(Fraction(extra, count * 4 + 1))
+            extra += 1
+    return sorted(pts, key=lambda v: (float(v), v))[:count]
+
+
+def _reference_value(poly: RationalPoly, v: Fraction) -> Fraction:
+    """poly(v) by one homogeneous integer Horner pass, as RationalPoly
+    evaluated a single point before the batch method."""
+    p, q = v.numerator, v.denominator
+    acc, qk = 0, 1
+    for c in reversed(poly._ints):
+        acc = acc * p + c * qk
+        qk *= q
+    return Fraction(acc * q, poly._den * qk)
+
+
+def _reference_report(grid, margins) -> tuple:
+    """(min_margin, argmin, violations) by rich compares, first minimum kept."""
+    pairs = list(zip(grid, margins))
+    min_x, min_m = min(pairs, key=lambda p: p[1], default=(0, 0))
+    return min_m, min_x, tuple((x, m) for x, m in pairs if m < 0)
+
+
+def _reference_scan(params: Params, r: RationalPoly, mobius, grid=None, count=1024) -> tuple:
+    """The exact log-convexity scan as the Fraction loop it was: one reduced
+    t and one evaluation per point, then the rich-compare report."""
+    a, b, c, d = mobius
+    xs = [Fraction(x) for x in grid] if grid is not None else _reference_grid(params, count)
+    margins = []
+    for x in xs:
+        assert params.in_domain(x)
+        p, q = x.numerator, x.denominator
+        margins.append(_reference_value(r, Fraction((a * p + b * q) ** 2, (c * p + d * q) ** 2)))
+    return (tuple(xs), tuple(margins), *_reference_report(xs, margins))
+
+
+def _fields(rep: ScanReport) -> tuple:
+    return rep.grid, rep.margins, rep.min_margin, rep.argmin, rep.violations
+
+
+def _user_grid(c: int):
+    """Rational and float points of the domain, some sharing a denominator."""
+    top = 1 if c < 0 else 10 ** 4
+    shared = st.integers(1, 10 ** 4).flatmap(
+        lambda q: st.lists(st.integers(0, top * q), max_size=12).map(lambda ks: [Fraction(k, q) for k in ks])
+    )
+    loose = st.lists(
+        st.one_of(
+            st.fractions(0, top, max_denominator=10 ** 6),
+            st.floats(0.0, float(top) if c < 0 else 1e6),
+        ),
+        max_size=12,
+    )
+    return st.tuples(shared, loose).map(lambda parts: parts[0] + parts[1]).filter(bool)
+
+
+class TestIntegerScan:
+    """The integer grid and the grouped pre-scaled Horner against the Fraction loop."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([-1, 1]), st.integers(1, 40), st.integers(4, 2049))
+    @example(-1, 40, 2049)
+    @example(1, 40, 2049)
+    @example(-1, 1, 4)
+    @example(1, 1, 4)
+    def test_default_grid_matches_the_fraction_loop(self, c, n, count):
+        params = Params(n, c)
+        assert conjecture_grid(params, count) == _reference_grid(params, count)
+        r, mobius = analysis._q_even(params)
+        rep = logconvexity_scan(params, count=count)
+        assert _fields(rep) == _reference_scan(params, r, mobius, count=count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([-1, 1]).flatmap(lambda c: st.tuples(st.just(c), st.integers(1, 40), _user_grid(c))))
+    def test_user_grid_matches_the_fraction_loop(self, case):
+        c, n, grid = case
+        params = Params(n, c)
+        r, mobius = analysis._q_even(params)
+        rep = logconvexity_scan(params, grid=grid)
+        assert _fields(rep) == _reference_scan(params, r, mobius, grid=grid)
+
+    @pytest.mark.parametrize("c", [-1, 1])
+    @pytest.mark.parametrize("n", [1, 7, 19])
+    def test_violations_of_a_shifted_r(self, c, n):
+        # R minus its median margin on the grid is negative at about half the
+        # points, so the violations and the minimum come from real negatives
+        params = Params(n, c)
+        r, mobius = analysis._q_even(params)
+        mid = sorted(_reference_scan(params, r, mobius, count=64)[1])[32]
+        shifted = r - mid
+        with mock.patch.object(analysis, "_q_even", lambda _: (shifted, mobius)):
+            rep = logconvexity_scan(params, count=64)
+        expected = _reference_scan(params, shifted, mobius, count=64)
+        assert len(expected[4]) >= 16
+        assert _fields(rep) == expected
+
+    @pytest.mark.parametrize("c", [-1, 1])
+    @pytest.mark.parametrize("k", [0, None])
+    def test_perturbed_coefficient_fails_the_comparison(self, c, k, monkeypatch):
+        # R + t^k / 10^30 at the constant and at the middle coefficient
+        params = Params(19, c)
+        r, mobius = analysis._q_even(params)
+        k = r.degree // 2 if k is None else k
+        bad = r + RationalPoly([0] * k + [Fraction(1, 10 ** 30)], "t")
+        monkeypatch.setattr(analysis, "_q_even", lambda _: (bad, mobius))
+        assert _fields(logconvexity_scan(params)) != _reference_scan(params, r, mobius)
+
+    @pytest.mark.parametrize("c", [-1, 1])
+    def test_one_unscaled_group_fails_the_comparison(self, c, monkeypatch):
+        # the largest group of points sharing a t-denominator runs Horner on
+        # R's coefficients without the c_k D^(deg-k) scaling
+        real = RationalPoly._at
+
+        def skip_one_scaling(self, points):
+            out = real(self, points)
+            (q, size), = Counter(d for _, d in points).most_common(1)
+            assert size > 1
+            for i, (p, d) in enumerate(points):
+                if d == q:
+                    acc = 0
+                    for coef in reversed(self._ints):
+                        acc = acc * p + coef
+                    out[i] = (acc, out[i][1])
+            return out
+
+        params = Params(12, c)
+        r, mobius = analysis._q_even(params)
+        monkeypatch.setattr(RationalPoly, "_at", skip_one_scaling)
+        assert _fields(logconvexity_scan(params)) != _reference_scan(params, r, mobius)
+
+    @pytest.mark.parametrize("c, distinct", [(-1, 513), (1, 1024)])
+    def test_default_scan_evaluates_in_one_batch(self, c, distinct, monkeypatch):
+        # no one-point evaluation runs: one batch call over the distinct t of
+        # the grid (Bernstein's x and 1 - x share one t)
+        real, sizes = RationalPoly._at, []
+
+        def counting(self, points):
+            sizes.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(RationalPoly, "_at", counting)
+        logconvexity_scan(Params(7, c))
+        assert sizes == [distinct]
+
+    @pytest.mark.parametrize("c", [-1, 1])
+    @pytest.mark.parametrize("count", [4, 5, 77, 1024, 2049])
+    def test_generated_points_are_in_the_domain(self, c, count):
+        # the scan checks the domain of --grid points only
+        params = Params(3, c)
+        assert all(params.in_domain(x) for x in conjecture_grid(params, count))
+
+    def test_bernstein_grid_has_fourteen_t_denominators(self):
+        params = Params(19, -1)
+        pairs = analysis._t_pairs(analysis._q_even(params)[1], conjecture_grid(params))
+        assert len({d for _, d in pairs}) == 14
+
+
+class TestReport:
+    """_report on exact margins against the rich-compare reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.fractions(-3, 3, max_denominator=50),
+                st.sampled_from([Fraction(0), Fraction(-1, 3), Fraction(10 ** 400), -Fraction(10 ** 400, 7)]),
+                st.integers(-10 ** 320, 10 ** 320).map(lambda k: Fraction(k, 3)),
+            ),
+            max_size=30,
+        )
+    )
+    def test_exact_margins(self, margins):
+        grid = [Fraction(i) for i in range(len(margins))]
+        rep = analysis._report("k", {}, grid, margins)
+        assert (rep.min_margin, rep.argmin, rep.violations) == _reference_report(grid, margins)
+        if margins:
+            first = min(range(len(margins)), key=margins.__getitem__)
+            assert rep.argmin == grid[first]
+
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=30))
+    def test_float_margins(self, margins):
+        grid = [float(i) for i in range(len(margins))]
+        rep = analysis._report("k", {}, grid, margins)
+        assert (rep.min_margin, rep.argmin, rep.violations) == _reference_report(grid, margins)
+
+
 class TestConjectureGrid:
+    @pytest.mark.parametrize("c, counts, least", [(-1, (-5, 0, 1, 2, 3), 4), (1, (-5, 0), 1)])
+    def test_count_below_the_minimum(self, c, counts, least):
+        # compact counts 2 and 3 raised ZeroDivisionError and 0 gave no points
+        params = Params(3, c)
+        assert analysis.conjecture_grid_minimum(params) == least
+        for count in counts:
+            with pytest.raises(ValueError, match=f"count >= {least}, got {count}"):
+                conjecture_grid(params, count)
+        assert len(conjecture_grid(params, least)) == least
+
     def test_count_and_rationality(self):
         grid = conjecture_grid(Params(3, -1), count=1024)
         assert len(grid) == 1024

@@ -513,8 +513,8 @@ def test_golden_table_bytes(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE[argv]
 
 
-def _logconvex(family, *extra):
-    return ("scan", "--family", family, "-n", "7", "--kind", "logconvexity", *extra)
+def _logconvex(family, *extra, n="7"):
+    return ("scan", "--family", family, "-n", n, "--kind", "logconvexity", *extra)
 
 
 # Recorded before the exact log-convexity margins moved from P/D^4 in x to
@@ -537,10 +537,34 @@ GOLDEN_SCAN = {
         "97456962f49ed1de5b9b8d211c10a515388c65ba6c814cbaca1d4b82e6117417",
     _logconvex("baskakov", "--format", "csv"):
         "e27cac2fdeb29dce63690f219030f6029375971d24701c7e4224aa0d01c24fa9",
+    # Recorded before the scan moved to integer grid pairs and the grouped
+    # pre-scaled Horner: the default grid at n = 19, --grid points that are
+    # floats on the exact route, a finite-difference scan (float margins)
+    # and the monotonicity scan.
+    _logconvex("bernstein", "--format", "json", n="19"):
+        "da09e4a81af47efec1b57ccf4b8d1cd5c76cfd35d7baea909807fc2c2ca5b1f5",
+    _logconvex("baskakov", "--format", "json", n="19"):
+        "9f5811161ffc1abf7d55d42cd8ce7829ba8a6b3434e27d9bb8e88cbd139b8c36",
+    _logconvex("baskakov", "--grid", "0:1000:65", "--format", "json", n="19"):
+        "eb3c88e6fb55a2ea0cc75e94f62a91aa1d53a8b5e5b64cace9d7c61404189f1b",
+    _logconvex("general", "-c", "1/2", "--grid", "0:5:33", "--format", "json"):
+        "cbef2695fa794d19e4398f627994d38e66e9d52342e75eacb06791d0d2ba8696",
+    ("scan", "--family", "bernstein", "-n", "7", "--kind", "monotonicity", "--format", "json"):
+        "2c55ca8597a05f83a2641fbebd17485d4f414beaae7f0cf9f2b2c9f835360dde",
+    ("scan", "--family", "bernstein", "-n", "7", "--kind", "monotonicity", "--count", "100", "--format", "csv"):
+        "66c93e3dc0a283a94f94e35140cc8a20313602df223485a1e68e94495cfe5720",
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_SCAN), ids=lambda a: " ".join((a[2], *a[7:])))
+def _scan_id(argv):
+    # the family and the options after the kind; -n and the kind where they
+    # differ from the first entries'
+    n = ("-n", argv[4]) if argv[4] != "7" else ()
+    kind = ("--kind", argv[6]) if argv[6] != "logconvexity" else ()
+    return " ".join((argv[2], *argv[7:], *n, *kind))
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SCAN), ids=_scan_id)
 def test_golden_scan_bytes(argv):
     code, out, _ = invoke(list(argv))
     assert code == 0

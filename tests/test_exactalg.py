@@ -85,6 +85,27 @@ class TestRationalPoly:
         assert p(Fraction(1, 4)) == Fraction(5, 8)
         assert p(0.25) == pytest.approx(0.625)
 
+    @given(
+        small_polys,
+        st.lists(st.integers(1, 12), min_size=1, max_size=4).flatmap(
+            lambda qs: st.lists(st.tuples(st.integers(-30, 30), st.sampled_from(qs)), max_size=24)
+        ),
+    )
+    def test_values_match_fraction_horner(self, p, points):
+        # points drawn from a few denominators, so groups and repeats occur
+        def horner(x):
+            acc = Fraction(0)
+            for c in reversed(p.coeffs):
+                acc = acc * x + c
+            return acc
+
+        assert p.values(points) == [horner(Fraction(a, b)) for a, b in points]
+
+    def test_values_share_one_fraction_per_distinct_point(self):
+        vals = RationalPoly([1, -2, 2]).values([(1, 4), (3, 4), (1, 4)])
+        assert vals == [Fraction(5, 8), Fraction(5, 8), Fraction(5, 8)]
+        assert vals[0] is vals[2] and vals[0] is not vals[1]
+
     def test_compose_linear(self):
         p = RationalPoly([0, 0, 1], "s")  # s^2
         assert p.compose_linear(1, Fraction(-1, 2)) == RationalPoly([Fraction(1, 4), -1, 1])
@@ -429,6 +450,17 @@ class TestRationalFamilies:
         assert g_series_coeffs(3) == RationalPoly(
             [0, Fraction(3, 8), 0, Fraction(1, 4), 0, Fraction(3, 8)], "u"
         )
+
+    def test_baskakov_series_is_the_factorial_quotient(self):
+        # the u^(2k+1) coefficient as the Fraction of factorials it was built from
+        f = math.factorial
+        for n in range(1, 41):
+            expected = [Fraction(0)] * (2 * n)
+            for k in range(n):
+                expected[2 * k + 1] = Fraction(
+                    f(2 * k) * f(2 * n - 2 * k - 2), f(k) ** 2 * f(n - k - 1) ** 2 * 4 ** (n - 1)
+                )
+            assert g_series_coeffs(n) == RationalPoly(expected, "u")
 
     def test_baskakov_matches_defining_series(self):
         x = Fraction(1, 3)

@@ -1,9 +1,14 @@
 """Smoke tests: each sweep script runs to completion on tiny arguments."""
 
+import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+from sqsums.analysis import logconvexity_scan
+from sqsums.core import Params
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -36,6 +41,10 @@ def test_conjecture_scan(tmp_path):
     assert reports == [
         f"logconvexity_{tag}_n{n:02d}.json" for tag in ("baskakov", "bernstein") for n in (1, 2)
     ]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5 and all(re.search(r"  scan: \d+\.\d{3}s$", line) for line in lines[:4])
+    written = json.loads((tmp_path / "logconvexity_baskakov_n02.json").read_text())
+    assert written == logconvexity_scan(Params(2, 1), count=16).to_json()
 
 
 def test_method_agreement():
