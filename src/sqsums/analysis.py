@@ -333,8 +333,7 @@ def conjecture_grid(params: Params, count: int = 1024) -> list[Fraction]:
     quarter = count // 4
     sup = params.domain_sup
     if sup is not None:
-        b = Fraction(sup)
-        bp, bq = b.numerator, b.denominator
+        bp, bq = sup.numerator, sup.denominator
         for j in range(half):
             add(bp * j, bq * (half - 1))
         sq = 2 * quarter * quarter
