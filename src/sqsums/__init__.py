@@ -19,7 +19,6 @@ from .core import (
 from .evalnum import (
     EvalResult,
     Method,
-    QuadratureRule,
     bessel_i0,
     bessel_i0e,
     hyp2f1_diag,
@@ -54,7 +53,6 @@ __all__ = [
     "Method",
     "ParameterError",
     "Params",
-    "QuadratureRule",
     "RationalFn",
     "RationalPoly",
     "basis",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -50,7 +51,12 @@ def _default_step(x: float) -> float:
 
 def _fmt(v: Real) -> str:
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        try:
+            return f"{v.numerator}/{v.denominator}"
+        except ValueError:
+            # past sys.get_int_max_str_digits(), a guard against slow
+            # conversion of untrusted text; these integers were computed
+            return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
     return f"{v:.17g}"
 
 

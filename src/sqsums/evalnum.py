@@ -32,7 +32,6 @@ Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ from .core import Params, _certified_rows, _poisson_peak, _require_window_stop, 
 __all__ = [
     "EvalResult",
     "Method",
-    "QuadratureRule",
     "RuleKind",
     "Z_SWITCH",
     "bessel_i0",
@@ -101,37 +99,22 @@ class RuleKind(enum.Enum):
     CHEBYSHEV_M11 = "chebyshev_m11"
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Chebyshev nodes and weights.
+    """Not exported and without builders: quadrature keeps no rule objects.
+
+    The span table of ``perfbench/tracing.py`` looks this class up, so the
+    name stays until that entry goes.
+    """
+
+
+def _chebyshev_nodes(kind: RuleKind, ms: np.ndarray) -> np.ndarray:
+    """The nodes of the m-node Gauss-Chebyshev rule of a kind for each m in
+    ``ms``, one rule after the other in one array.
 
     The [-1, 1] rule integrates against 1/sqrt(1-t^2); its transplant to
     [0, 1] integrates against 1/sqrt(t(1-t)).  Both have equal weights
     pi/m and are exact for polynomials of degree 2m-1 times the weight.
     """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: RuleKind
-
-    @classmethod
-    def chebyshev_m11(cls, m: int) -> "QuadratureRule":
-        if m < 2:
-            raise ValueError("need at least 2 nodes")
-        nodes = _chebyshev_nodes(RuleKind.CHEBYSHEV_M11, np.array([m]))
-        return cls(nodes, np.full(m, np.pi / m), RuleKind.CHEBYSHEV_M11)
-
-    @classmethod
-    def chebyshev_01(cls, m: int) -> "QuadratureRule":
-        if m < 2:
-            raise ValueError("need at least 2 nodes")
-        nodes = _chebyshev_nodes(RuleKind.CHEBYSHEV_01, np.array([m]))
-        return cls(nodes, np.full(m, np.pi / m), RuleKind.CHEBYSHEV_01)
-
-
-def _chebyshev_nodes(kind: RuleKind, ms: np.ndarray) -> np.ndarray:
-    """The nodes of the m-node rule of a kind for each m in ``ms``, one rule
-    after the other in one array; each entry has the bits of its own rule."""
     m = np.repeat(ms, ms)
     j = np.arange(1, m.size + 1) - np.repeat(np.cumsum(ms) - ms, ms)
     nodes = np.cos((2 * j - 1) * np.pi / (2 * m))
@@ -208,11 +191,6 @@ def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 
     return out
 
 
-def _hyp2f1_diag_tail(a: float, z: float, rtol: float, max_terms: int = 2 * 10 ** 6):
-    """Series value with a certified geometric tail bound and term count."""
-    return _one(_hyp2f1_rows(a, [z], rtol, max_terms))
-
-
 def hyp2f1_diag(a: float, z: float, rtol: float = 1e-15) -> float:
     """Gauss series with equal upper parameters and unit lower parameter.
 
@@ -221,7 +199,7 @@ def hyp2f1_diag(a: float, z: float, rtol: float = 1e-15) -> float:
     is a nonpositive integer; otherwise needs 0 <= z < 1 and stops once the
     geometric tail certificate falls below rtol times the partial sum.
     """
-    value, _, _ = _hyp2f1_diag_tail(float(a), float(z), rtol)
+    value, _, _ = _one(_hyp2f1_rows(float(a), [float(z)], rtol))
     return value
 
 
@@ -344,29 +322,25 @@ def bessel_i0e(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _neg_c_terms_log(params: Params, x: float) -> list[float]:
-    """Log-terms of the finite squared sum for c < 0, stable up to the endpoint."""
+def _neg_c_log_sum(params: Params, x: float, y: float) -> float:
+    """The finite sum T(x, y) = sum_k p_k(x) p_k(y) for c < 0 and x, y > 0,
+    summed in log space and unscaled by its largest term; S(x) is T(x, x).
+
+    Term k is 2 log(prod_{j<k}(n + j c) / k!) + k log(xy) + (l - k) log of
+    (1+cx)(1+cy).  That log is -inf at the right endpoint, where only the
+    last term survives.
+    """
     n = params.n_float
     c = params.c_float
     l = params.l
-    u = c * x
-    lp1 = math.log1p(u) if 1.0 + u > 0.0 else -math.inf  # right endpoint
-    lx = math.log(x)
+    lxy = math.log(x) + math.log(y)
+    lp = sum(math.log1p(c * v) if 1.0 + c * v > 0.0 else -math.inf for v in (x, y))
     logs = []
     log_coef = 0.0  # log of prod_{j<k}(n + j c) / k!
     for k in range(l + 1):
         if k > 0:
             log_coef += math.log(n + (k - 1) * c) - math.log(k)
-        if k == l and lp1 == -math.inf:
-            logs.append(2.0 * (log_coef + k * lx))
-            continue
-        logs.append(2.0 * (log_coef + k * lx) + 2.0 * (l - k) * lp1)
-    return logs
-
-
-def _neg_c_sum(params: Params, x: float) -> float:
-    """The finite squared sum for c < 0, unscaled from log space."""
-    logs = _neg_c_terms_log(params, x)
+        logs.append(2.0 * log_coef + k * lxy + ((l - k) * lp if k < l else 0.0))
     top = max(logs)
     return math.exp(top) * math.fsum(math.exp(lg - top) for lg in logs)
 
@@ -430,7 +404,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             if xf == 0.0:
                 out[i] = EvalResult(1.0, Method.SERIES, 0.0, 1)
             elif c < 0:
-                value = _neg_c_sum(params, xf)
+                value = _neg_c_log_sum(params, xf, xf)
                 out[i] = EvalResult(value, Method.SERIES, 4e-16 * (params.l + 1) * value, params.l + 1)
             elif c == 0.0:
                 mu = n * xf
@@ -566,7 +540,7 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             pref_log = -(2.0 * n / c) * math.log1p(u)
             if c < 0 and not (z < 1e10 and abs(pref_log) < _EXP_GUARD):
                 # near the endpoint the terminating series is unscaled in log space
-                value = _neg_c_sum(params, xf)
+                value = _neg_c_log_sum(params, xf, xf)
                 out[i] = EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), params.l + 1)
             elif c > 0 and (z > Z_SWITCH or pref_log < -_EXP_GUARD):
                 quad.append((i, xf))
@@ -644,31 +618,6 @@ def _s_integrand(params: Params):
     return f, b2, RuleKind.CHEBYSHEV_01
 
 
-@functools.lru_cache(maxsize=8)
-def _rule(kind: RuleKind, m: int) -> QuadratureRule:
-    """The m-node rule of a kind for the kernel T, shared between calls and
-    so read-only.
-
-    Bounded: eight rules serve the ladder levels that neighbouring points
-    revisit, where an unbounded cache would keep every level ever built.
-    """
-    if kind is RuleKind.CHEBYSHEV_01:
-        rule = QuadratureRule.chebyshev_01(m)
-    else:
-        rule = QuadratureRule.chebyshev_m11(m)
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
-
-
-def _rule_mean(f, kind: RuleKind, m: int) -> float:
-    """Mean of f over the m nodes: the rule's value divided by pi.
-
-    The same bits as ``np.mean``, which sums pairwise and divides by m.
-    """
-    return float(np.add.reduce(f(_rule(kind, m).nodes))) / m
-
-
 def _min_nodes(params: Params, x: float) -> int:
     """Node count needed to see the integrand's sharp region at all.
 
@@ -700,17 +649,46 @@ def _min_nodes(params: Params, x: float) -> int:
 _NODES_PER_CALL = 4096
 
 
+def _means(f, kind: RuleKind, ps: Sequence, ms: Sequence[int]) -> list[float]:
+    """Mean of f(t, p) over the nodes t of the m-node rule of a kind, for
+    each pair (p, m) of ``ps`` and ``ms``: the rule's value divided by pi.
+
+    The nodes of all pairs go through the integrand as one concatenated
+    array, and each mean is ``np.add.reduce`` over its own contiguous
+    segment divided by m, the bits of ``np.mean`` on that segment (pairs
+    with equal node counts sit side by side, and a run of them is reduced
+    as the rows of one array, which sums each row pairwise as it sums a
+    lone segment).
+    """
+    chunks, size = [[]], 0
+    for j in sorted(range(len(ms)), key=ms.__getitem__):
+        if chunks[-1] and size + ms[j] > _NODES_PER_CALL:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(j)
+        size += ms[j]
+    means = [0.0] * len(ms)
+    for chunk in chunks:
+        sizes = np.array([ms[j] for j in chunk], dtype=np.int64)
+        vals = f(_chebyshev_nodes(kind, sizes), np.repeat([ps[j] for j in chunk], sizes))
+        start = 0
+        for mm, run in itertools.groupby(chunk, key=ms.__getitem__):
+            run = list(run)
+            rows = vals[start : start + mm * len(run)].reshape(len(run), mm)
+            start += mm * len(run)
+            for j, total in zip(run, np.add.reduce(rows, axis=1).tolist()):
+                means[j] = total / mm
+    return means
+
+
 def s_quad_grid(
     params: Params, xs: Sequence[float], m: int = LADDER_START, rtol: float = RTOL_DEFAULT
 ) -> list:
     """``s_quad`` at every point of ``xs``.
 
-    The ladder runs level by level for all points still climbing it: the
-    nodes of all of them go through the integrand as one concatenated
-    array, and each point's mean is ``np.add.reduce`` over its own
-    contiguous segment, the bits of the one-point ladder (points with equal
-    node counts sit side by side, and a run of them is reduced as the rows
-    of one array, which sums each row pairwise as it sums a lone segment).
+    The ladder runs level by level for all points still climbing it, each
+    level one ``_means`` call, so every point has the bits of the one-point
+    ladder.
     """
     if m < 2:
         raise ValueError("need m >= 2 quadrature nodes")
@@ -729,34 +707,13 @@ def s_quad_grid(
     if not points:
         return out
 
-    def level(js: list[int]) -> list[float]:
-        """Means of the points js at their current node counts."""
-        chunks, size = [[]], 0
-        for j in sorted(js, key=ms.__getitem__):
-            if chunks[-1] and size + ms[j] > _NODES_PER_CALL:
-                chunks.append([])
-                size = 0
-            chunks[-1].append(j)
-            size += ms[j]
-        means: dict[int, float] = {}
-        for chunk in chunks:
-            sizes = np.array([ms[j] for j in chunk], dtype=np.int64)
-            vals = f(_chebyshev_nodes(kind, sizes), np.repeat([ps[j] for j in chunk], sizes))
-            start = 0
-            for mm, run in itertools.groupby(chunk, key=ms.__getitem__):
-                run = list(run)
-                rows = vals[start : start + mm * len(run)].reshape(len(run), mm)
-                start += mm * len(run)
-                means.update(zip(run, (total / mm for total in np.add.reduce(rows, axis=1).tolist())))
-        return [means[j] for j in js]
-
-    values = level(list(range(len(points))))
+    values = _means(f, kind, ps, ms)
     diffs = [math.inf] * len(points)
     climbing = [j for j in range(len(points)) if ms[j] < LADDER_MAX]
     while climbing:
         for j in climbing:
             ms[j] *= 2
-        for j, mean in zip(climbing, level(climbing)):
+        for j, mean in zip(climbing, _means(f, kind, [ps[j] for j in climbing], [ms[j] for j in climbing])):
             diffs[j] = abs(mean - values[j])
             values[j] = mean
         climbing = [
@@ -813,17 +770,7 @@ def t_closed(params: Params, x: float, y: float) -> float:
         if xf == 0.0 or yf == 0.0:
             other = yf if xf == 0.0 else xf
             return math.exp(l * math.log1p(c * other))
-        # finite sum in log space, stable to the domain corners
-        lxy = 2.0 * math.log(-c) + math.log(xf) + math.log(yf)
-        lp = math.log(px) + math.log(py)
-        logs = []
-        log_coef = 0.0
-        for k in range(l + 1):
-            if k > 0:
-                log_coef += 2.0 * math.log((l - k + 1) / k)  # C(l,k) step, squared
-            logs.append(log_coef + k * lxy + (l - k) * lp)
-        top = max(logs)
-        return math.exp(top) * math.fsum(math.exp(lg - top) for lg in logs)
+        return _neg_c_log_sum(params, xf, yf)
 
     if xf == 0.0 or yf == 0.0:
         other = yf if xf == 0.0 else xf
@@ -832,18 +779,32 @@ def t_closed(params: Params, x: float, y: float) -> float:
     z = (c * c * xf * yf) / (px * py)
     pref_log = -a * (math.log1p(c * xf) + math.log1p(c * yf))
     if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-        return _t_quad_adaptive(params, xf, yf)
-    value, _, _ = _hyp2f1_diag_tail(a, z, 1e-15)
+        # quadrature ladder: the kernel integrand concentrates no more sharply
+        # than the worse of its two diagonal restrictions; kernel values can
+        # be genuinely tiny, so the stop is purely relative here
+        f, kind = _t_integrand(params, xf, yf)
+        m = max(LADDER_START, _min_nodes(params, xf), _min_nodes(params, yf))
+        (value,) = _means(f, kind, [0.0], [m])
+        while m < LADDER_MAX:
+            m *= 2
+            old, (value,) = value, _means(f, kind, [0.0], [m])
+            if value == 0.0 or abs(value - old) <= RTOL_DEFAULT * abs(value):
+                break
+        return value
+    value, _, _ = _one(_hyp2f1_rows(a, [z], 1e-15))
     return math.exp(pref_log) * value
 
 
 def _t_integrand(params: Params, x: float, y: float):
+    """The kernel integrand over the rule's interval as f(t, _), whose
+    second argument is ``_means``'s point parameter and unused, and the
+    rule kind it uses."""
     n = params.n_float
     c = params.c_float
     if c == 0.0:
         root = math.sqrt(x * y)
 
-        def f(t: np.ndarray) -> np.ndarray:
+        def f(t: np.ndarray, _) -> np.ndarray:
             return np.exp(-n * (x + y + 2.0 * t * root))
 
         return f, RuleKind.CHEBYSHEV_M11
@@ -856,14 +817,14 @@ def _t_integrand(params: Params, x: float, y: float):
     if c < 0:
         l = params.l
 
-        def f(t: np.ndarray) -> np.ndarray:
+        def f(t: np.ndarray, _) -> np.ndarray:
             return (s2 - cross * t) ** l
 
         return f, RuleKind.CHEBYSHEV_01
 
     e = -n / c
 
-    def f(t: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray, _) -> np.ndarray:
         return np.exp(e * np.log(s2 - cross * t))
 
     return f, RuleKind.CHEBYSHEV_01
@@ -876,21 +837,5 @@ def t_quad(params: Params, x: float, y: float, m: int = 64) -> float:
     params.require_in_domain(x)
     params.require_in_domain(y)
     f, kind = _t_integrand(params, float(x), float(y))
-    return _rule_mean(f, kind, m)
-
-
-def _t_quad_adaptive(params: Params, x: float, y: float, rtol: float = RTOL_DEFAULT) -> float:
-    f, kind = _t_integrand(params, x, y)
-    # the kernel integrand concentrates no more sharply than the worse of
-    # its two diagonal restrictions; kernel values can be genuinely tiny,
-    # so the stop is purely relative here
-    m = max(LADDER_START, _min_nodes(params, x), _min_nodes(params, y))
-    value = _rule_mean(f, kind, m)
-    while m < LADDER_MAX:
-        m *= 2
-        new = _rule_mean(f, kind, m)
-        diff = abs(new - value)
-        value = new
-        if new == 0.0 or diff <= rtol * abs(new):
-            break
+    (value,) = _means(f, kind, [0.0], [m])
     return value

@@ -89,16 +89,9 @@ def legendre_p(n: int, t):
 
 @lru_cache(maxsize=None)
 def legendre_poly(n: int) -> RationalPoly:
-    """Exact coefficient form of P_n (variable 't')."""
-    if n == 0:
-        return RationalPoly((1,), "t")
-    if n == 1:
-        return RationalPoly((0, 1), "t")
-    t = RationalPoly.x("t")
-    p_prev, p_cur = RationalPoly((1,), "t"), t
-    for k in range(1, n):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
-    return p_cur
+    """Exact coefficient form of P_n (variable 't'): ``legendre_p`` on the
+    polynomial t."""
+    return legendre_p(n, RationalPoly.x("t"))
 
 
 def legendre_from_binom(n: int, t: Fraction) -> Fraction:

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqsums
-from sqsums import cli, exactalg
+from sqsums import analysis, cli, exactalg
 from sqsums.cli import OUTPUT_SCHEMA, _parse, run
-from sqsums.core import FAMILY_NAMES, ParameterError
+from sqsums.core import FAMILY_NAMES, ParameterError, Params
 
 
 def invoke(argv):
@@ -309,6 +309,30 @@ class TestScan:
         _, two, _ = invoke(argv + ["-n", "2"])
         assert json.loads(frac)["report"]["subject"] == {"family": "baskakov", "n": "5/2"}
         assert json.loads(frac)["report"]["margins"] != json.loads(two)["report"]["margins"]
+
+    def test_exact_margins_print_past_the_int_string_limit(self):
+        # the margins at n = 400 have more digits than str() converts by default
+        argv = ["scan", "--family", "baskakov", "-n", "400", "--kind", "logconvexity", "--grid", "511:512:2"]
+        code, out, err = invoke(argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        code, text, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert f"min_margin={report['min_margin']} " in text
+        want = analysis.logconvexity_scan(Params(400, 1), grid=[Fraction(511), Fraction(512)])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert report["margins"] == [f"{m.numerator}/{m.denominator}" for m in want.margins]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(report["min_margin"]) > limit
+
+    def test_an_index_past_the_int_string_limit_is_a_usage_error(self):
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        code, out, err = invoke(["scan", "--family", "baskakov", "-n", digits, "--kind", "logconvexity"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: option -n:")
 
     def test_ode_scan_through_a_vanishing_scale(self):
         # at x = 1, the midpoint of I_c for c = -1/2, a2 and a0 vanish and the

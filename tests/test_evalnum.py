@@ -10,9 +10,11 @@ from sqsums.core import DomainError, Params
 from sqsums.evalnum import (
     LADDER_MAX,
     Method,
-    QuadratureRule,
     RuleKind,
     Z_SWITCH,
+    _EXP_GUARD,
+    _chebyshev_nodes,
+    _means,
     bessel_i0,
     bessel_i0e,
     hyp2f1_diag,
@@ -94,48 +96,49 @@ def _weight_moment_01(k: int) -> float:
 class TestQuadratureRules:
     def test_node_and_weight_formulas(self):
         m = 7
-        rule = QuadratureRule.chebyshev_01(m)
+        nodes = _chebyshev_nodes(RuleKind.CHEBYSHEV_01, np.array([m]))
         for j in range(1, m + 1):
             expect = (1 + math.cos((2 * j - 1) * math.pi / (2 * m))) / 2
-            assert rule.nodes[j - 1] == pytest.approx(expect, rel=1e-15)
-        assert np.allclose(rule.weights, math.pi / m)
-        rule = QuadratureRule.chebyshev_m11(m)
-        assert rule.kind is RuleKind.CHEBYSHEV_M11
-        assert np.allclose(np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)), rule.nodes)
+            assert nodes[j - 1] == pytest.approx(expect, rel=1e-15)
+        nodes = _chebyshev_nodes(RuleKind.CHEBYSHEV_M11, np.array([m]))
+        assert np.allclose(np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)), nodes)
+        # equal weights pi/m: the rule's value is pi times the mean
+        assert _means(lambda t, p: p * np.ones_like(t), RuleKind.CHEBYSHEV_01, [2.5], [m]) == [2.5]
 
     @pytest.mark.parametrize("m", [2, 5, 12])
     def test_exact_for_low_degree_moments(self, m):
-        rule = QuadratureRule.chebyshev_01(m)
-        for k in range(0, 2 * m):
-            got = float(np.sum(rule.weights * rule.nodes ** k))
-            assert got == pytest.approx(_weight_moment_01(k), rel=1e-13)
+        ks = list(range(2 * m))
+        got = _means(lambda t, k: t ** k, RuleKind.CHEBYSHEV_01, ks, [m] * len(ks))
+        for k, mean in zip(ks, got):
+            assert math.pi * mean == pytest.approx(_weight_moment_01(k), rel=1e-13)
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureRule.chebyshev_01(1)
-
-    def test_cached_rules_are_shared_and_read_only(self):
-        from sqsums.evalnum import _rule
-
-        rule = _rule(RuleKind.CHEBYSHEV_01, 48)
-        assert _rule(RuleKind.CHEBYSHEV_01, 48) is rule
-        assert _rule(RuleKind.CHEBYSHEV_M11, 48) is not rule
-        assert np.array_equal(rule.nodes, QuadratureRule.chebyshev_01(48).nodes)
-        for arr in (rule.nodes, rule.weights):
+        for m in (1, 0):
             with pytest.raises(ValueError):
-                arr[0] = 0.5
-        assert _rule.cache_info().maxsize == 8
-        # the public constructors still hand out arrays of their own
-        QuadratureRule.chebyshev_01(48).nodes[0] = 0.5
+                s_quad(Params(2, 1), 0.5, m=m)
+            with pytest.raises(ValueError):
+                t_quad(Params(2, 1), 0.5, 0.25, m=m)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300))
-    def test_rule_mean_has_the_bits_of_np_mean(self, values):
-        from sqsums.evalnum import _rule_mean
-
+    def test_means_have_the_bits_of_np_mean(self, values):
         m = len(values)
-        got = _rule_mean(lambda nodes: np.array(values), RuleKind.CHEBYSHEV_01, m)
-        assert got == float(np.mean(np.array(values)))
+        got = _means(lambda t, p: np.array(values), RuleKind.CHEBYSHEV_01, [0.0], [m])
+        assert got == [float(np.mean(np.array(values)))]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-30.0, 30.0), st.integers(2, 300)), min_size=1, max_size=40),
+        st.sampled_from(list(RuleKind)),
+    )
+    def test_means_of_mixed_node_counts_have_the_bits_of_np_mean(self, pairs, kind):
+        # several chunks of up to _NODES_PER_CALL nodes, sorted by node count
+        def f(t, p):
+            return np.exp(p * t) * np.sin(1e3 * t + p)
+
+        got = _means(f, kind, [p for p, _ in pairs], [m for _, m in pairs])
+        want = [float(np.mean(f(_chebyshev_nodes(kind, np.array([m])), np.full(m, p)))) for p, m in pairs]
+        assert got == want
 
 
 def _brute_s(n: float, c: float, x: float, kmax: int = 4000) -> float:
@@ -373,6 +376,20 @@ class TestKernel:
             got = t_quad(Params(n, c), x, y, m=256)
             assert got == pytest.approx(t_closed(Params(n, c), x, y), rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "n, x, quadrature",
+        [(1, 398.0, False), (1, 400.0, True), (200, 4.5, False), (200, 4.7, True)],
+    )
+    def test_hand_over_against_mpmath(self, n, x, quadrature):
+        # both sides of Z_SWITCH (n = 1) and of _EXP_GUARD (n = 200), c = 1
+        mpmath = pytest.importorskip("mpmath")
+        z = (x / (1.0 + x)) ** 2
+        pref_log = -2.0 * n * math.log1p(x)
+        assert (z > Z_SWITCH or pref_log < -_EXP_GUARD) is quadrature
+        with mpmath.workdps(40):
+            want = mpmath.hyp2f1(n, n, 1, mpmath.mpf(x) ** 2 / (1 + mpmath.mpf(x)) ** 2) / (1 + mpmath.mpf(x)) ** (2 * n)
+            assert abs(t_closed(Params(n, 1), x, x) / want - 1) <= 1e-10
+
     def test_corner_cases_negative_c(self):
         params = Params(4, -1)
         assert t_closed(params, 1.0, 1.0) == 1.0
@@ -446,9 +463,7 @@ def test_grid_routes_keep_point_errors():
 
 
 def test_chebyshev_nodes_have_the_bits_of_each_rule():
-    from sqsums.evalnum import _chebyshev_nodes
-
-    # the expressions QuadratureRule used before the nodes were shared
+    # each rule's nodes, built on their own by the textbook expressions
     ms = np.array([2, 3, 16, 17, 100, 4096, 16])
     for m, m11, m01 in zip(
         ms,

@@ -22,7 +22,6 @@ from sqsums.evalnum import (
     Method,
     Z_SWITCH,
     _EXP_GUARD,
-    _hyp2f1_diag_tail,
     bessel_i0,
     bessel_i0e,
     s_closed,
@@ -34,6 +33,11 @@ from sqsums.evalnum import (
 def _i0_series(z, rtol=1e-16):
     """The kernel's direct even series sum_k (z^2/4)^k / (k!)^2 at one z."""
     return evalnum._one(evalnum._i0_rows([z], rtol))
+
+
+def _hyp2f1_tail(a, z, rtol, max_terms):
+    """The kernel's diagonal hypergeometric series at one z."""
+    return evalnum._one(evalnum._hyp2f1_rows(a, [z], rtol, max_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,7 @@ _RTOLS = st.sampled_from([1e-16, 1e-15, 1e-13, 1e-10, 1e-6, 1e-2])
 @example(2.4200926070971116, 0.48262632937968614, 1e-16, 20000)
 def test_hyp2f1_tail_matches_loop(a, z, rtol, max_terms):
     assume(a > 0.0 and z > 0.0)  # a = 0 terminates and z = 0 returns at once
-    assert _outcome(_hyp2f1_diag_tail, a, z, rtol, max_terms) == _outcome(
+    assert _outcome(_hyp2f1_tail, a, z, rtol, max_terms) == _outcome(
         ref_hyp2f1_tail, a, z, rtol, max_terms
     )
 
@@ -312,7 +316,7 @@ def test_overflowing_square_raises_like_python():
     with pytest.raises(OverflowError):
         ref_hyp2f1_tail(1e200, 1e-300, 1e-15, 10)
     with pytest.raises(OverflowError):
-        _hyp2f1_diag_tail(1e200, 1e-300, 1e-15, 10)
+        _hyp2f1_tail(1e200, 1e-300, 1e-15, 10)
     # c = 1e200: (x/(1+cx))^2 underflows to 0, so the overflowed square
     # times it is NaN, not inf; the loop still raised at the square
     n, c, x = 1e6, 1e200, 0.3
@@ -371,7 +375,7 @@ def test_block_boundaries():
 
 def test_caps_raise_where_the_loops_did():
     with pytest.raises(ArithmeticError, match="within 5 terms"):
-        _hyp2f1_diag_tail(0.5, 0.99, 1e-16, 5)
+        _hyp2f1_tail(0.5, 0.99, 1e-16, 5)
     # the c > 0 series at x = 1e5 needs more than 2*10^6 terms
     with pytest.raises(ArithmeticError, match="use the quadrature route"):
         s_series(Params(5, 1), 1e5)
@@ -429,7 +433,7 @@ def test_last_certificate_overflow_at_the_cap():
     # an inf or NaN that no square produced is summed on, as the loop did
     total, tail, steps = one_row(lambda k: np.where(k < 5, 2.0, np.inf), 0, 1e-16, 8)
     assert (total, tail, steps) == (math.inf, None, 8)
-    assert _outcome(_hyp2f1_diag_tail, 0.5, math.nan, 1e-15, 50) == _outcome(
+    assert _outcome(_hyp2f1_tail, 0.5, math.nan, 1e-15, 50) == _outcome(
         ref_hyp2f1_tail, 0.5, math.nan, 1e-15, 50
     )
 
@@ -582,7 +586,7 @@ def test_a_sum_that_overflows_is_no_overflow_error():
     # the loop returns inf, and so must the kernel
     expect = ref_hyp2f1_tail(53.0, 0.998046875, 1e-16, 2 * 10 ** 6)
     assert expect[0] == math.inf
-    assert _hyp2f1_diag_tail(53.0, 0.998046875, 1e-16, 2 * 10 ** 6) == expect
+    assert _hyp2f1_tail(53.0, 0.998046875, 1e-16, 2 * 10 ** 6) == expect
 
 
 # ---------------------------------------------------------------------------
