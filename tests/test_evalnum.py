@@ -387,7 +387,8 @@ class TestKernel:
         pref_log = -2.0 * n * math.log1p(x)
         assert (z > Z_SWITCH or pref_log < -_EXP_GUARD) is quadrature
         with mpmath.workdps(40):
-            want = mpmath.hyp2f1(n, n, 1, mpmath.mpf(x) ** 2 / (1 + mpmath.mpf(x)) ** 2) / (1 + mpmath.mpf(x)) ** (2 * n)
+            u = mpmath.mpf(x)
+            want = mpmath.hyp2f1(n, n, 1, (u / (1 + u)) ** 2) / (1 + u) ** (2 * n)
             assert abs(t_closed(Params(n, 1), x, x) / want - 1) <= 1e-10
 
     def test_corner_cases_negative_c(self):
