@@ -100,7 +100,7 @@ class RuleKind(enum.Enum):
 
 
 class QuadratureRule:
-    """Not exported and without builders: quadrature keeps no rule objects.
+    """Not exported and empty: quadrature keeps no rule objects.
 
     The span table of ``perfbench/tracing.py`` looks this class up, so the
     name stays until that entry goes.
