@@ -9,7 +9,7 @@ family and its index-0 counterpart for Meyer-Konig-Zeller).
 
 import argparse
 
-from sqsums.bounds import bound_values, standard_grid
+from sqsums.bounds import bound_reports, standard_grid
 from sqsums.core import FamilyId
 
 
@@ -29,7 +29,7 @@ def main() -> None:
         family = FamilyId(name)
         grid = standard_grid(family, count=args.count)
         for n in range(n_lo, args.n_max + 1):
-            worst = min((bound_values(family, n, x) for x in grid), key=lambda r: r.min_margin)
+            worst = min(bound_reports(family, n, grid), key=lambda r: r.min_margin)
             print(
                 f"{name:>9} n={n:2d}  min margin {worst.min_margin:+.3e} "
                 f"at x={worst.x:.6g} (s={worst.s_value:.6g})"

@@ -566,6 +566,24 @@ def _overflows(
     return False
 
 
+def _one(outcomes: list):
+    """The outcome of a one-point call, raised if it is an exception."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _finish(out: list, jobs: list, results: list, finish: Callable) -> None:
+    """For each job (point i, parameters p) and its result, set out[i] to
+    finish(p, result), or to the exception the result is or finish raises."""
+    for (i, p), r in zip(jobs, results):
+        try:
+            out[i] = r if isinstance(r, Exception) else finish(p, r)
+        except Exception as exc:
+            out[i] = exc
+
+
 # The peak-window walks sum at most this many terms.
 _WINDOW_TERMS = 10 ** 7
 
@@ -575,8 +593,8 @@ def _sum_unimodal_rows(
     ratio_down: Callable[..., np.ndarray],
     k0: list[float],
     tol: float,
+    max_terms: int,
     up_sup=None,
-    max_terms: int = _WINDOW_TERMS,
     args: tuple = (),
 ) -> list:
     """Sum positive unimodal sequences, each scaled so its term k0 equals 1.
@@ -606,27 +624,32 @@ def _sum_unimodal_rows(
     ]
 
 
-def _sum_unimodal_scaled(
-    ratio_up: Callable[[np.ndarray], np.ndarray],
-    ratio_down: Callable[[np.ndarray], np.ndarray],
-    k0: int,
-    tol: float,
-    up_sup: float = 0.0,
-    max_terms: int = _WINDOW_TERMS,
-) -> tuple[float, int]:
-    """One sequence through ``_sum_unimodal_rows``: (scaled sum, number of
-    terms); raises the loop's OverflowError."""
-    (outcome,) = _sum_unimodal_rows(ratio_up, ratio_down, [float(k0)], tol, up_sup or None, max_terms)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _window_rows(
+    peaks: list, ratio_up: Callable, ratio_down: Callable, tol: float, up_sup=None, args: tuple = ()
+) -> list:
+    """Per row, the sum of a positive unimodal sequence walked out from its
+    peak (``_sum_unimodal_rows``) times its peak term, and the number of
+    terms; or the exception.  ``peaks[i]`` is row i's (peak index, log of
+    the peak term), or the exception raised finding them; ``up_sup`` and
+    ``args`` hold one value per row.  A walk that reaches the term cap is
+    short by an unknown amount and raises ArithmeticError."""
+    cap = _WINDOW_TERMS
+    rows = [(i, peak) for i, peak in enumerate(peaks) if not isinstance(peak, Exception)]
 
+    def of_rows(v):
+        return v if v is None else [v[i] for i, _ in rows]
 
-def _require_window_stop(terms: int) -> None:
-    """Raise where a peak-window walk ran to its term cap: its sum is then
-    short by an unknown amount."""
-    if terms >= _WINDOW_TERMS:
-        raise ArithmeticError(f"peak window did not converge within {_WINDOW_TERMS} terms")
+    k0 = [float(peak[0]) for _, peak in rows]
+    sums = _sum_unimodal_rows(ratio_up, ratio_down, k0, tol, cap, of_rows(up_sup), tuple(map(of_rows, args)))
+
+    def finish(peak, s):
+        if s[1] >= cap:
+            raise ArithmeticError(f"peak window did not converge within {cap} terms")
+        return math.exp(peak[1] + math.log(s[0])), s[1]
+
+    out = list(peaks)
+    _finish(out, rows, sums, finish)
+    return out
 
 
 # _stirlerr and _bd0 are the terms of Loader's saddle-point form of the
@@ -677,13 +700,15 @@ def _poisson_peak(mu: float) -> tuple[int, float]:
 
 
 def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]:
-    """Certified truncation of sum_k p_k(x).
+    """Certified truncation of sum_k p_k(x): (sum, number of terms).
 
     Stops once the next term and its geometric tail bound drop below
-    ``tol`` times the partial sum; the result should be 1 up to rounding.
-    Returns (sum, number of terms).  For c = 0 the sum is taken around its
-    peak from Loader's anchor (``_poisson_peak``) and raises ArithmeticError
-    where that window cannot reach the peak or finish the sum.
+    ``tol`` times the partial sum.  For c >= 0 the sum is walked out from
+    its peak k0 (``_window_rows``), which raises ArithmeticError at the
+    term cap, and for c = 0 also where k0 reaches 2^53.  The c <= 0 sums
+    are 1 up to rounding.  The c > 0 peak term comes from lgamma values of
+    size about k0 log k0, whose rounding moves the sum off 1: it reads
+    1 + 1.37e-11 at n = 2, c = 1/3, x = 1e5 (k0 = 1.7e5).
     """
     params.require_in_domain(x)
     n = params.n_float
@@ -699,12 +724,7 @@ def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]
 
     if c == 0.0:
         mu = n * xf
-        k0, log_anchor = _poisson_peak(mu)
-        scaled, terms = _sum_unimodal_scaled(
-            lambda k: mu / (k + 1.0), lambda k: k / mu, k0, tol
-        )
-        _require_window_stop(terms)
-        return math.exp(log_anchor + math.log(scaled)), terms
+        return _one(_window_rows([_poisson_peak(mu)], lambda k: mu / (k + 1.0), lambda k: k / mu, tol))
 
     a = n / c
     u = c * xf
@@ -712,11 +732,5 @@ def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]
     lp1 = math.log1p(u)
     k0 = max(0, int((a * r - 1.0) / (1.0 - r)))
     log_anchor = _log_rising_over_fact(a, k0) + k0 * math.log(r) - a * lp1
-    scaled, terms = _sum_unimodal_scaled(
-        lambda k: (a + k) / (k + 1.0) * r,
-        lambda k: k / ((a + k - 1.0) * r),
-        k0,
-        tol,
-        up_sup=r,
-    )
-    return math.exp(log_anchor + math.log(scaled)), terms
+    up, down = (lambda k: (a + k) / (k + 1.0) * r), (lambda k: k / ((a + k - 1.0) * r))
+    return _one(_window_rows([(k0, log_anchor)], up, down, tol, up_sup=[r]))

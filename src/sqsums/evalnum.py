@@ -11,9 +11,12 @@ Each route of S evaluates a whole grid in one call (``s_series_grid``,
 and ``s_quad`` are the one-point grids.  The series of all points are rows
 of one ``core._certified_rows`` call, which evaluates the term ratios and
 the geometric tail certificates of a block of indices for every row in
-numpy and reproduces each row's term-by-term loop bit for bit.  The
-quadrature ladder climbs level by level for all points still short of
-agreement, with the nodes of every point in one array.
+numpy and reproduces each row's term-by-term loop bit for bit.  Every
+peak window (the c >= 0 series past its switch, and ``core.basis_sum``)
+is one ``core._window_rows`` call, which raises ArithmeticError where the
+walk reaches its 10^7-term cap.  One quadrature ladder, ``_ladder``,
+serves S and T's hand-over: it climbs level by level for all points still
+short of agreement, with the nodes of every point in one array.
 
 Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 
@@ -23,7 +26,7 @@ Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 - the c = 0 series past mu = n x = 300 is walked from its peak, anchored
   at Loader's saddle-point log of the Poisson weight (``core._poisson_peak``),
   and raises ArithmeticError where the walk cannot reach the peak (index
-  2^53) or finish (10^7 terms);
+  2^53);
 - the c > 0 series stops within 2*10^6 + 1 steps or raises, and
   ``_pos_c_capped`` decides in O(1) where it provably cannot stop, so that
   the error is raised without summing.
@@ -36,11 +39,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Params, _certified_rows, _poisson_peak, _require_window_stop, _sq, _sum_unimodal_rows
+from .core import Params, _certified_rows, _finish, _one, _poisson_peak, _sq, _window_rows
 
 __all__ = [
     "EvalResult",
@@ -126,24 +129,6 @@ def _chebyshev_nodes(kind: RuleKind, ms: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _one(outcomes: list):
-    """The outcome of a one-point call, raised if it is an exception."""
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _finish(out: list, jobs: list, results: list, finish: Callable) -> None:
-    """For each job (point i, parameters p) and its result, set out[i] to
-    finish(p, result), or to the exception the result is or finish raises."""
-    for (i, p), r in zip(jobs, results):
-        try:
-            out[i] = r if isinstance(r, Exception) else finish(p, r)
-        except Exception as exc:
-            out[i] = exc
-
-
 def _is_nonpositive_int(a: float) -> bool:
     return a <= 0.0 and float(a).is_integer()
 
@@ -213,29 +198,18 @@ def _i0_rows(zs: Sequence[float], rtol: float = 1e-16) -> list:
     return [s if isinstance(s, Exception) else (s[0], s[2] + 1) for s in sums]
 
 
-def _scaled_poisson_rows(mus: Sequence[float], tol: float = 1e-17) -> list:
+def _scaled_poisson_rows(mus: Sequence[float], tol: float) -> list:
     """exp(-2*mu) * sum_k (mu^k / k!)^2 at each mu, summed around its peak in
     log space from Loader's anchor: (value, terms), or the exception raised
     there (ArithmeticError where the window cannot reach the peak or finish)."""
-    out: list = [None] * len(mus)
-    rows = []  # (point, (mu, peak index, log of the Poisson weight there))
-    for i, mu in enumerate(mus):
+    peaks: list = []
+    for mu in mus:
         try:
             k0, log_pmf = _poisson_peak(mu)
-            rows.append((i, (mu, float(k0), log_pmf)))
+            peaks.append((k0, 2.0 * log_pmf))
         except Exception as exc:
-            out[i] = exc
-    mu = [p[0] for _, p in rows]
-    sums = _sum_unimodal_rows(
-        lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), [p[1] for _, p in rows], tol, args=(mu,)
-    )
-
-    def finish(p, s):
-        _require_window_stop(s[1])
-        return math.exp(2.0 * p[2] + math.log(s[0])), s[1]
-
-    _finish(out, rows, sums, finish)
-    return out
+            peaks.append(exc)
+    return _window_rows(peaks, lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), tol, args=(mus,))
 
 
 # Past this argument, exp(-z) I0(z) is the Hankel expansion.
@@ -482,31 +456,27 @@ def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> l
     rho = x/(1+cx); the term-ratio stream tends to (c rho)^2 < 1 from above
     for n/c >= 1 and from below otherwise.
     """
-    out: list = [None] * len(xs)
-    rows = []  # (point, (rho, ratio limit, peak index, log of the peak term))
-    for i, x in enumerate(xs):
+    rhos = [x / (1.0 + c * x) for x in xs]
+    peaks: list = []
+    for x, rho in zip(xs, rhos):
         try:
-            rho = x / (1.0 + c * x)
-            zlim = (c * rho) ** 2
             k0 = max(0, int((n * rho - 1.0) / (1.0 - c * rho)))
             log_anchor = -(2.0 * n / c) * math.log1p(c * x) + 2.0 * (
                 math.fsum(math.log(n + j * c) for j in range(k0))
                 - math.lgamma(k0 + 1)
                 + k0 * math.log(rho)
             )
-            rows.append((i, (rho, zlim, float(k0), log_anchor)))
+            peaks.append((k0, log_anchor))
         except Exception as exc:
-            out[i] = exc
-    sums = _sum_unimodal_rows(
+            peaks.append(exc)
+    return _window_rows(
+        peaks,
         lambda k, rho: _sq((n + k * c) * rho / (k + 1.0)),
         lambda k, rho: _sq(k / ((n + (k - 1) * c) * rho)),
-        [p[2] for _, p in rows],
         tol,
-        up_sup=[p[1] for _, p in rows],
-        args=([p[0] for _, p in rows],),
+        up_sup=[(c * rho) ** 2 for rho in rhos],
+        args=(rhos,),
     )
-    _finish(out, rows, sums, lambda p, s: (math.exp(p[3] + math.log(s[0])), s[1]))
-    return out
 
 
 def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
@@ -681,14 +651,36 @@ def _means(f, kind: RuleKind, ps: Sequence, ms: Sequence[int]) -> list[float]:
     return means
 
 
+def _ladder(f, kind: RuleKind, ps: Sequence, ms: Sequence[int], rtol: float, floor: float) -> tuple:
+    """The quadrature ladder of each pair (p, m) of ``ps`` and ``ms``, one
+    ``_means`` call per level: m doubles, capped at LADDER_MAX, until a mean
+    is 0 or within max(floor, rtol*|mean|) of the level below.  Returns the
+    last means, their differences from the level below (inf where the first
+    level is at the cap) and the last node counts."""
+    ms = list(ms)
+    values = _means(f, kind, ps, ms)
+    diffs = [math.inf] * len(ms)
+    climbing = [j for j in range(len(ms)) if ms[j] < LADDER_MAX]
+    while climbing:
+        for j in climbing:
+            ms[j] *= 2
+        for j, mean in zip(climbing, _means(f, kind, [ps[j] for j in climbing], [ms[j] for j in climbing])):
+            diffs[j] = abs(mean - values[j])
+            values[j] = mean
+        climbing = [
+            j for j in climbing
+            if not (values[j] == 0.0 or diffs[j] <= max(floor, rtol * abs(values[j]))) and ms[j] < LADDER_MAX
+        ]
+    return values, diffs, ms
+
+
 def s_quad_grid(
     params: Params, xs: Sequence[float], m: int = LADDER_START, rtol: float = RTOL_DEFAULT
 ) -> list:
     """``s_quad`` at every point of ``xs``.
 
-    The ladder runs level by level for all points still climbing it, each
-    level one ``_means`` call, so every point has the bits of the one-point
-    ladder.
+    The points climb one ``_ladder``, so every point has the bits of the
+    one-point ladder.
     """
     if m < 2:
         raise ValueError("need m >= 2 quadrature nodes")
@@ -707,19 +699,7 @@ def s_quad_grid(
     if not points:
         return out
 
-    values = _means(f, kind, ps, ms)
-    diffs = [math.inf] * len(points)
-    climbing = [j for j in range(len(points)) if ms[j] < LADDER_MAX]
-    while climbing:
-        for j in climbing:
-            ms[j] *= 2
-        for j, mean in zip(climbing, _means(f, kind, [ps[j] for j in climbing], [ms[j] for j in climbing])):
-            diffs[j] = abs(mean - values[j])
-            values[j] = mean
-        climbing = [
-            j for j in climbing
-            if not diffs[j] <= max(1e-13, rtol * abs(values[j])) and ms[j] < LADDER_MAX
-        ]
+    values, diffs, ms = _ladder(f, kind, ps, ms, rtol, 1e-13)
     for j, i in enumerate(points):
         value = values[j]
         out[i] = EvalResult(value, Method.QUADRATURE, max(diffs[j], 1e-16 * abs(value)), ms[j])
@@ -731,8 +711,9 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
 
     Starts at m nodes (raised when the integrand's concentration region
     needs finer resolution than m provides) and doubles, capped at
-    LADDER_MAX, until two levels agree within max(1e-13, rtol*|value|);
-    the error estimate is the last inter-level difference.  For c < 0 the
+    LADDER_MAX, until a level's mean is 0 or two levels agree within
+    max(1e-13, rtol*|value|) (``_ladder``); the error estimate is the last
+    inter-level difference.  For c < 0 the
     integrand is a degree-l polynomial in t, so any node count past
     (l+1)/2 is already exact to rounding.
     """
@@ -784,12 +765,7 @@ def t_closed(params: Params, x: float, y: float) -> float:
         # be genuinely tiny, so the stop is purely relative here
         f, kind = _t_integrand(params, xf, yf)
         m = max(LADDER_START, _min_nodes(params, xf), _min_nodes(params, yf))
-        (value,) = _means(f, kind, [0.0], [m])
-        while m < LADDER_MAX:
-            m *= 2
-            old, (value,) = value, _means(f, kind, [0.0], [m])
-            if value == 0.0 or abs(value - old) <= RTOL_DEFAULT * abs(value):
-                break
+        (value,), _, _ = _ladder(f, kind, [0.0], [m], RTOL_DEFAULT, 0.0)
         return value
     value, _, _ = _one(_hyp2f1_rows(a, [z], 1e-15))
     return math.exp(pref_log) * value

@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsums.core import DomainError, Params
+from sqsums.core import DomainError, Params, basis_sum
 from sqsums.evalnum import (
     LADDER_MAX,
+    LADDER_START,
+    RTOL_DEFAULT,
     Method,
     RuleKind,
     Z_SWITCH,
     _EXP_GUARD,
     _chebyshev_nodes,
     _means,
+    _min_nodes,
+    _s_integrand,
+    _t_integrand,
     bessel_i0,
     bessel_i0e,
     hyp2f1_diag,
@@ -492,3 +497,115 @@ def test_grid_routes_in_small_batches(monkeypatch):
     monkeypatch.setattr(core, "_BATCH_ROWS", 3)
     monkeypatch.setattr(evalnum, "_NODES_PER_CALL", 40)
     assert [[_grid_outcomes(route(params, xs)) for route in routes] for params, xs in cases] == whole
+
+
+# ---------------------------------------------------------------------------
+# One quadrature ladder for S and T
+# ---------------------------------------------------------------------------
+
+
+def ref_t_closed_pos_c(params, x, y):
+    """t_closed for c > 0 and x, y > 0 with the hand-over ladder it had
+    before S and T shared one: a purely relative stop, and a stop at 0."""
+    n, c = params.n_float, params.c_float
+    a = n / c
+    z = (c * c * x * y) / ((1.0 + c * x) * (1.0 + c * y))
+    pref_log = -a * (math.log1p(c * x) + math.log1p(c * y))
+    if z > Z_SWITCH or pref_log < -_EXP_GUARD:
+        f, kind = _t_integrand(params, x, y)
+        m = max(LADDER_START, _min_nodes(params, x), _min_nodes(params, y))
+        (value,) = _means(f, kind, [0.0], [m])
+        while m < LADDER_MAX:
+            m *= 2
+            old, (value,) = value, _means(f, kind, [0.0], [m])
+            if value == 0.0 or abs(value - old) <= RTOL_DEFAULT * abs(value):
+                break
+        return value
+    return math.exp(pref_log) * hyp2f1_diag(a, z, 1e-15)
+
+
+def _first_float(switched, lo, hi):
+    """The float at which ``switched`` turns true between lo and hi."""
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if switched(mid) else (mid, hi)
+
+
+def _hand_over_cases():
+    cases = []
+    for n, c, lo, hi in [(1, 1, 300.0, 500.0), (3, Fraction(1, 2), 300.0, 2000.0)]:
+        nf, cf = float(n), float(c)
+        at = _first_float(lambda x: (cf * x / (1.0 + cf * x)) ** 2 > Z_SWITCH, lo, hi)
+        cases += [(n, c, x, x) for x in (math.nextafter(at, 0.0), at)]  # both sides of Z_SWITCH
+    for n, c in [(200, 1), (120, Fraction(1, 2)), (700, 2)]:
+        nf, cf = float(n), float(c)
+        at = _first_float(lambda x: -2.0 * (nf / cf) * math.log1p(cf * x) < -_EXP_GUARD, 1e-3, 1e3)
+        cases += [(n, c, x, x) for x in (math.nextafter(at, 0.0), at)]  # both sides of _EXP_GUARD
+    # off the diagonal, and first levels at LADDER_MAX
+    cases += [(1, 1, 300.0, 600.0), (200, 1, 3.0, 7.0), (1, 1, 4000.0, 4000.0), (2, 1, 5000.0, 3600.0)]
+    return cases
+
+
+@pytest.mark.parametrize("n, c, x, y", _hand_over_cases())
+def test_t_closed_ladder_is_its_own_loop(n, c, x, y):
+    params = Params(n, c)
+    assert t_closed(params, x, y) == ref_t_closed_pos_c(params, x, y)
+
+
+def test_t_closed_first_level_at_the_cap():
+    for n, c, x, y in _hand_over_cases()[-2:]:
+        params = Params(n, c)
+        assert min(_min_nodes(params, x), _min_nodes(params, y)) == LADDER_MAX
+        f, kind = _t_integrand(params, x, y)
+        assert t_closed(params, x, y) == _means(f, kind, [0.0], [LADDER_MAX])[0]
+
+
+def test_s_quad_grid_first_level_at_the_cap():
+    # points whose first level is LADDER_MAX take that level's mean, with an
+    # infinite error claim, next to a point that climbs
+    params = Params(1, 1)
+    xs = [4000.0, 1.0, 6000.0]
+    f, param, kind = _s_integrand(params)
+    got = s_quad_grid(params, xs)
+    for i in (0, 2):
+        assert _min_nodes(params, xs[i]) == LADDER_MAX
+        assert got[i] == s_quad(params, xs[i])
+        assert (got[i].value, got[i].err_estimate, got[i].terms_or_nodes) == (
+            _means(f, kind, [param(xs[i])], [LADDER_MAX])[0],
+            math.inf,
+            LADDER_MAX,
+        )
+    assert got[1] == s_quad(params, 1.0) and got[1].terms_or_nodes < LADDER_MAX
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: s_series(Params(1, 0), 301.0), id="szasz-window"),  # past mu = 300
+        pytest.param(lambda: s_series(Params(300, 1), 3.0), id="pos-c-window"),  # past _EXP_GUARD
+        pytest.param(lambda: basis_sum(Params(1, 0), 5.0), id="basis-sum-szasz"),
+        pytest.param(lambda: basis_sum(Params(2, 1), 5.0), id="basis-sum-pos-c"),
+        pytest.param(lambda: s_quad(Params(2, 1), 1.0), id="s-quad"),
+        pytest.param(lambda: s_closed(Params(1, 1), 400.0), id="s-closed-hand-over"),  # past Z_SWITCH
+        pytest.param(lambda: t_closed(Params(1, 1), 400.0, 400.0), id="t-closed-hand-over"),  # past Z_SWITCH
+    ],
+)
+def test_every_window_and_ladder_runs_on_the_shared_helpers(monkeypatch, call):
+    # with the window helper and the ladder replaced, each route that walks
+    # a peak window or climbs a ladder reaches the replacement
+    from sqsums import core, evalnum
+
+    for module, name in ((core, "_window_rows"), (evalnum, "_window_rows"), (evalnum, "_ladder")):
+        monkeypatch.setattr(module, name, _reached)
+    with pytest.raises(_Reached):
+        call()

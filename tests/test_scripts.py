@@ -8,7 +8,8 @@ import subprocess
 import sys
 
 from sqsums.analysis import logconvexity_scan
-from sqsums.core import Params
+from sqsums.bounds import bound_values, standard_grid
+from sqsums.core import FamilyId, Params
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -31,7 +32,18 @@ def test_bound_margins():
     lines = proc.stdout.splitlines()
     # n = 1..2 for four families, n = 0..2 for mkz
     assert len(lines) == 11
-    assert all("min margin" in line for line in lines)
+    # each line is the smallest margin of the points taken one at a time
+    expect = []
+    for name, n_lo in (("bernstein", 1), ("bbh", 1), ("baskakov", 1), ("mkz", 0), ("szasz", 1)):
+        family = FamilyId(name)
+        grid = standard_grid(family, count=16)
+        for n in range(n_lo, 3):
+            worst = min((bound_values(family, n, x) for x in grid), key=lambda r: r.min_margin)
+            expect.append(
+                f"{name:>9} n={n:2d}  min margin {worst.min_margin:+.3e} "
+                f"at x={worst.x:.6g} (s={worst.s_value:.6g})"
+            )
+    assert lines == expect
 
 
 def test_conjecture_scan(tmp_path):

@@ -150,6 +150,12 @@ def one_row(ratio, k0, tol, max_steps=None, **kwargs):
     return rows.total[0], rows.tail[0], rows.steps[0]
 
 
+def one_walk(ratio_up, ratio_down, k0, tol, max_terms=10 ** 7):
+    """One sequence through the window walk, reported as the loop did:
+    (scaled sum, number of terms); an overflowing square raises."""
+    return core._one(core._sum_unimodal_rows(ratio_up, ratio_down, [float(k0)], tol, max_terms))
+
+
 def _outcome(f, *args):
     try:
         return ("value", f(*args))
@@ -298,7 +304,7 @@ def test_sum_unimodal_term_cap(mu, max_terms):
     # past 2^53 the loop's int index k converts to float(k) with rounding
     up, down = (lambda k: core._sq(mu / (k + 1.0))), (lambda k: core._sq(k / mu))
     ref_up, ref_down = (lambda k: (mu / (k + 1.0)) ** 2), (lambda k: (k / mu) ** 2)
-    got = core._sum_unimodal_scaled(up, down, int(mu), 1e-16, max_terms=max_terms)
+    got = one_walk(up, down, int(mu), 1e-16, max_terms=max_terms)
     assert got == ref_sum_unimodal_scaled(ref_up, ref_down, int(mu), 1e-16, max_terms=max_terms)
 
 
@@ -306,7 +312,7 @@ def test_downward_walk_reaches_index_zero():
     # a tolerance no tail meets walks down to index 0, the loop's own stop
     for mu in (3.5, 40.0):
         down, ref_down = (lambda k: k / mu), (lambda k: k / mu)
-        got = core._sum_unimodal_scaled(lambda k: mu / (k + 1.0), down, int(mu), 1e-300)
+        got = one_walk(lambda k: mu / (k + 1.0), down, int(mu), 1e-300)
         ref = ref_sum_unimodal_scaled(lambda k: mu / (k + 1.0), ref_down, int(mu), 1e-300)
         assert got == ref and got[1] > int(mu)
 
@@ -524,6 +530,46 @@ def test_szasz_window_fails_loudly():
         s_series(Params(1, 0), 1e13)
     with pytest.raises(ArithmeticError, match="did not converge within 10000000 terms"):
         basis_sum(Params(1, 0), 1e13)
+
+
+@pytest.mark.parametrize(
+    "route, params, x",
+    [
+        (s_series, Params(300, 1), 3.0),  # c > 0 past _EXP_GUARD
+        (s_series, Params(1, 0), 400.0),  # c = 0 past mu = 300
+        (basis_sum, Params(2, Fraction(1, 3)), 10.0),
+        (basis_sum, Params(1, 0), 400.0),
+    ],
+)
+def test_windows_fail_at_the_term_cap(monkeypatch, route, params, x):
+    # a walk of T terms keeps its bits under a cap of T + 1 and raises under
+    # a cap of T, where its sum would be cut short; c >= 0 alike
+    got = route(params, x)
+    terms = got.terms_or_nodes if route is s_series else got[1]
+    monkeypatch.setattr(core, "_WINDOW_TERMS", terms + 1)
+    assert route(params, x) == got
+    monkeypatch.setattr(core, "_WINDOW_TERMS", terms)
+    with pytest.raises(ArithmeticError, match=f"peak window did not converge within {terms} terms"):
+        route(params, x)
+
+
+def test_pos_c_window_grid_fails_only_where_capped(monkeypatch):
+    # one grid: the point whose walk fits the lowered cap keeps its bits
+    params = Params(300, 1)
+    short, long = s_series(params, 3.0), s_series(params, 30.0)
+    assert short.terms_or_nodes < long.terms_or_nodes
+    monkeypatch.setattr(core, "_WINDOW_TERMS", long.terms_or_nodes)
+    got = s_series_grid(params, [3.0, 30.0])
+    assert got[0] == short
+    assert isinstance(got[1], ArithmeticError)
+
+
+def test_pos_c_window_fails_loudly():
+    # the walk needs more than 10^7 terms; summed to the cap it read
+    # 2.675606e-7, 0.16% short of mpmath's 2.679763e-7, with a claimed
+    # error of 2.7e-22
+    with pytest.raises(ArithmeticError, match="did not converge within 10000000 terms"):
+        s_series(Params(50, 1), 1.5e5)
 
 
 def _pref_log(n, c, x):
