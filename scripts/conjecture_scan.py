@@ -10,12 +10,12 @@ and the exit code is 0 whenever the sweep completes.
 """
 
 import argparse
-import json
 import pathlib
 import time
 from fractions import Fraction
 
 from sqsums.analysis import logconvexity_scan
+from sqsums.cli import json_text
 from sqsums.core import Params
 
 
@@ -35,7 +35,7 @@ def main() -> None:
             seconds = time.perf_counter() - t0
             doc = rep.to_json()
             path = args.out / f"logconvexity_{tag}_n{n:02d}.json"
-            path.write_text(json.dumps(doc, indent=2) + "\n")
+            path.write_text(json_text(doc))
             neg = len(rep.violations)
             print(
                 f"{tag:>9} n={n:3d}  min Q = {doc['min_margin']:>26} at x = {doc['argmin']}"

@@ -26,7 +26,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .core import DomainError, FamilyId, Params, RationalLike
+from .core import DomainError, FamilyId, Params, RationalLike, _fmt_float
 from .bounds import s_value
 from .evalnum import s_closed
 from . import exactalg
@@ -57,7 +57,7 @@ def _fmt(v: Real) -> str:
             # past sys.get_int_max_str_digits(), a guard against slow
             # conversion of untrusted text; these integers were computed
             return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
-    return f"{v:.17g}"
+    return _fmt_float(v)
 
 
 @dataclass(frozen=True)

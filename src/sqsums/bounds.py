@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .core import FamilyId, ParameterError, RationalLike
+from .core import FamilyId, ParameterError, RationalLike, _fmt_float
 from . import evalnum, exactalg
 
 __all__ = [
@@ -52,10 +52,10 @@ class BoundReport:
         return {
             "family": self.family.name,
             "n": self.n,
-            "x": f"{self.x:.17g}",
-            "s_value": f"{self.s_value:.17g}",
-            "bounds": [{"label": lb, "value": f"{v:.17g}"} for lb, v in self.bounds],
-            "min_margin": f"{self.min_margin:.17g}",
+            "x": _fmt_float(self.x),
+            "s_value": _fmt_float(self.s_value),
+            "bounds": [{"label": lb, "value": _fmt_float(v)} for lb, v in self.bounds],
+            "min_margin": _fmt_float(self.min_margin),
             "notes": list(self.notes),
         }
 

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__, analysis, bounds, evalnum, exactalg, legendre
-from .core import FAMILY_NAMES, FamilyId, ParameterError
+from .core import FAMILY_NAMES, FamilyId, ParameterError, _fmt_float
 
-__all__ = ["main", "run", "OUTPUT_SCHEMA"]
+__all__ = ["main", "run", "json_text", "OUTPUT_SCHEMA"]
 
 # Shape of every json document this tool emits.
 OUTPUT_SCHEMA = {
@@ -38,18 +38,63 @@ OUTPUT_SCHEMA = {
     "oneOf": [{"required": ["results"]}, {"required": ["report"]}],
 }
 
-def _fmt_float(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _fmt_rat(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(v, pad: str, out: list[str]) -> None:
+    """Append the text of v as json.dumps(v, indent=2) writes it to out; pad
+    is the newline and indent of v's first line.  The pieces are joined
+    once, so a long string is not copied again at every level."""
+    if isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif isinstance(v, dict) and v:
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, x in v.items():
+            out.append(f"{sep}{encode_basestring_ascii(k)}: ")
+            _json(x, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(v, (list, tuple)) and v:
+        inner = pad + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _json(x, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(v, (dict, list, tuple)):
+        out.append("{}" if isinstance(v, dict) else "[]")
+    elif v is None or isinstance(v, bool):
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, float):
+        text = float.__repr__(v)
+        out.append(_JSON_WORDS.get(text, text))
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for a document with string keys.
+
+    With an indent, json drops its C encoder for a pure-Python one; this
+    writer keeps the C string escaping and writes the same bytes.
+    """
+    out: list[str] = []
+    _json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def _emit_json(command: str, params: dict, **body) -> str:
     """The json document of a verb: its results or report between params and versions."""
-    doc = {"command": command, "params": params, **body, "versions": {"sqsums": __version__}}
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return json_text({"command": command, "params": params, **body, "versions": {"sqsums": __version__}})
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> str:

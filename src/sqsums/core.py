@@ -52,6 +52,11 @@ def _as_fraction(value: RationalLike, name: str) -> Fraction:
         raise ParameterError(f"{name} must be rational, got {value!r}") from exc
 
 
+def _fmt_float(v: float) -> str:
+    """A float as every output writes it: 17 significant digits, which round-trip."""
+    return f"{v:.17g}"
+
+
 class _Interval(NamedTuple):
     """[0, sup], or [0, sup) when not closed; [0, +inf) when sup is None."""
 

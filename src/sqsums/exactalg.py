@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import ParameterError, Params, RationalLike
 
@@ -653,14 +653,21 @@ def f_value(n: int, x):
     """
     if isinstance(x, Fraction):
         return f_poly_parseval(n)(x - Fraction(1, 2))
-    return _float_horner(f_poly_parseval(n).coeffs[::2], (float(x) - 0.5) ** 2)
+    return _float_horner(_float_coeffs(f_poly_parseval, n, 0), (float(x) - 0.5) ** 2)
 
 
-def _float_horner(cs: Sequence[Fraction], t: float) -> float:
-    """sum cs[k] t^k in floats, highest power first."""
+@lru_cache(maxsize=None)
+def _float_coeffs(series: Callable[[int], RationalPoly], n: int, first: int) -> tuple[float, ...]:
+    """The coefficients of powers first, first + 2, ... of series(n) as
+    floats, highest power first: converted once, not at every point."""
+    return tuple(float(c) for c in reversed(series(n).coeffs[first::2]))
+
+
+def _float_horner(cs: Sequence[float], t: float) -> float:
+    """The polynomial in t with coefficients cs, highest power first, in floats."""
     acc = 0.0
-    for c in reversed(cs):
-        acc = acc * t + float(c)
+    for c in cs:
+        acc = acc * t + c
     return acc
 
 
@@ -694,7 +701,7 @@ def g_value(n: int, x):
     if isinstance(x, Fraction):
         return g_series_coeffs(n)(1 / (1 + 2 * x))
     u = 1.0 / (1.0 + 2.0 * float(x))
-    return _float_horner(g_series_coeffs(n).coeffs[1::2], u * u) * u
+    return _float_horner(_float_coeffs(g_series_coeffs, n, 1), u * u) * u
 
 
 @lru_cache(maxsize=None)
@@ -724,7 +731,7 @@ def j_value(n: int, x):
         return j_series_coeffs(n)((1 - x) / (1 + x))
     xf = float(x)
     w = (1.0 - xf) / (1.0 + xf)
-    return _float_horner(j_series_coeffs(n).coeffs[1::2], w * w) * w
+    return _float_horner(_float_coeffs(j_series_coeffs, n, 1), w * w) * w
 
 
 @lru_cache(maxsize=None)

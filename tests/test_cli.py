@@ -409,6 +409,32 @@ class TestJsonSchema:
         assert witness["den"]["coeffs"] == ["1/1", "2/1"]
 
 
+# Leaves of every json type, with the strings json must escape (quotes,
+# backslashes, control characters, non-ASCII text and surrogates) and the
+# floats it spells out; containers nest them, empty ones included.
+_JSON_TEXT = st.text(st.characters(blacklist_categories=()), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x1f\x7f", "é", "€", "\U0001d11e", "\ud800"])
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT
+    | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES, st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3), _JSON_VALUES)
+@example([], {}, {"a": [[], {}, ()], "b": {"c": {}}})
+def test_json_writer_matches_json_dumps(value, params, body):
+    assert cli.json_text(value) == json.dumps(value, indent=2) + "\n"
+    doc = {"command": "c", "params": params, "report": body, "versions": {"sqsums": sqsums.__version__}}
+    assert cli._emit_json("c", params, report=body) == json.dumps(doc, indent=2) + "\n"
+
+
 # SHA-256 of the stdout of each command, recorded before the exact layer moved
 # from gcd-reduced Fraction coefficients to unreduced integer-coefficient
 # pairs.  The witnesses, the item verdicts and every printed margin must stay
@@ -452,6 +478,25 @@ GOLDEN = {
         "0bacefe83e30a36687c5367f5a6a3b863e08c9c33729ea589220173e861e4a3e",
     ("bounds", "--family", "general", "-c", "1", "-n", "3", "--format", "json"):
         "ee3b21ca9b921068945efc6133ce79d5e7207670e3e72a62f4e1418d6b9a9e2e",
+    # Recorded before json moved to the one indent-2 writer and the exact
+    # float paths to coefficients converted once: n = 30 is the largest
+    # index the benchmark runs, and n = 1 has a non-empty notes list.
+    ("bounds", "--family", "bernstein", "-n", "30", "--format", "json"):
+        "890573418aa5b751081c621801d50b12ba79425dad7156a85b9bbe5764a0e1f0",
+    ("bounds", "--family", "bbh", "-n", "30", "--format", "json"):
+        "3d1db017781b9ac3070415036bffadff15e0b586f87f1271913f46352cab0a96",
+    ("bounds", "--family", "baskakov", "-n", "30", "--format", "json"):
+        "85e1c3996a3cd17f6be813a8df14a74656130bbcf8b3efd790a0051cecd21e92",
+    ("bounds", "--family", "mkz", "-n", "30", "--format", "json"):
+        "4997e31d6707e764ff6cbd6addc2c352be914429ee7035160dda74dafe31133a",
+    ("bounds", "--family", "szasz", "-n", "30", "--format", "json"):
+        "b5105540f59a5807b03e50e437a2ecf80a6ea436f48287d779b1e238ec900fb4",
+    ("bounds", "--family", "bernstein", "-n", "1", "--format", "json"):
+        "2fc2af32700fef49386096824cb4e5843040c1bed9445f3779285e6451819748",
+    ("bounds", "--family", "mkz", "-n", "30", "--format", "text"):
+        "02faf1153b9c718d553055e3f5a7aa93d3bdc788195b36915268307277a85869",
+    ("bounds", "--family", "baskakov", "-n", "30", "--format", "csv"):
+        "dc7c841880f79980598ce4a26d1a2da6a7414e8babffb8ed0984e4bc50fbfce6",
     ("info", "--family", "bernstein", "-n", "3", "--format", "json"):
         "20174767a19df684220fe222e6582161e21f6b552c4a589e294c5043e8bfbb16",
     ("info", "--family", "szasz", "-n", "3", "--format", "json"):

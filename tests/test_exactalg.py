@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsums.core import Params
+from sqsums.bounds import standard_grid
+from sqsums.core import FamilyId, Params
 from sqsums.evalnum import s_closed
 from sqsums.exactalg import (
     IDENTITY,
@@ -291,6 +292,50 @@ class TestBernsteinPolys:
     def test_f_value_matches_poly(self):
         assert f_value(2, Fraction(1, 4)) == Fraction(59, 128)
         assert f_value(2, 0.25) == pytest.approx(0.4609375, rel=1e-15)
+
+
+def _horner_per_point(cs, t):
+    """The float Horner sum converting each Fraction coefficient at every point."""
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * t + float(c)
+    return acc
+
+
+def _f_per_point(n, x):
+    return _horner_per_point(f_poly_parseval(n).coeffs[::2], (x - 0.5) ** 2)
+
+
+def _g_per_point(n, x):
+    u = 1.0 / (1.0 + 2.0 * x)
+    return _horner_per_point(g_series_coeffs(n).coeffs[1::2], u * u) * u
+
+
+def _j_per_point(n, x):
+    w = (1.0 - x) / (1.0 + x)
+    return _horner_per_point(j_series_coeffs(n).coeffs[1::2], w * w) * w
+
+
+# family: (value, per-point float reference, exact reference in the series
+# variable, least index)
+_VALUE_ROUTES = {
+    "bernstein": (f_value, _f_per_point, lambda n, x: f_poly_parseval(n)(x - Fraction(1, 2)), 0),
+    "baskakov": (g_value, _g_per_point, lambda n, x: g_series_coeffs(n)(1 / (1 + 2 * x)), 1),
+    "mkz": (j_value, _j_per_point, lambda n, x: j_series_coeffs(n)((1 - x) / (1 + x)), 0),
+    "bbh": (u_value, lambda n, x: _f_per_point(n, x / (1.0 + x)),
+            lambda n, x: f_poly_parseval(n)(x / (1 + x) - Fraction(1, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("family", list(_VALUE_ROUTES))
+def test_float_values_keep_every_bit(family):
+    value, per_point, exact, n_min = _VALUE_ROUTES[family]
+    xs = standard_grid(FamilyId(family)) + [1.0] * (family == "mkz")  # the open right end
+    for n in range(n_min, 61):
+        assert [value(n, x).hex() for x in xs] == [per_point(n, x).hex() for x in xs]
+        if n in (n_min, 7, 60):
+            for x in map(Fraction, xs[::16]):
+                assert value(n, x) == exact(n, x)
 
 
 class TestRecurrences:

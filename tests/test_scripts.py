@@ -55,8 +55,12 @@ def test_conjecture_scan(tmp_path):
     ]
     lines = proc.stdout.splitlines()
     assert len(lines) == 5 and all(re.search(r"  scan: \d+\.\d{3}s$", line) for line in lines[:4])
-    written = json.loads((tmp_path / "logconvexity_baskakov_n02.json").read_text())
-    assert written == logconvexity_scan(Params(2, 1), count=16).to_json()
+    # each file holds the bytes json.dumps(indent=2) writes for the report
+    for c, tag in ((-1, "bernstein"), (1, "baskakov")):
+        for n in (1, 2):
+            doc = logconvexity_scan(Params(n, c), count=16).to_json()
+            written = (tmp_path / f"logconvexity_{tag}_n{n:02d}.json").read_bytes()
+            assert written == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def test_method_agreement():
