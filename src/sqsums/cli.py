@@ -210,42 +210,58 @@ def _cmd_table(args, out) -> int:
     return 0
 
 
+def _each(check: Callable[[int], bool]) -> Callable[[range], bool]:
+    """The item that holds where check(n) holds at every index."""
+    return lambda ns: all(check(n) for n in ns)
+
+
+def _solves(spec, series, inner=exactalg.IDENTITY) -> Callable[[range], bool]:
+    """The item that series(n) solves spec(n) at every index, in the series
+    variable of series(n).  The operators move there once per call
+    (``exactalg.moved_operators``), and the residual is a banded product
+    with the series coefficients."""
+    def check(ns):
+        moved = exactalg.moved_operators(spec, series(ns[0]).var, inner)
+        return all(moved(n).apply(series(n)).is_zero for n in ns)
+    return check
+
+
 # Exact identity suites keyed by FamilyId.key: the first index, the witness
 # (a label and the exact object to build at the first index) and one check
-# per item, which must hold at every index from the first to --n-max.  The
-# rational families are checked in their series variables (u, v and w of
-# exactalg.SERIES_MAPS), where each sum is a polynomial.  The checks look
-# functions up in their modules at call time, so a patched module attribute
-# is the one that runs.
+# per item, which is given the indices from the first to --n-max and must
+# hold at each of them.  The ode, heun and substitution items work in the
+# series variables (s, u, v and w of exactalg.SERIES_MAPS), where each sum
+# is a polynomial.  The checks look functions up in their modules at call
+# time, so a patched module attribute is the one that runs, and nothing
+# they build outlives the call.
 _SUITES = {
     "bernstein": (1, ("f_poly", lambda n: exactalg.f_poly_direct(n)), (
-        ("parseval", lambda n: exactalg.f_poly_parseval(n).compose_linear(1, Fraction(-1, 2))
-            == exactalg.f_poly_direct(n)),
-        ("recurrences", lambda n: exactalg.recurrence_check(n)),
-        ("ode", lambda n: exactalg.ode_residual_poly(
-            exactalg.f_poly_direct(n), exactalg.eq_f(n)).is_zero),
-        ("heun", lambda n: exactalg.heun_residual(
-            exactalg.f_poly_direct(n), exactalg.HeunParams.polynomial_case(n)).is_zero),
-        ("legendre", lambda n: legendre.neuschel_check_exact(n, Fraction(1, 8)) == 0
+        ("parseval", _each(lambda n: exactalg.f_poly_parseval(n).compose_linear(1, Fraction(-1, 2))
+            == exactalg.f_poly_direct(n))),
+        ("recurrences", _each(lambda n: exactalg.recurrence_check(n))),
+        ("ode", _solves(lambda n: exactalg.eq_f(n), lambda n: exactalg.f_poly_parseval(n))),
+        ("heun", _solves(lambda n: exactalg.HeunParams.polynomial_case(n).operator(),
+            lambda n: exactalg.f_poly_parseval(n))),
+        ("legendre", _each(lambda n: legendre.neuschel_check_exact(n, Fraction(1, 8)) == 0
             and legendre.neuschel_check_exact(n, Fraction(2, 5)) == 0
-            and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2)))),
+            and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2))))),
     )),
     "baskakov": (1, ("g_rational", lambda n: exactalg.g_rational(n)), (
-        ("ode", lambda n: exactalg.series_residual(exactalg.eq_g(n), exactalg.g_series_coeffs(n)).is_zero),
-        ("heun", lambda n: exactalg.series_residual(exactalg.HeunParams.rational_case(n).operator(),
-            exactalg.g_series_coeffs(n), exactalg.NEGATE).is_zero),
-        ("substitution", lambda n: exactalg.substitution_identity(  # G_n = J_(n-1)(x/(1+x))
-            exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n))),
+        ("ode", _solves(lambda n: exactalg.eq_g(n), lambda n: exactalg.g_series_coeffs(n))),
+        ("heun", _solves(lambda n: exactalg.HeunParams.rational_case(n).operator(),
+            lambda n: exactalg.g_series_coeffs(n), exactalg.NEGATE)),
+        ("substitution", _each(lambda n: exactalg.substitution_identity(  # G_n = J_(n-1)(x/(1+x))
+            exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n)))),
     )),
     "bbh": (1, ("u_rational", lambda n: exactalg.u_rational(n)), (
-        ("ode", lambda n: exactalg.series_residual(exactalg.eq_u(n), exactalg.u_series_coeffs(n)).is_zero),
-        ("substitution", lambda n: exactalg.substitution_identity(  # U_n = F_n(x/(1+x)), s = v/2
-            exactalg.f_poly_parseval(n), (1, 0, 1, 1), exactalg.u_series_coeffs(n), 2)),
+        ("ode", _solves(lambda n: exactalg.eq_u(n), lambda n: exactalg.u_series_coeffs(n))),
+        ("substitution", _each(lambda n: exactalg.substitution_identity(  # U_n = F_n(x/(1+x)), s = v/2
+            exactalg.f_poly_parseval(n), (1, 0, 1, 1), exactalg.u_series_coeffs(n), 2))),
     )),
     "mkz": (0, ("j_rational", lambda n: exactalg.j_rational(n)), (
-        ("ode", lambda n: exactalg.series_residual(exactalg.eq_j(n), exactalg.j_series_coeffs(n)).is_zero),
-        ("substitution", lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
-            exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n))),
+        ("ode", _solves(lambda n: exactalg.eq_j(n), lambda n: exactalg.j_series_coeffs(n))),
+        ("substitution", _each(lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
+            exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n)))),
     )),
 }
 
@@ -261,7 +277,7 @@ def _cmd_verify(args, out) -> int:
     if args.n_max < first:
         raise ParameterError(f"verify --n-max must be >= {first} for {family.name!r}, got {args.n_max}")
     ns = range(first, args.n_max + 1)
-    outcomes = [(name, all(check(n) for n in ns)) for name, check in items]
+    outcomes = [(name, check(ns)) for name, check in items]
     if args.format == "json":
         out.write(_emit_json("verify", _params_doc(family, n_max=args.n_max), report={
             "items": {name: ("OK" if passed else "FAIL") for name, passed in outcomes},

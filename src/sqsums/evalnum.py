@@ -324,9 +324,11 @@ _POS_C_STEPS = 2 * 10 ** 6 + 1
 _POS_C_CAPPED = "series did not converge; use the quadrature route"
 
 
-def _pos_c_capped(n: float, c: float, rr: float, zlim: float, pref_log: float, tol: float) -> bool:
+def _pos_c_capped(
+    n: float, c: float, u: float, rr: float, zlim: float, pref_log: float, tol: float
+) -> bool:
     """Whether the c > 0 series kernel of ``s_series_grid`` provably runs to
-    its step cap without stopping, decided in O(1).
+    its step cap without stopping at u = cx, decided in O(1).
 
     Its terms are t_k = ((a)_k / k!)^2 (c^2 rr)^k with a = n/c, the step
     ratios ((n + kc)/(k+1))^2 rr, and a step stops only when its certificate
@@ -338,11 +340,18 @@ def _pos_c_capped(n: float, c: float, rr: float, zlim: float, pref_log: float, t
       still above 1: the peak lies beyond the cap; or
     - past the peak, where terms fall, every term a stop could see is at
       least the last one, t_K; every partial sum is at most
-      (1+cx)^(2a) = exp(-pref_log), since S <= 1; and r/(1-r) is at least
+      S (1+u)^(2a) = S exp(-pref_log); and r/(1-r) is at least
       zlim/(1-zlim).  So no stop comes when t_K zlim/(1-zlim) exceeds
-      tol exp(-pref_log).
+      tol S exp(-pref_log).
 
-    Both tests keep a margin that covers the rounding of lgamma and of the
+    S = sum p_k^2 with p_k = C(a+k-1, k) q^k (1+u)^(-a), q = u/(1+u), the
+    negative binomial weights, which sum to 1; so S <= max_k p_k <= 1.  The
+    bound S <= 1 decides first.  Where it is too weak, p_0 = exp(pref_log/2)
+    <= max_k p_k shows cheaply whether the sharper bound can decide, and
+    only then is max_k p_k taken through lgamma at the mode, which lies at
+    the floor or ceiling of (a - 1) u, or at 0 when that is negative.
+
+    Every test keeps a margin that covers the rounding of lgamma and of the
     logs (1e-12 of their magnitudes) and that of the kernel's running
     product over K steps (well under 1e-6).  Unsure is False: the kernel
     then runs as before.
@@ -357,7 +366,17 @@ def _pos_c_capped(n: float, c: float, rr: float, zlim: float, pref_log: float, t
     log_last = 2.0 * (lg_top - lg_a - lg_k) + _POS_C_STEPS * log_ratio
     log_cert = math.log(zlim) - math.log1p(-zlim)
     margin = 1e-6 + 1e-12 * (abs(lg_top) + abs(lg_a) + lg_k + _POS_C_STEPS * abs(log_ratio) + abs(pref_log))
-    return log_last + log_cert - margin > math.log(tol) - pref_log
+    # the largest log S at which no step stops
+    room = log_last + log_cert - margin - math.log(tol) + pref_log
+    if room > 0.0 or room <= 0.5 * pref_log:
+        return room > 0.0
+    log_q = 0.5 * math.log(zlim)
+    mode = max(0.0, (a - 1.0) * u)
+    log_p_max = -math.inf
+    for k in (math.floor(mode), math.ceil(mode)):
+        terms = (math.lgamma(a + k), -lg_a, -math.lgamma(k + 1.0), k * log_q, 0.5 * pref_log)
+        log_p_max = max(log_p_max, sum(terms) + 1e-12 * sum(map(abs, terms)))
+    return room > log_p_max
 
 
 def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
@@ -393,7 +412,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
                     window.append((i, xf))
                 else:
                     rr, zlim = (xf / (1.0 + u)) ** 2, (c * xf / (1.0 + u)) ** 2
-                    if _pos_c_capped(n, c, rr, zlim, pref_log, rtol):
+                    if _pos_c_capped(n, c, u, rr, zlim, pref_log, rtol):
                         raise ArithmeticError(_POS_C_CAPPED)
                     direct.append((i, (pref_log, rr, zlim)))
         except Exception as exc:

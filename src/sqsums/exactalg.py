@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence, Union
 
 from .core import ParameterError, Params, RationalLike
@@ -57,6 +57,7 @@ __all__ = [
     "mobius_compose",
     "mobius_inverse",
     "mobius_same",
+    "moved_operators",
     "ode_residual_poly",
     "poly_on_rational",
     "recurrence_check",
@@ -189,8 +190,10 @@ class RationalPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalPoly((other,), self.var)
+        if isinstance(other, (int, Fraction)):  # a scalar scales the numerators
+            return RationalPoly._from_ints(
+                [c * other.numerator for c in self._ints], self._den * other.denominator, self.var
+            )
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._check_var(other)
@@ -537,21 +540,24 @@ class RationalFn:
 
 
 def _poly_compose_mobius(
-    p: RationalPoly, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike, var: str = "x"
+    p: RationalPoly, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike, var: str = "x", deg: int = 0
 ) -> RationalPoly:
-    """(c*X+d)^deg * p((a*X+b)/(c*X+d)), a polynomial in ``var``."""
+    """(c*X+d)^deg * p((a*X+b)/(c*X+d)), a polynomial in ``var``; deg is
+    raised to the degree of p when below it."""
     fs = [Fraction(v) for v in (a, b, c, d)]
     scale = math.lcm(*(f.denominator for f in fs))
     a, b, c, d = (int(f * scale) for f in fs)
     # Horner with a denominator ladder on integer lists, a..d scaled to
-    # integers (one factor of `scale` per degree goes to the denominator):
+    # integers (one factor of `scale` per degree goes to the denominator),
+    # over the coefficients of p padded with zeros to degree deg:
     # acc_k = acc_{k+1} * (b + aX) + c_k * (d + cX)^(deg-k)
+    deg = max(deg, p.degree)
     acc, power = [], [1]
-    for i, c_i in enumerate(reversed(p._ints)):
+    for i, c_i in enumerate(chain([0] * (deg - p.degree), reversed(p._ints))):
         if i:
             power = _times_linear(power, d, c)
         acc = [u + c_i * v for u, v in zip(_times_linear(acc, b, a), power)]
-    return RationalPoly._from_ints(acc, p._den * scale ** max(p.degree, 0), var)
+    return RationalPoly._from_ints(acc, p._den * scale ** deg, var)
 
 
 def _times_linear(ints: list[int], lo: int, hi: int) -> list[int]:
@@ -634,15 +640,15 @@ def f_poly_parseval(n: int) -> RationalPoly:
     """The same sum in the centered variable s = x - 1/2.
 
     Only even powers appear and every coefficient is a positive rational,
-    which makes symmetry about 1/2 and convexity immediate.
+    which makes symmetry about 1/2 and convexity immediate.  The s^(2k)
+    coefficient is C(2n, n) C(n, k)^2 / (4^(n-k) C(2n, 2k)), which is
+    4^k C(2k, k) C(2n-2k, n-k) / 4^n.
     """
     if n < 0:
         raise ValueError("n must be a natural number")
-    pref = Fraction(math.comb(2 * n, n), 4 ** n)
-    out = [Fraction(0)] * (2 * n + 1)
-    for k in range(n + 1):
-        out[2 * k] = pref * 4 ** k * math.comb(n, k) ** 2 / math.comb(2 * n, 2 * k)
-    return RationalPoly(out, "s")
+    out = [0] * (2 * n + 1)
+    out[::2] = (4 ** k * c for k, c in enumerate(_central_products(n)))
+    return RationalPoly._from_ints(out, 4 ** n, "s")
 
 
 def f_value(n: int, x):
@@ -836,19 +842,22 @@ class OdeSpec:
         if delta == 0:
             raise ValueError("degenerate substitution")
         m = max(p.degree for p in (self.a2, self.a1, self.a0))
+        a2, a1, a0 = (_poly_compose_mobius(p, a, b, c, d, var, m) for p in (self.a2, self.a1, self.a0))
         lin = RationalPoly((d, c), var)
-        a2, a1, a0 = (
-            _poly_compose_mobius(p, a, b, c, d, var) * lin ** (m - max(p.degree, 0))
-            for p in (self.a2, self.a1, self.a0)
-        )
         lin2 = lin * lin
         p1 = (2 * Fraction(c) * a2 * lin + delta * a1) * lin2
         return OdeSpec(self.label, a2 * lin2 * lin2, p1, delta * delta * a0)
 
     def apply(self, y: RationalPoly) -> RationalPoly:
-        """a2*y'' + a1*y' + a0*y for a polynomial y in the operator's variable."""
-        y1 = y.derivative()
-        return self.a2 * y1.derivative() + self.a1 * y1 + self.a0 * y
+        """a2*y'' + a1*y' + a0*y for a polynomial y in the operator's variable.
+
+        The operator runs on the integer numerator of y, and the result is
+        divided by y's denominator once: the sums then scale no terms to a
+        common denominator.
+        """
+        num = RationalPoly._from_ints(list(y._ints), 1, y.var)
+        y1 = num.derivative()
+        return (self.a2 * y1.derivative() + self.a1 * y1 + self.a0 * num) * Fraction(1, y._den)
 
 
 def _eq_nc(n: CoefLike, c: CoefLike, label: str) -> OdeSpec:
@@ -1004,8 +1013,41 @@ def series_residual(spec: OdeSpec, y: RationalPoly, inner: Mobius = IDENTITY) ->
     the function solves the equation.  ``inner=NEGATE`` gives the reflected
     argument of the Heun forms.
     """
-    x_of_t = mobius_inverse(mobius_compose(SERIES_MAPS[y.var], inner))
-    return spec.in_variable(*x_of_t, y.var).apply(y)
+    return _moved(spec, y.var, inner).apply(y)
+
+
+def _moved(spec: OdeSpec, var: str, inner: Mobius) -> OdeSpec:
+    """spec in the series variable var of the function x -> y(var(inner(x)))."""
+    return spec.in_variable(*mobius_inverse(mobius_compose(SERIES_MAPS[var], inner)), var)
+
+
+def moved_operators(
+    spec: Callable[[int], OdeSpec], var: str, inner: Mobius = IDENTITY
+) -> Callable[[int], OdeSpec]:
+    """n -> spec(n) moved to the series variable var, as ``series_residual``
+    moves it, from two transforms and one check.
+
+    The coefficients of spec(n) are affine in n, and at a fixed padding
+    degree ``in_variable`` is linear in them; the top degree is carried by
+    a2 at every index.  So with M0 and M1 the moved spec(0) and spec(1),
+    spec(n) moves to M0 + n (M1 - M0).  The difference is taken of the
+    moved operators: the raw spec(1) - spec(0) has a2 = 0 and would be
+    padded to a lower degree.  The form is compared with a direct transform
+    at n = 2, and a mismatch raises ArithmeticError, so an operator that is
+    not affine in n cannot pass.
+    """
+    m0, m1 = _moved(spec(0), var, inner), _moved(spec(1), var, inner)
+    base = (m0.a2, m0.a1, m0.a0)
+    slope = tuple(q - p for p, q in zip(base, (m1.a2, m1.a1, m1.a0)))
+
+    def at(n: int) -> OdeSpec:
+        parts = (p + n * q for p, q in zip(base, slope))
+        return OdeSpec(f"{m0.label} + {n}({m1.label} - {m0.label})", *parts)
+
+    direct, affine = _moved(spec(2), var, inner), at(2)
+    if (direct.a2, direct.a1, direct.a0) != (affine.a2, affine.a1, affine.a0):
+        raise ArithmeticError(f"the operator {direct.label} is not affine in its index")
+    return at
 
 
 def substitution_identity(y: RationalPoly, inner: Mobius, z: RationalPoly, scale: int = 1) -> bool:

@@ -74,10 +74,18 @@ def legendre_p(n: int, t):
 
     Works elementwise on the scalar type of ``t``: exact on Fraction input,
     float on float.  The forward recurrence is stable for t >= 1, the only
-    regime the Bernstein map produces.
+    regime the Bernstein map produces.  A Fraction t = N/D runs on integers:
+    R_k = k! D^k P_k(t) obeys R_(k+1) = (2k+1) N R_k - k^2 D^2 R_(k-1)
+    from R_0 = 1, R_1 = N, and one Fraction is built at the end.
     """
     if n < 0:
         raise ValueError("n must be a natural number")
+    if isinstance(t, Fraction):
+        big_n, d2 = t.numerator, t.denominator ** 2
+        r_prev, r_cur = 1, big_n if n else 1
+        for k in range(1, n):
+            r_prev, r_cur = r_cur, (2 * k + 1) * big_n * r_cur - k * k * d2 * r_prev
+        return Fraction(r_cur, math.factorial(n) * t.denominator ** n)
     one = t * 0 + 1
     if n == 0:
         return one
@@ -89,9 +97,17 @@ def legendre_p(n: int, t):
 
 @lru_cache(maxsize=None)
 def legendre_poly(n: int) -> RationalPoly:
-    """Exact coefficient form of P_n (variable 't'): ``legendre_p`` on the
-    polynomial t."""
-    return legendre_p(n, RationalPoly.x("t"))
+    """Exact coefficient form of P_n (variable 't'): the integer recurrence
+    of ``legendre_p`` with N = t and D = 1, on coefficient lists."""
+    if n < 0:
+        raise ValueError("n must be a natural number")
+    r_prev, r_cur = [1], [0, 1] if n else [1]
+    for k in range(1, n):
+        r_next = [0] + [(2 * k + 1) * c for c in r_cur]
+        for i, c in enumerate(r_prev):
+            r_next[i] -= k * k * c
+        r_prev, r_cur = r_cur, r_next
+    return RationalPoly(r_cur, "t") / math.factorial(n)
 
 
 def legendre_from_binom(n: int, t: Fraction) -> Fraction:

@@ -168,19 +168,25 @@ class TestVerify:
         assert err == "error: option --format: 'csv' is not one of text, json\n"
 
 
-# The exact form each family's identity items read, and those items.
-_SERIES = {
-    "bernstein": ("f_poly_direct", ("ode", "heun")),
-    "baskakov": ("g_series_coeffs", ("ode", "heun", "substitution")),
-    "bbh": ("u_series_coeffs", ("ode", "substitution")),
-    "mkz": ("j_series_coeffs", ("ode", "substitution")),
-}
+# (family, series builder, the items that read it): a nudged builder fails
+# exactly these items.  Bernstein's ode, heun and legendre items read the
+# centred form in s, and parseval compares it with the monomial form.
+_SERIES = [
+    pytest.param("bernstein", "f_poly_direct", ("parseval", "recurrences"), id="bernstein"),
+    pytest.param("bernstein", "f_poly_parseval", ("parseval", "ode", "heun", "legendre"), id="bernstein-s"),
+    pytest.param("baskakov", "g_series_coeffs", ("ode", "heun", "substitution"), id="baskakov"),
+    pytest.param("bbh", "u_series_coeffs", ("ode", "substitution"), id="bbh"),
+    pytest.param("mkz", "j_series_coeffs", ("ode", "substitution"), id="mkz"),
+]
+
+
+def _failed(out):
+    return {line.split(":")[0] for line in out.splitlines() if line.endswith(": FAIL")}
 
 
 class TestVerifySeriesRoute:
-    @pytest.mark.parametrize("family", list(_SERIES))
-    def test_a_tiny_coefficient_fault_fails_every_item_that_reads_it(self, family, monkeypatch):
-        name, items = _SERIES[family]
+    @pytest.mark.parametrize("family, name, items", _SERIES)
+    def test_a_tiny_coefficient_fault_fails_every_item_that_reads_it(self, family, name, items, monkeypatch):
         build = getattr(exactalg, name)
 
         def nudged(n):
@@ -193,8 +199,42 @@ class TestVerifySeriesRoute:
         monkeypatch.setattr(exactalg, name, nudged)
         code, out, _ = invoke(["verify", "--family", family, "--n-max", "5"])
         assert code == 1
-        for item in items:
-            assert f"{item}: FAIL" in out
+        assert _failed(out) == set(items)
+
+    @pytest.mark.parametrize("family, spec", [("bernstein", "eq_f"), ("baskakov", "eq_g")])
+    def test_a_nudged_operator_fails_the_ode_and_nothing_outlives_the_call(self, family, spec, monkeypatch):
+        # the operators are moved once per call: a patched builder is read by
+        # the next call, and the call after the patch is undone passes again
+        build = getattr(exactalg, spec)
+
+        def nudged(n):
+            op = build(n)
+            return exactalg.OdeSpec(op.label, op.a2, op.a1 + Fraction(1, 10 ** 30), op.a0)
+
+        argv = ["verify", "--family", family, "--n-max", "6"]
+        before = invoke(argv)
+        assert before[0] == 0
+        monkeypatch.setattr(exactalg, spec, nudged)
+        code, out, _ = invoke(argv)
+        assert code == 1 and _failed(out) == {"ode"}
+        monkeypatch.undo()
+        assert invoke(argv) == before
+
+    @pytest.mark.parametrize("family, spec, n_max", [
+        ("bernstein", "eq_f", 5), ("baskakov", "eq_g", 1), ("bbh", "eq_u", 3), ("mkz", "eq_j", 0),
+    ])
+    def test_an_operator_not_affine_in_n_never_passes(self, family, spec, n_max, monkeypatch):
+        build = getattr(exactalg, spec)
+
+        def quadratic(n):
+            op = build(n)
+            return exactalg.OdeSpec(op.label, op.a2, op.a1, op.a0 + n * n)
+
+        monkeypatch.setattr(exactalg, spec, quadratic)
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(ArithmeticError, match="not affine"):
+            run(["verify", "--family", family, "--n-max", str(n_max)])
+        assert "OK" not in out.getvalue()
 
     @pytest.mark.parametrize("family, var, wrong", [
         ("baskakov", "w", (1, -1, 1, 1)),

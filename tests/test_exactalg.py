@@ -15,6 +15,7 @@ from sqsums.exactalg import (
     NEGATE,
     SERIES_MAPS,
     HeunParams,
+    OdeSpec,
     RationalFn,
     RationalPoly,
     UnsupportedFamilyError,
@@ -37,6 +38,7 @@ from sqsums.exactalg import (
     mobius_compose,
     mobius_inverse,
     mobius_same,
+    moved_operators,
     ode_residual_poly,
     recurrence_check,
     recurrence_residuals,
@@ -564,9 +566,12 @@ class TestRationalFamilies:
 # ---------------------------------------------------------------------------
 
 # x as a Moebius map (a, b, c, d) of the series variable, for each operator
-# that verify moves there: the Baskakov ODE, the Baskakov Heun form on G(-x),
-# and the Meyer-Konig-Zeller and Bleimann-Butzer-Hahn ODEs.
+# that verify moves there: the Bernstein ODE and Heun form, the Baskakov ODE,
+# the Baskakov Heun form on G(-x), and the Meyer-Konig-Zeller and
+# Bleimann-Butzer-Hahn ODEs.
 _MAPS = {
+    "bernstein-ode": (lambda n: eq_f(n), "s", (2, 1, 0, 2), IDENTITY),
+    "bernstein-heun": (lambda n: HeunParams.polynomial_case(n).operator(), "s", (2, 1, 0, 2), IDENTITY),
     "baskakov-ode": (lambda n: eq_g(n), "u", (-1, 1, 2, 0), IDENTITY),
     "baskakov-heun": (lambda n: HeunParams.rational_case(n).operator(), "u", (1, -1, 2, 0), NEGATE),
     "mkz-ode": (lambda n: eq_j(n), "w", (-1, 1, 1, 1), IDENTITY),
@@ -611,6 +616,29 @@ class TestChainRule:
             eq_g(2).in_variable(1, 2, 2, 4, "u")
 
 
+class TestMovedOperators:
+    @pytest.mark.parametrize("name", list(_MAPS))
+    def test_equal_to_the_direct_transform_at_every_index(self, name):
+        build, var, _, inner = _MAPS[name]
+        x_of_t = mobius_inverse(mobius_compose(SERIES_MAPS[var], inner))
+        moved = moved_operators(build, var, inner)
+        for n in range(31):
+            op, direct = moved(n), build(n).in_variable(*x_of_t, var)
+            assert (op.a2, op.a1, op.a0) == (direct.a2, direct.a1, direct.a0)
+            assert op.a2.var == direct.a2.var == var
+
+    @pytest.mark.parametrize("name", list(_MAPS))
+    def test_an_index_squared_term_raises(self, name):
+        build, var, _, inner = _MAPS[name]
+
+        def quadratic(n):
+            spec = build(n)
+            return OdeSpec(spec.label, spec.a2, spec.a1 + n * n * X, spec.a0)
+
+        with pytest.raises(ArithmeticError, match="not affine"):
+            moved_operators(quadratic, var, inner)
+
+
 class TestMobius:
     def test_product_is_composition(self):
         f, g, x = (1, 2, 3, 5), (-1, 1, 1, 1), Fraction(2, 7)
@@ -638,7 +666,9 @@ class TestMobius:
 class TestSeriesRoute:
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 200])
     def test_identities_hold(self, n):
-        g, j, u = g_series_coeffs(n), j_series_coeffs(n), u_series_coeffs(n)
+        f, g, j, u = f_poly_parseval(n), g_series_coeffs(n), j_series_coeffs(n), u_series_coeffs(n)
+        assert series_residual(eq_f(n), f).is_zero
+        assert series_residual(HeunParams.polynomial_case(n).operator(), f).is_zero
         assert series_residual(eq_g(n), g).is_zero
         assert series_residual(HeunParams.rational_case(n).operator(), g, NEGATE).is_zero
         assert series_residual(eq_j(n), j).is_zero
@@ -664,6 +694,9 @@ class TestSeriesRoute:
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_a_tiny_coefficient_fault_is_detected(self, n):
         eps = Fraction(1, 10 ** 30)
+        f = f_poly_parseval(n) + RationalPoly([eps], "s")
+        assert not series_residual(eq_f(n), f).is_zero
+        assert not series_residual(HeunParams.polynomial_case(n).operator(), f).is_zero
         g = g_series_coeffs(n) + RationalPoly([0, eps], "u")
         j = j_series_coeffs(n) + RationalPoly([0, eps], "w")
         u = u_series_coeffs(n) + RationalPoly([eps], "v")
@@ -684,6 +717,9 @@ class TestSeriesRoute:
     def test_series_builders_match_their_factorial_forms(self):
         for n in range(1, 31):
             pref = Fraction(math.comb(2 * n, n), 4 ** n)
+            assert f_poly_parseval(n).coeffs[::2] == tuple(
+                pref * 4 ** k * math.comb(n, k) ** 2 / math.comb(2 * n, 2 * k) for k in range(n + 1)
+            )
             assert u_series_coeffs(n).coeffs[::2] == tuple(
                 pref * math.comb(n, k) ** 2 / math.comb(2 * n, 2 * k) for k in range(n + 1)
             )

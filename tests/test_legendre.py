@@ -47,6 +47,26 @@ class TestRecurrence:
             t = Fraction(7, 5)
             assert p(t) == legendre_p(n, t)
 
+    def test_integer_recurrence_matches_the_fraction_loop(self):
+        for t in (Fraction(1, 8), Fraction(2, 5), Fraction(-7, 3), Fraction(0), Fraction(-1), Fraction(41, 9)):
+            for n in range(61):
+                assert legendre_p(n, t) == _fraction_loop(n, t)
+
+    def test_coefficient_form_matches_the_loop_on_the_polynomial_t(self):
+        for n in range(31):
+            assert legendre_poly(n) == _fraction_loop(n, RationalPoly.x("t"))
+
+
+def _fraction_loop(n, t):
+    """The three-term recurrence in t's own arithmetic, one division a step."""
+    one = t * 0 + 1
+    if n == 0:
+        return one
+    p_prev, p_cur = one, t
+    for k in range(1, n):
+        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
+    return p_cur
+
 
 class TestBinomialForm:
     def test_documented_points(self):

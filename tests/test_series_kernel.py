@@ -9,6 +9,7 @@ same point.
 
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -851,7 +852,7 @@ def _kernel_caps(n, c, x, tol):
 
 def _verdict(n, c, x, tol):
     pref_log, rr, zlim = _pos_c_parts(n, c, x)
-    return evalnum._pos_c_capped(n, c, rr, zlim, pref_log, tol)
+    return evalnum._pos_c_capped(n, c, c * x, rr, zlim, pref_log, tol)
 
 
 @settings(max_examples=25, deadline=None)
@@ -888,3 +889,50 @@ def test_cap_verdict_unsure_at_the_boundary():
     assert _kernel_caps(1.0, 1.0, math.nextafter(x, math.inf), 1e-15)
     # far past it the verdict fires, and so would the kernel's cap
     assert _verdict(1.0, 1.0, 1e6, 1e-15) and _kernel_caps(1.0, 1.0, 1e6, 1e-15)
+
+
+def _verdict_s_at_most_1(n, c, u, rr, zlim, pref_log, tol):
+    """The verdict before it bounded S by the largest negative binomial
+    weight: the same tests with S <= 1 alone."""
+    if not (rr > 0.0 and zlim > 0.0) or max(n, c) >= 1e150:
+        return False
+    a, steps = n / c, evalnum._POS_C_STEPS
+    lg_top, lg_a, lg_k = math.lgamma(a + steps), math.lgamma(a), math.lgamma(steps + 1.0)
+    log_ratio = 2.0 * math.log(c) + math.log(rr)
+    if 2.0 * math.log((a + steps) / (steps + 1.0)) + log_ratio > 1e-12 * (1.0 + abs(log_ratio)):
+        return True
+    log_last = 2.0 * (lg_top - lg_a - lg_k) + steps * log_ratio
+    log_cert = math.log(zlim) - math.log1p(-zlim)
+    margin = 1e-6 + 1e-12 * (abs(lg_top) + abs(lg_a) + lg_k + steps * abs(log_ratio) + abs(pref_log))
+    return log_last + log_cert - margin > math.log(tol) - pref_log
+
+
+def test_cap_verdict_sides_at_c_n_1():
+    # 1.1e5 lies below the kernel's own cap and returns a value; 1.2e5 lies
+    # past it, and the verdict raises there without walking 2*10^6 steps
+    assert s_series(Params(1, 1), 1.1e5).value > 0.0
+    took = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="use the quadrature route"):
+            s_series(Params(1, 1), 1.2e5)
+        took.append(time.perf_counter() - start)
+    assert min(took) < 5e-3
+
+
+# (n, c, i) of x = 10^(3 + i/24), where the bound S <= max_k p_k decides and
+# S <= 1 did not
+@pytest.mark.parametrize("n, c, i", [
+    (1, Fraction(1, 3), 58), (2, Fraction(1, 2), 53), (1, Fraction(1), 50),
+    (5, Fraction(1), 45), (3, Fraction(2), 42), (10, Fraction(3), 35),
+])
+def test_sharper_cap_verdict_fires_only_where_the_walk_caps(n, c, i, monkeypatch):
+    x = 10.0 ** (3 + i / 24)
+    nf, cf = float(n), float(c)
+    pref_log, rr, zlim = _pos_c_parts(nf, cf, x)
+    tol = max(1e-16, 1e-3 * evalnum.RTOL_DEFAULT)
+    assert _verdict(nf, cf, x, tol)
+    assert not _verdict_s_at_most_1(nf, cf, cf * x, rr, zlim, pref_log, tol)
+    monkeypatch.setattr(evalnum, "_pos_c_capped", _verdict_s_at_most_1)
+    with pytest.raises(ArithmeticError, match="use the quadrature route"):
+        s_series(Params(n, c), x)
