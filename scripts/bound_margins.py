@@ -11,6 +11,7 @@ import argparse
 
 from sqsums.bounds import bound_reports, standard_grid
 from sqsums.core import FamilyId
+from sqsums.families import FAMILIES, least_index
 
 
 def main() -> None:
@@ -19,16 +20,10 @@ def main() -> None:
     ap.add_argument("--count", type=int, default=256, help="Chebyshev points per grid")
     args = ap.parse_args()
 
-    for name, n_lo in (
-        ("bernstein", 1),
-        ("bbh", 1),
-        ("baskakov", 1),
-        ("mkz", 0),
-        ("szasz", 1),
-    ):
+    for name in (name for name, row in FAMILIES.items() if row.bounds is not None):
         family = FamilyId(name)
         grid = standard_grid(family, count=args.count)
-        for n in range(n_lo, args.n_max + 1):
+        for n in range(least_index(family), args.n_max + 1):
             worst = min(bound_reports(family, n, grid), key=lambda r: r.min_margin)
             print(
                 f"{name:>9} n={n:2d}  min margin {worst.min_margin:+.3e} "

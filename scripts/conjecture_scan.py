@@ -12,11 +12,11 @@ and the exit code is 0 whenever the sweep completes.
 import argparse
 import pathlib
 import time
-from fractions import Fraction
 
 from sqsums.analysis import logconvexity_scan
 from sqsums.cli import json_text
-from sqsums.core import Params
+from sqsums.core import FamilyId
+from sqsums.families import FAMILIES
 
 
 def main() -> None:
@@ -28,10 +28,10 @@ def main() -> None:
 
     args.out.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
-    for c, tag in ((Fraction(-1), "bernstein"), (Fraction(1), "baskakov")):
+    for tag in (name for name, row in FAMILIES.items() if "logconvexity" in row.scans):
         for n in range(1, args.n_max + 1):
             t0 = time.perf_counter()
-            rep = logconvexity_scan(Params(n, c), count=args.count)
+            rep = logconvexity_scan(FamilyId(tag).base_params(n), count=args.count)
             seconds = time.perf_counter() - t0
             doc = rep.to_json()
             path = args.out / f"logconvexity_{tag}_n{n:02d}.json"

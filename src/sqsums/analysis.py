@@ -5,13 +5,14 @@ differential equation through finite differences of the closed-form
 evaluator; convexity and monotonicity claims are restated as sign
 conditions on differences; and the log-convexity conjecture scanner
 evaluates Q = S*S'' - (S')^2 (exactly where the family admits it) and
-reports margins without ever asserting the conjecture.  The exact Q is
-built in the paper's variables, s = x - 1/2 (Bernstein) and u = 1/(1+2x)
-(Baskakov), where it is an even polynomial R(t) in t = s^2 or t = u^2 of
-degree 2n.  The exact scan stays on integers from the grid to the margin:
-the grid is built as lowest-terms pairs (p, q), each point maps to t as an
-integer pair, and ``RationalPoly.values`` groups the points by the
-denominator of t, scales R's coefficients once per group and runs one
+reports margins without ever asserting the conjecture.  The exact scans
+are those a family's row in ``families`` lists, on the row's series.  The
+exact Q is built in the paper's variables, s = x - 1/2 (Bernstein) and
+u = 1/(1+2x) (Baskakov), where it is an even polynomial R(t) in t = s^2 or
+t = u^2 of degree 2n.  The exact scan stays on integers from the grid to
+the margin: the grid is built as lowest-terms pairs (p, q), each point maps
+to t as an integer pair, and ``RationalPoly.values`` groups the points by
+the denominator of t, scales R's coefficients once per group and runs one
 numerator-only Horner pass per distinct t, so each margin costs one
 reduction (the Bernstein grid of 1024 points has 14 such denominators and
 513 distinct t, as x and 1 - x share one; the Baskakov grid has 992
@@ -24,12 +25,12 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-from .core import DomainError, FamilyId, Params, RationalLike, _fmt_float
+from .core import DomainError, FamilyId, Params, RationalLike, Real, _fmt_float
 from .bounds import s_value
 from .evalnum import s_closed
-from . import exactalg
+from . import exactalg, families
 
 __all__ = [
     "ScanReport",
@@ -41,8 +42,6 @@ __all__ = [
     "monotonicity_check",
     "ode_residual_scan",
 ]
-
-Real = Union[float, Fraction]
 
 # Default step for difference-based scans.
 def _default_step(x: float) -> float:
@@ -199,20 +198,18 @@ def ode_residual_scan(params: Params, grid: Sequence[float], h: float) -> ScanRe
 def convexity_scan(family: FamilyId, n: RationalLike, grid: Sequence[Real]) -> ScanReport:
     """Second-difference margins of the squared-basis sum over a grid.
 
-    The Bernstein family uses the exact route: its centered representation
-    has positive even coefficients, so the margins are exact second
-    derivative values.  Other families use second divided differences of
+    A family whose row lists an exact convexity scan (Bernstein) gives the
+    exact second x-derivative of its series at each point, exact on
+    Fraction points.  Other families use second divided differences of
     neighbor triples, reported on the interior points.
     """
     family.base_params(n)  # rejects an index the family does not admit
-    n = int(n) if Fraction(n).denominator == 1 else Fraction(n)  # f_poly_parseval needs an int
+    n = int(n) if Fraction(n).denominator == 1 else Fraction(n)  # the series builders need an int
     subject = {"family": family.name, "n": n if isinstance(n, int) else _fmt(n)}
-    if family.key == "bernstein":
-        d2 = exactalg.f_poly_parseval(n).derivative().derivative()
-        margins = []
-        for x in grid:
-            s = (x - Fraction(1, 2)) if isinstance(x, Fraction) else (float(x) - 0.5)
-            margins.append(d2(s))
+    if "convexity" in families.FAMILIES[family.key].scans:
+        _, _, d2, (a, b, c, d) = _x_derivatives(family, n)
+        xs = [x if isinstance(x, Fraction) else float(x) for x in grid]
+        margins = [d2((a * x + b) / (c * x + d)) for x in xs]
         return _report("convexity", subject, list(grid), margins, {"route": "exact"})
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points")
@@ -268,8 +265,20 @@ def monotonicity_check(n: int, grid: Sequence[Real]) -> ScanReport:
 
 
 def has_exact_q(params: Params) -> bool:
-    """Whether Q has an exact rational form: c in {-1, +1} at natural n."""
-    return params.c in (-1, 1) and params.n.denominator == 1
+    """Whether Q has an exact form: natural n, and c's row (c = +-1) lists an exact log-convexity scan."""
+    row = families.FAMILIES[FamilyId.from_c(params.c).key]
+    return params.n.denominator == 1 and "logconvexity" in row.scans
+
+
+def _x_derivatives(family: FamilyId, n: int):
+    """(S, S_x, S_xx) in the row's series variable y = (a x + b)/(c x + d), and
+    (a, b, c, d): with phi = dy/dx = (a - c y)^2 / (a d - b c), S_x = phi S_y
+    and S_xx = phi (phi S_yy + phi' S_y)."""
+    s = families.FAMILIES[family.key].series(n)
+    a, b, c, d = mobius = exactalg.SERIES_MAPS[s.var]
+    phi = exactalg.RationalPoly((a * a, -2 * a * c, c * c), s.var) / (a * d - b * c)
+    s1 = s.derivative()
+    return s, phi * s1, phi * (phi * s1.derivative() + phi.derivative() * s1), mobius
 
 
 def _even_in_t(p: exactalg.RationalPoly) -> exactalg.RationalPoly:
@@ -294,21 +303,16 @@ def _t_pairs(mobius: exactalg.Mobius, xs: Sequence[Fraction]) -> list[tuple[int,
 def _q_even(params: Params) -> Optional[tuple[exactalg.RationalPoly, tuple[int, int, int, int]]]:
     """(R, (a, b, c, d)) with Q(x) = R(y^2) exactly, y = (a x + b)/(c x + d), or None.
 
-    y is the paper's variable: s = x - 1/2 for Bernstein, where S is the
-    even polynomial ``f_poly_parseval``, and u = 1/(1+2x) for Baskakov,
-    where S is the odd polynomial ``g_series_coeffs``.  With dy/dx = phi(y),
-    Q = phi^2 (S S_yy - S_y^2) + phi phi' S S_y is even in y (phi = 1 for s,
-    phi = -2u^2 for u), and R holds its even-index coefficients.
+    y is the series variable of the family's row: s = x - 1/2 for
+    Bernstein, where S is the even polynomial ``f_poly_parseval``, and
+    u = 1/(1+2x) for Baskakov, where S is the odd polynomial
+    ``g_series_coeffs``.  Q = S S_xx - S_x^2 with the x-derivatives of
+    ``_x_derivatives`` is even in y, and R holds its even-index coefficients.
     """
     if not has_exact_q(params):
         return None
-    if params.c < 0:  # y = s = (2x - 1)/2
-        s, phi = exactalg.f_poly_parseval(params.l), (1,)
-    else:  # y = u = 1/(2x + 1)
-        s, phi = exactalg.g_series_coeffs(int(params.n)), (0, 0, -2)
-    phi, s1 = exactalg.RationalPoly(phi, s.var), s.derivative()
-    q = phi * phi * (s * s1.derivative() - s1 * s1) + phi * phi.derivative() * s * s1
-    return _even_in_t(q), exactalg.SERIES_MAPS[s.var]
+    s, s1, s2, mobius = _x_derivatives(FamilyId.from_c(params.c), int(params.n))
+    return _even_in_t(s * s2 - s1 * s1), mobius
 
 
 def conjecture_grid_minimum(params: Params) -> int:

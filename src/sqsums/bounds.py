@@ -1,11 +1,11 @@
 """Upper bounds for the squared-basis sums and their grid verification.
 
-Each family carries one or two proven upper bounds: an inverse-square-root
-bound, a sharper power bound derived from convexity plus the differential
-equation, or a central-binomial envelope.  ``bound_values`` evaluates every
-applicable bound next to the most accurate available value of the sum and
-reports the margins; ``bound_reports`` does so for a grid, with the sums
-of all its points from one call of the grid routes.
+Each family's row in ``families`` carries one or two proven upper bounds:
+an inverse-square-root bound, a sharper power bound derived from convexity
+plus the differential equation, or a central-binomial envelope.
+``bound_values`` evaluates every applicable bound next to the most accurate
+available value of the sum and reports the margins; ``bound_reports`` does
+so for a grid, with the sums of its points from one call of the grid routes.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Sequence
 
-from .core import FamilyId, ParameterError, RationalLike, _fmt_float
-from . import evalnum, exactalg
+from .core import FamilyId, ParameterError, RationalLike, Real, _fmt_float
+from . import evalnum, families
 
 __all__ = [
     "BoundReport",
@@ -30,10 +30,6 @@ __all__ = [
 # Unbounded domains get Chebyshev coverage of a near field plus decades.
 _NEARFIELD_SUP = 20.0
 _DECADES = tuple(float(10 ** j) for j in range(0, 7))
-
-Real = Union[float, Fraction]
-# (label, value) per bound, and notes on the bounds left out.
-_Bounds = tuple[list[tuple[str, float]], list[str]]
 
 
 @dataclass(frozen=True)
@@ -60,66 +56,12 @@ class BoundReport:
         }
 
 
-def _bernstein_bounds(n: int, x: float) -> _Bounds:
-    base = 1.0 + 4.0 * (n - 1) * x * (1.0 - x)
-    out = [("inv_sqrt", base ** -0.5)]
-    notes = []
-    if n >= 2:
-        out.append(("refined_power", base ** (-n / (2.0 * (n - 1)))))
-    else:
-        notes.append("refined_power needs n >= 2; omitted")
-    return out, notes
-
-
-def _bbh_bounds(n: int, x: float) -> _Bounds:
-    return [("inv_sqrt", (x + 1.0) / math.sqrt(x * x + (4.0 * n - 2.0) * x + 1.0))], []
-
-
-def _baskakov_bounds(n: int, x: float) -> _Bounds:
-    base = 4.0 * (n + 1) * x * (1.0 + x) + 1.0
-    return [
-        ("refined_power", base ** (-n / (2.0 * (n + 1)))),
-        ("central_binomial", math.comb(2 * n - 2, n - 1) * (1.0 + x) ** (n - 1) / (1.0 + 2.0 * x) ** n),
-    ], []
-
-
-def _mkz_bounds(n: int, x: float) -> _Bounds:
-    base = (1.0 - x) ** 2 / (x * x + (4.0 * n + 6.0) * x + 1.0)
-    return [
-        ("refined_power", base ** ((n + 1) / (2.0 * (n + 2)))),
-        ("central_binomial", math.comb(2 * n, n) * (1.0 - x) / (1.0 + x) ** (n + 1)),
-    ], []
-
-
-def _szasz_bounds(n: int, x: float) -> _Bounds:
-    return [("inv_sqrt", (4.0 * n * x + 1.0) ** -0.5)], []
-
-
-class _Family(NamedTuple):
-    """Exact value of S (None: closed form only), bound formulas, least index."""
-
-    value: Optional[Callable[[int, Real], Real]]
-    bounds: Callable[[int, float], _Bounds]
-    n_min: int
-
-
-# Keyed by FamilyId.key.  The exact values go through the module at call time
-# so that a patched ``exactalg`` attribute is the one that runs.
-_FAMILIES = {
-    "bernstein": _Family(lambda n, x: exactalg.f_value(n, x), _bernstein_bounds, 1),
-    "bbh": _Family(lambda n, x: exactalg.u_value(n, x), _bbh_bounds, 1),
-    "baskakov": _Family(lambda n, x: exactalg.g_value(n, x), _baskakov_bounds, 1),
-    "mkz": _Family(lambda n, x: exactalg.j_value(n, x), _mkz_bounds, 0),
-    "szasz": _Family(None, _szasz_bounds, 1),
-}
-
-
 def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real], rtol: float = 1e-12) -> list:
     """``s_value`` at every point of ``xs``: the value, or the exception the
     scalar call raises there.  The points on the closed-form route are one
     ``evalnum.s_closed_grid`` call."""
-    row = _FAMILIES.get(family.key)
-    exact = row is not None and row.value is not None and int(n) == n
+    row = families.FAMILIES[family.key]
+    exact = row.value is not None and int(n) == n
     out: list = [None] * len(xs)
     closed = []
     for i, x in enumerate(xs):
@@ -156,11 +98,11 @@ def s_value(family: FamilyId, n: RationalLike, x: Real, rtol: float = 1e-12) -> 
 def bound_reports(family: FamilyId, n: int, xs: Sequence[Real]) -> list[BoundReport]:
     """``bound_values`` at every point of ``xs``, with the sums from one
     ``s_values`` call; raises the error of the first point that has one."""
-    row = _FAMILIES.get(family.key)
-    if row is None:
+    row = families.FAMILIES[family.key]
+    if row.bounds is None:
         raise ParameterError(f"no proven bounds for general c={family.c}")
-    if n < row.n_min:
-        raise ParameterError(f"family {family.key!r} bounds need n >= {row.n_min}, got n={n}")
+    if n < (least := families.least_index(family)):
+        raise ParameterError(f"family {family.key!r} bounds need n >= {least}, got n={n}")
     reports = []
     for x, value in zip(xs, s_values(family, n, xs)):
         if isinstance(value, Exception):

@@ -4,7 +4,8 @@ Output formats are text (default), csv and json.  Exact rationals are
 printed as "p/q" strings and floats with 17 significant digits, so repeated
 runs with the same arguments are byte-identical.  Exit code 0 means every
 requested check passed; scans exit 0 whenever they complete (conjecture
-margins never fail the process).
+margins never fail the process).  A family's suite, least index and exact
+scans are its row in ``families``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
-from . import __version__, analysis, bounds, evalnum, exactalg, legendre
+from . import __version__, analysis, bounds, evalnum, families
 from .core import FAMILY_NAMES, FamilyId, ParameterError, _fmt_float
 
 __all__ = ["main", "run", "json_text", "OUTPUT_SCHEMA"]
@@ -120,18 +121,16 @@ def _parse_grid(spec: str, family: FamilyId) -> list[float]:
 
 
 def _family_from_args(args) -> FamilyId:
-    if args.family == "general":
-        if args.c is None:
-            raise ParameterError("family 'general' requires -c")
-        return FamilyId("general", args.c)
-    if args.c is not None:
-        raise ParameterError("-c is only valid with --family general")
-    return FamilyId(args.family)
+    try:  # FamilyId takes c for the general family, and only for it
+        return FamilyId(args.family, args.c)
+    except ParameterError:
+        raise ParameterError("family 'general' requires -c" if args.c is None
+                             else "-c is only valid with --family general") from None
 
 
 def _params_doc(family: FamilyId, n: Optional[Fraction] = None, **extra) -> dict:
     doc = {"family": family.name}
-    if family.name == "general":
+    if family.c is not None:  # the general family
         doc["c"] = _fmt_rat(family.c)
     if n is not None:
         doc["n"] = _fmt_rat(n)
@@ -210,74 +209,19 @@ def _cmd_table(args, out) -> int:
     return 0
 
 
-def _each(check: Callable[[int], bool]) -> Callable[[range], bool]:
-    """The item that holds where check(n) holds at every index."""
-    return lambda ns: all(check(n) for n in ns)
-
-
-def _solves(spec, series, inner=exactalg.IDENTITY) -> Callable[[range], bool]:
-    """The item that series(n) solves spec(n) at every index, in the series
-    variable of series(n).  The operators move there once per call
-    (``exactalg.moved_operators``), and the residual is a banded product
-    with the series coefficients."""
-    def check(ns):
-        moved = exactalg.moved_operators(spec, series(ns[0]).var, inner)
-        return all(moved(n).apply(series(n)).is_zero for n in ns)
-    return check
-
-
-# Exact identity suites keyed by FamilyId.key: the first index, the witness
-# (a label and the exact object to build at the first index) and one check
-# per item, which is given the indices from the first to --n-max and must
-# hold at each of them.  The ode, heun and substitution items work in the
-# series variables (s, u, v and w of exactalg.SERIES_MAPS), where each sum
-# is a polynomial.  The checks look functions up in their modules at call
-# time, so a patched module attribute is the one that runs, and nothing
-# they build outlives the call.
-_SUITES = {
-    "bernstein": (1, ("f_poly", lambda n: exactalg.f_poly_direct(n)), (
-        ("parseval", _each(lambda n: exactalg.f_poly_parseval(n).compose_linear(1, Fraction(-1, 2))
-            == exactalg.f_poly_direct(n))),
-        ("recurrences", _each(lambda n: exactalg.recurrence_check(n))),
-        ("ode", _solves(lambda n: exactalg.eq_f(n), lambda n: exactalg.f_poly_parseval(n))),
-        ("heun", _solves(lambda n: exactalg.HeunParams.polynomial_case(n).operator(),
-            lambda n: exactalg.f_poly_parseval(n))),
-        ("legendre", _each(lambda n: legendre.neuschel_check_exact(n, Fraction(1, 8)) == 0
-            and legendre.neuschel_check_exact(n, Fraction(2, 5)) == 0
-            and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2))))),
-    )),
-    "baskakov": (1, ("g_rational", lambda n: exactalg.g_rational(n)), (
-        ("ode", _solves(lambda n: exactalg.eq_g(n), lambda n: exactalg.g_series_coeffs(n))),
-        ("heun", _solves(lambda n: exactalg.HeunParams.rational_case(n).operator(),
-            lambda n: exactalg.g_series_coeffs(n), exactalg.NEGATE)),
-        ("substitution", _each(lambda n: exactalg.substitution_identity(  # G_n = J_(n-1)(x/(1+x))
-            exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n)))),
-    )),
-    "bbh": (1, ("u_rational", lambda n: exactalg.u_rational(n)), (
-        ("ode", _solves(lambda n: exactalg.eq_u(n), lambda n: exactalg.u_series_coeffs(n))),
-        ("substitution", _each(lambda n: exactalg.substitution_identity(  # U_n = F_n(x/(1+x)), s = v/2
-            exactalg.f_poly_parseval(n), (1, 0, 1, 1), exactalg.u_series_coeffs(n), 2))),
-    )),
-    "mkz": (0, ("j_rational", lambda n: exactalg.j_rational(n)), (
-        ("ode", _solves(lambda n: exactalg.eq_j(n), lambda n: exactalg.j_series_coeffs(n))),
-        ("substitution", _each(lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
-            exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n)))),
-    )),
-}
-
-
 def _cmd_verify(args, out) -> int:
     family = _family_from_args(args)
-    if family.key not in _SUITES:
+    row = families.FAMILIES[family.key]
+    if row.witness is None:
         raise ParameterError(
             f"family {family.name!r} has no exact identity suite; "
             "use 'scan --kind ode' for the numerical residual check"
         )
-    first, (label, build), items = _SUITES[family.key]
+    first, (label, build) = families.least_index(family), row.witness
     if args.n_max < first:
         raise ParameterError(f"verify --n-max must be >= {first} for {family.name!r}, got {args.n_max}")
     ns = range(first, args.n_max + 1)
-    outcomes = [(name, check(ns)) for name, check in items]
+    outcomes = [(name, check(ns)) for name, check in row.items]
     if args.format == "json":
         out.write(_emit_json("verify", _params_doc(family, n_max=args.n_max), report={
             "items": {name: ("OK" if passed else "FAIL") for name, passed in outcomes},
@@ -342,7 +286,7 @@ def _scan_logconvexity(family, params, args):
 
 
 def _scan_monotonicity(family, params, args):
-    if family.key != "bernstein":
+    if "monotonicity" not in families.FAMILIES[family.key].scans:
         raise ParameterError(f"scan --kind monotonicity covers the Bernstein family only, "
                              f"got family {family.name!r}")
     count = _scan_count(args, 2, 129)
@@ -373,7 +317,7 @@ def _cmd_scan(args, out) -> int:
 def _cmd_info(args, out) -> int:
     family = _family_from_args(args)
     doc = {"family": family.name, "domain": family.domain_str()}
-    if family.name == "general":
+    if family.c is not None:
         doc["c"] = _fmt_rat(family.c)
     if family.key != family.name:
         doc["classified_as"] = family.key

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 RationalLike = Union[int, float, str, Fraction]
+Real = Union[float, Fraction]  # a point: a float, or exact
 
 # Above this many natural-log units the direct product form of a basis
 # function would overflow or underflow double precision.

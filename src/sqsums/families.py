@@ -1,0 +1,130 @@
+"""One row per operator family, keyed by ``FamilyId.key``: what is exact or
+proven about its sum (``core`` keeps its structure).  Rows look builders up
+in ``exactalg`` and ``legendre`` at call time, so a patched module attribute
+is the one that runs, and nothing they build outlives the call.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Any, Callable, NamedTuple, Optional
+
+from . import core, exactalg, legendre
+from .core import Real
+
+__all__ = ["FAMILIES", "Family", "least_index"]
+
+# (label, value) per bound, and notes on the bounds left out.
+Bounds = tuple[list[tuple[str, float]], list[str]]
+
+
+def _bernstein_bounds(n: int, x: float) -> Bounds:
+    base = 1.0 + 4.0 * (n - 1) * x * (1.0 - x)
+    out = [("inv_sqrt", base ** -0.5)]
+    notes = []
+    if n >= 2:
+        out.append(("refined_power", base ** (-n / (2.0 * (n - 1)))))
+    else:
+        notes.append("refined_power needs n >= 2; omitted")
+    return out, notes
+
+
+def _bbh_bounds(n: int, x: float) -> Bounds:
+    return [("inv_sqrt", (x + 1.0) / math.sqrt(x * x + (4.0 * n - 2.0) * x + 1.0))], []
+
+
+def _baskakov_bounds(n: int, x: float) -> Bounds:
+    base = 4.0 * (n + 1) * x * (1.0 + x) + 1.0
+    return [
+        ("refined_power", base ** (-n / (2.0 * (n + 1)))),
+        ("central_binomial", math.comb(2 * n - 2, n - 1) * (1.0 + x) ** (n - 1) / (1.0 + 2.0 * x) ** n),
+    ], []
+
+
+def _mkz_bounds(n: int, x: float) -> Bounds:
+    base = (1.0 - x) ** 2 / (x * x + (4.0 * n + 6.0) * x + 1.0)
+    return [
+        ("refined_power", base ** ((n + 1) / (2.0 * (n + 2)))),
+        ("central_binomial", math.comb(2 * n, n) * (1.0 - x) / (1.0 + x) ** (n + 1)),
+    ], []
+
+
+def _szasz_bounds(n: int, x: float) -> Bounds:
+    return [("inv_sqrt", (4.0 * n * x + 1.0) ** -0.5)], []
+
+
+def _each(check: Callable[[int], bool]) -> Callable[[range], bool]:
+    """The item that holds where check(n) holds at every index."""
+    return lambda ns: all(check(n) for n in ns)
+
+
+def _solves(spec, series, inner=exactalg.IDENTITY) -> Callable[[range], bool]:
+    """The item that series(n) solves spec(n) at every index, in the series
+    variable of series(n).  The operators move there once per call
+    (``exactalg.moved_operators``), and the residual is a banded product
+    with the series coefficients."""
+    def check(ns):
+        moved = exactalg.moved_operators(spec, series(ns[0]).var, inner)
+        return all(moved(n).apply(series(n)).is_zero for n in ns)
+    return check
+
+
+class Family(NamedTuple):
+    """What is exact or proven about one family, at natural n: S in its series
+    variable (whose ``var`` names its map in ``exactalg.SERIES_MAPS``) and S
+    itself (None: the closed form only), the proven bounds at a point, the
+    witness (label, build) that ``verify --format json`` builds at the least
+    index, the ``verify`` items (name, check), where check(ns) holds at every
+    index of ns, and the scan kinds with an exact route."""
+
+    series: Optional[Callable[[int], exactalg.RationalPoly]] = None
+    value: Optional[Callable[[int, Real], Real]] = None
+    bounds: Optional[Callable[[int, float], Bounds]] = None
+    witness: Optional[tuple[str, Callable[[int], Any]]] = None
+    items: tuple[tuple[str, Callable[[range], bool]], ...] = ()
+    scans: tuple[str, ...] = ()
+
+
+FAMILIES = {
+    "bernstein": Family(lambda n: exactalg.f_poly_parseval(n), lambda n, x: exactalg.f_value(n, x),
+        _bernstein_bounds, ("f_poly", lambda n: exactalg.f_poly_direct(n)), (
+        ("parseval", _each(lambda n: exactalg.f_poly_parseval(n).compose_linear(1, Fraction(-1, 2))
+            == exactalg.f_poly_direct(n))),
+        ("recurrences", _each(lambda n: exactalg.recurrence_check(n))),
+        ("ode", _solves(lambda n: exactalg.eq_f(n), lambda n: exactalg.f_poly_parseval(n))),
+        ("heun", _solves(lambda n: exactalg.HeunParams.polynomial_case(n).operator(),
+            lambda n: exactalg.f_poly_parseval(n))),
+        ("legendre", _each(lambda n: legendre.neuschel_check_exact(n, Fraction(1, 8)) == 0
+            and legendre.neuschel_check_exact(n, Fraction(2, 5)) == 0
+            and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2))))),
+    ), ("convexity", "logconvexity", "monotonicity")),
+    "bbh": Family(lambda n: exactalg.u_series_coeffs(n), lambda n, x: exactalg.u_value(n, x),
+        _bbh_bounds, ("u_rational", lambda n: exactalg.u_rational(n)), (
+        ("ode", _solves(lambda n: exactalg.eq_u(n), lambda n: exactalg.u_series_coeffs(n))),
+        ("substitution", _each(lambda n: exactalg.substitution_identity(  # U_n = F_n(x/(1+x)), s = v/2
+            exactalg.f_poly_parseval(n), (1, 0, 1, 1), exactalg.u_series_coeffs(n), 2))),
+    )),
+    "baskakov": Family(lambda n: exactalg.g_series_coeffs(n), lambda n, x: exactalg.g_value(n, x),
+        _baskakov_bounds, ("g_rational", lambda n: exactalg.g_rational(n)), (
+        ("ode", _solves(lambda n: exactalg.eq_g(n), lambda n: exactalg.g_series_coeffs(n))),
+        ("heun", _solves(lambda n: exactalg.HeunParams.rational_case(n).operator(),
+            lambda n: exactalg.g_series_coeffs(n), exactalg.NEGATE)),
+        ("substitution", _each(lambda n: exactalg.substitution_identity(  # G_n = J_(n-1)(x/(1+x))
+            exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n)))),
+    ), ("logconvexity",)),
+    "mkz": Family(lambda n: exactalg.j_series_coeffs(n), lambda n, x: exactalg.j_value(n, x),
+        _mkz_bounds, ("j_rational", lambda n: exactalg.j_rational(n)), (
+        ("ode", _solves(lambda n: exactalg.eq_j(n), lambda n: exactalg.j_series_coeffs(n))),
+        ("substitution", _each(lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
+            exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n)))),
+    )),
+    "szasz": Family(bounds=_szasz_bounds),
+    "general": Family(),  # nothing exact or proven at a general c
+}
+
+
+def least_index(family: core.FamilyId) -> int:
+    """The least natural index of the family's bounds and identity suite (core's; 1 where that is None)."""
+    n_min = core._FAMILIES[family.key].n_min
+    return 1 if n_min is None else n_min

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqsums
-from sqsums import analysis, cli, exactalg
+from sqsums import analysis, cli, exactalg, families
 from sqsums.cli import OUTPUT_SCHEMA, _parse, run
-from sqsums.core import FAMILY_NAMES, ParameterError, Params
+from sqsums.core import FAMILY_NAMES, FamilyId, ParameterError, Params
 
 
 def invoke(argv):
@@ -261,7 +261,10 @@ class TestVerifySeriesRoute:
                 build.cache_clear()
 
         monkeypatch.setattr(exactalg.RationalFn, "compose_mobius", counted)
-        for family, (first, (_, build), _) in cli._SUITES.items():
+        for family, row in families.FAMILIES.items():
+            if row.witness is None:
+                continue
+            first, (_, build) = families.least_index(FamilyId(family)), row.witness
             clear()
             assert invoke(["verify", "--family", family, "--n-max", "13"])[0] == 0
             assert calls == []
@@ -287,6 +290,31 @@ class TestBounds:
         assert code == 0
         doc = json.loads(out)
         assert float(doc["report"]["min_margin"]) >= -1e-12
+
+
+# (the family's options, its least index, the key its bounds message names,
+# whether it has a verify suite)
+_LEAST = [
+    pytest.param(["--family", "bernstein"], 1, "bernstein", True, id="bernstein"),
+    pytest.param(["--family", "bbh"], 1, "bbh", True, id="bbh"),
+    pytest.param(["--family", "baskakov"], 1, "baskakov", True, id="baskakov"),
+    pytest.param(["--family", "mkz"], 0, "mkz", True, id="mkz"),
+    pytest.param(["--family", "szasz"], 1, "szasz", False, id="szasz"),
+    pytest.param(["--family", "general", "-c", "-1"], 1, "bernstein", True, id="general-c-1"),
+    pytest.param(["--family", "general", "-c", "1"], 1, "baskakov", True, id="general-c1"),
+]
+
+
+@pytest.mark.parametrize("family, least, key, suite", _LEAST)
+def test_the_least_index_agrees_across_verbs(family, least, key, suite):
+    # each verb the family has runs at the least index and exits 2 one below it
+    name = family[1]
+    verbs = [("bounds", "-n", f"family {key!r} bounds need n >= {least}, got n={least - 1}")]
+    if suite:
+        verbs.append(("verify", "--n-max", f"verify --n-max must be >= {least} for {name!r}, got {least - 1}"))
+    for verb, flag, message in verbs:
+        assert invoke([verb, *family, flag, str(least)])[0] == 0
+        assert invoke([verb, *family, flag, str(least - 1)]) == (2, "", f"error: {message}\n")
 
 
 class TestScan:

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsums.core import (
+    LOG_SPACE_THRESHOLD,
     DomainError,
     FamilyId,
     ParameterError,
     Params,
+    _log_rising_over_fact,
     basis,
     basis_sum,
     gen_binom,
@@ -224,6 +226,67 @@ class TestBasis:
             basis(Params(2, -1), 0, 1.5)
         with pytest.raises(DomainError):
             basis(Params(2, 0), 0, -0.5)
+
+
+_GUARD = LOG_SPACE_THRESHOLD / 2
+
+
+def _adjacent(direct, lo, hi):
+    """Adjacent floats (x, y) from lo toward hi with direct(x) true and direct(y) false."""
+    while math.nextafter(lo, hi) != hi:
+        mid = lo + (hi - lo) / 2
+        lo, hi = (mid, hi) if direct(mid) else (lo, mid)
+    return lo, hi
+
+
+def _pos_c_logp(a, k, x):  # c = 1: the log of p_k as basis forms it
+    return _log_rising_over_fact(a, k) + k * math.log(x / (1.0 + x)) - a * math.log1p(x)
+
+
+# (params, k, the condition under which basis keeps the direct product, as
+# basis states it, and a point on each side of it)
+_STRADDLES = [
+    pytest.param(Params(1, 0), 30, lambda x: x < _GUARD, 300.0, 400.0, id="c=0 mu"),
+    pytest.param(Params(100, 1), 5, lambda x: abs(100.0 * math.log1p(x)) < _GUARD, 1.0, 100.0,
+                 id="c>0 a*log1p(cx)"),
+    pytest.param(Params(1, 1), 30, lambda x: _pos_c_logp(1.0, 30, x) > -_GUARD, 1e-3, 1e-7,
+                 id="c>0 log p"),
+    pytest.param(Params(60, -1), 1, lambda x: abs(59 * math.log1p(-x)) < _GUARD, 0.5, 0.999,
+                 id="c<0 (l-k)*log1p(cx)"),
+    pytest.param(Params(60, -1), 30, lambda x: abs(30 * math.log(x)) < _GUARD, 1e-3, 1e-7,
+                 id="c<0 k*log|cx|"),
+]
+
+
+@pytest.mark.parametrize("params, k, direct, lo, hi", _STRADDLES)
+def test_basis_straddles_the_log_space_switch(params, k, direct, lo, hi):
+    # the adjacent floats on each side of LOG_SPACE_THRESHOLD / 2 against
+    # mpmath at 40 digits.  In log space p_k is exp of a sum of terms, each
+    # rounded to about one ulp of its own size, so the exponent is off by
+    # about 2^-52 times the sum of their magnitudes (|log p| or more, where
+    # the lgamma terms cancel), and exp adds one rounding; the direct
+    # product stays within the same bound
+    mpmath = pytest.importorskip("mpmath")
+    n, c = params.n_float, params.c_float
+    assert direct(lo) and not direct(hi)
+    for x in _adjacent(direct, lo, hi):
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            if c == 0:
+                want = xm ** k / mpmath.factorial(k) * mpmath.exp(-xm)
+                terms = [k * mpmath.log(xm), xm, mpmath.loggamma(k + 1)]
+            elif c > 0:
+                r = xm / (1 + xm)
+                want = mpmath.rf(n, k) / mpmath.factorial(k) * r ** k * (1 + xm) ** -n
+                terms = [mpmath.loggamma(n + k), mpmath.loggamma(n), mpmath.loggamma(k + 1),
+                         k * mpmath.log(r), n * mpmath.log1p(xm)]
+            else:
+                l = params.l
+                want = mpmath.binomial(l, k) * xm ** k * (1 - xm) ** (l - k)
+                terms = [mpmath.loggamma(l + 1), mpmath.loggamma(k + 1), mpmath.loggamma(l - k + 1),
+                         k * mpmath.log(xm), (l - k) * mpmath.log1p(-xm)]
+            tol = 2.0 ** -52 * (float(sum(abs(t) for t in terms)) + 1.0)
+            assert abs(basis(params, k, x) - want) <= tol * want, (x, float(mpmath.log(want)))
 
 
 class TestPartitionOfUnity:
