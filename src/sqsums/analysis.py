@@ -27,8 +27,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import DomainError, FamilyId, Params, RationalLike, Real, _fmt_float
-from .bounds import s_value
+from .core import DomainError, FamilyId, Params, RationalLike, Real, _fmt_float, _one
+from .bounds import s_values
 from .evalnum import s_closed
 from . import exactalg, families
 
@@ -201,7 +201,8 @@ def convexity_scan(family: FamilyId, n: RationalLike, grid: Sequence[Real]) -> S
     A family whose row lists an exact convexity scan (Bernstein) gives the
     exact second x-derivative of its series at each point, exact on
     Fraction points.  Other families use second divided differences of
-    neighbor triples, reported on the interior points.
+    neighbor triples of one ``bounds.s_values`` call, reported on the
+    interior points.
     """
     family.base_params(n)  # rejects an index the family does not admit
     n = int(n) if Fraction(n).denominator == 1 else Fraction(n)  # the series builders need an int
@@ -213,7 +214,7 @@ def convexity_scan(family: FamilyId, n: RationalLike, grid: Sequence[Real]) -> S
         return _report("convexity", subject, list(grid), margins, {"route": "exact"})
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points")
-    vals = [float(s_value(family, n, x)) for x in grid]
+    vals = [float(_one([v])) for v in s_values(family, n, grid)]  # the first error in grid order raises
     xs = [float(x) for x in grid]
     inner = []
     margins = []

@@ -250,39 +250,53 @@ class RationalPoly:
         return [value[pt] for pt in points]
 
     def _at(self, points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-        """(a, b) with self(p/q) = a/b and b > 0 for each (p, q), q > 0.
+        """(a, b) with self(p/q) = a/b and b > 0 for each (p, q), q > 0:
+        a = sum c_k p^k q^(deg-k) over b = den * q^deg.
 
-        The points are grouped by q.  A group scales the coefficients once,
-        c_k q^(deg-k), so each of its points is one numerator-only Horner
-        pass a = sum c_k q^(deg-k) p^k over b = den * q^deg.  A group of one
-        point runs the same pass with the scaling folded in, which measured
-        about 10% faster than building a scaled list for the one point.
+        The points are grouped by q, or by p where fewer numerators than
+        denominators are distinct (Baskakov's t = q^2/(q+2p)^2 on a scan
+        grid).  A group scales the coefficients once, c_k q^(deg-k) or
+        c_k p^k, so each of its points is one Horner pass in the other
+        coordinate.  A group of one point runs the same pass with the
+        scaling folded in, which measured about 10% faster than building a
+        scaled list for the one point.
         """
         if not self._ints:
             return [(0, self._den)] * len(points)
-        top, *rest = reversed(self._ints)  # highest power first
         groups: dict[int, list[int]] = {}
         for i, (_, q) in enumerate(points):
             groups.setdefault(q, []).append(i)
+        by_p = len({p for p, _ in points}) < len(groups)
+        if by_p:
+            groups = {}
+            for i, (p, _) in enumerate(points):
+                groups.setdefault(p, []).append(i)
+        var = 1 if by_p else 0  # the coordinate of the Horner pass
+        # the pass in q takes c_0 first, the pass in p c_deg first
+        top, *rest = self._ints if by_p else reversed(self._ints)
         out: list = [None] * len(points)
-        for q, members in groups.items():
+        for g, members in groups.items():
             if len(members) == 1:
                 i = members[0]
-                p, acc, qk = points[i][0], top, 1
+                h, acc, gk = points[i][var], top, 1
                 for c in rest:
-                    qk *= q
-                    acc = acc * p + c * qk
-                out[i] = (acc, self._den * qk)
+                    gk *= g
+                    acc = acc * h + c * gk
+                out[i] = acc if by_p else (acc, self._den * gk)
                 continue
-            scaled, qk = [], 1
+            scaled, gk = [], 1
             for c in rest:
-                qk *= q
-                scaled.append(c * qk)
+                gk *= g
+                scaled.append(c * gk)
+            b = self._den * gk
             for i in members:
-                p, acc = points[i][0], top
+                h, acc = points[i][var], top
                 for c in scaled:
-                    acc = acc * p + c
-                out[i] = (acc, self._den * qk)
+                    acc = acc * h + c
+                out[i] = acc if by_p else (acc, b)
+        if by_p:
+            dens = {q: self._den * q ** len(rest) for _, q in points}
+            return [(a, dens[q]) for a, (_, q) in zip(out, points)]
         return out
 
     def compose_linear(self, a: CoefLike, b: CoefLike) -> "RationalPoly":
@@ -552,11 +566,20 @@ def _poly_compose_mobius(
     # over the coefficients of p padded with zeros to degree deg:
     # acc_k = acc_{k+1} * (b + aX) + c_k * (d + cX)^(deg-k)
     deg = max(deg, p.degree)
-    acc, power = [], [1]
-    for i, c_i in enumerate(chain([0] * (deg - p.degree), reversed(p._ints))):
-        if i:
-            power = _times_linear(power, d, c)
-        acc = [u + c_i * v for u, v in zip(_times_linear(acc, b, a), power)]
+    coeffs = chain([0] * (deg - p.degree), reversed(p._ints))
+    acc = []
+    if c == 0:  # (d + cX)^k is the constant d^k, which adds to acc[0] alone
+        d_k = 1
+        for c_i in coeffs:
+            acc = _times_linear(acc, b, a)
+            acc[0] += c_i * d_k
+            d_k *= d
+    else:
+        power = [1]
+        for i, c_i in enumerate(coeffs):
+            if i:
+                power = _times_linear(power, d, c)
+            acc = [u + c_i * v for u, v in zip(_times_linear(acc, b, a), power)]
     return RationalPoly._from_ints(acc, p._den * scale ** deg, var)
 
 

@@ -119,6 +119,42 @@ class TestConvexityScan:
         rep = convexity_scan(FamilyId("baskakov"), Fraction(3), [0.0, 0.5, 1.0])
         assert rep.subject == {"family": "baskakov", "n": 3}
 
+    @pytest.mark.parametrize(
+        "family, n, hi",
+        [
+            (FamilyId("szasz"), 3, 20.0),
+            (FamilyId("baskakov"), 7, 20.0),
+            (FamilyId("bbh"), 5, 20.0),
+            (FamilyId("mkz"), 4, 0.99),
+            (FamilyId("general", Fraction(1, 2)), Fraction(3, 2), 20.0),
+            (FamilyId("general", Fraction(2)), 5, 400.0),
+        ],
+    )
+    def test_divided_differences_match_the_per_point_sums(self, family, n, hi):
+        # one grid call of the sums gives the margins of one call per point,
+        # bit for bit
+        from sqsums.bounds import s_value
+
+        grid = [hi * i / 100 for i in range(101)]
+        rep = convexity_scan(family, n, grid)
+        vals = [float(s_value(family, n, x)) for x in grid]
+        expected = [
+            2.0 * ((vals[i + 1] - vals[i]) / (grid[i + 1] - grid[i]) - (vals[i] - vals[i - 1]) / (grid[i] - grid[i - 1]))
+            / (grid[i + 1] - grid[i - 1])
+            for i in range(1, len(grid) - 1)
+        ]
+        assert list(rep.margins) == expected
+
+    def test_the_first_failing_point_in_grid_order_raises(self):
+        from sqsums.bounds import s_value
+
+        grid = [0.25, 0.5, 1.5, -1.0, 0.75]
+        with pytest.raises(DomainError) as first:
+            [s_value(FamilyId("mkz"), 2, x) for x in grid]
+        with pytest.raises(DomainError) as got:
+            convexity_scan(FamilyId("mkz"), 2, grid)
+        assert "1.5" in str(got.value) and str(got.value) == str(first.value)
+
 
 class TestMonotonicityCheck:
     def test_decrease_then_increase(self):

@@ -324,6 +324,14 @@ class TestExtremeParameters:
         want = math.fsum(basis(params, k, 20.0) * basis(params, k, 10.0) for k in range(4000))
         assert t_closed(params, 20.0, 10.0) == pytest.approx(want, rel=1e-9)
 
+    def test_kernel_ladder_matches_brute_force(self):
+        # a = n/c = 200.5 is not an integer, so T climbs its ladder here
+        from sqsums.core import basis
+
+        params = Params(Fraction(401, 2), 1)
+        want = math.fsum(basis(params, k, 20.0) * basis(params, k, 10.0) for k in range(4000))
+        assert t_closed(params, 20.0, 10.0) == pytest.approx(want, rel=1e-9)
+
     def test_szasz_routes_against_i0e(self):
         # series (peak window) and closed form (Hankel) against scipy's i0e,
         # each within its own claimed error; 2 n x = z exactly for n = 1, 2, 4
@@ -383,10 +391,11 @@ class TestKernel:
 
     @pytest.mark.parametrize(
         "n, x, quadrature",
-        [(1, 398.0, False), (1, 400.0, True), (200, 4.5, False), (200, 4.7, True)],
+        [(0.5, 398.0, False), (0.5, 400.0, True), (200.5, 4.5, False), (200.5, 4.7, True)],
     )
     def test_hand_over_against_mpmath(self, n, x, quadrature):
-        # both sides of Z_SWITCH (n = 1) and of _EXP_GUARD (n = 200), c = 1
+        # both sides of Z_SWITCH (n = 1/2) and of _EXP_GUARD (n = 401/2), c = 1;
+        # the ladder runs only where a = n/c is not an integer
         mpmath = pytest.importorskip("mpmath")
         z = (x / (1.0 + x)) ** 2
         pref_log = -2.0 * n * math.log1p(x)
@@ -535,16 +544,22 @@ def _first_float(switched, lo, hi):
 
 def _hand_over_cases():
     cases = []
-    for n, c, lo, hi in [(1, 1, 300.0, 500.0), (3, Fraction(1, 2), 300.0, 2000.0)]:
+    # a = n/c is never an integer here: only there does T climb a ladder
+    for n, c, lo, hi in [(Fraction(3, 2), 1, 300.0, 500.0), (Fraction(13, 4), Fraction(1, 2), 300.0, 2000.0)]:
         nf, cf = float(n), float(c)
         at = _first_float(lambda x: (cf * x / (1.0 + cf * x)) ** 2 > Z_SWITCH, lo, hi)
         cases += [(n, c, x, x) for x in (math.nextafter(at, 0.0), at)]  # both sides of Z_SWITCH
-    for n, c in [(200, 1), (120, Fraction(1, 2)), (700, 2)]:
+    for n, c in [(Fraction(401, 2), 1), (Fraction(481, 4), Fraction(1, 2)), (701, 2)]:
         nf, cf = float(n), float(c)
         at = _first_float(lambda x: -2.0 * (nf / cf) * math.log1p(cf * x) < -_EXP_GUARD, 1e-3, 1e3)
         cases += [(n, c, x, x) for x in (math.nextafter(at, 0.0), at)]  # both sides of _EXP_GUARD
     # off the diagonal, and first levels at LADDER_MAX
-    cases += [(1, 1, 300.0, 600.0), (200, 1, 3.0, 7.0), (1, 1, 4000.0, 4000.0), (2, 1, 5000.0, 3600.0)]
+    cases += [
+        (Fraction(3, 2), 1, 300.0, 600.0),
+        (Fraction(401, 2), 1, 3.0, 7.0),
+        (Fraction(3, 2), 1, 4000.0, 4000.0),
+        (Fraction(5, 2), 1, 5000.0, 3600.0),
+    ]
     return cases
 
 
@@ -564,8 +579,9 @@ def test_t_closed_first_level_at_the_cap():
 
 def test_s_quad_grid_first_level_at_the_cap():
     # points whose first level is LADDER_MAX take that level's mean, with an
-    # infinite error claim, next to a point that climbs
-    params = Params(1, 1)
+    # infinite error claim, next to a point that climbs (at integer a the
+    # first level is exact and far below the cap)
+    params = Params(Fraction(3, 2), 1)
     xs = [4000.0, 1.0, 6000.0]
     f, param, kind = _s_integrand(params)
     got = s_quad_grid(params, xs)
@@ -596,8 +612,8 @@ def _reached(*args, **kwargs):
         pytest.param(lambda: basis_sum(Params(1, 0), 5.0), id="basis-sum-szasz"),
         pytest.param(lambda: basis_sum(Params(2, 1), 5.0), id="basis-sum-pos-c"),
         pytest.param(lambda: s_quad(Params(2, 1), 1.0), id="s-quad"),
-        pytest.param(lambda: s_closed(Params(1, 1), 400.0), id="s-closed-hand-over"),  # past Z_SWITCH
-        pytest.param(lambda: t_closed(Params(1, 1), 400.0, 400.0), id="t-closed-hand-over"),  # past Z_SWITCH
+        pytest.param(lambda: s_closed(Params(1.5, 1), 400.0), id="s-closed-hand-over"),  # past Z_SWITCH
+        pytest.param(lambda: t_closed(Params(1.5, 1), 400.0, 400.0), id="t-closed-hand-over"),  # past Z_SWITCH
     ],
 )
 def test_every_window_and_ladder_runs_on_the_shared_helpers(monkeypatch, call):
@@ -609,3 +625,130 @@ def test_every_window_and_ladder_runs_on_the_shared_helpers(monkeypatch, call):
         monkeypatch.setattr(module, name, _reached)
     with pytest.raises(_Reached):
         call()
+
+
+# ---------------------------------------------------------------------------
+# Integer a = n/c > 0: the Legendre recurrence and the reflected rule
+# ---------------------------------------------------------------------------
+
+
+def _mpf(mpmath, v):
+    v = Fraction(v)
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def _s_by_hyp2f1(mpmath, n, c, x):
+    """S from its definition (1+u)^(-2a) 2F1(a, a; 1; (u/(1+u))^2), u = cx, at 40 digits."""
+    with mpmath.workdps(40):
+        a, u = _mpf(mpmath, n) / _mpf(mpmath, c), _mpf(mpmath, c) * _mpf(mpmath, x)
+        return mpmath.hyp2f1(a, a, 1, (u / (1 + u)) ** 2, maxterms=10 ** 6) / (1 + u) ** (2 * a)
+
+
+def _assert_within_claims(want, results):
+    for r in results:
+        assert abs(r.value - want) <= r.err_estimate, (r, want)
+
+
+def test_integer_a_battery_against_mpmath():
+    # the integer-a pairs of acceptance criterion 1's battery, each point
+    # within each route's own claim of the 40-digit value
+    mpmath = pytest.importorskip("mpmath")
+    xs = [20.0 * i / 100 for i in range(101)]
+    for n, c in [(1, 1), (2, 1), (5, 1), (10, 1), (25, 1), (2, 2), (10, 2)]:
+        params = Params(n, c)
+        for x, r, q in zip(xs, s_closed_grid(params, xs), s_quad_grid(params, xs)):
+            assert (r.method, q.method) == (Method.CLOSED_FORM, Method.QUADRATURE)
+            _assert_within_claims(_s_by_hyp2f1(mpmath, n, c, x), (r, q))
+
+
+def test_integer_a_sweep_against_mpmath():
+    # n/c in {1, 2, 5, 10, 25, 60, 300}, c in {1/3, 1/2, 1, 2, 3}, 24 x per
+    # decade on [1e-3, 1e8]: both routes within their claims of mpmath's
+    # Legendre function, the closed form never hands over, and T's diagonal
+    # is S's closed form bit for bit
+    mpmath = pytest.importorskip("mpmath")
+    xs = [10.0 ** (-3 + i / 24) for i in range(11 * 24 + 1)]
+    for a in (1, 2, 5, 10, 25, 60, 300):
+        for c in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
+            params = Params(a * c, c)
+            closed, quad = s_closed_grid(params, xs), s_quad_grid(params, xs)
+            for x, r, q in zip(xs, closed, quad):
+                with mpmath.workdps(40):
+                    u = _mpf(mpmath, c) * _mpf(mpmath, x)
+                    want = mpmath.legendre(a - 1, 1 + 2 * u * u / (1 + 2 * u)) / (1 + 2 * u) ** a
+                assert r.method is Method.CLOSED_FORM and r.terms_or_nodes == a
+                _assert_within_claims(want, (r, q))
+            assert [t_closed(params, x, x) for x in xs[::12]] == [r.value for r in closed[::12]]
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 3)])
+def test_integer_a_straddle(c):
+    # a = 2 takes the recurrence and the reflected rule; n/c = 2 -+ 1/1000
+    # keep the hypergeometric series and the unreflected ladder.  Each side
+    # is checked against mpmath: the integer side within its claims, the
+    # other within criterion 1's 1e-10
+    mpmath = pytest.importorskip("mpmath")
+    xs = [0.05, 1.0, 20.0, 300.0]
+    for shift in (Fraction(-1, 1000), Fraction(0), Fraction(1, 1000)):
+        params = Params((2 + shift) * c, c)
+        for x, r, q in zip(xs, s_closed_grid(params, xs), s_quad_grid(params, xs)):
+            want = _s_by_hyp2f1(mpmath, (2 + shift) * c, c, x)
+            t = t_closed(params, x, x)
+            assert (r.method, q.method) == (Method.CLOSED_FORM, Method.QUADRATURE)
+            if shift == 0:
+                assert r.terms_or_nodes == 2 and q.terms_or_nodes == 2 * LADDER_START
+                _assert_within_claims(want, (r, q))
+                assert t == r.value
+            else:
+                assert r.terms_or_nodes > 2  # the series' own terms
+                for v in (r.value, q.value, t):
+                    assert abs(v - want) <= 1e-10 * want
+
+
+def test_integer_a_kernel_against_mpmath():
+    # T off the diagonal, from 2F1(a, a; 1; z) at 40 digits, within the
+    # closed form's claim of S; values past the double range underflow to 0
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = int(rng.choice([1, 2, 5, 10, 25, 60]))
+        c = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)][rng.integers(5)]
+        x, y = 10.0 ** rng.uniform(-3, 6, size=2)
+        with mpmath.workdps(40):
+            u, v = _mpf(mpmath, c) * _mpf(mpmath, x), _mpf(mpmath, c) * _mpf(mpmath, y)
+            z = u * v / ((1 + u) * (1 + v))
+            want = float(mpmath.hyp2f1(a, a, 1, z, maxterms=10 ** 6) / ((1 + u) * (1 + v)) ** a)
+        got = t_closed(Params(a * c, c), x, y)
+        assert abs(got - want) <= 1e-15 * a * want, (a, c, x, y)
+
+
+def test_integer_a_quadrature_starts_at_its_exact_node_count():
+    # the degree-(a-1) integrand needs (a+1)//2 nodes, as c < 0's degree-l
+    # one needs (l+2)//2; two exact levels then agree at once
+    for a, c in [(1, Fraction(1, 3)), (2, Fraction(1)), (33, Fraction(2)), (300, Fraction(1, 2)), (9000, Fraction(1))]:
+        params = Params(a * c, c)
+        assert _min_nodes(params, 1e6) == min(LADDER_MAX, max(2, (a + 1) // 2))
+        if a < 9000:
+            (r,) = s_quad_grid(params, [1e6])
+            assert r.terms_or_nodes == 2 * max(LADDER_START, (a + 1) // 2)
+    assert _min_nodes(Params(2.001, 1), 1e6) == LADDER_MAX  # the unreflected integrand's width
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: s_closed(Params(1, 1), 400.0), id="s-closed-past-z-switch"),
+        pytest.param(lambda: s_closed_grid(Params(300, 1), [3.0, 1e8]), id="s-closed-past-exp-guard"),
+        pytest.param(lambda: t_closed(Params(1, 1), 400.0, 400.0), id="t-closed-past-z-switch"),
+        pytest.param(lambda: t_closed(Params(200, 1), 3.0, 7.0), id="t-closed-past-exp-guard"),
+    ],
+)
+def test_integer_a_never_hands_over(monkeypatch, call):
+    # neither the hypergeometric series nor the ladder runs at integer a
+    from sqsums import evalnum
+
+    for name in ("_hyp2f1_rows", "_ladder"):
+        monkeypatch.setattr(evalnum, name, _reached)
+    results = call()
+    for r in results if isinstance(results, list) else [results]:
+        assert isinstance(r, float) or r.method is Method.CLOSED_FORM

@@ -109,9 +109,49 @@ class TestRationalPoly:
         assert vals == [Fraction(5, 8), Fraction(5, 8), Fraction(5, 8)]
         assert vals[0] is vals[2] and vals[0] is not vals[1]
 
+    def test_either_grouping_gives_the_exact_pairs(self):
+        # grouped by p (3 numerators against 40 denominators) and by q, each
+        # pair is a = sum c_k p^k q^(deg-k) over b = den q^deg
+        poly = RationalPoly([3, -1, Fraction(2, 7), 5, 0, -4])
+        deg = len(poly._ints) - 1
+        few_p = [(p, q) for p in (0, 2, 5) for q in range(1, 41)]
+        few_q = [(p, q) for q in (1, 2, 5) for p in range(-20, 20)]
+        for points in (few_p, few_q, few_p[:1], [(7, 3), (7, 4), (8, 3)]):
+            assert poly._at(points) == [
+                (sum(c * p ** k * q ** (deg - k) for k, c in enumerate(poly._ints)), poly._den * q ** deg)
+                for p, q in points
+            ]
+
     def test_compose_linear(self):
         p = RationalPoly([0, 0, 1], "s")  # s^2
         assert p.compose_linear(1, Fraction(-1, 2)) == RationalPoly([Fraction(1, 4), -1, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.fractions(max_denominator=50), min_size=1, max_size=12),
+        st.fractions(max_denominator=9).filter(bool),
+        st.fractions(max_denominator=9),
+        st.fractions(max_denominator=9).filter(bool),
+        st.integers(0, 15),
+    )
+    def test_affine_composition_is_the_full_horner(self, coeffs, a, b, d, deg):
+        # with c = 0 the power (d + cX)^k stays the constant d^k; the result
+        # is the full Horner's, which pads the power with zeros
+        from itertools import chain
+
+        from sqsums.exactalg import _poly_compose_mobius, _times_linear
+
+        p = RationalPoly(coeffs)
+        got = _poly_compose_mobius(p, a, b, 0, d, deg=deg)
+        scale = math.lcm(a.denominator, b.denominator, d.denominator)
+        ai, bi, di = (int(v * scale) for v in (a, b, d))
+        top = max(deg, p.degree)
+        acc, power = [], [1]
+        for i, c_i in enumerate(chain([0] * (top - p.degree), reversed(p._ints))):
+            if i:
+                power = _times_linear(power, di, 0)
+            acc = [u + c_i * v for u, v in zip(_times_linear(acc, bi, ai), power)]
+        assert got == RationalPoly._from_ints(acc, p._den * scale ** top, "x")
 
     def test_variable_mismatch_rejected(self):
         with pytest.raises(ValueError):

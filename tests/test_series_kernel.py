@@ -589,7 +589,8 @@ def _crossing(f, lo, hi):
             lo = mid
 
 
-@pytest.mark.parametrize("n, c", [(300, 1), (120, Fraction(1, 2)), (700, 2)])
+# a = n/c is not an integer here, so the closed form still hands over
+@pytest.mark.parametrize("n, c", [(Fraction(601, 2), 1), (Fraction(481, 4), Fraction(1, 2)), (701, 2)])
 def test_pos_c_series_straddles_exp_guard(n, c):
     nf, cf = float(n), float(c)
     below, above = _crossing(lambda x: _pref_log(nf, cf, x) < -_EXP_GUARD, 1e-3, 1e3)
@@ -603,7 +604,8 @@ def test_pos_c_series_straddles_exp_guard(n, c):
     assert s_closed(params, above).method is Method.QUADRATURE
 
 
-@pytest.mark.parametrize("n, c", [(1, 1), (5, 1), (3, Fraction(1, 2))])
+# a = n/c is not an integer here, so the closed form still hands over
+@pytest.mark.parametrize("n, c", [(Fraction(3, 2), 1), (Fraction(11, 2), 1), (Fraction(13, 4), Fraction(1, 2))])
 def test_closed_form_straddles_z_switch(n, c):
     nf, cf = float(n), float(c)
 
