@@ -2,8 +2,9 @@
 """Cross-method agreement sweep.
 
 Evaluates S by all three routes over a grid for a battery of (n, c) pairs
-and prints the worst pairwise relative difference per pair.  A quick way to
-see the three implementations policing each other.
+and prints the worst pairwise relative difference per pair, and how many
+closed-form rows delegated to quadrature.  A quick way to see the three
+implementations policing each other.
 """
 
 import argparse
@@ -11,16 +12,17 @@ import time
 from fractions import Fraction
 
 from sqsums.core import Params
-from sqsums.evalnum import s_closed_grid, s_quad_grid, s_series_grid
+from sqsums.evalnum import Method, s_closed_grid, s_quad_grid, s_series_grid
 
 
-def sweep(params: Params, points: int, cap: float) -> tuple[float, float]:
+def sweep(params: Params, points: int, cap: float) -> tuple[float, float, int]:
     sup = params.domain_sup
     hi = float(sup) if sup is not None else cap
     xs = [hi * i / (points - 1) for i in range(points)]
     routes = (s_series_grid(params, xs), s_closed_grid(params, xs), s_quad_grid(params, xs))
     worst = 0.0
     arg = 0.0
+    delegated = sum(r.method is Method.QUADRATURE for r in routes[1] if not isinstance(r, Exception))
     for x, results in zip(xs, zip(*routes)):
         for r in results:
             if isinstance(r, Exception):
@@ -30,7 +32,7 @@ def sweep(params: Params, points: int, cap: float) -> tuple[float, float]:
         d = max(abs(a - b), abs(a - q), abs(b - q)) / scale
         if d > worst:
             worst, arg = d, x
-    return worst, arg
+    return worst, arg, delegated
 
 
 def main() -> None:
@@ -45,14 +47,15 @@ def main() -> None:
         (Fraction(0), [1, 2, 5, 10, 25]),
         (Fraction(1), [1, 2, 5, 10, 25]),
         (Fraction(2), [1, 2, 5, 10, 25]),
+        (Fraction(3), [1]),
     ]
     start = time.monotonic()
     overall = 0.0
     for c, ns in battery:
         for n in ns:
-            worst, arg = sweep(Params(n, c), args.points, args.cap)
+            worst, arg, delegated = sweep(Params(n, c), args.points, args.cap)
             overall = max(overall, worst)
-            print(f"c={str(c):>5} n={str(n):>5}  worst rel diff {worst:.3e} at x={arg:.6g}")
+            print(f"c={str(c):>5} n={str(n):>5}  worst rel diff {worst:.3e} at x={arg:.6g}  delegated {delegated}")
     print(f"overall worst: {overall:.3e}  ({time.monotonic() - start:.1f}s)")
 
 

@@ -1,7 +1,7 @@
 """Floating-point evaluation of the squared-basis sum S(x) and the kernel
 T(x, y) by three routes: positive-term series, closed forms built on
-self-contained diagonal-hypergeometric and modified-Bessel kernels, and
-Gauss-Chebyshev quadrature of the integral representations.
+self-contained diagonal-hypergeometric, Legendre and modified-Bessel
+kernels, and quadrature of the integral representations.
 
 All three routes agree to near machine precision on the shared domain,
 which is the backbone of the verification suite.
@@ -15,11 +15,14 @@ numpy and reproduces each row's term-by-term loop bit for bit.  Every
 peak window (the c >= 0 series past its switch, and ``core.basis_sum``)
 is one ``core._window_rows`` call, which raises ArithmeticError where the
 walk reaches its 10^7-term cap.  One quadrature ladder, ``_ladder``,
-serves S and, at non-integer a = n/c, T's hand-over: it climbs level by
-level for all points still short of agreement, with the nodes of every
-point in one array.  For c > 0 at integer a the closed forms of S and T
-are one Legendre recurrence (``_legendre``) and S's quadrature integrates
-a polynomial, so neither hands over.
+serves S and, at a = n/c neither whole nor half-integer, T's hand-over: it
+climbs level by level for all points still short of agreement, with the
+nodes of every point in one array.  For c > 0, one exact test
+(``_twice_a``) sorts a = n/c: where 2a is a whole number the closed forms
+of S and T are one Legendre recurrence (``_legendre``, seeded by the AGM
+at half-integer a) and never hand over; S's quadrature integrates a
+polynomial on Gauss-Chebyshev nodes at integer a and the same reflected
+integrand on a tanh-sinh rule at every other a.
 
 Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 
@@ -68,7 +71,8 @@ __all__ = [
 
 # Beyond this series argument the diagonal hypergeometric series needs more
 # than ~1e4 terms, so the closed-form route hands over to quadrature (c > 0
-# at non-integer a = n/c only).
+# only where 2a = 2n/c is not a whole number; every other c > 0 runs the
+# Legendre recurrence at every x).
 Z_SWITCH = 0.995
 
 RTOL_DEFAULT = 1e-12
@@ -104,6 +108,7 @@ class EvalResult:
 class RuleKind(enum.Enum):
     CHEBYSHEV_01 = "chebyshev_01"
     CHEBYSHEV_M11 = "chebyshev_m11"
+    TANH_SINH = "tanh_sinh"
 
 
 class QuadratureRule:
@@ -126,6 +131,39 @@ def _chebyshev_nodes(kind: RuleKind, ms: np.ndarray) -> np.ndarray:
     j = np.arange(1, m.size + 1) - np.repeat(np.cumsum(ms) - ms, ms)
     nodes = np.cos((2 * j - 1) * np.pi / (2 * m))
     return (1.0 + nodes) / 2.0 if kind is RuleKind.CHEBYSHEV_01 else nodes
+
+
+# The tanh-sinh rule samples |tau| < _TS_EDGE; beyond it lie sigma and
+# 1 - sigma below exp(-pi sinh 4.5) = 4.6e-62.
+_TS_EDGE = 4.5
+# Bound on the mean the rule leaves out, per unit of the integrand's largest
+# value: 2 * (2/pi) * sqrt(4.6e-62), for the two ends.
+_TS_TAIL = 4.0 / math.pi * math.exp(-math.pi * math.sinh(_TS_EDGE) / 2.0)
+# The tanh-sinh ladder starts from this many nodes (``_min_nodes``).
+_TANH_SINH_START = 64
+
+
+def _tanh_sinh_rule(ms: np.ndarray) -> tuple:
+    """Nodes and weights of the m-node tanh-sinh rule for each m in ``ms``,
+    one rule after the other in two arrays.
+
+    The rule integrates against 1/sqrt(sigma(1-sigma)) on [0, 1], as
+    CHEBYSHEV_01 does: with sigma = 1/(1 + exp(pi sinh tau)),
+
+        (1/pi) int f dsigma/sqrt(sigma(1-sigma)) = (1/2) int f cosh(tau)/cosh((pi/2) sinh tau) dtau,
+
+    whose weight falls doubly exponentially (Takahasi & Mori 1974).  The m
+    nodes sit at tau = (j - (m-1)/2) h, h = 2 _TS_EDGE/m, so doubling m
+    halves the step, and the weights carry m h/2, so the left side is the
+    mean of f times weight.  Each sigma is formed directly, not as 1 minus
+    a rounded node, so the nodes near 0 keep their relative accuracy down
+    to 4.6e-62.
+    """
+    m = np.repeat(ms, ms)
+    j = np.arange(m.size) - np.repeat(np.cumsum(ms) - ms, ms)
+    tau = (j - (m - 1) / 2.0) * (2.0 * _TS_EDGE / m)
+    half = (math.pi / 2.0) * np.sinh(tau)
+    return 1.0 / (1.0 + np.exp(2.0 * half)), _TS_EDGE * np.cosh(tau) / np.cosh(half)
 
 
 # ---------------------------------------------------------------------------
@@ -502,65 +540,143 @@ def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> l
     )
 
 
-def _whole_a(params: Params) -> int:
-    """a = n/c when c > 0 and a is a whole number, else 0.
+def _twice_a(params: Params) -> int:
+    """2a = 2n/c when c > 0 and 2a is a whole number, else 0.
 
-    This one exact test sends S's closed form and T to the Legendre
-    recurrence (``_legendre``) and S's quadrature to the reflected
-    polynomial integrand (``_s_integrand``).
+    This one exact test sorts the c > 0 routes.  Where 2a is a whole
+    number, S's closed form and T run the Legendre recurrence
+    (``_legendre``); where 2a is even (integer a), S's quadrature integrates
+    the reflected polynomial integrand (``_s_integrand``) on Chebyshev
+    nodes, and at every other a on the tanh-sinh rule.
     """
     n, c = params.n, params.c
     if c.numerator > 0:
-        a, rest = divmod(n.numerator * c.denominator, n.denominator * c.numerator)
+        two_a, rest = divmod(2 * n.numerator * c.denominator, n.denominator * c.numerator)
         if rest == 0:
-            return a
+            return two_a
     return 0
 
 
-# Relative rounding error of the two integer-a routes per unit of a: on
-# n/c in {1, 2, 5, 10, 25, 60, 300}, c in {1/3, 1/2, 1, 2, 3} and 24 x per
-# decade on [1e-3, 1e8], the recurrence was within 0.4e-15 a of mpmath's
-# value at 40 digits, and the reflected quadrature within 0.2e-15 a.
-_WHOLE_A_ROUNDING = 1e-15
+# Relative rounding error of the c > 0 Legendre recurrence and of the
+# reflected quadrature per unit of a.  On n/c in {1, 2, 5, 10, 25, 60, 300},
+# c in {1/3, 1/2, 1, 2, 3} and 24 x per decade on [1e-3, 1e8], the
+# recurrence was within 0.4e-15 a of mpmath's value at 40 digits, and the
+# reflected Gauss-Chebyshev rule within 0.2e-15 a: both claim 1e-15 a.  At
+# half-integer a the recurrence claims 1e-15 (a + 1), for the AGM seeds: on
+# the same sweep at n/c in {1/2, 3/2, 5/2, 11/2, 25/2, 121/2, 601/2} it was
+# within 4.6e-16 at a = 1/2, 7.6e-16 at a = 3/2 and 0.42e-15 a from a = 5/2
+# on, and from x = 1e8 to the top of the double range (c in {1/3, 1, 2, 3},
+# 2 x per decade, normal values) within 0.43 of its claim.  The tanh-sinh
+# rule claims 1e-15 (a + 6): on a from 1/7 to 601/2,
+# c in {1/3, 1, 3} and 12 x per decade it was within 2.8e-15 below a = 1/2,
+# where S sits in the sharp region and each of its nodes carries the
+# rounding of exp(pi sinh tau), and within 1e-16 a from a = 5/4 on.
+_ROUNDING_PER_A = 1e-15
+
+# Arithmetic-geometric mean steps of the half-integer seeds: they take
+# A <= 1.4e154, the largest with a finite A^2, to a ratio of the two means
+# within 1e-23 of 1 (A <= 1e4, u up to about 1e8, needs six).
+_AGM_STEPS = 12
 
 
-def _legendre(a: int, ux, uy):
+def _legendre(two_a: int, ux, uy):
     """P_(a-1)(W) / B^a at u = ux, v = uy, where B = 1 + u + v and
-    W = 1 + 2uv/B; ``ux`` and ``uy`` are floats or arrays of one shape.
+    W = 1 + 2uv/B, for a whole or half-integer a = two_a/2; ``ux`` and
+    ``uy`` are floats or arrays of one shape.
 
-    For c > 0 and integer a = n/c this is T(x, y) at u = cx, v = cy, by
+    For c > 0 and a = n/c this is T(x, y) at u = cx, v = cy, by
     2F1(a, a; 1; z) = (1-z)^(-a) P_(a-1)((1+z)/(1-z)) with
     z = uv/((1+u)(1+v)), for which (1+u)(1+v)(1-z) = B; where u = v it is
     S(x) = P_(a-1)(w) / (1+2u)^a with w = 1 + 2u^2/(1+2u).
 
-    Bonnet's recurrence runs upward on q_k = P_k(W)/B^k and
-    e_k = (P_k(W) - P_(k-1)(W))/B^k:
+    Bonnet's recurrence runs upward in the degree nu on
+    q_nu = P_nu(W)/B^(nu+d) and e_nu = (P_nu(W) - P_(nu-1)(W))/B^(nu+d),
+    d fixed:
 
-        (k+1) e_(k+1) = k s e_k + (2k+1) r q_k,   q_(k+1) = s q_k + e_(k+1),
+        (nu+1) e_(nu+1) = nu s e_nu + (2nu+1) r q_nu,   q_(nu+1) = s q_nu + e_(nu+1),
 
-    with s = 1/B and r = (W-1)/B = 2 (us)(vs) <= 1/2.  P_k is the dominant
-    solution for W > 1, every term is positive and bounded, so nothing
-    cancels or overflows, and W enters only through W - 1, whose rounding
-    near W = 1 (small x) costs a relative error in W - 1, not in W.  The
-    cost is O(a) per point.
+    with s = 1/B and r = (W-1)/B = 2 (us)(vs) <= 1/2.  P_nu is the dominant
+    solution for W > 1, every term from nu = 0 or 1/2 on is positive and
+    bounded, so nothing cancels or overflows, and W enters only through
+    W - 1, whose rounding near W = 1 (small x) costs a relative error in
+    W - 1, not in W.  Integer a starts at P_0 = P_(-1) = 1 (d = 0).  Half-
+    integer a starts at degree 1/2 (d = 1) from the complete elliptic
+    integrals, which the AGM gives (DLMF 19.8(i)): Laplace's integral
+    (DLMF 14.12(i)) of P_(-1/2) and P_(1/2) reads them off the AGM M of
+    A = sqrt((W+1)/2) and 1 and the sum over its steps of 2^(k-1) c_k^2,
+
+        P_(-1/2)(W) = 1/M,   P_(1/2)(W) - P_(-1/2)(W) = (A^2 - 1 - sum_(k>=2) 2^(k-1) c_k^2) / M,
+
+    with a_1 = A, b_1 = 1, c_(k+1) = (a_k - b_k)/2 and A^2 - 1 = uv/B =
+    (W-1)/2, so W enters the seeds only through (W-1)(W+1) = 4 A^2 (A^2-1).
+    c_2 = (A^2-1)/(2(A+1)) is formed without cancellation.  For large A
+    the numerator, about 2A^2/ln(4A), is a small difference of terms near
+    A^2, but it telescopes into positive terms: its partial sums D_k
+    (up to k) are 2^(k-1) c_k^2 + sum_(j<k) 2^(j+1) b_j c_(j+1).  Those
+    terms are summed while a_j > 2 b_j, where c_(j+1) does not cancel, and
+    the 2^(k-1) c_k^2 of the later steps, below a quarter of the partial
+    sum, are subtracted.  The cost is O(a) per point plus _AGM_STEPS steps.
     """
     s = 1.0 / (1.0 + ux + uy)
     r = 2.0 * (ux * s) * (uy * s)
-    q, e = 1.0, 0.0
-    for k in range(a - 1):
-        e = (k * (s * e) + (2 * k + 1) * (r * q)) / (k + 1)
+    if two_a % 2 == 0:
+        q, e, nu, scale = 1.0, 0.0, 0.0, s
+    else:
+        # one point runs on Python floats and bools, an array on numpy's:
+        # the same roundings, without numpy's slow scalar paths
+        array = isinstance(ux, np.ndarray)
+        sqrt = np.sqrt if array else math.sqrt
+        d = (ux * s) * uy  # A^2 - 1
+        big, small = sqrt(1.0 + d), 1.0
+        c, weight = d / (2.0 * (big + 1.0)), 2.0
+        # D = part + last - low: the positive terms of the steps with
+        # a_j > 2 b_j, the 2^(k-1) c_k^2 of the last of them (d if none) and
+        # those of the steps after it, selected by multiplying with masks
+        part, last, low, far, tail, settled = 0.0, 0.0, 0.0, True, d, False
+        for step in range(_AGM_STEPS + 1):
+            if step:
+                big, small = (big + small) / 2.0, sqrt(big * small)
+                c = (big - small) / 2.0
+                weight *= 2.0
+            if settled:  # past the last far step at every point
+                low = low + weight * (c * c)
+                continue
+            was_far, far = far, big > 2.0 * small
+            last = last + (was_far > far) * tail
+            part = part + far * (2.0 * weight * (small * c))
+            tail = weight * (c * c)
+            low = low + (far < 1) * tail
+            settled = not (far.any() if array else far)
+        q = sqrt(s) / big  # P_(-1/2)(W) / B^(1/2)
+        if two_a == 1:
+            return q
+        e = q * (s * ((part + last) - low))
+        q, nu, scale = s * q + e, 0.5, 1.0
+    for _ in range((two_a - 2) // 2):
+        e = (nu * (s * e) + (2 * nu + 1) * (r * q)) / (nu + 1)
         q = s * q + e
-    return s * q
+        nu += 1.0
+    return scale * q
+
+
+# Units of rounding error of the c > 0 hypergeometric series: each step
+# carries the roundings of its term ratio and of the running product and
+# sum, and the prefactor exp(pref_log) adds |pref_log| units.  Against
+# mpmath at 40 digits (n/c from 1/5 to 601/2, c in {1/3, 1, 3}, x from
+# Z_SWITCH down over five decades) it was off by at most 2.4 units per
+# term; the claim takes 8 per term plus |pref_log|, on top of 1e-15.
+_HYP_ROUNDING = 2.0 ** -53
 
 
 def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
     """``s_closed`` at every point of ``xs``; the Bessel and diagonal
     hypergeometric series of all points are rows of one kernel call each,
-    the Legendre recurrence of integer a runs over all its points at once,
-    and the points handed over to quadrature are one ``s_quad_grid``."""
+    the Legendre recurrence of whole or half-integer a runs over all its
+    points at once, and the points handed over to quadrature are one
+    ``s_quad_grid``."""
     n = params.n_float
     c = params.c_float
-    whole_a = _whole_a(params)
+    two_a = _twice_a(params)
     qtol = rtol
     rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
     out: list = [None] * len(xs)
@@ -576,7 +692,9 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
                 bessel.append((i, 2.0 * n * xf))
                 continue
             u = c * xf
-            if whole_a:
+            if two_a:
+                if not math.isfinite(1.0 + u + u):
+                    raise OverflowError("1 + 2cx is past the double range")
                 legendre.append((i, u))
                 continue
             if c < 0 and 1.0 + u == 0.0:  # right endpoint: S = p_l^2 = 1
@@ -602,10 +720,13 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
         _finish(out, bessel, _bessel_i0e_rows([z for _, z in bessel]),
                 lambda _, v: EvalResult(v, Method.CLOSED_FORM, 1e-15 * v, 0))
         return out
-    if whole_a:
+    if two_a:
         us = np.array([u for _, u in legendre])
-        for (i, _), value in zip(legendre, _legendre(whole_a, us, us).tolist()):
-            out[i] = EvalResult(value, Method.CLOSED_FORM, _WHOLE_A_ROUNDING * whole_a * value, whole_a)
+        # 1e-15 a at integer a, 1e-15 (a + 1) at half-integer a; the terms
+        # count the degrees the recurrence passes, a + 1/2 at half-integer a
+        rounding = _ROUNDING_PER_A * (two_a / 2 + two_a % 2)
+        for (i, _), value in zip(legendre, _legendre(two_a, us, us).tolist()):
+            out[i] = EvalResult(value, Method.CLOSED_FORM, rounding * value, (two_a + 1) // 2)
         return out
 
     def diagonal(p, s):
@@ -614,7 +735,8 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
         if c < 0:
             value *= pref
             return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), terms)
-        return EvalResult(pref * value, Method.CLOSED_FORM, pref * tail + 1e-15 * pref * value, terms)
+        rounding = 1e-15 + _HYP_ROUNDING * (8 * terms + abs(p[1]))
+        return EvalResult(pref * value, Method.CLOSED_FORM, pref * tail + rounding * pref * value, terms)
 
     a = -float(params.l) if c < 0 else n / c
     _finish(out, hyp, _hyp2f1_rows(a, [p[0] for _, p in hyp], rtol), diagonal)
@@ -629,12 +751,16 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     ``(1+cx)^(-2n/c) * hyp2f1_diag(n/c, (cx/(1+cx))^2)`` for c != 0 (the
     hypergeometric factor terminates for c < 0) and the scaled Bessel value
     ``exp(-2nx) I0(2nx)`` for c = 0.  Powers go through exp/log1p so the
-    anchor S(0) = 1 keeps full relative accuracy.  For c > 0 with integer
-    a = n/c it is instead P_(a-1)(w)/(1+2cx)^a, w = 1 + 2(cx)^2/(1+2cx),
-    from the Legendre recurrence (``_legendre``) at every x, with a claimed
-    error of 1e-15*a of the value and a terms count of a.  For c > 0 at
-    non-integer a with series argument beyond Z_SWITCH (or powers beyond
-    the double range) the call delegates to the quadrature route.
+    anchor S(0) = 1 keeps full relative accuracy; for c > 0 the claimed
+    error covers the series' rounding, about 8 units per term.  For c > 0
+    with a whole or half-integer a = n/c it is instead P_(a-1)(w)/(1+2cx)^a,
+    w = 1 + 2(cx)^2/(1+2cx), from the Legendre recurrence (``_legendre``,
+    seeded by the AGM at half-integer a) at every x, with a claimed error
+    of 1e-15*a of the value at integer a and 1e-15*(a+1) at half-integer
+    a, and a terms count of a (a + 1/2); where 1 + 2cx overflows it raises
+    OverflowError.  For c > 0 at any other a, with
+    series argument beyond Z_SWITCH (or powers beyond the double range),
+    the call delegates to the quadrature route.
     """
     return _one(s_closed_grid(params, [x], rtol))
 
@@ -656,62 +782,60 @@ def _s_integrand(params: Params):
 
         return f, lambda x: -2.0 * n * x, RuleKind.CHEBYSHEV_M11
 
-    def b2(x: float) -> float:
-        return (1.0 + 2.0 * c * x) ** 2
-
     if c < 0:
         l = params.l
 
         def f(t: np.ndarray, p) -> np.ndarray:
             return (t + (1.0 - t) * p) ** l
 
-        return f, b2, RuleKind.CHEBYSHEV_01
+        return f, lambda x: (1.0 + 2.0 * c * x) ** 2, RuleKind.CHEBYSHEV_01
 
-    whole_a = _whole_a(params)
-    if whole_a:
-        # Laplace's integral reflected through P_(a-1) = P_(-a): with
-        # p = 1/s^2 = (1+2cx)^2 the integrand (1 - t + t/p)^(a-1) / sqrt(p)
-        # is a polynomial of degree a-1 in t
+    # Laplace's integral reflected through P_(a-1) = P_(-a): with
+    # p = 1/s^2 = (1+2cx)^2 the integrand is (1 - t + t/p)^(a-1) / sqrt(p)
+    two_a = _twice_a(params)
+    if two_a and two_a % 2 == 0:
+        # at integer a a polynomial of degree a-1 in t
         def f(t: np.ndarray, s) -> np.ndarray:
-            return s * (1.0 - t + t * (s * s)) ** (whole_a - 1)
+            return s * (1.0 - t + t * (s * s)) ** (two_a // 2 - 1)
 
         return f, lambda x: 1.0 / (1.0 + 2.0 * c * x), RuleKind.CHEBYSHEV_01
 
-    e = -n / c
+    # elsewhere it changes sharply at 1 - t of about s^2, so the tanh-sinh
+    # rule passes sigma = 1 - t itself
+    a = n / c
 
-    def f(t: np.ndarray, p) -> np.ndarray:
-        return np.exp(e * np.log(t + (1.0 - t) * p))
+    def f(sigma: np.ndarray, s) -> np.ndarray:
+        return s * (sigma + (1.0 - sigma) * (s * s)) ** (a - 1.0)
 
-    return f, b2, RuleKind.CHEBYSHEV_01
+    return f, lambda x: 1.0 / (1.0 + 2.0 * c * x), RuleKind.TANH_SINH
 
 
 def _min_nodes(params: Params, x: float) -> int:
-    """Node count needed to see the integrand's sharp region at all.
+    """Node count the ladder starts from at x.
 
-    The integrands concentrate where their exponent is within ~30 of its
-    minimum: near t = 1 for c != 0 (width in the angular variable about
-    2*sqrt(30/(4a c x (1+cx)))) and near t = -1 for c = 0 (width about
-    sqrt(30/(n x))).  Two coarse ladder levels that both miss this region
-    can agree spuriously, so the ladder must start beyond it.  For c < 0
-    the integrand is a degree-l polynomial and (l+2)/2 nodes are exact;
-    so are (a+1)/2 nodes for the degree-(a-1) integrand of c > 0 at integer
-    a.  T's ladder reads the c > 0 width, which its unreflected integrand
-    needs; it runs only at non-integer a.
+    For c < 0 the integrand is a degree-l polynomial and (l+2)/2 nodes are
+    exact; so are (a+1)/2 nodes for the degree-(a-1) integrand of c > 0 at
+    integer a.  For c = 0 the integrand concentrates near t = -1 where its
+    exponent is within ~30 of its minimum, a width of about sqrt(30/(n x))
+    in the angular variable; two coarse levels that both miss it can agree
+    spuriously, so the ladder starts beyond it.  The tanh-sinh rule of
+    every other c > 0 sees its whole interval at every level, but below 64
+    nodes it can pass over the small share of S near sigma = s^2 on two
+    levels alike: from 16 nodes, at a from 5/4 to 200 and x up to 1e8,
+    levels agreed within 1e-12 while 5e-13 off mpmath; from 64 nodes every
+    point of that sweep stayed within its claim.
     """
-    n = params.n_float
     c = params.c_float
     if x == 0.0:
         return 2
     if c < 0:
         return min(LADDER_MAX, max(2, (params.l + 2) // 2))
-    whole_a = _whole_a(params)
-    if whole_a:
-        return min(LADDER_MAX, max(2, (whole_a + 1) // 2))
-    if c == 0.0:
-        width = math.sqrt(30.0 / (n * x))
-    else:
-        spread = 4.0 * (n / c) * c * x * (1.0 + c * x)
-        width = 2.0 * math.sqrt(30.0 / spread)
+    if c > 0:
+        two_a = _twice_a(params)
+        if two_a and two_a % 2 == 0:
+            return min(LADDER_MAX, max(2, (two_a // 2 + 1) // 2))
+        return _TANH_SINH_START
+    width = math.sqrt(30.0 / (params.n_float * x))
     if width >= 2.0:
         return 2
     return min(LADDER_MAX, int(2.0 * math.pi / width) + 1)
@@ -724,7 +848,8 @@ _NODES_PER_CALL = 4096
 
 def _means(f, kind: RuleKind, ps: Sequence, ms: Sequence[int]) -> list[float]:
     """Mean of f(t, p) over the nodes t of the m-node rule of a kind, for
-    each pair (p, m) of ``ps`` and ``ms``: the rule's value divided by pi.
+    each pair (p, m) of ``ps`` and ``ms``: the rule's value divided by pi
+    (on the tanh-sinh rule, the mean of f(t, p) times the node's weight).
 
     The nodes of all pairs go through the integrand as one concatenated
     array, and each mean is ``np.add.reduce`` over its own contiguous
@@ -743,7 +868,12 @@ def _means(f, kind: RuleKind, ps: Sequence, ms: Sequence[int]) -> list[float]:
     means = [0.0] * len(ms)
     for chunk in chunks:
         sizes = np.array([ms[j] for j in chunk], dtype=np.int64)
-        vals = f(_chebyshev_nodes(kind, sizes), np.repeat([ps[j] for j in chunk], sizes))
+        p = np.repeat([ps[j] for j in chunk], sizes)
+        if kind is RuleKind.TANH_SINH:
+            nodes, weights = _tanh_sinh_rule(sizes)
+            vals = f(nodes, p) * weights
+        else:
+            vals = f(_chebyshev_nodes(kind, sizes), p)
         start = 0
         for mm, run in itertools.groupby(chunk, key=ms.__getitem__):
             run = list(run)
@@ -802,31 +932,44 @@ def s_quad_grid(
     if not points:
         return out
 
-    values, diffs, ms = _ladder(f, kind, ps, ms, rtol, 1e-13)
-    # two exact levels of a polynomial integrand differ by rounding alone,
-    # which grows with its degree
-    rounding = _WHOLE_A_ROUNDING * _whole_a(params) or 1e-16
+    if kind is RuleKind.TANH_SINH:
+        # S can be far below 1e-13 here, so the stop is purely relative; the
+        # claim adds the rounding of the power and the mean the rule leaves
+        # out, at most _TS_TAIL times the integrand's largest value, s at
+        # sigma = 1 or s^(2a-1) at sigma = 0
+        a = params.n_float / params.c_float
+        floor, rounding = 0.0, _ROUNDING_PER_A * (a + 6.0)
+        tails = [_TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf for s in ps]
+    else:
+        # two exact levels of a polynomial integrand differ by rounding
+        # alone, which grows with its degree
+        floor, rounding = 1e-13, _ROUNDING_PER_A * (_twice_a(params) // 2) or 1e-16
+        tails = [0.0] * len(ps)
+    values, diffs, ms = _ladder(f, kind, ps, ms, rtol, floor)
     for j, i in enumerate(points):
         value = values[j]
-        out[i] = EvalResult(value, Method.QUADRATURE, max(diffs[j], rounding * abs(value)), ms[j])
+        err = max(diffs[j], rounding * abs(value)) + tails[j]
+        out[i] = EvalResult(value, Method.QUADRATURE, err, ms[j])
     return out
 
 
 def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_DEFAULT) -> EvalResult:
-    """S(x) from Gauss-Chebyshev quadrature of its integral representation.
+    """S(x) from quadrature of its integral representation.
 
-    Starts at m nodes (raised when the integrand's concentration region
-    needs finer resolution than m provides) and doubles, capped at
+    Starts at m nodes (raised to ``_min_nodes``) and doubles, capped at
     LADDER_MAX, until a level's mean is 0 or two levels agree within
     max(1e-13, rtol*|value|) (``_ladder``); the error estimate is the last
-    inter-level difference.  For c < 0 the
-    integrand is a degree-l polynomial in t, so any node count past
-    (l+1)/2 is already exact to rounding.  So is it for c > 0 at integer
-    a = n/c, where Laplace's integral reflected through P_(a-1) = P_(-a)
-    has the degree-(a-1) integrand (1 - t + t/p)^(a-1)/sqrt(p),
-    p = (1+2cx)^2: the ladder starts at (a+1)//2 nodes (or m), and the
-    error estimate is at least 1e-15*a of the value, the rounding of the
-    power.
+    inter-level difference.  For c <= 0 the rule is Gauss-Chebyshev; for
+    c < 0 the integrand is a degree-l polynomial in t, so any node count
+    past (l+1)/2 is already exact to rounding.  For c > 0 it is Laplace's
+    integral reflected through P_(a-1) = P_(-a), a = n/c, with the
+    integrand (1 - t + t/p)^(a-1)/sqrt(p), p = (1+2cx)^2.  At integer a it
+    is a polynomial of degree a-1: Gauss-Chebyshev from (a+1)//2 nodes (or
+    m), with an error estimate of at least 1e-15*a of the value, the
+    rounding of the power.  At every other a it changes sharply within
+    about 1/p of t = 1: a tanh-sinh rule from 64 nodes with a purely
+    relative stop, and an error estimate of at least 1e-15*(a+6) of the
+    value plus the part of the integral the rule leaves out.
     """
     return _one(s_quad_grid(params, [x], m, rtol))
 
@@ -839,10 +982,12 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
 def t_closed(params: Params, x: float, y: float) -> float:
     """Kernel value from the closed forms; the diagonal reproduces S.
 
-    For c > 0 at integer a = n/c it is P_(a-1)(W)/B^a with B = 1 + cx + cy
-    and W = 1 + 2c^2xy/B (``_legendre``), the bits of ``s_closed`` on the
-    diagonal, and nothing hands over.  At non-integer a, past Z_SWITCH or
-    with powers beyond the double range, it climbs the quadrature ladder.
+    For c > 0 at a whole or half-integer a = n/c it is P_(a-1)(W)/B^a with
+    B = 1 + cx + cy and W = 1 + 2c^2xy/B (``_legendre``), the bits of
+    ``s_closed`` on the diagonal, and nothing hands over; where B overflows
+    it raises OverflowError.  At any other a,
+    past Z_SWITCH or with powers beyond the double range, it climbs the
+    tanh-sinh ladder of ``s_quad`` on the reflected kernel integrand.
     """
     params.require_in_domain(x)
     params.require_in_domain(y)
@@ -873,20 +1018,25 @@ def t_closed(params: Params, x: float, y: float) -> float:
     if xf == 0.0 or yf == 0.0:
         other = yf if xf == 0.0 else xf
         return math.exp(-(n / c) * math.log1p(c * other))
-    whole_a = _whole_a(params)
-    if whole_a:
-        return _legendre(whole_a, c * xf, c * yf)
+    two_a = _twice_a(params)
+    if two_a:
+        if not math.isfinite(1.0 + c * xf + c * yf):
+            raise OverflowError("1 + cx + cy is past the double range")
+        return float(_legendre(two_a, c * xf, c * yf))
     a = n / c
     z = (c * c * xf * yf) / (px * py)
     pref_log = -a * (math.log1p(c * xf) + math.log1p(c * yf))
     if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-        # quadrature ladder: the kernel integrand concentrates no more sharply
-        # than the worse of its two diagonal restrictions; kernel values can
+        # Laplace's integral of P_(a-1)(W)/B^a runs over
+        # (W+R)(1-t) + (W-R)t with R = sqrt(W^2-1), W + R = g^2/B and
+        # W - R = B/g^2, g = sqrt(uv) + sqrt((1+u)(1+v)) <= B: the reflected
+        # integrand of S at s = B/g^2, times (g/B)^(2a).  Kernel values can
         # be genuinely tiny, so the stop is purely relative here
-        f, kind = _t_integrand(params, xf, yf)
-        m = max(LADDER_START, _min_nodes(params, xf), _min_nodes(params, yf))
-        (value,), _, _ = _ladder(f, kind, [0.0], [m], RTOL_DEFAULT, 0.0)
-        return value
+        u, v = c * xf, c * yf
+        g, b = math.sqrt(u) * math.sqrt(v) + math.sqrt(px) * math.sqrt(py), 1.0 + u + v
+        f, _, kind = _s_integrand(params)
+        (value,), _, _ = _ladder(f, kind, [b / g / g], [_TANH_SINH_START], RTOL_DEFAULT, 0.0)
+        return (g / b) ** (2.0 * a) * value
     value, _, _ = _one(_hyp2f1_rows(a, [z], 1e-15))
     return math.exp(pref_log) * value
 

@@ -76,6 +76,50 @@ class UnsupportedFamilyError(ValueError):
     """Raised for differential equations outside the exactly representable families."""
 
 
+def _odd_part(v: int) -> int:
+    """v with its factors of two divided out (v != 0)."""
+    return v >> ((v & -v).bit_length() - 1)
+
+
+# CPython's Fraction keeps its state in these two slots alone; any other
+# layout may carry a field that a direct construction would leave unset.
+_FRACTION_SLOTS = getattr(Fraction, "__slots__", None) == ("_numerator", "_denominator")
+
+
+def _coprime_fraction(a: int, b: int) -> Fraction:
+    """Fraction(a, b) for coprime a and b > 0.
+
+    Where ``Fraction`` has CPython's two slots (``_FRACTION_SLOTS``), it is
+    built without its gcd by setting them; this depends on CPython's
+    ``fractions`` internals.  Elsewhere it is ``Fraction(a, b)``, whose gcd
+    of an already reduced pair is 1.
+    """
+    if not _FRACTION_SLOTS:
+        return Fraction(a, b)
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = a, b
+    return f
+
+
+def _reduced(a: int, b: int, m: int) -> Fraction:
+    """Fraction(a, b) for b > 0 whose odd prime factors all divide m.
+
+    The shared power of two is shifted out, and then g = gcd(a, gcd(b, m))
+    is divided out until it is 1: each gcd has the small m or g as one
+    argument, where ``Fraction(a, b)`` takes the gcd of the two long
+    integers.
+    """
+    if not a:
+        return _coprime_fraction(0, 1)
+    shift = min((a & -a).bit_length(), (b & -b).bit_length()) - 1
+    a, b = a >> shift, b >> shift
+    g = math.gcd(a, math.gcd(b, m))
+    while g > 1:
+        a, b = a // g, b // g
+        g = math.gcd(a, math.gcd(b, g))
+    return _coprime_fraction(a, b)
+
+
 class RationalPoly:
     """Dense univariate polynomial with rational coefficients, ascending degree.
 
@@ -243,10 +287,15 @@ class RationalPoly:
         """self(p/q) for each integer pair (p, q) with q > 0.
 
         Each distinct pair is evaluated once and builds one Fraction, which
-        its repeats share (x and 1 - x give one t = (x - 1/2)^2).
+        its repeats share (x and 1 - x give one t = (x - 1/2)^2).  Its
+        value a/b has b = den q^deg, so ``_reduced`` brings it to lowest
+        terms with gcds against odd(q) odd(den) alone.
         """
         distinct = list(dict.fromkeys(points))
-        value = {pt: Fraction(a, b) for pt, (a, b) in zip(distinct, self._at(distinct))}
+        odd_den = _odd_part(self._den)
+        value = {
+            pt: _reduced(a, b, _odd_part(pt[1]) * odd_den) for pt, (a, b) in zip(distinct, self._at(distinct))
+        }
         return [value[pt] for pt in points]
 
     def _at(self, points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -611,8 +611,9 @@ def _table(family, n, grid, fmt="csv"):
 # Recorded before `table` moved from per-point route calls to the grid
 # routes: the criterion-1 battery (c = -1, -1/2, 0, 1, 2 at two indices,
 # 101 points on [0, min(sup, 20)]; szasz n = 25 enters the mu > 300 peak
-# window past x = 12), a c = 2 grid whose closed form hands over to
-# quadrature past x = 199.5, and one json table.
+# window past x = 12), a c = 2 grid whose closed form handed over to
+# quadrature past x = 199.5 (at a = 5/2 it now runs the recurrence at every
+# x), and one json table.
 GOLDEN_TABLE = {
     # re-recorded with the closed form exactly 1 at the right endpoint, where
     # it printed the series' top term: 0.99999999999999956,
@@ -639,12 +640,19 @@ GOLDEN_TABLE = {
         "393546e61b03475eeb665697ad809452625b8b2b6c11cea6b73b729d38b3d695",
     _table(["baskakov"], "25", "0:20:101"):
         "dcc798478120a6cc10dfe8cb55e25aa1fb7b6e4b865d9e238078bae21a3970d7",
+    # re-recorded with the AGM-seeded Legendre recurrence and the tanh-sinh
+    # rule at half-integer a = n/2; worst relative error against mpmath's
+    # Legendre function at 40 digits, old -> new: n = 5 closed form
+    # 1.0e-14 -> 7.5e-16, quadrature 3.0e-13 -> 3.3e-16; n = 25 closed form
+    # 6.9e-14 -> 4.1e-15, quadrature 3.0e-12 -> 7.0e-16; n = 5 on 100:400
+    # closed form 7.0e-14 -> 5.3e-16, quadrature 3.9e-5 -> 1.7e-16; the
+    # closed form missed its own claim at 149 of the 213 rows, now at none
     _table(["general", "-c", "2"], "5", "0:20:101"):
-        "d40c790f5331fe8b53de4769c91346c7270cde209aa1f0bba66a42a8b0989317",
+        "058ad021c968176d03ea1a894c180e59823c03e51b7a85f5c9c74fb10f749080",
     _table(["general", "-c", "2"], "25", "0:20:101"):
-        "cee85fbfdce2c060d791aa7961940d11fc8f47fe70ab27ae7b25ffa4a610cc48",
+        "c0d7c38c1cbb8bb7dd27c80a0232584f26a466c6d39d40954f7dca8d10633f31",
     _table(["general", "-c", "2"], "5", "100:400:11"):
-        "bc1db0e0bdd7e64639e504cde0b488e10a400edf99904e109796fc451adc9bfa",
+        "7e0ca6e85a7ca7a3e05203947135228788a697b3d9323049967764e46bad4828",
     # re-recorded as the baskakov tables (a = 6): closed form 5.9e-15 ->
     # 1.2e-15, quadrature 6.9e-15 -> 2.8e-16
     _table(["general", "-c", "1/2"], "3", "0:10:21", "json"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +16,12 @@ from sqsums.evalnum import (
     RuleKind,
     Z_SWITCH,
     _EXP_GUARD,
+    _TANH_SINH_START,
     _chebyshev_nodes,
     _means,
     _min_nodes,
     _s_integrand,
-    _t_integrand,
+    _tanh_sinh_rule,
     bessel_i0,
     bessel_i0e,
     hyp2f1_diag,
@@ -142,8 +144,17 @@ class TestQuadratureRules:
             return np.exp(p * t) * np.sin(1e3 * t + p)
 
         got = _means(f, kind, [p for p, _ in pairs], [m for _, m in pairs])
-        want = [float(np.mean(f(_chebyshev_nodes(kind, np.array([m])), np.full(m, p)))) for p, m in pairs]
+        want = [float(np.mean(_rule_values(f, kind, m, p))) for p, m in pairs]
         assert got == want
+
+
+def _rule_values(f, kind, m, p):
+    """f at the nodes of the m-node rule of a kind on its own, times the
+    weights of the tanh-sinh rule."""
+    if kind is RuleKind.TANH_SINH:
+        nodes, weights = _tanh_sinh_rule(np.array([m]))
+        return f(nodes, np.full(m, p)) * weights
+    return f(_chebyshev_nodes(kind, np.array([m])), np.full(m, p))
 
 
 def _brute_s(n: float, c: float, x: float, kmax: int = 4000) -> float:
@@ -213,8 +224,10 @@ class TestClosedRoute:
         assert inexact >= 2 * 5
 
     def test_delegates_past_series_switch(self):
-        # c > 0 with huge x pushes the series argument beyond Z_SWITCH
-        params = Params(1, 2)
+        # c > 0 with huge x pushes the series argument beyond Z_SWITCH; at
+        # a = n/c = 4/3, neither whole nor half-integer, the closed form
+        # still hands over there
+        params = Params(Fraction(8, 3), 2)
         x = 300.0
         z = (2 * x / (1 + 2 * x)) ** 2
         assert z > Z_SWITCH
@@ -325,10 +338,11 @@ class TestExtremeParameters:
         assert t_closed(params, 20.0, 10.0) == pytest.approx(want, rel=1e-9)
 
     def test_kernel_ladder_matches_brute_force(self):
-        # a = n/c = 200.5 is not an integer, so T climbs its ladder here
+        # 2a = 2n/c = 400.5 is not a whole number and pref_log is about -1090
+        # at (20, 10), past -_EXP_GUARD, so T climbs its ladder here
         from sqsums.core import basis
 
-        params = Params(Fraction(401, 2), 1)
+        params = Params(Fraction(801, 4), 1)
         want = math.fsum(basis(params, k, 20.0) * basis(params, k, 10.0) for k in range(4000))
         assert t_closed(params, 20.0, 10.0) == pytest.approx(want, rel=1e-9)
 
@@ -390,20 +404,37 @@ class TestKernel:
             assert got == pytest.approx(t_closed(Params(n, c), x, y), rel=1e-11)
 
     @pytest.mark.parametrize(
-        "n, x, quadrature",
-        [(0.5, 398.0, False), (0.5, 400.0, True), (200.5, 4.5, False), (200.5, 4.7, True)],
+        "n, c, x, y, quadrature",
+        [
+            (Fraction(1, 3), 1, 398.0, 398.0, False),
+            (Fraction(1, 3), 1, 400.0, 400.0, True),
+            (Fraction(801, 4), 1, 4.5, 4.5, False),
+            (Fraction(801, 4), 1, 4.7, 4.7, True),
+            # off the diagonal, where g = sqrt(uv) + sqrt((1+u)(1+v)) < B
+            (Fraction(4, 3), 1, 300.0, 600.0, True),
+            (Fraction(801, 4), 1, 3.0, 7.0, True),
+            (Fraction(801, 4), 1, 20.0, 10.0, True),
+            (Fraction(7, 3), 1, 5000.0, 3600.0, True),
+            (Fraction(1, 3), Fraction(1, 3), 1e6, 1e3, True),
+            (Fraction(7, 3), Fraction(1, 2), 3e4, 1e7, True),
+        ],
     )
-    def test_hand_over_against_mpmath(self, n, x, quadrature):
-        # both sides of Z_SWITCH (n = 1/2) and of _EXP_GUARD (n = 401/2), c = 1;
-        # the ladder runs only where a = n/c is not an integer
+    def test_hand_over_against_mpmath(self, n, c, x, y, quadrature):
+        # both sides of Z_SWITCH (n = 1/3) and of _EXP_GUARD (n = 801/4), and
+        # the ladder off the diagonal, against (1+u)^(-a) (1+v)^(-a)
+        # 2F1(a, a; 1; z) at 40 digits within the ladder's stop; the ladder
+        # runs only where 2a = 2n/c is not a whole number
         mpmath = pytest.importorskip("mpmath")
-        z = (x / (1.0 + x)) ** 2
-        pref_log = -2.0 * n * math.log1p(x)
+        cf = float(c)
+        a = float(n) / cf
+        z = (cf * cf * x * y) / ((1.0 + cf * x) * (1.0 + cf * y))
+        pref_log = -a * (math.log1p(cf * x) + math.log1p(cf * y))
         assert (z > Z_SWITCH or pref_log < -_EXP_GUARD) is quadrature
         with mpmath.workdps(40):
-            u = mpmath.mpf(x)
-            want = mpmath.hyp2f1(n, n, 1, (u / (1 + u)) ** 2) / (1 + u) ** (2 * n)
-            assert abs(t_closed(Params(n, 1), x, x) / want - 1) <= 1e-10
+            am = _mpf(mpmath, n) / _mpf(mpmath, c)
+            u, v = _mpf(mpmath, c) * _mpf(mpmath, x), _mpf(mpmath, c) * _mpf(mpmath, y)
+            want = mpmath.hyp2f1(am, am, 1, u * v / ((1 + u) * (1 + v))) / ((1 + u) * (1 + v)) ** am
+        assert abs(t_closed(Params(n, c), x, y) / want - 1) <= RTOL_DEFAULT
 
     def test_corner_cases_negative_c(self):
         params = Params(4, -1)
@@ -513,30 +544,41 @@ def test_grid_routes_in_small_batches(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _t_reflected(params, x, y):
+    """S's reflected integrand and rule, the parameter s = B/g^2 of T's
+    Laplace integral and its factor (g/B)^(2a), g = sqrt(uv) + sqrt((1+u)(1+v))."""
+    c = params.c_float
+    u, v = c * x, c * y
+    g, b = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v), 1.0 + u + v
+    f, _, kind = _s_integrand(params)
+    return f, kind, b / g / g, (g / b) ** (2.0 * params.n_float / c)
+
+
 def ref_t_closed_pos_c(params, x, y):
-    """t_closed for c > 0 and x, y > 0 with the hand-over ladder it had
-    before S and T shared one: a purely relative stop, and a stop at 0."""
+    """t_closed for c > 0 and x, y > 0 at a = n/c neither whole nor
+    half-integer, with its hand-over ladder as a loop: a purely relative
+    stop, and a stop at 0."""
     n, c = params.n_float, params.c_float
     a = n / c
     z = (c * c * x * y) / ((1.0 + c * x) * (1.0 + c * y))
     pref_log = -a * (math.log1p(c * x) + math.log1p(c * y))
     if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-        f, kind = _t_integrand(params, x, y)
-        m = max(LADDER_START, _min_nodes(params, x), _min_nodes(params, y))
-        (value,) = _means(f, kind, [0.0], [m])
+        f, kind, s, scale = _t_reflected(params, x, y)
+        m = _TANH_SINH_START
+        (value,) = _means(f, kind, [s], [m])
         while m < LADDER_MAX:
             m *= 2
-            old, (value,) = value, _means(f, kind, [0.0], [m])
+            old, (value,) = value, _means(f, kind, [s], [m])
             if value == 0.0 or abs(value - old) <= RTOL_DEFAULT * abs(value):
                 break
-        return value
+        return scale * value
     return math.exp(pref_log) * hyp2f1_diag(a, z, 1e-15)
 
 
 def _first_float(switched, lo, hi):
     """The float at which ``switched`` turns true between lo and hi."""
     while True:
-        mid = (lo + hi) / 2.0
+        mid = lo / 2.0 + hi / 2.0
         if mid in (lo, hi):
             return hi
         lo, hi = (lo, mid) if switched(mid) else (mid, hi)
@@ -544,21 +586,21 @@ def _first_float(switched, lo, hi):
 
 def _hand_over_cases():
     cases = []
-    # a = n/c is never an integer here: only there does T climb a ladder
-    for n, c, lo, hi in [(Fraction(3, 2), 1, 300.0, 500.0), (Fraction(13, 4), Fraction(1, 2), 300.0, 2000.0)]:
+    # 2a = 2n/c is never a whole number here: only there does T climb a ladder
+    for n, c, lo, hi in [(Fraction(4, 3), 1, 300.0, 500.0), (Fraction(7, 3), Fraction(1, 2), 300.0, 2000.0)]:
         nf, cf = float(n), float(c)
         at = _first_float(lambda x: (cf * x / (1.0 + cf * x)) ** 2 > Z_SWITCH, lo, hi)
         cases += [(n, c, x, x) for x in (math.nextafter(at, 0.0), at)]  # both sides of Z_SWITCH
-    for n, c in [(Fraction(401, 2), 1), (Fraction(481, 4), Fraction(1, 2)), (701, 2)]:
+    for n, c in [(Fraction(801, 4), 1), (Fraction(361, 3), Fraction(1, 2)), (Fraction(2102, 3), 2)]:
         nf, cf = float(n), float(c)
         at = _first_float(lambda x: -2.0 * (nf / cf) * math.log1p(cf * x) < -_EXP_GUARD, 1e-3, 1e3)
         cases += [(n, c, x, x) for x in (math.nextafter(at, 0.0), at)]  # both sides of _EXP_GUARD
-    # off the diagonal, and first levels at LADDER_MAX
+    # off the diagonal, and far out
     cases += [
-        (Fraction(3, 2), 1, 300.0, 600.0),
-        (Fraction(401, 2), 1, 3.0, 7.0),
-        (Fraction(3, 2), 1, 4000.0, 4000.0),
-        (Fraction(5, 2), 1, 5000.0, 3600.0),
+        (Fraction(4, 3), 1, 300.0, 600.0),
+        (Fraction(801, 4), 1, 3.0, 7.0),
+        (Fraction(4, 3), 1, 4000.0, 4000.0),
+        (Fraction(7, 3), 1, 5000.0, 3600.0),
     ]
     return cases
 
@@ -569,20 +611,26 @@ def test_t_closed_ladder_is_its_own_loop(n, c, x, y):
     assert t_closed(params, x, y) == ref_t_closed_pos_c(params, x, y)
 
 
-def test_t_closed_first_level_at_the_cap():
+def test_t_closed_first_level_at_the_cap(monkeypatch):
+    # the tanh-sinh ladder starts at _TANH_SINH_START nodes at every x, so
+    # its first level is at the cap only when the cap is lowered to it
+    from sqsums import evalnum
+
+    monkeypatch.setattr(evalnum, "LADDER_MAX", _TANH_SINH_START)
     for n, c, x, y in _hand_over_cases()[-2:]:
         params = Params(n, c)
-        assert min(_min_nodes(params, x), _min_nodes(params, y)) == LADDER_MAX
-        f, kind = _t_integrand(params, x, y)
-        assert t_closed(params, x, y) == _means(f, kind, [0.0], [LADDER_MAX])[0]
+        f, kind, s, scale = _t_reflected(params, x, y)
+        assert t_closed(params, x, y) == scale * _means(f, kind, [s], [evalnum.LADDER_MAX])[0]
 
 
 def test_s_quad_grid_first_level_at_the_cap():
     # points whose first level is LADDER_MAX take that level's mean, with an
-    # infinite error claim, next to a point that climbs (at integer a the
-    # first level is exact and far below the cap)
-    params = Params(Fraction(3, 2), 1)
-    xs = [4000.0, 1.0, 6000.0]
+    # infinite error claim, next to a point that climbs.  Only c = 0 still
+    # starts there, past n x of about 1.3e7: at integer a the first level is
+    # exact and far below the cap, and the tanh-sinh rule of every other
+    # c > 0 starts at _TANH_SINH_START
+    params = Params(1, 0)
+    xs = [2e7, 1.0, 3e7]
     f, param, kind = _s_integrand(params)
     got = s_quad_grid(params, xs)
     for i in (0, 2):
@@ -612,8 +660,8 @@ def _reached(*args, **kwargs):
         pytest.param(lambda: basis_sum(Params(1, 0), 5.0), id="basis-sum-szasz"),
         pytest.param(lambda: basis_sum(Params(2, 1), 5.0), id="basis-sum-pos-c"),
         pytest.param(lambda: s_quad(Params(2, 1), 1.0), id="s-quad"),
-        pytest.param(lambda: s_closed(Params(1.5, 1), 400.0), id="s-closed-hand-over"),  # past Z_SWITCH
-        pytest.param(lambda: t_closed(Params(1.5, 1), 400.0, 400.0), id="t-closed-hand-over"),  # past Z_SWITCH
+        pytest.param(lambda: s_closed(Params(Fraction(4, 3), 1), 400.0), id="s-closed-hand-over"),  # past Z_SWITCH
+        pytest.param(lambda: t_closed(Params(Fraction(4, 3), 1), 400.0, 400.0), id="t-closed-hand-over"),
     ],
 )
 def test_every_window_and_ladder_runs_on_the_shared_helpers(monkeypatch, call):
@@ -731,7 +779,7 @@ def test_integer_a_quadrature_starts_at_its_exact_node_count():
         if a < 9000:
             (r,) = s_quad_grid(params, [1e6])
             assert r.terms_or_nodes == 2 * max(LADDER_START, (a + 1) // 2)
-    assert _min_nodes(Params(2.001, 1), 1e6) == LADDER_MAX  # the unreflected integrand's width
+    assert _min_nodes(Params(2.001, 1), 1e6) == _TANH_SINH_START  # the tanh-sinh rule at every x
 
 
 @pytest.mark.parametrize(
@@ -752,3 +800,208 @@ def test_integer_a_never_hands_over(monkeypatch, call):
     results = call()
     for r in results if isinstance(results, list) else [results]:
         assert isinstance(r, float) or r.method is Method.CLOSED_FORM
+
+
+# ---------------------------------------------------------------------------
+# Half-integer a = n/c > 0: the AGM-seeded recurrence; every other
+# non-integer a: the tanh-sinh rule
+# ---------------------------------------------------------------------------
+
+
+def _half_integer_s(mpmath, c, x, two_as):
+    """S at each a = two_a/2 (two_a odd) from mpmath's complete elliptic
+    integrals at 40 digits, P_(-1/2)(w) = (2/pi) sqrt(2/(w+1)) K((w-1)/(w+1))
+    and P_(1/2)(w) = (2/pi) sqrt(e) E(1 - 1/e^2) with e = w + sqrt(w^2-1),
+    and Bonnet's recurrence (nu+1) P_(nu+1) = (2nu+1) w P_nu - nu P_(nu-1)
+    upward in 200-bit fixed point (P_nu(w) is the dominant solution)."""
+    bits = 200
+    with mpmath.workdps(40):
+        u = _mpf(mpmath, c) * _mpf(mpmath, x)
+        w = 1 + 2 * u * u / (1 + 2 * u)
+        e = w + mpmath.sqrt((w - 1) * (w + 1))
+        seeds = (
+            2 / mpmath.pi * mpmath.sqrt(2 / (w + 1)) * mpmath.ellipk((w - 1) / (w + 1)),
+            2 / mpmath.pi * mpmath.sqrt(e) * mpmath.ellipe(1 - 1 / e ** 2),
+        )
+        prev, cur = (int(mpmath.nint(p * 2 ** bits)) for p in seeds)
+        wf = int(mpmath.nint(w * 2 ** bits))
+        fixed = {-1: prev, 1: cur}  # P_(t/2) by t = 2 nu
+        for t in range(1, max(two_as) - 2, 2):
+            prev, cur = cur, (2 * (t + 1) * ((wf * cur) >> bits) - t * prev) // (t + 2)
+            fixed[t + 2] = cur
+        return [mpmath.mpf(fixed[t - 2]) / 2 ** bits / (1 + 2 * u) ** (mpmath.mpf(t) / 2) for t in two_as]
+
+
+_HALF_TWO_AS = (1, 3, 5, 11, 25, 121, 601)
+
+
+def test_half_integer_oracle_is_mpmath_legendre():
+    mpmath = pytest.importorskip("mpmath")
+    for x in (1e-3, 0.7, 30.0, 5e4, 1e8):
+        for t, got in zip(_HALF_TWO_AS, _half_integer_s(mpmath, 2, x, _HALF_TWO_AS)):
+            with mpmath.workdps(40):
+                u = 2 * _mpf(mpmath, x)
+                want = mpmath.legendre(mpmath.mpf(t) / 2 - 1, 1 + 2 * u * u / (1 + 2 * u)) / (1 + 2 * u) ** (
+                    mpmath.mpf(t) / 2
+                )
+                assert abs(got / want - 1) < 1e-30, (x, t)
+
+
+def test_half_integer_sweep_against_mpmath():
+    # n/c in {1/2, 3/2, 5/2, 11/2, 25/2, 121/2, 601/2}, c in {1/3, 1/2, 1, 2, 3},
+    # 24 x per decade on [1e-3, 1e8]: the recurrence and the tanh-sinh rule
+    # within their claims of the 40-digit value, the closed form never hands
+    # over, and T's diagonal is S's closed form bit for bit
+    mpmath = pytest.importorskip("mpmath")
+    xs = [10.0 ** (-3 + i / 24) for i in range(11 * 24 + 1)]
+    for c in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
+        wants = [_half_integer_s(mpmath, c, x, _HALF_TWO_AS) for x in xs]
+        for k, t in enumerate(_HALF_TWO_AS):
+            params = Params(Fraction(t, 2) * c, c)
+            closed, quad = s_closed_grid(params, xs), s_quad_grid(params, xs)
+            for x, r, q, want in zip(xs, closed, quad, wants):
+                assert r.method is Method.CLOSED_FORM and r.terms_or_nodes == (t + 1) // 2
+                assert r.err_estimate == 1e-15 * (t / 2 + 1) * r.value
+                _assert_within_claims(want[k], (r, q))
+            assert [t_closed(params, x, x) for x in xs[::12]] == [r.value for r in closed[::12]]
+
+
+def test_half_integer_kernel_against_mpmath():
+    # T off the diagonal, from 2F1(a, a; 1; z) at 40 digits, within the
+    # closed form's claim of S
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        t = int(rng.choice([1, 3, 5, 11, 25, 121]))
+        c = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)][rng.integers(5)]
+        x, y = 10.0 ** rng.uniform(-3, 6, size=2)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(t) / 2
+            u, v = _mpf(mpmath, c) * _mpf(mpmath, x), _mpf(mpmath, c) * _mpf(mpmath, y)
+            z = u * v / ((1 + u) * (1 + v))
+            want = float(mpmath.hyp2f1(a, a, 1, z, maxterms=10 ** 6) / ((1 + u) * (1 + v)) ** a)
+        got = t_closed(Params(Fraction(t, 2) * c, c), x, y)
+        # below the normal range the claim is taken of its least value
+        assert abs(got - want) <= 1e-15 * (t / 2 + 1) * max(want, 2.0 ** -1022), (t, c, x, y)
+
+
+def test_half_integer_far_out_against_mpmath():
+    # x from 1e12 to 1e300, where A = sqrt((w+1)/2) reaches 1e150 and the
+    # seed's numerator, about 2A^2/ln(4A), is far below its terms near A^2:
+    # the recurrence within its claim of mpmath's Legendre function at 40
+    # digits
+    mpmath = pytest.importorskip("mpmath")
+    xs = [10.0 ** (12 + 4 * i) for i in range(73)]
+    for t in (1, 3, 5, 11):
+        for c in (Fraction(1, 3), Fraction(2)):
+            params = Params(Fraction(t, 2) * c, c)
+            closed = s_closed_grid(params, xs)
+            for x, r in zip(xs, closed):
+                with mpmath.workdps(40):
+                    u, a = _mpf(mpmath, c) * _mpf(mpmath, x), mpmath.mpf(t) / 2
+                    want = mpmath.legendre(a - 1, 1 + 2 * u * u / (1 + 2 * u)) / (1 + 2 * u) ** a
+                assert r.method is Method.CLOSED_FORM
+                assert abs(r.value - want) <= 1e-15 * (t / 2 + 1) * want, (t, c, x, r)
+            assert [t_closed(params, x, x) for x in xs[::8]] == [r.value for r in closed[::8]]
+
+
+@pytest.mark.parametrize("n, c", [(1, 2), (5, 2), (2, 2), (4, 2), (3, 1), (Fraction(9, 2), 3)])
+def test_legendre_past_the_double_range_raises(n, c):
+    # where 1 + 2cx (1 + cx + cy for T) overflows, the recurrence of whole
+    # or half-integer a raises OverflowError rather than return nan or 0;
+    # its grid row holds the error next to a finite point
+    params = Params(n, c)
+    cf, top = float(c), 1.7e308
+    near = _first_float(lambda x: not math.isfinite(1.0 + cf * x + cf * x), 1.0, top)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (top, near):
+            with pytest.raises(OverflowError):
+                s_closed(params, x)
+            with pytest.raises(OverflowError):
+                t_closed(params, x, x)
+        below = math.nextafter(near, 0.0)
+        assert math.isfinite(s_closed(params, below).value) and math.isfinite(t_closed(params, below, below))
+        low, over = s_closed_grid(params, [1e300, top])
+        assert low == s_closed(params, 1e300) and low.value > 0.0 and isinstance(over, OverflowError)
+
+
+def test_tanh_sinh_sweep_against_mpmath():
+    # a in {1/3, 4/3, 1.999, 2.001, 200.25}, neither whole nor half-integer,
+    # c in {1/3, 1}, 6 x per decade on [1e-3, 1e8]: the tanh-sinh rule within
+    # its claim of mpmath's Legendre function at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    xs = [10.0 ** (-3 + i / 6) for i in range(11 * 6 + 1)]
+    for a in (Fraction(1, 3), Fraction(4, 3), Fraction(1999, 1000), Fraction(2001, 1000), Fraction(801, 4)):
+        for c in (Fraction(1, 3), Fraction(1)):
+            params = Params(a * c, c)
+            for x, q in zip(xs, s_quad_grid(params, xs)):
+                with mpmath.workdps(40):
+                    u = _mpf(mpmath, c) * _mpf(mpmath, x)
+                    am = _mpf(mpmath, a)
+                    want = mpmath.legendre(am - 1, 1 + 2 * u * u / (1 + 2 * u)) / (1 + 2 * u) ** am
+                assert q.method is Method.QUADRATURE and q.terms_or_nodes >= 2 * _TANH_SINH_START
+                _assert_within_claims(want, (q,))
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(2)])
+def test_half_integer_straddle(c):
+    # a = 5/2 takes the AGM-seeded recurrence; n/c = 5/2 -+ 1/1000 keep the
+    # hypergeometric series below Z_SWITCH and hand over past it.  Every
+    # route on both sides is within its own claim of mpmath's value
+    mpmath = pytest.importorskip("mpmath")
+    xs = [0.05, 1.0, 20.0, 150.0, 1e4]
+    for shift in (Fraction(-1, 1000), Fraction(0), Fraction(1, 1000)):
+        a = Fraction(5, 2) + shift
+        params = Params(a * c, c)
+        closed, quad = s_closed_grid(params, xs), s_quad_grid(params, xs)
+        for x, r, q in zip(xs, closed, quad):
+            with mpmath.workdps(40):
+                u, am = _mpf(mpmath, c) * _mpf(mpmath, x), _mpf(mpmath, a)
+                want = mpmath.legendre(am - 1, 1 + 2 * u * u / (1 + 2 * u)) / (1 + 2 * u) ** am
+            assert q.method is Method.QUADRATURE and q.terms_or_nodes >= 2 * _TANH_SINH_START
+            _assert_within_claims(want, (r, q))
+            if shift == 0:
+                assert r.method is Method.CLOSED_FORM and r.terms_or_nodes == 3
+                assert t_closed(params, x, x) == r.value
+            elif (float(c) * x / (1 + float(c) * x)) ** 2 > Z_SWITCH:
+                assert r.method is Method.QUADRATURE
+            else:
+                assert r.method is Method.CLOSED_FORM and r.terms_or_nodes > 3  # the series' own terms
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: s_closed_grid(Params(5, 2), [400.0, 1e8]), id="s-closed-past-z-switch"),
+        pytest.param(lambda: s_closed_grid(Params(601, 2), [3.0, 1e8]), id="s-closed-past-exp-guard"),
+        pytest.param(lambda: s_closed(Params(Fraction(3, 2), Fraction(1, 3)), 5e7), id="s-closed-a-9/2"),
+        pytest.param(lambda: t_closed(Params(1, 2), 400.0, 400.0), id="t-closed-past-z-switch"),
+        pytest.param(lambda: t_closed(Params(601, 2), 3.0, 7.0), id="t-closed-past-exp-guard"),
+    ],
+)
+def test_half_integer_never_hands_over(monkeypatch, call):
+    # at odd 2a neither the hypergeometric series nor a ladder runs in the
+    # closed forms
+    from sqsums import evalnum
+
+    for name in ("_hyp2f1_rows", "_ladder"):
+        monkeypatch.setattr(evalnum, name, _reached)
+    results = call()
+    for r in results if isinstance(results, list) else [results]:
+        assert isinstance(r, float) or r.method is Method.CLOSED_FORM
+
+
+def test_non_integer_series_claim_against_mpmath():
+    # the c > 0 hypergeometric series below Z_SWITCH claims its rounding:
+    # n/c = 1.999 and 2.001 at x = 300, where a claim of 2e-15 was an order
+    # too small, and a sweep over a, c and five decades of x below the switch
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(Fraction(1999, 1000), Fraction(1), 300.0), (Fraction(2001, 1000), Fraction(1), 300.0)]
+    for a in (Fraction(1, 5), Fraction(4, 3), Fraction(1999, 1000), Fraction(7, 3), Fraction(201, 4)):
+        for c in (Fraction(1, 3), Fraction(3)):
+            cases += [(a, c, 397.0 / float(c) * 10.0 ** (-i / 4)) for i in range(21)]
+    for a, c, x in cases:
+        (r,) = s_closed_grid(Params(a * c, c), [x])
+        assert r.method is Method.CLOSED_FORM and r.terms_or_nodes > 1
+        _assert_within_claims(_s_by_hyp2f1(mpmath, a * c, c, x), (r,))

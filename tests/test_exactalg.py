@@ -20,6 +20,8 @@ from sqsums.exactalg import (
     RationalPoly,
     UnsupportedFamilyError,
     _cleared_residual,
+    _odd_part,
+    _reduced,
     eq_f,
     eq_g,
     eq_j,
@@ -103,6 +105,40 @@ class TestRationalPoly:
             return acc
 
         assert p.values(points) == [horner(Fraction(a, b)) for a, b in points]
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(-(10 ** 40), 10 ** 40),
+        st.integers(1, 10 ** 6),
+        st.integers(1, 5000),
+        st.integers(0, 12),
+    )
+    def test_reduced_is_the_fraction(self, a, den, q, deg):
+        # a margin's denominator den q^deg has no odd prime outside
+        # odd(q) odd(den), so the small gcds give Fraction's lowest terms
+        b = den * q ** deg
+        got, want = _reduced(a, b, _odd_part(q) * _odd_part(den)), Fraction(a, b)
+        assert (got.numerator, got.denominator, hash(got)) == (want.numerator, want.denominator, hash(want))
+        assert got == want and type(got) is Fraction
+
+    def test_reduced_divides_repeated_factors(self):
+        # 3^5 * 5 shared by a and b is divided out over several rounds
+        for a, b, m in [(3 ** 7 * 5 * 7, 3 ** 5 * 5 ** 2 * 2 ** 4, 15), (-(2 ** 9) * 9, 2 ** 5 * 27, 3), (0, 7, 7)]:
+            got, want = _reduced(a, b, m), Fraction(a, b)
+            assert (got.numerator, got.denominator, hash(got)) == (want.numerator, want.denominator, hash(want))
+
+    def test_reduced_without_the_slot_layout(self, monkeypatch):
+        # where Fraction's slots are not CPython's two, the pair goes through
+        # Fraction's own constructor, with the same result
+        from sqsums import exactalg
+
+        assert exactalg._FRACTION_SLOTS
+        monkeypatch.setattr(exactalg, "_FRACTION_SLOTS", False)
+        for a, b, m in [(3 ** 7 * 5 * 7, 3 ** 5 * 5 ** 2 * 2 ** 4, 15), (-(2 ** 9) * 9, 2 ** 5 * 27, 3), (0, 7, 7)]:
+            got, want = _reduced(a, b, m), Fraction(a, b)
+            assert (got.numerator, got.denominator, hash(got)) == (want.numerator, want.denominator, hash(want))
+        p = RationalPoly([1, -2, 2])
+        assert p.values([(1, 4), (3, 4)]) == [Fraction(5, 8), Fraction(5, 8)]
 
     def test_values_share_one_fraction_per_distinct_point(self):
         vals = RationalPoly([1, -2, 2]).values([(1, 4), (3, 4), (1, 4)])

@@ -66,6 +66,15 @@ def test_conjecture_scan(tmp_path):
 def test_method_agreement():
     proc = run_script("method_agreement.py", "--points", "5")
     assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.splitlines()[-1]
+    *rows, last = proc.stdout.splitlines()
     assert last.startswith("overall worst:")
     assert float(last.split()[2]) < 1e-10
+    # one row per battery pair, each with its count of closed-form rows
+    # delegated to quadrature; at c = 2 with odd n (a = n/2) there are none
+    pairs = {}
+    for row in rows:
+        m = re.fullmatch(r"c=\s*(\S+) n=\s*(\S+)  worst rel diff \S+ at x=\S+  delegated (\d+)", row)
+        assert m, row
+        pairs[m[1], m[2]] = int(m[3])
+    assert len(pairs) == 26 and ("3", "1") in pairs
+    assert [pairs["2", n] for n in ("1", "5", "25")] == [0, 0, 0]
