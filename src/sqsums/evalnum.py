@@ -22,7 +22,8 @@ nodes of every point in one array.  For c > 0, one exact test
 of S and T are one Legendre recurrence (``_legendre``, seeded by the AGM
 at half-integer a) and never hand over; S's quadrature integrates a
 polynomial on Gauss-Chebyshev nodes at integer a and the same reflected
-integrand on a tanh-sinh rule at every other a.
+integrand on a tanh-sinh rule at every other a; c = 0 runs on that rule
+too, within 1024 nodes up to n x = 1e9.
 
 Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 
@@ -40,7 +41,9 @@ Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,7 +110,6 @@ class EvalResult:
 
 class RuleKind(enum.Enum):
     CHEBYSHEV_01 = "chebyshev_01"
-    CHEBYSHEV_M11 = "chebyshev_m11"
     TANH_SINH = "tanh_sinh"
 
 
@@ -119,18 +121,16 @@ class QuadratureRule:
     """
 
 
-def _chebyshev_nodes(kind: RuleKind, ms: np.ndarray) -> np.ndarray:
-    """The nodes of the m-node Gauss-Chebyshev rule of a kind for each m in
+def _chebyshev_nodes(ms: np.ndarray) -> np.ndarray:
+    """The nodes of the m-node Gauss-Chebyshev rule on [0, 1] for each m in
     ``ms``, one rule after the other in one array.
 
-    The [-1, 1] rule integrates against 1/sqrt(1-t^2); its transplant to
-    [0, 1] integrates against 1/sqrt(t(1-t)).  Both have equal weights
-    pi/m and are exact for polynomials of degree 2m-1 times the weight.
+    The rule integrates against 1/sqrt(t(1-t)) with equal weights pi/m and
+    is exact for polynomials of degree 2m-1 times the weight.
     """
     m = np.repeat(ms, ms)
     j = np.arange(1, m.size + 1) - np.repeat(np.cumsum(ms) - ms, ms)
-    nodes = np.cos((2 * j - 1) * np.pi / (2 * m))
-    return (1.0 + nodes) / 2.0 if kind is RuleKind.CHEBYSHEV_01 else nodes
+    return (1.0 + np.cos((2 * j - 1) * np.pi / (2 * m))) / 2.0
 
 
 # The tanh-sinh rule samples |tau| < _TS_EDGE; beyond it lie sigma and
@@ -141,11 +141,23 @@ _TS_EDGE = 4.5
 _TS_TAIL = 4.0 / math.pi * math.exp(-math.pi * math.sinh(_TS_EDGE) / 2.0)
 # The tanh-sinh ladder starts from this many nodes (``_min_nodes``).
 _TANH_SINH_START = 64
+# At c = 0 it starts from 32 nodes below n x = 0.1 and doubles at each
+# edge: the level below the one at which two levels first agree at the
+# default rtol, measured on n x from 1e-3 to 1e9.
+_SZASZ_START_EDGES = (0.1, 5.0, 150.0, 4e4)
 
 
 def _tanh_sinh_rule(ms: np.ndarray) -> tuple:
     """Nodes and weights of the m-node tanh-sinh rule for each m in ``ms``,
-    one rule after the other in two arrays.
+    one rule after the other in two arrays; each level is built once
+    (``_tanh_sinh_level``)."""
+    levels = [_tanh_sinh_level(m) for m in ms.tolist()]
+    return np.concatenate([nodes for nodes, _ in levels]), np.concatenate([w for _, w in levels])
+
+
+@functools.lru_cache(maxsize=64)
+def _tanh_sinh_level(m: int) -> tuple:
+    """Nodes and weights of the m-node tanh-sinh rule.
 
     The rule integrates against 1/sqrt(sigma(1-sigma)) on [0, 1], as
     CHEBYSHEV_01 does: with sigma = 1/(1 + exp(pi sinh tau)),
@@ -159,9 +171,7 @@ def _tanh_sinh_rule(ms: np.ndarray) -> tuple:
     a rounded node, so the nodes near 0 keep their relative accuracy down
     to 4.6e-62.
     """
-    m = np.repeat(ms, ms)
-    j = np.arange(m.size) - np.repeat(np.cumsum(ms) - ms, ms)
-    tau = (j - (m - 1) / 2.0) * (2.0 * _TS_EDGE / m)
+    tau = (np.arange(m) - (m - 1) / 2.0) * (2.0 * _TS_EDGE / m)
     half = (math.pi / 2.0) * np.sinh(tau)
     return 1.0 / (1.0 + np.exp(2.0 * half)), _TS_EDGE * np.cosh(tau) / np.cosh(half)
 
@@ -723,10 +733,12 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
     if two_a:
         us = np.array([u for _, u in legendre])
         # 1e-15 a at integer a, 1e-15 (a + 1) at half-integer a; the terms
-        # count the degrees the recurrence passes, a + 1/2 at half-integer a
-        rounding = _ROUNDING_PER_A * (two_a / 2 + two_a % 2)
+        # count the degrees the recurrence passes, a + 1/2 at half-integer a,
+        # and below the normal range each rounds to the subnormal grid (on a
+        # up to 241/2 and x up to 1.7e308 within 0.6 of terms 2^-1074)
+        rounding, terms = _ROUNDING_PER_A * (two_a / 2 + two_a % 2), (two_a + 1) // 2
         for (i, _), value in zip(legendre, _legendre(two_a, us, us).tolist()):
-            out[i] = EvalResult(value, Method.CLOSED_FORM, rounding * value, (two_a + 1) // 2)
+            out[i] = EvalResult(value, Method.CLOSED_FORM, max(rounding * value, terms * 2.0 ** -1074), terms)
         return out
 
     def diagonal(p, s):
@@ -757,7 +769,8 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     w = 1 + 2(cx)^2/(1+2cx), from the Legendre recurrence (``_legendre``,
     seeded by the AGM at half-integer a) at every x, with a claimed error
     of 1e-15*a of the value at integer a and 1e-15*(a+1) at half-integer
-    a, and a terms count of a (a + 1/2); where 1 + 2cx overflows it raises
+    a, and a terms count of a (a + 1/2), and at least 2^-1074 per term
+    below the normal range; where 1 + 2cx overflows it raises
     OverflowError.  For c > 0 at any other a, with
     series argument beyond Z_SWITCH (or powers beyond the double range),
     the call delegates to the quadrature route.
@@ -773,14 +786,19 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
 def _s_integrand(params: Params):
     """The integrand over the rule's interval as f(t, p), the map from x to
     its parameter p, and the rule kind it uses.  ``t`` and ``p`` may be
-    arrays of equal length, so the nodes of many points go in one call."""
+    arrays of equal length, so the nodes of many points go in one call.
+    The polynomial integrands (c < 0, and c > 0 at integer a) run on
+    Gauss-Chebyshev nodes, every other one on the tanh-sinh rule."""
     n = params.n_float
     c = params.c_float
     if c == 0.0:
-        def f(t: np.ndarray, p) -> np.ndarray:
-            return np.exp(p * (1.0 + t))
+        # exp(-2mu) I0(2mu), mu = n x, is (1/pi) int_0^1 exp(-4 mu sigma)
+        # dsigma/sqrt(sigma(1-sigma)) (sigma = (1 - cos theta)/2 in DLMF
+        # 10.32.1), which peaks at sigma = 0, where the tanh-sinh nodes cluster
+        def f(sigma: np.ndarray, p) -> np.ndarray:
+            return np.exp(p * sigma)
 
-        return f, lambda x: -2.0 * n * x, RuleKind.CHEBYSHEV_M11
+        return f, lambda x: -4.0 * n * x, RuleKind.TANH_SINH
 
     if c < 0:
         l = params.l
@@ -810,35 +828,34 @@ def _s_integrand(params: Params):
     return f, lambda x: 1.0 / (1.0 + 2.0 * c * x), RuleKind.TANH_SINH
 
 
+def _reflected_tail(a: float, s: float) -> float:
+    """Bound on the mean the tanh-sinh rule leaves out of the reflected
+    integrand at s: _TS_TAIL times its largest value, s at sigma = 1 or
+    s^(2a-1) at sigma = 0 (inf where s underflows)."""
+    return _TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf
+
+
 def _min_nodes(params: Params, x: float) -> int:
     """Node count the ladder starts from at x.
 
     For c < 0 the integrand is a degree-l polynomial and (l+2)/2 nodes are
     exact; so are (a+1)/2 nodes for the degree-(a-1) integrand of c > 0 at
-    integer a.  For c = 0 the integrand concentrates near t = -1 where its
-    exponent is within ~30 of its minimum, a width of about sqrt(30/(n x))
-    in the angular variable; two coarse levels that both miss it can agree
-    spuriously, so the ladder starts beyond it.  The tanh-sinh rule of
-    every other c > 0 sees its whole interval at every level, but below 64
-    nodes it can pass over the small share of S near sigma = s^2 on two
-    levels alike: from 16 nodes, at a from 5/4 to 200 and x up to 1e8,
-    levels agreed within 1e-12 while 5e-13 off mpmath; from 64 nodes every
-    point of that sweep stayed within its claim.
+    integer a.  At c = 0 the tanh-sinh rule starts from 32 to 512 nodes by
+    n x (``_SZASZ_START_EDGES``).  At every other c > 0 it starts from 64:
+    below that it can pass over the small share of S near sigma = s^2 on
+    two levels alike (from 16 nodes, at a from 5/4 to 200 and x up to 1e8,
+    levels agreed within 1e-12 while 5e-13 off mpmath).
     """
-    c = params.c_float
     if x == 0.0:
         return 2
-    if c < 0:
+    if params.c_float < 0:
         return min(LADDER_MAX, max(2, (params.l + 2) // 2))
-    if c > 0:
-        two_a = _twice_a(params)
-        if two_a and two_a % 2 == 0:
-            return min(LADDER_MAX, max(2, (two_a // 2 + 1) // 2))
-        return _TANH_SINH_START
-    width = math.sqrt(30.0 / (params.n_float * x))
-    if width >= 2.0:
-        return 2
-    return min(LADDER_MAX, int(2.0 * math.pi / width) + 1)
+    if params.c_float == 0.0:
+        return _TANH_SINH_START // 2 << bisect.bisect(_SZASZ_START_EDGES, params.n_float * x)
+    two_a = _twice_a(params)
+    if two_a and two_a % 2 == 0:
+        return min(LADDER_MAX, max(2, (two_a // 2 + 1) // 2))
+    return _TANH_SINH_START
 
 
 # The integrand of many points is evaluated up to this many nodes at a
@@ -873,7 +890,7 @@ def _means(f, kind: RuleKind, ps: Sequence, ms: Sequence[int]) -> list[float]:
             nodes, weights = _tanh_sinh_rule(sizes)
             vals = f(nodes, p) * weights
         else:
-            vals = f(_chebyshev_nodes(kind, sizes), p)
+            vals = f(_chebyshev_nodes(sizes), p)
         start = 0
         for mm, run in itertools.groupby(chunk, key=ms.__getitem__):
             run = list(run)
@@ -932,14 +949,20 @@ def s_quad_grid(
     if not points:
         return out
 
-    if kind is RuleKind.TANH_SINH:
+    if params.c_float == 0.0:
+        # S is at least about 1/sqrt(4 pi n x), so the stop is purely
+        # relative; the rounding of the nodes' exponents was within 3.3e-16
+        # of the value on n x from 1e-3 to 1e9, and the integrand's largest
+        # value is 1, at sigma = 0
+        floor, rounding = 0.0, 1e-15
+        tails = [_TS_TAIL] * len(ps)
+    elif kind is RuleKind.TANH_SINH:
         # S can be far below 1e-13 here, so the stop is purely relative; the
         # claim adds the rounding of the power and the mean the rule leaves
-        # out, at most _TS_TAIL times the integrand's largest value, s at
-        # sigma = 1 or s^(2a-1) at sigma = 0
+        # out
         a = params.n_float / params.c_float
         floor, rounding = 0.0, _ROUNDING_PER_A * (a + 6.0)
-        tails = [_TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf for s in ps]
+        tails = [_reflected_tail(a, s) for s in ps]
     else:
         # two exact levels of a polynomial integrand differ by rounding
         # alone, which grows with its degree
@@ -954,22 +977,18 @@ def s_quad_grid(
 
 
 def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_DEFAULT) -> EvalResult:
-    """S(x) from quadrature of its integral representation.
+    """S(x) from quadrature of its integral representation (``_s_integrand``).
 
     Starts at m nodes (raised to ``_min_nodes``) and doubles, capped at
     LADDER_MAX, until a level's mean is 0 or two levels agree within
-    max(1e-13, rtol*|value|) (``_ladder``); the error estimate is the last
-    inter-level difference.  For c <= 0 the rule is Gauss-Chebyshev; for
-    c < 0 the integrand is a degree-l polynomial in t, so any node count
-    past (l+1)/2 is already exact to rounding.  For c > 0 it is Laplace's
-    integral reflected through P_(a-1) = P_(-a), a = n/c, with the
-    integrand (1 - t + t/p)^(a-1)/sqrt(p), p = (1+2cx)^2.  At integer a it
-    is a polynomial of degree a-1: Gauss-Chebyshev from (a+1)//2 nodes (or
-    m), with an error estimate of at least 1e-15*a of the value, the
-    rounding of the power.  At every other a it changes sharply within
-    about 1/p of t = 1: a tanh-sinh rule from 64 nodes with a purely
-    relative stop, and an error estimate of at least 1e-15*(a+6) of the
-    value plus the part of the integral the rule leaves out.
+    max(floor, rtol*|value|) (``_ladder``); the error estimate is the last
+    difference of levels, at least the rounding of the integrand.  The
+    polynomial integrands, of c < 0 and of c > 0 at integer a = n/c, run on
+    Gauss-Chebyshev nodes, exact from (l+2)//2 or (a+1)//2 nodes, with a
+    floor of 1e-13 and at least 1e-15*a of the value.  Every other one, of
+    c = 0 and of c > 0 at non-integer a, runs on the tanh-sinh rule with a
+    purely relative stop, at least 1e-15 (c = 0) or 1e-15*(a+6) of the
+    value, plus the part of the integral beyond the rule's ends.
     """
     return _one(s_quad_grid(params, [x], m, rtol))
 
@@ -984,10 +1003,12 @@ def t_closed(params: Params, x: float, y: float) -> float:
 
     For c > 0 at a whole or half-integer a = n/c it is P_(a-1)(W)/B^a with
     B = 1 + cx + cy and W = 1 + 2c^2xy/B (``_legendre``), the bits of
-    ``s_closed`` on the diagonal, and nothing hands over; where B overflows
-    it raises OverflowError.  At any other a,
+    ``s_closed`` on the diagonal, and nothing hands over.  At any other a,
     past Z_SWITCH or with powers beyond the double range, it climbs the
-    tanh-sinh ladder of ``s_quad`` on the reflected kernel integrand.
+    tanh-sinh ladder of ``s_quad`` on the reflected kernel integrand, and
+    raises ArithmeticError where the part of the integral beyond the
+    rule's ends may exceed RTOL_DEFAULT of the value.  Where B overflows it
+    raises OverflowError at every c > 0.
     """
     params.require_in_domain(x)
     params.require_in_domain(y)
@@ -1018,25 +1039,32 @@ def t_closed(params: Params, x: float, y: float) -> float:
     if xf == 0.0 or yf == 0.0:
         other = yf if xf == 0.0 else xf
         return math.exp(-(n / c) * math.log1p(c * other))
+    u, v = c * xf, c * yf
+    if not math.isfinite(1.0 + u + v):
+        raise OverflowError("1 + cx + cy is past the double range")
     two_a = _twice_a(params)
     if two_a:
-        if not math.isfinite(1.0 + c * xf + c * yf):
-            raise OverflowError("1 + cx + cy is past the double range")
-        return float(_legendre(two_a, c * xf, c * yf))
+        return float(_legendre(two_a, u, v))
     a = n / c
-    z = (c * c * xf * yf) / (px * py)
-    pref_log = -a * (math.log1p(c * xf) + math.log1p(c * yf))
+    # z = c^2 x y / ((1+cx)(1+cy)), as (u/(1+u)) (v/(1+v)) where the
+    # denominator overflows (the quotient would be inf/inf)
+    z = (c * c * xf * yf) / (px * py) if px * py < math.inf else (u / px) * (v / py)
+    pref_log = -a * (math.log1p(u) + math.log1p(v))
     if z > Z_SWITCH or pref_log < -_EXP_GUARD:
         # Laplace's integral of P_(a-1)(W)/B^a runs over
         # (W+R)(1-t) + (W-R)t with R = sqrt(W^2-1), W + R = g^2/B and
         # W - R = B/g^2, g = sqrt(uv) + sqrt((1+u)(1+v)) <= B: the reflected
         # integrand of S at s = B/g^2, times (g/B)^(2a).  Kernel values can
         # be genuinely tiny, so the stop is purely relative here
-        u, v = c * xf, c * yf
         g, b = math.sqrt(u) * math.sqrt(v) + math.sqrt(px) * math.sqrt(py), 1.0 + u + v
         f, _, kind = _s_integrand(params)
-        (value,), _, _ = _ladder(f, kind, [b / g / g], [_TANH_SINH_START], RTOL_DEFAULT, 0.0)
-        return (g / b) ** (2.0 * a) * value
+        s, scale = b / g / g, (g / b) ** (2.0 * a)
+        (value,), _, _ = _ladder(f, kind, [s], [_TANH_SINH_START], RTOL_DEFAULT, 0.0)
+        if not scale * _reflected_tail(a, s) <= RTOL_DEFAULT * (scale * value):
+            # a < 1 with s^2 near or past the rule's 4.6e-62 (x, y of 1e18
+            # and beyond): the part of the integral it cannot sample may matter
+            raise ArithmeticError("the kernel integrand peaks past the reach of the tanh-sinh rule")
+        return scale * value
     value, _, _ = _one(_hyp2f1_rows(a, [z], 1e-15))
     return math.exp(pref_log) * value
 
@@ -1048,12 +1076,15 @@ def _t_integrand(params: Params, x: float, y: float):
     n = params.n_float
     c = params.c_float
     if c == 0.0:
-        root = math.sqrt(x * y)
+        # exp(-n (sqrt(x) - sqrt(y))^2) times S's integrand at mu = n sqrt(xy);
+        # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
+        rx, ry = math.sqrt(x), math.sqrt(y)
+        spread, root4 = ((x - y) / (rx + ry)) ** 2 if x != y else 0.0, 4.0 * rx * ry
 
-        def f(t: np.ndarray, _) -> np.ndarray:
-            return np.exp(-n * (x + y + 2.0 * t * root))
+        def f(sigma: np.ndarray, _) -> np.ndarray:
+            return np.exp(-n * (spread + root4 * sigma))
 
-        return f, RuleKind.CHEBYSHEV_M11
+        return f, RuleKind.TANH_SINH
 
     aa = abs(c) * math.sqrt(x * y)
     bb = math.sqrt((1.0 + c * x) * (1.0 + c * y))
@@ -1077,7 +1108,9 @@ def _t_integrand(params: Params, x: float, y: float):
 
 
 def t_quad(params: Params, x: float, y: float, m: int = 64) -> float:
-    """Kernel value from the integral representation at a fixed node count."""
+    """Kernel value from the integral representation at a fixed node count:
+    Gauss-Chebyshev for c != 0, and for c = 0 the tanh-sinh rule on S's
+    integrand at mu = n sqrt(xy) times exp(-n (sqrt(x) - sqrt(y))^2)."""
     if m < 2:
         raise ValueError("need m >= 2 quadrature nodes")
     params.require_in_domain(x)

@@ -626,12 +626,17 @@ GOLDEN_TABLE = {
         "78be814986963b683fcd23eca4f9fb8599a4cdc21f16c3d5ab5ad203dfdefdb9",
     _table(["general", "-c", "-1/2"], "25/2", "0:2:101"):
         "7830876f1b7057d5cddf2174f9f230c33ea785dfc08f81ed6a6e40d940fb4948",
+    # both szasz tables re-recorded with c = 0 quadrature on the tanh-sinh
+    # rule (only quadrature rows changed); worst relative error of those
+    # rows against exp(-2 n x) I0(2 n x) at 40 digits, old -> new: n = 5
+    # 1.2e-15 -> 3.0e-16, n = 25 2.4e-14 -> 3.3e-16; rows missing their own
+    # claim 29 -> 0 and 26 -> 0
     _table(["szasz"], "5", "0:20:101"):
-        "d5b341d35b8c6ae1ca026db87dbc5195fe476908354d5897af10c80ac0e0e459",
+        "740214793dbd7342cd0af6aae54290d01c9f9e9b54e901f253eb2f697c7ca1aa",
     # re-recorded with Loader's anchor and the Hankel kernel past n x = 12:
     # series and closed form went from 1.3e-12 to at most 2.1e-15 of i0e
     _table(["szasz"], "25", "0:20:101"):
-        "098c2842326e71cfd3a8225322b2e8d29bdd919e4e4ba64f2ec338a664413f10",
+        "8e9967887d853400119996341a5a90d6774e1419117a43d4f78136e4e47b1159",
     # re-recorded with the Legendre recurrence and the reflected rule at
     # integer a = n/c; worst relative error against the exact G_n, old -> new:
     # n = 5 closed form 1.3e-14 -> 1.7e-15, quadrature 1.7e-13 -> 4.3e-16;

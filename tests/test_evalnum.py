@@ -103,12 +103,10 @@ def _weight_moment_01(k: int) -> float:
 class TestQuadratureRules:
     def test_node_and_weight_formulas(self):
         m = 7
-        nodes = _chebyshev_nodes(RuleKind.CHEBYSHEV_01, np.array([m]))
+        nodes = _chebyshev_nodes(np.array([m]))
         for j in range(1, m + 1):
             expect = (1 + math.cos((2 * j - 1) * math.pi / (2 * m))) / 2
             assert nodes[j - 1] == pytest.approx(expect, rel=1e-15)
-        nodes = _chebyshev_nodes(RuleKind.CHEBYSHEV_M11, np.array([m]))
-        assert np.allclose(np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)), nodes)
         # equal weights pi/m: the rule's value is pi times the mean
         assert _means(lambda t, p: p * np.ones_like(t), RuleKind.CHEBYSHEV_01, [2.5], [m]) == [2.5]
 
@@ -154,7 +152,7 @@ def _rule_values(f, kind, m, p):
     if kind is RuleKind.TANH_SINH:
         nodes, weights = _tanh_sinh_rule(np.array([m]))
         return f(nodes, np.full(m, p)) * weights
-    return f(_chebyshev_nodes(kind, np.array([m])), np.full(m, p))
+    return f(_chebyshev_nodes(np.array([m])), np.full(m, p))
 
 
 def _brute_s(n: float, c: float, x: float, kmax: int = 4000) -> float:
@@ -509,15 +507,10 @@ def test_grid_routes_keep_point_errors():
 
 
 def test_chebyshev_nodes_have_the_bits_of_each_rule():
-    # each rule's nodes, built on their own by the textbook expressions
+    # the nodes at each m, built on their own by the textbook expression
     ms = np.array([2, 3, 16, 17, 100, 4096, 16])
-    for m, m11, m01 in zip(
-        ms,
-        np.split(_chebyshev_nodes(RuleKind.CHEBYSHEV_M11, ms), np.cumsum(ms)[:-1]),
-        np.split(_chebyshev_nodes(RuleKind.CHEBYSHEV_01, ms), np.cumsum(ms)[:-1]),
-    ):
+    for m, m01 in zip(ms, np.split(_chebyshev_nodes(ms), np.cumsum(ms)[:-1])):
         j = np.arange(1, m + 1)
-        assert np.array_equal(m11, np.cos((2 * j - 1) * np.pi / (2 * m)))
         assert np.array_equal(m01, (1.0 + np.cos((2 * j - 1) * np.pi / (2 * m))) / 2.0)
 
 
@@ -625,12 +618,12 @@ def test_t_closed_first_level_at_the_cap(monkeypatch):
 
 def test_s_quad_grid_first_level_at_the_cap():
     # points whose first level is LADDER_MAX take that level's mean, with an
-    # infinite error claim, next to a point that climbs.  Only c = 0 still
-    # starts there, past n x of about 1.3e7: at integer a the first level is
-    # exact and far below the cap, and the tanh-sinh rule of every other
-    # c > 0 starts at _TANH_SINH_START
-    params = Params(1, 0)
-    xs = [2e7, 1.0, 3e7]
+    # infinite error claim, next to a point that climbs.  Only the
+    # polynomial integrands still start there: c < 0 with l >= 8190 (here)
+    # and integer a >= 8191; the tanh-sinh rule of c = 0 and of every other
+    # c > 0 starts at most at 512 nodes
+    params = Params(8190, -1)
+    xs = [0.5, 0.0, 0.75]
     f, param, kind = _s_integrand(params)
     got = s_quad_grid(params, xs)
     for i in (0, 2):
@@ -641,7 +634,7 @@ def test_s_quad_grid_first_level_at_the_cap():
             math.inf,
             LADDER_MAX,
         )
-    assert got[1] == s_quad(params, 1.0) and got[1].terms_or_nodes < LADDER_MAX
+    assert got[1] == s_quad(params, 0.0) and got[1].terms_or_nodes < LADDER_MAX
 
 
 class _Reached(Exception):
@@ -1005,3 +998,128 @@ def test_non_integer_series_claim_against_mpmath():
         (r,) = s_closed_grid(Params(a * c, c), [x])
         assert r.method is Method.CLOSED_FORM and r.terms_or_nodes > 1
         _assert_within_claims(_s_by_hyp2f1(mpmath, a * c, c, x), (r,))
+
+
+# ---------------------------------------------------------------------------
+# c = 0: S and T on the tanh-sinh rule
+# ---------------------------------------------------------------------------
+
+
+def _szasz_s(mpmath, mu):
+    """exp(-2 mu) I0(2 mu) at 40 digits, mu = n x exactly as the route forms it."""
+    with mpmath.workdps(40):
+        return mpmath.besseli(0, 2 * mpmath.mpf(mu)) * mpmath.exp(-2 * mpmath.mpf(mu))
+
+
+_SZASZ_MUS = [10.0 ** (-3 + i / 24) for i in range(12 * 24 + 1)]
+
+
+def test_szasz_quadrature_sweep_against_mpmath():
+    # n x from 1e-3 to 1e9 at 24 points per decade: every point within its
+    # claim of the 40-digit value, the rule's cut ends and rounding included
+    mpmath = pytest.importorskip("mpmath")
+    for n in (1, 25):
+        xs = [mu / n for mu in _SZASZ_MUS]
+        for x, q in zip(xs, s_quad_grid(Params(n, 0), xs)):
+            assert q.method is Method.QUADRATURE
+            _assert_within_claims(_szasz_s(mpmath, n * x), (q,))
+
+
+def test_szasz_quadrature_never_reaches_the_cap():
+    # the tanh-sinh rule needs at most 1024 nodes up to n x = 1e9, so the c = 0
+    # ladder never meets LADDER_MAX and every claim is finite
+    xs = _SZASZ_MUS + [1e9]
+    for q in s_quad_grid(Params(1, 0), xs):
+        assert q.terms_or_nodes <= 1024 < LADDER_MAX and math.isfinite(q.err_estimate)
+    assert max(_min_nodes(Params(1, 0), x) for x in xs) == 512
+
+
+def _szasz_t(mpmath, n, x, y):
+    with mpmath.workdps(40):
+        rx, ry = mpmath.sqrt(mpmath.mpf(x)), mpmath.sqrt(mpmath.mpf(y))
+        return _szasz_s(mpmath, n * rx * ry) * mpmath.exp(-n * (rx - ry) ** 2)
+
+
+def test_szasz_kernel_quadrature_against_mpmath():
+    # t_quad and t_closed at c = 0, on and off the diagonal, against
+    # exp(-n (sqrt(x) - sqrt(y))^2) exp(-2 mu) I0(2 mu), mu = n sqrt(xy), at
+    # 40 digits.  Both round the exponent n (sqrt(x) - sqrt(y))^2, a few units
+    # of its size.  t_closed also forms sqrt(x) - sqrt(y) as a difference of
+    # rounded roots, which costs up to 2 n |sqrt(x) - sqrt(y)| (sqrt(x) +
+    # sqrt(y)) units more near the diagonal, and below z = 600 its I0 power
+    # series is up to about 3e-14 off
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    cases = [(1, 0.25, 0.25), (2, 0.4, 1.3), (5, 1e3, 1e3), (1, 1e8, 1e8), (25, 1e-3, 2.0)]
+    for _ in range(120):
+        n = int(rng.choice([1, 2, 5, 25]))
+        x = 10.0 ** rng.uniform(-3, 8)
+        y = [x, x * (1.0 + rng.uniform(-1e-2, 1e-2)), 10.0 ** rng.uniform(-3, 8)][rng.integers(3)]
+        cases.append((n, x, y))
+    for n, x, y in cases:
+        want = _szasz_t(mpmath, n, x, y)
+        if want < 1e-300:
+            continue
+        d, s = abs(math.sqrt(x) - math.sqrt(y)), math.sqrt(x) + math.sqrt(y)
+        rounding = 1e-15 + 2.0 ** -50 * n * d * d
+        q = t_quad(Params(n, 0), x, y, m=1024)
+        assert abs(q - want) <= rounding * want, (n, x, y, q)
+        t = t_closed(Params(n, 0), x, y)
+        assert abs(t - want) <= (rounding + 3e-14 + 2.0 ** -51 * n * d * s) * want, (n, x, y, t)
+
+
+def test_tanh_sinh_levels_have_the_bits_of_the_rule():
+    # each level is built once and reused; the concatenated levels have the
+    # bits of every node formed in one array
+    ms = np.array([2, 3, 32, 64, 64, 128, 4096, 64])
+    m = np.repeat(ms, ms)
+    j = np.arange(m.size) - np.repeat(np.cumsum(ms) - ms, ms)
+    tau = (j - (m - 1) / 2.0) * (9.0 / m)
+    half = (math.pi / 2.0) * np.sinh(tau)
+    nodes, weights = _tanh_sinh_rule(ms)
+    assert np.array_equal(nodes, 1.0 / (1.0 + np.exp(2.0 * half)))
+    assert np.array_equal(weights, 4.5 * np.cosh(tau) / np.cosh(half))
+
+
+def _kernel_by_legendre(mpmath, n, c, x, y):
+    """T = P_(a-1)(W)/B^a, B = 1 + u + v, W = 1 + 2uv/B, at 60 digits (z
+    is too close to 1 for the hypergeometric series at the top of the
+    double range)."""
+    with mpmath.workdps(60):
+        a = _mpf(mpmath, n) / _mpf(mpmath, c)
+        u, v = _mpf(mpmath, c) * _mpf(mpmath, x), _mpf(mpmath, c) * _mpf(mpmath, y)
+        b = 1 + u + v
+        return mpmath.legenp(a - 1, 0, 1 + 2 * u * v / b, type=3) / b ** a
+
+
+def test_t_closed_far_out_at_non_half_integer_a():
+    # where 2a is not whole and (1+cx)(1+cy) overflows, z is formed as
+    # (u/(1+u)) (v/(1+v)) and the point hands over to the ladder.  It is
+    # within RTOL_DEFAULT of the Legendre function at a >= 1; at a < 1 the
+    # integrand's peak near sigma = s^2 lies past the rule's reach there and
+    # the ladder raises; where 1 + cx + cy overflows, T raises OverflowError
+    mpmath = pytest.importorskip("mpmath")
+    for n, c, x in [(Fraction(8, 3), 2, 1e200), (Fraction(4, 3), Fraction(1, 2), 1.7e308), (Fraction(7, 3), 1, 1e17)]:
+        want = _kernel_by_legendre(mpmath, n, c, x, x / 3)
+        assert abs(t_closed(Params(n, c), x, x / 3) / want - 1) <= RTOL_DEFAULT
+    for n, c, x in [(Fraction(2, 3), 2, 1e200), (Fraction(1, 3), Fraction(1, 2), 1.7e308), (Fraction(1, 3), 1, 1e19)]:
+        with pytest.raises(ArithmeticError, match="reach of the tanh-sinh rule"):
+            t_closed(Params(n, c), x, x / 3)
+    with pytest.raises(OverflowError):
+        t_closed(Params(Fraction(2, 3), 2), 1.7e308, 1.7e308 / 3)
+    # where the old quotient was finite, z keeps its bits
+    assert t_closed(Params(Fraction(1, 3), 1), 1e17, 1e17) == ref_t_closed_pos_c(Params(Fraction(1, 3), 1), 1e17, 1e17)
+
+
+def test_subnormal_legendre_claim_against_mpmath():
+    # below the normal range each degree of the recurrence rounds to the
+    # subnormal grid; the claim is max(1e-15 (a+1) S, terms 2^-1074)
+    mpmath = pytest.importorskip("mpmath")
+    for n, c, x in [(Fraction(25, 4), Fraction(1, 2), 1.7e308), (Fraction(25, 2), 1, 8e307), (25, 2, 4e307)]:
+        (r,) = s_closed_grid(Params(n, c), [x])
+        assert 0.0 < r.value < 2.0 ** -1022 and r.terms_or_nodes == 13
+        assert r.err_estimate == 13 * 2.0 ** -1074
+        with mpmath.workdps(40):
+            u = _mpf(mpmath, c) * _mpf(mpmath, x)
+            want = mpmath.legendre(mpmath.mpf(23) / 2, 1 + 2 * u * u / (1 + 2 * u)) / (1 + 2 * u) ** (mpmath.mpf(25) / 2)
+        _assert_within_claims(want, (r,))
