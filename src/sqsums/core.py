@@ -659,21 +659,42 @@ def _window_rows(
 
 
 # _stirlerr and _bd0 are the terms of Loader's saddle-point form of the
-# Poisson weights (C. Loader, "Fast and Accurate Computation of Binomial
-# Probabilities", 2000).
+# Poisson and negative binomial weights (C. Loader, "Fast and Accurate
+# Computation of Binomial Probabilities", 2000).
 
 
-def _stirlerr(n: int) -> float:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n > 15, from its asymptotic
-    series; the first omitted term is below 1.2e-16 there."""
+def _stirlerr(n: float) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for real n >= 1: past 15 from its
+    asymptotic series, whose first omitted term is below 1.2e-16 there.  Up
+    to 15 it steps up from n + K past 15 by
+
+        stirlerr(n) - stirlerr(n+1) = (n + 1/2) log1p(1/n) - 1 = sum_(j>=1) v^(2j)/(2j+1),
+
+    v = 1/(2n+1), whose terms are positive, where lgamma(n+1) minus
+    (n + 1/2) log(n) cancels to about 1e-14."""
+    if n <= 15.0:
+        total = 0.0
+        while n <= 15.0:
+            v2 = (1.0 / (2.0 * n + 1.0)) ** 2
+            term, j, step = v2, 1, 0.0
+            while step + term / (2 * j + 1) != step:
+                step += term / (2 * j + 1)
+                term *= v2
+                j += 1
+            total += step
+            n += 1.0
+        return total + _stirlerr(n)
     nn = float(n) * n
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 
 def _bd0(x: float, m: float) -> float:
-    """x log(x/m) + m - x without its cancellation, for |x - m| < 0.1 (x + m):
-    the series 2x sum_j v^(2j+1)/(2j+1) - (x - m) in v = (x - m)/(x + m)."""
+    """x log(x/m) + m - x without its cancellation: for |x - m| < 0.1 (x + m)
+    the series 2x sum_j v^(2j+1)/(2j+1) - (x - m) in v = (x - m)/(x + m),
+    and the direct form elsewhere, where it does not cancel."""
     d = x - m
+    if abs(d) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
     v = d / (x + m)
     s = d * v
     ej = 2.0 * x * v
@@ -705,16 +726,42 @@ def _poisson_peak(mu: float) -> tuple[int, float]:
     return k0, -_stirlerr(k0) - _bd0(float(k0), mu) - 0.5 * math.log(2.0 * math.pi * k0)
 
 
+def _nb_peak(a: float, u: float) -> tuple[int, float]:
+    """A peak index k0 of the negative binomial weights
+    p_k = C(a+k-1, k) r^k (1-r)^a, r = u/(1+u), and log p_k0.
+
+    k0 = max(0, floor((a-1) u - 1)) is the mode or one below it: the ratio
+    p_(k+1)/p_k = (a+k) r/(k+1) is at least 1 up to there.  Past k0 = 0 the
+    log is Loader's form of the binomial weight b(k; k+a, r), which R's
+    dnbinom uses as p_k = a/(k+a) b(k; k+a, r):
+
+        stirlerr(k+a) - stirlerr(k) - stirlerr(a) - bd0(k, (k+a) r)
+            - bd0(a, (k+a)/(1+u)) + log(a / (2 pi k (k+a)))/2,
+
+    accurate to a few units of 1e-16 however large k0 is, where lgamma
+    values of size k0 log k0 lose about that many ulps.
+    """
+    k0 = max(0, int((a - 1.0) * u - 1.0))
+    if k0 == 0:
+        return 0, -a * math.log1p(u)
+    k, n = float(k0), k0 + a
+    return k0, (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(a) - _bd0(k, n * (u / (1.0 + u))) - _bd0(a, n / (1.0 + u))
+        + 0.5 * math.log(a / (2.0 * math.pi * k * n))
+    )
+
+
 def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]:
     """Certified truncation of sum_k p_k(x): (sum, number of terms).
 
     Stops once the next term and its geometric tail bound drop below
     ``tol`` times the partial sum.  For c >= 0 the sum is walked out from
-    its peak k0 (``_window_rows``), which raises ArithmeticError at the
-    term cap, and for c = 0 also where k0 reaches 2^53.  The c <= 0 sums
-    are 1 up to rounding.  The c > 0 peak term comes from lgamma values of
-    size about k0 log k0, whose rounding moves the sum off 1: it reads
-    1 + 1.37e-11 at n = 2, c = 1/3, x = 1e5 (k0 = 1.7e5).
+    its peak k0 (``_window_rows``), anchored at Loader's log of the weight
+    there (``_poisson_peak``, ``_nb_peak``); the walk raises
+    ArithmeticError at the term cap, and for c = 0 also where k0 reaches
+    2^53.  Every sum is 1 up to rounding.  The walk's running product
+    carries about one unit per step from the peak: at k0 = 0 (a <= 1) it
+    runs over the whole weight, and n = 1, c = 2, x = 1e4 reads 1 - 1.6e-12.
     """
     params.require_in_domain(x)
     n = params.n_float
@@ -735,8 +782,5 @@ def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]
     a = n / c
     u = c * xf
     r = u / (1.0 + u)
-    lp1 = math.log1p(u)
-    k0 = max(0, int((a * r - 1.0) / (1.0 - r)))
-    log_anchor = _log_rising_over_fact(a, k0) + k0 * math.log(r) - a * lp1
     up, down = (lambda k: (a + k) / (k + 1.0) * r), (lambda k: k / ((a + k - 1.0) * r))
-    return _one(_window_rows([(k0, log_anchor)], up, down, tol, up_sup=[r]))
+    return _one(_window_rows([_nb_peak(a, u)], up, down, tol, up_sup=[r]))

@@ -34,7 +34,9 @@ Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
   at Loader's saddle-point log of the Poisson weight (``core._poisson_peak``),
   and raises ArithmeticError where the walk cannot reach the peak (index
   2^53);
-- the c > 0 series stops within 2*10^6 + 1 steps or raises, and
+- the c > 0 series at whole 2a sums its expansion about z = 1 past
+  u = cx = max(64, 4a) (``_far_series``), at most 27 terms up to 2a = 601;
+- elsewhere the c > 0 series stops within 2*10^6 + 1 steps or raises, and
   ``_pos_c_capped`` decides in O(1) where it provably cannot stop, so that
   the error is raised without summing.
 """
@@ -52,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Params, _certified_rows, _finish, _one, _poisson_peak, _sq, _window_rows
+from .core import Params, _certified_rows, _finish, _nb_peak, _one, _poisson_peak, _sq, _window_rows
 
 __all__ = [
     "EvalResult",
@@ -431,17 +433,118 @@ def _pos_c_capped(
     return room > log_p_max
 
 
+# The c > 0 series at whole 2a leaves its walk, whose steps grow like a u,
+# from u = cx = max(_FAR_U, 4a) on for the expansion about z = 1
+# (``_far_series``).  From u = 4a and u = 8 on every term ratio of both its
+# sums is at most 1/4 in size, which certifies its stop; below about u = a
+# the bound fails, and at 2a = 121, u = 32 the sum stopped after 4 terms,
+# 5.8 times the value off.  The floor of 64 keeps the criterion-1 battery
+# (u <= 40) on the walk.
+_FAR_U = 64.0
+
+
+@functools.lru_cache(maxsize=64)
+def _far_constants(two_a: int) -> tuple:
+    """The constants of ``_far_series`` at a = two_a/2: the number of terms
+    of its first sum, that sum's factor h, the log series' factor b, its
+    first psi difference D_0 and the bound H_(2a-1) + 3 on |D_k|.
+
+    With beta_j = C(2j, j)/4^j: h = beta_(a-1) at integer a, and at
+    a = j + 1/2 h = 1/(pi j beta_j) (none at j = 0) and b = beta_j/(2 pi).
+    D_0 = 2 psi(a) - psi(1) - psi(2a) = 4 sum_(i<=j) 1/(2i-1) - H_(2j) - 4 ln 2
+    by psi(a) - psi(1) = 2 sum_(i<=j) 1/(2i-1) - 2 ln 2.  Each is O(a).
+    """
+    j = two_a // 2
+
+    def beta(i: int) -> float:
+        return math.prod((k - 0.5) / k for k in range(1, i + 1))
+
+    if two_a % 2 == 0:
+        return j, beta(j - 1), 0.0, 0.0, 0.0
+    d0 = math.fsum(itertools.chain(
+        (4.0 / (2 * i - 1) for i in range(1, j + 1)), (-1.0 / i for i in range(1, 2 * j + 1)), [-4.0 * math.log(2.0)]
+    ))
+    harmonic = math.fsum(1.0 / i for i in range(1, 2 * j + 1))
+    return two_a - 1, 1.0 / (math.pi * j * beta(j)) if j else 0.0, beta(j) / (2.0 * math.pi), d0, harmonic + 3.0
+
+
+def _far_series(two_a: int, u: float, tol: float) -> tuple:
+    """S at a = two_a/2 and u = cx >= max(_FAR_U, 4a) from the expansion of
+    2F1(a, a; 1; z) about z = 1 at c - a - b = -m, m = 2a - 1 (Abramowitz &
+    Stegun 15.3.12, DLMF 15.8(ii)): (value, tail bound, terms).  With
+    w = 1 - z = (1+2u)/(1+u)^2, q = (1+u)/(1+2u) and the constants h, b of
+    ``_far_constants``,
+
+        S = h (2q)^(2a-2)/(1+2u) sum_(k<m) (1-a)_k^2/(k! (1-m)_k) w^k
+            - b w (2+2u)^(2-2a)/(1+2u) sum_(k>=0) (a)_k^2 m!/(k! (k+m)!) w^k (ln w + D_k),
+
+    D_k = 2 psi(a+k) - psi(k+1) - psi(k+m+1).  The log series comes from
+    1/Gamma(1-a)^2, which vanishes at integer a, where the first sum ends
+    after a terms.
+
+    - The first sum alternates, and each term ratio
+      (k+1-a)^2/((k+1)(k+2-2a)) w is at most (a-1) w/2 <= 1/4 in size.
+    - The log series' ratios (a+k)^2/((k+1)(k+m+1)) w are at most
+      max(1, a/2) w <= 1/4, and |ln w + D_k| <= |ln w| + H_m + 3: D_k lies
+      between psi(a) - psi(2a) and psi(a) - psi(1) for a >= 1, and in
+      [-4 ln 2, 0] at a = 1/2.
+
+    Each sum stops once its geometric tail bound is within tol of its
+    partial sum.  w is formed as 1/((1+u) q), and (2q)^(2a-2) as exp of
+    (2a-2) log1p(1/(1+2u)) <= 1/4, so nothing overflows or loses digits.
+    """
+    a = two_a / 2.0
+    count, h, b, d, bound = _far_constants(two_a)
+    top = 1.0 + 2.0 * u
+    q = (1.0 + u) / top
+    w = 1.0 / ((1.0 + u) * q)
+    value, tail, terms = 0.0, 0.0, 0
+    if h:
+        ratio = (a - 1.0) * w / 2.0
+        term, total, k = 1.0, 1.0, 1
+        while k < count:
+            term *= (k - a) ** 2 / (k * (k + 1 - two_a)) * w
+            total += term
+            k += 1
+            if abs(term) * ratio <= tol * abs(total) * (1.0 - ratio):
+                break
+        pref = math.exp((two_a - 2) * math.log1p(1.0 / top)) * h / top
+        value, terms = pref * total, k
+        if k < count:
+            tail = pref * abs(term) * ratio / (1.0 - ratio)
+    if b:
+        log_w, ratio, m = math.log(w), max(1.0, a / 2.0) * w, two_a - 1
+        coef, total, k = 1.0, log_w + d, 0
+        bound += abs(log_w)
+        while True:
+            coef *= (a + k) ** 2 / ((k + 1) * (k + m + 1)) * w
+            d += 2.0 / (a + k) - 1.0 / (k + 1) - 1.0 / (k + m + 1)
+            total += coef * (log_w + d)
+            k += 1
+            if coef * bound * ratio <= tol * abs(total) * (1.0 - ratio):
+                break
+        pref = b * w * (2.0 + 2.0 * u) ** (2 - two_a) / top
+        value -= pref * total
+        tail += pref * coef * bound * ratio / (1.0 - ratio)
+        terms += k + 1
+    return value, tail, terms
+
+
 def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
     """``s_series`` at every point of ``xs``; the c >= 0 series of all points
-    are rows of one certified-series kernel call."""
+    are rows of one certified-series kernel call, the peak windows of one
+    ``core._window_rows`` call, and the points past the switch at whole 2a
+    take ``_far_series`` one by one."""
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     n = params.n_float
     c = params.c_float
     # stop well below the requested tolerance; the certificate is reported
     rtol = max(1e-16, 1e-3 * rtol)
+    two_a = _twice_a(params)
+    far_u = max(_FAR_U, 2.0 * two_a)
     out: list = [None] * len(xs)
-    direct, window = [], []  # (point, parameters) of the two c >= 0 sums
+    direct, window, far = [], [], []  # (point, parameters) of the three c >= 0 sums
     for i, x in enumerate(xs):
         try:
             params.require_in_domain(x)
@@ -459,7 +562,11 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
                 # in (x/(1+cx))^2; the term ratio tends to (cx/(1+cx))^2 < 1
                 u = c * xf
                 pref_log = -(2.0 * n / c) * math.log1p(u)
-                if pref_log < -_EXP_GUARD:
+                if two_a and u >= far_u:
+                    if not math.isfinite(1.0 + u + u):
+                        raise OverflowError("1 + 2cx is past the double range")
+                    far.append((i, u))
+                elif pref_log < -_EXP_GUARD:
                     # the unscaled sum would overflow; sum around the peak in log space
                     window.append((i, xf))
                 else:
@@ -506,6 +613,13 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
         _finish(out, direct, sums, pos_c)
         _finish(out, window, _pos_c_window_rows(n, c, [x for _, x in window], min(rtol, 1e-16)),
                 lambda _, s: EvalResult(s[0], Method.SERIES, rtol * s[0], s[1]))
+        # the claim of the half-integer Legendre recurrence, and at least
+        # 2^-1074 per term below the normal range: on 2a from 1 to 601 and
+        # 12 u per decade from the switch to 1e12 the expansion was within
+        # 0.29 of it (at a = 1/2) against mpmath at 40 digits
+        rounding = _ROUNDING_PER_A * (two_a / 2.0 + 1.0)
+        _finish(out, far, [_far_series(two_a, u, min(rtol, 1e-16)) for _, u in far],
+                lambda _, s: EvalResult(s[0], Method.SERIES, s[1] + max(rounding * s[0], s[2] * 2.0 ** -1074), s[2]))
     return out
 
 
@@ -514,7 +628,12 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
 
     For c < 0 the series terminates after l+1 terms and the value is exact
     up to rounding; otherwise the geometric certificate stops the sum once
-    the tail drops below rtol times the partial sum.
+    the tail drops below rtol times the partial sum.  For c > 0 at whole
+    2a = 2n/c, from u = cx = max(64, 4a) on, the series is instead the
+    expansion of 2F1(a, a; 1; z) about z = 1 (``_far_series``), O(1) terms
+    per point, with a claim of its tail plus 1e-15*(a+1) of the value, and
+    OverflowError where 1 + 2cx overflows; at other a the walk raises
+    ArithmeticError past its 2*10^6-step cap.
     """
     return _one(s_series_grid(params, [x], rtol))
 
@@ -524,20 +643,17 @@ def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> l
     at each x: (value, terms), or the exception raised there.
 
     Terms are t_k = ((n + (k-1)c)...(n)/k!)^2 rho^(2k) (1+cx)^(-2n/c) with
-    rho = x/(1+cx); the term-ratio stream tends to (c rho)^2 < 1 from above
-    for n/c >= 1 and from below otherwise.
+    rho = x/(1+cx), the squares of the negative binomial weights at a = n/c
+    and u = cx, so the walk is anchored at twice Loader's log of the weight
+    at its peak (``core._nb_peak``); the term-ratio stream tends to
+    (c rho)^2 < 1 from above for n/c >= 1 and from below otherwise.
     """
     rhos = [x / (1.0 + c * x) for x in xs]
     peaks: list = []
-    for x, rho in zip(xs, rhos):
+    for x in xs:
         try:
-            k0 = max(0, int((n * rho - 1.0) / (1.0 - c * rho)))
-            log_anchor = -(2.0 * n / c) * math.log1p(c * x) + 2.0 * (
-                math.fsum(math.log(n + j * c) for j in range(k0))
-                - math.lgamma(k0 + 1)
-                + k0 * math.log(rho)
-            )
-            peaks.append((k0, log_anchor))
+            k0, log_pmf = _nb_peak(n / c, c * x)
+            peaks.append((k0, 2.0 * log_pmf))
         except Exception as exc:
             peaks.append(exc)
     return _window_rows(
@@ -1017,8 +1133,9 @@ def t_closed(params: Params, x: float, y: float) -> float:
     c = params.c_float
 
     if c == 0.0:
+        # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
         root = math.sqrt(xf * yf)
-        spread = (math.sqrt(xf) - math.sqrt(yf)) ** 2
+        spread = ((xf - yf) / (math.sqrt(xf) + math.sqrt(yf))) ** 2 if xf != yf else 0.0
         return bessel_i0e(2.0 * n * root) * math.exp(-n * spread)
 
     px, py = 1.0 + c * xf, 1.0 + c * yf

@@ -91,7 +91,10 @@ class TestTable:
         assert len(xs) == 3 * 101 and xs[-3:] == [last] * 3
 
     def test_first_error_in_grid_order(self):
-        # the c > 0 series needs more than 2*10^6 terms at every point
+        # the c > 0 series needs more than 2*10^6 terms at every point; 2a is
+        # not whole, so it walks there
+        from fractions import Fraction
+
         from sqsums.core import Params
         from sqsums.evalnum import s_closed, s_quad, s_series
 
@@ -99,14 +102,14 @@ class TestTable:
             for x in (1e5, 1.5e5, 2e5):
                 for route in (s_series, s_closed, s_quad):
                     try:
-                        route(Params(1, 1), x)
+                        route(Params(Fraction(4, 3), 1), x)
                     except Exception as exc:
                         return exc
 
         expect = first_error()
         assert type(expect) is ArithmeticError
         with pytest.raises(ArithmeticError) as raised:
-            invoke(["table", "--family", "baskakov", "-n", "1", "--grid", "1e5:2e5:3"])
+            invoke(["table", "--family", "general", "-c", "1", "-n", "4/3", "--grid", "1e5:2e5:3"])
         assert (type(raised.value), str(raised.value)) == (type(expect), str(expect))
 
     def test_errors_raise_in_point_then_route_order(self, monkeypatch):
@@ -656,8 +659,12 @@ GOLDEN_TABLE = {
         "058ad021c968176d03ea1a894c180e59823c03e51b7a85f5c9c74fb10f749080",
     _table(["general", "-c", "2"], "25", "0:20:101"):
         "c0d7c38c1cbb8bb7dd27c80a0232584f26a466c6d39d40954f7dca8d10633f31",
+    # re-recorded with the c > 0 series past u = 64 on the expansion about
+    # z = 1 at whole 2a (only series rows changed): worst relative error
+    # against mpmath's Legendre function at 40 digits 1.8e-13 -> 2.6e-16,
+    # rows missing their own claim 10 -> 0
     _table(["general", "-c", "2"], "5", "100:400:11"):
-        "7e0ca6e85a7ca7a3e05203947135228788a697b3d9323049967764e46bad4828",
+        "4538004139480a7ae95dccbecfd9b818e646f7b8f795c1acea882d5ed9baa387",
     # re-recorded as the baskakov tables (a = 6): closed form 5.9e-15 ->
     # 1.2e-15, quadrature 6.9e-15 -> 2.8e-16
     _table(["general", "-c", "1/2"], "3", "0:10:21", "json"):

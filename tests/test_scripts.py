@@ -69,12 +69,18 @@ def test_method_agreement():
     *rows, last = proc.stdout.splitlines()
     assert last.startswith("overall worst:")
     assert float(last.split()[2]) < 1e-10
-    # one row per battery pair, each with its count of closed-form rows
-    # delegated to quadrature; at c = 2 with odd n (a = n/2) there are none
+    # one row per battery pair and per far pair, each with its count of
+    # closed-form rows delegated to quadrature (at c = 2 with odd n, a = n/2,
+    # there are none) and each route's count of unfinished points: every
+    # route finishes, the far rows up to x = 1e8 included
     pairs = {}
     for row in rows:
-        m = re.fullmatch(r"c=\s*(\S+) n=\s*(\S+)  worst rel diff \S+ at x=\S+  delegated (\d+)", row)
+        m = re.fullmatch(
+            r"(far )?c=\s*(\S+) n=\s*(\S+)  worst rel diff \S+ at x=\S+  delegated (\d+)  unfinished (\d+) (\d+) (\d+)",
+            row,
+        )
         assert m, row
-        pairs[m[1], m[2]] = int(m[3])
-    assert len(pairs) == 26 and ("3", "1") in pairs
-    assert [pairs["2", n] for n in ("1", "5", "25")] == [0, 0, 0]
+        pairs[m[1] or "", m[2], m[3]] = int(m[4])
+        assert m.group(5, 6, 7) == ("0", "0", "0"), row
+    assert len(pairs) == 26 + 9 and ("", "3", "1") in pairs and ("far ", "1/2", "5") in pairs
+    assert [pairs["", "2", n] for n in ("1", "5", "25")] == [0, 0, 0]

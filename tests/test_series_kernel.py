@@ -194,6 +194,13 @@ def test_i0_series_matches_loop(z, rtol):
     assert _i0_series(z, rtol) == ref_i0_series(z, rtol)
 
 
+def _far(params, x):
+    """Whether the c > 0 series sums its expansion about z = 1 at x, which
+    no loop summed: u = cx at or past max(64, 4a) at whole 2a."""
+    two_a = evalnum._twice_a(params)
+    return bool(two_a) and params.c_float * x >= max(evalnum._FAR_U, 2.0 * two_a)
+
+
 def _series_expect(params, x, rtol):
     """What s_series returned through the reference loops (c >= 0)."""
     n, c = params.n_float, params.c_float
@@ -230,6 +237,8 @@ def test_s_series_matches_loops(c, n, x, rtol):
         x = min(300.0 / float(n), math.nextafter(x, 0.0))
     if c > 0 and -(2.0 * float(n) / float(c)) * math.log1p(float(c) * x) < -_EXP_GUARD:
         return  # the peak window: see test_peak_windows_match_loops
+    if _far(params, x):
+        return  # the expansion about z = 1: see test_evalnum
     assert s_series(params, x, rtol) == _series_expect(params, x, rtol)
 
 
@@ -241,15 +250,16 @@ def ref_scaled_poisson_sq(mu, tol):
     return math.exp(2.0 * log_pmf + math.log(scaled)), terms
 
 
+# The c > 0 walks are anchored at Loader's log of the negative binomial
+# weight (core._nb_peak), checked against mpmath in test_nb_peak_against_mpmath;
+# the loops here pin the walk's bits from that anchor.
+
+
 def ref_pos_c_series_window(n, c, x, tol):
     rho = x / (1.0 + c * x)
     zlim = (c * rho) ** 2
-    k0 = max(0, int((n * rho - 1.0) / (1.0 - c * rho)))
-    log_anchor = -(2.0 * n / c) * math.log1p(c * x) + 2.0 * (
-        math.fsum(math.log(n + j * c) for j in range(k0))
-        - math.lgamma(k0 + 1)
-        + k0 * math.log(rho)
-    )
+    k0, log_pmf = core._nb_peak(n / c, c * x)
+    log_anchor = 2.0 * log_pmf
     scaled, terms = ref_sum_unimodal_scaled(
         lambda k: ((n + k * c) * rho / (k + 1.0)) ** 2,
         lambda k: (k / ((n + (k - 1) * c) * rho)) ** 2,
@@ -270,10 +280,7 @@ def ref_basis_sum(n, c, x, tol):
     a = n / c
     u = c * x
     r = u / (1.0 + u)
-    lp1 = math.log1p(u)
-    k0 = max(0, int((a * r - 1.0) / (1.0 - r)))
-    log_rising = math.lgamma(a + k0) - math.lgamma(a) - math.lgamma(k0 + 1) if k0 else 0.0
-    log_anchor = log_rising + k0 * math.log(r) - a * lp1
+    k0, log_anchor = core._nb_peak(a, u)
     scaled, terms = ref_sum_unimodal_scaled(
         lambda k: (a + k) / (k + 1.0) * r,
         lambda k: k / ((a + k - 1.0) * r),
@@ -297,6 +304,36 @@ def test_peak_windows_match_loops(c, n, x, tol):
     else:
         assert evalnum._pos_c_window_rows(n, c, [x], tol) == [ref_pos_c_series_window(n, c, x, tol)]
     assert basis_sum(Params(n, c), x, tol) == ref_basis_sum(n, c, x, tol)
+
+
+def test_nb_peak_against_mpmath():
+    # Loader's log of the negative binomial weight at its peak index
+    # against log((a)_k0 r^k0 / (k0! (1+u)^a)) at 40 digits, on both sides of
+    # stirlerr's switch at 15 and far past 2^31; the fsum of logs and the
+    # lgamma differences it replaced lost about k0 log k0 ulps
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for a in (0.5, 1.0, 1.5, 2.0, 1.0 / 3.0 + 1.0, 6.0, 14.5, 15.0, 16.5, 25.0, 120.0, 300.5):
+        for i in range(49):
+            u = 10.0 ** (-2 + i / 4.8)
+            k0, log_pmf = core._nb_peak(a, u)
+            assert k0 == max(0, int((a - 1.0) * u - 1.0))
+            with mpmath.workdps(40):
+                aa, uu = mpmath.mpf(a), mpmath.mpf(u)
+                want = (mpmath.loggamma(aa + k0) - mpmath.loggamma(aa) - mpmath.loggamma(k0 + 1)
+                        + k0 * mpmath.log(uu / (1 + uu)) - aa * mpmath.log1p(uu))
+            worst = max(worst, abs(log_pmf - float(want)) / max(1.0, abs(float(want))))
+    assert worst < 5e-16
+
+
+@pytest.mark.parametrize("n, c, x, off", [
+    (2, Fraction(1, 3), 1e5, 1e-12),  # lgamma differences of size k0 log k0 read 1 + 1.37e-11
+    (25, 1, 1e3, 1e-13),  # they read 1 - 8.3e-12
+    (1, 2, 1e4, 2e-12),  # k0 = 0: the walk's rounding over the whole weight, 1 - 1.6e-12
+])
+def test_basis_sum_is_one_from_the_peak(n, c, x, off):
+    total, _ = basis_sum(Params(n, c), x)
+    assert abs(total - 1.0) < off
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,21 +417,29 @@ def test_block_boundaries():
         assert tail is None and steps == k
 
 
+# a = 4/3: 2a is not whole, so the c > 0 series walks at every x, and its
+# walk stops on the last step its cap allows at _LAST_STEP_X (found by
+# bisection) and caps one float later
+_CAPPED = Params(Fraction(4, 3), 1)
+_LAST_STEP_X = 107910.16700623253
+
+
 def test_caps_raise_where_the_loops_did():
     with pytest.raises(ArithmeticError, match="within 5 terms"):
         _hyp2f1_tail(0.5, 0.99, 1e-16, 5)
-    # the c > 0 series at x = 1e5 needs more than 2*10^6 terms
+    # the c > 0 series at x = 1e5 needs more than 2*10^6 terms; 2a is not
+    # whole, so the walk runs
     with pytest.raises(ArithmeticError, match="use the quadrature route"):
-        s_series(Params(5, 1), 1e5)
+        s_series(Params(Fraction(16, 3), 1), 1e5)
 
 
 def test_caps_at_their_last_step():
     # adjacent floats where the loops (run once to find them) stopped on the
     # last step their cap allows and raised one step later
-    x = 115811.4776529441
-    assert s_series(Params(1, 1), x).terms_or_nodes == 2 * 10 ** 6 + 2
+    x = _LAST_STEP_X
+    assert s_series(_CAPPED, x).terms_or_nodes == 2 * 10 ** 6 + 2
     with pytest.raises(ArithmeticError, match="use the quadrature route"):
-        s_series(Params(1, 1), math.nextafter(x, math.inf))
+        s_series(_CAPPED, math.nextafter(x, math.inf))
     z = 2000003.9999999998
     assert _i0_series(z) == (math.inf, 10 ** 6 + 2)
     with pytest.raises(ArithmeticError, match="Bessel series did not converge"):
@@ -566,11 +611,12 @@ def test_pos_c_window_grid_fails_only_where_capped(monkeypatch):
 
 
 def test_pos_c_window_fails_loudly():
-    # the walk needs more than 10^7 terms; summed to the cap it read
-    # 2.675606e-7, 0.16% short of mpmath's 2.679763e-7, with a claimed
-    # error of 2.7e-22
+    # the walk needs more than 10^7 terms; at n = 50 (whole 2a), where it
+    # summed to the cap and read 0.16% short of mpmath, the series now sums
+    # its expansion about z = 1
     with pytest.raises(ArithmeticError, match="did not converge within 10000000 terms"):
-        s_series(Params(50, 1), 1.5e5)
+        s_series(Params(Fraction(151, 3), 1), 1.5e5)
+    assert s_series(Params(50, 1), 1.5e5).value == pytest.approx(2.679763e-7, rel=1e-6)
 
 
 def _pref_log(n, c, x):
@@ -741,7 +787,7 @@ def test_series_grid_rows_match_loops(c, n, xs, rtol):
     if c == 0:  # below the peak window
         xs = [min(x, 300.0 / nf) for x in xs if nf * min(x, 300.0 / nf) <= 300.0]
     else:
-        xs = [x for x in xs if -(2.0 * nf / cf) * math.log1p(cf * x) >= -_EXP_GUARD]
+        xs = [x for x in xs if -(2.0 * nf / cf) * math.log1p(cf * x) >= -_EXP_GUARD and not _far(params, x)]
     assert s_series_grid(params, xs, rtol) == [_series_expect(params, x, rtol) for x in xs]
 
 
@@ -776,12 +822,12 @@ def test_unimodal_rows_match_loop(mus, max_terms):
 def test_heavy_rows_in_one_batch():
     # caps met on their last step next to the floats that raise one step
     # later, among rows that stop early
-    x = 115811.4776529441
+    x = _LAST_STEP_X
     xs = [1.0, x, math.nextafter(x, math.inf), 20.0]
-    got = [_rows_outcome(r) for r in s_series_grid(Params(1, 1), xs)]
+    got = [_rows_outcome(r) for r in s_series_grid(_CAPPED, xs)]
     assert got[1][1].terms_or_nodes == 2 * 10 ** 6 + 2
     assert got[2] == (ArithmeticError, "series did not converge; use the quadrature route")
-    assert got == [_rows_outcome(r) for r in map(_unraised(s_series, Params(1, 1)), xs)]
+    assert got == [_rows_outcome(r) for r in map(_unraised(s_series, _CAPPED), xs)]
     z = 2000003.9999999998
     zs = [0.5, z, math.nextafter(z, math.inf), 600.0]
     got = [_rows_outcome(r) for r in evalnum._i0_rows(zs)]
@@ -863,13 +909,14 @@ def _verdict(n, c, x, tol):
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(1, 3)]),
-    st.sampled_from([Fraction(1), Fraction(2), Fraction(5), Fraction(3, 2), Fraction(1, 4)]),
+    # 2a = 2n/c is whole at none of these, so s_series runs the verdict
+    st.sampled_from([Fraction(6, 5), Fraction(11, 5), Fraction(26, 5), Fraction(8, 5), Fraction(2, 7)]),
     st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
     st.sampled_from([1e-12, 1e-16, 1e-8]),
 )
 # the verdict is not monotone in x near its first firing point: here it reads
-# False one float past it (and on 1333 of the next 2000 floats)
-@example(c=Fraction(1, 3), n=Fraction(1), offset=4e-16, rtol=1e-8)
+# False one float past it
+@example(c=Fraction(1, 3), n=Fraction(6, 5), offset=2.3e-16, rtol=1e-8)
 def test_cap_verdict_is_sound(c, n, offset, rtol):
     # wherever the verdict fires, at its first firing float or up to half
     # again past it, the kernel run without the verdict reaches its cap too
@@ -887,13 +934,13 @@ def test_cap_verdict_is_sound(c, n, offset, rtol):
 def test_cap_verdict_unsure_at_the_boundary():
     # the kernel stops on its last step at x and caps one float later; the
     # verdict leaves both to the kernel, so the result there is the kernel's
-    x = 115811.4776529441
+    x, n = _LAST_STEP_X, _CAPPED.n_float
     for xx in (x, math.nextafter(x, math.inf)):
-        assert not _verdict(1.0, 1.0, xx, 1e-15)
-    assert not _kernel_caps(1.0, 1.0, x, 1e-15)
-    assert _kernel_caps(1.0, 1.0, math.nextafter(x, math.inf), 1e-15)
+        assert not _verdict(n, 1.0, xx, 1e-15)
+    assert not _kernel_caps(n, 1.0, x, 1e-15)
+    assert _kernel_caps(n, 1.0, math.nextafter(x, math.inf), 1e-15)
     # far past it the verdict fires, and so would the kernel's cap
-    assert _verdict(1.0, 1.0, 1e6, 1e-15) and _kernel_caps(1.0, 1.0, 1e6, 1e-15)
+    assert _verdict(n, 1.0, 1e6, 1e-15) and _kernel_caps(n, 1.0, 1e6, 1e-15)
 
 
 def _verdict_s_at_most_1(n, c, u, rr, zlim, pref_log, tol):
@@ -912,24 +959,24 @@ def _verdict_s_at_most_1(n, c, u, rr, zlim, pref_log, tol):
     return log_last + log_cert - margin > math.log(tol) - pref_log
 
 
-def test_cap_verdict_sides_at_c_n_1():
-    # 1.1e5 lies below the kernel's own cap and returns a value; 1.2e5 lies
+def test_cap_verdict_sides_at_c_1():
+    # 1e5 lies below the kernel's own cap and returns a value; 1.2e5 lies
     # past it, and the verdict raises there without walking 2*10^6 steps
-    assert s_series(Params(1, 1), 1.1e5).value > 0.0
+    assert s_series(_CAPPED, 1e5).value > 0.0
     took = []
     for _ in range(3):
         start = time.perf_counter()
         with pytest.raises(ArithmeticError, match="use the quadrature route"):
-            s_series(Params(1, 1), 1.2e5)
+            s_series(_CAPPED, 1.2e5)
         took.append(time.perf_counter() - start)
     assert min(took) < 5e-3
 
 
 # (n, c, i) of x = 10^(3 + i/24), where the bound S <= max_k p_k decides and
-# S <= 1 did not
+# S <= 1 did not; 2a = 2n/c is not whole, so s_series runs the verdict
 @pytest.mark.parametrize("n, c, i", [
-    (1, Fraction(1, 3), 58), (2, Fraction(1, 2), 53), (1, Fraction(1), 50),
-    (5, Fraction(1), 45), (3, Fraction(2), 42), (10, Fraction(3), 35),
+    (Fraction(6, 5), Fraction(1, 3), 58), (Fraction(11, 5), Fraction(1, 2), 53), (Fraction(6, 5), Fraction(1), 50),
+    (Fraction(26, 5), Fraction(1), 45), (Fraction(16, 5), Fraction(2), 42), (10, Fraction(3), 35),
 ])
 def test_sharper_cap_verdict_fires_only_where_the_walk_caps(n, c, i, monkeypatch):
     x = 10.0 ** (3 + i / 24)
