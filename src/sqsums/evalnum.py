@@ -14,10 +14,14 @@ the geometric tail certificates of a block of indices for every row in
 numpy and reproduces each row's term-by-term loop bit for bit.  Every
 peak window (the c >= 0 series past its switch, and ``core.basis_sum``)
 is one ``core._window_rows`` call, which raises ArithmeticError where the
-walk reaches its 10^7-term cap.  One quadrature ladder, ``_ladder``,
-serves S and, at a = n/c neither whole nor half-integer, T's hand-over: it
-climbs level by level for all points still short of agreement, with the
-nodes of every point in one array.  For c > 0, one exact test
+walk reaches its 10^7-term cap.  The closed forms of S and T are one pair
+grid, ``_closed_rows``, which classifies each pair (x, y) once and runs
+each kernel over all its pairs: ``s_closed_grid`` is its diagonal and
+``t_closed`` its one-pair call, so T(x, x) has the bits of S(x).  One
+quadrature ladder, ``_ladder``, serves S and, at a = n/c neither whole nor
+half-integer, the closed form's hand-over: it climbs level by level for
+all points still short of agreement, with the nodes of every point in one
+array.  For c > 0, one exact test
 (``_twice_a``) sorts a = n/c: where 2a is a whole number the closed forms
 of S and T are one Legendre recurrence (``_legendre``, seeded by the AGM
 at half-integer a) and never hand over; S's quadrature integrates a
@@ -27,8 +31,8 @@ too, within 1024 nodes up to n x = 1e9.
 
 Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 
-- exp(-z) I0(z) for z > 600 (the c = 0 closed form, ``bessel_i0e``,
-  ``bessel_i0`` and ``t_closed``) is the 8-term Hankel expansion, whose
+- exp(-z) I0(z) for z > 600 (the c = 0 closed forms of S and T,
+  ``bessel_i0e`` and ``bessel_i0``) is the 8-term Hankel expansion, whose
   truncation error is below 1e-21 of the value there (``_hankel_i0e``);
 - the c = 0 series past mu = n x = 300 is walked from its peak, anchored
   at Loader's saddle-point log of the Poisson weight (``core._poisson_peak``),
@@ -794,87 +798,146 @@ def _legendre(two_a: int, ux, uy):
 _HYP_ROUNDING = 2.0 ** -53
 
 
-def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
-    """``s_closed`` at every point of ``xs``; the Bessel and diagonal
-    hypergeometric series of all points are rows of one kernel call each,
-    the Legendre recurrence of whole or half-integer a runs over all its
-    points at once, and the points handed over to quadrature are one
-    ``s_quad_grid``."""
+def _reflected(a: float, u: float, v: float) -> tuple:
+    """The parameter s of S's reflected integrand at which T's Laplace
+    integral runs, and its factor (g/B)^(2a), at u = cx, v = cy.
+
+    Laplace's integral of P_(a-1)(W)/B^a runs over (W+R)(1-t) + (W-R)t with
+    R = sqrt(W^2-1), W + R = g^2/B and W - R = B/g^2,
+    g = sqrt(uv) + sqrt((1+u)(1+v)) <= B: the reflected integrand of S at
+    s = B/g^2, times (g/B)^(2a).  Where u = v, g = B = 1 + 2u, so s is S's
+    own 1/(1+2cx) and the factor is 1.
+    """
+    if u == v:
+        return 1.0 / (1.0 + 2.0 * u), 1.0
+    b = 1.0 + u + v
+    if not math.isfinite(b):
+        raise OverflowError("1 + cx + cy is past the double range")
+    g = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v)
+    return b / g / g, (g / b) ** (2.0 * a)
+
+
+def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol: float) -> tuple:
+    """The closed form of T(x, y) at each pair of ``xs`` and ``ys``: the
+    EvalResult or the exception raised there, and a bound on the part of
+    each value that the hand-over's rule leaves out (0 off the hand-over).
+
+    Each pair is classified once, and each kernel runs once over all its
+    pairs: the Bessel rows of c = 0, the Legendre recurrence of whole 2a,
+    the diagonal hypergeometric series, and one tanh-sinh ladder for the
+    hand-over; the c < 0 log sum past its guard runs pair by pair.  Where
+    x = y every step is S's own arithmetic, so S is the diagonal call.
+    """
     n = params.n_float
     c = params.c_float
+    a = n / c if c else 0.0
     two_a = _twice_a(params)
     qtol = rtol
     rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
     out: list = [None] * len(xs)
-    bessel, hyp, quad, legendre = [], [], [], []  # (point, parameters) per route
-    for i, x in enumerate(xs):
+    tails = [0.0] * len(xs)
+    bessel, legendre, hyp, log_sum, quad = [], [], [], [], []  # (point, parameters) per kernel
+    for i, (x, y) in enumerate(zip(xs, ys)):
         try:
             params.require_in_domain(x)
-            xf = float(x)
-            if xf == 0.0:
-                out[i] = EvalResult(1.0, Method.CLOSED_FORM, 0.0, 1)
-                continue
-            if c == 0.0:
-                bessel.append((i, 2.0 * n * xf))
-                continue
-            u = c * xf
-            if two_a:
-                if not math.isfinite(1.0 + u + u):
-                    raise OverflowError("1 + 2cx is past the double range")
-                legendre.append((i, u))
-                continue
-            if c < 0 and 1.0 + u == 0.0:  # right endpoint: S = p_l^2 = 1
-                # an x whose c*x only rounds to -1 is within two roundings of
-                # the endpoint, where dS/d(|c|x) = 2l
-                err = 0.0 if Fraction(xf) * params.c == -1 else 4 * params.l * 2.0 ** -53
-                out[i] = EvalResult(1.0, Method.CLOSED_FORM, err, 1)
-                continue
-            z = (u / (1.0 + u)) ** 2
-            pref_log = -(2.0 * n / c) * math.log1p(u)
-            if c < 0 and not (z < 1e10 and abs(pref_log) < _EXP_GUARD):
-                # near the endpoint the terminating series is unscaled in log space
-                value = _neg_c_log_sum(params, xf, xf)
-                out[i] = EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), params.l + 1)
-            elif c > 0 and (z > Z_SWITCH or pref_log < -_EXP_GUARD):
-                quad.append((i, xf))
+            if y is not x:  # S's points are checked once
+                params.require_in_domain(y)
+            xf, yf = float(x), float(y)
+            u, v = c * xf, c * yf
+            if xf == 0.0 or yf == 0.0:
+                # T(x, 0) = p_0(x) p_0(0), the prefactor alone: exactly 1 at
+                # x = y = 0, and 0 at the other end of a c < 0 domain
+                log_p = -n * (xf + yf) if c == 0.0 else -a * sum(
+                    math.log1p(t) if 1.0 + t > 0.0 else -math.inf for t in (u, v)
+                )
+                value = math.exp(log_p)
+                out[i] = EvalResult(value, Method.CLOSED_FORM, _HYP_ROUNDING * abs(log_p) * value if value else 0.0, 1)
+            elif c == 0.0:
+                # T = exp(-n (sqrt(x) - sqrt(y))^2) exp(-2mu) I0(2mu) at
+                # mu = n sqrt(xy); sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) +
+                # sqrt(y)) does not cancel, and neither product overflows
+                if xf == yf:
+                    bessel.append((i, (2.0 * n * xf, 0.0)))
+                else:
+                    rx, ry = math.sqrt(xf), math.sqrt(yf)
+                    bessel.append((i, (2.0 * n * (rx * ry), ((xf - yf) / (rx + ry)) ** 2)))
+            elif two_a:
+                if not math.isfinite(1.0 + u + v):
+                    raise OverflowError(f"1 + {'2cx' if u == v else 'cx + cy'} is past the double range")
+                legendre.append((i, (u, v)))
+            elif c < 0 and (1.0 + u == 0.0 or 1.0 + v == 0.0):
+                if 1.0 + u == 1.0 + v:  # right endpoint: T = p_l^2 = 1
+                    # an x whose c*x only rounds to -1 is within two roundings
+                    # of the endpoint, where dS/d(|c|x) = 2l
+                    exact = Fraction(xf) * params.c == -1 == Fraction(yf) * params.c
+                    out[i] = EvalResult(1.0, Method.CLOSED_FORM, 0.0 if exact else 4 * params.l * 2.0 ** -53, 1)
+                else:  # only p_l(x) p_l(y) survives
+                    log_sum.append((i, (xf, yf)))
             else:
-                hyp.append((i, (z, pref_log)))
+                # z = uv/((1+u)(1+v)), each quotient at most 1 for c > 0
+                z = (u / (1.0 + u)) ** 2 if u == v else (u / (1.0 + u)) * (v / (1.0 + v))
+                pref_log = -a * (math.log1p(u) + math.log1p(v))
+                if c < 0 and not (z < 1e10 and abs(pref_log) < _EXP_GUARD):
+                    # near the endpoint the terminating series is unscaled in log space
+                    log_sum.append((i, (xf, yf)))
+                elif c > 0 and (z > Z_SWITCH or pref_log < -_EXP_GUARD):
+                    quad.append((i, _reflected(a, u, v)))
+                else:
+                    hyp.append((i, (z, pref_log)))
         except Exception as exc:
             out[i] = exc
 
-    if c == 0.0:
-        _finish(out, bessel, _bessel_i0e_rows([z for _, z in bessel]),
-                lambda _, v: EvalResult(v, Method.CLOSED_FORM, 1e-15 * v, 0))
-        return out
-    if two_a:
-        us = np.array([u for _, u in legendre])
+    if bessel:
+        def szasz(p, i0e):
+            value = i0e * math.exp(-n * p[1])
+            return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value, 0)
+
+        _finish(out, bessel, _bessel_i0e_rows([z for _, (z, _) in bessel]), szasz)
+    if legendre:
+        us, vs = (np.array(col) for col in zip(*(p for _, p in legendre)))
         # 1e-15 a at integer a, 1e-15 (a + 1) at half-integer a; the terms
         # count the degrees the recurrence passes, a + 1/2 at half-integer a,
         # and below the normal range each rounds to the subnormal grid (on a
         # up to 241/2 and x up to 1.7e308 within 0.6 of terms 2^-1074)
         rounding, terms = _ROUNDING_PER_A * (two_a / 2 + two_a % 2), (two_a + 1) // 2
-        for (i, _), value in zip(legendre, _legendre(two_a, us, us).tolist()):
+        for (i, _), value in zip(legendre, _legendre(two_a, us, vs).tolist()):
             out[i] = EvalResult(value, Method.CLOSED_FORM, max(rounding * value, terms * 2.0 ** -1074), terms)
-        return out
+    l = params.l or 0
+    _finish(out, log_sum, [_neg_c_log_sum(params, *p) for _, p in log_sum],
+            lambda _, value: EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (l + 1), l + 1))
 
-    def diagonal(p, s):
+    def series(p, s):
         value, tail, terms = s
         pref = math.exp(p[1])
         if c < 0:
             value *= pref
-            return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (params.l + 1), terms)
+            return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (l + 1), terms)
         rounding = 1e-15 + _HYP_ROUNDING * (8 * terms + abs(p[1]))
         return EvalResult(pref * value, Method.CLOSED_FORM, pref * tail + rounding * pref * value, terms)
 
-    a = -float(params.l) if c < 0 else n / c
-    _finish(out, hyp, _hyp2f1_rows(a, [p[0] for _, p in hyp], rtol), diagonal)
+    if hyp:
+        _finish(out, hyp, _hyp2f1_rows(-float(l) if c < 0 else a, [z for _, (z, _) in hyp], rtol), series)
     if quad:
-        _finish(out, quad, s_quad_grid(params, [x for _, x in quad], rtol=qtol), lambda _, r: r)
-    return out
+        f, _, kind = _s_integrand(params)
+        ss = [s for _, (s, _) in quad]
+        values, diffs, nodes = _ladder(f, kind, ss, [_TANH_SINH_START] * len(quad), qtol, 0.0)
+        _, rounding, unscaled = _quad_claim(params, kind, ss)
+        for j, (i, (_, scale)) in enumerate(quad):
+            tails[i] = scale * unscaled[j]
+            err = scale * max(diffs[j], rounding * abs(values[j])) + tails[i]
+            out[i] = EvalResult(scale * values[j], Method.QUADRATURE, err, nodes[j])
+    return out, tails
+
+
+def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
+    """``s_closed`` at every point of ``xs``: the diagonal of T's pair grid
+    (``_closed_rows``), so each kernel runs once over all its points."""
+    return _closed_rows(params, xs, xs, rtol)[0]
 
 
 def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
-    """S(x) from the closed forms.
+    """S(x) from the closed forms, the diagonal of the pair grid that
+    ``t_closed`` runs (``_closed_rows``).
 
     ``(1+cx)^(-2n/c) * hyp2f1_diag(n/c, (cx/(1+cx))^2)`` for c != 0 (the
     hypergeometric factor terminates for c < 0) and the scaled Bessel value
@@ -887,9 +950,9 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     of 1e-15*a of the value at integer a and 1e-15*(a+1) at half-integer
     a, and a terms count of a (a + 1/2), and at least 2^-1074 per term
     below the normal range; where 1 + 2cx overflows it raises
-    OverflowError.  For c > 0 at any other a, with
-    series argument beyond Z_SWITCH (or powers beyond the double range),
-    the call delegates to the quadrature route.
+    OverflowError.  For c > 0 at any other a, with series argument beyond
+    Z_SWITCH (or powers beyond the double range), it climbs the tanh-sinh
+    ladder of the quadrature route, with that route's claim.
     """
     return _one(s_closed_grid(params, [x], rtol))
 
@@ -1040,6 +1103,26 @@ def _ladder(f, kind: RuleKind, ps: Sequence, ms: Sequence[int], rtol: float, flo
     return values, diffs, ms
 
 
+def _quad_claim(params: Params, kind: RuleKind, ps: Sequence) -> tuple:
+    """The ladder's floor, the rounding it claims per unit of the value, and
+    the bound on the mean its rule leaves out at each parameter of ``ps``."""
+    if params.c_float == 0.0:
+        # S is at least about 1/sqrt(4 pi n x), so the stop is purely
+        # relative; the rounding of the nodes' exponents was within 3.3e-16
+        # of the value on n x from 1e-3 to 1e9, and the integrand's largest
+        # value is 1, at sigma = 0
+        return 0.0, 1e-15, [_TS_TAIL] * len(ps)
+    if kind is RuleKind.TANH_SINH:
+        # S can be far below 1e-13 here, so the stop is purely relative; the
+        # claim adds the rounding of the power and the mean the rule leaves
+        # out
+        a = params.n_float / params.c_float
+        return 0.0, _ROUNDING_PER_A * (a + 6.0), [_reflected_tail(a, s) for s in ps]
+    # two exact levels of a polynomial integrand differ by rounding alone,
+    # which grows with its degree
+    return 1e-13, _ROUNDING_PER_A * (_twice_a(params) // 2) or 1e-16, [0.0] * len(ps)
+
+
 def s_quad_grid(
     params: Params, xs: Sequence[float], m: int = LADDER_START, rtol: float = RTOL_DEFAULT
 ) -> list:
@@ -1065,25 +1148,7 @@ def s_quad_grid(
     if not points:
         return out
 
-    if params.c_float == 0.0:
-        # S is at least about 1/sqrt(4 pi n x), so the stop is purely
-        # relative; the rounding of the nodes' exponents was within 3.3e-16
-        # of the value on n x from 1e-3 to 1e9, and the integrand's largest
-        # value is 1, at sigma = 0
-        floor, rounding = 0.0, 1e-15
-        tails = [_TS_TAIL] * len(ps)
-    elif kind is RuleKind.TANH_SINH:
-        # S can be far below 1e-13 here, so the stop is purely relative; the
-        # claim adds the rounding of the power and the mean the rule leaves
-        # out
-        a = params.n_float / params.c_float
-        floor, rounding = 0.0, _ROUNDING_PER_A * (a + 6.0)
-        tails = [_reflected_tail(a, s) for s in ps]
-    else:
-        # two exact levels of a polynomial integrand differ by rounding
-        # alone, which grows with its degree
-        floor, rounding = 1e-13, _ROUNDING_PER_A * (_twice_a(params) // 2) or 1e-16
-        tails = [0.0] * len(ps)
+    floor, rounding, tails = _quad_claim(params, kind, ps)
     values, diffs, ms = _ladder(f, kind, ps, ms, rtol, floor)
     for j, i in enumerate(points):
         value = values[j]
@@ -1115,75 +1180,22 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
 
 
 def t_closed(params: Params, x: float, y: float) -> float:
-    """Kernel value from the closed forms; the diagonal reproduces S.
-
-    For c > 0 at a whole or half-integer a = n/c it is P_(a-1)(W)/B^a with
-    B = 1 + cx + cy and W = 1 + 2c^2xy/B (``_legendre``), the bits of
-    ``s_closed`` on the diagonal, and nothing hands over.  At any other a,
-    past Z_SWITCH or with powers beyond the double range, it climbs the
-    tanh-sinh ladder of ``s_quad`` on the reflected kernel integrand, and
-    raises ArithmeticError where the part of the integral beyond the
-    rule's ends may exceed RTOL_DEFAULT of the value.  Where B overflows it
-    raises OverflowError at every c > 0.
+    """Kernel value from the closed forms: the one-pair call of the pair
+    grid (``_closed_rows``) whose diagonal is ``s_closed``, so T(x, x) has
+    the bits of S(x).  The regimes are S's at the pair; at c > 0 the
+    Legendre recurrence runs at B = 1 + cx + cy and W = 1 + 2c^2xy/B, and the
+    hand-over at s = B/g^2 (``_reflected``).  T raises ArithmeticError where
+    the part of the hand-over's integral beyond the rule's ends may exceed
+    RTOL_DEFAULT of the value, and OverflowError where B overflows (on the
+    diagonal at whole 2a only).
     """
-    params.require_in_domain(x)
-    params.require_in_domain(y)
-    xf, yf = float(x), float(y)
-    n = params.n_float
-    c = params.c_float
-
-    if c == 0.0:
-        # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
-        root = math.sqrt(xf * yf)
-        spread = ((xf - yf) / (math.sqrt(xf) + math.sqrt(yf))) ** 2 if xf != yf else 0.0
-        return bessel_i0e(2.0 * n * root) * math.exp(-n * spread)
-
-    px, py = 1.0 + c * xf, 1.0 + c * yf
-
-    if c < 0:
-        l = params.l
-        if px == 0.0 and py == 0.0:
-            return 1.0
-        if px == 0.0:
-            return (-c * yf) ** l
-        if py == 0.0:
-            return (-c * xf) ** l
-        if xf == 0.0 or yf == 0.0:
-            other = yf if xf == 0.0 else xf
-            return math.exp(l * math.log1p(c * other))
-        return _neg_c_log_sum(params, xf, yf)
-
-    if xf == 0.0 or yf == 0.0:
-        other = yf if xf == 0.0 else xf
-        return math.exp(-(n / c) * math.log1p(c * other))
-    u, v = c * xf, c * yf
-    if not math.isfinite(1.0 + u + v):
-        raise OverflowError("1 + cx + cy is past the double range")
-    two_a = _twice_a(params)
-    if two_a:
-        return float(_legendre(two_a, u, v))
-    a = n / c
-    # z = c^2 x y / ((1+cx)(1+cy)), as (u/(1+u)) (v/(1+v)) where the
-    # denominator overflows (the quotient would be inf/inf)
-    z = (c * c * xf * yf) / (px * py) if px * py < math.inf else (u / px) * (v / py)
-    pref_log = -a * (math.log1p(u) + math.log1p(v))
-    if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-        # Laplace's integral of P_(a-1)(W)/B^a runs over
-        # (W+R)(1-t) + (W-R)t with R = sqrt(W^2-1), W + R = g^2/B and
-        # W - R = B/g^2, g = sqrt(uv) + sqrt((1+u)(1+v)) <= B: the reflected
-        # integrand of S at s = B/g^2, times (g/B)^(2a).  Kernel values can
-        # be genuinely tiny, so the stop is purely relative here
-        g, b = math.sqrt(u) * math.sqrt(v) + math.sqrt(px) * math.sqrt(py), 1.0 + u + v
-        f, _, kind = _s_integrand(params)
-        s, scale = b / g / g, (g / b) ** (2.0 * a)
-        (value,), _, _ = _ladder(f, kind, [s], [_TANH_SINH_START], RTOL_DEFAULT, 0.0)
-        if not scale * _reflected_tail(a, s) <= RTOL_DEFAULT * (scale * value):
-            # a < 1 with s^2 near or past the rule's 4.6e-62 (x, y of 1e18
-            # and beyond): the part of the integral it cannot sample may matter
-            raise ArithmeticError("the kernel integrand peaks past the reach of the tanh-sinh rule")
-        return scale * value
-    value, _, _ = _one(_hyp2f1_rows(a, [z], 1e-15))
-    return math.exp(pref_log) * value
+    (row,), (tail,) = _closed_rows(params, [x], [y], RTOL_DEFAULT)
+    value = _one([row]).value
+    if tail > RTOL_DEFAULT * value:
+        # a < 1 with s^2 near or past the rule's 4.6e-62 (x, y of 1e18 and
+        # beyond): the part of the integral it cannot sample may matter
+        raise ArithmeticError("the kernel integrand peaks past the reach of the tanh-sinh rule")
+    return value
 
 
 def _t_integrand(params: Params, x: float, y: float):

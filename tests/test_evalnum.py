@@ -381,14 +381,29 @@ class TestKernel:
         assert abs(a - b) <= 1e-14 * max(abs(a), 1e-300)
 
     def test_diagonal_reproduces_s(self):
-        for n, c in [(3, -1), (4, 0), (2, 1), (5, 2), (Fraction(5, 2), Fraction(-1, 2))]:
+        # T and S share one classifier, so T(x, x) has the bits of S(x) in
+        # every regime, each switch taken from both sides
+        for params, xs in _diagonal_cases():
+            for x in xs:
+                assert t_closed(params, x, x) == s_closed(params, x).value, (params, x)
+
+    def test_diagonal_at_random_points(self):
+        # the parameters at which the two forms used to differ most often
+        rng = np.random.default_rng(23)
+        for n, c in [(5, -1), (Fraction(25, 2), Fraction(-1, 2)), (4, 3), (Fraction(4, 3), 1)]:
             params = Params(n, c)
-            sup = params.domain_sup
-            hi = float(sup) if sup is not None else 6.0
-            for i in range(1, 10):
-                x = hi * i / 10
-                s = s_closed(params, x).value
-                assert abs(t_closed(params, x, x) - s) <= 1e-13 * abs(s)
+            hi = float(params.domain_sup) if c < 0 else 1e3
+            for x in (hi * rng.random(400)).tolist():
+                assert t_closed(params, x, x) == s_closed(params, x).value, (params, x)
+
+    def test_szasz_past_the_overflow_of_xy(self):
+        # x y overflows at x = y = 1e160, where sqrt(xy) was inf and T nan
+        mpmath = pytest.importorskip("mpmath")
+        params = Params(3, 0)
+        t = t_closed(params, 1e160, 1e160)
+        assert math.isfinite(t) and t == s_closed(params, 1e160).value
+        want = _szasz_t(mpmath, 3, 1e160, 1e160 * (1.0 + 1e-80))
+        assert abs(t_closed(params, 1e160, 1e160 * (1.0 + 1e-80)) / want - 1) <= 2e-14
 
     def test_quadrature_constant_case(self):
         assert t_quad(Params(1, 1), 0.0, 0.0, m=8) == pytest.approx(1.0, rel=1e-15)
@@ -540,21 +555,27 @@ def test_grid_routes_in_small_batches(monkeypatch):
 
 def _t_reflected(params, x, y):
     """S's reflected integrand and rule, the parameter s = B/g^2 of T's
-    Laplace integral and its factor (g/B)^(2a), g = sqrt(uv) + sqrt((1+u)(1+v))."""
+    Laplace integral and its factor (g/B)^(2a), g = sqrt(uv) + sqrt((1+u)(1+v));
+    on the diagonal S's own s = 1/(1+2cx) and the factor 1."""
     c = params.c_float
     u, v = c * x, c * y
-    g, b = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v), 1.0 + u + v
     f, _, kind = _s_integrand(params)
+    if x == y:
+        return f, kind, 1.0 / (1.0 + 2.0 * c * x), 1.0
+    g, b = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v), 1.0 + u + v
     return f, kind, b / g / g, (g / b) ** (2.0 * params.n_float / c)
 
 
 def ref_t_closed_pos_c(params, x, y):
     """t_closed for c > 0 and x, y > 0 at a = n/c neither whole nor
     half-integer, with its hand-over ladder as a loop: a purely relative
-    stop, and a stop at 0."""
+    stop, and a stop at 0.  On the diagonal z is S's (cx/(1+cx))^2."""
     n, c = params.n_float, params.c_float
     a = n / c
-    z = (c * c * x * y) / ((1.0 + c * x) * (1.0 + c * y))
+    if x == y:
+        z = (c * x / (1.0 + c * x)) ** 2
+    else:
+        z = (c * c * x * y) / ((1.0 + c * x) * (1.0 + c * y))
     pref_log = -a * (math.log1p(c * x) + math.log1p(c * y))
     if z > Z_SWITCH or pref_log < -_EXP_GUARD:
         f, kind, s, scale = _t_reflected(params, x, y)
@@ -576,6 +597,37 @@ def _first_float(switched, lo, hi):
         if mid in (lo, hi):
             return hi
         lo, hi = (lo, mid) if switched(mid) else (mid, hi)
+
+
+def _switch_sides(switched, lo, hi):
+    """The last float before ``switched`` turns true between lo and hi, and the first after."""
+    at = _first_float(switched, lo, hi)
+    return [math.nextafter(at, 0.0), at]
+
+
+def _diagonal_cases():
+    """(params, xs) covering every regime of the closed form of S and T."""
+    cases = [
+        # c < 0: the terminating series, the endpoint, and the log sum past
+        # z = 1e10 and past _EXP_GUARD
+        (Params(5, -1), [0.3, 0.7, 1.0] + _switch_sides(lambda x: (x / (1.0 - x)) ** 2 >= 1e10, 0.5, 1.0)),
+        (Params(125, Fraction(-1, 2)), [0.5, 1.998, 2.0]
+            + _switch_sides(lambda x: abs(500.0 * math.log1p(-0.5 * x)) >= _EXP_GUARD, 0.0, 2.0)),
+        # c = 0 both sides of the Hankel switch 2 n x = 600, and past the
+        # overflow of x y
+        (Params(3, 0), [0.0, 0.25, 7.0, 1e5, 1e160] + _switch_sides(lambda x: 6.0 * x > evalnum._HANKEL_Z, 50.0, 150.0)),
+        # whole 2a at integer and half-integer a, where no switch applies
+        # (the points at which the other a switch)
+        (Params(2, 1), [0.05, 1.0, 20.0, 400.0, 1e8]),
+        (Params(1, 1), [400.0]),
+        (Params(200, 1), [3.0, 7.0]),
+        (Params(5, 2), [0.3, 150.0, 1e4]),
+        (Params(1, 2), [400.0]),
+        (Params(601, 2), [3.0, 7.0]),
+    ]
+    # 2a not whole: the series, and the hand-over past Z_SWITCH and _EXP_GUARD
+    cases += [(Params(n, c), [x]) for n, c, x, y in _hand_over_cases() if x == y]
+    return cases
 
 
 def _hand_over_cases():
@@ -781,19 +833,19 @@ def test_integer_a_quadrature_starts_at_its_exact_node_count():
     [
         pytest.param(lambda: s_closed(Params(1, 1), 400.0), id="s-closed-past-z-switch"),
         pytest.param(lambda: s_closed_grid(Params(300, 1), [3.0, 1e8]), id="s-closed-past-exp-guard"),
-        pytest.param(lambda: t_closed(Params(1, 1), 400.0, 400.0), id="t-closed-past-z-switch"),
-        pytest.param(lambda: t_closed(Params(200, 1), 3.0, 7.0), id="t-closed-past-exp-guard"),
     ],
 )
 def test_integer_a_never_hands_over(monkeypatch, call):
-    # neither the hypergeometric series nor the ladder runs at integer a
+    # neither the hypergeometric series nor the ladder runs at integer a (T
+    # takes the same classifier: ``test_diagonal_reproduces_s`` has these
+    # points)
     from sqsums import evalnum
 
     for name in ("_hyp2f1_rows", "_ladder"):
         monkeypatch.setattr(evalnum, name, _reached)
     results = call()
     for r in results if isinstance(results, list) else [results]:
-        assert isinstance(r, float) or r.method is Method.CLOSED_FORM
+        assert r.method is Method.CLOSED_FORM
 
 
 # ---------------------------------------------------------------------------
@@ -1042,20 +1094,19 @@ def test_half_integer_straddle(c):
         pytest.param(lambda: s_closed_grid(Params(5, 2), [400.0, 1e8]), id="s-closed-past-z-switch"),
         pytest.param(lambda: s_closed_grid(Params(601, 2), [3.0, 1e8]), id="s-closed-past-exp-guard"),
         pytest.param(lambda: s_closed(Params(Fraction(3, 2), Fraction(1, 3)), 5e7), id="s-closed-a-9/2"),
-        pytest.param(lambda: t_closed(Params(1, 2), 400.0, 400.0), id="t-closed-past-z-switch"),
-        pytest.param(lambda: t_closed(Params(601, 2), 3.0, 7.0), id="t-closed-past-exp-guard"),
     ],
 )
 def test_half_integer_never_hands_over(monkeypatch, call):
     # at odd 2a neither the hypergeometric series nor a ladder runs in the
-    # closed forms
+    # closed forms (T takes the same classifier: ``test_diagonal_reproduces_s``
+    # has these points)
     from sqsums import evalnum
 
     for name in ("_hyp2f1_rows", "_ladder"):
         monkeypatch.setattr(evalnum, name, _reached)
     results = call()
     for r in results if isinstance(results, list) else [results]:
-        assert isinstance(r, float) or r.method is Method.CLOSED_FORM
+        assert r.method is Method.CLOSED_FORM
 
 
 def test_non_integer_series_claim_against_mpmath():
@@ -1180,7 +1231,7 @@ def test_t_closed_far_out_at_non_half_integer_a():
             t_closed(Params(n, c), x, x / 3)
     with pytest.raises(OverflowError):
         t_closed(Params(Fraction(2, 3), 2), 1.7e308, 1.7e308 / 3)
-    # where the old quotient was finite, z keeps its bits
+    # on the diagonal the hand-over is S's own ladder
     assert t_closed(Params(Fraction(1, 3), 1), 1e17, 1e17) == ref_t_closed_pos_c(Params(Fraction(1, 3), 1), 1e17, 1e17)
 
 

@@ -45,3 +45,32 @@ def test_only_the_family_records_dispatch_on_family_names():
         and (hits := _dispatch_on_family_names(ast.parse(path.read_text(), str(path))))
     }
     assert found == {}
+
+
+def _functions_reading(tree, name: str) -> list:
+    """The functions (by qualified name) whose own bodies load ``name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+            elif isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                found.append(".".join(scope) or "<module>")
+            else:
+                visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_z_switch_is_read_in_one_function():
+    # the closed form's hand-over is decided once, by the pair grid that both
+    # S and T run, not by a copy of the test in each
+    src = pathlib.Path(sqsums.__file__).parent
+    readers = [
+        f"{path.name}:{fn}"
+        for path in sorted(src.glob("*.py"))
+        for fn in _functions_reading(ast.parse(path.read_text(), str(path)), "Z_SWITCH")
+    ]
+    assert len(set(readers)) == 1, readers
