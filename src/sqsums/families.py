@@ -7,6 +7,7 @@ is the one that runs, and nothing they build outlives the call.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -17,6 +18,8 @@ __all__ = ["FAMILIES", "Family", "least_index"]
 
 # (label, value) per bound, and notes on the bounds left out.
 Bounds = tuple[list[tuple[str, float]], list[str]]
+
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp is finite up to here
 
 
 def _bernstein_bounds(n: int, x: float) -> Bounds:
@@ -30,24 +33,24 @@ def _bernstein_bounds(n: int, x: float) -> Bounds:
     return out, notes
 
 
-def _bbh_bounds(n: int, x: float) -> Bounds:
-    return [("inv_sqrt", (x + 1.0) / math.sqrt(x * x + (4.0 * n - 2.0) * x + 1.0))], []
+def _central_binomial(n: int, x: float) -> float:
+    """Baskakov's envelope C(2m, m) (1+x)^m / (1+2x)^(m+1), m = n - 1, as
+    beta_m (2 + 2w)^m w with beta_m = C(2m, m)/4^m <= 1 and w = 1/(1+2x) =
+    0.5/(0.5+x): no factor overflows or vanishes but the power, and where it
+    overflows the product is taken in log space, inf only where the envelope
+    leaves the double range."""
+    m, w = n - 1, 0.5 / (0.5 + x)
+    beta = math.comb(2 * m, m) / 4 ** m
+    try:
+        return beta * (2.0 + 2.0 * w) ** m * w
+    except OverflowError:
+        log = math.log(beta) + m * math.log(2.0 + 2.0 * w) + math.log(w)
+        return math.exp(log) if log <= _LOG_MAX else math.inf
 
 
 def _baskakov_bounds(n: int, x: float) -> Bounds:
     base = 4.0 * (n + 1) * x * (1.0 + x) + 1.0
-    return [
-        ("refined_power", base ** (-n / (2.0 * (n + 1)))),
-        ("central_binomial", math.comb(2 * n - 2, n - 1) * (1.0 + x) ** (n - 1) / (1.0 + 2.0 * x) ** n),
-    ], []
-
-
-def _mkz_bounds(n: int, x: float) -> Bounds:
-    base = (1.0 - x) ** 2 / (x * x + (4.0 * n + 6.0) * x + 1.0)
-    return [
-        ("refined_power", base ** ((n + 1) / (2.0 * (n + 2)))),
-        ("central_binomial", math.comb(2 * n, n) * (1.0 - x) / (1.0 + x) ** (n + 1)),
-    ], []
+    return [("refined_power", base ** (-n / (2.0 * (n + 1)))), ("central_binomial", _central_binomial(n, x))], []
 
 
 def _szasz_bounds(n: int, x: float) -> Bounds:
@@ -73,7 +76,8 @@ def _solves(spec, series, inner=exactalg.IDENTITY) -> Callable[[range], bool]:
 class Family(NamedTuple):
     """What is exact or proven about one family, at natural n: S in its series
     variable (whose ``var`` names its map in ``exactalg.SERIES_MAPS``) and S
-    itself (None: the closed form only), the proven bounds at a point, the
+    itself (None: the closed form only), the proven bounds at a point (a
+    substitution family has its base row's, at the base index and point), the
     witness (label, build) that ``verify --format json`` builds at the least
     index, the ``verify`` items (name, check), where check(ns) holds at every
     index of ns, and the scan kinds with an exact route."""
@@ -100,7 +104,7 @@ FAMILIES = {
             and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2))))),
     ), ("convexity", "logconvexity", "monotonicity")),
     "bbh": Family(lambda n: exactalg.u_series_coeffs(n), lambda n, x: exactalg.u_value(n, x),
-        _bbh_bounds, ("u_rational", lambda n: exactalg.u_rational(n)), (
+        None, ("u_rational", lambda n: exactalg.u_rational(n)), (
         ("ode", _solves(lambda n: exactalg.eq_u(n), lambda n: exactalg.u_series_coeffs(n))),
         ("substitution", _each(lambda n: exactalg.substitution_identity(  # U_n = F_n(x/(1+x)), s = v/2
             exactalg.f_poly_parseval(n), (1, 0, 1, 1), exactalg.u_series_coeffs(n), 2))),
@@ -114,7 +118,7 @@ FAMILIES = {
             exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n)))),
     ), ("logconvexity",)),
     "mkz": Family(lambda n: exactalg.j_series_coeffs(n), lambda n, x: exactalg.j_value(n, x),
-        _mkz_bounds, ("j_rational", lambda n: exactalg.j_rational(n)), (
+        None, ("j_rational", lambda n: exactalg.j_rational(n)), (
         ("ode", _solves(lambda n: exactalg.eq_j(n), lambda n: exactalg.j_series_coeffs(n))),
         ("substitution", _each(lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
             exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n)))),

@@ -48,9 +48,14 @@ class TestDocumentedMargins:
             assert dict(r.bounds)["central_binomial"] - r.s_value == 0.0
 
     def test_mkz_equality_anchor(self):
+        # the mkz envelope at index 0 is the baskakov one at index 1 and
+        # t = x/(1-x), where it is the function itself to the bit; the
+        # rounding of t leaves it within an ulp of the mkz sum
         for x in (0.0, 0.42, 0.9):
             r = bound_values(MKZ, 0, x)
-            assert dict(r.bounds)["central_binomial"] - r.s_value == 0.0
+            base = bound_values(BASKAKOV, 1, x / (1.0 - x))
+            assert dict(r.bounds)["central_binomial"] == dict(base.bounds)["central_binomial"] == base.s_value
+            assert abs(dict(r.bounds)["central_binomial"] - r.s_value) <= 2.0 ** -52 * r.s_value
 
     def test_szasz_anchor_at_origin(self):
         r = bound_values(SZASZ, 3, 0.0)
@@ -78,6 +83,41 @@ class TestGridMargins:
             for x in standard_grid(BERNSTEIN, count=64):
                 bs = dict(bound_values(BERNSTEIN, n, x).bounds)
                 assert bs["refined_power"] <= bs["inv_sqrt"] + 1e-15
+
+
+class TestSubstitutionBounds:
+    @pytest.mark.parametrize("family, base, to_base, shift", [
+        (BBH, BERNSTEIN, lambda x: x / (1.0 + x), 0),
+        (MKZ, BASKAKOV, lambda x: x / (1.0 - x), 1),
+    ], ids=["bbh", "mkz"])
+    def test_bounds_are_the_base_rows(self, family, base, to_base, shift):
+        # a substitution family's bounds are its base family's at the base
+        # index and point, bit for bit, with the base family's notes
+        for n in (1, 2, 7, 30):
+            for x in standard_grid(family, count=32):
+                r = bound_values(family, n, x)
+                b = bound_values(base, n + shift, to_base(x))
+                assert (r.bounds, r.notes) == (b.bounds, b.notes)
+
+    def test_bbh_gains_the_refined_power(self):
+        for n in range(2, 31):
+            for r in bound_reports(BBH, n, standard_grid(BBH)):
+                assert dict(r.bounds)["refined_power"] - r.s_value >= 0.0
+
+
+class TestLargeIndex:
+    @pytest.mark.parametrize("family", [BASKAKOV, MKZ], ids=lambda f: f.name)
+    def test_envelope_past_the_overflow_of_its_factors(self, family):
+        # (1 + x)^(n-1) overflowed at x = 1e6 from n = 49 on, and C(2n, n)
+        # from n = 515: the envelope is finite there, or inf where it leaves
+        # the double range, never an error or nan
+        for n in (49, 60, 600):
+            for x in standard_grid(family):
+                cb = dict(bound_values(family, n, x).bounds)["central_binomial"]
+                assert cb > 0.0 and not math.isnan(cb)
+        bs = dict(bound_values(BASKAKOV, 1100, 1.7e308).bounds)
+        assert 0.0 <= bs["central_binomial"] < math.inf and bs["refined_power"] == 0.0
+        assert dict(bound_values(BASKAKOV, 600, 0.0).bounds)["central_binomial"] == math.inf
 
 
 class TestDecay:

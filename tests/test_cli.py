@@ -294,6 +294,15 @@ class TestBounds:
         doc = json.loads(out)
         assert float(doc["report"]["min_margin"]) >= -1e-12
 
+    @pytest.mark.parametrize("family", ["baskakov", "mkz"])
+    def test_large_index_on_the_standard_grid(self, family):
+        # the central-binomial envelope overflowed in its factors at x = 1e6
+        # from baskakov n = 49 on; every margin holds at n = 60
+        code, out, err = invoke(["bounds", "--family", family, "-n", "60", "--format", "json"])
+        assert code == 0, err
+        points = json.loads(out)["report"]["points"]
+        assert len(points) > 200 and all(float(p["min_margin"]) >= -1e-12 for p in points)
+
 
 # (the family's options, its least index, the key its bounds message names,
 # whether it has a verify suite)
@@ -537,37 +546,47 @@ GOLDEN = {
     # s_value from 5.7e-9 to 2.1e-16 of scipy's i0e at x = 1e6
     ("bounds", "--family", "szasz", "-n", "3", "--format", "json"):
         "c54606aad74b42fe724fe542d1e7d64a095479ba1e2118561e51de183d0152b8",
+    # the baskakov, bbh, mkz and general -c 1 bounds digests (here and at
+    # n = 30 below) were re-recorded when bbh and mkz took their base rows'
+    # bounds at the base index and point and the central-binomial envelope
+    # became beta_m (2 + 2w)^m w; largest relative change of each bound, n = 3:
+    # baskakov and general -c 1 central_binomial 4.8e-16 (refined_power
+    # unchanged), bbh inv_sqrt 4.0e-16 (and refined_power added), mkz
+    # refined_power 2.2e-16 and central_binomial 8.5e-16
     ("bounds", "--family", "baskakov", "-n", "3", "--format", "json"):
-        "c60b03b704fae0dfbf579690c5847f8f57472fb2af29df7d3acd0bd0085e6c52",
+        "ff4c848a8f493de749ef7becb31eb270f6cedf95e5611ee53ae71d445921bfe6",
     ("bounds", "--family", "bbh", "-n", "3", "--format", "json"):
-        "546a8c0ff68f191ac67c04989dbe0c451273e1de5af85874d3ee07a7fee0d58d",
+        "6a7e383bfe384207fc1f817b3c0a885a126773b2ac07221f3e1fa72410af4706",
     ("bounds", "--family", "mkz", "-n", "3", "--format", "json"):
-        "58573c8be6554fce3078cae59c7041f9118290575286a8b36178e950d96ec909",
+        "1a089a03b0c634fd1522512a5ce05228a170d1254242af29deba56ece08e7ae3",
     ("bounds", "--family", "general", "-c", "-1", "-n", "3", "--format", "json"):
         "07f78a8fd09695ea2b23982dd662b9b006ab2c837a893ff930e76dd1de04ba0f",
     ("bounds", "--family", "general", "-c", "0", "-n", "3", "--format", "json"):  # as szasz
         "0bacefe83e30a36687c5367f5a6a3b863e08c9c33729ea589220173e861e4a3e",
     ("bounds", "--family", "general", "-c", "1", "-n", "3", "--format", "json"):
-        "ee3b21ca9b921068945efc6133ce79d5e7207670e3e72a62f4e1418d6b9a9e2e",
+        "0cec689b7c6efc8192086ad0bae838e922cff3ca6c2cfea84d283b2e89461f0e",
     # Recorded before json moved to the one indent-2 writer and the exact
     # float paths to coefficients converted once: n = 30 is the largest
     # index the benchmark runs, and n = 1 has a non-empty notes list.
     ("bounds", "--family", "bernstein", "-n", "30", "--format", "json"):
         "890573418aa5b751081c621801d50b12ba79425dad7156a85b9bbe5764a0e1f0",
+    # re-recorded as the n = 3 bounds above; n = 30: bbh inv_sqrt 3.2e-15
+    # (refined_power added), baskakov central_binomial 5.6e-15, mkz
+    # refined_power 2.6e-16 and central_binomial 5.4e-15 (text and csv alike)
     ("bounds", "--family", "bbh", "-n", "30", "--format", "json"):
-        "3d1db017781b9ac3070415036bffadff15e0b586f87f1271913f46352cab0a96",
+        "d4b79ebb69a7ab760c01715937d1be9b3e06ce372ef60849a9ab2e1b851afa91",
     ("bounds", "--family", "baskakov", "-n", "30", "--format", "json"):
-        "85e1c3996a3cd17f6be813a8df14a74656130bbcf8b3efd790a0051cecd21e92",
+        "781347d4945f2e42c88c69097d30ebd8517f008da637a46728fffc7258a85ef5",
     ("bounds", "--family", "mkz", "-n", "30", "--format", "json"):
-        "4997e31d6707e764ff6cbd6addc2c352be914429ee7035160dda74dafe31133a",
+        "8a54fc9e2be210be3d510314d2afc5d51d079627332596654fef286945d08865",
     ("bounds", "--family", "szasz", "-n", "30", "--format", "json"):
         "b5105540f59a5807b03e50e437a2ecf80a6ea436f48287d779b1e238ec900fb4",
     ("bounds", "--family", "bernstein", "-n", "1", "--format", "json"):
         "2fc2af32700fef49386096824cb4e5843040c1bed9445f3779285e6451819748",
     ("bounds", "--family", "mkz", "-n", "30", "--format", "text"):
-        "02faf1153b9c718d553055e3f5a7aa93d3bdc788195b36915268307277a85869",
+        "1a89a19d0e5a12b51e2fcebbe739086601ac800caa1e5c64a260503d0be5cd3f",
     ("bounds", "--family", "baskakov", "-n", "30", "--format", "csv"):
-        "dc7c841880f79980598ce4a26d1a2da6a7414e8babffb8ed0984e4bc50fbfce6",
+        "87b6d65ca277a0bb0c9c1d3f244ba89b511e5aab20658507bbdffd319936b1eb",
     ("info", "--family", "bernstein", "-n", "3", "--format", "json"):
         "20174767a19df684220fe222e6582161e21f6b552c4a589e294c5043e8bfbb16",
     ("info", "--family", "szasz", "-n", "3", "--format", "json"):
