@@ -98,21 +98,18 @@ def s_value(family: FamilyId, n: RationalLike, x: Real, rtol: float = 1e-12) -> 
 def bound_reports(family: FamilyId, n: int, xs: Sequence[Real]) -> list[BoundReport]:
     """``bound_values`` at every point of ``xs``, with the sums from one
     ``s_values`` call; raises the error of the first point that has one."""
-    # a substitution family's sum is its base family's at the base index and
-    # point, and so are its bounds
-    bounds_at = families.FAMILIES[family.base_family].bounds
-    if bounds_at is None:
+    row = families.FAMILIES[family.key]
+    if row.bounds is None:
         raise ParameterError(f"no proven bounds for general c={family.c}")
     if n < (least := families.least_index(family)):
         raise ParameterError(f"family {family.key!r} bounds need n >= {least}, got n={n}")
-    base_n = int(family.base_params(n).n)
     reports = []
     for x, value in zip(xs, s_values(family, n, xs)):
         if isinstance(value, Exception):
             raise value
         xf = float(x)
         value = float(value)
-        bounds, notes = bounds_at(base_n, family.substitution(xf))
+        bounds, notes = row.bounds(n, xf)
         min_margin = min(b - value for _, b in bounds)
         reports.append(BoundReport(family, n, xf, value, tuple(bounds), min_margin, tuple(notes)))
     return reports

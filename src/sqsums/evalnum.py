@@ -534,6 +534,37 @@ def _far_series(two_a: int, u: float, tol: float) -> tuple:
     return value, tail, terms
 
 
+# Units of rounding error of the c > 0 hypergeometric series, the closed
+# form's below Z_SWITCH and the series route's walk alike: each step
+# carries the roundings of its term ratio and of the running product and
+# sum, and the prefactor exp(pref_log) adds |pref_log| units.  Against
+# mpmath at 40 digits the closed form (n/c from 1/5 to 601/2, c in
+# {1/3, 1, 3}, x from Z_SWITCH down over five decades) was off by at most
+# 2.4 units per term and the walk (n/c from 1/5 to 601/2, c in
+# {1/3, 1, 2}, 6 u = cx per decade up to its switches) by at most 3.3; the
+# claim takes 8 per term plus |pref_log|, on top of 1e-15.
+_HYP_ROUNDING = 2.0 ** -53
+
+
+def _hyp_result(method: Method, pref_log: float, total: float, tail: float, terms: int) -> EvalResult:
+    """exp(pref_log) times a partial sum of the c > 0 hypergeometric series
+    with its tail bound, claiming the tail and ``_HYP_ROUNDING``'s model."""
+    pref = math.exp(pref_log)
+    rounding = 1e-15 + _HYP_ROUNDING * (8 * terms + abs(pref_log))
+    return EvalResult(pref * total, method, pref * tail + rounding * pref * total, terms)
+
+
+# The peak windows claim this much of the value per unit of the standard
+# deviation of their weights, plus 2, on top of their stop: a term |k - k0|
+# steps from the peak carries a few units of rounding per step, and the mean
+# |k - k0| under the squared weights is about the deviation over sqrt(pi).
+# Against mpmath at 40 digits c = 0 (deviation sqrt(mu)) stayed below
+# 0.4e-16 sqrt(mu), and c > 0 (deviation sqrt(a u (1+u)), a from 201/4 to
+# 4000, c in {1/3, 1, 3}, u from the guard to the walk's cap or switch)
+# below 0.77 units per deviation plus 2.
+_WINDOW_ROUNDING = 4.5e-16
+
+
 def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
     """``s_series`` at every point of ``xs``; the c >= 0 series of all points
     are rows of one certified-series kernel call, the peak windows of one
@@ -586,17 +617,19 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
         sums = _certified_rows(lambda k, mu: _sq(mu / (k + 1.0)), 0.0, rtol, args=(mu,)).outcomes()
 
         def szasz(mu, s):
-            pref = math.exp(-2.0 * mu)
-            return EvalResult(pref * s[0], Method.SERIES, pref * s[1], s[2] + 1)
+            # term k carries the roundings of k steps of mu/(k+1), its square
+            # and the running product, and the sum one per term: at most 5
+            # units per term, and 3 more for the prefactor and for mu = nx
+            # (measured against mpmath at 40 digits: at most 2.4 per term, on
+            # n in {1, 3, 5, 25, 100} and mu from 1e-3 to 300)
+            pref, terms = math.exp(-2.0 * mu), s[2] + 1
+            value = pref * s[0]
+            return EvalResult(value, Method.SERIES, pref * s[1] + _HYP_ROUNDING * (5 * terms + 3) * value, terms)
 
         _finish(out, direct, sums, szasz)
 
         def szasz_window(mu, s):
-            # a term |k - k0| steps from the peak carries about 4 |k - k0|
-            # units of rounding, and the mean |k - k0| under the squared
-            # weights is about sqrt(mu / pi); measured errors stay below
-            # 0.4e-16 sqrt(mu)
-            return EvalResult(s[0], Method.SERIES, s[0] * (rtol + 4.5e-16 * (math.sqrt(mu) + 2.0)), s[1])
+            return EvalResult(s[0], Method.SERIES, s[0] * (rtol + _WINDOW_ROUNDING * (math.sqrt(mu) + 2.0)), s[1])
 
         _finish(out, window, _scaled_poisson_rows([mu for _, mu in window], tol=1e-16), szasz_window)
     elif c > 0.0:
@@ -609,14 +642,13 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             args=([p[1] for _, p in direct],),
         ).outcomes(_POS_C_CAPPED)
 
-        def pos_c(p, s):
-            total, tail, steps = s
-            value = math.exp(p[0]) * total
-            return EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), steps + 1)
+        _finish(out, direct, sums, lambda p, s: _hyp_result(Method.SERIES, p[0], s[0], s[1], s[2] + 1))
 
-        _finish(out, direct, sums, pos_c)
-        _finish(out, window, _pos_c_window_rows(n, c, [x for _, x in window], min(rtol, 1e-16)),
-                lambda _, s: EvalResult(s[0], Method.SERIES, rtol * s[0], s[1]))
+        def pos_c_window(x, s):
+            u = c * x  # the negative binomial weights' variance is a u (1+u)
+            return EvalResult(s[0], Method.SERIES, s[0] * (rtol + _WINDOW_ROUNDING * (math.sqrt(n / c * u * (1.0 + u)) + 2.0)), s[1])
+
+        _finish(out, window, _pos_c_window_rows(n, c, [x for _, x in window], min(rtol, 1e-16)), pos_c_window)
         # the claim of the half-integer Legendre recurrence, and at least
         # 2^-1074 per term below the normal range: on 2a from 1 to 601 and
         # 12 u per decade from the switch to 1e12 the expansion was within
@@ -632,7 +664,10 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
 
     For c < 0 the series terminates after l+1 terms and the value is exact
     up to rounding; otherwise the geometric certificate stops the sum once
-    the tail drops below rtol times the partial sum.  For c > 0 at whole
+    the tail drops below rtol times the partial sum, and the claim adds the
+    rounding: 5 units per term at c = 0, the closed form's model
+    (``_HYP_ROUNDING``) on the c > 0 walk, and ``_WINDOW_ROUNDING`` per
+    deviation of the weights in the peak windows.  For c > 0 at whole
     2a = 2n/c, from u = cx = max(64, 4a) on, the series is instead the
     expansion of 2F1(a, a; 1; z) about z = 1 (``_far_series``), O(1) terms
     per point, with a claim of its tail plus 1e-15*(a+1) of the value, and
@@ -789,15 +824,6 @@ def _legendre(two_a: int, ux, uy):
     return scale * q
 
 
-# Units of rounding error of the c > 0 hypergeometric series: each step
-# carries the roundings of its term ratio and of the running product and
-# sum, and the prefactor exp(pref_log) adds |pref_log| units.  Against
-# mpmath at 40 digits (n/c from 1/5 to 601/2, c in {1/3, 1, 3}, x from
-# Z_SWITCH down over five decades) it was off by at most 2.4 units per
-# term; the claim takes 8 per term plus |pref_log|, on top of 1e-15.
-_HYP_ROUNDING = 2.0 ** -53
-
-
 def _reflected(a: float, u: float, v: float) -> tuple:
     """The parameter s of S's reflected integrand at which T's Laplace
     integral runs, and its factor (g/B)^(2a), at u = cx, v = cy.
@@ -908,12 +934,10 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
 
     def series(p, s):
         value, tail, terms = s
-        pref = math.exp(p[1])
-        if c < 0:
-            value *= pref
-            return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (l + 1), terms)
-        rounding = 1e-15 + _HYP_ROUNDING * (8 * terms + abs(p[1]))
-        return EvalResult(pref * value, Method.CLOSED_FORM, pref * tail + rounding * pref * value, terms)
+        if c > 0:
+            return _hyp_result(Method.CLOSED_FORM, p[1], value, tail, terms)
+        value *= math.exp(p[1])
+        return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (l + 1), terms)
 
     if hyp:
         _finish(out, hyp, _hyp2f1_rows(-float(l) if c < 0 else a, [z for _, (z, _) in hyp], rtol), series)

@@ -53,6 +53,13 @@ def _baskakov_bounds(n: int, x: float) -> Bounds:
     return [("refined_power", base ** (-n / (2.0 * (n + 1)))), ("central_binomial", _central_binomial(n, x))], []
 
 
+def _base_bounds(key: str) -> Callable[[int, float], Bounds]:
+    """A substitution family's bounds: its base row's at the base index and
+    point (``core._FAMILIES``)."""
+    sub = core._FAMILIES[key]
+    return lambda n, x: FAMILIES[sub.base].bounds(n + sub.shift, sub.to_base(x))
+
+
 def _szasz_bounds(n: int, x: float) -> Bounds:
     return [("inv_sqrt", (4.0 * n * x + 1.0) ** -0.5)], []
 
@@ -76,8 +83,7 @@ def _solves(spec, series, inner=exactalg.IDENTITY) -> Callable[[range], bool]:
 class Family(NamedTuple):
     """What is exact or proven about one family, at natural n: S in its series
     variable (whose ``var`` names its map in ``exactalg.SERIES_MAPS``) and S
-    itself (None: the closed form only), the proven bounds at a point (a
-    substitution family has its base row's, at the base index and point), the
+    itself (None: the closed form only), the proven bounds at a point, the
     witness (label, build) that ``verify --format json`` builds at the least
     index, the ``verify`` items (name, check), where check(ns) holds at every
     index of ns, and the scan kinds with an exact route."""
@@ -104,7 +110,7 @@ FAMILIES = {
             and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2))))),
     ), ("convexity", "logconvexity", "monotonicity")),
     "bbh": Family(lambda n: exactalg.u_series_coeffs(n), lambda n, x: exactalg.u_value(n, x),
-        None, ("u_rational", lambda n: exactalg.u_rational(n)), (
+        _base_bounds("bbh"), ("u_rational", lambda n: exactalg.u_rational(n)), (
         ("ode", _solves(lambda n: exactalg.eq_u(n), lambda n: exactalg.u_series_coeffs(n))),
         ("substitution", _each(lambda n: exactalg.substitution_identity(  # U_n = F_n(x/(1+x)), s = v/2
             exactalg.f_poly_parseval(n), (1, 0, 1, 1), exactalg.u_series_coeffs(n), 2))),
@@ -118,7 +124,7 @@ FAMILIES = {
             exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n)))),
     ), ("logconvexity",)),
     "mkz": Family(lambda n: exactalg.j_series_coeffs(n), lambda n, x: exactalg.j_value(n, x),
-        None, ("j_rational", lambda n: exactalg.j_rational(n)), (
+        _base_bounds("mkz"), ("j_rational", lambda n: exactalg.j_rational(n)), (
         ("ode", _solves(lambda n: exactalg.eq_j(n), lambda n: exactalg.j_series_coeffs(n))),
         ("substitution", _each(lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
             exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n)))),

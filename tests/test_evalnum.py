@@ -988,11 +988,10 @@ def test_far_series_sweep_against_mpmath():
 
 @pytest.mark.parametrize("two_a", [1, 2, 5, 25, 121, 601])
 def test_far_series_straddles_its_switch(two_a):
-    # one float either side of u = max(64, 4a) at c = 2: the walk below and
-    # the expansion above, which holds its claim.  The walk misses its own
-    # claim there by up to about 250 times (ROADMAP item 6; its rounding
-    # grows with its steps, 4.4e-13 of the value at 2a = 121), so the sides
-    # agree to 1e-12
+    # one float either side of u = max(64, 4a) at c = 2: the walk (or at
+    # 2a = 601 the peak window) below and the expansion above, each within
+    # its claim; the walk's rounding grows with its steps, 4.4e-13 of the
+    # value at 2a = 121, so the sides agree to 1e-12
     mpmath = pytest.importorskip("mpmath")
     c = Fraction(2)
     params = Params(Fraction(two_a, 2) * c, c)
@@ -1002,7 +1001,37 @@ def test_far_series_straddles_its_switch(two_a):
     assert 2.0 * below < _far_switch(two_a) <= 2.0 * above
     assert low.terms_or_nodes > 900 and high.terms_or_nodes <= 27
     _assert_within_claims(_whole_2a_s(mpmath, c, above, two_a), (high,))
+    _assert_within_claims(_whole_2a_s(mpmath, c, below, two_a), (low,))
     assert high.value == pytest.approx(low.value, rel=1e-12)
+
+
+def test_series_claims_against_mpmath():
+    # every c >= 0 series row below its switches claims its rounding, with
+    # the claims' measured margins: the c = 0 direct sum (5 units per term
+    # and 3, within 0.27 of that), the c > 0 walk (the closed form's model,
+    # 8 units per term and |pref_log|, within 0.37) and the c > 0 peak
+    # window (4.5e-16 per deviation of its weights, within 0.18)
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(n, 0, [mu / n for mu in 10.0 ** np.linspace(-3, math.log10(300.0), 25)]) for n in (1, 5, 25, 100)]
+    for a in (Fraction(1, 5), Fraction(4, 3), Fraction(5, 2), Fraction(25, 2), Fraction(201, 4), Fraction(300)):
+        for c in (Fraction(1, 3), Fraction(2)):
+            us = [10.0 ** (-3 + i / 4) for i in range(25)]
+            cases.append((a * c, c, [u / float(c) for u in us if u < min(2.0 * float(2 * a), 3e3) or 2 * a % 1]))
+    # the window at 2a = 601 and the walk at 2a = 121 just below the switch
+    # of the expansion about z = 1, which missed their old claims 250 and
+    # 1000 times over
+    cases += [(601, 2, [math.nextafter(601.0, 0.0)]), (Fraction(121, 6), Fraction(1, 3), [math.nextafter(363.0, 0.0)])]
+    for n, c, xs in cases:
+        params = Params(n, c)
+        for x, r in zip(xs, s_series_grid(params, xs)):
+            assert r.method is Method.SERIES
+            with mpmath.workdps(40):
+                if c == 0:
+                    want = _szasz_s(mpmath, _mpf(mpmath, n) * _mpf(mpmath, x))
+                else:
+                    am, u = _mpf(mpmath, n) / _mpf(mpmath, c), _mpf(mpmath, c) * _mpf(mpmath, x)
+                    want = mpmath.legenp(am - 1, 0, 1 + 2 * u * u / (1 + 2 * u), type=3) / (1 + 2 * u) ** am
+            _assert_within_claims(want, (r,))
 
 
 @pytest.mark.parametrize("two_a", [1, 2, 3, 4, 7, 20, 25, 50, 121, 200, 600, 601])

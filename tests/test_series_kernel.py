@@ -210,15 +210,19 @@ def _series_expect(params, x, rtol):
         assert mu <= 300.0
         pref = math.exp(-2.0 * mu)
         total, tail, terms = ref_szasz_series(mu, rtol)
-        return evalnum.EvalResult(pref * total, Method.SERIES, pref * tail, terms)
+        # the tail, and 5 units per term and 3 more of rounding
+        err = pref * tail + 2.0 ** -53 * (5 * terms + 3) * (pref * total)
+        return evalnum.EvalResult(pref * total, Method.SERIES, err, terms)
     u = c * x
     pref_log = -(2.0 * n / c) * math.log1p(u)
     assert pref_log >= -_EXP_GUARD
     rr = (x / (1.0 + u)) ** 2
     zlim = (c * x / (1.0 + u)) ** 2
     total, tail, terms = ref_pos_c_series(n, c, rr, zlim, rtol)
-    value = math.exp(pref_log) * total
-    return evalnum.EvalResult(value, Method.SERIES, value * (tail / total + 1e-15), terms)
+    pref = math.exp(pref_log)
+    # the tail, and the closed form's model: 8 units per term and |pref_log|
+    rounding = 1e-15 + 2.0 ** -53 * (8 * terms + abs(pref_log))
+    return evalnum.EvalResult(pref * total, Method.SERIES, pref * tail + rounding * pref * total, terms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -643,7 +647,9 @@ def test_pos_c_series_straddles_exp_guard(n, c):
     params = Params(n, c)
     low, high = s_series(params, below), s_series(params, above)
     assert low == _series_expect(params, below, 1e-12)
-    assert high.err_estimate == 1e-15 * high.value  # the peak window
+    # the peak window: its stop and 4.5e-16 per deviation of its weights, plus 2
+    u = cf * above
+    assert high.err_estimate == high.value * (1e-15 + 4.5e-16 * (math.sqrt(nf / cf * u * (1.0 + u)) + 2.0))
     assert low.value == pytest.approx(high.value, rel=1e-13)
     # the closed form hands over to quadrature on the same side
     assert s_closed(params, below).method is Method.CLOSED_FORM
