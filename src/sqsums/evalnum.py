@@ -104,8 +104,8 @@ class EvalResult:
     """Value of one evaluation route with its claimed error bound.
 
     ``err_estimate`` bounds the truncation or quadrature error the method
-    itself commits (rounding aside); ``terms_or_nodes`` counts series terms
-    or quadrature nodes.
+    commits and its rounding; ``terms_or_nodes`` counts series terms or
+    quadrature nodes.
     """
 
     value: float
@@ -187,10 +187,6 @@ def _tanh_sinh_level(m: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _is_nonpositive_int(a: float) -> bool:
-    return a <= 0.0 and float(a).is_integer()
-
-
 def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 * 10 ** 6) -> list:
     """Series value with a certified geometric tail bound and term count at
     each z: (value, tail, terms), or the exception raised there.  The
@@ -203,7 +199,7 @@ def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 
                 raise ValueError(f"series argument must be nonnegative, got z={z}")
             if z == 0.0:
                 out[i] = (1.0, 0.0, 1)
-            elif _is_nonpositive_int(a):
+            elif a <= 0.0 and float(a).is_integer():
                 m = int(-a)
                 total = 1.0
                 term = 1.0
@@ -256,18 +252,25 @@ def _i0_rows(zs: Sequence[float], rtol: float = 1e-16) -> list:
     return [s if isinstance(s, Exception) else (s[0], s[2] + 1) for s in sums]
 
 
+def _squared_peaks(peak, points) -> list:
+    """The index of the largest weight and twice its log, (k0, 2 log p_k0),
+    at each point from ``peak(point)``, or the exception raised there."""
+    out: list = []
+    for point in points:
+        try:
+            k0, log_pmf = peak(point)
+            out.append((k0, 2.0 * log_pmf))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
 def _scaled_poisson_rows(mus: Sequence[float], tol: float) -> list:
     """exp(-2*mu) * sum_k (mu^k / k!)^2 at each mu, summed around its peak in
     log space from Loader's anchor: (value, terms), or the exception raised
     there (ArithmeticError where the window cannot reach the peak or finish)."""
-    peaks: list = []
-    for mu in mus:
-        try:
-            k0, log_pmf = _poisson_peak(mu)
-            peaks.append((k0, 2.0 * log_pmf))
-        except Exception as exc:
-            peaks.append(exc)
-    return _window_rows(peaks, lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), tol, args=(mus,))
+    return _window_rows(_squared_peaks(_poisson_peak, mus), lambda k, mu: _sq(mu / (k + 1.0)),
+                        lambda k, mu: _sq(k / mu), tol, args=(mus,))
 
 
 # Past this argument, exp(-z) I0(z) is the Hankel expansion.
@@ -535,14 +538,12 @@ def _far_series(two_a: int, u: float, tol: float) -> tuple:
 
 
 # Units of rounding error of the c > 0 hypergeometric series, the closed
-# form's below Z_SWITCH and the series route's walk alike: each step
-# carries the roundings of its term ratio and of the running product and
-# sum, and the prefactor exp(pref_log) adds |pref_log| units.  Against
-# mpmath at 40 digits the closed form (n/c from 1/5 to 601/2, c in
-# {1/3, 1, 3}, x from Z_SWITCH down over five decades) was off by at most
-# 2.4 units per term and the walk (n/c from 1/5 to 601/2, c in
-# {1/3, 1, 2}, 6 u = cx per decade up to its switches) by at most 3.3; the
-# claim takes 8 per term plus |pref_log|, on top of 1e-15.
+# form's and the series route's walk: each step carries the roundings of its
+# term ratio and of the running product and sum, and the prefactor
+# exp(pref_log) adds |pref_log| units.  Against mpmath at 40 digits (n/c from
+# 1/5 to 601/2, c from 1/3 to 3, x over five decades below the switches)
+# both were off by at most 3.3 units per term; the claim takes 8 per term
+# plus |pref_log|, on top of 1e-15.
 _HYP_ROUNDING = 2.0 ** -53
 
 
@@ -554,14 +555,12 @@ def _hyp_result(method: Method, pref_log: float, total: float, tail: float, term
     return EvalResult(pref * total, method, pref * tail + rounding * pref * total, terms)
 
 
-# The peak windows claim this much of the value per unit of the standard
-# deviation of their weights, plus 2, on top of their stop: a term |k - k0|
-# steps from the peak carries a few units of rounding per step, and the mean
-# |k - k0| under the squared weights is about the deviation over sqrt(pi).
-# Against mpmath at 40 digits c = 0 (deviation sqrt(mu)) stayed below
-# 0.4e-16 sqrt(mu), and c > 0 (deviation sqrt(a u (1+u)), a from 201/4 to
-# 4000, c in {1/3, 1, 3}, u from the guard to the walk's cap or switch)
-# below 0.77 units per deviation plus 2.
+# The peak windows claim this much of the value per standard deviation of
+# their weights, plus 2, beyond their stop: a term |k - k0| steps from the
+# peak carries a few units of rounding per step.  Against mpmath at 40
+# digits c = 0 (deviation sqrt(mu)) stayed below 0.4e-16 sqrt(mu) and c > 0
+# (sqrt(a u (1+u)), a from 201/4 to 4000, c from 1/3 to 3) below 0.77 units
+# per deviation plus 2.
 _WINDOW_ROUNDING = 4.5e-16
 
 
@@ -617,11 +616,10 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
         sums = _certified_rows(lambda k, mu: _sq(mu / (k + 1.0)), 0.0, rtol, args=(mu,)).outcomes()
 
         def szasz(mu, s):
-            # term k carries the roundings of k steps of mu/(k+1), its square
-            # and the running product, and the sum one per term: at most 5
-            # units per term, and 3 more for the prefactor and for mu = nx
-            # (measured against mpmath at 40 digits: at most 2.4 per term, on
-            # n in {1, 3, 5, 25, 100} and mu from 1e-3 to 300)
+            # term k carries 4 units per step (mu/(k+1), its square and the
+            # running product) and the sum 1: at most 5 units per term, and 3
+            # more for the prefactor and mu = nx (at most 2.4 per term against
+            # mpmath at 40 digits, n from 1 to 100 and mu from 1e-3 to 300)
             pref, terms = math.exp(-2.0 * mu), s[2] + 1
             value = pref * s[0]
             return EvalResult(value, Method.SERIES, pref * s[1] + _HYP_ROUNDING * (5 * terms + 3) * value, terms)
@@ -633,20 +631,15 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
 
         _finish(out, window, _scaled_poisson_rows([mu for _, mu in window], tol=1e-16), szasz_window)
     elif c > 0.0:
-        sums = _certified_rows(
-            lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr,
-            0.0,
-            rtol,
-            _POS_C_STEPS,
-            sup=[p[2] for _, p in direct],
-            args=([p[1] for _, p in direct],),
-        ).outcomes(_POS_C_CAPPED)
-
+        sums = _certified_rows(lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr, 0.0, rtol, _POS_C_STEPS,
+                               sup=[p[2] for _, p in direct], args=([p[1] for _, p in direct],))
+        sums = sums.outcomes(_POS_C_CAPPED)
         _finish(out, direct, sums, lambda p, s: _hyp_result(Method.SERIES, p[0], s[0], s[1], s[2] + 1))
 
         def pos_c_window(x, s):
             u = c * x  # the negative binomial weights' variance is a u (1+u)
-            return EvalResult(s[0], Method.SERIES, s[0] * (rtol + _WINDOW_ROUNDING * (math.sqrt(n / c * u * (1.0 + u)) + 2.0)), s[1])
+            deviation = math.sqrt(n / c * u * (1.0 + u))
+            return EvalResult(s[0], Method.SERIES, s[0] * (rtol + _WINDOW_ROUNDING * (deviation + 2.0)), s[1])
 
         _finish(out, window, _pos_c_window_rows(n, c, [x for _, x in window], min(rtol, 1e-16)), pos_c_window)
         # the claim of the half-integer Legendre recurrence, and at least
@@ -688,21 +681,10 @@ def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> l
     (c rho)^2 < 1 from above for n/c >= 1 and from below otherwise.
     """
     rhos = [x / (1.0 + c * x) for x in xs]
-    peaks: list = []
-    for x in xs:
-        try:
-            k0, log_pmf = _nb_peak(n / c, c * x)
-            peaks.append((k0, 2.0 * log_pmf))
-        except Exception as exc:
-            peaks.append(exc)
-    return _window_rows(
-        peaks,
-        lambda k, rho: _sq((n + k * c) * rho / (k + 1.0)),
-        lambda k, rho: _sq(k / ((n + (k - 1) * c) * rho)),
-        tol,
-        up_sup=[(c * rho) ** 2 for rho in rhos],
-        args=(rhos,),
-    )
+    return _window_rows(_squared_peaks(lambda x: _nb_peak(n / c, c * x), xs),
+                        lambda k, rho: _sq((n + k * c) * rho / (k + 1.0)),
+                        lambda k, rho: _sq(k / ((n + (k - 1) * c) * rho)),
+                        tol, up_sup=[(c * rho) ** 2 for rho in rhos], args=(rhos,))
 
 
 def _twice_a(params: Params) -> int:
@@ -825,15 +807,10 @@ def _legendre(two_a: int, ux, uy):
 
 
 def _reflected(a: float, u: float, v: float) -> tuple:
-    """The parameter s of S's reflected integrand at which T's Laplace
-    integral runs, and its factor (g/B)^(2a), at u = cx, v = cy.
-
-    Laplace's integral of P_(a-1)(W)/B^a runs over (W+R)(1-t) + (W-R)t with
-    R = sqrt(W^2-1), W + R = g^2/B and W - R = B/g^2,
-    g = sqrt(uv) + sqrt((1+u)(1+v)) <= B: the reflected integrand of S at
-    s = B/g^2, times (g/B)^(2a).  Where u = v, g = B = 1 + 2u, so s is S's
-    own 1/(1+2cx) and the factor is 1.
-    """
+    """T's Laplace integral at u = cx, v = cy as S's reflected integrand at
+    s = B/g^2 times (g/B)^(2a), g = sqrt(uv) + sqrt((1+u)(1+v)) <= B: it runs
+    over (W+R)(1-t) + (W-R)t, R = sqrt(W^2-1), with W - R = B/g^2.  Where
+    u = v, g = B = 1 + 2u: S's own s = 1/(1+2cx) and the factor 1."""
     if u == v:
         return 1.0 / (1.0 + 2.0 * u), 1.0
     b = 1.0 + u + v
@@ -844,16 +821,11 @@ def _reflected(a: float, u: float, v: float) -> tuple:
 
 
 def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol: float) -> tuple:
-    """The closed form of T(x, y) at each pair of ``xs`` and ``ys``: the
-    EvalResult or the exception raised there, and a bound on the part of
-    each value that the hand-over's rule leaves out (0 off the hand-over).
-
-    Each pair is classified once, and each kernel runs once over all its
-    pairs: the Bessel rows of c = 0, the Legendre recurrence of whole 2a,
-    the diagonal hypergeometric series, and one tanh-sinh ladder for the
-    hand-over; the c < 0 log sum past its guard runs pair by pair.  Where
-    x = y every step is S's own arithmetic, so S is the diagonal call.
-    """
+    """The closed form of T at each pair of ``xs`` and ``ys`` (the EvalResult
+    or the exception raised there), and the bound on the part of each value
+    the hand-over's rule leaves out (0 elsewhere).  Each pair is classified
+    once and each kernel runs once over its pairs; the c < 0 log sum runs
+    pair by pair.  Where x = y every step is S's own arithmetic."""
     n = params.n_float
     c = params.c_float
     a = n / c if c else 0.0
@@ -877,16 +849,14 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
                     math.log1p(t) if 1.0 + t > 0.0 else -math.inf for t in (u, v)
                 )
                 value = math.exp(log_p)
-                out[i] = EvalResult(value, Method.CLOSED_FORM, _HYP_ROUNDING * abs(log_p) * value if value else 0.0, 1)
+                err = _HYP_ROUNDING * abs(log_p) * value if value else 0.0
+                out[i] = EvalResult(value, Method.CLOSED_FORM, err, 1)
             elif c == 0.0:
-                # T = exp(-n (sqrt(x) - sqrt(y))^2) exp(-2mu) I0(2mu) at
-                # mu = n sqrt(xy); sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) +
-                # sqrt(y)) does not cancel, and neither product overflows
-                if xf == yf:
-                    bessel.append((i, (2.0 * n * xf, 0.0)))
-                else:
-                    rx, ry = math.sqrt(xf), math.sqrt(yf)
-                    bessel.append((i, (2.0 * n * (rx * ry), ((xf - yf) / (rx + ry)) ** 2)))
+                # T = exp(-n (sqrt(x) - sqrt(y))^2) exp(-2mu) I0(2mu) at mu =
+                # n sqrt(x) sqrt(y), which does not overflow, and
+                # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
+                rx, ry = math.sqrt(xf), math.sqrt(yf)
+                bessel.append((i, (2.0 * n * (xf if xf == yf else rx * ry), ((xf - yf) / (rx + ry)) ** 2)))
             elif two_a:
                 if not math.isfinite(1.0 + u + v):
                     raise OverflowError(f"1 + {'2cx' if u == v else 'cx + cy'} is past the double range")
@@ -898,14 +868,14 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
                     exact = Fraction(xf) * params.c == -1 == Fraction(yf) * params.c
                     out[i] = EvalResult(1.0, Method.CLOSED_FORM, 0.0 if exact else 4 * params.l * 2.0 ** -53, 1)
                 else:  # only p_l(x) p_l(y) survives
-                    log_sum.append((i, (xf, yf)))
+                    log_sum.append(i)
             else:
                 # z = uv/((1+u)(1+v)), each quotient at most 1 for c > 0
                 z = (u / (1.0 + u)) ** 2 if u == v else (u / (1.0 + u)) * (v / (1.0 + v))
                 pref_log = -a * (math.log1p(u) + math.log1p(v))
                 if c < 0 and not (z < 1e10 and abs(pref_log) < _EXP_GUARD):
                     # near the endpoint the terminating series is unscaled in log space
-                    log_sum.append((i, (xf, yf)))
+                    log_sum.append(i)
                 elif c > 0 and (z > Z_SWITCH or pref_log < -_EXP_GUARD):
                     quad.append((i, _reflected(a, u, v)))
                 else:
@@ -929,8 +899,9 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
         for (i, _), value in zip(legendre, _legendre(two_a, us, vs).tolist()):
             out[i] = EvalResult(value, Method.CLOSED_FORM, max(rounding * value, terms * 2.0 ** -1074), terms)
     l = params.l or 0
-    _finish(out, log_sum, [_neg_c_log_sum(params, *p) for _, p in log_sum],
-            lambda _, value: EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (l + 1), l + 1))
+    for i in log_sum:
+        value = _neg_c_log_sum(params, float(xs[i]), float(ys[i]))
+        out[i] = EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (l + 1), l + 1)
 
     def series(p, s):
         value, tail, terms = s
@@ -942,14 +913,10 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
     if hyp:
         _finish(out, hyp, _hyp2f1_rows(-float(l) if c < 0 else a, [z for _, (z, _) in hyp], rtol), series)
     if quad:
-        f, _, kind = _s_integrand(params)
-        ss = [s for _, (s, _) in quad]
-        values, diffs, nodes = _ladder(f, kind, ss, [_TANH_SINH_START] * len(quad), qtol, 0.0)
-        _, rounding, unscaled = _quad_claim(params, kind, ss)
-        for j, (i, (_, scale)) in enumerate(quad):
-            tails[i] = scale * unscaled[j]
-            err = scale * max(diffs[j], rounding * abs(values[j])) + tails[i]
-            out[i] = EvalResult(scale * values[j], Method.QUADRATURE, err, nodes[j])
+        rows, unscaled = _quad_rows(params, [s for _, (s, _) in quad], [_TANH_SINH_START] * len(quad), qtol)
+        for (i, (_, scale)), r, tail in zip(quad, rows, unscaled):
+            tails[i] = scale * tail
+            out[i] = EvalResult(scale * r.value, Method.QUADRATURE, scale * r.err_estimate, r.terms_or_nodes)
     return out, tails
 
 
@@ -960,22 +927,18 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
 
 
 def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
-    """S(x) from the closed forms, the diagonal of the pair grid that
-    ``t_closed`` runs (``_closed_rows``).
+    """S(x) from the closed forms: the diagonal of T's pair grid (``_closed_rows``).
 
     ``(1+cx)^(-2n/c) * hyp2f1_diag(n/c, (cx/(1+cx))^2)`` for c != 0 (the
-    hypergeometric factor terminates for c < 0) and the scaled Bessel value
-    ``exp(-2nx) I0(2nx)`` for c = 0.  Powers go through exp/log1p so the
-    anchor S(0) = 1 keeps full relative accuracy; for c > 0 the claimed
-    error covers the series' rounding, about 8 units per term.  For c > 0
-    with a whole or half-integer a = n/c it is instead P_(a-1)(w)/(1+2cx)^a,
-    w = 1 + 2(cx)^2/(1+2cx), from the Legendre recurrence (``_legendre``,
-    seeded by the AGM at half-integer a) at every x, with a claimed error
-    of 1e-15*a of the value at integer a and 1e-15*(a+1) at half-integer
-    a, and a terms count of a (a + 1/2), and at least 2^-1074 per term
-    below the normal range; where 1 + 2cx overflows it raises
-    OverflowError.  For c > 0 at any other a, with series argument beyond
-    Z_SWITCH (or powers beyond the double range), it climbs the tanh-sinh
+    hypergeometric factor terminates for c < 0; powers go through exp/log1p
+    so that S(0) = 1 keeps full relative accuracy, and for c > 0 the claim
+    covers the series' rounding, ``_HYP_ROUNDING``) and ``exp(-2nx) I0(2nx)``
+    for c = 0.  For c > 0 at a whole or half-integer a = n/c it is
+    P_(a-1)(w)/(1+2cx)^a, w = 1 + 2(cx)^2/(1+2cx), from the Legendre
+    recurrence (``_legendre``) at every x, claiming 1e-15*a of the value at
+    integer a and 1e-15*(a+1) at half-integer a, at least 2^-1074 per term,
+    and raising OverflowError where 1 + 2cx overflows.  At any other a past
+    Z_SWITCH, or with powers beyond the double range, it climbs the tanh-sinh
     ladder of the quadrature route, with that route's claim.
     """
     return _one(s_closed_grid(params, [x], rtol))
@@ -1029,13 +992,6 @@ def _s_integrand(params: Params):
         return s * (sigma + (1.0 - sigma) * (s * s)) ** (a - 1.0)
 
     return f, lambda x: 1.0 / (1.0 + 2.0 * c * x), RuleKind.TANH_SINH
-
-
-def _reflected_tail(a: float, s: float) -> float:
-    """Bound on the mean the tanh-sinh rule leaves out of the reflected
-    integrand at s: _TS_TAIL times its largest value, s at sigma = 1 or
-    s^(2a-1) at sigma = 0 (inf where s underflows)."""
-    return _TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf
 
 
 def _min_nodes(params: Params, x: float) -> int:
@@ -1127,24 +1083,34 @@ def _ladder(f, kind: RuleKind, ps: Sequence, ms: Sequence[int], rtol: float, flo
     return values, diffs, ms
 
 
-def _quad_claim(params: Params, kind: RuleKind, ps: Sequence) -> tuple:
-    """The ladder's floor, the rounding it claims per unit of the value, and
-    the bound on the mean its rule leaves out at each parameter of ``ps``."""
+def _quad_rows(params: Params, ps: Sequence, ms: Sequence[int], rtol: float) -> tuple:
+    """S's quadrature ladder (``_ladder``) at each parameter of ``ps`` from
+    ``ms`` nodes: the EvalResults, each claiming the last difference of
+    levels, at least the rounding of the integrand, plus the bound on the
+    mean the rule leaves out, and that bound alone."""
+    f, _, kind = _s_integrand(params)
     if params.c_float == 0.0:
         # S is at least about 1/sqrt(4 pi n x), so the stop is purely
         # relative; the rounding of the nodes' exponents was within 3.3e-16
         # of the value on n x from 1e-3 to 1e9, and the integrand's largest
         # value is 1, at sigma = 0
-        return 0.0, 1e-15, [_TS_TAIL] * len(ps)
-    if kind is RuleKind.TANH_SINH:
+        floor, rounding, tails = 0.0, 1e-15, [_TS_TAIL] * len(ps)
+    elif kind is RuleKind.TANH_SINH:
         # S can be far below 1e-13 here, so the stop is purely relative; the
         # claim adds the rounding of the power and the mean the rule leaves
-        # out
+        # out, _TS_TAIL times the integrand's largest value, s at sigma = 1 or
+        # s^(2a-1) at sigma = 0 (inf where s underflows)
         a = params.n_float / params.c_float
-        return 0.0, _ROUNDING_PER_A * (a + 6.0), [_reflected_tail(a, s) for s in ps]
-    # two exact levels of a polynomial integrand differ by rounding alone,
-    # which grows with its degree
-    return 1e-13, _ROUNDING_PER_A * (_twice_a(params) // 2) or 1e-16, [0.0] * len(ps)
+        floor, rounding = 0.0, _ROUNDING_PER_A * (a + 6.0)
+        tails = [_TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf for s in ps]
+    else:
+        # two exact levels of a polynomial integrand differ by rounding
+        # alone, which grows with its degree
+        floor, rounding = 1e-13, _ROUNDING_PER_A * (_twice_a(params) // 2) or 1e-16
+        tails = [0.0] * len(ps)
+    values, diffs, nodes = _ladder(f, kind, ps, ms, rtol, floor)
+    rows = zip(values, diffs, tails, nodes)
+    return [EvalResult(v, Method.QUADRATURE, max(d, rounding * abs(v)) + t, m) for v, d, t, m in rows], tails
 
 
 def s_quad_grid(
@@ -1157,7 +1123,7 @@ def s_quad_grid(
     """
     if m < 2:
         raise ValueError("need m >= 2 quadrature nodes")
-    f, param, kind = _s_integrand(params)
+    param = _s_integrand(params)[1]
     out: list = [None] * len(xs)
     points, ms, ps = [], [], []
     for i, x in enumerate(xs):
@@ -1169,15 +1135,9 @@ def s_quad_grid(
             points.append(i)
         except Exception as exc:
             out[i] = exc
-    if not points:
-        return out
-
-    floor, rounding, tails = _quad_claim(params, kind, ps)
-    values, diffs, ms = _ladder(f, kind, ps, ms, rtol, floor)
-    for j, i in enumerate(points):
-        value = values[j]
-        err = max(diffs[j], rounding * abs(value)) + tails[j]
-        out[i] = EvalResult(value, Method.QUADRATURE, err, ms[j])
+    if points:
+        for i, r in zip(points, _quad_rows(params, ps, ms, rtol)[0]):
+            out[i] = r
     return out
 
 
@@ -1204,14 +1164,12 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
 
 
 def t_closed(params: Params, x: float, y: float) -> float:
-    """Kernel value from the closed forms: the one-pair call of the pair
-    grid (``_closed_rows``) whose diagonal is ``s_closed``, so T(x, x) has
-    the bits of S(x).  The regimes are S's at the pair; at c > 0 the
-    Legendre recurrence runs at B = 1 + cx + cy and W = 1 + 2c^2xy/B, and the
-    hand-over at s = B/g^2 (``_reflected``).  T raises ArithmeticError where
-    the part of the hand-over's integral beyond the rule's ends may exceed
-    RTOL_DEFAULT of the value, and OverflowError where B overflows (on the
-    diagonal at whole 2a only).
+    """Kernel value from the closed forms: the one-pair call of the pair grid
+    (``_closed_rows``) whose diagonal is ``s_closed``, so T(x, x) is S(x) to
+    the bit.  Past S's regimes it raises ArithmeticError where the part of
+    the hand-over's integral beyond the rule's ends may exceed RTOL_DEFAULT of
+    the value, and OverflowError where 1 + cx + cy overflows (on the diagonal
+    at whole 2a only).
     """
     (row,), (tail,) = _closed_rows(params, [x], [y], RTOL_DEFAULT)
     value = _one([row]).value

@@ -7,7 +7,6 @@ is the one that runs, and nothing they build outlives the call.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -19,7 +18,7 @@ __all__ = ["FAMILIES", "Family", "least_index"]
 # (label, value) per bound, and notes on the bounds left out.
 Bounds = tuple[list[tuple[str, float]], list[str]]
 
-_LOG_MAX = math.log(sys.float_info.max)  # math.exp is finite up to here
+_LOG_MAX = 709.782712893384  # the log of the largest double: math.exp is finite up to it
 
 
 def _bernstein_bounds(n: int, x: float) -> Bounds:
@@ -33,24 +32,20 @@ def _bernstein_bounds(n: int, x: float) -> Bounds:
     return out, notes
 
 
-def _central_binomial(n: int, x: float) -> float:
-    """Baskakov's envelope C(2m, m) (1+x)^m / (1+2x)^(m+1), m = n - 1, as
-    beta_m (2 + 2w)^m w with beta_m = C(2m, m)/4^m <= 1 and w = 1/(1+2x) =
-    0.5/(0.5+x): no factor overflows or vanishes but the power, and where it
-    overflows the product is taken in log space, inf only where the envelope
-    leaves the double range."""
+def _baskakov_bounds(n: int, x: float) -> Bounds:
+    # the central-binomial envelope C(2m, m) (1+x)^m / (1+2x)^(m+1), m = n - 1,
+    # as beta_m (2 + 2w)^m w with beta_m = C(2m, m)/4^m <= 1 and w = 1/(1+2x) =
+    # 0.5/(0.5+x): no factor overflows or vanishes but the power, and past its
+    # overflow the product is taken in log space, inf only past the double range
     m, w = n - 1, 0.5 / (0.5 + x)
     beta = math.comb(2 * m, m) / 4 ** m
     try:
-        return beta * (2.0 + 2.0 * w) ** m * w
+        envelope = beta * (2.0 + 2.0 * w) ** m * w
     except OverflowError:
         log = math.log(beta) + m * math.log(2.0 + 2.0 * w) + math.log(w)
-        return math.exp(log) if log <= _LOG_MAX else math.inf
-
-
-def _baskakov_bounds(n: int, x: float) -> Bounds:
+        envelope = math.exp(log) if log <= _LOG_MAX else math.inf
     base = 4.0 * (n + 1) * x * (1.0 + x) + 1.0
-    return [("refined_power", base ** (-n / (2.0 * (n + 1)))), ("central_binomial", _central_binomial(n, x))], []
+    return [("refined_power", base ** (-n / (2.0 * (n + 1)))), ("central_binomial", envelope)], []
 
 
 def _base_bounds(key: str) -> Callable[[int, float], Bounds]:
