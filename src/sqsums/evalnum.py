@@ -729,7 +729,7 @@ _AGM_STEPS = 12
 def _legendre(two_a: int, ux, uy):
     """P_(a-1)(W) / B^a at u = ux, v = uy, where B = 1 + u + v and
     W = 1 + 2uv/B, for a whole or half-integer a = two_a/2; ``ux`` and
-    ``uy`` are floats or arrays of one shape.
+    ``uy`` are arrays of one shape.
 
     For c > 0 and a = n/c this is T(x, y) at u = cx, v = cy, by
     2F1(a, a; 1; z) = (1-z)^(-a) P_(a-1)((1+z)/(1-z)) with
@@ -769,12 +769,8 @@ def _legendre(two_a: int, ux, uy):
     if two_a % 2 == 0:
         q, e, nu, scale = 1.0, 0.0, 0.0, s
     else:
-        # one point runs on Python floats and bools, an array on numpy's:
-        # the same roundings, without numpy's slow scalar paths
-        array = isinstance(ux, np.ndarray)
-        sqrt = np.sqrt if array else math.sqrt
         d = (ux * s) * uy  # A^2 - 1
-        big, small = sqrt(1.0 + d), 1.0
+        big, small = np.sqrt(1.0 + d), 1.0
         c, weight = d / (2.0 * (big + 1.0)), 2.0
         # D = part + last - low: the positive terms of the steps with
         # a_j > 2 b_j, the 2^(k-1) c_k^2 of the last of them (d if none) and
@@ -782,7 +778,7 @@ def _legendre(two_a: int, ux, uy):
         part, last, low, far, tail, settled = 0.0, 0.0, 0.0, True, d, False
         for step in range(_AGM_STEPS + 1):
             if step:
-                big, small = (big + small) / 2.0, sqrt(big * small)
+                big, small = (big + small) / 2.0, np.sqrt(big * small)
                 c = (big - small) / 2.0
                 weight *= 2.0
             if settled:  # past the last far step at every point
@@ -793,8 +789,8 @@ def _legendre(two_a: int, ux, uy):
             part = part + far * (2.0 * weight * (small * c))
             tail = weight * (c * c)
             low = low + (far < 1) * tail
-            settled = not (far.any() if array else far)
-        q = sqrt(s) / big  # P_(-1/2)(W) / B^(1/2)
+            settled = not far.any()
+        q = np.sqrt(s) / big  # P_(-1/2)(W) / B^(1/2)
         if two_a == 1:
             return q
         e = q * (s * ((part + last) - low))
