@@ -4,8 +4,7 @@
 Prints, for every family and admissible index, the smallest gap between
 the proven upper bounds and the squared-basis sum.  Zero rows are the
 equality anchors (the index-1 central-binomial envelope for the Baskakov
-family); its index-0 counterpart for Meyer-Konig-Zeller is the Baskakov
-envelope at the rounded point x/(1-x), within an ulp of zero.
+family and its index-0 counterpart for Meyer-Konig-Zeller).
 """
 
 import argparse

@@ -32,12 +32,16 @@ def _bernstein_bounds(n: int, x: float) -> Bounds:
     return out, notes
 
 
-def _baskakov_bounds(n: int, x: float) -> Bounds:
+def _baskakov_bounds(n: int, x: float, w: Optional[float] = None) -> Bounds:
     # the central-binomial envelope C(2m, m) (1+x)^m / (1+2x)^(m+1), m = n - 1,
     # as beta_m (2 + 2w)^m w with beta_m = C(2m, m)/4^m <= 1 and w = 1/(1+2x) =
-    # 0.5/(0.5+x): no factor overflows or vanishes but the power, and past its
-    # overflow the product is taken in log space, inf only past the double range
-    m, w = n - 1, 0.5 / (0.5 + x)
+    # 0.5/(0.5+x), the series variable, or the one a substitution family forms
+    # from its own point: no factor overflows or vanishes but the power, and
+    # past its overflow the product is taken in log space, inf only past the
+    # double range
+    m = n - 1
+    if w is None:
+        w = 0.5 / (0.5 + x)
     beta = math.comb(2 * m, m) / 4 ** m
     try:
         envelope = beta * (2.0 + 2.0 * w) ** m * w
@@ -48,11 +52,18 @@ def _baskakov_bounds(n: int, x: float) -> Bounds:
     return [("refined_power", base ** (-n / (2.0 * (n + 1)))), ("central_binomial", envelope)], []
 
 
-def _base_bounds(key: str) -> Callable[[int, float], Bounds]:
+def _base_bounds(
+    key: str, series_point: Optional[Callable[[float], float]] = None
+) -> Callable[[int, float], Bounds]:
     """A substitution family's bounds: its base row's at the base index and
-    point (``core._FAMILIES``)."""
+    point (``core._FAMILIES``).  Where the substitution keeps the base row's
+    series variable, ``series_point`` forms it from the family's own point
+    as the family's sum does, so the rounding of the base point never enters
+    it (mkz's index-0 envelope is then its sum to the bit)."""
     sub = core._FAMILIES[key]
-    return lambda n, x: FAMILIES[sub.base].bounds(n + sub.shift, sub.to_base(x))
+    if series_point is None:
+        return lambda n, x: FAMILIES[sub.base].bounds(n + sub.shift, sub.to_base(x))
+    return lambda n, x: FAMILIES[sub.base].bounds(n + sub.shift, sub.to_base(x), series_point(x))
 
 
 def _szasz_bounds(n: int, x: float) -> Bounds:
@@ -119,7 +130,7 @@ FAMILIES = {
             exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n)))),
     ), ("logconvexity",)),
     "mkz": Family(lambda n: exactalg.j_series_coeffs(n), lambda n, x: exactalg.j_value(n, x),
-        _base_bounds("mkz"), ("j_rational", lambda n: exactalg.j_rational(n)), (
+        _base_bounds("mkz", lambda x: (1.0 - x) / (1.0 + x)), ("j_rational", lambda n: exactalg.j_rational(n)), (
         ("ode", _solves(lambda n: exactalg.eq_j(n), lambda n: exactalg.j_series_coeffs(n))),
         ("substitution", _each(lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
             exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n)))),

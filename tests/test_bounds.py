@@ -6,6 +6,7 @@ import pytest
 from sqsums.core import FamilyId, ParameterError
 from sqsums.bounds import bound_reports, bound_values, s_value, s_values, standard_grid
 from sqsums.exactalg import RationalFn, RationalPoly, g_rational, j_rational
+from sqsums.families import FAMILIES
 
 
 BERNSTEIN = FamilyId("bernstein")
@@ -48,14 +49,9 @@ class TestDocumentedMargins:
             assert dict(r.bounds)["central_binomial"] - r.s_value == 0.0
 
     def test_mkz_equality_anchor(self):
-        # the mkz envelope at index 0 is the baskakov one at index 1 and
-        # t = x/(1-x), where it is the function itself to the bit; the
-        # rounding of t leaves it within an ulp of the mkz sum
         for x in (0.0, 0.42, 0.9):
             r = bound_values(MKZ, 0, x)
-            base = bound_values(BASKAKOV, 1, x / (1.0 - x))
-            assert dict(r.bounds)["central_binomial"] == dict(base.bounds)["central_binomial"] == base.s_value
-            assert abs(dict(r.bounds)["central_binomial"] - r.s_value) <= 2.0 ** -52 * r.s_value
+            assert dict(r.bounds)["central_binomial"] - r.s_value == 0.0
 
     def test_szasz_anchor_at_origin(self):
         r = bound_values(SZASZ, 3, 0.0)
@@ -86,18 +82,25 @@ class TestGridMargins:
 
 
 class TestSubstitutionBounds:
-    @pytest.mark.parametrize("family, base, to_base, shift", [
-        (BBH, BERNSTEIN, lambda x: x / (1.0 + x), 0),
-        (MKZ, BASKAKOV, lambda x: x / (1.0 - x), 1),
-    ], ids=["bbh", "mkz"])
-    def test_bounds_are_the_base_rows(self, family, base, to_base, shift):
-        # a substitution family's bounds are its base family's at the base
-        # index and point, bit for bit, with the base family's notes
+    def test_bbh_bounds_are_bernsteins(self):
+        # bernstein's bounds and notes at the same index and t = x/(1+x)
         for n in (1, 2, 7, 30):
-            for x in standard_grid(family, count=32):
-                r = bound_values(family, n, x)
-                b = bound_values(base, n + shift, to_base(x))
+            for x in standard_grid(BBH, count=32):
+                r, b = bound_values(BBH, n, x), bound_values(BERNSTEIN, n, x / (1.0 + x))
                 assert (r.bounds, r.notes) == (b.bounds, b.notes)
+
+    def test_mkz_bounds_are_baskakovs(self):
+        # baskakov's bounds at index n + 1 and t = x/(1-x), the envelope's
+        # variable 1/(1+2t) formed from x as the mkz sum forms it,
+        # (1-x)/(1+x); at the rounded t itself the envelope moves by ulps
+        row = FAMILIES["baskakov"].bounds
+        for n in (0, 1, 2, 7, 30):
+            for x in standard_grid(MKZ, count=32):
+                r, b = bound_values(MKZ, n, x), bound_values(BASKAKOV, n + 1, x / (1.0 - x))
+                assert (list(r.bounds), list(r.notes)) == row(n + 1, x / (1.0 - x), (1.0 - x) / (1.0 + x))
+                assert dict(r.bounds)["refined_power"] == dict(b.bounds)["refined_power"]
+                cb = dict(b.bounds)["central_binomial"]
+                assert dict(r.bounds)["central_binomial"] == pytest.approx(cb, rel=1e-13)
 
     def test_bbh_gains_the_refined_power(self):
         for n in range(2, 31):

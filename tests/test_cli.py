@@ -549,16 +549,17 @@ GOLDEN = {
     # the baskakov, bbh, mkz and general -c 1 bounds digests (here and at
     # n = 30 below) were re-recorded when bbh and mkz took their base rows'
     # bounds at the base index and point and the central-binomial envelope
-    # became beta_m (2 + 2w)^m w; largest relative change of each bound, n = 3:
-    # baskakov and general -c 1 central_binomial 4.8e-16 (refined_power
-    # unchanged), bbh inv_sqrt 4.0e-16 (and refined_power added), mkz
-    # refined_power 2.2e-16 and central_binomial 8.5e-16
+    # became beta_m (2 + 2w)^m w (for mkz with w = (1-x)/(1+x) formed from
+    # its own x); largest relative change of each bound, n = 3: baskakov and
+    # general -c 1 central_binomial 4.8e-16 (refined_power unchanged), bbh
+    # inv_sqrt 4.0e-16 (and refined_power added), mkz refined_power 2.2e-16
+    # and central_binomial 6.4e-16
     ("bounds", "--family", "baskakov", "-n", "3", "--format", "json"):
         "ff4c848a8f493de749ef7becb31eb270f6cedf95e5611ee53ae71d445921bfe6",
     ("bounds", "--family", "bbh", "-n", "3", "--format", "json"):
         "6a7e383bfe384207fc1f817b3c0a885a126773b2ac07221f3e1fa72410af4706",
     ("bounds", "--family", "mkz", "-n", "3", "--format", "json"):
-        "1a089a03b0c634fd1522512a5ce05228a170d1254242af29deba56ece08e7ae3",
+        "4b4498803f2b4c6b9bf366acd29af4e3f79b1918b00a18803ad3b3dbc43cdcd7",
     ("bounds", "--family", "general", "-c", "-1", "-n", "3", "--format", "json"):
         "07f78a8fd09695ea2b23982dd662b9b006ab2c837a893ff930e76dd1de04ba0f",
     ("bounds", "--family", "general", "-c", "0", "-n", "3", "--format", "json"):  # as szasz
@@ -572,19 +573,19 @@ GOLDEN = {
         "890573418aa5b751081c621801d50b12ba79425dad7156a85b9bbe5764a0e1f0",
     # re-recorded as the n = 3 bounds above; n = 30: bbh inv_sqrt 3.2e-15
     # (refined_power added), baskakov central_binomial 5.6e-15, mkz
-    # refined_power 2.6e-16 and central_binomial 5.4e-15 (text and csv alike)
+    # refined_power 2.6e-16 and central_binomial 4.9e-15 (text and csv alike)
     ("bounds", "--family", "bbh", "-n", "30", "--format", "json"):
         "d4b79ebb69a7ab760c01715937d1be9b3e06ce372ef60849a9ab2e1b851afa91",
     ("bounds", "--family", "baskakov", "-n", "30", "--format", "json"):
         "781347d4945f2e42c88c69097d30ebd8517f008da637a46728fffc7258a85ef5",
     ("bounds", "--family", "mkz", "-n", "30", "--format", "json"):
-        "8a54fc9e2be210be3d510314d2afc5d51d079627332596654fef286945d08865",
+        "1735f02968bec966a85f9fcf9fed67a5e8a5ad94409338807c1ff9f221fbe5d3",
     ("bounds", "--family", "szasz", "-n", "30", "--format", "json"):
         "b5105540f59a5807b03e50e437a2ecf80a6ea436f48287d779b1e238ec900fb4",
     ("bounds", "--family", "bernstein", "-n", "1", "--format", "json"):
         "2fc2af32700fef49386096824cb4e5843040c1bed9445f3779285e6451819748",
     ("bounds", "--family", "mkz", "-n", "30", "--format", "text"):
-        "1a89a19d0e5a12b51e2fcebbe739086601ac800caa1e5c64a260503d0be5cd3f",
+        "cfce166cf4aba6a7fda0cca4c9b4690f1c506d0ece2f398ee70f1658bc39c2b6",
     ("bounds", "--family", "baskakov", "-n", "30", "--format", "csv"):
         "87b6d65ca277a0bb0c9c1d3f244ba89b511e5aab20658507bbdffd319936b1eb",
     ("info", "--family", "bernstein", "-n", "3", "--format", "json"):
