@@ -187,6 +187,10 @@ def _tanh_sinh_level(m: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _is_nonpositive_int(a: float) -> bool:
+    return a <= 0.0 and float(a).is_integer()
+
+
 def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 * 10 ** 6) -> list:
     """Series value with a certified geometric tail bound and term count at
     each z: (value, tail, terms), or the exception raised there.  The
@@ -199,7 +203,7 @@ def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 
                 raise ValueError(f"series argument must be nonnegative, got z={z}")
             if z == 0.0:
                 out[i] = (1.0, 0.0, 1)
-            elif a <= 0.0 and float(a).is_integer():
+            elif _is_nonpositive_int(a):
                 m = int(-a)
                 total = 1.0
                 term = 1.0
@@ -252,25 +256,18 @@ def _i0_rows(zs: Sequence[float], rtol: float = 1e-16) -> list:
     return [s if isinstance(s, Exception) else (s[0], s[2] + 1) for s in sums]
 
 
-def _squared_peaks(peak, points) -> list:
-    """The index of the largest weight and twice its log, (k0, 2 log p_k0),
-    at each point from ``peak(point)``, or the exception raised there."""
-    out: list = []
-    for point in points:
-        try:
-            k0, log_pmf = peak(point)
-            out.append((k0, 2.0 * log_pmf))
-        except Exception as exc:
-            out.append(exc)
-    return out
-
-
 def _scaled_poisson_rows(mus: Sequence[float], tol: float) -> list:
     """exp(-2*mu) * sum_k (mu^k / k!)^2 at each mu, summed around its peak in
     log space from Loader's anchor: (value, terms), or the exception raised
     there (ArithmeticError where the window cannot reach the peak or finish)."""
-    return _window_rows(_squared_peaks(_poisson_peak, mus), lambda k, mu: _sq(mu / (k + 1.0)),
-                        lambda k, mu: _sq(k / mu), tol, args=(mus,))
+    peaks: list = []
+    for mu in mus:
+        try:
+            k0, log_pmf = _poisson_peak(mu)
+            peaks.append((k0, 2.0 * log_pmf))
+        except Exception as exc:
+            peaks.append(exc)
+    return _window_rows(peaks, lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), tol, args=(mus,))
 
 
 # Past this argument, exp(-z) I0(z) is the Hankel expansion.
@@ -631,10 +628,20 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
 
         _finish(out, window, _scaled_poisson_rows([mu for _, mu in window], tol=1e-16), szasz_window)
     elif c > 0.0:
-        sums = _certified_rows(lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr, 0.0, rtol, _POS_C_STEPS,
-                               sup=[p[2] for _, p in direct], args=([p[1] for _, p in direct],))
-        sums = sums.outcomes(_POS_C_CAPPED)
-        _finish(out, direct, sums, lambda p, s: _hyp_result(Method.SERIES, p[0], s[0], s[1], s[2] + 1))
+        sums = _certified_rows(
+            lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr,
+            0.0,
+            rtol,
+            _POS_C_STEPS,
+            sup=[p[2] for _, p in direct],
+            args=([p[1] for _, p in direct],),
+        ).outcomes(_POS_C_CAPPED)
+
+        def pos_c(p, s):
+            total, tail, steps = s
+            return _hyp_result(Method.SERIES, p[0], total, tail, steps + 1)
+
+        _finish(out, direct, sums, pos_c)
 
         def pos_c_window(x, s):
             u = c * x  # the negative binomial weights' variance is a u (1+u)
@@ -681,10 +688,21 @@ def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> l
     (c rho)^2 < 1 from above for n/c >= 1 and from below otherwise.
     """
     rhos = [x / (1.0 + c * x) for x in xs]
-    return _window_rows(_squared_peaks(lambda x: _nb_peak(n / c, c * x), xs),
-                        lambda k, rho: _sq((n + k * c) * rho / (k + 1.0)),
-                        lambda k, rho: _sq(k / ((n + (k - 1) * c) * rho)),
-                        tol, up_sup=[(c * rho) ** 2 for rho in rhos], args=(rhos,))
+    peaks: list = []
+    for x in xs:
+        try:
+            k0, log_pmf = _nb_peak(n / c, c * x)
+            peaks.append((k0, 2.0 * log_pmf))
+        except Exception as exc:
+            peaks.append(exc)
+    return _window_rows(
+        peaks,
+        lambda k, rho: _sq((n + k * c) * rho / (k + 1.0)),
+        lambda k, rho: _sq(k / ((n + (k - 1) * c) * rho)),
+        tol,
+        up_sup=[(c * rho) ** 2 for rho in rhos],
+        args=(rhos,),
+    )
 
 
 def _twice_a(params: Params) -> int:
@@ -923,19 +941,24 @@ def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
 
 
 def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
-    """S(x) from the closed forms: the diagonal of T's pair grid (``_closed_rows``).
+    """S(x) from the closed forms: the diagonal of T's pair grid
+    (``_closed_rows``).
 
     ``(1+cx)^(-2n/c) * hyp2f1_diag(n/c, (cx/(1+cx))^2)`` for c != 0 (the
-    hypergeometric factor terminates for c < 0; powers go through exp/log1p
-    so that S(0) = 1 keeps full relative accuracy, and for c > 0 the claim
-    covers the series' rounding, ``_HYP_ROUNDING``) and ``exp(-2nx) I0(2nx)``
-    for c = 0.  For c > 0 at a whole or half-integer a = n/c it is
-    P_(a-1)(w)/(1+2cx)^a, w = 1 + 2(cx)^2/(1+2cx), from the Legendre
-    recurrence (``_legendre``) at every x, claiming 1e-15*a of the value at
-    integer a and 1e-15*(a+1) at half-integer a, at least 2^-1074 per term,
-    and raising OverflowError where 1 + 2cx overflows.  At any other a past
-    Z_SWITCH, or with powers beyond the double range, it climbs the tanh-sinh
-    ladder of the quadrature route, with that route's claim.
+    hypergeometric factor terminates for c < 0) and the scaled Bessel value
+    ``exp(-2nx) I0(2nx)`` for c = 0.  Powers go through exp/log1p so the
+    anchor S(0) = 1 keeps full relative accuracy; for c > 0 the claimed
+    error covers the series' rounding, about 8 units per term.  For c > 0
+    with a whole or half-integer a = n/c it is instead P_(a-1)(w)/(1+2cx)^a,
+    w = 1 + 2(cx)^2/(1+2cx), from the Legendre recurrence (``_legendre``,
+    seeded by the AGM at half-integer a) at every x, with a claimed error
+    of 1e-15*a of the value at integer a and 1e-15*(a+1) at half-integer
+    a, and a terms count of a (a + 1/2), and at least 2^-1074 per term
+    below the normal range; where 1 + 2cx overflows it raises
+    OverflowError.  For c > 0 at any other a, with
+    series argument beyond Z_SWITCH (or powers beyond the double range),
+    it climbs the tanh-sinh ladder of the quadrature route, with that
+    route's claim.
     """
     return _one(s_closed_grid(params, [x], rtol))
 
@@ -1160,12 +1183,18 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
 
 
 def t_closed(params: Params, x: float, y: float) -> float:
-    """Kernel value from the closed forms: the one-pair call of the pair grid
-    (``_closed_rows``) whose diagonal is ``s_closed``, so T(x, x) is S(x) to
-    the bit.  Past S's regimes it raises ArithmeticError where the part of
-    the hand-over's integral beyond the rule's ends may exceed RTOL_DEFAULT of
-    the value, and OverflowError where 1 + cx + cy overflows (on the diagonal
-    at whole 2a only).
+    """Kernel value from the closed forms: the one-pair call of the pair
+    grid (``_closed_rows``) whose diagonal is ``s_closed``, so T(x, x) has
+    the bits of S(x).
+
+    For c > 0 at a whole or half-integer a = n/c it is P_(a-1)(W)/B^a with
+    B = 1 + cx + cy and W = 1 + 2c^2xy/B (``_legendre``), and nothing hands
+    over.  At any other a, past Z_SWITCH or with powers beyond the double
+    range, it climbs the tanh-sinh ladder of ``s_quad`` on the reflected
+    kernel integrand, and raises ArithmeticError where the part of the
+    integral beyond the rule's ends may exceed RTOL_DEFAULT of the value.
+    Where B overflows it raises OverflowError at whole 2a, and off the
+    diagonal at every other c > 0.
     """
     (row,), (tail,) = _closed_rows(params, [x], [y], RTOL_DEFAULT)
     value = _one([row]).value

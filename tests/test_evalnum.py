@@ -833,19 +833,19 @@ def test_integer_a_quadrature_starts_at_its_exact_node_count():
     [
         pytest.param(lambda: s_closed(Params(1, 1), 400.0), id="s-closed-past-z-switch"),
         pytest.param(lambda: s_closed_grid(Params(300, 1), [3.0, 1e8]), id="s-closed-past-exp-guard"),
+        pytest.param(lambda: t_closed(Params(200, 1), 3.0, 7.0), id="t-closed-past-exp-guard"),
     ],
 )
 def test_integer_a_never_hands_over(monkeypatch, call):
-    # neither the hypergeometric series nor the ladder runs at integer a (T
-    # takes the same classifier: ``test_diagonal_reproduces_s`` has these
-    # points)
+    # neither the hypergeometric series nor the ladder runs at integer a
+    # (``test_diagonal_reproduces_s`` has T's diagonal points)
     from sqsums import evalnum
 
     for name in ("_hyp2f1_rows", "_ladder"):
         monkeypatch.setattr(evalnum, name, _reached)
     results = call()
     for r in results if isinstance(results, list) else [results]:
-        assert r.method is Method.CLOSED_FORM
+        assert isinstance(r, float) or r.method is Method.CLOSED_FORM
 
 
 # ---------------------------------------------------------------------------
@@ -1123,19 +1123,19 @@ def test_half_integer_straddle(c):
         pytest.param(lambda: s_closed_grid(Params(5, 2), [400.0, 1e8]), id="s-closed-past-z-switch"),
         pytest.param(lambda: s_closed_grid(Params(601, 2), [3.0, 1e8]), id="s-closed-past-exp-guard"),
         pytest.param(lambda: s_closed(Params(Fraction(3, 2), Fraction(1, 3)), 5e7), id="s-closed-a-9/2"),
+        pytest.param(lambda: t_closed(Params(601, 2), 3.0, 7.0), id="t-closed-past-exp-guard"),
     ],
 )
 def test_half_integer_never_hands_over(monkeypatch, call):
     # at odd 2a neither the hypergeometric series nor a ladder runs in the
-    # closed forms (T takes the same classifier: ``test_diagonal_reproduces_s``
-    # has these points)
+    # closed forms (``test_diagonal_reproduces_s`` has T's diagonal points)
     from sqsums import evalnum
 
     for name in ("_hyp2f1_rows", "_ladder"):
         monkeypatch.setattr(evalnum, name, _reached)
     results = call()
     for r in results if isinstance(results, list) else [results]:
-        assert r.method is Method.CLOSED_FORM
+        assert isinstance(r, float) or r.method is Method.CLOSED_FORM
 
 
 def test_non_integer_series_claim_against_mpmath():
