@@ -21,13 +21,15 @@ each kernel over all its pairs: ``s_closed_grid`` is its diagonal and
 quadrature ladder, ``_ladder``, serves S and, at a = n/c neither whole nor
 half-integer, the closed form's hand-over: it climbs level by level for
 all points still short of agreement, with the nodes of every point in one
-array.  For c > 0, one exact test
-(``_twice_a``) sorts a = n/c: where 2a is a whole number the closed forms
-of S and T are one Legendre recurrence (``_legendre``, seeded by the AGM
-at half-integer a) and never hand over; S's quadrature integrates a
-polynomial on Gauss-Chebyshev nodes at integer a and the same reflected
-integrand on a tanh-sinh rule at every other a; c = 0 runs on that rule
-too, within 1024 nodes up to n x = 1e9.
+array.  One exact test (``_twice_a``)
+sorts a = n/c: where 2a is a whole number, at every c < 0 (a = -l) among
+them, the closed forms of S and T are one Legendre recurrence
+(``_legendre``, seeded by the AGM at half-integer a) and never hand over.
+For c > 0, S's quadrature integrates a polynomial on Gauss-Chebyshev nodes
+at integer a and the same reflected integrand on a tanh-sinh rule at every
+other a; c = 0 runs on that rule too, within 1024 nodes up to n x = 1e9.
+The c < 0 series is a log-space sum (``_neg_c_log_sum``), which no other
+route reads.
 
 Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 
@@ -53,7 +55,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -354,19 +355,19 @@ def bessel_i0e(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _neg_c_log_sum(params: Params, x: float, y: float) -> float:
-    """The finite sum T(x, y) = sum_k p_k(x) p_k(y) for c < 0 and x, y > 0,
-    summed in log space and unscaled by its largest term; S(x) is T(x, x).
+def _neg_c_log_sum(params: Params, x: float) -> float:
+    """The finite sum S(x) = sum_k p_k(x)^2 for c < 0 and x > 0, summed in
+    log space and unscaled by its largest term.
 
-    Term k is 2 log(prod_{j<k}(n + j c) / k!) + k log(xy) + (l - k) log of
-    (1+cx)(1+cy).  That log is -inf at the right endpoint, where only the
-    last term survives.
+    Term k is 2 log(prod_{j<k}(n + j c) / k!) + 2k log(x) + 2(l - k)
+    log1p(cx).  That log is -inf at the right endpoint, where only the last
+    term survives.
     """
     n = params.n_float
     c = params.c_float
     l = params.l
-    lxy = math.log(x) + math.log(y)
-    lp = sum(math.log1p(c * v) if 1.0 + c * v > 0.0 else -math.inf for v in (x, y))
+    lxy = 2.0 * math.log(x)
+    lp = 2.0 * math.log1p(c * x) if 1.0 + c * x > 0.0 else -math.inf
     logs = []
     log_coef = 0.0  # log of prod_{j<k}(n + j c) / k!
     for k in range(l + 1):
@@ -583,8 +584,13 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             if xf == 0.0:
                 out[i] = EvalResult(1.0, Method.SERIES, 0.0, 1)
             elif c < 0:
-                value = _neg_c_log_sum(params, xf, xf)
-                out[i] = EvalResult(value, Method.SERIES, 4e-16 * (params.l + 1) * value, params.l + 1)
+                # (l + 1)(8 + sqrt(l)) units: each of the l + 1 terms carries
+                # a few, and the l roundings of log_coef, on partial sums up
+                # to about l in size, add up like a walk of l sqrt(l).  On the
+                # sweep of ``_NEG_C_ROUNDING`` it was within 0.68 of the claim
+                l = params.l
+                value = _neg_c_log_sum(params, xf)
+                out[i] = EvalResult(value, Method.SERIES, _HYP_ROUNDING * (l + 1) * (8.0 + math.sqrt(l)) * value, l + 1)
             elif c == 0.0:
                 mu = n * xf
                 (direct if mu <= 300.0 else window).append((i, mu))
@@ -663,9 +669,10 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     """S(x) summed from the squared-coefficient power series.
 
     For c < 0 the series terminates after l+1 terms and the value is exact
-    up to rounding; otherwise the geometric certificate stops the sum once
-    the tail drops below rtol times the partial sum, and the claim adds the
-    rounding: 5 units per term at c = 0, the closed form's model
+    up to rounding, which the claim bounds by (l+1)(8 + sqrt(l)) units of
+    2^-53 of the value; otherwise the geometric certificate stops the sum
+    once the tail drops below rtol times the partial sum, and the claim adds
+    the rounding: 5 units per term at c = 0, the closed form's model
     (``_HYP_ROUNDING``) on the c > 0 walk, and ``_WINDOW_ROUNDING`` per
     deviation of the weights in the peak windows.  For c > 0 at whole
     2a = 2n/c, from u = cx = max(64, 4a) on, the series is instead the
@@ -706,16 +713,17 @@ def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> l
 
 
 def _twice_a(params: Params) -> int:
-    """2a = 2n/c when c > 0 and 2a is a whole number, else 0.
+    """2a = 2n/c where c != 0 and 2a is a whole number, else 0; for c < 0
+    it is always whole, 2a = -2l.
 
-    This one exact test sorts the c > 0 routes.  Where 2a is a whole
+    This one exact test sorts the closed forms.  Where 2a is a whole
     number, S's closed form and T run the Legendre recurrence
-    (``_legendre``); where 2a is even (integer a), S's quadrature integrates
-    the reflected polynomial integrand (``_s_integrand``) on Chebyshev
-    nodes, and at every other a on the tanh-sinh rule.
+    (``_legendre``); for c > 0, where 2a is even (integer a), S's quadrature
+    integrates the reflected polynomial integrand (``_s_integrand``) on
+    Chebyshev nodes, and at every other a on the tanh-sinh rule.
     """
     n, c = params.n, params.c
-    if c.numerator > 0:
+    if c.numerator:
         two_a, rest = divmod(2 * n.numerator * c.denominator, n.denominator * c.numerator)
         if rest == 0:
             return two_a
@@ -738,6 +746,15 @@ def _twice_a(params: Params) -> int:
 # rounding of exp(pi sinh tau), and within 1e-16 a from a = 5/4 on.
 _ROUNDING_PER_A = 1e-15
 
+# Relative rounding error of the c < 0 Legendre recurrence per unit of l.
+# Against the exact S_{n,c}(x) = F_l(|c|x) (the rounding of cx included),
+# on c in {-1, -1/2, -1/3, -2/3, -2/5, -5/7, -2/7}, l from 1 to 1200 and
+# 513 x each, S was within 1.71 units of 2^-53 per unit of l; T off the
+# diagonal (4284 pairs, many near x + y = -1/c with x near 0) within 2.1
+# units of the exact sum at its rounded cx and cy, in which T is
+# ill-conditioned there.
+_NEG_C_ROUNDING = 4.0 * 2.0 ** -53
+
 # Arithmetic-geometric mean steps of the half-integer seeds: they take
 # A <= 1.4e154, the largest with a finite A^2, to a ratio of the two means
 # within 1e-23 of 1 (A <= 1e4, u up to about 1e8, needs six).
@@ -749,10 +766,12 @@ def _legendre(two_a: int, ux, uy):
     W = 1 + 2uv/B, for a whole or half-integer a = two_a/2; ``ux`` and
     ``uy`` are arrays of one shape.
 
-    For c > 0 and a = n/c this is T(x, y) at u = cx, v = cy, by
+    For c != 0 and a = n/c this is T(x, y) at u = cx, v = cy, by
     2F1(a, a; 1; z) = (1-z)^(-a) P_(a-1)((1+z)/(1-z)) with
     z = uv/((1+u)(1+v)), for which (1+u)(1+v)(1-z) = B; where u = v it is
-    S(x) = P_(a-1)(w) / (1+2u)^a with w = 1 + 2u^2/(1+2u).
+    S(x) = P_(a-1)(w) / (1+2u)^a with w = 1 + 2u^2/(1+2u).  For c < 0,
+    a = -l and P_(a-1) = P_l, so T = B^l P_l(W), the polynomial
+    sum_k C(l,k)^2 (uv)^k ((1+u)(1+v))^(l-k).
 
     Bonnet's recurrence runs upward in the degree nu on
     q_nu = P_nu(W)/B^(nu+d) and e_nu = (P_nu(W) - P_(nu-1)(W))/B^(nu+d),
@@ -764,7 +783,14 @@ def _legendre(two_a: int, ux, uy):
     solution for W > 1, every term from nu = 0 or 1/2 on is positive and
     bounded, so nothing cancels or overflows, and W enters only through
     W - 1, whose rounding near W = 1 (small x) costs a relative error in
-    W - 1, not in W.  Integer a starts at P_0 = P_(-1) = 1 (d = 0).  Half-
+    W - 1, not in W.  For c < 0 the same steps run l times on B^nu P_nu(W)
+    and B^nu (P_nu(W) - P_(nu-1)(W)), with s = B and r = B (W-1) = 2uv,
+    both at least 0 where B >= 0; where B < 0, k -> l - k swaps uv and
+    (1+u)(1+v) in the sum, so s = -B and r = 2 (1+u)(1+v), and every term
+    is again positive.  B is formed with one rounding, as (1 + the more
+    negative of u, v) plus the other; formed left to right, T at l = 5,
+    x = 1e-4, y = 0.9992 (c = -1) came out 5.3e-14 of its value off,
+    against 3.1e-17.  Integer a starts at P_0 = P_(-1) = 1 (d = 0).  Half-
     integer a starts at degree 1/2 (d = 1) from the complete elliptic
     integrals, which the AGM gives (DLMF 19.8(i)): Laplace's integral
     (DLMF 14.12(i)) of P_(-1/2) and P_(1/2) reads them off the AGM M of
@@ -780,12 +806,18 @@ def _legendre(two_a: int, ux, uy):
     (up to k) are 2^(k-1) c_k^2 + sum_(j<k) 2^(j+1) b_j c_(j+1).  Those
     terms are summed while a_j > 2 b_j, where c_(j+1) does not cancel, and
     the 2^(k-1) c_k^2 of the later steps, below a quarter of the partial
-    sum, are subtracted.  The cost is O(a) per point plus _AGM_STEPS steps.
+    sum, are subtracted.  The cost is O(|a|) per point plus _AGM_STEPS steps.
     """
-    s = 1.0 / (1.0 + ux + uy)
-    r = 2.0 * (ux * s) * (uy * s)
+    if two_a < 0:
+        b = (1.0 + np.minimum(ux, uy)) + np.maximum(ux, uy)
+        s, r = np.abs(b), 2.0 * np.where(b < 0.0, (1.0 + ux) * (1.0 + uy), ux * uy)
+        steps, scale = -two_a // 2, 1.0
+    else:
+        s = 1.0 / (1.0 + ux + uy)
+        r = 2.0 * (ux * s) * (uy * s)
+        steps, scale = (two_a - 2) // 2, s
     if two_a % 2 == 0:
-        q, e, nu, scale = 1.0, 0.0, 0.0, s
+        q, e, nu = 1.0, 0.0, 0.0
     else:
         d = (ux * s) * uy  # A^2 - 1
         big, small = np.sqrt(1.0 + d), 1.0
@@ -813,7 +845,7 @@ def _legendre(two_a: int, ux, uy):
             return q
         e = q * (s * ((part + last) - low))
         q, nu, scale = s * q + e, 0.5, 1.0
-    for _ in range((two_a - 2) // 2):
+    for _ in range(steps):
         e = (nu * (s * e) + (2 * nu + 1) * (r * q)) / (nu + 1)
         q = s * q + e
         nu += 1.0
@@ -838,8 +870,8 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
     """The closed form of T at each pair of ``xs`` and ``ys`` (the EvalResult
     or the exception raised there), and the bound on the part of each value
     the hand-over's rule leaves out (0 elsewhere).  Each pair is classified
-    once and each kernel runs once over its pairs; the c < 0 log sum runs
-    pair by pair.  Where x = y every step is S's own arithmetic."""
+    once and each kernel runs once over its pairs.  Where x = y every step
+    is S's own arithmetic."""
     n = params.n_float
     c = params.c_float
     a = n / c if c else 0.0
@@ -848,7 +880,7 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
     rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
     out: list = [None] * len(xs)
     tails = [0.0] * len(xs)
-    bessel, legendre, hyp, log_sum, quad = [], [], [], [], []  # (point, parameters) per kernel
+    bessel, legendre, hyp, quad = [], [], [], []  # (point, parameters) per kernel
     for i, (x, y) in enumerate(zip(xs, ys)):
         try:
             params.require_in_domain(x)
@@ -870,27 +902,19 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
                 # n sqrt(x) sqrt(y), which does not overflow, and
                 # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
                 rx, ry = math.sqrt(xf), math.sqrt(yf)
-                bessel.append((i, (2.0 * n * (xf if xf == yf else rx * ry), ((xf - yf) / (rx + ry)) ** 2)))
+                z = 2.0 * n * (xf if xf == yf else rx * ry)
+                if not math.isfinite(z):
+                    raise OverflowError(f"{'2nx' if xf == yf else '2n sqrt(x) sqrt(y)'} is past the double range")
+                bessel.append((i, (z, ((xf - yf) / (rx + ry)) ** 2)))
             elif two_a:
                 if not math.isfinite(1.0 + u + v):
                     raise OverflowError(f"1 + {'2cx' if u == v else 'cx + cy'} is past the double range")
                 legendre.append((i, (u, v)))
-            elif c < 0 and (1.0 + u == 0.0 or 1.0 + v == 0.0):
-                if 1.0 + u == 1.0 + v:  # right endpoint: T = p_l^2 = 1
-                    # an x whose c*x only rounds to -1 is within two roundings
-                    # of the endpoint, where dS/d(|c|x) = 2l
-                    exact = Fraction(xf) * params.c == -1 == Fraction(yf) * params.c
-                    out[i] = EvalResult(1.0, Method.CLOSED_FORM, 0.0 if exact else 4 * params.l * 2.0 ** -53, 1)
-                else:  # only p_l(x) p_l(y) survives
-                    log_sum.append(i)
             else:
-                # z = uv/((1+u)(1+v)), each quotient at most 1 for c > 0
+                # c > 0: z = uv/((1+u)(1+v)), each quotient at most 1
                 z = (u / (1.0 + u)) ** 2 if u == v else (u / (1.0 + u)) * (v / (1.0 + v))
                 pref_log = -a * (math.log1p(u) + math.log1p(v))
-                if c < 0 and not (z < 1e10 and abs(pref_log) < _EXP_GUARD):
-                    # near the endpoint the terminating series is unscaled in log space
-                    log_sum.append(i)
-                elif c > 0 and (z > Z_SWITCH or pref_log < -_EXP_GUARD):
+                if z > Z_SWITCH or pref_log < -_EXP_GUARD:
                     quad.append((i, _reflected(a, u, v)))
                 else:
                     hyp.append((i, (z, pref_log)))
@@ -905,27 +929,21 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
         _finish(out, bessel, _bessel_i0e_rows([z for _, (z, _) in bessel]), szasz)
     if legendre:
         us, vs = (np.array(col) for col in zip(*(p for _, p in legendre)))
-        # 1e-15 a at integer a, 1e-15 (a + 1) at half-integer a; the terms
-        # count the degrees the recurrence passes, a + 1/2 at half-integer a,
-        # and below the normal range each rounds to the subnormal grid (on a
-        # up to 241/2 and x up to 1.7e308 within 0.6 of terms 2^-1074)
-        rounding, terms = _ROUNDING_PER_A * (two_a / 2 + two_a % 2), (two_a + 1) // 2
+        # c > 0: 1e-15 a at integer a, 1e-15 (a + 1) at half-integer a; the
+        # terms count the degrees the recurrence passes, a + 1/2 at
+        # half-integer a, and below the normal range each rounds to the
+        # subnormal grid (on a up to 241/2 and x up to 1.7e308 within 0.6 of
+        # terms 2^-1074).  c < 0: ``_NEG_C_ROUNDING`` per step; the terms
+        # count the degrees 0 to l.
+        if c < 0:
+            rounding, terms = _NEG_C_ROUNDING * params.l, params.l + 1
+        else:
+            rounding, terms = _ROUNDING_PER_A * (two_a / 2 + two_a % 2), (two_a + 1) // 2
         for (i, _), value in zip(legendre, _legendre(two_a, us, vs).tolist()):
             out[i] = EvalResult(value, Method.CLOSED_FORM, max(rounding * value, terms * 2.0 ** -1074), terms)
-    l = params.l or 0
-    for i in log_sum:
-        value = _neg_c_log_sum(params, float(xs[i]), float(ys[i]))
-        out[i] = EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (l + 1), l + 1)
-
-    def series(p, s):
-        value, tail, terms = s
-        if c > 0:
-            return _hyp_result(Method.CLOSED_FORM, p[1], value, tail, terms)
-        value *= math.exp(p[1])
-        return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value * (l + 1), terms)
-
     if hyp:
-        _finish(out, hyp, _hyp2f1_rows(-float(l) if c < 0 else a, [z for _, (z, _) in hyp], rtol), series)
+        _finish(out, hyp, _hyp2f1_rows(a, [z for _, (z, _) in hyp], rtol),
+                lambda p, s: _hyp_result(Method.CLOSED_FORM, p[1], *s))
     if quad:
         rows, unscaled = _quad_rows(params, [s for _, (s, _) in quad], [_TANH_SINH_START] * len(quad), qtol)
         for (i, (_, scale)), r, tail in zip(quad, rows, unscaled):
@@ -944,11 +962,14 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     """S(x) from the closed forms: the diagonal of T's pair grid
     (``_closed_rows``).
 
-    ``(1+cx)^(-2n/c) * hyp2f1_diag(n/c, (cx/(1+cx))^2)`` for c != 0 (the
-    hypergeometric factor terminates for c < 0) and the scaled Bessel value
-    ``exp(-2nx) I0(2nx)`` for c = 0.  Powers go through exp/log1p so the
+    ``(1+cx)^(-2n/c) * hyp2f1_diag(n/c, (cx/(1+cx))^2)`` for c > 0 and the
+    scaled Bessel value ``exp(-2nx) I0(2nx)`` for c = 0, which raises
+    OverflowError where 2nx overflows.  Powers go through exp/log1p so the
     anchor S(0) = 1 keeps full relative accuracy; for c > 0 the claimed
-    error covers the series' rounding, about 8 units per term.  For c > 0
+    error covers the series' rounding, about 8 units per term.  For c < 0 it
+    is the polynomial (1+2cx)^l P_l(w), l = -n/c, by the same Legendre
+    recurrence (``_legendre``), with a claimed error of 4*l units of 2^-53
+    of the value and a terms count of l + 1.  For c > 0
     with a whole or half-integer a = n/c it is instead P_(a-1)(w)/(1+2cx)^a,
     w = 1 + 2(cx)^2/(1+2cx), from the Legendre recurrence (``_legendre``,
     seeded by the AGM at half-integer a) at every x, with a claimed error
@@ -1125,7 +1146,7 @@ def _quad_rows(params: Params, ps: Sequence, ms: Sequence[int], rtol: float) -> 
     else:
         # two exact levels of a polynomial integrand differ by rounding
         # alone, which grows with its degree
-        floor, rounding = 1e-13, _ROUNDING_PER_A * (_twice_a(params) // 2) or 1e-16
+        floor, rounding = 1e-13, _ROUNDING_PER_A * max(_twice_a(params) // 2, 0) or 1e-16
         tails = [0.0] * len(ps)
     values, diffs, nodes = _ladder(f, kind, ps, ms, rtol, floor)
     rows = zip(values, diffs, tails, nodes)
@@ -1187,14 +1208,16 @@ def t_closed(params: Params, x: float, y: float) -> float:
     grid (``_closed_rows``) whose diagonal is ``s_closed``, so T(x, x) has
     the bits of S(x).
 
-    For c > 0 at a whole or half-integer a = n/c it is P_(a-1)(W)/B^a with
-    B = 1 + cx + cy and W = 1 + 2c^2xy/B (``_legendre``), and nothing hands
+    For c != 0 at a whole or half-integer a = n/c, every c < 0 among them,
+    it is P_(a-1)(W)/B^a with B = 1 + cx + cy and W = 1 + 2c^2xy/B
+    (``_legendre``; for c < 0 the polynomial B^l P_l(W)), and nothing hands
     over.  At any other a, past Z_SWITCH or with powers beyond the double
     range, it climbs the tanh-sinh ladder of ``s_quad`` on the reflected
     kernel integrand, and raises ArithmeticError where the part of the
     integral beyond the rule's ends may exceed RTOL_DEFAULT of the value.
     Where B overflows it raises OverflowError at whole 2a, and off the
-    diagonal at every other c > 0.
+    diagonal at every other c > 0; at c = 0 it does where
+    2n sqrt(x) sqrt(y) overflows.
     """
     (row,), (tail,) = _closed_rows(params, [x], [y], RTOL_DEFAULT)
     value = _one([row]).value

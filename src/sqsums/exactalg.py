@@ -726,12 +726,15 @@ def f_poly_parseval(n: int) -> RationalPoly:
 def f_value(n: int, x):
     """Evaluate F_n through its positive centered coefficients.
 
-    Exact on Fraction input; on floats the all-positive Horner sum keeps the
-    relative error at rounding level.
+    Exact on Fraction input.  On floats it is the all-positive Horner sum of
+    U_n(v) = F_n(v/2) at v^2 = 4 (x - 1/2)^2, which keeps the relative error
+    at rounding level: U_n's coefficients are at most 1, where those of F_n
+    pass the double range from n = 515 on, and a power of two apart the two
+    sums have the same bits wherever both are finite.
     """
     if isinstance(x, Fraction):
         return f_poly_parseval(n)(x - Fraction(1, 2))
-    return _float_horner(_float_coeffs(f_poly_parseval, n, 0), (float(x) - 0.5) ** 2)
+    return _float_horner(_float_coeffs(u_series_coeffs, n, 0) if n else (1.0,), 4.0 * (float(x) - 0.5) ** 2)
 
 
 @lru_cache(maxsize=None)

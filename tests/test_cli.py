@@ -303,6 +303,15 @@ class TestBounds:
         points = json.loads(out)["report"]["points"]
         assert len(points) > 200 and all(float(p["min_margin"]) >= -1e-12 for p in points)
 
+    @pytest.mark.parametrize("family", ["bernstein", "bbh"])
+    def test_index_past_the_float_range_of_the_centred_coefficients(self, family):
+        # F_n's centred coefficients pass the double range from n = 515 on;
+        # the float route sums U_n's, each at most 1
+        code, out, err = invoke(["bounds", "--family", family, "-n", "600", "--format", "json"])
+        assert code == 0, err
+        points = json.loads(out)["report"]["points"]
+        assert len(points) > 200 and all(float(p["min_margin"]) >= -1e-12 for p in points)
+
 
 # (the family's options, its least index, the key its bounds message names,
 # whether it has a verify suite)
@@ -416,9 +425,11 @@ class TestScan:
 
     def test_ode_scan_through_a_vanishing_scale(self):
         # at x = 1, the midpoint of I_c for c = -1/2, a2 and a0 vanish and the
-        # symmetric S' is exactly 0 at odd l: the residual is 0 as well
+        # symmetric S' is exactly 0 at odd l: the residual is 0 as well.  At
+        # the step 2^-10, 1 - h and 1 + h (and 1 - 2h, 1 + 2h) are mirror
+        # images that the closed form's reflection maps to equal bits
         argv = ["scan", "--family", "general", "-c", "-1/2", "-n", "3/2", "--kind", "ode"]
-        code, out, err = invoke(argv + ["--grid", "0.2:1.8:5", "--format", "json"])
+        code, out, err = invoke(argv + ["--grid", "0.2:1.8:5", "--step", "0.0009765625", "--format", "json"])
         assert (code, err) == (0, "")
         report = json.loads(out)["report"]
         assert report["grid"][2] == "1" and report["margins"][2] == "0"
@@ -610,8 +621,12 @@ GOLDEN = {
         "7f6a67cdec8fd0ec605f58c36685519cdfd676ba38d0676f02d902425df30900",
     ("scan", "--family", "szasz", "-n", "3", "--kind", "convexity", "--grid", "0:5:11", "--format", "json"):
         "31710fab776a4688a8c192b63ca336eb3087175a6a2e9bf2f8e7ad047dfe2b25",
+    # re-recorded with the c < 0 closed form on the Legendre recurrence and
+    # the log sum's recalibrated claim: the closed form's value did not move
+    # (1.8e-16 off the exact F_3(2/3)), only its claim (1.3e-15 -> 4.5e-16)
+    # and the series' (5.4e-16 -> 1.5e-15)
     ("eval", "--family", "bbh", "-n", "3", "-x", "2", "--format", "json"):
-        "5bf4fa4f4ec3d34e1319632120d10c15f44a853971bd2b6acc70804bfebb2077",
+        "f14dc1252f6ebe7ea996549110653609e9a2d16147e0fee179b19bd7ee186a0e",
     # re-recorded with the Legendre recurrence and the reflected rule at
     # integer a = n/c: closed form 5.1e-16 -> 1.5e-16 and quadrature
     # 2.4e-16 -> 1.5e-16 of the exact G_4(1)
@@ -651,15 +666,21 @@ def _table(family, n, grid, fmt="csv"):
 GOLDEN_TABLE = {
     # re-recorded with the closed form exactly 1 at the right endpoint, where
     # it printed the series' top term: 0.99999999999999956,
-    # 1.0000000000000053 and 1.0000000000000009 in these three tables
+    # 1.0000000000000053 and 1.0000000000000009 in these three tables.
+    # Re-recorded with the c < 0 closed form on the Legendre recurrence (its
+    # values and claims moved) and the log sum's recalibrated claim (only the
+    # series' err moved; no quadrature byte moved).  Worst closed-form error
+    # against the exact F_l(|c|x), old -> new: l = 5 5.3e-15 -> 8.4e-16,
+    # l = 25 3.3e-14 -> 4.4e-15; closed-form rows missing their claim 0 -> 0
+    # at l = 5 and 1 -> 0 at l = 25
     _table(["bernstein"], "5", "0:1:101"):
-        "617c089cad0d90619525dd1ff7e4c80dfa6f604a8f38c5195a24ca17ecbd4baf",
+        "6a3f583cff32021aff67b7edce8d92b7373329a2a7aa0780fb9da5bf865758f1",
     _table(["bernstein"], "25", "0:1:101"):
-        "f52dfd806540003ac70064073a5cb2b1ac99deec621e14308c694cefe0c6d2b2",
+        "4947e3d7c5060dec063a555264350f02becff00fb3be8d1a4c2303667c51a13b",
     _table(["general", "-c", "-1/2"], "5/2", "0:2:101"):
-        "78be814986963b683fcd23eca4f9fb8599a4cdc21f16c3d5ab5ad203dfdefdb9",
+        "d8fce6778e1ec19fd1be5bc7c179640c9a26be7bf32dc2541bd4e00c9e997c23",
     _table(["general", "-c", "-1/2"], "25/2", "0:2:101"):
-        "7830876f1b7057d5cddf2174f9f230c33ea785dfc08f81ed6a6e40d940fb4948",
+        "3d3b699cfbc4cf2d679630ba88659cc47b6abd76004d038595cd853381740727",
     # both szasz tables re-recorded with c = 0 quadrature on the tanh-sinh
     # rule (only quadrature rows changed); worst relative error of those
     # rows against exp(-2 n x) I0(2 n x) at 40 digits, old -> new: n = 5

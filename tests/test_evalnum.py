@@ -218,7 +218,6 @@ class TestClosedRoute:
                     error = abs(1 - f_value(l, -c * Fraction(x)))
                     assert r.value == 1.0
                     assert error <= r.err_estimate <= 4 * l * 2.0 ** -53
-                    assert (r.err_estimate == 0.0) == (Fraction(x) == -1 / c)
                     inexact += Fraction(x) != -1 / c
         assert inexact >= 2 * 5
 
@@ -608,8 +607,9 @@ def _switch_sides(switched, lo, hi):
 def _diagonal_cases():
     """(params, xs) covering every regime of the closed form of S and T."""
     cases = [
-        # c < 0: the terminating series, the endpoint, and the log sum past
-        # z = 1e10 and past _EXP_GUARD
+        # c < 0: the Legendre rows on both sides of B = 1 + 2cx = 0, at the
+        # endpoint and near it, where z = (cx/(1+cx))^2 passes 1e10 and
+        # |2l log1p(cx)| passes _EXP_GUARD
         (Params(5, -1), [0.3, 0.7, 1.0] + _switch_sides(lambda x: (x / (1.0 - x)) ** 2 >= 1e10, 0.5, 1.0)),
         (Params(125, Fraction(-1, 2)), [0.5, 1.998, 2.0]
             + _switch_sides(lambda x: abs(500.0 * math.log1p(-0.5 * x)) >= _EXP_GUARD, 0.0, 2.0)),
@@ -1154,6 +1154,73 @@ def test_non_integer_series_claim_against_mpmath():
 
 
 # ---------------------------------------------------------------------------
+# c < 0: S and T against the exact sums
+# ---------------------------------------------------------------------------
+
+_NEG_C = [Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(-2, 3), Fraction(-2, 5), Fraction(-5, 7),
+          Fraction(-2, 7)]
+
+
+def _pair_sum(l, y1, y2):
+    """sum_k C(l,k)^2 (y1 y2)^k ((1-y1)(1-y2))^(l-k) at rationals y1, y2 as
+    a numerator and a denominator, summed by Horner in integers."""
+    (p1, q1), (p2, q2) = y1.as_integer_ratio(), y2.as_integer_ratio()
+    a, b = p1 * p2, (q1 - p1) * (q2 - p2)
+    total = term = 1  # C(l,k)^2 b^(l-k) at k = l
+    for k in range(l, 0, -1):
+        term = term * b * k * k // (l - k + 1) ** 2
+        total = total * a + term
+    return total, (q1 * q2) ** l
+
+
+def _claim_holds(r, num, den):
+    """|value - num/den| <= err_estimate, in integers."""
+    (m, d), (em, ed) = r.value.as_integer_ratio(), r.err_estimate.as_integer_ratio()
+    return abs(m * den - num * d) * ed <= em * d * den
+
+
+@pytest.mark.parametrize("c", _NEG_C, ids=str)
+def test_neg_c_claims_against_the_exact_sums(c):
+    # S_{n,c}(x) = F_l(|c|x): the closed form (the Legendre rows) and the
+    # series (the log sum) each within its claim of the exact value at the
+    # float x, on an even grid of (0, -1/c] with the float below the right
+    # end, up to l = 1200
+    sup = -1 / c
+    for l, count in ((1, 64), (2, 64), (5, 128), (25, 128), (125, 64), (1200, 8)):
+        xs = [float(sup * i / count) for i in range(1, count + 1)]
+        xs = [x for x in xs + [math.nextafter(float(sup), 0.0)] if Fraction(x) <= sup]
+        params = Params(-c * l, c)
+        for x, closed, series in zip(xs, s_closed_grid(params, xs), s_series_grid(params, xs)):
+            exact = f_value(l, -c * Fraction(x)).as_integer_ratio()
+            assert closed.method is Method.CLOSED_FORM and _claim_holds(closed, *exact), (l, x, closed)
+            assert _claim_holds(series, *exact), (l, x, series)
+
+
+@pytest.mark.parametrize("c", _NEG_C, ids=str)
+def test_neg_c_kernel_claims_against_the_exact_sum(c):
+    # T off the diagonal at random pairs and at pairs near x + y = -1/c with x
+    # near 0, where B = 1 + cx + cy changes sign, each within its claim of the
+    # exact sum.  T is held at the rounded u = cx and v = cy it sums: with x
+    # near 0 and y near -1/c, one rounding of cy alone moves T by up to about
+    # l/(|c|x) units
+    rng = np.random.default_rng(c.denominator - c.numerator)
+    sup, cf = -1 / c, float(c)
+    for l, count in ((1, 24), (2, 24), (5, 24), (25, 24), (125, 12), (1200, 1)):
+        xs, ys = (float(sup) * rng.random(count)).tolist(), (float(sup) * rng.random(count)).tolist()
+        for x in float(sup) * 10.0 ** -rng.uniform(1.0, 8.0, count // 2 + 1):
+            y = float(sup - Fraction(x))
+            xs += [x] * 3
+            ys += [math.nextafter(y, 0.0), y, math.nextafter(y, 4.0)]
+        if c == -1:
+            xs, ys = xs + [1.0e-4], ys + [0.9992]
+        pairs = [(x, y) for x, y in zip(xs, ys) if max(Fraction(x), Fraction(y)) <= sup]
+        rows, _ = evalnum._closed_rows(Params(-c * l, c), *zip(*pairs), RTOL_DEFAULT)
+        for (x, y), r in zip(pairs, rows):
+            exact = _pair_sum(l, -Fraction(cf * x), -Fraction(cf * y))
+            assert r.method is Method.CLOSED_FORM and _claim_holds(r, *exact), (l, x, y, r)
+
+
+# ---------------------------------------------------------------------------
 # c = 0: S and T on the tanh-sinh rule
 # ---------------------------------------------------------------------------
 
@@ -1185,6 +1252,25 @@ def test_szasz_quadrature_never_reaches_the_cap():
     for q in s_quad_grid(Params(1, 0), xs):
         assert q.terms_or_nodes <= 1024 < LADDER_MAX and math.isfinite(q.err_estimate)
     assert max(_min_nodes(Params(1, 0), x) for x in xs) == 512
+
+
+def test_szasz_closed_form_past_the_double_range_raises():
+    # where 2nx (2n sqrt(x) sqrt(y) off the diagonal) overflows, the c = 0
+    # closed form raises OverflowError, as c > 0 does where 1 + 2cx does,
+    # rather than return nan from exp(z - z) at z = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, x in ((Params(1, 0), 1e308), (Params(3, 0), 1.7e308)):
+            with pytest.raises(OverflowError):
+                s_closed(params, x)
+            with pytest.raises(OverflowError):
+                t_closed(params, x, x)
+        with pytest.raises(OverflowError):
+            t_closed(Params(1, 0), 1e308, 1.7e308)
+        below, over = s_closed_grid(Params(1, 0), [1e307, 1e308])
+        assert below.value == pytest.approx((4.0 * math.pi * 1e307) ** -0.5, rel=1e-15)
+        assert isinstance(over, OverflowError)
+        assert t_closed(Params(1, 0), 1e308, 1e300) == 0.0
 
 
 def _szasz_t(mpmath, n, x, y):

@@ -74,3 +74,15 @@ def test_z_switch_is_read_in_one_function():
         for fn in _functions_reading(ast.parse(path.read_text(), str(path)), "Z_SWITCH")
     ]
     assert len(set(readers)) == 1, readers
+
+
+def test_neg_c_log_sum_is_read_in_one_function():
+    # the c < 0 log sum is the series route's own sum; the closed form runs
+    # the Legendre rows, so the two are independent witnesses
+    src = pathlib.Path(sqsums.__file__).parent
+    readers = [
+        f"{path.name}:{fn}"
+        for path in sorted(src.glob("*.py"))
+        for fn in _functions_reading(ast.parse(path.read_text(), str(path)), "_neg_c_log_sum")
+    ]
+    assert set(readers) == {"evalnum.py:s_series_grid"}, readers
