@@ -46,28 +46,29 @@ def _fmt_rat(v: Fraction) -> str:
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json(v, pad: str, out: list[str]) -> None:
+# The json writer writes its pending pieces to the stream each time this
+# many are held, so a document's text is never held whole.
+_CHUNK = 256
+
+
+def _json(v, pad: str, out: list[str], write: Callable[[str], Any]) -> None:
     """Append the text of v as json.dumps(v, indent=2) writes it to out; pad
-    is the newline and indent of v's first line.  The pieces are joined
-    once, so a long string is not copied again at every level."""
+    is the newline and indent of v's first line.  After each element of a
+    container, _CHUNK or more pending pieces go to write, joined, and out is
+    emptied; a long string is not copied again at every level."""
     if isinstance(v, str):
         out.append(encode_basestring_ascii(v))
-    elif isinstance(v, dict) and v:
-        inner = pad + "  "
-        sep = "{" + inner
-        for k, x in v.items():
-            out.append(f"{sep}{encode_basestring_ascii(k)}: ")
-            _json(x, inner, out)
+    elif isinstance(v, (dict, list, tuple)) and v:
+        inner, keyed = pad + "  ", isinstance(v, dict)
+        sep = ("{" if keyed else "[") + inner
+        for k, x in v.items() if keyed else enumerate(v):
+            out.append(f"{sep}{encode_basestring_ascii(k)}: " if keyed else sep)
+            _json(x, inner, out, write)
+            if len(out) >= _CHUNK:
+                write("".join(out))
+                out.clear()
             sep = "," + inner
-        out.append(pad + "}")
-    elif isinstance(v, (list, tuple)) and v:
-        inner = pad + "  "
-        sep = "[" + inner
-        for x in v:
-            out.append(sep)
-            _json(x, inner, out)
-            sep = "," + inner
-        out.append(pad + "]")
+        out.append(pad + ("}" if keyed else "]"))
     elif isinstance(v, (dict, list, tuple)):
         out.append("{}" if isinstance(v, dict) else "[]")
     elif v is None or isinstance(v, bool):
@@ -81,27 +82,34 @@ def _json(v, pad: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
+def _write_json(doc, out) -> None:
+    """Write ``json.dumps(doc, indent=2) + "\\n"`` to the stream out, a chunk
+    of pieces at a time (``_json``)."""
+    pending: list[str] = []
+    _json(doc, "\n", pending, out.write)
+    pending.append("\n")
+    out.write("".join(pending))
+
+
 def json_text(doc) -> str:
     """``json.dumps(doc, indent=2) + "\\n"`` for a document with string keys.
 
     With an indent, json drops its C encoder for a pure-Python one; this
     writer keeps the C string escaping and writes the same bytes.
     """
-    out: list[str] = []
-    _json(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit_json(command: str, params: dict, **body) -> str:
-    """The json document of a verb: its results or report between params and versions."""
-    return json_text({"command": command, "params": params, **body, "versions": {"sqsums": __version__}})
-
-
-def _emit_csv(header: list[str], rows: list[list[str]]) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    _write_json(doc, buf)
     return buf.getvalue()
+
+
+def _emit_json(out, command: str, params: dict, **body) -> None:
+    """Write the json document of a verb to out: its results or report
+    between params and versions."""
+    _write_json({"command": command, "params": params, **body, "versions": {"sqsums": __version__}}, out)
+
+
+def _emit_csv(out, header: list[str], rows: list[list[str]]) -> None:
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
 
 
 def _parse_grid(spec: str, family: FamilyId) -> list[float]:
@@ -156,7 +164,7 @@ def _cmd_eval(args, out) -> int:
     ]
     if args.format == "json":
         params = _params_doc(family, n, x=_fmt_float(x), rtol=_fmt_float(args.rtol))
-        out.write(_emit_json("eval", params, results=[
+        _emit_json(out, "eval", params, results=[
             {
                 "method": r.method.value,
                 "value": _fmt_float(r.value),
@@ -164,13 +172,13 @@ def _cmd_eval(args, out) -> int:
                 "terms_or_nodes": r.terms_or_nodes,
             }
             for r in results
-        ]))
+        ])
     elif args.format == "csv":
         rows = [
             [_fmt_float(x), r.method.value, _fmt_float(r.value), _fmt_float(r.err_estimate)]
             for r in results
         ]
-        out.write(_emit_csv(["x", "method", "value", "err_estimate"], rows))
+        _emit_csv(out, ["x", "method", "value", "err_estimate"], rows)
     else:
         out.write(f"family={family.name} n={n} x={_fmt_float(x)}\n")
         for r in results:
@@ -203,9 +211,9 @@ def _cmd_table(args, out) -> int:
     if args.format == "json":
         keys = ("x", "method", "value", "err_estimate")
         params = _params_doc(family, args.n, grid=args.grid, rtol=_fmt_float(args.rtol))
-        out.write(_emit_json("table", params, results=[dict(zip(keys, cell)) for cell in cells]))
+        _emit_json(out, "table", params, results=[dict(zip(keys, cell)) for cell in cells])
     else:  # text and csv share the csv table
-        out.write(_emit_csv(["x", "method", "value", "err_estimate"], cells))
+        _emit_csv(out, ["x", "method", "value", "err_estimate"], cells)
     return 0
 
 
@@ -223,10 +231,10 @@ def _cmd_verify(args, out) -> int:
     ns = range(first, args.n_max + 1)
     outcomes = [(name, check(ns)) for name, check in row.items]
     if args.format == "json":
-        out.write(_emit_json("verify", _params_doc(family, n_max=args.n_max), report={
+        _emit_json(out, "verify", _params_doc(family, n_max=args.n_max), report={
             "items": {name: ("OK" if passed else "FAIL") for name, passed in outcomes},
             "witnesses": {label: build(first).to_json()},
-        }))
+        })
     else:
         out.write("".join(f"{name}: {'OK' if passed else 'FAIL'}\n" for name, passed in outcomes))
     return 0 if all(passed for _, passed in outcomes) else 1
@@ -246,18 +254,18 @@ def _cmd_bounds(args, out) -> int:
     worst = min(reports, key=lambda r: r.min_margin)
     ok = worst.min_margin >= -1e-12
     if args.format == "json":
-        out.write(_emit_json("bounds", _params_doc(family, args.n), report={
+        _emit_json(out, "bounds", _params_doc(family, args.n), report={
             "points": [r.to_json() for r in reports],
             "min_margin": _fmt_float(worst.min_margin),
             "argmin": _fmt_float(worst.x),
-        }))
+        })
     elif args.format == "csv":
         rows = [
             [_fmt_float(r.x), _fmt_float(r.s_value), label, _fmt_float(value), _fmt_float(value - r.s_value)]
             for r in reports
             for label, value in r.bounds
         ]
-        out.write(_emit_csv(["x", "s_value", "bound", "value", "margin"], rows))
+        _emit_csv(out, ["x", "s_value", "bound", "value", "margin"], rows)
     else:
         for r in reports:
             parts = " ".join(f"{label}={_fmt_float(v)}" for label, v in r.bounds)
@@ -301,10 +309,10 @@ def _cmd_scan(args, out) -> int:
                              f"got the substitution family {family.name!r}")
     report = _KINDS[args.kind][0](family, params, args)
     if args.format == "json":
-        out.write(_emit_json("scan", _params_doc(family, args.n, kind=args.kind), report=report.to_json()))
+        _emit_json(out, "scan", _params_doc(family, args.n, kind=args.kind), report=report.to_json())
     elif args.format == "csv":
         rows = [[analysis._fmt(x), analysis._fmt(m)] for x, m in zip(report.grid, report.margins)]
-        out.write(_emit_csv(["x", "margin"], rows))
+        _emit_csv(out, ["x", "margin"], rows)
     else:
         status = f" status={report.status.get('status')}" if report.status.get("status") else ""
         out.write(
@@ -330,7 +338,7 @@ def _cmd_info(args, out) -> int:
         if params.l is not None:
             doc["base_params"]["l"] = params.l
     if args.format == "json":
-        out.write(_emit_json("info", doc, report=doc))
+        _emit_json(out, "info", doc, report=doc)
     else:
         out.write("".join(f"{key}: {val}\n" for key, val in doc.items()))
     return 0

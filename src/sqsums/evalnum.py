@@ -290,26 +290,29 @@ def _hankel_i0e(z: float) -> float:
     exp(-z).  The truncation error is therefore at most 2 t_K + exp(-z),
     with t_K the first omitted term: below 1e-21 of the value from z = 600
     on.  Rounding adds at most about 3e-16 (measured against mpmath at 40
-    digits up to z = 1e9).
+    digits up to z = 1e9).  Past about z = 2.86e307, where 2 pi z
+    overflows, the root is taken as sqrt(2 pi) sqrt(z).
     """
     w = 0.5 / z
     total = 0.0
     for coef in reversed(_HANKEL):
         total = total * w + coef
-    return total / math.sqrt(2.0 * math.pi * z)
+    two_pi_z = 2.0 * math.pi * z
+    return total / (math.sqrt(two_pi_z) if two_pi_z < math.inf else math.sqrt(2.0 * math.pi) * math.sqrt(z))
 
 
 def _i0_scaled_rows(zs: Sequence[float]) -> list:
-    """I0(z) = exp(scale) * value at each z >= 0 as (scale, value), or the
-    exception raised there: the certified power series with scale 0 up to
-    _HANKEL_Z, and the Hankel expansion of exp(-z) I0(z) with scale z past
-    it.  Every Bessel value reads this one split."""
+    """I0(z) = exp(scale) * value at each z >= 0 as (scale, value, terms),
+    or the exception raised there: the certified power series with scale 0
+    and its terms up to _HANKEL_Z, and the Hankel expansion of exp(-z) I0(z)
+    with scale z and terms 0 past it.  Every Bessel value reads this one
+    split."""
     out: list = [None] * len(zs)
     series = [(i, z) for i, z in enumerate(zs) if z <= _HANKEL_Z]
-    _finish(out, series, _i0_rows([z for _, z in series]), lambda _, s: (0.0, s[0]))
+    _finish(out, series, _i0_rows([z for _, z in series]), lambda _, s: (0.0, *s))
     for i, z in enumerate(zs):
         if not z <= _HANKEL_Z:
-            out[i] = (z, _hankel_i0e(z))
+            out[i] = (z, _hankel_i0e(z), 0)
     return out
 
 
@@ -323,7 +326,7 @@ def bessel_i0(z: float) -> float:
     range).  Unscaling as exp(z + log v) would round z + log v to the ulp
     of about 700 and lose up to 6e-14 relative.
     """
-    scale, value = _one(_i0_scaled_rows([abs(float(z))]))
+    scale, value, _ = _one(_i0_scaled_rows([abs(float(z))]))
     if scale < 709.0:
         return math.exp(scale) * value
     if scale > 1000.0:  # I0 leaves the double range near z = 714
@@ -333,16 +336,17 @@ def bessel_i0(z: float) -> float:
 
 
 def _bessel_i0e_rows(zs: Sequence[float]) -> list:
-    """exp(-z) * I0(z) at each z >= 0, or the exception raised there."""
+    """exp(-z) * I0(z) at each z >= 0 and the power series' terms (0 for the
+    Hankel value), or the exception raised there."""
     return [
-        r if isinstance(r, Exception) else math.exp(r[0] - z) * r[1]
+        r if isinstance(r, Exception) else (math.exp(r[0] - z) * r[1], r[2])
         for z, r in zip(zs, _i0_scaled_rows(zs))
     ]
 
 
 def bessel_i0e(z: float) -> float:
     """exp(-z) * I0(z), stable for every nonnegative argument."""
-    return _one(_bessel_i0e_rows([abs(float(z))]))
+    return _one(_bessel_i0e_rows([abs(float(z))]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -922,9 +926,12 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
             out[i] = exc
 
     if bessel:
-        def szasz(p, i0e):
-            value = i0e * math.exp(-n * p[1])
-            return EvalResult(value, Method.CLOSED_FORM, 1e-15 * value, 0)
+        def szasz(p, s):
+            # the power series below _HANKEL_Z is the series route's sum
+            # (I0(2 mu) = sum (mu^k/k!)^2), with its rounding model and tail
+            value, terms = s[0] * math.exp(-n * p[1]), s[1]
+            rel = 1e-16 + _HYP_ROUNDING * (5 * terms + 3) if terms else 1e-15
+            return EvalResult(value, Method.CLOSED_FORM, rel * value, 0)
 
         _finish(out, bessel, _bessel_i0e_rows([z for _, (z, _) in bessel]), szasz)
     if legendre:
@@ -1145,9 +1152,12 @@ def _quad_rows(params: Params, ps: Sequence, ms: Sequence[int], rtol: float) -> 
         tails = [_TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf for s in ps]
     else:
         # two exact levels of a polynomial integrand differ by rounding
-        # alone, which grows with its degree
-        floor, rounding = 1e-13, _ROUNDING_PER_A * max(_twice_a(params) // 2, 0) or 1e-16
-        tails = [0.0] * len(ps)
+        # alone, which grows with its degree: the claim is the closed form's
+        # per degree (c < 0: within 2.52 units of 2^-53 per unit of l
+        # against the exact sums, on the sweep of ``_NEG_C_ROUNDING`` and on
+        # 2048 x at l up to 25)
+        floor, tails = 1e-13, [0.0] * len(ps)
+        rounding = _NEG_C_ROUNDING * params.l if params.c_float < 0 else _ROUNDING_PER_A * (_twice_a(params) // 2)
     values, diffs, nodes = _ladder(f, kind, ps, ms, rtol, floor)
     rows = zip(values, diffs, tails, nodes)
     return [EvalResult(v, Method.QUADRATURE, max(d, rounding * abs(v)) + t, m) for v, d, t, m in rows], tails
@@ -1190,7 +1200,8 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
     difference of levels, at least the rounding of the integrand.  The
     polynomial integrands, of c < 0 and of c > 0 at integer a = n/c, run on
     Gauss-Chebyshev nodes, exact from (l+2)//2 or (a+1)//2 nodes, with a
-    floor of 1e-13 and at least 1e-15*a of the value.  Every other one, of
+    floor of 1e-13 and at least 4*l units of 2^-53 (c < 0) or 1e-15*a
+    (c > 0) of the value.  Every other one, of
     c = 0 and of c > 0 at non-integer a, runs on the tanh-sinh rule with a
     purely relative stop, at least 1e-15 (c = 0) or 1e-15*(a+6) of the
     value, plus the part of the integral beyond the rule's ends.

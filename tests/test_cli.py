@@ -523,7 +523,40 @@ _JSON_VALUES = st.recursive(
 def test_json_writer_matches_json_dumps(value, params, body):
     assert cli.json_text(value) == json.dumps(value, indent=2) + "\n"
     doc = {"command": "c", "params": params, "report": body, "versions": {"sqsums": sqsums.__version__}}
-    assert cli._emit_json("c", params, report=body) == json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    cli._emit_json(buf, "c", params, report=body)
+    assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+class _RecordingStream:
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("count", [cli._CHUNK, 5 * cli._CHUNK + 3])
+def test_json_writer_streams_in_chunks(count):
+    # a list of four-digit integers: every piece ("[\n  ", ",\n  ", each
+    # number) is 4 characters and an element is 2 pieces, so a write of at
+    # most one chunk of pieces plus one element is at most (_CHUNK + 2) * 4
+    # characters
+    values = list(range(1000, 1000 + count))
+    stream = _RecordingStream()
+    cli._write_json(values, stream)
+    assert "".join(stream.writes) == json.dumps(values, indent=2) + "\n"
+    assert len(stream.writes) > 1
+    assert max(map(len, stream.writes)) <= (cli._CHUNK + 2) * 4
+    # a verb's document, nested one level deeper, streams as well
+    stream = _RecordingStream()
+    cli._emit_json(stream, "c", {}, results=values)
+    doc = {"command": "c", "params": {}, "results": values, "versions": {"sqsums": sqsums.__version__}}
+    assert "".join(stream.writes) == json.dumps(doc, indent=2) + "\n"
+    assert len(stream.writes) > 1
 
 
 # SHA-256 of the stdout of each command, recorded before the exact layer moved
@@ -624,9 +657,11 @@ GOLDEN = {
     # re-recorded with the c < 0 closed form on the Legendre recurrence and
     # the log sum's recalibrated claim: the closed form's value did not move
     # (1.8e-16 off the exact F_3(2/3)), only its claim (1.3e-15 -> 4.5e-16)
-    # and the series' (5.4e-16 -> 1.5e-15)
+    # and the series' (5.4e-16 -> 1.5e-15).  Re-recorded with the c < 0
+    # quadrature claiming the closed form's 4 l units: its value did not
+    # move (1.8e-17 off), only its claim (5.6e-17 -> 4.5e-16)
     ("eval", "--family", "bbh", "-n", "3", "-x", "2", "--format", "json"):
-        "f14dc1252f6ebe7ea996549110653609e9a2d16147e0fee179b19bd7ee186a0e",
+        "54fa86c88c6d88763e33722df48045b34562781b542a72552037adb34fc916ef",
     # re-recorded with the Legendre recurrence and the reflected rule at
     # integer a = n/c: closed form 5.1e-16 -> 1.5e-16 and quadrature
     # 2.4e-16 -> 1.5e-16 of the exact G_4(1)
@@ -672,26 +707,35 @@ GOLDEN_TABLE = {
     # series' err moved; no quadrature byte moved).  Worst closed-form error
     # against the exact F_l(|c|x), old -> new: l = 5 5.3e-15 -> 8.4e-16,
     # l = 25 3.3e-14 -> 4.4e-15; closed-form rows missing their claim 0 -> 0
-    # at l = 5 and 1 -> 0 at l = 25
+    # at l = 5 and 1 -> 0 at l = 25.  Re-recorded with the c < 0 quadrature
+    # claiming the closed form's 4 l units of 2^-53 instead of 1e-16 (only
+    # the err column of quadrature rows moved); quadrature rows missing their
+    # claim against the exact F_l(|c|x), old -> new: l = 5 24 -> 0 and
+    # l = 25 32 -> 0 in both the bernstein and the c = -1/2 tables (worst
+    # relative error 3.3e-16 and 1.3e-15)
     _table(["bernstein"], "5", "0:1:101"):
-        "6a3f583cff32021aff67b7edce8d92b7373329a2a7aa0780fb9da5bf865758f1",
+        "5cc7f4fefc16b30df9f735e3efe26dd7bd70ce4852e85fb8222f542ebb3ec1a7",
     _table(["bernstein"], "25", "0:1:101"):
-        "4947e3d7c5060dec063a555264350f02becff00fb3be8d1a4c2303667c51a13b",
+        "6e4348944d59c917937040ce1fb658035232811541145afa0ccb222465cfc21d",
     _table(["general", "-c", "-1/2"], "5/2", "0:2:101"):
-        "d8fce6778e1ec19fd1be5bc7c179640c9a26be7bf32dc2541bd4e00c9e997c23",
+        "a7dbb0844656bac55136ad4a49150a1a0c72edff8b21223b105dd0eebaedbb6e",
     _table(["general", "-c", "-1/2"], "25/2", "0:2:101"):
-        "3d3b699cfbc4cf2d679630ba88659cc47b6abd76004d038595cd853381740727",
+        "e91a038572cc98abebddac25bb93a3efa0b3ceed482bf92a923fe642c6483197",
     # both szasz tables re-recorded with c = 0 quadrature on the tanh-sinh
     # rule (only quadrature rows changed); worst relative error of those
     # rows against exp(-2 n x) I0(2 n x) at 40 digits, old -> new: n = 5
     # 1.2e-15 -> 3.0e-16, n = 25 2.4e-14 -> 3.3e-16; rows missing their own
-    # claim 29 -> 0 and 26 -> 0
+    # claim 29 -> 0 and 26 -> 0.  Both re-recorded again with the closed
+    # form's I0 power series below 2 n x = 600 claiming the series route's
+    # rounding model instead of 1e-15 (only the err column of closed-form
+    # rows moved); closed-form rows missing their claim at 40 digits, old ->
+    # new: n = 5 12 -> 0 (worst 1.6e-15), n = 25 17 -> 0 (worst 1.4e-14)
     _table(["szasz"], "5", "0:20:101"):
-        "94e66bb0da96bc1566c7d3cb24f57578bdd983e5c270f24e7fde934f33054c63",
+        "f8d5c5294c961f0b9b677fb7fe1f5af21dbd5c096a82b54a255b8b8240fcb77e",
     # re-recorded with Loader's anchor and the Hankel kernel past n x = 12:
     # series and closed form went from 1.3e-12 to at most 2.1e-15 of i0e
     _table(["szasz"], "25", "0:20:101"):
-        "3d22786bdebe48d249c57726eba059eda76e34d7a21d073f5f8d53623733fdaf",
+        "efe79b9527f0b8e3696f45c9a157821363fb4a1d20adaf0ff90b673905b4e720",
     # re-recorded with the Legendre recurrence and the reflected rule at
     # integer a = n/c; worst relative error against the exact G_n, old -> new:
     # n = 5 closed form 1.3e-14 -> 1.7e-15, quadrature 1.7e-13 -> 4.3e-16;

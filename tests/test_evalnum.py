@@ -1181,19 +1181,22 @@ def _claim_holds(r, num, den):
 
 @pytest.mark.parametrize("c", _NEG_C, ids=str)
 def test_neg_c_claims_against_the_exact_sums(c):
-    # S_{n,c}(x) = F_l(|c|x): the closed form (the Legendre rows) and the
-    # series (the log sum) each within its claim of the exact value at the
-    # float x, on an even grid of (0, -1/c] with the float below the right
-    # end, up to l = 1200
+    # S_{n,c}(x) = F_l(|c|x): the closed form (the Legendre rows), the
+    # series (the log sum) and the quadrature (Chebyshev means, which claimed
+    # 1e-16 and missed by up to 1.3e-15) each within its claim of the exact
+    # value at the float x, on an even grid of (0, -1/c] with the float
+    # below the right end, up to l = 1200
     sup = -1 / c
     for l, count in ((1, 64), (2, 64), (5, 128), (25, 128), (125, 64), (1200, 8)):
         xs = [float(sup * i / count) for i in range(1, count + 1)]
         xs = [x for x in xs + [math.nextafter(float(sup), 0.0)] if Fraction(x) <= sup]
         params = Params(-c * l, c)
-        for x, closed, series in zip(xs, s_closed_grid(params, xs), s_series_grid(params, xs)):
+        routes = zip(s_closed_grid(params, xs), s_series_grid(params, xs), s_quad_grid(params, xs))
+        for x, (closed, series, quad) in zip(xs, routes):
             exact = f_value(l, -c * Fraction(x)).as_integer_ratio()
             assert closed.method is Method.CLOSED_FORM and _claim_holds(closed, *exact), (l, x, closed)
             assert _claim_holds(series, *exact), (l, x, series)
+            assert quad.method is Method.QUADRATURE and _claim_holds(quad, *exact), (l, x, quad)
 
 
 @pytest.mark.parametrize("c", _NEG_C, ids=str)
@@ -1243,6 +1246,20 @@ def test_szasz_quadrature_sweep_against_mpmath():
         for x, q in zip(xs, s_quad_grid(Params(n, 0), xs)):
             assert q.method is Method.QUADRATURE
             _assert_within_claims(_szasz_s(mpmath, n * x), (q,))
+
+
+def test_szasz_closed_form_claims_against_mpmath():
+    # the I0 power series up to 2 n x = 600 is the series route's sum and
+    # claims its model, 5 units of 2^-53 per summed term, 3 more and the
+    # tail's 1e-16 (within 0.17 of that; its old claim of 1e-15 was missed
+    # by up to 25 times), and the Hankel value past it 1e-15
+    mpmath = pytest.importorskip("mpmath")
+    zs = [600.0 * (i / 120) ** 2 for i in range(1, 121)] + [600.0 * m for m in (0.99999, 1.00001, 1.001, 1.5, 10.0)]
+    for n in (1, 2, 5, 10, 25):
+        xs = [z / (2 * n) for z in zs]
+        for x, r in zip(xs, s_closed_grid(Params(n, 0), xs)):
+            assert r.method is Method.CLOSED_FORM
+            _assert_within_claims(_szasz_s(mpmath, n * x), (r,))
 
 
 def test_szasz_quadrature_never_reaches_the_cap():

@@ -86,3 +86,13 @@ def test_neg_c_log_sum_is_read_in_one_function():
         for fn in _functions_reading(ast.parse(path.read_text(), str(path)), "_neg_c_log_sum")
     ]
     assert set(readers) == {"evalnum.py:s_series_grid"}, readers
+
+
+def test_cli_writes_documents_to_the_stream():
+    # each verb writes its document to the output stream as it is produced;
+    # only json_text, the writer into a string, holds a whole text, and no
+    # verb goes through it
+    path = pathlib.Path(sqsums.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert _functions_reading(tree, "io") == ["json_text"]
+    assert _functions_reading(tree, "json_text") == []

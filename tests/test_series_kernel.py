@@ -536,12 +536,31 @@ def test_bessel_straddles_z_600():
         total, _ = ref_i0_series(z, 1e-16)
         assert bessel_i0e(z) == math.exp(-z) * total
     # the closed form (2 n x = z for n = 1): the Hankel side is within its
-    # claim of the reference; the series side misses its claim of 1e-15 by
-    # up to 3e-14 on [100, 600] (ROADMAP item 2), so the sides agree to 1e-13
+    # claim of the reference; the series side is off by up to 3e-14 on
+    # [100, 600] and claims its rounding per term, so the sides agree to
+    # 1e-13 and within their claims
     low, high = s_closed(Params(1, 0), below / 2.0), s_closed(Params(1, 0), above / 2.0)
     assert (low.value, high.value) == (bessel_i0e(below), bessel_i0e(above))
     assert abs(high.value - ref_hankel_i0e(above)) <= high.err_estimate
     assert low.value == pytest.approx(high.value, rel=1e-13)
+    assert abs(low.value - high.value) <= low.err_estimate + high.err_estimate
+
+
+def test_hankel_past_the_overflow_of_2_pi_z():
+    # 2 pi z overflows from z = 2.86e307 on; there exp(-z) I0(z) is still
+    # (2 pi z)^(-1/2) to 1e-300, not 0, and within the claim at 2 n x = z
+    mpmath = pytest.importorskip("mpmath")
+
+    def oracle(z):
+        with mpmath.workdps(40):
+            return float(1 / mpmath.sqrt(2 * mpmath.pi * mpmath.mpf(z)))
+
+    edge = sys.float_info.max / (2.0 * math.pi)
+    for z in (edge, math.nextafter(edge, math.inf), 3e307, 1.6e308, sys.float_info.max):
+        assert bessel_i0e(z) == pytest.approx(oracle(z), rel=1e-15)
+    for x in (1.5e307, 8e307):
+        r = s_closed(Params(1, 0), x)
+        assert r.value > 0.0 and abs(r.value - oracle(2.0 * x)) <= r.err_estimate
 
 
 def test_bessel_i0_straddles_z_600_and_saturates():
