@@ -14,7 +14,7 @@ import pathlib
 import time
 
 from sqsums.analysis import logconvexity_scan
-from sqsums.cli import json_text
+from sqsums.cli import _write_json
 from sqsums.core import FamilyId
 from sqsums.families import FAMILIES
 
@@ -34,8 +34,8 @@ def main() -> None:
             rep = logconvexity_scan(FamilyId(tag).base_params(n), count=args.count)
             seconds = time.perf_counter() - t0
             doc = rep.to_json()
-            path = args.out / f"logconvexity_{tag}_n{n:02d}.json"
-            path.write_text(json_text(doc))
+            with open(args.out / f"logconvexity_{tag}_n{n:02d}.json", "w") as out:
+                _write_json(doc, out)
             neg = len(rep.violations)
             print(
                 f"{tag:>9} n={n:3d}  min Q = {doc['min_margin']:>26} at x = {doc['argmin']}"

@@ -1,7 +1,8 @@
 """One row per operator family, keyed by ``FamilyId.key``: what is exact or
 proven about its sum (``core`` keeps its structure).  Rows look builders up
 in ``exactalg`` and ``legendre`` at call time, so a patched module attribute
-is the one that runs, and nothing they build outlives the call.
+is the one that runs, and nothing they build outlives the call; Bernstein's
+``legendre`` item hands the centred F_n to the polynomial bridge.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ FAMILIES = {
         ("ode", _solves(lambda n: exactalg.eq_f(n), lambda n: exactalg.f_poly_parseval(n))),
         ("heun", _solves(lambda n: exactalg.HeunParams.polynomial_case(n).operator(),
             lambda n: exactalg.f_poly_parseval(n))),
-        ("legendre", _each(lambda n: legendre.neuschel_check_exact(n, Fraction(1, 8)) == 0
-            and legendre.neuschel_check_exact(n, Fraction(2, 5)) == 0
-            and (n > 8 or legendre.derivative_relations_check(n, Fraction(3, 2))))),
+        ("legendre", lambda ns: legendre.bridge_check(ns, exactalg.f_poly_parseval)  # F_n = (1-2x)^n P_n(t)
+            and all(legendre.derivative_relations_check(n, Fraction(3, 2)) for n in ns if n <= 8)),
     ), ("convexity", "logconvexity", "monotonicity")),
     "bbh": Family(lambda n: exactalg.u_series_coeffs(n), lambda n, x: exactalg.u_value(n, x),
         _base_bounds("bbh"), ("u_rational", lambda n: exactalg.u_rational(n)), (

@@ -14,7 +14,7 @@ from fractions import Fraction
 from sqsums.core import FamilyId, Params
 from sqsums.analysis import logconvexity_scan, ode_residual_scan
 from sqsums.bounds import bound_values, standard_grid
-from sqsums.evalnum import s_closed, s_quad, s_series
+from sqsums.evalnum import s_closed, s_closed_grid, s_quad, s_series
 from sqsums.exactalg import (
     HeunParams,
     eq_f,
@@ -23,6 +23,7 @@ from sqsums.exactalg import (
     eq_u,
     f_poly_direct,
     f_poly_parseval,
+    f_value,
     g_rational,
     g_value,
     heun_residual,
@@ -32,7 +33,7 @@ from sqsums.exactalg import (
     recurrence_check,
     u_rational,
 )
-from sqsums.legendre import neuschel_check, neuschel_check_exact
+from sqsums.legendre import bridge_check
 
 
 def _record(name: str, ok: bool) -> None:
@@ -123,16 +124,16 @@ def test_criterion_04_ode_and_heun_solutions():
 def test_criterion_05_legendre_bridge():
     ok = False
     try:
+        # the float bridge is the c = -1 closed form, (1-2x)^n P_n(t); the
+        # exact one is F_n = (1-2x)^n P_n(t) as a polynomial identity
+        xs = [0.45 * i / 63 for i in range(64)]
         for n in range(1, 31):
-            for i in range(64):
-                x = 0.45 * i / 63
-                assert abs(neuschel_check(n, x)) <= 1e-12, (n, x)
-        for n in (1, 7, 15, 30):
-            for x in (Fraction(1, 8), Fraction(1, 3), Fraction(2, 5), Fraction(9, 20)):
-                assert neuschel_check_exact(n, x) == 0, (n, x)
+            for x, r in zip(xs, s_closed_grid(Params(n, -1), xs)):
+                assert abs(Fraction(r.value) - f_value(n, Fraction(x))) <= 1e-12, (n, x)
+        assert bridge_check(range(1, 31), f_poly_parseval)
         ok = True
     finally:
-        _record("5 Legendre bridge: 1e-12 on [0, 0.45] and exact at rationals, n <= 30", ok)
+        _record("5 Legendre bridge: 1e-12 on [0, 0.45] and exact as polynomials, n <= 30", ok)
 
 
 def test_criterion_06_bound_suite():

@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import sqsums
+from sqsums import legendre
 from sqsums.core import FAMILY_NAMES
 
 # the family table and the family record are the two places that name families
@@ -96,3 +97,19 @@ def test_cli_writes_documents_to_the_stream():
     tree = ast.parse(path.read_text(), str(path))
     assert _functions_reading(tree, "io") == ["json_text"]
     assert _functions_reading(tree, "json_text") == []
+
+
+def test_legendre_exports_only_what_the_package_runs():
+    # legendre.py keeps what another module of the package reads; an oracle
+    # that only a test calls lives in that test
+    src = pathlib.Path(sqsums.__file__).parent
+    read = set()
+    for path in src.glob("*.py"):
+        if path.name == "legendre.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "legendre":
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "legendre":
+                read.update(alias.name for alias in node.names)
+    assert set(legendre.__all__) - read == set()
