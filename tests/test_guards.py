@@ -113,3 +113,13 @@ def test_legendre_exports_only_what_the_package_runs():
             elif isinstance(node, ast.ImportFrom) and node.module == "legendre":
                 read.update(alias.name for alias in node.names)
     assert set(legendre.__all__) - read == set()
+
+
+def test_conjecture_scan_writes_reports_to_the_stream():
+    # each report goes through the streaming writer into its open file, not
+    # through a whole text first
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "conjecture_scan.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert _functions_reading(tree, "_write_json") == ["main"]
+    assert _functions_reading(tree, "json_text") == []
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "write_text" for node in ast.walk(tree))

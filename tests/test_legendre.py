@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsums import legendre
+from sqsums import exactalg, legendre
+from sqsums.core import Params
+from sqsums.evalnum import s_closed_grid
 from sqsums.exactalg import RationalPoly, f_poly_parseval, f_value
+from sqsums.families import FAMILIES
 from sqsums.legendre import _relation_residuals, bridge_check, derivative_relations_check, legendre_poly
 
 
@@ -47,6 +50,19 @@ class TestRecurrence:
             for t in (1.0, 1.3, 2.8, 9.0):
                 value = float(legendre_poly(n)(Fraction(t)))
                 assert value == pytest.approx(float(special.eval_legendre(n, t)), rel=1e-12)
+
+    def test_coefficient_form_matches_values(self):
+        t = Fraction(7, 5)
+        for n in range(0, 12):
+            assert legendre_poly(n)(t) == legendre_from_binom(n, t)
+
+    def test_parity_and_leading_coefficient(self):
+        # P_n has the parity of n and leads with C(2n, n) / 2^n
+        for n in range(0, 31):
+            coeffs = legendre_poly(n).coeffs
+            assert len(coeffs) == n + 1
+            assert coeffs[-1] == Fraction(math.comb(2 * n, n), 2 ** n)
+            assert not any(coeffs[1 - n % 2::2]), n
 
     def test_integer_recurrence_matches_the_fraction_loop(self):
         for t in (Fraction(1, 8), Fraction(2, 5), Fraction(-7, 3), Fraction(0), Fraction(-1), Fraction(41, 9)):
@@ -90,7 +106,56 @@ def _nudged(n: int, i: int):
     return lambda k: f_poly_parseval(k) + eps if k == n else f_poly_parseval(k)
 
 
+def _residual(n: int, x: Fraction) -> Fraction:
+    """F_n(x) - (1-2x)^n P_n(t), t = (2x^2 - 2x + 1)/(1 - 2x), exactly."""
+    t = (2 * x * x - 2 * x + 1) / (1 - 2 * x)
+    return f_value(n, x) - (1 - 2 * x) ** n * legendre_poly(n)(t)
+
+
 class TestBridge:
+    def test_hand_computed_points(self):
+        # x = 1/4: t = 5/4, falling factor 1/2, P_1 = 5/4, so 5/8 on both sides
+        assert f_value(1, Fraction(1, 4)) == Fraction(5, 8) == Fraction(1, 2) * legendre_poly(1)(Fraction(5, 4))
+        # x = 1/4, n = 2: 1/4 P_2(5/4) = 59/128 = 0.4609375
+        assert f_value(2, Fraction(1, 4)) == Fraction(59, 128) == Fraction(1, 4) * legendre_poly(2)(Fraction(5, 4))
+        assert _residual(1, Fraction(1, 4)) == _residual(2, Fraction(1, 4)) == 0
+
+    def test_vanishes_at_origin(self):
+        # x = 0 maps to t = 1, where every P_n and F_n is 1
+        for n in (1, 4, 9):
+            assert f_value(n, Fraction(0)) == 1
+            assert _residual(n, Fraction(0)) == 0
+
+    def test_residual_small_on_grid(self):
+        # the float bridge is the c = -1 closed form, (1-2x)^n P_n(t)
+        xs = [0.45 * i / 63 for i in range(64)]
+        for n in (1, 5, 18, 30):
+            for x, r in zip(xs, s_closed_grid(Params(n, -1), xs)):
+                exact = f_value(n, Fraction(x))
+                assert abs(Fraction(r.value) - exact) <= Fraction(1e-12) * max(exact, Fraction(1, 1000)), (n, x)
+
+    def test_exact_at_rational_points(self):
+        # R_n of the recurrence, evaluated at s = x - 1/2, is 2^n n! F_n(x)
+        xs = (Fraction(1, 8), Fraction(1, 3), Fraction(2, 5))
+        rs = list(itertools.islice(legendre._bonnet([1, 4], [0, 16]), 20))
+        for n in (1, 2, 7, 19):
+            r_n = RationalPoly(rs[n], "u")
+            for x in xs:
+                assert r_n((x - Fraction(1, 2)) ** 2) == 2 ** n * math.factorial(n) * f_value(n, x), (n, x)
+
+    def test_mirror_form_scales_by_falling_power(self):
+        # P_n(t) = (1-2x)^(-n) F_n(x), the bridge solved for P_n
+        for n, x in ((3, Fraction(1, 5)), (6, Fraction(3, 7)), (4, Fraction(5, 2))):
+            t = (2 * x * x - 2 * x + 1) / (1 - 2 * x)
+            assert legendre_poly(n)(t) == (1 - 2 * x) ** -n * f_value(n, x)
+
+    def test_no_singularity_at_the_centre(self):
+        # t has a pole at x = 1/2, the identity in s^2 none: at s = 0,
+        # R_(k+1) = (2k+1) R_k, so F_n(1/2) = (2n-1)!! / (2^n n!) = C(2n, n) / 4^n
+        for n, r in zip(range(0, 25), legendre._bonnet([1, 4], [0, 16])):
+            assert Fraction(r[0], 2 ** n * math.factorial(n)) == Fraction(math.comb(2 * n, n), 4 ** n)
+            assert f_value(n, Fraction(1, 2)) == Fraction(math.comb(2 * n, n), 4 ** n)
+
     def test_first_terms_by_hand(self):
         # R_1 = N = 1 + 4s^2 = 2 F_1; R_2 = 3 N R_1 - 16 s^2 = 3 + 8s^2 + 48s^4 = 8 F_2
         assert list(itertools.islice(legendre._bonnet([1, 4], [0, 16]), 3)) == [[1], [1, 4], [3, 8, 48]]
@@ -109,6 +174,12 @@ class TestBridge:
         for i in range(2 * n + 1):
             assert not bridge_check(range(1, n + 1), _nudged(n, i)), i
             assert bridge_check(range(1, n), _nudged(n, i)), i
+
+    def test_a_stepped_range_reads_only_its_indices(self):
+        ns = range(1, 30, 7)
+        assert bridge_check(ns, f_poly_parseval)
+        assert bridge_check(ns, _nudged(2, 0))
+        assert not bridge_check(ns, _nudged(8, 0))
 
     def test_values_on_and_off_the_map_interval(self):
         # the identity holds at every rational x != 1/2, t < 1 included
@@ -143,6 +214,26 @@ class TestDerivativeRelations:
     def test_argument_validated(self):
         with pytest.raises(ValueError):
             derivative_relations_check(2, Fraction(1))
+
+    def test_index_validated(self):
+        with pytest.raises(ValueError):
+            derivative_relations_check(0, Fraction(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_bridge_identity_detects_a_perturbed_coefficient(self, n, monkeypatch):
+        # the bernstein legendre item: the whole-domain bridge, which implies
+        # its derivative, and the relations at t = 3/2 for n <= 8
+        item = dict(FAMILIES["bernstein"].items)["legendre"]
+        ns = range(n, n + 1)
+        assert item(ns)
+        eps = Fraction(1, 10 ** 30)
+        # eps x = eps (s + 1/2) on F_n, an odd and an even power of s
+        monkeypatch.setattr(exactalg, "f_poly_parseval",
+            lambda k: f_poly_parseval(k) + RationalPoly([eps / 2, eps], "s"))
+        assert not item(ns)
+        monkeypatch.undo()
+        monkeypatch.setattr(legendre, "legendre_poly", lambda k: legendre_poly(k) + RationalPoly([0, eps], "t"))
+        assert item(ns) == (n > 8)
 
 
 class TestMonotoneRestatement:
