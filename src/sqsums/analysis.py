@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import DomainError, FamilyId, Params, RationalLike, Real, _fmt_float, _one
+from .core import DomainError, FamilyId, Params, RationalLike, Real, _fmt_float, _fmt_rat, _one
 from .bounds import s_values
 from .evalnum import s_closed
 from . import exactalg, families
@@ -49,14 +48,7 @@ def _default_step(x: float) -> float:
 
 
 def _fmt(v: Real) -> str:
-    if isinstance(v, Fraction):
-        try:
-            return f"{v.numerator}/{v.denominator}"
-        except ValueError:
-            # past sys.get_int_max_str_digits(), a guard against slow
-            # conversion of untrusted text; these integers were computed
-            return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
-    return _fmt_float(v)
+    return _fmt_rat(v) if isinstance(v, Fraction) else _fmt_float(v)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ scans are its row in ``families``.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import sys
@@ -21,9 +20,9 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__, analysis, bounds, evalnum, families
-from .core import FAMILY_NAMES, FamilyId, ParameterError, _fmt_float
+from .core import FAMILY_NAMES, FamilyId, ParameterError, _fmt_float, _fmt_rat
 
-__all__ = ["main", "run", "json_text", "OUTPUT_SCHEMA"]
+__all__ = ["main", "run", "OUTPUT_SCHEMA"]
 
 # Shape of every json document this tool emits.
 OUTPUT_SCHEMA = {
@@ -38,10 +37,6 @@ OUTPUT_SCHEMA = {
     },
     "oneOf": [{"required": ["results"]}, {"required": ["report"]}],
 }
-
-def _fmt_rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
 
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -84,22 +79,15 @@ def _json(v, pad: str, out: list[str], write: Callable[[str], Any]) -> None:
 
 def _write_json(doc, out) -> None:
     """Write ``json.dumps(doc, indent=2) + "\\n"`` to the stream out, a chunk
-    of pieces at a time (``_json``)."""
-    pending: list[str] = []
-    _json(doc, "\n", pending, out.write)
-    pending.append("\n")
-    out.write("".join(pending))
-
-
-def json_text(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` for a document with string keys.
+    of pieces at a time (``_json``), for a document with string keys.
 
     With an indent, json drops its C encoder for a pure-Python one; this
     writer keeps the C string escaping and writes the same bytes.
     """
-    buf = io.StringIO()
-    _write_json(doc, buf)
-    return buf.getvalue()
+    pending: list[str] = []
+    _json(doc, "\n", pending, out.write)
+    pending.append("\n")
+    out.write("".join(pending))
 
 
 def _emit_json(out, command: str, params: dict, **body) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -56,6 +57,16 @@ def _as_fraction(value: RationalLike, name: str) -> Fraction:
 def _fmt_float(v: float) -> str:
     """A float as every output writes it: 17 significant digits, which round-trip."""
     return f"{v:.17g}"
+
+
+def _fmt_rat(v: Fraction) -> str:
+    """A rational as every output writes it: "p/q", q = 1 included."""
+    try:
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:
+        # past sys.get_int_max_str_digits(), a guard against slow
+        # conversion of untrusted text; these integers were computed
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
 
 
 class _Interval(NamedTuple):

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence, Union
 
-from .core import ParameterError, Params, RationalLike
+from .core import ParameterError, RationalLike, _fmt_rat
 
 __all__ = [
     "IDENTITY",
@@ -38,11 +38,9 @@ __all__ = [
     "OdeSpec",
     "RationalFn",
     "RationalPoly",
-    "UnsupportedFamilyError",
     "eq_f",
     "eq_g",
     "eq_j",
-    "eq_s",
     "eq_u",
     "f_poly_direct",
     "f_poly_parseval",
@@ -59,10 +57,8 @@ __all__ = [
     "mobius_same",
     "moved_operators",
     "ode_residual_poly",
-    "poly_on_rational",
     "recurrence_check",
     "recurrence_residuals",
-    "series_residual",
     "substitution_identity",
     "u_rational",
     "u_series_coeffs",
@@ -70,10 +66,6 @@ __all__ = [
 ]
 
 CoefLike = Union[int, Fraction]
-
-
-class UnsupportedFamilyError(ValueError):
-    """Raised for differential equations outside the exactly representable families."""
 
 
 def _odd_part(v: int) -> int:
@@ -124,15 +116,17 @@ class RationalPoly:
     """Dense univariate polynomial with rational coefficients, ascending degree.
 
     Stored as integer numerators over one positive common denominator, in
-    lowest terms, so ring operations run on Python integers and equal
-    polynomials have equal representations.  ``coeffs`` gives the
-    coefficients as Fractions.  ``var`` is a symbol descriptor only ('x',
-    's', 'u', 'w', 't'); binary operations require matching descriptors.
+    lowest terms, and nothing else: ring operations run on Python integers,
+    equal polynomials have equal representations, ``coeffs`` builds its
+    Fractions per call, and float evaluation divides each numerator by the
+    denominator as ``float(Fraction)`` does.  ``var`` is a symbol
+    descriptor only ('x', 's', 'u', 'w', 't'); binary operations require
+    matching descriptors.
     Trailing zeros are trimmed, the zero polynomial has an empty coefficient
     tuple and degree -1.
     """
 
-    __slots__ = ("_ints", "_den", "var", "_coeffs")
+    __slots__ = ("_ints", "_den", "var")
 
     def __init__(self, coeffs: Iterable[CoefLike] = (), var: str = "x") -> None:
         cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
@@ -150,7 +144,6 @@ class RationalPoly:
         object.__setattr__(self, "_ints", tuple(ints))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
     def _from_ints(cls, ints: list[int], den: int, var: str) -> "RationalPoly":
@@ -176,11 +169,7 @@ class RationalPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            object.__setattr__(
-                self, "_coeffs", tuple(Fraction(c, self._den) for c in self._ints)
-            )
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._ints)
 
     @property
     def degree(self) -> int:
@@ -191,7 +180,7 @@ class RationalPoly:
         return not self._ints
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self._ints) else Fraction(0)
+        return Fraction(self._ints[k], self._den) if 0 <= k < len(self._ints) else Fraction(0)
 
     def _check_var(self, other: "RationalPoly") -> None:
         if self.var != other.var and self._ints and other._ints:
@@ -277,8 +266,8 @@ class RationalPoly:
         """Horner evaluation; exact on rational input, float on float."""
         if isinstance(v, float):
             acc = v * 0
-            for c in reversed(self.coeffs):
-                acc = acc * v + float(c)
+            for c in reversed(self._ints):
+                acc = acc * v + c / self._den
             return acc
         v = Fraction(v)
         return self.values(((v.numerator, v.denominator),))[0]
@@ -306,9 +295,7 @@ class RationalPoly:
         denominators are distinct (Baskakov's t = q^2/(q+2p)^2 on a scan
         grid).  A group scales the coefficients once, c_k q^(deg-k) or
         c_k p^k, so each of its points is one Horner pass in the other
-        coordinate.  A group of one point runs the same pass with the
-        scaling folded in, which measured about 10% faster than building a
-        scaled list for the one point.
+        coordinate.
         """
         if not self._ints:
             return [(0, self._den)] * len(points)
@@ -325,14 +312,6 @@ class RationalPoly:
         top, *rest = self._ints if by_p else reversed(self._ints)
         out: list = [None] * len(points)
         for g, members in groups.items():
-            if len(members) == 1:
-                i = members[0]
-                h, acc, gk = points[i][var], top, 1
-                for c in rest:
-                    gk *= g
-                    acc = acc * h + c * gk
-                out[i] = acc if by_p else (acc, self._den * gk)
-                continue
             scaled, gk = [], 1
             for c in rest:
                 gk *= g
@@ -360,7 +339,7 @@ class RationalPoly:
     def to_json(self) -> dict:
         return {
             "var": self.var,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
+            "coeffs": [_fmt_rat(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -676,14 +655,6 @@ def mobius_same(m1: Mobius, m2: Mobius) -> bool:
     )
 
 
-def poly_on_rational(p: RationalPoly, f: RationalFn) -> RationalFn:
-    """Compose a polynomial with a rational function, p(f(X))."""
-    acc = RationalFn(RationalPoly.zero("x"))
-    for c in reversed(p.coeffs):
-        acc = acc * f + RationalFn(RationalPoly((c,), "x"))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Squared-basis sums in exact form
 # ---------------------------------------------------------------------------
@@ -941,15 +912,6 @@ def _eq_nc(n: CoefLike, c: CoefLike, label: str) -> OdeSpec:
     return OdeSpec(label, _poly((0, 1, 3 * c, 2 * c * c)), _poly((1, k, k * c)), _poly((2 * n, 4 * n * c)))
 
 
-def eq_s(params: Params) -> OdeSpec:
-    """The general-family equation, exactly representable only for c = +-1."""
-    if params.c not in (Fraction(-1), Fraction(1)):
-        raise UnsupportedFamilyError(
-            f"exact residuals support c in {{-1, 1}}, got c={params.c}"
-        )
-    return _eq_nc(params.n, params.c, f"S(n={params.n}, c={params.c})")
-
-
 # The F_n and G_n labels end in the index, which the benchmark's tracer reads.
 def eq_f(n: int) -> OdeSpec:
     return _eq_nc(n, -1, f"F_{n}")
@@ -1079,18 +1041,6 @@ def heun_residual(
 # ---------------------------------------------------------------------------
 
 
-def series_residual(spec: OdeSpec, y: RationalPoly, inner: Mobius = IDENTITY) -> RationalPoly:
-    """Cleared residual of spec at the function x -> y(t(inner(x))).
-
-    t = SERIES_MAPS[y.var] is y's series variable.  The operator moves to t
-    (``OdeSpec.in_variable``), where its coefficients have low degree, so the
-    residual is a banded product with the coefficients of y; it is zero iff
-    the function solves the equation.  ``inner=NEGATE`` gives the reflected
-    argument of the Heun forms.
-    """
-    return _moved(spec, y.var, inner).apply(y)
-
-
 def _moved(spec: OdeSpec, var: str, inner: Mobius) -> OdeSpec:
     """spec in the series variable var of the function x -> y(var(inner(x)))."""
     return spec.in_variable(*mobius_inverse(mobius_compose(SERIES_MAPS[var], inner)), var)
@@ -1099,8 +1049,13 @@ def _moved(spec: OdeSpec, var: str, inner: Mobius) -> OdeSpec:
 def moved_operators(
     spec: Callable[[int], OdeSpec], var: str, inner: Mobius = IDENTITY
 ) -> Callable[[int], OdeSpec]:
-    """n -> spec(n) moved to the series variable var, as ``series_residual``
-    moves it, from two transforms and one check.
+    """n -> spec(n) moved to the series variable var, from two transforms
+    and one check.
+
+    ``moved(n).apply(y)`` is the cleared residual of spec(n) at the function
+    x -> y(t(inner(x))), t = SERIES_MAPS[var]: a banded product with the
+    coefficients of y, zero iff the function solves the equation.
+    ``inner=NEGATE`` gives the reflected argument of the Heun forms.
 
     The coefficients of spec(n) are affine in n, and at a fixed padding
     degree ``in_variable`` is linear in them; the top degree is carried by

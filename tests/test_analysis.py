@@ -252,7 +252,11 @@ def _q_exact(params: Params) -> RationalFn:
     the paper's variable y as a Mobius map of x."""
     r, (a, b, c, d) = analysis._q_even(params)
     y = RationalFn(RationalPoly((b, a)), RationalPoly((d, c)))
-    return exactalg.poly_on_rational(r, y * y)
+    y2 = y * y
+    acc = RationalFn(0)
+    for coeff in reversed(r.coeffs):
+        acc = acc * y2 + coeff
+    return acc
 
 
 def _q_oracle(params: Params) -> RationalFn:

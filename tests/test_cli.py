@@ -521,7 +521,9 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES, st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3), _JSON_VALUES)
 @example([], {}, {"a": [[], {}, ()], "b": {"c": {}}})
 def test_json_writer_matches_json_dumps(value, params, body):
-    assert cli.json_text(value) == json.dumps(value, indent=2) + "\n"
+    buf = io.StringIO()
+    cli._write_json(value, buf)
+    assert buf.getvalue() == json.dumps(value, indent=2) + "\n"
     doc = {"command": "c", "params": params, "report": body, "versions": {"sqsums": sqsums.__version__}}
     buf = io.StringIO()
     cli._emit_json(buf, "c", params, report=body)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqsums.bounds import standard_grid
@@ -18,14 +18,12 @@ from sqsums.exactalg import (
     OdeSpec,
     RationalFn,
     RationalPoly,
-    UnsupportedFamilyError,
     _cleared_residual,
     _odd_part,
     _reduced,
     eq_f,
     eq_g,
     eq_j,
-    eq_s,
     eq_u,
     f_poly_direct,
     f_poly_parseval,
@@ -44,7 +42,6 @@ from sqsums.exactalg import (
     ode_residual_poly,
     recurrence_check,
     recurrence_residuals,
-    series_residual,
     substitution_identity,
     u_rational,
     u_series_coeffs,
@@ -89,6 +86,32 @@ class TestRationalPoly:
         p = RationalPoly([1, -2, 2])
         assert p(Fraction(1, 4)) == Fraction(5, 8)
         assert p(0.25) == pytest.approx(0.625)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(-(10 ** 400), 10 ** 400), min_size=1, max_size=6),
+        st.integers(1, 10 ** 400),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @example([10 ** 400, 1], 3, 0.5)  # both raise at the first coefficient
+    def test_float_evaluation_is_horner_over_float_coefficients(self, nums, den, v):
+        # numerator / denominator is the int true division of float(Fraction):
+        # the same bits, and the same OverflowError past the double range
+        p = RationalPoly([Fraction(a, den) for a in nums])
+
+        def horner():
+            acc = v * 0
+            for c in reversed(p.coeffs):
+                acc = acc * v + float(c)
+            return acc
+
+        def outcome(f):
+            try:
+                return f().hex()
+            except OverflowError as exc:
+                return repr(exc)
+
+        assert outcome(lambda: p(v)) == outcome(horner)
 
     @given(
         small_polys,
@@ -323,7 +346,7 @@ class TestRationalFn:
         assert g.derivative() - g.derivative() == 0
         r, (a, b, c, d) = analysis._q_even(Params(n, 1))  # Q = R(y^2), y = (a x + b)/(c x + d)
         y = RationalFn(RationalPoly((b, a)), RationalPoly((d, c)))
-        assert exactalg.poly_on_rational(r, y * y)(Fraction(2, 7)) > 0
+        assert r(y(Fraction(2, 7)) ** 2) > 0
 
 
 def _shift_to_centered(p: RationalPoly) -> RationalPoly:
@@ -446,16 +469,6 @@ class TestOdeResiduals:
     def test_constant_is_not_a_solution(self):
         res = ode_residual_poly(RationalPoly.one(), eq_f(1))
         assert res == RationalFn(RationalPoly([2, -4]))  # 2n(1-2x) at n=1
-
-    def test_general_equation_matches_special_cases(self):
-        spec = eq_s(Params(3, -1))
-        assert ode_residual_poly(f_poly_direct(3), spec).is_zero
-        spec = eq_s(Params(2, 1))
-        assert ode_residual_poly(g_rational(2), spec).is_zero
-
-    def test_general_equation_rejects_other_c(self):
-        with pytest.raises(UnsupportedFamilyError):
-            eq_s(Params(2, 2))
 
     @given(small_polys, small_polys)
     @settings(max_examples=40)
@@ -655,6 +668,13 @@ _MAPS = {
 }
 
 
+def _series_residual(name: str, n: int, y: RationalPoly) -> RationalPoly:
+    """The residual verify reads: the operator of _MAPS[name] at index n,
+    moved to y's series variable, applied to y."""
+    build, _, _, inner = _MAPS[name]
+    return moved_operators(build, y.var, inner)(n).apply(y)
+
+
 def _as_x(p: RationalPoly) -> RationalPoly:
     return RationalPoly(p.coeffs, "x")
 
@@ -680,11 +700,11 @@ class TestChainRule:
 
     @pytest.mark.parametrize("name", list(_MAPS))
     def test_series_residual_reads_the_stated_map(self, name):
-        # series_residual inverts the variable's map itself: a multiple of the stated x(t)
+        # the moved operator inverts the variable's map itself: a multiple of the stated x(t)
         build, var, x_of_t, inner = _MAPS[name]
         assert mobius_same(mobius_inverse(mobius_compose(SERIES_MAPS[var], inner)), x_of_t)
         y = RationalPoly(range(1, 12), var)
-        r, stated = series_residual(build(5), y, inner), build(5).in_variable(*x_of_t, var).apply(y)
+        r, stated = _series_residual(name, 5, y), build(5).in_variable(*x_of_t, var).apply(y)
         assert r * (stated.coeffs[-1] / r.coeffs[-1]) == stated
 
     def test_degenerate_map_rejected(self):
@@ -743,12 +763,12 @@ class TestSeriesRoute:
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 200])
     def test_identities_hold(self, n):
         f, g, j, u = f_poly_parseval(n), g_series_coeffs(n), j_series_coeffs(n), u_series_coeffs(n)
-        assert series_residual(eq_f(n), f).is_zero
-        assert series_residual(HeunParams.polynomial_case(n).operator(), f).is_zero
-        assert series_residual(eq_g(n), g).is_zero
-        assert series_residual(HeunParams.rational_case(n).operator(), g, NEGATE).is_zero
-        assert series_residual(eq_j(n), j).is_zero
-        assert series_residual(eq_u(n), u).is_zero
+        assert _series_residual("bernstein-ode", n, f).is_zero
+        assert _series_residual("bernstein-heun", n, f).is_zero
+        assert _series_residual("baskakov-ode", n, g).is_zero
+        assert _series_residual("baskakov-heun", n, g).is_zero
+        assert _series_residual("mkz-ode", n, j).is_zero
+        assert _series_residual("bbh-ode", n, u).is_zero
         assert substitution_identity(j_series_coeffs(n - 1), (1, 0, 1, 1), g)
         assert substitution_identity(g_series_coeffs(n + 1), (1, 0, -1, 1), j)
         assert substitution_identity(f_poly_parseval(n), (1, 0, 1, 1), u, 2)
@@ -771,15 +791,15 @@ class TestSeriesRoute:
     def test_a_tiny_coefficient_fault_is_detected(self, n):
         eps = Fraction(1, 10 ** 30)
         f = f_poly_parseval(n) + RationalPoly([eps], "s")
-        assert not series_residual(eq_f(n), f).is_zero
-        assert not series_residual(HeunParams.polynomial_case(n).operator(), f).is_zero
+        assert not _series_residual("bernstein-ode", n, f).is_zero
+        assert not _series_residual("bernstein-heun", n, f).is_zero
         g = g_series_coeffs(n) + RationalPoly([0, eps], "u")
         j = j_series_coeffs(n) + RationalPoly([0, eps], "w")
         u = u_series_coeffs(n) + RationalPoly([eps], "v")
-        assert not series_residual(eq_g(n), g).is_zero
-        assert not series_residual(HeunParams.rational_case(n).operator(), g, NEGATE).is_zero
-        assert not series_residual(eq_j(n), j).is_zero
-        assert not series_residual(eq_u(n), u).is_zero
+        assert not _series_residual("baskakov-ode", n, g).is_zero
+        assert not _series_residual("baskakov-heun", n, g).is_zero
+        assert not _series_residual("mkz-ode", n, j).is_zero
+        assert not _series_residual("bbh-ode", n, u).is_zero
         assert not substitution_identity(j_series_coeffs(n - 1), (1, 0, 1, 1), g)
         assert not substitution_identity(g_series_coeffs(n + 1), (1, 0, -1, 1), j)
         assert not substitution_identity(f_poly_parseval(n), (1, 0, 1, 1), u, 2)
