@@ -337,10 +337,7 @@ class RationalPoly:
         return q, r.coeff(0)
 
     def to_json(self) -> dict:
-        return {
-            "var": self.var,
-            "coeffs": [_fmt_rat(c) for c in self.coeffs],
-        }
+        return {"var": self.var, "coeffs": [_fmt_rat(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalPoly":
@@ -712,7 +709,8 @@ def f_value(n: int, x):
 def _float_coeffs(series: Callable[[int], RationalPoly], n: int, first: int) -> tuple[float, ...]:
     """The coefficients of powers first, first + 2, ... of series(n) as
     floats, highest power first: converted once, not at every point."""
-    return tuple(float(c) for c in reversed(series(n).coeffs[first::2]))
+    p = series(n)
+    return tuple(c / p._den for c in reversed(p._ints[first::2]))
 
 
 def _float_horner(cs: Sequence[float], t: float) -> float:

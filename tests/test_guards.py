@@ -97,44 +97,47 @@ def test_cli_writes_documents_to_the_stream():
     assert _functions_reading(tree, "io") == []
 
 
+def _package_reads():
+    """The package's module trees, by file name, and a set of (reader,
+    module, name): reader reads module's top-level name as ``module.name``,
+    through ``from .module import name``, or, in module itself, as a bare
+    name outside the definition of that name."""
+    src = pathlib.Path(sqsums.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in src.glob("*.py")}
+    read = set()
+    for reader, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    read.add((reader, f"{node.value.id}.py", node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    read.update((reader, f"{node.module}.py", alias.name) for alias in node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != owner:
+                    read.add((reader, reader, node.id))
+    return trees, read
+
+
 def test_legendre_exports_only_what_the_package_runs():
     # legendre.py keeps what another module of the package reads; an oracle
     # that only a test calls lives in that test
-    src = pathlib.Path(sqsums.__file__).parent
-    read = set()
-    for path in src.glob("*.py"):
-        if path.name == "legendre.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "legendre":
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module == "legendre":
-                read.update(alias.name for alias in node.names)
-    assert set(legendre.__all__) - read == set()
+    _, read = _package_reads()
+    exported = {name for reader, module, name in read if module == "legendre.py" and reader != module}
+    assert set(legendre.__all__) - exported == set()
 
 
 def test_exact_layer_and_cli_functions_are_run_by_the_package():
     # a top-level function of these modules is read by another function of
     # the package, or at a module's top level, or is exported by sqsums; a
     # function that only a test calls lives in that test
-    src = pathlib.Path(sqsums.__file__).parent
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in src.glob("*.py")}
-    read = set()  # (module, top-level definition, name loaded)
-    for module, tree in trees.items():
-        for top in tree.body:
-            owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add((module, owner, node.id))
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add((module, owner, node.attr))
+    trees, read = _package_reads()
     unread = [
         f"{module}:{fn.name}"
         for module in ("exactalg.py", "legendre.py", "cli.py")
         for fn in trees[module].body
         if isinstance(fn, ast.FunctionDef)
         and fn.name not in sqsums.__all__
-        and not any(name == fn.name and (m, o) != (module, fn.name) for m, o, name in read)
+        and not any(m == module and name == fn.name for _, m, name in read)
     ]
     assert unread == []
 
