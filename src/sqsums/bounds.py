@@ -22,7 +22,6 @@ __all__ = [
     "BoundReport",
     "bound_reports",
     "bound_values",
-    "s_value",
     "s_values",
     "standard_grid",
 ]
@@ -57,9 +56,15 @@ class BoundReport:
 
 
 def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real], rtol: float = 1e-12) -> list:
-    """``s_value`` at every point of ``xs``: the value, or the exception the
-    scalar call raises there.  The points on the closed-form route are one
-    ``evalnum.s_closed_grid`` call."""
+    """The squared-basis sum of a family at every point of ``xs``, by its
+    most accurate route: the value, or the exception raised there.
+
+    Families with exact representations evaluate their positive-coefficient
+    series at natural n (fully exact on Fraction input); the Szasz family,
+    general non-exact parameters and fractional indices go through the
+    closed-form kernels, whose points are one ``evalnum.s_closed_grid``
+    call.
+    """
     row = families.FAMILIES[family.key]
     exact = row.value is not None and int(n) == n
     out: list = [None] * len(xs)
@@ -82,17 +87,6 @@ def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real], rtol: float 
         for i, r in zip(closed, results):
             out[i] = r if isinstance(r, Exception) else r.value
     return out
-
-
-def s_value(family: FamilyId, n: RationalLike, x: Real, rtol: float = 1e-12) -> float:
-    """The squared-basis sum of a family, by its most accurate route.
-
-    Families with exact representations evaluate their positive-coefficient
-    series at natural n (fully exact on Fraction input); the Szasz family,
-    general non-exact parameters and fractional indices go through the
-    closed-form kernels.
-    """
-    return evalnum._one(s_values(family, n, [x], rtol))
 
 
 def bound_reports(family: FamilyId, n: int, xs: Sequence[Real]) -> list[BoundReport]:

@@ -605,51 +605,26 @@ def _finish(out: list, jobs: list, results: list, finish: Callable) -> None:
 _WINDOW_TERMS = 10 ** 7
 
 
-def _sum_unimodal_rows(
-    ratio_up: Callable[..., np.ndarray],
-    ratio_down: Callable[..., np.ndarray],
-    k0: list[float],
-    tol: float,
-    max_terms: int,
-    up_sup=None,
-    args: tuple = (),
-) -> list:
-    """Sum positive unimodal sequences, each scaled so its term k0 equals 1.
-
-    ``ratio_up(k)`` is t_{k+1}/t_k and ``ratio_down(k)`` is t_{k-1}/t_k, both
-    vectorised over index arrays as in ``_certified_rows``, which also takes
-    the per-row ``up_sup`` and ``args``.  The geometric tail certificate
-    needs an upper bound on all remaining ratios: the larger of the next
-    ratio and ``up_sup`` (the limit of the ratio stream, for streams that
-    increase toward it).  Downward ratios must be nonincreasing in the
-    direction of travel, which holds for every family here because the
-    downward walk only runs when the peak is interior.  At most
-    ``max_terms`` terms are summed.  Returns per row (scaled sum, number of
-    terms), or the OverflowError of a square.
-    """
-    if not k0:
-        return []
-    up = _certified_rows(ratio_up, k0, tol, max_terms - 1, sup=up_sup, args=args)
-    terms = [1 + steps for steps in up.steps]
-    down_cap = [0 if over else min(k, max_terms - t) for k, t, over in zip(k0, terms, up.overflow)]
-    down = _certified_rows(ratio_down, k0, tol, down_cap, step=-1, total=up.total, args=args)
-    return [
-        _overflow_error() if over or over_down else (scaled, t + steps)
-        for scaled, t, steps, over, over_down in zip(
-            down.total, terms, down.steps, up.overflow, down.overflow
-        )
-    ]
-
-
 def _window_rows(
     peaks: list, ratio_up: Callable, ratio_down: Callable, tol: float, up_sup=None, args: tuple = ()
 ) -> list:
     """Per row, the sum of a positive unimodal sequence walked out from its
-    peak (``_sum_unimodal_rows``) times its peak term, and the number of
-    terms; or the exception.  ``peaks[i]`` is row i's (peak index, log of
-    the peak term), or the exception raised finding them; ``up_sup`` and
-    ``args`` hold one value per row.  A walk that reaches the term cap is
-    short by an unknown amount and raises ArithmeticError."""
+    peak times its peak term, and the number of terms; or the exception.
+    ``peaks[i]`` is row i's (peak index k0, log of the peak term t_k0), or
+    the exception raised finding them.
+
+    ``ratio_up(k)`` is t_{k+1}/t_k and ``ratio_down(k)`` is t_{k-1}/t_k,
+    both vectorised over index arrays as in ``_certified_rows``, which also
+    takes the per-row ``up_sup`` and ``args`` (one value per row of
+    ``peaks``).  Each walk sums the sequence scaled so its peak term is 1.
+    The geometric tail certificate needs an upper bound on all remaining
+    ratios: the larger of the next ratio and ``up_sup`` (the limit of the
+    ratio stream, for streams that increase toward it).  Downward ratios
+    must be nonincreasing in the direction of travel, which holds for every
+    family here because the downward walk only runs when the peak is
+    interior.  A square that overflows raises OverflowError, and a walk
+    that reaches the term cap is short by an unknown amount and raises
+    ArithmeticError."""
     cap = _WINDOW_TERMS
     rows = [(i, peak) for i, peak in enumerate(peaks) if not isinstance(peak, Exception)]
 
@@ -657,7 +632,15 @@ def _window_rows(
         return v if v is None else [v[i] for i, _ in rows]
 
     k0 = [float(peak[0]) for _, peak in rows]
-    sums = _sum_unimodal_rows(ratio_up, ratio_down, k0, tol, cap, of_rows(up_sup), tuple(map(of_rows, args)))
+    args = tuple(map(of_rows, args))
+    up = _certified_rows(ratio_up, k0, tol, cap - 1, sup=of_rows(up_sup), args=args)
+    terms = [1 + steps for steps in up.steps]
+    down_cap = [0 if over else min(k, cap - t) for k, t, over in zip(k0, terms, up.overflow)]
+    down = _certified_rows(ratio_down, k0, tol, down_cap, step=-1, total=up.total, args=args)
+    sums = [
+        _overflow_error() if over or over_down else (scaled, t + steps)
+        for scaled, t, steps, over, over_down in zip(down.total, terms, down.steps, up.overflow, down.overflow)
+    ]
 
     def finish(peak, s):
         if s[1] >= cap:

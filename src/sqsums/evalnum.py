@@ -21,11 +21,15 @@ each kernel over all its pairs: ``s_closed_grid`` is its diagonal and
 quadrature ladder, ``_ladder``, serves S and, at a = n/c neither whole nor
 half-integer, the closed form's hand-over: it climbs level by level for
 all points still short of agreement, with the nodes of every point in one
-array.  One exact test (``_twice_a``)
+array.  One exact test (``_twice_a``), made once per route call,
 sorts a = n/c: where 2a is a whole number, at every c < 0 (a = -l) among
 them, the closed forms of S and T are one Legendre recurrence
 (``_legendre``, seeded by the AGM at half-integer a) and never hand over.
-For c > 0, S's quadrature integrates a polynomial on Gauss-Chebyshev nodes
+S's quadrature decides its regime in one place, the plan
+``_s_quad_plan``: the integrand, the map from x to its parameter, the rule,
+the node count the ladder starts from, the stop's floor and the claim's
+rounding and tail bound.  ``s_quad_grid`` and the closed form's hand-over
+both run it.  For c > 0 it integrates a polynomial on Gauss-Chebyshev nodes
 at integer a and the same reflected integrand on a tanh-sinh rule at every
 other a; c = 0 runs on that rule too, within 1024 nodes up to n x = 1e9.
 The c < 0 series is a log-space sum (``_neg_c_log_sum``), which no other
@@ -55,7 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -146,7 +150,7 @@ _TS_EDGE = 4.5
 # Bound on the mean the rule leaves out, per unit of the integrand's largest
 # value: 2 * (2/pi) * sqrt(4.6e-62), for the two ends.
 _TS_TAIL = 4.0 / math.pi * math.exp(-math.pi * math.sinh(_TS_EDGE) / 2.0)
-# The tanh-sinh ladder starts from this many nodes (``_min_nodes``).
+# The tanh-sinh ladder starts from this many nodes (``_s_quad_plan``).
 _TANH_SINH_START = 64
 # At c = 0 it starts from 32 nodes below n x = 0.1 and doubles at each
 # edge: the level below the one at which two levels first agree at the
@@ -359,27 +363,28 @@ def bessel_i0e(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _neg_c_log_sum(params: Params, x: float) -> float:
-    """The finite sum S(x) = sum_k p_k(x)^2 for c < 0 and x > 0, summed in
-    log space and unscaled by its largest term.
+def _neg_c_log_sum(params: Params, xs: Sequence[float]) -> list:
+    """The finite sum S(x) = sum_k p_k(x)^2 for c < 0 at each x > 0, summed
+    in log space and unscaled by its largest term.
 
     Term k is 2 log(prod_{j<k}(n + j c) / k!) + 2k log(x) + 2(l - k)
-    log1p(cx).  That log is -inf at the right endpoint, where only the last
-    term survives.
+    log1p(cx), whose first part, the same at every x, is formed once.  That
+    log is -inf at the right endpoint, where only the last term survives.
     """
     n = params.n_float
     c = params.c_float
     l = params.l
-    lxy = 2.0 * math.log(x)
-    lp = 2.0 * math.log1p(c * x) if 1.0 + c * x > 0.0 else -math.inf
-    logs = []
-    log_coef = 0.0  # log of prod_{j<k}(n + j c) / k!
-    for k in range(l + 1):
-        if k > 0:
-            log_coef += math.log(n + (k - 1) * c) - math.log(k)
-        logs.append(2.0 * log_coef + k * lxy + ((l - k) * lp if k < l else 0.0))
-    top = max(logs)
-    return math.exp(top) * math.fsum(math.exp(lg - top) for lg in logs)
+    # twice the log of prod_{j<k}(n + j c) / k!
+    steps = (math.log(n + (k - 1) * c) - math.log(k) for k in range(1, l + 1))
+    coefs = [2.0 * log_coef for log_coef in itertools.accumulate(steps, initial=0.0)]
+    out = []
+    for x in xs:
+        lxy = 2.0 * math.log(x)
+        lp = 2.0 * math.log1p(c * x) if 1.0 + c * x > 0.0 else -math.inf
+        logs = [coef + k * lxy + ((l - k) * lp if k < l else 0.0) for k, coef in enumerate(coefs)]
+        top = max(logs)
+        out.append(math.exp(top) * math.fsum(math.exp(lg - top) for lg in logs))
+    return out
 
 
 # The c > 0 series takes at most this many kernel steps, then raises.
@@ -580,7 +585,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
     two_a = _twice_a(params)
     far_u = max(_FAR_U, 2.0 * two_a)
     out: list = [None] * len(xs)
-    direct, window, far = [], [], []  # (point, parameters) of the three c >= 0 sums
+    log_sum, direct, window, far = [], [], [], []  # (point, parameters) of each sum
     for i, x in enumerate(xs):
         try:
             params.require_in_domain(x)
@@ -588,13 +593,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             if xf == 0.0:
                 out[i] = EvalResult(1.0, Method.SERIES, 0.0, 1)
             elif c < 0:
-                # (l + 1)(8 + sqrt(l)) units: each of the l + 1 terms carries
-                # a few, and the l roundings of log_coef, on partial sums up
-                # to about l in size, add up like a walk of l sqrt(l).  On the
-                # sweep of ``_NEG_C_ROUNDING`` it was within 0.68 of the claim
-                l = params.l
-                value = _neg_c_log_sum(params, xf)
-                out[i] = EvalResult(value, Method.SERIES, _HYP_ROUNDING * (l + 1) * (8.0 + math.sqrt(l)) * value, l + 1)
+                log_sum.append((i, xf))
             elif c == 0.0:
                 mu = n * xf
                 (direct if mu <= 300.0 else window).append((i, mu))
@@ -618,7 +617,16 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
         except Exception as exc:
             out[i] = exc
 
-    if c == 0.0:
+    if c < 0:
+        # (l + 1)(8 + sqrt(l)) units: each of the l + 1 terms carries a few,
+        # and the l roundings of log_coef, on partial sums up to about l in
+        # size, add up like a walk of l sqrt(l).  On the sweep of
+        # ``_NEG_C_ROUNDING`` it was within 0.68 of the claim
+        l = params.l
+        rounding = _HYP_ROUNDING * (l + 1) * (8.0 + math.sqrt(l))
+        _finish(out, log_sum, _neg_c_log_sum(params, [x for _, x in log_sum]),
+                lambda _, value: EvalResult(value, Method.SERIES, rounding * value, l + 1))
+    elif c == 0.0:
         mu = [mu for _, mu in direct]
         sums = _certified_rows(lambda k, mu: _sq(mu / (k + 1.0)), 0.0, rtol, args=(mu,)).outcomes()
 
@@ -723,8 +731,9 @@ def _twice_a(params: Params) -> int:
     This one exact test sorts the closed forms.  Where 2a is a whole
     number, S's closed form and T run the Legendre recurrence
     (``_legendre``); for c > 0, where 2a is even (integer a), S's quadrature
-    integrates the reflected polynomial integrand (``_s_integrand``) on
-    Chebyshev nodes, and at every other a on the tanh-sinh rule.
+    plan (``_s_quad_plan``) integrates the reflected polynomial integrand on
+    Chebyshev nodes, and at every other a on the tanh-sinh rule.  Each
+    route call reads it once.
     """
     n, c = params.n, params.c
     if c.numerator:
@@ -919,7 +928,7 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
                 z = (u / (1.0 + u)) ** 2 if u == v else (u / (1.0 + u)) * (v / (1.0 + v))
                 pref_log = -a * (math.log1p(u) + math.log1p(v))
                 if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-                    quad.append((i, _reflected(a, u, v)))
+                    quad.append((i, (xf, *_reflected(a, u, v))))
                 else:
                     hyp.append((i, (z, pref_log)))
         except Exception as exc:
@@ -952,8 +961,10 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
         _finish(out, hyp, _hyp2f1_rows(a, [z for _, (z, _) in hyp], rtol),
                 lambda p, s: _hyp_result(Method.CLOSED_FORM, p[1], *s))
     if quad:
-        rows, unscaled = _quad_rows(params, [s for _, (s, _) in quad], [_TANH_SINH_START] * len(quad), qtol)
-        for (i, (_, scale)), r, tail in zip(quad, rows, unscaled):
+        # S's own ladder at s, from the node count S starts from at x
+        plan = _s_quad_plan(params, two_a)
+        rows, unscaled = _quad_rows(plan, [s for _, (_, s, _) in quad], [plan.first(x) for _, (x, _, _) in quad], qtol)
+        for (i, (_, _, scale)), r, tail in zip(quad, rows, unscaled):
             tails[i] = scale * tail
             out[i] = EvalResult(scale * r.value, Method.QUADRATURE, scale * r.err_estimate, r.terms_or_nodes)
     return out, tails
@@ -994,74 +1005,6 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
 # ---------------------------------------------------------------------------
 # S(x): quadrature route
 # ---------------------------------------------------------------------------
-
-
-def _s_integrand(params: Params):
-    """The integrand over the rule's interval as f(t, p), the map from x to
-    its parameter p, and the rule kind it uses.  ``t`` and ``p`` may be
-    arrays of equal length, so the nodes of many points go in one call.
-    The polynomial integrands (c < 0, and c > 0 at integer a) run on
-    Gauss-Chebyshev nodes, every other one on the tanh-sinh rule."""
-    n = params.n_float
-    c = params.c_float
-    if c == 0.0:
-        # exp(-2mu) I0(2mu), mu = n x, is (1/pi) int_0^1 exp(-4 mu sigma)
-        # dsigma/sqrt(sigma(1-sigma)) (sigma = (1 - cos theta)/2 in DLMF
-        # 10.32.1), which peaks at sigma = 0, where the tanh-sinh nodes cluster
-        def f(sigma: np.ndarray, p) -> np.ndarray:
-            return np.exp(p * sigma)
-
-        return f, lambda x: -4.0 * n * x, RuleKind.TANH_SINH
-
-    if c < 0:
-        l = params.l
-
-        def f(t: np.ndarray, p) -> np.ndarray:
-            return (t + (1.0 - t) * p) ** l
-
-        return f, lambda x: (1.0 + 2.0 * c * x) ** 2, RuleKind.CHEBYSHEV_01
-
-    # Laplace's integral reflected through P_(a-1) = P_(-a): with
-    # p = 1/s^2 = (1+2cx)^2 the integrand is (1 - t + t/p)^(a-1) / sqrt(p)
-    two_a = _twice_a(params)
-    if two_a and two_a % 2 == 0:
-        # at integer a a polynomial of degree a-1 in t
-        def f(t: np.ndarray, s) -> np.ndarray:
-            return s * (1.0 - t + t * (s * s)) ** (two_a // 2 - 1)
-
-        return f, lambda x: 1.0 / (1.0 + 2.0 * c * x), RuleKind.CHEBYSHEV_01
-
-    # elsewhere it changes sharply at 1 - t of about s^2, so the tanh-sinh
-    # rule passes sigma = 1 - t itself
-    a = n / c
-
-    def f(sigma: np.ndarray, s) -> np.ndarray:
-        return s * (sigma + (1.0 - sigma) * (s * s)) ** (a - 1.0)
-
-    return f, lambda x: 1.0 / (1.0 + 2.0 * c * x), RuleKind.TANH_SINH
-
-
-def _min_nodes(params: Params, x: float) -> int:
-    """Node count the ladder starts from at x.
-
-    For c < 0 the integrand is a degree-l polynomial and (l+2)/2 nodes are
-    exact; so are (a+1)/2 nodes for the degree-(a-1) integrand of c > 0 at
-    integer a.  At c = 0 the tanh-sinh rule starts from 32 to 512 nodes by
-    n x (``_SZASZ_START_EDGES``).  At every other c > 0 it starts from 64:
-    below that it can pass over the small share of S near sigma = s^2 on
-    two levels alike (from 16 nodes, at a from 5/4 to 200 and x up to 1e8,
-    levels agreed within 1e-12 while 5e-13 off mpmath).
-    """
-    if x == 0.0:
-        return 2
-    if params.c_float < 0:
-        return min(LADDER_MAX, max(2, (params.l + 2) // 2))
-    if params.c_float == 0.0:
-        return _TANH_SINH_START // 2 << bisect.bisect(_SZASZ_START_EDGES, params.n_float * x)
-    two_a = _twice_a(params)
-    if two_a and two_a % 2 == 0:
-        return min(LADDER_MAX, max(2, (two_a // 2 + 1) // 2))
-    return _TANH_SINH_START
 
 
 # The integrand of many points is evaluated up to this many nodes at a
@@ -1130,37 +1073,102 @@ def _ladder(f, kind: RuleKind, ps: Sequence, ms: Sequence[int], rtol: float, flo
     return values, diffs, ms
 
 
-def _quad_rows(params: Params, ps: Sequence, ms: Sequence[int], rtol: float) -> tuple:
-    """S's quadrature ladder (``_ladder``) at each parameter of ``ps`` from
-    ``ms`` nodes: the EvalResults, each claiming the last difference of
-    levels, at least the rounding of the integrand, plus the bound on the
-    mean the rule leaves out, and that bound alone."""
-    f, _, kind = _s_integrand(params)
-    if params.c_float == 0.0:
-        # S is at least about 1/sqrt(4 pi n x), so the stop is purely
-        # relative; the rounding of the nodes' exponents was within 3.3e-16
-        # of the value on n x from 1e-3 to 1e9, and the integrand's largest
-        # value is 1, at sigma = 0
-        floor, rounding, tails = 0.0, 1e-15, [_TS_TAIL] * len(ps)
-    elif kind is RuleKind.TANH_SINH:
-        # S can be far below 1e-13 here, so the stop is purely relative; the
-        # claim adds the rounding of the power and the mean the rule leaves
-        # out, _TS_TAIL times the integrand's largest value, s at sigma = 1 or
-        # s^(2a-1) at sigma = 0 (inf where s underflows)
-        a = params.n_float / params.c_float
-        floor, rounding = 0.0, _ROUNDING_PER_A * (a + 6.0)
-        tails = [_TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf for s in ps]
-    else:
-        # two exact levels of a polynomial integrand differ by rounding
-        # alone, which grows with its degree: the claim is the closed form's
-        # per degree (c < 0: within 2.52 units of 2^-53 per unit of l
-        # against the exact sums, on the sweep of ``_NEG_C_ROUNDING`` and on
-        # 2048 x at l up to 25)
-        floor, tails = 1e-13, [0.0] * len(ps)
-        rounding = _NEG_C_ROUNDING * params.l if params.c_float < 0 else _ROUNDING_PER_A * (_twice_a(params) // 2)
-    values, diffs, nodes = _ladder(f, kind, ps, ms, rtol, floor)
+@dataclass(frozen=True)
+class _QuadPlan:
+    """How S's quadrature runs at one parameter pair (``_s_quad_plan``): the
+    integrand f(t, p) over the rule's interval (``t`` and ``p`` may be
+    arrays of equal length, so the nodes of many points go in one call),
+    the map from x to p, the rule, the first node count at x > 0, the
+    absolute floor of the ladder's stop, the relative rounding the claim
+    covers at least, and the bound on the mean the rule leaves out at p."""
+
+    f: Callable
+    param: Callable[[float], float]
+    kind: RuleKind
+    start: Callable[[float], int]
+    floor: float
+    rounding: float
+    tail: Callable[[float], float]
+
+    def first(self, x: float) -> int:
+        """Node count the ladder starts from at x: 2 at x = 0, where every
+        integrand is constant."""
+        return 2 if x == 0.0 else self.start(x)
+
+
+def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
+    """S's quadrature at ``params`` with 2a = ``two_a`` (``_twice_a``): each
+    regime is decided here once.
+
+    The polynomial integrands (c < 0, and c > 0 at integer a) run on
+    Gauss-Chebyshev nodes, every other one on the tanh-sinh rule.  For
+    c < 0 the integrand is a degree-l polynomial and (l+2)/2 nodes are
+    exact; so are (a+1)/2 nodes for the degree-(a-1) integrand of c > 0 at
+    integer a.  At c = 0 the tanh-sinh rule starts from 32 to 512 nodes by
+    n x (``_SZASZ_START_EDGES``).  At every other c > 0 it starts from 64:
+    below that it can pass over the small share of S near sigma = s^2 on
+    two levels alike (from 16 nodes, at a from 5/4 to 200 and x up to 1e8,
+    levels agreed within 1e-12 while 5e-13 off mpmath).
+    """
+    n = params.n_float
+    c = params.c_float
+    if c == 0.0:
+        # exp(-2mu) I0(2mu), mu = n x, is (1/pi) int_0^1 exp(-4 mu sigma)
+        # dsigma/sqrt(sigma(1-sigma)) (sigma = (1 - cos theta)/2 in DLMF
+        # 10.32.1), which peaks at sigma = 0, where the tanh-sinh nodes
+        # cluster.  S is at least about 1/sqrt(4 pi n x), so the stop is
+        # purely relative; the rounding of the nodes' exponents was within
+        # 3.3e-16 of the value on n x from 1e-3 to 1e9, and the integrand's
+        # largest value is 1, at sigma = 0
+        return _QuadPlan(
+            lambda sigma, p: np.exp(p * sigma), lambda x: -4.0 * n * x, RuleKind.TANH_SINH,
+            lambda x: _TANH_SINH_START // 2 << bisect.bisect(_SZASZ_START_EDGES, n * x), 0.0, 1e-15,
+            lambda p: _TS_TAIL,
+        )
+    # two exact levels of a polynomial integrand differ by rounding alone,
+    # which grows with its degree: the claim is the closed form's per degree
+    # (c < 0: within 2.52 units of 2^-53 per unit of l against the exact
+    # sums, on the sweep of ``_NEG_C_ROUNDING`` and on 2048 x at l up to 25)
+    if c < 0:
+        l = params.l
+        start = min(LADDER_MAX, max(2, (l + 2) // 2))
+        return _QuadPlan(
+            lambda t, p: (t + (1.0 - t) * p) ** l, lambda x: (1.0 + 2.0 * c * x) ** 2, RuleKind.CHEBYSHEV_01,
+            lambda x: start, 1e-13, _NEG_C_ROUNDING * l, lambda p: 0.0,
+        )
+    # Laplace's integral reflected through P_(a-1) = P_(-a): with
+    # p = 1/s^2 = (1+2cx)^2 the integrand is (1 - t + t/p)^(a-1) / sqrt(p)
+    if two_a and two_a % 2 == 0:
+        # at integer a a polynomial of degree a-1 in t
+        degree = two_a // 2 - 1
+        start = min(LADDER_MAX, max(2, (degree + 2) // 2))
+        return _QuadPlan(
+            lambda t, s: s * (1.0 - t + t * (s * s)) ** degree, lambda x: 1.0 / (1.0 + 2.0 * c * x),
+            RuleKind.CHEBYSHEV_01, lambda x: start, 1e-13, _ROUNDING_PER_A * (two_a // 2), lambda s: 0.0,
+        )
+    # elsewhere it changes sharply at 1 - t of about s^2, so the tanh-sinh
+    # rule passes sigma = 1 - t itself.  S can be far below 1e-13 here, so
+    # the stop is purely relative; the claim adds the rounding of the power
+    # and the mean the rule leaves out, _TS_TAIL times the integrand's
+    # largest value, s at sigma = 1 or s^(2a-1) at sigma = 0 (inf where s
+    # underflows)
+    a = n / c
+    return _QuadPlan(
+        lambda sigma, s: s * (sigma + (1.0 - sigma) * (s * s)) ** (a - 1.0), lambda x: 1.0 / (1.0 + 2.0 * c * x),
+        RuleKind.TANH_SINH, lambda x: _TANH_SINH_START, 0.0, _ROUNDING_PER_A * (a + 6.0),
+        lambda s: _TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf,
+    )
+
+
+def _quad_rows(plan: _QuadPlan, ps: Sequence, ms: Sequence[int], rtol: float) -> tuple:
+    """S's quadrature ladder (``_ladder``) on ``plan`` at each parameter of
+    ``ps`` from ``ms`` nodes: the EvalResults, each claiming the last
+    difference of levels, at least the plan's rounding of the integrand,
+    plus the bound on the mean the rule leaves out, and that bound alone."""
+    tails = [plan.tail(p) for p in ps]
+    values, diffs, nodes = _ladder(plan.f, plan.kind, ps, ms, rtol, plan.floor)
     rows = zip(values, diffs, tails, nodes)
-    return [EvalResult(v, Method.QUADRATURE, max(d, rounding * abs(v)) + t, m) for v, d, t, m in rows], tails
+    return [EvalResult(v, Method.QUADRATURE, max(d, plan.rounding * abs(v)) + t, m) for v, d, t, m in rows], tails
 
 
 def s_quad_grid(
@@ -1173,28 +1181,29 @@ def s_quad_grid(
     """
     if m < 2:
         raise ValueError("need m >= 2 quadrature nodes")
-    param = _s_integrand(params)[1]
+    plan = _s_quad_plan(params, _twice_a(params))
     out: list = [None] * len(xs)
     points, ms, ps = [], [], []
     for i, x in enumerate(xs):
         try:
             params.require_in_domain(x)
             xf = float(x)
-            ms.append(max(m, _min_nodes(params, xf)))
-            ps.append(param(xf))
+            ms.append(max(m, plan.first(xf)))
+            ps.append(plan.param(xf))
             points.append(i)
         except Exception as exc:
             out[i] = exc
     if points:
-        for i, r in zip(points, _quad_rows(params, ps, ms, rtol)[0]):
+        for i, r in zip(points, _quad_rows(plan, ps, ms, rtol)[0]):
             out[i] = r
     return out
 
 
 def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_DEFAULT) -> EvalResult:
-    """S(x) from quadrature of its integral representation (``_s_integrand``).
+    """S(x) from quadrature of its integral representation, on the plan of
+    ``_s_quad_plan``.
 
-    Starts at m nodes (raised to ``_min_nodes``) and doubles, capped at
+    Starts at m nodes (raised to the plan's first node count) and doubles, capped at
     LADDER_MAX, until a level's mean is 0 or two levels agree within
     max(floor, rtol*|value|) (``_ladder``); the error estimate is the last
     difference of levels, at least the rounding of the integrand.  The

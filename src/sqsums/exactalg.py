@@ -698,11 +698,14 @@ def f_value(n: int, x):
     U_n(v) = F_n(v/2) at v^2 = 4 (x - 1/2)^2, which keeps the relative error
     at rounding level: U_n's coefficients are at most 1, where those of F_n
     pass the double range from n = 515 on, and a power of two apart the two
-    sums have the same bits wherever both are finite.
+    sums have the same bits wherever both are finite.  Where v^2 is exactly
+    1 (x = 0 and x = 1) the value is U_n(1) = 1 itself, which the sum of
+    the rounded coefficients misses from n = 30 on.
     """
     if isinstance(x, Fraction):
         return f_poly_parseval(n)(x - Fraction(1, 2))
-    return _float_horner(_float_coeffs(u_series_coeffs, n, 0) if n else (1.0,), 4.0 * (float(x) - 0.5) ** 2)
+    t = 4.0 * (float(x) - 0.5) ** 2
+    return 1.0 if t == 1.0 else _float_horner(_float_coeffs(u_series_coeffs, n, 0) if n else (1.0,), t)
 
 
 @lru_cache(maxsize=None)
@@ -747,11 +750,12 @@ def g_rational(n: int) -> RationalFn:
 
 
 def g_value(n: int, x):
-    """Evaluate G_n through its positive odd u-coefficients."""
+    """Evaluate G_n through its positive odd u-coefficients; 1 where u is
+    exactly 1, as ``f_value`` is where its variable is."""
     if isinstance(x, Fraction):
         return g_series_coeffs(n)(1 / (1 + 2 * x))
     u = 1.0 / (1.0 + 2.0 * float(x))
-    return _float_horner(_float_coeffs(g_series_coeffs, n, 1), u * u) * u
+    return 1.0 if u == 1.0 else _float_horner(_float_coeffs(g_series_coeffs, n, 1), u * u) * u
 
 
 @lru_cache(maxsize=None)
@@ -776,12 +780,13 @@ def j_rational(n: int) -> RationalFn:
 
 
 def j_value(n: int, x):
-    """Evaluate J_n through its positive odd w-coefficients."""
+    """Evaluate J_n through its positive odd w-coefficients; 1 where w is
+    exactly 1, as ``f_value`` is where its variable is."""
     if isinstance(x, Fraction):
         return j_series_coeffs(n)((1 - x) / (1 + x))
     xf = float(x)
     w = (1.0 - xf) / (1.0 + xf)
-    return _float_horner(_float_coeffs(j_series_coeffs, n, 1), w * w) * w
+    return 1.0 if w == 1.0 else _float_horner(_float_coeffs(j_series_coeffs, n, 1), w * w) * w
 
 
 @lru_cache(maxsize=None)

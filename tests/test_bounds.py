@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sqsums.core import FamilyId, ParameterError
-from sqsums.bounds import bound_reports, bound_values, s_value, s_values, standard_grid
+from sqsums.bounds import bound_reports, bound_values, s_values, standard_grid
 from sqsums.exactalg import RationalFn, RationalPoly, g_rational, j_rational
 from sqsums.families import FAMILIES
 
@@ -20,18 +20,18 @@ X = RationalPoly.x()
 
 class TestSValue:
     def test_exact_on_fraction_input(self):
-        assert s_value(BERNSTEIN, 2, Fraction(1, 2)) == Fraction(3, 8)
-        assert s_value(BASKAKOV, 1, Fraction(1, 2)) == Fraction(1, 2)
-        assert s_value(MKZ, 0, Fraction(1, 3)) == Fraction(1, 2)
+        assert s_values(BERNSTEIN, 2, [Fraction(1, 2)]) == [Fraction(3, 8)]
+        assert s_values(BASKAKOV, 1, [Fraction(1, 2)]) == [Fraction(1, 2)]
+        assert s_values(MKZ, 0, [Fraction(1, 3)]) == [Fraction(1, 2)]
 
     def test_float_routes(self):
-        assert s_value(BERNSTEIN, 2, 0.5) == pytest.approx(0.375, rel=1e-15)
-        assert s_value(SZASZ, 1, 1.0) == pytest.approx(math.exp(-2) * 2.2795853023360673, rel=1e-13)
-        assert s_value(BBH, 1, 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert s_values(BERNSTEIN, 2, [0.5]) == [pytest.approx(0.375, rel=1e-15)]
+        assert s_values(SZASZ, 1, [1.0]) == [pytest.approx(math.exp(-2) * 2.2795853023360673, rel=1e-13)]
+        assert s_values(BBH, 1, [1.0]) == [pytest.approx(0.5, rel=1e-15)]
 
     def test_general_aliases(self):
         fam = FamilyId("general", Fraction(-1))
-        assert s_value(fam, 2, Fraction(1, 2)) == Fraction(3, 8)
+        assert s_values(fam, 2, [Fraction(1, 2)]) == [Fraction(3, 8)]
 
 
 class TestDocumentedMargins:

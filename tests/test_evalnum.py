@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -20,8 +21,6 @@ from sqsums.evalnum import (
     _TANH_SINH_START,
     _chebyshev_nodes,
     _means,
-    _min_nodes,
-    _s_integrand,
     _tanh_sinh_rule,
     bessel_i0,
     bessel_i0e,
@@ -552,13 +551,19 @@ def test_grid_routes_in_small_batches(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _plan(params):
+    """S's quadrature plan at params."""
+    return evalnum._s_quad_plan(params, evalnum._twice_a(params))
+
+
 def _t_reflected(params, x, y):
     """S's reflected integrand and rule, the parameter s = B/g^2 of T's
     Laplace integral and its factor (g/B)^(2a), g = sqrt(uv) + sqrt((1+u)(1+v));
     on the diagonal S's own s = 1/(1+2cx) and the factor 1."""
     c = params.c_float
     u, v = c * x, c * y
-    f, _, kind = _s_integrand(params)
+    plan = _plan(params)
+    f, kind = plan.f, plan.kind
     if x == y:
         return f, kind, 1.0 / (1.0 + 2.0 * c * x), 1.0
     g, b = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v), 1.0 + u + v
@@ -677,13 +682,13 @@ def test_s_quad_grid_first_level_at_the_cap():
     # c > 0 starts at most at 512 nodes
     params = Params(8190, -1)
     xs = [0.5, 0.0, 0.75]
-    f, param, kind = _s_integrand(params)
+    plan = _plan(params)
     got = s_quad_grid(params, xs)
     for i in (0, 2):
-        assert _min_nodes(params, xs[i]) == LADDER_MAX
+        assert plan.first(xs[i]) == LADDER_MAX
         assert got[i] == s_quad(params, xs[i])
         assert (got[i].value, got[i].err_estimate, got[i].terms_or_nodes) == (
-            _means(f, kind, [param(xs[i])], [LADDER_MAX])[0],
+            _means(plan.f, plan.kind, [plan.param(xs[i])], [LADDER_MAX])[0],
             math.inf,
             LADDER_MAX,
         )
@@ -821,11 +826,11 @@ def test_integer_a_quadrature_starts_at_its_exact_node_count():
     # one needs (l+2)//2; two exact levels then agree at once
     for a, c in [(1, Fraction(1, 3)), (2, Fraction(1)), (33, Fraction(2)), (300, Fraction(1, 2)), (9000, Fraction(1))]:
         params = Params(a * c, c)
-        assert _min_nodes(params, 1e6) == min(LADDER_MAX, max(2, (a + 1) // 2))
+        assert _plan(params).first(1e6) == min(LADDER_MAX, max(2, (a + 1) // 2))
         if a < 9000:
             (r,) = s_quad_grid(params, [1e6])
             assert r.terms_or_nodes == 2 * max(LADDER_START, (a + 1) // 2)
-    assert _min_nodes(Params(2.001, 1), 1e6) == _TANH_SINH_START  # the tanh-sinh rule at every x
+    assert _plan(Params(2.001, 1)).first(1e6) == _TANH_SINH_START  # the tanh-sinh rule at every x
 
 
 @pytest.mark.parametrize(
@@ -1268,7 +1273,7 @@ def test_szasz_quadrature_never_reaches_the_cap():
     xs = _SZASZ_MUS + [1e9]
     for q in s_quad_grid(Params(1, 0), xs):
         assert q.terms_or_nodes <= 1024 < LADDER_MAX and math.isfinite(q.err_estimate)
-    assert max(_min_nodes(Params(1, 0), x) for x in xs) == 512
+    assert max(map(_plan(Params(1, 0)).first, xs)) == 512
 
 
 def test_szasz_closed_form_past_the_double_range_raises():
@@ -1379,3 +1384,98 @@ def test_subnormal_legendre_claim_against_mpmath():
             u = _mpf(mpmath, c) * _mpf(mpmath, x)
             want = mpmath.legendre(mpmath.mpf(23) / 2, 1 + 2 * u * u / (1 + 2 * u)) / (1 + 2 * u) ** (mpmath.mpf(25) / 2)
         _assert_within_claims(want, (r,))
+
+
+# ---------------------------------------------------------------------------
+# Every bit of the five float routes
+# ---------------------------------------------------------------------------
+
+
+def _bit_pin_cases():
+    """(params, xs) on which the five float routes are pinned: the
+    criterion-1 battery and both sides of every switch of the routes."""
+    cases = []
+    for c, ns in [
+        (Fraction(-1), [1, 2, 5, 10, 25]),
+        (Fraction(-1, 2), [Fraction(l, 2) for l in (1, 2, 5, 10, 25)]),
+        (Fraction(0), [1, 2, 5, 10, 25]),
+        (Fraction(1), [1, 2, 5, 10, 25]),
+        (Fraction(2), [1, 2, 5, 10, 25]),
+    ]:
+        for n in ns:
+            params = Params(n, c)
+            hi = float(params.domain_sup) if params.domain_sup is not None else 20.0
+            cases.append((params, [hi * i / 100 for i in range(101)]))
+    # Z_SWITCH and _EXP_GUARD of the closed form where 2a is not whole
+    cases += [(Params(n, c), [x, y]) for n, c, x, y in _hand_over_cases()]
+    # _EXP_GUARD of the c > 0 series walk and its peak window
+    for n, c in [(300, 1), (Fraction(801, 4), 1), (Fraction(2102, 3), 2)]:
+        nf, cf = float(n), float(c)
+        cases.append((Params(n, c), _switch_sides(lambda x: -2.0 * (nf / cf) * math.log1p(cf * x) < -_EXP_GUARD, 1e-3, 1e3)))
+    # mu = 300 of the c = 0 series, z = 600 of its closed form, and each
+    # edge of the c = 0 ladder's start
+    for n in (1, 7):
+        xs = _switch_sides(lambda x: n * x > 300.0, 0.0, 1e3)
+        xs += _switch_sides(lambda x: 2.0 * n * x > evalnum._HANKEL_Z, 0.0, 1e3)
+        for edge in (0.1, 5.0, 150.0, 4e4):
+            xs += _switch_sides(lambda x: n * x >= edge, 0.0, 1e6)
+        cases.append((Params(n, 0), xs))
+    # far_u = max(64, 4a) of the c > 0 series at whole 2a
+    for n, c in [(2, 1), (60, 1), (Fraction(121, 4), Fraction(1, 2)), (5, 2)]:
+        two_a, cf = int(2 * Fraction(n) / Fraction(c)), float(c)
+        far_u = max(evalnum._FAR_U, 2.0 * two_a)
+        cases.append((Params(n, c), _switch_sides(lambda x: cf * x >= far_u, 0.0, 1e4)))
+    # a first level at LADDER_MAX
+    cases.append((Params(8190, -1), [0.0, 0.5, 0.75]))
+    # points that raise: outside the domain, past the double range, and
+    # past the reach of the tanh-sinh rule
+    cases += [(Params(5, -1), [-0.5, 1.5]), (Params(1, 0), [1e307, 1e308]), (Params(Fraction(1, 3), 1), [1e19, 1e19 / 3])]
+    return cases
+
+
+def _bits(outcome) -> str:
+    if isinstance(outcome, Exception):
+        return repr(outcome)
+    if isinstance(outcome, float):
+        return outcome.hex()
+    return f"{outcome.value.hex()} {outcome.err_estimate.hex()} {outcome.terms_or_nodes}"
+
+
+def _pairs(xs):
+    """Each point with itself and with the next point."""
+    return [(x, x) for x in xs] + list(zip(xs, xs[1:]))
+
+
+def _route_bits(route: str) -> list:
+    out = []
+    for params, xs in _bit_pin_cases():
+        if route.startswith("s_"):
+            out += map(_bits, getattr(evalnum, route)(params, xs))
+        else:
+            out += [_bits(_outcome_of(getattr(evalnum, route), params, x, y)) for x, y in _pairs(xs)]
+    return out
+
+
+def _outcome_of(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return exc
+
+
+# sha256 of every value, err_estimate and terms_or_nodes (the value alone
+# for T), or exception repr, over ``_bit_pin_cases``: recorded before S's
+# quadrature moved to one plan per parameter pair
+FLOAT_ROUTE_BITS = {
+    "s_series_grid": "f4ddf3ee1c4f23295fd4a7513186ded71a8068493bc9d64dd8e424bd788fa980",
+    "s_closed_grid": "84ad1b78bff3a8933d28489a2e1129a1acf7056f744b2e16522652e9fa0f0a3e",
+    "s_quad_grid": "7ee04deb7d00bcf9f9dfad4bdcc8201f71d595691017902aa30329e9e9994a4e",
+    "t_closed": "2e042ea7cb370f66b70d78581546d1e40c83771dc0574a4d687c6ec2d6057752",
+    "t_quad": "5c8c5144634e6ba02f1cd8fbf7b77c24c4a8a8de1a61ad0ec06b4468aeafe778",
+}
+
+
+@pytest.mark.parametrize("route", list(FLOAT_ROUTE_BITS))
+def test_float_routes_keep_every_bit(route):
+    digest = hashlib.sha256("\n".join(_route_bits(route)).encode()).hexdigest()
+    assert digest == FLOAT_ROUTE_BITS[route]

@@ -428,15 +428,28 @@ _VALUE_ROUTES = {
 }
 
 
+# the points of the standard grids where the series variable (its square
+# for bernstein and bbh) is exactly 1, and S is exactly 1
+_ANCHORS = {"bernstein": (0.0, 1.0), "baskakov": (0.0,), "mkz": (0.0,), "bbh": (0.0,)}
+
+
 @pytest.mark.parametrize("family", list(_VALUE_ROUTES))
 def test_float_values_keep_every_bit(family):
+    # every bit of the per-point sums, except at the anchors, where those
+    # sums of rounded coefficients miss 1 from n = 30 on
     value, per_point, exact, n_min = _VALUE_ROUTES[family]
     xs = standard_grid(FamilyId(family)) + [1.0] * (family == "mkz")  # the open right end
     for n in range(n_min, 61):
-        assert [value(n, x).hex() for x in xs] == [per_point(n, x).hex() for x in xs]
+        expect = [1.0 if x in _ANCHORS[family] else per_point(n, x) for x in xs]
+        assert [value(n, x).hex() for x in xs] == [v.hex() for v in expect]
         if n in (n_min, 7, 60):
             for x in map(Fraction, xs[::16]):
                 assert value(n, x) == exact(n, x)
+
+
+def test_float_values_are_one_at_the_anchors():
+    for n in range(1, 601):
+        assert f_value(n, 0.0) == f_value(n, 1.0) == g_value(n, 0.0) == j_value(n, 0.0) == u_value(n, 0.0) == 1.0
 
 
 class TestRecurrences:

@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pytest
+
 import sqsums
 from sqsums import legendre
 from sqsums.core import FAMILY_NAMES
@@ -65,28 +67,43 @@ def _functions_reading(tree, name: str) -> list:
     return found
 
 
+def _package_readers(name: str) -> list:
+    """The functions of the package (as file:qualified name) whose own
+    bodies load ``name``, once per load."""
+    src = pathlib.Path(sqsums.__file__).parent
+    return [
+        f"{path.name}:{fn}"
+        for path in sorted(src.glob("*.py"))
+        for fn in _functions_reading(ast.parse(path.read_text(), str(path)), name)
+    ]
+
+
 def test_z_switch_is_read_in_one_function():
     # the closed form's hand-over is decided once, by the pair grid that both
     # S and T run, not by a copy of the test in each
-    src = pathlib.Path(sqsums.__file__).parent
-    readers = [
-        f"{path.name}:{fn}"
-        for path in sorted(src.glob("*.py"))
-        for fn in _functions_reading(ast.parse(path.read_text(), str(path)), "Z_SWITCH")
-    ]
+    readers = _package_readers("Z_SWITCH")
     assert len(set(readers)) == 1, readers
 
 
 def test_neg_c_log_sum_is_read_in_one_function():
     # the c < 0 log sum is the series route's own sum; the closed form runs
     # the Legendre rows, so the two are independent witnesses
-    src = pathlib.Path(sqsums.__file__).parent
-    readers = [
-        f"{path.name}:{fn}"
-        for path in sorted(src.glob("*.py"))
-        for fn in _functions_reading(ast.parse(path.read_text(), str(path)), "_neg_c_log_sum")
-    ]
+    readers = _package_readers("_neg_c_log_sum")
     assert set(readers) == {"evalnum.py:s_series_grid"}, readers
+
+
+@pytest.mark.parametrize("name", ["_TANH_SINH_START", "_SZASZ_START_EDGES", "_TS_TAIL"])
+def test_quadrature_regime_is_decided_by_its_plan(name):
+    # S's quadrature decides its rule, first node count and claim in one
+    # plan, which its route and the closed form's hand-over both read
+    assert set(_package_readers(name)) == {"evalnum.py:_s_quad_plan"}
+
+
+def test_twice_a_is_read_once_per_route():
+    # 2a = 2n/c is sorted once per call of the series, the closed form and
+    # the quadrature, not again in each helper they call
+    readers = _package_readers("_twice_a")
+    assert len(readers) == len(set(readers)) <= 3, readers
 
 
 def test_cli_writes_documents_to_the_stream():
@@ -126,14 +143,33 @@ def test_legendre_exports_only_what_the_package_runs():
     assert set(legendre.__all__) - exported == set()
 
 
+def _traced_names() -> set:
+    """(module, name) for each top-level name the benchmark's tracer
+    (``perfbench/tracing.py`` TARGETS) looks up; a "Class.method" entry
+    looks up the class."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (targets,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    return {
+        (f"{module}.py", attr.split(".")[0])
+        for _, module, attrs in ast.literal_eval(targets)
+        for attr in attrs
+    }
+
+
 def test_exact_layer_and_cli_functions_are_run_by_the_package():
     # a top-level function of these modules is read by another function of
-    # the package, or at a module's top level, or is exported by sqsums; a
-    # function that only a test calls lives in that test
+    # the package, or at a module's top level, or is exported by sqsums, or
+    # is looked up by the benchmark's tracer; a function that only a test
+    # calls lives in that test
     trees, read = _package_reads()
+    read |= {("perfbench/tracing.py", module, name) for module, name in _traced_names()}
     unread = [
         f"{module}:{fn.name}"
-        for module in ("exactalg.py", "legendre.py", "cli.py")
+        for module in ("exactalg.py", "legendre.py", "cli.py", "evalnum.py", "core.py", "analysis.py", "bounds.py", "families.py")
         for fn in trees[module].body
         if isinstance(fn, ast.FunctionDef)
         and fn.name not in sqsums.__all__

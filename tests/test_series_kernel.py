@@ -11,6 +11,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,9 +153,20 @@ def one_row(ratio, k0, tol, max_steps=None, **kwargs):
 
 
 def one_walk(ratio_up, ratio_down, k0, tol, max_terms=10 ** 7):
-    """One sequence through the window walk, reported as the loop did:
-    (scaled sum, number of terms); an overflowing square raises."""
-    return core._one(core._sum_unimodal_rows(ratio_up, ratio_down, [float(k0)], tol, max_terms))
+    """One sequence through the window kernel at a peak term of 1 and a
+    term cap of max_terms: (exp(log(scaled sum)), number of terms); an
+    overflowing square raises OverflowError, a walk at the cap
+    ArithmeticError."""
+    with mock.patch.object(core, "_WINDOW_TERMS", max_terms):
+        return core._one(core._window_rows([(k0, 0.0)], ratio_up, ratio_down, tol))
+
+
+def ref_window(ratio_up, ratio_down, k0, tol, max_terms=10 ** 7):
+    """The reference walk as the window kernel reports it at a peak term of 1."""
+    scaled, terms = ref_sum_unimodal_scaled(ratio_up, ratio_down, k0, tol, max_terms=max_terms)
+    if terms >= max_terms:
+        raise ArithmeticError(f"peak window did not converge within {max_terms} terms")
+    return math.exp(0.0 + math.log(scaled)), terms
 
 
 def _outcome(f, *args):
@@ -346,8 +358,8 @@ def test_sum_unimodal_term_cap(mu, max_terms):
     # past 2^53 the loop's int index k converts to float(k) with rounding
     up, down = (lambda k: core._sq(mu / (k + 1.0))), (lambda k: core._sq(k / mu))
     ref_up, ref_down = (lambda k: (mu / (k + 1.0)) ** 2), (lambda k: (k / mu) ** 2)
-    got = one_walk(up, down, int(mu), 1e-16, max_terms=max_terms)
-    assert got == ref_sum_unimodal_scaled(ref_up, ref_down, int(mu), 1e-16, max_terms=max_terms)
+    got = _outcome(one_walk, up, down, int(mu), 1e-16, max_terms)
+    assert got == _outcome(ref_window, ref_up, ref_down, int(mu), 1e-16, max_terms)
 
 
 def test_downward_walk_reaches_index_zero():
@@ -355,7 +367,7 @@ def test_downward_walk_reaches_index_zero():
     for mu in (3.5, 40.0):
         down, ref_down = (lambda k: k / mu), (lambda k: k / mu)
         got = one_walk(lambda k: mu / (k + 1.0), down, int(mu), 1e-300)
-        ref = ref_sum_unimodal_scaled(lambda k: mu / (k + 1.0), ref_down, int(mu), 1e-300)
+        ref = ref_window(lambda k: mu / (k + 1.0), ref_down, int(mu), 1e-300)
         assert got == ref and got[1] > int(mu)
 
 
@@ -823,25 +835,26 @@ def test_series_grid_rows_match_loops(c, n, xs, rtol):
 )
 def test_unimodal_rows_match_loop(mus, max_terms):
     # peak indices past 2^53 take the loop's rounded float(k)
-    got = core._sum_unimodal_rows(
-        lambda k, mu: core._sq(mu / (k + 1.0)),
-        lambda k, mu: core._sq(k / mu),
-        [float(int(mu)) for mu in mus],
-        1e-16,
-        max_terms=max_terms,
-        args=(mus,),
-    )
+    with mock.patch.object(core, "_WINDOW_TERMS", max_terms):
+        got = core._window_rows(
+            [(int(mu), 0.0) for mu in mus],
+            lambda k, mu: core._sq(mu / (k + 1.0)),
+            lambda k, mu: core._sq(k / mu),
+            1e-16,
+            args=(mus,),
+        )
     expect = [
-        ref_sum_unimodal_scaled(
+        _outcome(
+            ref_window,
             lambda k, mu=mu: (mu / (k + 1.0)) ** 2,
             lambda k, mu=mu: (k / mu) ** 2,
             int(mu),
             1e-16,
-            max_terms=max_terms,
+            max_terms,
         )
         for mu in mus
     ]
-    assert got == expect
+    assert list(map(_rows_outcome, got)) == expect
 
 
 def test_heavy_rows_in_one_batch():
