@@ -1,13 +1,15 @@
 """Numerical residual scans, shape scans, and the log-convexity scanner.
 
 Families without exact representations are checked against their
-differential equation through finite differences of the closed-form
-evaluator; convexity and monotonicity claims are restated as sign
-conditions on differences; and the log-convexity conjecture scanner
-evaluates Q = S*S'' - (S')^2 (exactly where the family admits it) and
-reports margins without ever asserting the conjecture.  The exact scans
-are those a family's row in ``families`` lists, on the row's series.  The
-exact Q is built in the paper's variables, s = x - 1/2 (Bernstein) and
+differential equation, and for log-convexity where Q has no exact form,
+through finite differences of one ``s_closed_grid`` call per scan
+(one-sided at the ends of the domain); convexity and monotonicity claims
+are restated as sign conditions on differences; and the log-convexity
+conjecture scanner evaluates Q = S*S'' - (S')^2 (exactly where the family
+admits it) and reports margins without ever asserting the conjecture.
+The exact scans are those a family's row in ``families`` lists, on the
+row's series.  The exact Q is built in the paper's variables,
+s = x - 1/2 (Bernstein) and
 u = 1/(1+2x) (Baskakov), where it is an even polynomial R(t) in t = s^2 or
 t = u^2 of degree 2n.  The exact scan stays on integers from the grid to
 the margin: the grid is built as lowest-terms pairs (p, q), each point maps
@@ -24,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import DomainError, FamilyId, Params, RationalLike, Real, _fmt_float, _fmt_rat, _one
 from .bounds import s_values
-from .evalnum import s_closed
+from .evalnum import s_closed_grid
 from . import exactalg, families
 
 __all__ = [
@@ -130,17 +132,38 @@ def _params_subject(params: Params) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fd_derivs(f: Callable[[float], float], x: float, h: float):
-    """First and second derivatives on the symmetric 5-point window.
+def _stencil_rows(params: Params, points: Sequence[tuple[float, float]]) -> Iterator[tuple[float, float, float]]:
+    """(S, S', S'') at each (x, h) of ``points``, from one ``s_closed_grid``
+    call over every point's window.
 
-    The first derivative uses the fourth-order formula over x +- h, +- 2h;
-    the second derivative uses the second-order inner formula, which keeps
-    the overall residual scaling cleanly at h^2 for the order tests.
+    Within 2h of an end of the domain h is a quarter of the distance to it.
+    S' is the fourth-order formula over x +- h, +- 2h and S'' the
+    second-order inner one, which keeps the ODE residual at h^2 for the
+    order tests; at an end (S(0) = 1 on the left) both are one-sided over
+    x + k h, k = 0..3, with h = +-1e-4 inward.  The first error in the
+    order of the points and of their abscissas is raised.
     """
-    fm2, fm1, f0, f1, f2 = (f(x - 2 * h), f(x - h), f(x), f(x + h), f(x + 2 * h))
-    d1 = (fm2 - 8.0 * fm1 + 8.0 * f1 - f2) / (12.0 * h)
-    d2 = (fm1 - 2.0 * f0 + f1) / (h * h)
-    return f0, d1, d2
+    sup = math.inf if params.domain_sup is None else float(params.domain_sup)
+    windows = []
+    for x, h in points:
+        if x - 2 * h <= 0:
+            h = x / 4.0 if x > 0 else 0.0
+        if x + 2 * h > sup:
+            h = (sup - x) / 4.0 if x < sup else 0.0
+        if h == 0.0:
+            h = 1e-4 if x <= 0 else -1e-4
+            windows.append((h, (x, x + h, x + 2 * h, x + 3 * h)))
+        else:
+            windows.append((h, (x - 2 * h, x - h, x, x + h, x + 2 * h)))
+    values = iter(s_closed_grid(params, [t for _, window in windows for t in window]))
+    for h, window in windows:
+        f = [_one([next(values)]).value for _ in window]
+        if len(f) == 5:
+            fm2, fm1, f0, f1, f2 = f
+            yield f0, (fm2 - 8.0 * fm1 + 8.0 * f1 - f2) / (12.0 * h), (fm1 - 2.0 * f0 + f1) / (h * h)
+        else:
+            f0, f1, f2, f3 = f
+            yield f0, (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h), (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
 
 
 def ode_residual_scan(params: Params, grid: Sequence[float], h: float) -> ScanReport:
@@ -161,12 +184,8 @@ def ode_residual_scan(params: Params, grid: Sequence[float], h: float) -> ScanRe
         if x - 2 * h <= 0 or (sup is not None and x + 2 * h >= float(sup)):
             raise DomainError(f"x={x} within 2h of the boundary of I_c = {params.domain_str()}")
 
-    def f(xx: float) -> float:
-        return s_closed(params, xx).value
-
     margins = []
-    for x in grid:
-        y0, y1, y2 = _fd_derivs(f, float(x), h)
+    for x, (y0, y1, y2) in zip(grid, _stencil_rows(params, [(float(x), h) for x in grid])):
         a2 = x * (1.0 + c * x) * (1.0 + 2.0 * c * x)
         a1 = 4.0 * (n + c) * x * (1.0 + c * x) + 1.0
         a0 = 2.0 * n * (1.0 + 2.0 * c * x)
@@ -391,26 +410,7 @@ def logconvexity_scan(
     if grid is None:
         raise ValueError("a float grid is required for families without an exact route")
 
-    def f(xx: float) -> float:
-        return s_closed(params, xx).value
-
-    margins = []
-    kept = []
-    for x in grid:
-        xf = float(x)
-        h = _default_step(xf)
-        if xf - 2 * h <= 0:
-            h = xf / 4.0 if xf > 0 else 0.0
-        if h == 0.0:
-            # left anchor S(0) = 1: one-sided forward differences
-            h1 = 1e-4
-            d1 = (-3.0 * f(0.0) + 4.0 * f(h1) - f(2 * h1)) / (2.0 * h1)
-            d2 = (2.0 * f(0.0) - 5.0 * f(h1) + 4.0 * f(2 * h1) - f(3 * h1)) / (h1 * h1)
-            margins.append(f(0.0) * d2 - d1 * d1)
-            kept.append(0.0)
-            continue
-        y0, y1, y2 = _fd_derivs(f, xf, h)
-        margins.append(y0 * y2 - y1 * y1)
-        kept.append(xf)
+    xs = [float(x) for x in grid]
+    margins = [y0 * y2 - y1 * y1 for y0, y1, y2 in _stencil_rows(params, [(x, _default_step(x)) for x in xs])]
     status["route"] = "finite_differences"
-    return _report("log_convexity", _params_subject(params), kept, margins, status)
+    return _report("log_convexity", _params_subject(params), xs, margins, status)

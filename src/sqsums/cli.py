@@ -4,7 +4,8 @@ Output formats are text (default), csv and json.  Exact rationals are
 printed as "p/q" strings and floats with 17 significant digits, so repeated
 runs with the same arguments are byte-identical.  Exit code 0 means every
 requested check passed; scans exit 0 whenever they complete (conjecture
-margins never fail the process).  A family's suite, least index and exact
+margins never fail the process).  ``main`` exits 1 without a traceback when
+stdout's reader has gone.  A family's suite, least index and exact
 scans are its row in ``families``.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -103,9 +105,13 @@ def _emit_csv(out, header: list[str], rows: list[list[str]]) -> None:
 def _parse_grid(spec: str, family: FamilyId) -> list[float]:
     try:
         a_s, b_s, cnt_s = spec.split(":")
-        a, b, cnt = float(Fraction(a_s)), float(Fraction(b_s)), int(cnt_s)
+        cnt = int(cnt_s)
     except ValueError as exc:
         raise ParameterError(f"grid must be 'a:b:count', got {spec!r}") from exc
+    try:
+        a, b = float(_point(a_s)), float(_point(b_s))
+    except ValueError as exc:
+        raise ParameterError(f"option --grid: {exc}") from None
     if cnt < 2:
         raise ParameterError(f"grid needs count >= 2, got {cnt}")
     if a >= b:
@@ -366,6 +372,16 @@ def _rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} is not rational ('p/q' or decimal)") from None
 
 
+def _point(text: str) -> Fraction:
+    """A rational that rounds to a double: the verbs evaluate at float(x)."""
+    value = _rational(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{text!r} is past the double range") from None
+    return value
+
+
 _HELP = _Opt("--help")
 _TOP = {"-h": _HELP, "--help": _HELP}  # the options before the verb
 _COMMON = (
@@ -393,12 +409,12 @@ _KINDS = {
 # verb: (handler, help line, the options it reads besides _COMMON)
 _VERBS = {
     "eval": (_cmd_eval, "one point, all three evaluation methods", (
-        _FORMAT, _N, _RTOL, _Opt("-x", "evaluation point", _rational, required=True))),
+        _FORMAT, _N, _RTOL, _Opt("-x", "evaluation point", _point, required=True))),
     "table": (_cmd_table, "grid of values per method (csv layout)", (_FORMAT, _N, _RTOL, _GRID)),
     "verify": (_cmd_verify, "exact identity suite for a family", (
         _TEXT_JSON, _Opt("--n-max", "largest index checked", int, default=10),)),
     "bounds": (_cmd_bounds, "upper-bound margins at a point or grid", (
-        _FORMAT, _N, _Opt("-x", "single evaluation point", _rational, excludes="--grid"),
+        _FORMAT, _N, _Opt("-x", "single evaluation point", _point, excludes="--grid"),
         _Opt("--grid", "a:b:count (default: standard grid)"))),
     "scan": (_cmd_scan, "ode/convexity/logconvexity/monotonicity scans", (
         _FORMAT, _N, _Opt("--kind", "what to scan", choices=tuple(_KINDS), required=True))),
@@ -498,7 +514,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # stdout's reader is gone (the SIGPIPE note of Python's signal
+        # docs): devnull takes what is left, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqsums import analysis, exactalg
+from sqsums import analysis, evalnum, exactalg
 from sqsums.core import DomainError, FamilyId, Params
 from sqsums.analysis import (
     ScanReport,
@@ -245,6 +245,65 @@ class TestLogConvexityScan:
     def test_float_route_requires_grid(self):
         with pytest.raises(ValueError):
             logconvexity_scan(Params(2, 0))
+
+    def test_right_end_mirrors_the_left(self):
+        # at c < 0, S(x) = F_l(-cx) is symmetric about sup/2, so the margin
+        # at sup (one-sided window, step -1e-4) and within 2h of it (h =
+        # (sup - x)/4) mirror those at 0 and near 0; a stencil point past
+        # sup used to raise a DomainError
+        params = Params(3, Fraction(-1, 2))
+        grid = [0.0, 1e-4, 1.0, 2.0 - 1e-4, 2.0]
+        rep = logconvexity_scan(params, grid=grid)
+        assert rep.grid == tuple(grid)
+        for left, right in ((0, 4), (1, 3)):
+            assert rep.margins[right] == pytest.approx(rep.margins[left], rel=1e-6)
+        f = lambda x: s_closed(params, x).value
+        h = -1e-4
+        d1 = (-3.0 * f(2.0) + 4.0 * f(2.0 + h) - f(2.0 + 2 * h)) / (2.0 * h)
+        d2 = (2.0 * f(2.0) - 5.0 * f(2.0 + h) + 4.0 * f(2.0 + 2 * h) - f(2.0 + 3 * h)) / (h * h)
+        assert rep.margins[4] == f(2.0) * d2 - d1 * d1
+
+    def test_point_outside_the_domain_raises(self):
+        # a negative point was scanned at 0 and reported as 0.0
+        with pytest.raises(DomainError, match="x=-0.5 outside"):
+            logconvexity_scan(Params(2, 0), grid=[1.0, -0.5])
+        with pytest.raises(DomainError, match="x=2.5 outside"):
+            logconvexity_scan(Params(3, Fraction(-1, 2)), grid=[1.0, 2.5])
+
+
+class TestFiniteDifferenceStencils:
+    """Both finite-difference scans take S from one closed-form grid call."""
+
+    SCANS = [  # each scan and its abscissas: five per point, four at an end
+        pytest.param(lambda: ode_residual_scan(Params(2, Fraction(1, 3)), [0.5, 1.0, 7.0], 1e-3), 15, id="ode"),
+        pytest.param(lambda: logconvexity_scan(Params(3, Fraction(-1, 2)), grid=[0.0, 0.5, 2.0]), 13,
+                     id="logconvexity"),
+    ]
+
+    @pytest.mark.parametrize("scan, abscissas", SCANS)
+    def test_one_grid_call(self, scan, abscissas, monkeypatch):
+        calls = []
+        real = evalnum.s_closed_grid
+
+        def counting(params, xs, *rest):
+            calls.append(len(xs))
+            return real(params, xs, *rest)
+
+        monkeypatch.setattr(analysis, "s_closed_grid", counting)
+        for name in ("s_closed", "s_series", "s_quad"):
+            monkeypatch.setattr(evalnum, name, mock.Mock(side_effect=AssertionError(name)))
+        scan()
+        assert calls == [abscissas]
+
+    def test_first_error_in_point_order(self):
+        # at x = 1e-300 the step's square underflows and S'' divides by 0
+        # before the next point's closed form overflows, and the other way round
+        with pytest.raises(ZeroDivisionError):
+            logconvexity_scan(Params(2, 0), grid=[1e-300, 1e308])
+        with pytest.raises(OverflowError, match="2nx"):
+            logconvexity_scan(Params(2, 0), grid=[1e308, 1e-300])
+        with pytest.raises(OverflowError, match="2nx"):
+            ode_residual_scan(Params(2, 0), [1.0, 1e308], 1e-3)
 
 
 def _q_exact(params: Params) -> RationalFn:

@@ -842,6 +842,66 @@ def test_golden_scan_bytes(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SCAN[argv]
 
 
+def _fd_scan(family, n, kind, grid, layout="json"):
+    return ("scan", "--family", *family.split(), "-n", n, "--kind", kind, "--grid", grid, "--format", layout)
+
+
+# The finite-difference scans (the ode kind, and log-convexity where Q has
+# no exact form), recorded while each stencil point was one scalar closed
+# form call: szasz; a = 6 on the Legendre rows; a = 7/4 past Z_SWITCH on
+# the quadrature hand-over; c < 0 on interior points; log-convexity from
+# the one-sided window at x = 0.
+GOLDEN_FD_SCAN = {
+    _fd_scan("szasz", "5", "ode", "1/10:5:101"):
+        "264a02710cffbbf9344753b3ec6181dd20e259e6601cf83580cec8ce962ce729",
+    _fd_scan("general -c 1/3", "2", "ode", "1/10:10:33"):
+        "637979826f5f19183dc4c97b31877afbc88ef41cac587ba768088a900fb44c20",
+    _fd_scan("general -c 2", "7/2", "ode", "1/10:400:64"):
+        "a9c57e57f17d3f64f41e9fa45983f6e7eff1907bd77ab60c2841e8221753bc3e",
+    _fd_scan("general -c -1/2", "3", "ode", "1/10:19/10:33", "csv"):
+        "ada9c043e8756fa82ecc39c4caeb696c5a9bf6b893dbf0c2bcb1d041432b801f",
+    _fd_scan("general -c 1/3", "2", "logconvexity", "0:10:257"):
+        "d002cc27bd84dfdf1443849e852762457ada68ddd85d787e036c0d71ceefeda0",
+    _fd_scan("general -c 2", "7/2", "logconvexity", "0:400:64"):
+        "a14179b07a0dc7be8405a1113c2f3b52cabd9f2b97d206fc6a65a9dc3b6b615a",
+    _fd_scan("general -c 2", "7/2", "logconvexity", "0:400:64", "text"):
+        "8a163f8375950320dcb0b34be7505ade97b0423f56bc92b581cd704ef147a354",
+    _fd_scan("general -c -1/2", "3", "logconvexity", "1/10:19/10:33"):
+        "f09630b177c6603fca756b032b02fc5ef89693745ded1c26020dec027c3171c7",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_FD_SCAN), ids=" ".join)
+def test_golden_finite_difference_scan_bytes(argv):
+    code, out, err = invoke(list(argv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FD_SCAN[argv]
+
+
+def test_finite_difference_scan_errors_keep_their_text():
+    # a route's error propagates; the ode scan's collar is a domain error
+    with pytest.raises(OverflowError, match=r"^2nx is past the double range$"):
+        invoke(list(_fd_scan("szasz", "2", "logconvexity", "1:1e308:3")))
+    code, out, err = invoke(list(_fd_scan("general -c -1/2", "3", "ode", "1/10:2:5")))
+    assert (code, out) == (2, "")
+    assert err == "error: x=2.0 within 2h of the boundary of I_c = [0, 2]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    _fd_scan("general -c -1/2", "3", "logconvexity", "0:2:33"),
+    _fd_scan("general -c -1/3", "2", "logconvexity", "1/2:3:6"),
+])
+def test_logconvexity_scan_reaches_the_right_end(argv):
+    # a stencil point past sup (x = 2.0002 for the first) was reported as
+    # the user's point outside the domain
+    code, out, err = invoke(list(argv))
+    assert (code, err) == (0, "")
+    _, end, count = argv[-3].split(":")
+    doc = json.loads(out)["report"]
+    assert float(doc["grid"][-1]) == float(end)
+    assert len(doc["margins"]) == int(count)
+
+
 class TestErrors:
     def test_domain_violation_names_point_and_domain(self):
         code, _, err = invoke(["eval", "--family", "bernstein", "-n", "2", "-x", "1.5"])
@@ -865,6 +925,35 @@ class TestErrors:
         code, out, _ = invoke(["info", "--family", "general", "-c", "0"])
         assert code == 0
         assert "szasz" in out
+
+    @pytest.mark.parametrize("argv, head", [
+        (["eval", "--family", "szasz", "-n", "2", "-x", "1e400"], "option -x: '1e400' is past"),
+        (["bounds", "--family", "szasz", "-n", "2", "-x", "1e400"], "option -x: '1e400' is past"),
+        (["table", "--family", "szasz", "-n", "2", "--grid", "0:1e400:3"], "option --grid: '1e400' is past"),
+        (["table", "--family", "general", "-c", "-1/2", "-n", "2", "--grid=-1e400:1:3"], "option --grid: "),
+        (["scan", "--family", "szasz", "-n", "2", "--kind", "logconvexity", "--grid", "1:1e400:3"], "option --grid: "),
+        (["table", "--family", "szasz", "-n", "2", "--grid", "0:1/0:3"], "option --grid: '1/0' is not rational"),
+    ])
+    def test_point_past_the_double_range_is_a_usage_error(self, argv, head):
+        # float(Fraction) raised OverflowError (ZeroDivisionError for 1/0)
+        # out of the option's parse
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {head}") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the reader of stdout is gone before the first write: the write's
+    # BrokenPipeError ended in a traceback from the json writer
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sqsums.__file__))}
+    argv = [sys.executable, "-m", "sqsums", "bounds", "--family", "bernstein", "-n", "30", "--format", "json"]
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestValidation:

@@ -106,6 +106,14 @@ def test_twice_a_is_read_once_per_route():
     assert len(readers) == len(set(readers)) <= 3, readers
 
 
+@pytest.mark.parametrize("name", ["s_closed", "s_series", "s_quad"])
+def test_analysis_reads_no_scalar_route(name):
+    # the finite-difference scans take every stencil point's S from one
+    # grid call, not one scalar call per point
+    path = pathlib.Path(sqsums.__file__).parent / "analysis.py"
+    assert _functions_reading(ast.parse(path.read_text(), str(path)), name) == []
+
+
 def test_cli_writes_documents_to_the_stream():
     # each verb writes its document to the output stream as it is produced;
     # no function of the cli holds a whole text in a string buffer
