@@ -141,7 +141,8 @@ def _stencil_rows(params: Params, points: Sequence[tuple[float, float]]) -> Iter
     second-order inner one, which keeps the ODE residual at h^2 for the
     order tests; at an end (S(0) = 1 on the left) both are one-sided over
     x + k h, k = 0..3, with h = +-1e-4 inward.  The first error in the
-    order of the points and of their abscissas is raised.
+    order of the points and of their abscissas is raised, and after a
+    point's abscissas a DomainError where h^2 underflows to 0.
     """
     sup = math.inf if params.domain_sup is None else float(params.domain_sup)
     windows = []
@@ -152,12 +153,14 @@ def _stencil_rows(params: Params, points: Sequence[tuple[float, float]]) -> Iter
             h = (sup - x) / 4.0 if x < sup else 0.0
         if h == 0.0:
             h = 1e-4 if x <= 0 else -1e-4
-            windows.append((h, (x, x + h, x + 2 * h, x + 3 * h)))
+            windows.append((x, h, (x, x + h, x + 2 * h, x + 3 * h)))
         else:
-            windows.append((h, (x - 2 * h, x - h, x, x + h, x + 2 * h)))
-    values = iter(s_closed_grid(params, [t for _, window in windows for t in window]))
-    for h, window in windows:
+            windows.append((x, h, (x - 2 * h, x - h, x, x + h, x + 2 * h)))
+    values = iter(s_closed_grid(params, [t for _, _, window in windows for t in window]))
+    for x, h, window in windows:
         f = [_one([next(values)]).value for _ in window]
+        if h * h == 0.0:
+            raise DomainError(f"x={x}: the finite-difference step h={h} squares to 0 in double precision")
         if len(f) == 5:
             fm2, fm1, f0, f1, f2 = f
             yield f0, (fm2 - 8.0 * fm1 + 8.0 * f1 - f2) / (12.0 * h), (fm1 - 2.0 * f0 + f1) / (h * h)

@@ -382,16 +382,26 @@ def _point(text: str) -> Fraction:
     return value
 
 
+def _parameter(text: str) -> Fraction:
+    """A rational for -n or -c by ``_point``'s rule, which is also rejected
+    where its double is 0 but the value is not: the routes read n and c as
+    doubles, while 2a = 2n/c is formed from the exact values."""
+    value = _point(text)
+    if value and not float(value):
+        raise ValueError(f"{text!r} rounds to 0 as a double")
+    return value
+
+
 _HELP = _Opt("--help")
 _TOP = {"-h": _HELP, "--help": _HELP}  # the options before the verb
 _COMMON = (
     _Opt("--family", "operator family", choices=FAMILY_NAMES, required=True),
-    _Opt("-c", "family parameter (general only), rational", _rational),
+    _Opt("-c", "family parameter (general only), rational", _parameter),
 )
 # the layouts a verb writes
 _FORMAT = _Opt("--format", "output layout", choices=("text", "csv", "json"), default="text")
 _TEXT_JSON = _FORMAT._replace(choices=("text", "json"))
-_N = _Opt("-n", "operator index, rational", _rational, required=True)
+_N = _Opt("-n", "operator index, rational", _parameter, required=True)
 _RTOL = _Opt("--rtol", "relative tolerance", _positive(float), default=1e-12)
 _GRID = _Opt("--grid", "a:b:count", required=True)
 _COUNT = _Opt("--count", "points for exact/rational scans", _positive(int))

@@ -17,21 +17,23 @@ is one ``core._window_rows`` call, which raises ArithmeticError where the
 walk reaches its 10^7-term cap.  The closed forms of S and T are one pair
 grid, ``_closed_rows``, which classifies each pair (x, y) once and runs
 each kernel over all its pairs: ``s_closed_grid`` is its diagonal and
-``t_closed`` its one-pair call, so T(x, x) has the bits of S(x).  One
-quadrature ladder, ``_ladder``, serves S and, at a = n/c neither whole nor
-half-integer, the closed form's hand-over: it climbs level by level for
-all points still short of agreement, with the nodes of every point in one
-array.  One exact test (``_twice_a``), made once per route call,
-sorts a = n/c: where 2a is a whole number, at every c < 0 (a = -l) among
-them, the closed forms of S and T are one Legendre recurrence
-(``_legendre``, seeded by the AGM at half-integer a) and never hand over.
-S's quadrature decides its regime in one place, the plan
-``_s_quad_plan``: the integrand, the map from x to its parameter, the rule,
-the node count the ladder starts from, the stop's floor and the claim's
-rounding and tail bound.  ``s_quad_grid`` and the closed form's hand-over
-both run it.  For c > 0 it integrates a polynomial on Gauss-Chebyshev nodes
-at integer a and the same reflected integrand on a tanh-sinh rule at every
-other a; c = 0 runs on that rule too, within 1024 nodes up to n x = 1e9.
+``t_closed`` its one-pair call, so T(x, x) has the bits of S(x).  So is
+the quadrature, ``_quad_grid``, by T(x, y) = a factor times S's integral
+at a pair parameter: ``s_quad_grid`` is its diagonal, ``t_quad`` its
+one-pair call, and the closed form's hand-over (at a = n/c neither whole
+nor half-integer) runs its pairs.  One ladder, ``_ladder``, climbs level
+by level for all pairs still short of agreement, with their nodes in one
+array.  One exact
+test (``_twice_a``), made once per route call, sorts a = n/c: where 2a is
+a whole number, at every c < 0 (a = -l) among them, the closed forms of S
+and T are one Legendre recurrence (``_legendre``, seeded by the AGM at
+half-integer a) and never hand over.  The quadrature decides its regime in
+one place, the plan ``_s_quad_plan``: the integrand, the map from a pair
+(x, y) to its parameter and factor, the rule, the node count the ladder
+starts from, the stop's floor and the claim's rounding and tail bound.
+For c > 0 it integrates a polynomial on Gauss-Chebyshev nodes at integer
+a and the same reflected integrand on a tanh-sinh rule at every other a;
+c = 0 runs on that rule too, within 1024 nodes up to n x = 1e9.
 The c < 0 series is a log-space sum (``_neg_c_log_sum``), which no other
 route reads.
 
@@ -768,6 +770,12 @@ _ROUNDING_PER_A = 1e-15
 # ill-conditioned there.
 _NEG_C_ROUNDING = 4.0 * 2.0 ** -53
 
+# The Legendre recurrence takes about |a| steps, some 8 us each at one
+# point; past this many it raises rather than run for hours (2a = 2*10^300
+# at c = 1e-300, n = 1).  Every index the tests run is below it, l = 8190
+# the largest.
+_LEGENDRE_STEPS = 10 ** 5
+
 # Arithmetic-geometric mean steps of the half-integer seeds: they take
 # A <= 1.4e154, the largest with a finite A^2, to a ratio of the two means
 # within 1e-23 of 1 (A <= 1e4, u up to about 1e8, needs six).
@@ -865,20 +873,6 @@ def _legendre(two_a: int, ux, uy):
     return scale * q
 
 
-def _reflected(a: float, u: float, v: float) -> tuple:
-    """T's Laplace integral at u = cx, v = cy as S's reflected integrand at
-    s = B/g^2 times (g/B)^(2a), g = sqrt(uv) + sqrt((1+u)(1+v)) <= B: it runs
-    over (W+R)(1-t) + (W-R)t, R = sqrt(W^2-1), with W - R = B/g^2.  Where
-    u = v, g = B = 1 + 2u: S's own s = 1/(1+2cx) and the factor 1."""
-    if u == v:
-        return 1.0 / (1.0 + 2.0 * u), 1.0
-    b = 1.0 + u + v
-    if not math.isfinite(b):
-        raise OverflowError("1 + cx + cy is past the double range")
-    g = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v)
-    return b / g / g, (g / b) ** (2.0 * a)
-
-
 def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol: float) -> tuple:
     """The closed form of T at each pair of ``xs`` and ``ys`` (the EvalResult
     or the exception raised there), and the bound on the part of each value
@@ -893,7 +887,7 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
     rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
     out: list = [None] * len(xs)
     tails = [0.0] * len(xs)
-    bessel, legendre, hyp, quad = [], [], [], []  # (point, parameters) per kernel
+    bessel, legendre, hyp, quad = [], [], [], []  # (point, parameters) per kernel, and the hand-over's points
     for i, (x, y) in enumerate(zip(xs, ys)):
         try:
             params.require_in_domain(x)
@@ -920,6 +914,8 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
                     raise OverflowError(f"{'2nx' if xf == yf else '2n sqrt(x) sqrt(y)'} is past the double range")
                 bessel.append((i, (z, ((xf - yf) / (rx + ry)) ** 2)))
             elif two_a:
+                if abs(two_a) // 2 > _LEGENDRE_STEPS:
+                    raise ArithmeticError(f"|a| = |n/c| is past the {_LEGENDRE_STEPS} steps of the Legendre recurrence")
                 if not math.isfinite(1.0 + u + v):
                     raise OverflowError(f"1 + {'2cx' if u == v else 'cx + cy'} is past the double range")
                 legendre.append((i, (u, v)))
@@ -928,7 +924,7 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
                 z = (u / (1.0 + u)) ** 2 if u == v else (u / (1.0 + u)) * (v / (1.0 + v))
                 pref_log = -a * (math.log1p(u) + math.log1p(v))
                 if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-                    quad.append((i, (xf, *_reflected(a, u, v))))
+                    quad.append(i)
                 else:
                     hyp.append((i, (z, pref_log)))
         except Exception as exc:
@@ -961,12 +957,10 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
         _finish(out, hyp, _hyp2f1_rows(a, [z for _, (z, _) in hyp], rtol),
                 lambda p, s: _hyp_result(Method.CLOSED_FORM, p[1], *s))
     if quad:
-        # S's own ladder at s, from the node count S starts from at x
-        plan = _s_quad_plan(params, two_a)
-        rows, unscaled = _quad_rows(plan, [s for _, (_, s, _) in quad], [plan.first(x) for _, (x, _, _) in quad], qtol)
-        for (i, (_, _, scale)), r, tail in zip(quad, rows, unscaled):
-            tails[i] = scale * tail
-            out[i] = EvalResult(scale * r.value, Method.QUADRATURE, scale * r.err_estimate, r.terms_or_nodes)
+        # S's quadrature pair grid, from the node count S starts from
+        rows, quad_tails = _quad_grid(params, [xs[i] for i in quad], [ys[i] for i in quad], LADDER_START, qtol, two_a)
+        for i, row, tail in zip(quad, rows, quad_tails):
+            out[i], tails[i] = row, tail
     return out, tails
 
 
@@ -1078,22 +1072,18 @@ class _QuadPlan:
     """How S's quadrature runs at one parameter pair (``_s_quad_plan``): the
     integrand f(t, p) over the rule's interval (``t`` and ``p`` may be
     arrays of equal length, so the nodes of many points go in one call),
-    the map from x to p, the rule, the first node count at x > 0, the
+    the map from a pair (x, y) to p and the factor by which T(x, y) is the
+    integral at p, the rule, the first node count at p where x, y > 0, the
     absolute floor of the ladder's stop, the relative rounding the claim
     covers at least, and the bound on the mean the rule leaves out at p."""
 
     f: Callable
-    param: Callable[[float], float]
+    pair: Callable[[float, float], tuple]
     kind: RuleKind
     start: Callable[[float], int]
     floor: float
     rounding: float
     tail: Callable[[float], float]
-
-    def first(self, x: float) -> int:
-        """Node count the ladder starts from at x: 2 at x = 0, where every
-        integrand is constant."""
-        return 2 if x == 0.0 else self.start(x)
 
 
 def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
@@ -1109,6 +1099,25 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     below that it can pass over the small share of S near sigma = s^2 on
     two levels alike (from 16 nodes, at a from 5/4 to 200 and x up to 1e8,
     levels agreed within 1e-12 while 5e-13 off mpmath).
+
+    T(x, y) is a factor times the plan's integral at a pair parameter p
+    (``pair``), which where x = y (u = v at c != 0) is S's own p, to the
+    bit, with the factor 1.  With u = cx, v = cy, b = 1 + u + v,
+    A = sqrt(uv), B = sqrt((1+u)(1+v)) and g = A + B:
+
+    - c = 0: S's integral at mu = n sqrt(x) sqrt(y), times
+      exp(-n (sqrt(x) - sqrt(y))^2).
+    - c > 0: by Laplace's integral T = P_(a-1)(W)/b^a, W = 1 + 2uv/b, is
+      the mean of ((W+R)(1-t) + (W-R)t)^(a-1)/b^a, R = sqrt(W^2 - 1), and
+      W - R = b/g^2 = 1/(W+R): S's integrand at s = b/g^2 times (g/b)^(2a).
+    - c < 0: T = sum_k C(l,k)^2 A^(2k) B^(2(l-k)) is the mean over theta
+      of |A + B e^(i theta)|^(2l) (Parseval), that is of (g^2 - 4ABt)^l at
+      t = (1 - cos theta)/2.  As g^2 - (B-A)^2 = 4AB and B^2 - A^2 = b,
+      t -> 1 - t makes it g^(2l) (t + (1-t) p)^l with p = (b/g^2)^2, and
+      the m Chebyshev nodes (1 + cos((2j-1) pi/2m))/2 go to each other
+      (j -> m+1-j), so the rule's mean is the same sum, node for node.
+      g <= 1 by Cauchy-Schwarz on |u|, |v| <= 1, g = 1 where x = y, and
+      g = 0 (x = 0 at y = -1/c, or the other way round) gives T = 0.
     """
     n = params.n_float
     c = params.c_float
@@ -1120,9 +1129,15 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
         # purely relative; the rounding of the nodes' exponents was within
         # 3.3e-16 of the value on n x from 1e-3 to 1e9, and the integrand's
         # largest value is 1, at sigma = 0
+        def szasz(x, y):
+            if x == y:
+                return -4.0 * n * x, 1.0
+            rx, ry = math.sqrt(x), math.sqrt(y)  # sqrt(x) - sqrt(y) = (x - y)/(rx + ry) does not cancel
+            return -4.0 * n * (rx * ry), math.exp(-n * ((x - y) / (rx + ry)) ** 2)
+
         return _QuadPlan(
-            lambda sigma, p: np.exp(p * sigma), lambda x: -4.0 * n * x, RuleKind.TANH_SINH,
-            lambda x: _TANH_SINH_START // 2 << bisect.bisect(_SZASZ_START_EDGES, n * x), 0.0, 1e-15,
+            lambda sigma, p: np.exp(p * sigma), szasz, RuleKind.TANH_SINH,
+            lambda p: _TANH_SINH_START // 2 << bisect.bisect(_SZASZ_START_EDGES, -0.25 * p), 0.0, 1e-15,
             lambda p: _TS_TAIL,
         )
     # two exact levels of a polynomial integrand differ by rounding alone,
@@ -1132,19 +1147,39 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     if c < 0:
         l = params.l
         start = min(LADDER_MAX, max(2, (l + 2) // 2))
+
+        def neg_c(x, y):
+            u, v = c * x, c * y
+            if u == v:
+                return (1.0 + 2.0 * u) ** 2, 1.0
+            b = (1.0 + min(u, v)) + max(u, v)
+            g = math.sqrt(-u) * math.sqrt(-v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v)
+            return ((b / g / g) ** 2, g ** (2 * l)) if g else (1.0, 0.0)
+
         return _QuadPlan(
-            lambda t, p: (t + (1.0 - t) * p) ** l, lambda x: (1.0 + 2.0 * c * x) ** 2, RuleKind.CHEBYSHEV_01,
-            lambda x: start, 1e-13, _NEG_C_ROUNDING * l, lambda p: 0.0,
+            lambda t, p: (t + (1.0 - t) * p) ** l, neg_c, RuleKind.CHEBYSHEV_01,
+            lambda p: start, 1e-13, _NEG_C_ROUNDING * l, lambda p: 0.0,
         )
-    # Laplace's integral reflected through P_(a-1) = P_(-a): with
-    # p = 1/s^2 = (1+2cx)^2 the integrand is (1 - t + t/p)^(a-1) / sqrt(p)
+    a = n / c
+
+    def pos_c(x, y):
+        u, v = c * x, c * y
+        if u == v:
+            return 1.0 / (1.0 + 2.0 * u), 1.0
+        b = 1.0 + u + v
+        if not math.isfinite(b):
+            raise OverflowError("1 + cx + cy is past the double range")
+        g = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v)
+        return b / g / g, (g / b) ** (2.0 * a)
+
+    # Laplace's integral at s = 1/(1+2cx), T's at a pair's s
     if two_a and two_a % 2 == 0:
         # at integer a a polynomial of degree a-1 in t
         degree = two_a // 2 - 1
         start = min(LADDER_MAX, max(2, (degree + 2) // 2))
         return _QuadPlan(
-            lambda t, s: s * (1.0 - t + t * (s * s)) ** degree, lambda x: 1.0 / (1.0 + 2.0 * c * x),
-            RuleKind.CHEBYSHEV_01, lambda x: start, 1e-13, _ROUNDING_PER_A * (two_a // 2), lambda s: 0.0,
+            lambda t, s: s * (1.0 - t + t * (s * s)) ** degree, pos_c,
+            RuleKind.CHEBYSHEV_01, lambda s: start, 1e-13, _ROUNDING_PER_A * (two_a // 2), lambda s: 0.0,
         )
     # elsewhere it changes sharply at 1 - t of about s^2, so the tanh-sinh
     # rule passes sigma = 1 - t itself.  S can be far below 1e-13 here, so
@@ -1152,51 +1187,55 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     # and the mean the rule leaves out, _TS_TAIL times the integrand's
     # largest value, s at sigma = 1 or s^(2a-1) at sigma = 0 (inf where s
     # underflows)
-    a = n / c
     return _QuadPlan(
-        lambda sigma, s: s * (sigma + (1.0 - sigma) * (s * s)) ** (a - 1.0), lambda x: 1.0 / (1.0 + 2.0 * c * x),
-        RuleKind.TANH_SINH, lambda x: _TANH_SINH_START, 0.0, _ROUNDING_PER_A * (a + 6.0),
+        lambda sigma, s: s * (sigma + (1.0 - sigma) * (s * s)) ** (a - 1.0), pos_c,
+        RuleKind.TANH_SINH, lambda s: _TANH_SINH_START, 0.0, _ROUNDING_PER_A * (a + 6.0),
         lambda s: _TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf,
     )
 
 
-def _quad_rows(plan: _QuadPlan, ps: Sequence, ms: Sequence[int], rtol: float) -> tuple:
-    """S's quadrature ladder (``_ladder``) on ``plan`` at each parameter of
-    ``ps`` from ``ms`` nodes: the EvalResults, each claiming the last
-    difference of levels, at least the plan's rounding of the integrand,
-    plus the bound on the mean the rule leaves out, and that bound alone."""
-    tails = [plan.tail(p) for p in ps]
-    values, diffs, nodes = _ladder(plan.f, plan.kind, ps, ms, rtol, plan.floor)
-    rows = zip(values, diffs, tails, nodes)
-    return [EvalResult(v, Method.QUADRATURE, max(d, plan.rounding * abs(v)) + t, m) for v, d, t, m in rows], tails
+def _quad_grid(params: Params, xs: Sequence, ys: Sequence, m: int, rtol: float, two_a: int | None = None) -> tuple:
+    """T(x, y) at each pair of ``xs`` and ``ys``, S(x) to the bit where
+    x = y: the plan's integral at the pair's parameter times its factor
+    (``_s_quad_plan``, at ``two_a`` where the caller has sorted a), one
+    ``_ladder`` from max(m, the plan's first node count) nodes, 2 where x
+    or y is 0.  Returns the EvalResult or the exception at each pair, each
+    claiming the last difference of levels, at least the plan's rounding,
+    plus the bound on the mean the rule leaves out, all times the factor;
+    and that bound times the factor (0 where it raised)."""
+    if m < 2:
+        raise ValueError("need m >= 2 quadrature nodes")
+    plan = _s_quad_plan(params, _twice_a(params) if two_a is None else two_a)
+    out: list = [None] * len(xs)
+    tails = [0.0] * len(xs)
+    rows = []  # (pair, parameter, factor, first node count)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        try:
+            params.require_in_domain(x)
+            if y is not x:  # S's points are checked once
+                params.require_in_domain(y)
+            xf, yf = float(x), float(y)
+            p, factor = plan.pair(xf, yf)
+            rows.append((i, p, factor, max(m, 2 if xf == 0.0 or yf == 0.0 else plan.start(p))))
+        except Exception as exc:
+            out[i] = exc
+    if rows:
+        points, ps, factors, ms = zip(*rows)
+        ladder = _ladder(plan.f, plan.kind, ps, ms, rtol, plan.floor)
+        for i, p, factor, v, d, nodes in zip(points, ps, factors, *ladder):
+            tail = plan.tail(p)
+            tails[i] = factor * tail
+            out[i] = EvalResult(factor * v, Method.QUADRATURE, factor * (max(d, plan.rounding * abs(v)) + tail), nodes)
+    return out, tails
 
 
 def s_quad_grid(
     params: Params, xs: Sequence[float], m: int = LADDER_START, rtol: float = RTOL_DEFAULT
 ) -> list:
-    """``s_quad`` at every point of ``xs``.
-
-    The points climb one ``_ladder``, so every point has the bits of the
-    one-point ladder.
-    """
-    if m < 2:
-        raise ValueError("need m >= 2 quadrature nodes")
-    plan = _s_quad_plan(params, _twice_a(params))
-    out: list = [None] * len(xs)
-    points, ms, ps = [], [], []
-    for i, x in enumerate(xs):
-        try:
-            params.require_in_domain(x)
-            xf = float(x)
-            ms.append(max(m, plan.first(xf)))
-            ps.append(plan.param(xf))
-            points.append(i)
-        except Exception as exc:
-            out[i] = exc
-    if points:
-        for i, r in zip(points, _quad_rows(plan, ps, ms, rtol)[0]):
-            out[i] = r
-    return out
+    """``s_quad`` at every point of ``xs``: the diagonal of T's quadrature
+    pair grid (``_quad_grid``), whose one ladder gives every point the
+    bits of the one-point ladder."""
+    return _quad_grid(params, xs, xs, m, rtol)[0]
 
 
 def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_DEFAULT) -> EvalResult:
@@ -1223,6 +1262,17 @@ def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_D
 # ---------------------------------------------------------------------------
 
 
+def _kernel_value(rows: list, tails: list) -> float:
+    """The value of a one-pair grid of T, or ArithmeticError where the part
+    of the integral beyond the tanh-sinh rule's ends may exceed RTOL_DEFAULT
+    of it (a < 1 with s^2 near or past the rule's 4.6e-62, x, y of 1e18 and
+    beyond; c = 0 where the integral underflows)."""
+    value = _one(rows).value
+    if tails[0] > RTOL_DEFAULT * value:
+        raise ArithmeticError("the kernel integrand peaks past the reach of the tanh-sinh rule")
+    return value
+
+
 def t_closed(params: Params, x: float, y: float) -> float:
     """Kernel value from the closed forms: the one-pair call of the pair
     grid (``_closed_rows``) whose diagonal is ``s_closed``, so T(x, x) has
@@ -1232,68 +1282,22 @@ def t_closed(params: Params, x: float, y: float) -> float:
     it is P_(a-1)(W)/B^a with B = 1 + cx + cy and W = 1 + 2c^2xy/B
     (``_legendre``; for c < 0 the polynomial B^l P_l(W)), and nothing hands
     over.  At any other a, past Z_SWITCH or with powers beyond the double
-    range, it climbs the tanh-sinh ladder of ``s_quad`` on the reflected
-    kernel integrand, and raises ArithmeticError where the part of the
-    integral beyond the rule's ends may exceed RTOL_DEFAULT of the value.
-    Where B overflows it raises OverflowError at whole 2a, and off the
-    diagonal at every other c > 0; at c = 0 it does where
+    range, it climbs the tanh-sinh ladder of ``s_quad`` at T's pair
+    parameter (``_quad_grid``), and raises ArithmeticError where the part of
+    the integral beyond the rule's ends may exceed RTOL_DEFAULT of the
+    value.  Where B overflows it raises OverflowError at whole 2a, and off
+    the diagonal at every other c > 0; at c = 0 it does where
     2n sqrt(x) sqrt(y) overflows.
     """
-    (row,), (tail,) = _closed_rows(params, [x], [y], RTOL_DEFAULT)
-    value = _one([row]).value
-    if tail > RTOL_DEFAULT * value:
-        # a < 1 with s^2 near or past the rule's 4.6e-62 (x, y of 1e18 and
-        # beyond): the part of the integral it cannot sample may matter
-        raise ArithmeticError("the kernel integrand peaks past the reach of the tanh-sinh rule")
-    return value
+    return _kernel_value(*_closed_rows(params, [x], [y], RTOL_DEFAULT))
 
 
-def _t_integrand(params: Params, x: float, y: float):
-    """The kernel integrand over the rule's interval as f(t, _), whose
-    second argument is ``_means``'s point parameter and unused, and the
-    rule kind it uses."""
-    n = params.n_float
-    c = params.c_float
-    if c == 0.0:
-        # exp(-n (sqrt(x) - sqrt(y))^2) times S's integrand at mu = n sqrt(xy);
-        # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
-        rx, ry = math.sqrt(x), math.sqrt(y)
-        spread, root4 = ((x - y) / (rx + ry)) ** 2 if x != y else 0.0, 4.0 * rx * ry
-
-        def f(sigma: np.ndarray, _) -> np.ndarray:
-            return np.exp(-n * (spread + root4 * sigma))
-
-        return f, RuleKind.TANH_SINH
-
-    aa = abs(c) * math.sqrt(x * y)
-    bb = math.sqrt((1.0 + c * x) * (1.0 + c * y))
-    s2 = (aa + bb) ** 2
-    cross = 4.0 * aa * bb
-
-    if c < 0:
-        l = params.l
-
-        def f(t: np.ndarray, _) -> np.ndarray:
-            return (s2 - cross * t) ** l
-
-        return f, RuleKind.CHEBYSHEV_01
-
-    e = -n / c
-
-    def f(t: np.ndarray, _) -> np.ndarray:
-        return np.exp(e * np.log(s2 - cross * t))
-
-    return f, RuleKind.CHEBYSHEV_01
-
-
-def t_quad(params: Params, x: float, y: float, m: int = 64) -> float:
-    """Kernel value from the integral representation at a fixed node count:
-    Gauss-Chebyshev for c != 0, and for c = 0 the tanh-sinh rule on S's
-    integrand at mu = n sqrt(xy) times exp(-n (sqrt(x) - sqrt(y))^2)."""
-    if m < 2:
-        raise ValueError("need m >= 2 quadrature nodes")
-    params.require_in_domain(x)
-    params.require_in_domain(y)
-    f, kind = _t_integrand(params, float(x), float(y))
-    (value,) = _means(f, kind, [0.0], [m])
-    return value
+def t_quad(params: Params, x: float, y: float, m: int = LADDER_START) -> float:
+    """Kernel value from quadrature: the one-pair call of the pair grid
+    (``_quad_grid``) whose diagonal is ``s_quad_grid``, so T(x, x) has the
+    bits of ``s_quad(params, x, m).value``.  m is the ladder's start, as in
+    ``s_quad``, and rtol RTOL_DEFAULT.  It raises ArithmeticError where the
+    part of the integral beyond the tanh-sinh rule's ends may exceed
+    RTOL_DEFAULT of the value, as ``t_closed`` does, and OverflowError off
+    the diagonal at c > 0 where 1 + cx + cy overflows."""
+    return _kernel_value(*_quad_grid(params, [x], [y], m, RTOL_DEFAULT))

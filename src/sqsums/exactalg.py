@@ -430,7 +430,10 @@ class RationalFn:
     evaluation take no polynomial gcd; ``pair`` is the stored (N, D).
     ``num`` and ``den`` are the lowest-terms pair, computed by one gcd on
     first use and cached; hashing, serialization, ``repr``,
-    ``is_polynomial`` and float evaluation use it.
+    ``is_polynomial`` and float evaluation use it.  It carries the x-level
+    residuals (``ode_residual_poly``, ``heun_residual``) and the rational
+    witnesses, the independent check of the series-variable path that
+    ``verify`` runs.
     """
 
     __slots__ = ("_n", "_d", "_reduced")
@@ -958,7 +961,13 @@ def _cleared_residual(f: RationalFn, op: OdeSpec) -> RationalFn:
 
 
 def ode_residual_poly(y: Union[RationalPoly, RationalFn], ode: OdeSpec) -> RationalFn:
-    """Exact residual of the named equation applied to y; zero iff y solves it."""
+    """Exact residual of the named equation applied to y; zero iff y solves it.
+
+    No verb runs it: ``verify`` moves each operator to the series variable
+    (``moved_operators``).  It stays as the independent x-level witness of
+    that path; ``test_criterion_04_ode_and_heun_solutions`` in
+    ``tests/test_acceptance.py`` holds both at every n up to 30.
+    """
     f = y if isinstance(y, RationalFn) else RationalFn(y)
     return _cleared_residual(f, ode)
 
@@ -1028,7 +1037,8 @@ def heun_residual(
     ``transform='negate'`` first substitutes X -> -X into y, matching the
     reflected-argument solutions of the positive-c families.  The residual
     is an exact rational function; it is the zero function iff y solves the
-    equation identically.
+    equation identically.  Like ``ode_residual_poly`` it is the x-level
+    witness of the series-variable path that ``verify`` runs.
     """
     if transform not in _TRANSFORMS:
         raise ValueError(f"transform must be one of {_TRANSFORMS}, got {transform!r}")

@@ -11,6 +11,7 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+from sqsums import families
 from sqsums.core import FamilyId, Params
 from sqsums.analysis import logconvexity_scan, ode_residual_scan
 from sqsums.bounds import bound_values, standard_grid
@@ -116,6 +117,12 @@ def test_criterion_04_ode_and_heun_solutions():
 
             assert ode_residual_poly(j_rational(n), eq_j(n)).is_zero, ("J", n)
             assert ode_residual_poly(u_rational(n), eq_u(n)).is_zero, ("U", n)
+        # the x-level residuals above are an independent witness of the
+        # series-variable path that verify runs, which holds at the same n
+        for key in ("bernstein", "baskakov", "mkz", "bbh"):
+            for name, check in families.FAMILIES[key].items:
+                if name in ("ode", "heun"):
+                    assert check(range(1, 31)), (key, name)
         ok = True
     finally:
         _record("4 exact differential-equation and Heun residuals, n <= 30", ok)

@@ -296,9 +296,10 @@ class TestFiniteDifferenceStencils:
         assert calls == [abscissas]
 
     def test_first_error_in_point_order(self):
-        # at x = 1e-300 the step's square underflows and S'' divides by 0
-        # before the next point's closed form overflows, and the other way round
-        with pytest.raises(ZeroDivisionError):
+        # at x = 1e-300 the step's square underflows, which S'' would divide
+        # by, before the next point's closed form overflows, and the other
+        # way round
+        with pytest.raises(DomainError, match="h=2.5e-301 squares to 0"):
             logconvexity_scan(Params(2, 0), grid=[1e-300, 1e308])
         with pytest.raises(OverflowError, match="2nx"):
             logconvexity_scan(Params(2, 0), grid=[1e308, 1e-300])

@@ -941,6 +941,32 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {head}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, head", [
+        (["eval", "--family", "szasz", "-n", "1e400", "-x", "1"], "option -n: '1e400' is past the double range"),
+        (["eval", "--family", "general", "-c", "1e400", "-n", "1", "-x", "1"], "option -c: '1e400' is past"),
+        (["eval", "--family", "general", "-c", "1e-400", "-n", "1", "-x", "1"], "option -c: '1e-400' rounds to 0"),
+        (["eval", "--family", "szasz", "-n", "1e-400", "-x", "1"], "option -n: '1e-400' rounds to 0"),
+        (["bounds", "--family", "general", "-c", "-1e-400", "-n", "1", "-x", "1"], "option -c: '-1e-400' rounds"),
+        (["table", "--family", "szasz", "-n", "1e400", "--grid", "0:1:3"], "option -n: '1e400' is past"),
+    ])
+    def test_parameter_outside_the_double_range_is_a_usage_error(self, argv, head):
+        # n's or c's double was inf, an OverflowError out of Params.n_float
+        # or c_float, or 0 while the value was not, and 2a = 2n/c at c's
+        # double 0 (2*10^400 at c = 1e-400) overflowed in the series
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {head}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--family", "szasz", "-n", "2", "--kind", "logconvexity", "--grid", "0:1e-300:3"],
+        ["scan", "--family", "szasz", "-n", "2", "--kind", "ode", "--grid", "1:2:3", "--step", "1e-200"],
+    ])
+    def test_step_whose_square_underflows_is_a_domain_error(self, argv):
+        # S'' divided by h*h = 0: a ZeroDivisionError traceback
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: x=") and "squares to 0" in err and err.count("\n") == 1
+
 
 def test_closed_stdout_exits_without_a_traceback():
     # the reader of stdout is gone before the first write: the write's

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -556,6 +559,12 @@ def _plan(params):
     return evalnum._s_quad_plan(params, evalnum._twice_a(params))
 
 
+def _first(params, x):
+    """The node count S's ladder starts from at x > 0."""
+    plan = _plan(params)
+    return plan.start(plan.pair(x, x)[0])
+
+
 def _t_reflected(params, x, y):
     """S's reflected integrand and rule, the parameter s = B/g^2 of T's
     Laplace integral and its factor (g/B)^(2a), g = sqrt(uv) + sqrt((1+u)(1+v));
@@ -685,10 +694,11 @@ def test_s_quad_grid_first_level_at_the_cap():
     plan = _plan(params)
     got = s_quad_grid(params, xs)
     for i in (0, 2):
-        assert plan.first(xs[i]) == LADDER_MAX
+        p, factor = plan.pair(xs[i], xs[i])
+        assert factor == 1.0 and plan.start(p) == LADDER_MAX
         assert got[i] == s_quad(params, xs[i])
         assert (got[i].value, got[i].err_estimate, got[i].terms_or_nodes) == (
-            _means(plan.f, plan.kind, [plan.param(xs[i])], [LADDER_MAX])[0],
+            _means(plan.f, plan.kind, [p], [LADDER_MAX])[0],
             math.inf,
             LADDER_MAX,
         )
@@ -826,11 +836,11 @@ def test_integer_a_quadrature_starts_at_its_exact_node_count():
     # one needs (l+2)//2; two exact levels then agree at once
     for a, c in [(1, Fraction(1, 3)), (2, Fraction(1)), (33, Fraction(2)), (300, Fraction(1, 2)), (9000, Fraction(1))]:
         params = Params(a * c, c)
-        assert _plan(params).first(1e6) == min(LADDER_MAX, max(2, (a + 1) // 2))
+        assert _first(params, 1e6) == min(LADDER_MAX, max(2, (a + 1) // 2))
         if a < 9000:
             (r,) = s_quad_grid(params, [1e6])
             assert r.terms_or_nodes == 2 * max(LADDER_START, (a + 1) // 2)
-    assert _plan(Params(2.001, 1)).first(1e6) == _TANH_SINH_START  # the tanh-sinh rule at every x
+    assert _first(Params(2.001, 1), 1e6) == _TANH_SINH_START  # the tanh-sinh rule at every x
 
 
 @pytest.mark.parametrize(
@@ -1273,7 +1283,28 @@ def test_szasz_quadrature_never_reaches_the_cap():
     xs = _SZASZ_MUS + [1e9]
     for q in s_quad_grid(Params(1, 0), xs):
         assert q.terms_or_nodes <= 1024 < LADDER_MAX and math.isfinite(q.err_estimate)
-    assert max(map(_plan(Params(1, 0)).first, xs)) == 512
+    assert max(_first(Params(1, 0), x) for x in xs) == 512
+
+
+def test_legendre_recurrence_past_its_cap_raises_at_once():
+    # a = 10^300 (c = 10^-300, n = 1) ran the recurrence's 10^300 steps, and
+    # l = 10^6 its 8 s; past _LEGENDRE_STEPS each raises before the loop.
+    # A child process bounds the run, so a loop that starts fails the test
+    code = (
+        "from fractions import Fraction\n"
+        "from sqsums import Params, s_closed, t_closed\n"
+        "big = Params(1, Fraction(1, 10 ** 300)), Params(10 ** 6, -1), Params(Fraction(100001, 2), Fraction(1, 2))\n"
+        "for params in big:\n"
+        "    for route, args in ((s_closed, (0.5,)), (t_closed, (0.5, 0.25))):\n"
+        "        try:\n"
+        "            route(params, *args)\n"
+        "        except ArithmeticError as exc:\n"
+        "            assert 'Legendre' in str(exc), exc\n"
+        "        else:\n"
+        "            raise AssertionError(params)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(evalnum.__file__))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=20)
 
 
 def test_szasz_closed_form_past_the_double_range_raises():
@@ -1327,6 +1358,117 @@ def test_szasz_kernel_quadrature_against_mpmath():
         assert abs(q - want) <= rounding * want, (n, x, y, q)
         t = t_closed(Params(n, 0), x, y)
         assert abs(t - want) <= (rounding + 2e-14) * want, (n, x, y, t)
+
+
+def _exact_t(params, x, y):
+    """T(x, y) as an exact finite sum at the float inputs, with u = |c|x and
+    v = |c|y: sum_k C(l,k)^2 (uv)^k ((1-u)(1-v))^(l-k) at every c < 0, and
+    at c = 1 with integer n Euler's transformation of 2F1(n, n; 1; rho),
+    ((1+x)(1+y))^(-n) (1-rho)^(1-2n) sum_(k<n) C(n-1,k)^2 rho^k with
+    rho = xy/((1+x)(1+y)); None elsewhere.
+
+    At c < 0 u and v are the doubles the routes form, as in the sweep of
+    ``_NEG_C_ROUNDING`` (exact at c = -1 and -1/2): near y = -1/c, T is
+    ill-conditioned in 1 - v, and the rounding of cy alone moved it by
+    1.9e-12 at c = -1/3, l = 30, x = 0.1, y = 3 - 1.2e-10."""
+    c, x, y = params.c, Fraction(x), Fraction(y)
+    if c < 0:
+        l, u, v = params.l, -Fraction(params.c_float * float(x)), -Fraction(params.c_float * float(y))
+        return sum(math.comb(l, k) ** 2 * (u * v) ** k * ((1 - u) * (1 - v)) ** (l - k) for k in range(l + 1))
+    if c == 1 and params.n.denominator == 1:
+        n, rho = int(params.n), x * y / ((1 + x) * (1 + y))
+        series = sum(math.comb(n - 1, k) ** 2 * rho ** k for k in range(n))
+        return ((1 + x) * (1 + y)) ** -n * (1 - rho) ** (1 - 2 * n) * series
+    return None
+
+
+def _oracle_t(mpmath, params, x, y):
+    """T(x, y) exactly where ``_exact_t`` has it, else at 40 digits: the
+    c = 0 Bessel form, or ((1+u)(1+v))^(-a) 2F1(a, a; 1; z) at c > 0."""
+    exact = _exact_t(params, x, y)
+    if exact is not None:
+        return exact
+    if params.c == 0:
+        return _szasz_t(mpmath, params.n_float, x, y)
+    with mpmath.workdps(40):
+        c = _mpf(mpmath, params.c)
+        a, u, v = _mpf(mpmath, params.n) / c, c * _mpf(mpmath, x), c * _mpf(mpmath, y)
+        return mpmath.hyp2f1(a, a, 1, u * v / ((1 + u) * (1 + v)), maxterms=10 ** 6) / ((1 + u) * (1 + v)) ** a
+
+
+def _kernel_sweep():
+    """(params, x, y) of the kernel sweep: the table of t_quad errors in
+    ROADMAP.md, both sides of Z_SWITCH and _EXP_GUARD on and off the
+    diagonal, and random pairs at each c, near c < 0's endpoint and its
+    x + y = -1/c among them."""
+    cases = [
+        (Params(n, c), x, y)
+        for n, c, x, y in [(1, 1, 100.0, 100.0), (5, 1, 30.0, 10.0), (25, 1, 100.0, 100.0),
+                           (25, 1, 1000.0, 500.0), (5, 2, 1000.0, 500.0), (5, 0, 1000.0, 500.0)]
+    ]
+    cases += [(Params(n, c), x, y) for n, c, x, y in _hand_over_cases()]
+    # off the diagonal at y = 2x: z = (u/(1+u)) (v/(1+v)) past Z_SWITCH,
+    # and a (log1p(u) + log1p(v)) past _EXP_GUARD
+    for n, c in [(Fraction(4, 3), 1), (Fraction(7, 3), Fraction(1, 2)), (Fraction(801, 4), 1), (Fraction(2102, 3), 2)]:
+        a, cf = float(n / c), float(c)
+        if a < 100:
+            at = _first_float(
+                lambda x: cf * x / (1.0 + cf * x) * (cf * 2.0 * x / (1.0 + cf * 2.0 * x)) > Z_SWITCH, 1.0, 1e4)
+        else:
+            at = _first_float(lambda x: -a * (math.log1p(cf * x) + math.log1p(cf * 2.0 * x)) < -_EXP_GUARD, 1e-3, 1e3)
+        cases += [(Params(n, c), x, 2.0 * x) for x in (math.nextafter(at, 0.0), at)]
+    rng = np.random.default_rng(33)
+    for c, ns in [
+        (Fraction(-1), [1, 3, 25, 120]),
+        (Fraction(-1, 2), [Fraction(5, 2), 12]),
+        (Fraction(-1, 3), [Fraction(7, 3), 10]),
+        (Fraction(0), [1, 5, 25]),
+        (Fraction(1, 3), [Fraction(1, 9), Fraction(7, 3), 5]),
+        (Fraction(1, 2), [Fraction(1, 4), 3, Fraction(61, 2)]),
+        (Fraction(1), [1, 5, 25, Fraction(5, 2), Fraction(4, 3)]),
+        (Fraction(2), [5, 7, Fraction(9, 4)]),
+    ]:
+        for n in ns:
+            params = Params(n, c)
+            for _ in range(6):
+                if c < 0:
+                    end = float(-1 / c)
+                    x = end * rng.uniform()
+                    # anywhere, near x + y = -1/c, or near the end
+                    ys = [end * rng.uniform(), end - x * rng.uniform(0.99, 1.01)]
+                    y = (ys + [end * (1 - 10.0 ** rng.uniform(-12, -2))])[rng.integers(3)]
+                else:
+                    x = 10.0 ** rng.uniform(-3, 6)
+                    y = [10.0 ** rng.uniform(-3, 6), x * 10.0 ** rng.uniform(-0.3, 0.3)][rng.integers(2)]
+                cases.append((params, x, min(y, float(params.domain_sup)) if c < 0 else y))
+    return cases
+
+
+def test_kernel_routes_against_exact_and_mpmath():
+    # t_quad and t_closed off the diagonal against the exact T at c < 0 and
+    # at c = 1 with integer n, and 40-digit mpmath elsewhere, all at the
+    # float inputs.  t_quad is within (|a| + 16) 1e-15 at c != 0, a = n/c,
+    # and at c = 0 within 1e-15; t_closed within the claim of its pair row.
+    # At c = 0 both add the rounding of the exponent n (sqrt(x) - sqrt(y))^2,
+    # which the row's claim leaves out.  A T below the normal range is left
+    # out, where a relative bound means nothing
+    mpmath = pytest.importorskip("mpmath")
+    for params, x, y in _kernel_sweep():
+        want = _oracle_t(mpmath, params, x, y)
+        if want < 1e-300:
+            continue
+        spread = 2.0 ** -50 * params.n_float * (math.sqrt(x) - math.sqrt(y)) ** 2 if params.c == 0 else 0.0
+        (row,), _ = evalnum._closed_rows(params, [x], [y], RTOL_DEFAULT)
+        assert row.value == t_closed(params, x, y)
+        bounds = [((abs(params.n / params.c) + 16) * 1e-15 if params.c else 1e-15), row.err_estimate / row.value]
+        for name, got, claim in zip(("t_quad", "t_closed"), (t_quad(params, x, y), row.value), bounds):
+            claim += spread
+            if isinstance(want, Fraction):
+                err = abs(Fraction(got) / want - 1)
+            else:
+                with mpmath.workdps(40):
+                    err = abs(mpmath.mpf(got) / want - 1)
+            assert err <= claim, (name, params, x, y, got, float(err))
 
 
 def test_tanh_sinh_levels_have_the_bits_of_the_rule():
@@ -1465,13 +1607,17 @@ def _outcome_of(f, *args):
 
 # sha256 of every value, err_estimate and terms_or_nodes (the value alone
 # for T), or exception repr, over ``_bit_pin_cases``: recorded before S's
-# quadrature moved to one plan per parameter pair
+# quadrature moved to one plan per parameter pair.  t_quad's entry was
+# re-recorded when T's quadrature became S's plan at a pair parameter
+# (5c8c5144... before): 4589 of its 5148 outcomes moved, and its worst
+# |t_quad/t_closed - 1| fell from 1.0 to 2.2e-12 (l = 8190); at c = 0,
+# x = y = 1e307 and 1e308 it now raises ArithmeticError where it returned 0
 FLOAT_ROUTE_BITS = {
     "s_series_grid": "f4ddf3ee1c4f23295fd4a7513186ded71a8068493bc9d64dd8e424bd788fa980",
     "s_closed_grid": "84ad1b78bff3a8933d28489a2e1129a1acf7056f744b2e16522652e9fa0f0a3e",
     "s_quad_grid": "7ee04deb7d00bcf9f9dfad4bdcc8201f71d595691017902aa30329e9e9994a4e",
     "t_closed": "2e042ea7cb370f66b70d78581546d1e40c83771dc0574a4d687c6ec2d6057752",
-    "t_quad": "5c8c5144634e6ba02f1cd8fbf7b77c24c4a8a8de1a61ad0ec06b4468aeafe778",
+    "t_quad": "7ef4ec94e3592c07e2df74f6083b66b6262dcaac242aa82c15fecd63bdfe8f8b",
 }
 
 

@@ -51,14 +51,15 @@ def test_only_the_family_records_dispatch_on_family_names():
 
 
 def _functions_reading(tree, name: str) -> list:
-    """The functions (by qualified name) whose own bodies load ``name``."""
+    """The functions (by qualified name) whose own bodies load ``name``,
+    bare or as an attribute (``RuleKind.CHEBYSHEV_01``)."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, (*scope, child.name))
-            elif isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+            elif getattr(child, "id", getattr(child, "attr", None)) == name and isinstance(child.ctx, ast.Load):
                 found.append(".".join(scope) or "<module>")
             else:
                 visit(child, scope)
@@ -97,6 +98,12 @@ def test_quadrature_regime_is_decided_by_its_plan(name):
     # S's quadrature decides its rule, first node count and claim in one
     # plan, which its route and the closed form's hand-over both read
     assert set(_package_readers(name)) == {"evalnum.py:_s_quad_plan"}
+
+
+def test_only_the_quadrature_plan_picks_the_chebyshev_rule():
+    # T's quadrature is S's plan at a pair parameter: no second integrand
+    # of T chooses its own rule
+    assert set(_package_readers("CHEBYSHEV_01")) == {"evalnum.py:_s_quad_plan"}
 
 
 def test_twice_a_is_read_once_per_route():
