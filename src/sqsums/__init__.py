@@ -14,7 +14,6 @@ from .core import (
     Params,
     basis,
     basis_sum,
-    gen_binom,
 )
 from .evalnum import (
     EvalResult,
@@ -62,7 +61,6 @@ __all__ = [
     "f_poly_direct",
     "f_poly_parseval",
     "g_rational",
-    "gen_binom",
     "heun_residual",
     "hyp2f1_diag",
     "j_rational",

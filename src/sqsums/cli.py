@@ -532,6 +532,9 @@ def main() -> None:
         # docs): devnull takes what is left, so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except ArithmeticError as exc:  # a route could not finish: past a cap, or an overflow
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
     sys.exit(code)
 
 

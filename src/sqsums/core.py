@@ -28,7 +28,6 @@ __all__ = [
     "RationalLike",
     "basis",
     "basis_sum",
-    "gen_binom",
 ]
 
 RationalLike = Union[int, float, str, Fraction]
@@ -94,21 +93,43 @@ class _Interval(NamedTuple):
         return "[0, +inf)" if self.sup is None else f"[0, {self.sup}{']' if self.closed else ')'}"
 
 
+class _OnDomain:
+    """The domain accessors of a record with a ``_domain``; the record words
+    the DomainError of a point outside it (``_outside``)."""
+
+    _domain: _Interval
+
+    @property
+    def domain_sup(self) -> Optional[Fraction]:
+        """Right endpoint of the domain (None when unbounded)."""
+        return self._domain.sup
+
+    def domain_str(self) -> str:
+        return str(self._domain)
+
+    def in_domain(self, x: Real) -> bool:
+        return x in self._domain
+
+    def require_in_domain(self, x: Real) -> None:
+        if x not in self._domain:
+            raise DomainError(self._outside(x))
+
+
 @dataclass(frozen=True)
-class Params:
+class Params(_OnDomain):
     """Validated operator parameters.
 
     ``n`` is the (positive) operator index and ``c`` the family parameter.
     For ``c < 0`` the index must satisfy ``n = -c*l`` for a natural ``l``,
-    checked exactly on rationals (``l`` may be supplied or is inferred); for
-    ``c >= 0`` any positive rational index is admissible.  Floats are
-    converted to their exact binary rational, so dyadic inputs like
+    checked exactly on rationals, and ``l`` is inferred (None for
+    ``c >= 0``, where any positive rational index is admissible).  Floats
+    are converted to their exact binary rational, so dyadic inputs like
     ``c = -0.5`` validate exactly.
     """
 
     n: Fraction
     c: Fraction
-    l: Optional[int] = None
+    l: Optional[int] = field(init=False)
     _domain: _Interval = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,21 +137,14 @@ class Params:
         c = _as_fraction(self.c, "c")
         if n <= 0:
             raise ParameterError(f"operator index must be positive, got n={n}")
-        if c >= 0:
-            if self.l is not None:
-                raise ParameterError("l is only meaningful for c < 0")
-            l = None
-        else:
+        l = None
+        if c < 0:
             ratio = -n / c
             if ratio.denominator != 1 or ratio < 1:
                 raise ParameterError(
                     f"need n = -c*l with natural l, got n={n}, c={c} (l would be {ratio})"
                 )
             l = int(ratio)
-            if self.l is not None and self.l != l:
-                raise ParameterError(
-                    f"supplied l={self.l} inconsistent with n = -c*l (expected l={l})"
-                )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "l", l)
@@ -144,35 +158,37 @@ class Params:
     def c_float(self) -> float:
         return float(self.c)
 
-    @property
-    def domain_sup(self) -> Optional[Fraction]:
-        """Right endpoint of I_c (None for unbounded families)."""
-        return self._domain.sup
+    def _outside(self, x: Real) -> str:
+        return f"x={x} outside the domain I_c = {self.domain_str()}"
 
-    def domain_str(self) -> str:
-        return str(self._domain)
 
-    def in_domain(self, x: Union[float, Fraction]) -> bool:
-        return x in self._domain
+# A Moebius map x -> (a*x + b)/(c*x + d) as the integer matrix (a, b, c, d).
+Mobius = tuple[int, int, int, int]
 
-    def require_in_domain(self, x: Union[float, Fraction]) -> None:
-        if not self.in_domain(x):
-            raise DomainError(f"x={x} outside the domain I_c = {self.domain_str()}")
+
+def _mobius_at(m: Mobius, x: Real) -> Real:
+    """m at the point x: exact on a Fraction, and on a float the quotient of
+    the two rounded affine forms (a product by 1 or -1 and a sum with 0 add
+    no rounding)."""
+    a, b, c, d = m
+    return (a * x + b) / (c * x + d)
 
 
 class _Family(NamedTuple):
-    """One row of the family table.
+    """One row of the family table, the one home of each fact it holds.
 
-    The squared-basis sum of the family is that of the (n, c) family ``base``
-    at index ``n + shift`` and point ``to_base(x)``.  ``domain`` is the
-    family's own domain where it is not I_c.
+    The squared-basis sum of a substitution family is that of the (n, c)
+    family ``base`` at index ``n + shift`` and point ``to_base(x)``, a
+    Moebius map (``_mobius_at``): ``FamilyId.substitution``, the family's
+    bounds and its ``verify`` substitution item all read it here.
+    ``domain`` is the family's own domain where it is not I_c.
     """
 
     base: str
     c: Optional[Fraction]  # None: the tag carries its own c
     n_min: Optional[int] = None  # least natural index; None: any positive rational
     shift: int = 0
-    to_base: Optional[Callable[[float], float]] = None
+    to_base: Optional[Mobius] = None
     domain: Optional[_Interval] = None
 
 
@@ -180,22 +196,23 @@ _FAMILIES = {
     "bernstein": _Family("bernstein", Fraction(-1), 1),
     "szasz": _Family("szasz", Fraction(0)),
     "baskakov": _Family("baskakov", Fraction(1)),
-    "bbh": _Family("bernstein", Fraction(-1), 1, 0, lambda x: x / (1.0 + x), _Interval(None)),
-    "mkz": _Family("baskakov", Fraction(1), 0, 1, lambda x: x / (1.0 - x), _Interval(Fraction(1), False)),
+    "bbh": _Family("bernstein", Fraction(-1), 1, 0, (1, 0, 1, 1), _Interval(None)),  # x/(1+x)
+    "mkz": _Family("baskakov", Fraction(1), 0, 1, (1, 0, -1, 1), _Interval(Fraction(1), False)),  # x/(1-x)
     "general": _Family("general", None),
 }
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
-class FamilyId:
+class FamilyId(_OnDomain):
     """Tag for an operator family.
 
     ``bernstein``/``szasz``/``baskakov`` are the canonical names of the
     ``c = -1, 0, 1`` families; ``general`` carries an explicit ``c``.
     ``bbh`` and ``mkz`` are substitution families: their squared-basis sums
     are the Bernstein sum composed with ``x/(1+x)`` and the Baskakov sum of
-    index ``n+1`` composed with ``x/(1-x)`` respectively.
+    index ``n+1`` composed with ``x/(1-x)`` respectively, by the map and
+    shift of their rows of ``_FAMILIES``.
     """
 
     name: str
@@ -250,54 +267,17 @@ class FamilyId:
             raise ParameterError(f"family {self.name!r} needs a natural index, got n={n}")
         return Params(n + self._row.shift, self.base_c)
 
-    def substitution(self, x: float) -> float:
-        """Map a point of this family's domain into the base family's domain."""
+    def substitution(self, x: Real) -> Real:
+        """Map a point of this family's domain into the base family's domain
+        by the row's Moebius map (exact on a Fraction)."""
         to_base = self._row.to_base
         if to_base is None:
             return x
-        if not self._domain.closed and x >= self._domain.sup:  # the map's pole
-            raise DomainError(f"x={x} outside the domain {self.domain_str()} of family {self.name!r}")
-        return to_base(x)
+        self.require_in_domain(x)
+        return _mobius_at(to_base, x)
 
-    @property
-    def domain_sup(self) -> Optional[Fraction]:
-        """Right endpoint of the family domain (None when unbounded)."""
-        return self._domain.sup
-
-    def domain_str(self) -> str:
-        return str(self._domain)
-
-    def in_domain(self, x: Union[float, Fraction]) -> bool:
-        return x in self._domain
-
-    def require_in_domain(self, x: Union[float, Fraction]) -> None:
-        if not self.in_domain(x):
-            raise DomainError(f"x={x} outside the domain {self.domain_str()} of family {self.name!r}")
-
-
-def gen_binom(alpha, k: int):
-    """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-k+1)/k!.
-
-    Returns 1 for k = 0 and 0 when alpha is a natural number with k > alpha.
-    Exact (Fraction) when alpha is an int or Fraction, float otherwise.
-    """
-    if k < 0:
-        raise ValueError(f"k must be a natural number, got {k}")
-    if isinstance(alpha, (int, Fraction)):
-        acc = Fraction(1)
-        a = Fraction(alpha)
-        for i in range(k):
-            acc = acc * (a - i) / (i + 1)
-            if not acc:
-                break
-        return acc
-    acc = 1.0
-    a = float(alpha)
-    for i in range(k):
-        acc *= (a - i) / (i + 1.0)
-        if acc == 0.0:
-            break
-    return acc
+    def _outside(self, x: Real) -> str:
+        return f"x={x} outside the domain {self.domain_str()} of family {self.name!r}"
 
 
 def _log_rising_over_fact(a: float, k: int) -> float:
@@ -733,15 +713,21 @@ def _nb_peak(a: float, u: float) -> tuple[int, float]:
             - bd0(a, (k+a)/(1+u)) + log(a / (2 pi k (k+a)))/2,
 
     accurate to a few units of 1e-16 however large k0 is, where lgamma
-    values of size k0 log k0 lose about that many ulps.
+    values of size k0 log k0 lose about that many ulps.  Where 2 pi k (k+a)
+    overflows (a past about 1e291) the last log is a difference of two.
+    Raises ArithmeticError from k0 = 2^53 on, as ``_poisson_peak`` does.
     """
-    k0 = max(0, int((a - 1.0) * u - 1.0))
+    mode = (a - 1.0) * u - 1.0
+    if mode >= 2.0 ** 53:
+        raise ArithmeticError(f"peak index of a={a}, u={u} is past 2^53: the peak window cannot reach it")
+    k0 = max(0, int(mode))
     if k0 == 0:
         return 0, -a * math.log1p(u)
     k, n = float(k0), k0 + a
+    two_pi_kn = 2.0 * math.pi * k * n
     return k0, (
         _stirlerr(n) - _stirlerr(k) - _stirlerr(a) - _bd0(k, n * (u / (1.0 + u))) - _bd0(a, n / (1.0 + u))
-        + 0.5 * math.log(a / (2.0 * math.pi * k * n))
+        + 0.5 * (math.log(a / two_pi_kn) if two_pi_kn < math.inf else math.log(a / (2.0 * math.pi * k)) - math.log(n))
     )
 
 
@@ -752,10 +738,10 @@ def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]
     ``tol`` times the partial sum.  For c >= 0 the sum is walked out from
     its peak k0 (``_window_rows``), anchored at Loader's log of the weight
     there (``_poisson_peak``, ``_nb_peak``); the walk raises
-    ArithmeticError at the term cap, and for c = 0 also where k0 reaches
-    2^53.  Every sum is 1 up to rounding.  The walk's running product
-    carries about one unit per step from the peak: at k0 = 0 (a <= 1) it
-    runs over the whole weight, and n = 1, c = 2, x = 1e4 reads 1 - 1.6e-12.
+    ArithmeticError at the term cap, and where k0 reaches 2^53.  Every sum
+    is 1 up to rounding.  The walk's running product carries about one unit
+    per step from the peak: at k0 = 0 (a <= 1) it runs over the whole
+    weight, and n = 1, c = 2, x = 1e4 reads 1 - 1.6e-12.
     """
     params.require_in_domain(x)
     n = params.n_float

@@ -35,17 +35,18 @@ For c > 0 it integrates a polynomial on Gauss-Chebyshev nodes at integer
 a and the same reflected integrand on a tanh-sinh rule at every other a;
 c = 0 runs on that rule too, within 1024 nodes up to n x = 1e9.
 The c < 0 series is a log-space sum (``_neg_c_log_sum``), which no other
-route reads.
+route reads, and raises ArithmeticError past 10^6 terms (``_NEG_C_TERMS``).
 
 Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 
 - exp(-z) I0(z) for z > 600 (the c = 0 closed forms of S and T,
   ``bessel_i0e`` and ``bessel_i0``) is the 8-term Hankel expansion, whose
   truncation error is below 1e-21 of the value there (``_hankel_i0e``);
-- the c = 0 series past mu = n x = 300 is walked from its peak, anchored
-  at Loader's saddle-point log of the Poisson weight (``core._poisson_peak``),
-  and raises ArithmeticError where the walk cannot reach the peak (index
-  2^53);
+- the c = 0 series past mu = n x = 300, and the c > 0 series whose
+  prefactor underflows, are walked from the peak, anchored at Loader's
+  saddle-point log of the weight there (``core._poisson_peak``,
+  ``core._nb_peak``), and raise ArithmeticError where the walk cannot
+  reach the peak (index 2^53);
 - the c > 0 series at whole 2a sums its expansion about z = 1 past
   u = cx = max(64, 4a) (``_far_series``), at most 27 terms up to 2a = 601;
 - elsewhere the c > 0 series stops within 2*10^6 + 1 steps or raises, and
@@ -365,9 +366,18 @@ def bessel_i0e(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The c < 0 series builds l + 1 logs, then as many per point, about 0.6 us
+# a term at one point (l = 2*10^5 took 0.12 s) and 32 bytes a term of
+# memory; past this many terms it raises rather than fill the memory
+# (l = 10^300 at c = -1e-300, n = 1).  Every index the tests run is below
+# it, l = 8190 the largest.
+_NEG_C_TERMS = 10 ** 6
+
+
 def _neg_c_log_sum(params: Params, xs: Sequence[float]) -> list:
     """The finite sum S(x) = sum_k p_k(x)^2 for c < 0 at each x > 0, summed
-    in log space and unscaled by its largest term.
+    in log space and unscaled by its largest term; ArithmeticError at each
+    x where l + 1 is past ``_NEG_C_TERMS``, before anything is built.
 
     Term k is 2 log(prod_{j<k}(n + j c) / k!) + 2k log(x) + 2(l - k)
     log1p(cx), whose first part, the same at every x, is formed once.  That
@@ -376,6 +386,9 @@ def _neg_c_log_sum(params: Params, xs: Sequence[float]) -> list:
     n = params.n_float
     c = params.c_float
     l = params.l
+    if l + 1 > _NEG_C_TERMS:
+        return [ArithmeticError(f"the c < 0 series at l = {l} takes {l + 1} terms, past its cap of {_NEG_C_TERMS}")
+                for _ in xs]
     # twice the log of prod_{j<k}(n + j c) / k!
     steps = (math.log(n + (k - 1) * c) - math.log(k) for k in range(1, l + 1))
     coefs = [2.0 * log_coef for log_coef in itertools.accumulate(steps, initial=0.0)]
@@ -684,11 +697,12 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
 
     For c < 0 the series terminates after l+1 terms and the value is exact
     up to rounding, which the claim bounds by (l+1)(8 + sqrt(l)) units of
-    2^-53 of the value; otherwise the geometric certificate stops the sum
-    once the tail drops below rtol times the partial sum, and the claim adds
-    the rounding: 5 units per term at c = 0, the closed form's model
-    (``_HYP_ROUNDING``) on the c > 0 walk, and ``_WINDOW_ROUNDING`` per
-    deviation of the weights in the peak windows.  For c > 0 at whole
+    2^-53 of the value; past 10^6 terms it raises ArithmeticError.
+    Otherwise the geometric certificate stops the sum once the tail drops
+    below rtol times the partial sum, and the claim adds the rounding: 5
+    units per term at c = 0, the closed form's model (``_HYP_ROUNDING``) on
+    the c > 0 walk, and ``_WINDOW_ROUNDING`` per deviation of the weights in
+    the peak windows.  For c > 0 at whole
     2a = 2n/c, from u = cx = max(64, 4a) on, the series is instead the
     expansion of 2F1(a, a; 1; z) about z = 1 (``_far_series``), O(1) terms
     per point, with a claim of its tail plus 1e-15*(a+1) of the value, and
@@ -934,9 +948,11 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
         def szasz(p, s):
             # the power series below _HANKEL_Z is the series route's sum
             # (I0(2 mu) = sum (mu^k/k!)^2), with its rounding model and tail
+            # off the diagonal the factor's exponent rounds by a few units of
+            # its size: 2^-50 n e of the value, 0 on the diagonal
             value, terms = s[0] * math.exp(-n * p[1]), s[1]
             rel = 1e-16 + _HYP_ROUNDING * (5 * terms + 3) if terms else 1e-15
-            return EvalResult(value, Method.CLOSED_FORM, rel * value, 0)
+            return EvalResult(value, Method.CLOSED_FORM, (rel + 2.0 ** -50 * n * p[1]) * value, 0)
 
         _finish(out, bessel, _bessel_i0e_rows([z for _, (z, _) in bessel]), szasz)
     if legendre:
@@ -1072,10 +1088,11 @@ class _QuadPlan:
     """How S's quadrature runs at one parameter pair (``_s_quad_plan``): the
     integrand f(t, p) over the rule's interval (``t`` and ``p`` may be
     arrays of equal length, so the nodes of many points go in one call),
-    the map from a pair (x, y) to p and the factor by which T(x, y) is the
-    integral at p, the rule, the first node count at p where x, y > 0, the
-    absolute floor of the ladder's stop, the relative rounding the claim
-    covers at least, and the bound on the mean the rule leaves out at p."""
+    the map from a pair (x, y) to p, the factor by which T(x, y) is the
+    integral at p and the relative rounding of that factor, the rule, the
+    first node count at p where x, y > 0, the absolute floor of the
+    ladder's stop, the relative rounding the claim covers at least, and the
+    bound on the mean the rule leaves out at p."""
 
     f: Callable
     pair: Callable[[float, float], tuple]
@@ -1102,11 +1119,12 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
 
     T(x, y) is a factor times the plan's integral at a pair parameter p
     (``pair``), which where x = y (u = v at c != 0) is S's own p, to the
-    bit, with the factor 1.  With u = cx, v = cy, b = 1 + u + v,
-    A = sqrt(uv), B = sqrt((1+u)(1+v)) and g = A + B:
+    bit, with the factor 1 and no rounding of it.  With u = cx, v = cy,
+    b = 1 + u + v, A = sqrt(uv), B = sqrt((1+u)(1+v)) and g = A + B:
 
-    - c = 0: S's integral at mu = n sqrt(x) sqrt(y), times
-      exp(-n (sqrt(x) - sqrt(y))^2).
+    - c = 0: S's integral at mu = n sqrt(x) sqrt(y), times exp(-n e),
+      e = (sqrt(x) - sqrt(y))^2, whose exponent rounds by a few units of its
+      size: the claim adds 2^-50 n e of the value.
     - c > 0: by Laplace's integral T = P_(a-1)(W)/b^a, W = 1 + 2uv/b, is
       the mean of ((W+R)(1-t) + (W-R)t)^(a-1)/b^a, R = sqrt(W^2 - 1), and
       W - R = b/g^2 = 1/(W+R): S's integrand at s = b/g^2 times (g/b)^(2a).
@@ -1131,9 +1149,10 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
         # largest value is 1, at sigma = 0
         def szasz(x, y):
             if x == y:
-                return -4.0 * n * x, 1.0
+                return -4.0 * n * x, 1.0, 0.0
             rx, ry = math.sqrt(x), math.sqrt(y)  # sqrt(x) - sqrt(y) = (x - y)/(rx + ry) does not cancel
-            return -4.0 * n * (rx * ry), math.exp(-n * ((x - y) / (rx + ry)) ** 2)
+            e = ((x - y) / (rx + ry)) ** 2
+            return -4.0 * n * (rx * ry), math.exp(-n * e), 2.0 ** -50 * n * e
 
         return _QuadPlan(
             lambda sigma, p: np.exp(p * sigma), szasz, RuleKind.TANH_SINH,
@@ -1151,10 +1170,10 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
         def neg_c(x, y):
             u, v = c * x, c * y
             if u == v:
-                return (1.0 + 2.0 * u) ** 2, 1.0
+                return (1.0 + 2.0 * u) ** 2, 1.0, 0.0
             b = (1.0 + min(u, v)) + max(u, v)
             g = math.sqrt(-u) * math.sqrt(-v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v)
-            return ((b / g / g) ** 2, g ** (2 * l)) if g else (1.0, 0.0)
+            return ((b / g / g) ** 2, g ** (2 * l), 0.0) if g else (1.0, 0.0, 0.0)
 
         return _QuadPlan(
             lambda t, p: (t + (1.0 - t) * p) ** l, neg_c, RuleKind.CHEBYSHEV_01,
@@ -1165,12 +1184,12 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     def pos_c(x, y):
         u, v = c * x, c * y
         if u == v:
-            return 1.0 / (1.0 + 2.0 * u), 1.0
+            return 1.0 / (1.0 + 2.0 * u), 1.0, 0.0
         b = 1.0 + u + v
         if not math.isfinite(b):
             raise OverflowError("1 + cx + cy is past the double range")
         g = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v)
-        return b / g / g, (g / b) ** (2.0 * a)
+        return b / g / g, (g / b) ** (2.0 * a), 0.0
 
     # Laplace's integral at s = 1/(1+2cx), T's at a pair's s
     if two_a and two_a % 2 == 0:
@@ -1201,31 +1220,35 @@ def _quad_grid(params: Params, xs: Sequence, ys: Sequence, m: int, rtol: float, 
     ``_ladder`` from max(m, the plan's first node count) nodes, 2 where x
     or y is 0.  Returns the EvalResult or the exception at each pair, each
     claiming the last difference of levels, at least the plan's rounding,
-    plus the bound on the mean the rule leaves out, all times the factor;
-    and that bound times the factor (0 where it raised)."""
+    plus the bound on the mean the rule leaves out, all times the factor,
+    plus the factor's rounding of the value; and that bound times the
+    factor (0 where it raised)."""
     if m < 2:
         raise ValueError("need m >= 2 quadrature nodes")
     plan = _s_quad_plan(params, _twice_a(params) if two_a is None else two_a)
     out: list = [None] * len(xs)
     tails = [0.0] * len(xs)
-    rows = []  # (pair, parameter, factor, first node count)
+    rows = []  # (pair, parameter, factor, its rounding, first node count)
     for i, (x, y) in enumerate(zip(xs, ys)):
         try:
             params.require_in_domain(x)
             if y is not x:  # S's points are checked once
                 params.require_in_domain(y)
             xf, yf = float(x), float(y)
-            p, factor = plan.pair(xf, yf)
-            rows.append((i, p, factor, max(m, 2 if xf == 0.0 or yf == 0.0 else plan.start(p))))
+            p, factor, spread = plan.pair(xf, yf)
+            rows.append((i, p, factor, spread, max(m, 2 if xf == 0.0 or yf == 0.0 else plan.start(p))))
         except Exception as exc:
             out[i] = exc
     if rows:
-        points, ps, factors, ms = zip(*rows)
+        points, ps, factors, spreads, ms = zip(*rows)
         ladder = _ladder(plan.f, plan.kind, ps, ms, rtol, plan.floor)
-        for i, p, factor, v, d, nodes in zip(points, ps, factors, *ladder):
+        for i, p, factor, spread, v, d, nodes in zip(points, ps, factors, spreads, *ladder):
             tail = plan.tail(p)
             tails[i] = factor * tail
-            out[i] = EvalResult(factor * v, Method.QUADRATURE, factor * (max(d, plan.rounding * abs(v)) + tail), nodes)
+            err = factor * (max(d, plan.rounding * abs(v)) + tail)
+            if spread:  # off the diagonal at c = 0 only (0 * inf would be NaN)
+                err += spread * abs(factor * v)
+            out[i] = EvalResult(factor * v, Method.QUADRATURE, err, nodes)
     return out, tails
 
 

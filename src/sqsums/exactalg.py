@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence, Union
 
-from .core import ParameterError, RationalLike, _fmt_rat
+from .core import Mobius, ParameterError, RationalLike, _fmt_rat
 
 __all__ = [
     "IDENTITY",
@@ -331,17 +331,8 @@ class RationalPoly:
         """p(a*X + b); the result is reported in variable 'x'."""
         return _poly_compose_mobius(self, a, b, 0, 1)
 
-    def divmod_linear(self, root: Fraction) -> tuple["RationalPoly", Fraction]:
-        """Division by the monic linear (X - root)."""
-        q, r = _divmod(self, RationalPoly((-Fraction(root), 1), self.var))
-        return q, r.coeff(0)
-
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [_fmt_rat(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalPoly":
-        return cls((Fraction(c) for c in data["coeffs"]), data.get("var", "x"))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -571,10 +562,6 @@ class RationalFn:
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalFn":
-        return cls(RationalPoly.from_json(data["num"]), RationalPoly.from_json(data["den"]))
-
     def __repr__(self) -> str:
         if self.is_polynomial:
             return f"RationalFn({self.num!r})"
@@ -619,9 +606,8 @@ def _times_linear(ints: list[int], lo: int, hi: int) -> list[int]:
     return out
 
 
-# A Moebius map X -> (a*X + b)/(c*X + d) as the integer matrix (a, b, c, d);
-# composing maps multiplies matrices, and a nonzero multiple is the same map.
-Mobius = tuple[int, int, int, int]
+# A Moebius map (``core.Mobius``): composing maps multiplies matrices, and a
+# nonzero multiple is the same map.
 IDENTITY: Mobius = (1, 0, 0, 1)
 NEGATE: Mobius = (-1, 0, 0, 1)
 # Each series variable as a map of x, keyed by the variable name of the

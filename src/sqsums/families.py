@@ -2,7 +2,10 @@
 proven about its sum (``core`` keeps its structure).  Rows look builders up
 in ``exactalg`` and ``legendre`` at call time, so a patched module attribute
 is the one that runs, and nothing they build outlives the call; Bernstein's
-``legendre`` item hands the centred F_n to the polynomial bridge.
+``legendre`` item hands the centred F_n to the polynomial bridge.  A
+substitution family's bounds and ``substitution`` item read its change of
+variable and index shift from its row of ``core._FAMILIES`` at call time,
+so the map the float routes run is the one ``verify`` proves.
 """
 
 from __future__ import annotations
@@ -53,18 +56,30 @@ def _baskakov_bounds(n: int, x: float, w: Optional[float] = None) -> Bounds:
     return [("refined_power", base ** (-n / (2.0 * (n + 1)))), ("central_binomial", envelope)], []
 
 
-def _base_bounds(
-    key: str, series_point: Optional[Callable[[float], float]] = None
-) -> Callable[[int, float], Bounds]:
+def _base_bounds(key: str, series_map: Optional[exactalg.Mobius] = None) -> Callable[[int, float], Bounds]:
     """A substitution family's bounds: its base row's at the base index and
-    point (``core._FAMILIES``).  Where the substitution keeps the base row's
-    series variable, ``series_point`` forms it from the family's own point
-    as the family's sum does, so the rounding of the base point never enters
-    it (mkz's index-0 envelope is then its sum to the bit)."""
-    sub = core._FAMILIES[key]
-    if series_point is None:
-        return lambda n, x: FAMILIES[sub.base].bounds(n + sub.shift, sub.to_base(x))
-    return lambda n, x: FAMILIES[sub.base].bounds(n + sub.shift, sub.to_base(x), series_point(x))
+    point, by the family's row of ``core._FAMILIES``.  Where the
+    substitution keeps the base row's series variable, ``series_map`` forms
+    it from the family's own point as the family's sum does, so the
+    rounding of the base point never enters it (mkz's index-0 envelope is
+    then its sum to the bit)."""
+    def bounds(n, x):
+        sub = core._FAMILIES[key]
+        point = () if series_map is None else (core._mobius_at(series_map, x),)
+        return FAMILIES[sub.base].bounds(n + sub.shift, core._mobius_at(sub.to_base, x), *point)
+    return bounds
+
+
+def _substitution_item(key: str, scale: int = 1) -> tuple[str, Callable[[range], bool]]:
+    """A substitution family's ``verify`` item: its series at n is its base
+    row's at n + shift under the map of its row of ``core._FAMILIES``, read
+    at call time, so a patched row is the one checked; ``scale`` relates the
+    two series variables (``exactalg.substitution_identity``)."""
+    def check(n):
+        sub = core._FAMILIES[key]
+        return exactalg.substitution_identity(
+            FAMILIES[sub.base].series(n + sub.shift), sub.to_base, FAMILIES[key].series(n), scale)
+    return "substitution", _each(check)
 
 
 def _szasz_bounds(n: int, x: float) -> Bounds:
@@ -118,8 +133,7 @@ FAMILIES = {
     "bbh": Family(lambda n: exactalg.u_series_coeffs(n), lambda n, x: exactalg.u_value(n, x),
         _base_bounds("bbh"), ("u_rational", lambda n: exactalg.u_rational(n)), (
         ("ode", _solves(lambda n: exactalg.eq_u(n), lambda n: exactalg.u_series_coeffs(n))),
-        ("substitution", _each(lambda n: exactalg.substitution_identity(  # U_n = F_n(x/(1+x)), s = v/2
-            exactalg.f_poly_parseval(n), (1, 0, 1, 1), exactalg.u_series_coeffs(n), 2))),
+        _substitution_item("bbh", 2),  # U_n = F_n(x/(1+x)), s = v/2
     )),
     "baskakov": Family(lambda n: exactalg.g_series_coeffs(n), lambda n, x: exactalg.g_value(n, x),
         _baskakov_bounds, ("g_rational", lambda n: exactalg.g_rational(n)), (
@@ -130,10 +144,9 @@ FAMILIES = {
             exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n)))),
     ), ("logconvexity",)),
     "mkz": Family(lambda n: exactalg.j_series_coeffs(n), lambda n, x: exactalg.j_value(n, x),
-        _base_bounds("mkz", lambda x: (1.0 - x) / (1.0 + x)), ("j_rational", lambda n: exactalg.j_rational(n)), (
+        _base_bounds("mkz", exactalg.SERIES_MAPS["w"]), ("j_rational", lambda n: exactalg.j_rational(n)), (
         ("ode", _solves(lambda n: exactalg.eq_j(n), lambda n: exactalg.j_series_coeffs(n))),
-        ("substitution", _each(lambda n: exactalg.substitution_identity(  # J_n = G_(n+1)(x/(1-x))
-            exactalg.g_series_coeffs(n + 1), (1, 0, -1, 1), exactalg.j_series_coeffs(n)))),
+        _substitution_item("mkz"),  # J_n = G_(n+1)(x/(1-x))
     )),
     "szasz": Family(bounds=_szasz_bounds),
     "general": Family(),  # nothing exact or proven at a general c

@@ -251,6 +251,21 @@ class TestVerifySeriesRoute:
         code, out, _ = invoke(["verify", "--family", family, "--n-max", "5"])
         assert code == 1 and "substitution: FAIL" in out
 
+    @pytest.mark.parametrize("family, change", [
+        ("bbh", {"to_base": (1, 0, 2, 1)}),
+        ("mkz", {"to_base": (1, 0, -2, 1)}),
+        ("bbh", {"shift": 1}),
+        ("mkz", {"shift": 2}),
+    ])
+    def test_a_wrong_row_fails_the_substitution(self, family, change, monkeypatch):
+        # the item proves the map and shift of the family's row of
+        # core._FAMILIES, the ones the float routes run
+        from sqsums import core
+
+        monkeypatch.setitem(core._FAMILIES, family, core._FAMILIES[family]._replace(**change))
+        code, out, _ = invoke(["verify", "--family", family, "--n-max", "4"])
+        assert (code, out) == (1, "ode: OK\nsubstitution: FAIL\n")
+
     def test_compose_mobius_runs_only_for_the_witness(self, monkeypatch):
         calls = []
         compose = exactalg.RationalFn.compose_mobius
@@ -980,6 +995,23 @@ def test_closed_stdout_exits_without_a_traceback():
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("eval --family szasz -n 1 -x 1e17", "peak index of mu=1e+17 is past 2^53: the peak window cannot reach it"),
+    ("eval --family general -c 1e-300 -n 1 -x 1", "|a| = |n/c| is past the 100000 steps of the Legendre recurrence"),
+    ("eval --family general -c 1 -n 4/3 -x 1e6", "series did not converge; use the quadrature route"),
+    ("eval --family general -c 1 -n 1e200 -x 5",
+     "peak index of a=1e+200, u=5.0 is past 2^53: the peak window cannot reach it"),
+])
+def test_a_route_that_cannot_finish_prints_one_error_line(argv, message, monkeypatch, capsys):
+    # a route's ArithmeticError ended in a traceback (the last case, in the
+    # negative binomial peak's log, in a usage error "math domain error")
+    monkeypatch.setattr(sys, "argv", ["sqsums", *argv.split()])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 1
+    assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
 
 
 class TestValidation:

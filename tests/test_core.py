@@ -1,6 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,39 +16,7 @@ from sqsums.core import (
     _log_rising_over_fact,
     basis,
     basis_sum,
-    gen_binom,
 )
-
-
-class TestGenBinom:
-    def test_k_zero_is_one(self):
-        assert gen_binom(5.5, 0) == 1.0
-        assert gen_binom(Fraction(7, 3), 0) == 1
-
-    def test_natural_alpha_vanishes_past_alpha(self):
-        assert gen_binom(3, 5) == 0
-        assert gen_binom(3, 4) == 0
-        assert gen_binom(3, 3) == 1
-
-    def test_negative_alpha(self):
-        # (-2)(-3)/2! forced by the definition
-        assert gen_binom(-2, 2) == 3
-        assert gen_binom(Fraction(-2), 2) == Fraction(3)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            gen_binom(2.0, -1)
-
-    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=45))
-    def test_matches_comb_on_naturals(self, alpha, k):
-        assert gen_binom(alpha, k) == math.comb(alpha, k)
-
-    @given(
-        st.fractions(min_value=-8, max_value=8, max_denominator=16),
-        st.integers(min_value=1, max_value=12),
-    )
-    def test_pascal_rule(self, alpha, k):
-        assert gen_binom(alpha, k) == gen_binom(alpha - 1, k - 1) + gen_binom(alpha - 1, k)
 
 
 class TestParams:
@@ -60,15 +30,6 @@ class TestParams:
         assert p.l == 5
         with pytest.raises(ParameterError):
             Params(Fraction(5, 3), Fraction(-1, 2))
-
-    def test_supplied_l_checked(self):
-        assert Params(3, -1, l=3).l == 3
-        with pytest.raises(ParameterError):
-            Params(3, -1, l=2)
-
-    def test_l_rejected_for_nonnegative_c(self):
-        with pytest.raises(ParameterError):
-            Params(3, 0, l=3)
 
     def test_positive_index_required(self):
         with pytest.raises(ParameterError):
@@ -93,6 +54,25 @@ class TestParams:
     def test_hashable(self):
         assert len({Params(2, -1), Params(2, -1), Params(3, -1)}) == 2
 
+    def test_l_is_inferred_not_taken(self):
+        # l is a field of the record, in its repr, equality and hash, and
+        # never an argument
+        assert repr(Params(2, -1)) == "Params(n=Fraction(2, 1), c=Fraction(-1, 1), l=2)"
+        assert repr(Params(3, 0)) == "Params(n=Fraction(3, 1), c=Fraction(0, 1), l=None)"
+        assert Params(2, -1) == Params(Fraction(2), -1.0)
+        assert hash(Params(2, -1)) == hash((Fraction(2), Fraction(-1), 2))
+        with pytest.raises(TypeError):
+            Params(3, -1, l=3)
+
+    def test_one_implementation_of_the_domain_accessors(self):
+        # Params and FamilyId share them, each wording its own DomainError
+        for name in ("domain_sup", "domain_str", "in_domain", "require_in_domain"):
+            assert getattr(Params, name) is getattr(FamilyId, name)
+        with pytest.raises(DomainError, match=r"^x=1\.5 outside the domain I_c = \[0, 1\]$"):
+            Params(2, -1).require_in_domain(1.5)
+        with pytest.raises(DomainError, match=r"^x=-1 outside the domain I_c = \[0, \+inf\)$"):
+            Params(2, 1).require_in_domain(-1)
+
 
 class TestFamilyId:
     def test_canonical_classification(self):
@@ -108,6 +88,32 @@ class TestFamilyId:
         mkz = FamilyId("mkz")
         assert mkz.base_params(0) == Params(1, 1)
         assert mkz.substitution(0.5) == 1.0
+
+    @pytest.mark.parametrize("name, sup, old", [
+        ("bbh", sys.float_info.max, lambda x: x / (1.0 + x)),
+        ("mkz", math.nextafter(1.0, 0.0), lambda x: x / (1.0 - x)),
+    ])
+    def test_substitution_has_the_bits_of_the_float_map(self, name, sup, old):
+        # the row's integer matrix on a float has the bits of the quotient
+        # it stands for, from 0 and the least subnormal to the domain's top
+        rng = np.random.default_rng(34)
+        xs = [0.0, 5e-324, sup, math.nextafter(sup, 0.0), 1.0 if name == "bbh" else 0.5]
+        xs += (10.0 ** rng.uniform(-323.5, math.log10(sup), 6000)).tolist()
+        xs += (rng.uniform(0.0, 1.0, 6000)).tolist()
+        family = FamilyId(name)
+        assert [family.substitution(x).hex() for x in xs] == [old(x).hex() for x in xs]
+
+    def test_substitution_is_exact_on_fractions(self):
+        assert FamilyId("bbh").substitution(Fraction(1, 3)) == Fraction(1, 4)
+        assert FamilyId("mkz").substitution(Fraction(1, 3)) == Fraction(1, 2)
+        assert FamilyId("bernstein").substitution(Fraction(1, 3)) == Fraction(1, 3)
+
+    def test_substitution_checks_the_point(self):
+        # the message of every DomainError of a family, a negative point included
+        with pytest.raises(DomainError, match=r"^x=-0\.5 outside the domain \[0, \+inf\) of family 'bbh'$"):
+            FamilyId("bbh").substitution(-0.5)
+        with pytest.raises(DomainError, match=r"^x=1 outside the domain \[0, 1\) of family 'mkz'$"):
+            FamilyId("mkz").substitution(Fraction(1))
 
     def test_mkz_domain_is_half_open(self):
         mkz = FamilyId("mkz")

@@ -694,7 +694,7 @@ def test_s_quad_grid_first_level_at_the_cap():
     plan = _plan(params)
     got = s_quad_grid(params, xs)
     for i in (0, 2):
-        p, factor = plan.pair(xs[i], xs[i])
+        p, factor, _ = plan.pair(xs[i], xs[i])
         assert factor == 1.0 and plan.start(p) == LADDER_MAX
         assert got[i] == s_quad(params, xs[i])
         assert (got[i].value, got[i].err_estimate, got[i].terms_or_nodes) == (
@@ -1307,6 +1307,26 @@ def test_legendre_recurrence_past_its_cap_raises_at_once():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=20)
 
 
+def test_neg_c_series_past_its_cap_raises_before_building(monkeypatch):
+    # l + 1 terms past _NEG_C_TERMS raise at each x > 0 before a list is
+    # built (l = 10^300 at c = -1e-300, n = 1, would fill the memory), x = 0
+    # still reads 1; below the cap the sum keeps its bits
+    assert evalnum._NEG_C_TERMS > 8191  # every index the tests run is below it
+    params = Params(evalnum._NEG_C_TERMS, -1)
+    got = s_series_grid(params, [0.0, 0.5, 1.0])
+    assert got[0] == s_series(params, 0.0) and got[0].value == 1.0
+    for r in got[1:]:
+        assert isinstance(r, ArithmeticError) and str(r) == (
+            f"the c < 0 series at l = {params.l} takes {params.l + 1} terms, past its cap of {evalnum._NEG_C_TERMS}")
+    small = Params(9, -1)
+    want = s_series(small, 0.25)
+    monkeypatch.setattr(evalnum, "_NEG_C_TERMS", 10)
+    assert s_series(small, 0.25) == want
+    monkeypatch.setattr(evalnum, "_NEG_C_TERMS", 9)
+    with pytest.raises(ArithmeticError, match="past its cap of 9"):
+        s_series(small, 0.25)
+
+
 def test_szasz_closed_form_past_the_double_range_raises():
     # where 2nx (2n sqrt(x) sqrt(y) off the diagonal) overflows, the c = 0
     # closed form raises OverflowError, as c > 0 does where 1 + 2cx does,
@@ -1448,27 +1468,44 @@ def test_kernel_routes_against_exact_and_mpmath():
     # t_quad and t_closed off the diagonal against the exact T at c < 0 and
     # at c = 1 with integer n, and 40-digit mpmath elsewhere, all at the
     # float inputs.  t_quad is within (|a| + 16) 1e-15 at c != 0, a = n/c,
-    # and at c = 0 within 1e-15; t_closed within the claim of its pair row.
-    # At c = 0 both add the rounding of the exponent n (sqrt(x) - sqrt(y))^2,
-    # which the row's claim leaves out.  A T below the normal range is left
-    # out, where a relative bound means nothing
+    # and at c = 0 within 1e-15, plus the rounding its pair's factor
+    # claims (off the diagonal at c = 0, that of the exponent of
+    # exp(-n (sqrt(x) - sqrt(y))^2)); t_closed within the claim of its pair
+    # row.  A T below the normal range is left out, where a relative bound
+    # means nothing
     mpmath = pytest.importorskip("mpmath")
     for params, x, y in _kernel_sweep():
         want = _oracle_t(mpmath, params, x, y)
         if want < 1e-300:
             continue
-        spread = 2.0 ** -50 * params.n_float * (math.sqrt(x) - math.sqrt(y)) ** 2 if params.c == 0 else 0.0
+        spread = evalnum._s_quad_plan(params, evalnum._twice_a(params)).pair(x, y)[2]
         (row,), _ = evalnum._closed_rows(params, [x], [y], RTOL_DEFAULT)
         assert row.value == t_closed(params, x, y)
-        bounds = [((abs(params.n / params.c) + 16) * 1e-15 if params.c else 1e-15), row.err_estimate / row.value]
+        bounds = [((abs(params.n / params.c) + 16) * 1e-15 if params.c else 1e-15) + spread,
+                  row.err_estimate / row.value]
         for name, got, claim in zip(("t_quad", "t_closed"), (t_quad(params, x, y), row.value), bounds):
-            claim += spread
             if isinstance(want, Fraction):
                 err = abs(Fraction(got) / want - 1)
             else:
                 with mpmath.workdps(40):
                     err = abs(mpmath.mpf(got) / want - 1)
             assert err <= claim, (name, params, x, y, got, float(err))
+
+
+def test_szasz_pair_rows_claim_the_rounding_of_their_factor():
+    # off the diagonal at c = 0 both pair rows scale by exp(-n e), e =
+    # ((x - y)/(sqrt(x) + sqrt(y)))^2, whose exponent rounds by a few units
+    # of its size, and each claim covers it: the closed row was 2.3e-14 off
+    # with a claim of 1e-15 of the value where it left that out
+    mpmath = pytest.importorskip("mpmath")
+    params, x, y = Params(5, 0), 1000.0, 500.0
+    want = _szasz_t(mpmath, 5, x, y)
+    (closed,), _ = evalnum._closed_rows(params, [x], [y], RTOL_DEFAULT)
+    (quad,), _ = evalnum._quad_grid(params, [x], [y], LADDER_START, RTOL_DEFAULT)
+    for name, row in (("closed", closed), ("quadrature", quad)):
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpf(row.value) - want)
+        assert err <= row.err_estimate, (name, row, float(err))
 
 
 def test_tanh_sinh_levels_have_the_bits_of_the_rule():

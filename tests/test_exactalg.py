@@ -76,12 +76,6 @@ class TestRationalPoly:
             acc = acc * p
         assert p ** k == acc
 
-    def test_linear_division(self):
-        p = (X - 3) * (X + 2) * (X - 3)
-        q, rem = p.divmod_linear(Fraction(3))
-        assert rem == 0
-        assert q == (X - 3) * (X + 2)
-
     def test_evaluation_types(self):
         p = RationalPoly([1, -2, 2])
         assert p(Fraction(1, 4)) == Fraction(5, 8)
@@ -217,9 +211,9 @@ class TestRationalPoly:
             RationalPoly([1, 1], "s") * RationalPoly([1, 1], "x")
 
     def test_json_roundtrip(self):
+        # every coefficient as the "p/q" text of core._fmt_rat
         p = RationalPoly([Fraction(1, 3), 0, -2], "u")
-        blob = json.dumps(p.to_json())
-        assert RationalPoly.from_json(json.loads(blob)) == p
+        assert json.loads(json.dumps(p.to_json())) == {"var": "u", "coeffs": ["1/3", "0/1", "-2/1"]}
 
 
 class TestRationalFn:
@@ -271,8 +265,10 @@ class TestRationalFn:
 
     def test_json_roundtrip(self):
         f = RationalFn(X * X + 1, 2 * X + 1)
-        blob = json.dumps(f.to_json())
-        assert RationalFn.from_json(json.loads(blob)) == f
+        assert json.loads(json.dumps(f.to_json())) == {
+            "num": {"var": "x", "coeffs": ["1/1", "0/1", "1/1"]},
+            "den": {"var": "x", "coeffs": ["1/1", "2/1"]},
+        }
 
     def test_reduction_beyond_candidate_roots(self):
         # the common factor x^2 - 2 has irrational roots; the lowest-terms

@@ -30,6 +30,11 @@ def _dispatch_on_family_names(tree) -> list:
             named = [v for key in node.keys if key is not None for v in _names(key)]
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict":
             named = [kw.arg for kw in node.keywords if kw.arg in FAMILY_NAMES]
+        elif isinstance(node, ast.Subscript):  # FAMILIES["bbh"]
+            named = _names(node.slice)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "FamilyId":
+            # FamilyId("mkz"), core.FamilyId(name="mkz")
+            named = [v for arg in (*node.args, *(kw.value for kw in node.keywords)) for v in _names(arg)]
         else:
             continue
         if named:
@@ -37,9 +42,27 @@ def _dispatch_on_family_names(tree) -> list:
     return found
 
 
+def test_the_guard_sees_each_form_of_dispatch():
+    # each form the guard catches, in the source it parses
+    forms = [
+        'family.name == "bbh"',
+        'name in ("szasz", "mkz")',
+        '{"baskakov": 1}',
+        'dict(bernstein=1)',
+        'FAMILIES["bbh"].bounds',
+        'core._FAMILIES["mkz"].to_base',
+        'FamilyId("mkz")',
+        'core.FamilyId(name="bbh")',
+    ]
+    for form in forms:
+        assert _dispatch_on_family_names(ast.parse(form)), form
+    assert _dispatch_on_family_names(ast.parse('FAMILIES[family.key]; FamilyId(name, c); d["x"]')) == []
+
+
 def test_only_the_family_records_dispatch_on_family_names():
     # a decision per family belongs in a row of core._FAMILIES or
-    # families.FAMILIES, not in a comparison or a table keyed by name elsewhere
+    # families.FAMILIES, not in a comparison, a table keyed by name, a
+    # lookup by a name or a family built from one elsewhere
     src = pathlib.Path(sqsums.__file__).parent
     found = {
         path.name: hits

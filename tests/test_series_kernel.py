@@ -613,6 +613,38 @@ def test_szasz_window_fails_loudly():
         basis_sum(Params(1, 0), 1e13)
 
 
+def test_nb_window_fails_loudly_past_2_53():
+    # the negative binomial peak index past 2^53 cannot be walked: it raised
+    # "math domain error" (a usage error at the command line) where
+    # 2 pi k0 (k0 + a) overflowed, and walked all 10^7 terms elsewhere
+    for n, x in ((10 ** 200, 5.0), (10 ** 8, 1e8)):
+        with pytest.raises(ArithmeticError, match="past 2\\^53"):
+            s_series(Params(n, 1), x)
+        with pytest.raises(ArithmeticError, match="past 2\\^53"):
+            basis_sum(Params(n, 1), x)
+
+
+def test_nb_peak_where_its_normalisation_overflows():
+    # at a = 10^300 and u = 1e-290, 2 pi k0 (k0 + a) overflows and its log is
+    # a difference of two; S is then the Szasz sum at mu = a u = 10^10 to
+    # about u, the scaled Bessel value exp(-2 mu) I0(2 mu)
+    params, x = Params(10 ** 300, 1), 1e-290
+    r = s_series(params, x)
+    limit = evalnum.bessel_i0e(2e10)
+    assert abs(r.value - limit) <= r.err_estimate
+    total, _ = basis_sum(params, x)
+    assert abs(total - 1.0) < 1e-11
+    # where the product is finite the anchor keeps its bits
+    k0, log_pmf = core._nb_peak(1e290, 1e-280)
+    k, m = float(k0), k0 + 1e290
+    assert math.isfinite(2.0 * math.pi * k * m)
+    assert log_pmf == (
+        core._stirlerr(m) - core._stirlerr(k) - core._stirlerr(1e290)
+        - core._bd0(k, m * (1e-280 / (1.0 + 1e-280))) - core._bd0(1e290, m / (1.0 + 1e-280))
+        + 0.5 * math.log(1e290 / (2.0 * math.pi * k * m))
+    )
+
+
 @pytest.mark.parametrize(
     "route, params, x",
     [
