@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__, analysis, bounds, evalnum, families
-from .core import FAMILY_NAMES, FamilyId, ParameterError, _fmt_float, _fmt_rat
+from .core import _FLOAT_TEXT, FAMILY_NAMES, FamilyId, ParameterError, _fmt_float, _fmt_rat
 
 __all__ = ["main", "run", "OUTPUT_SCHEMA"]
 
@@ -52,7 +52,9 @@ def _json(v, pad: str, out: list[str], write: Callable[[str], Any]) -> None:
     """Append the text of v as json.dumps(v, indent=2) writes it to out; pad
     is the newline and indent of v's first line.  After each element of a
     container, _CHUNK or more pending pieces go to write, joined, and out is
-    emptied; a long string is not copied again at every level."""
+    emptied; a long string is not copied again at every level.  A
+    ``_Records`` in v is a list whose items write themselves, one piece
+    each."""
     if isinstance(v, str):
         out.append(encode_basestring_ascii(v))
     elif isinstance(v, (dict, list, tuple)) and v:
@@ -75,8 +77,27 @@ def _json(v, pad: str, out: list[str], write: Callable[[str], Any]) -> None:
         out.append(_JSON_WORDS.get(text, text))
     elif isinstance(v, int):
         out.append(int.__repr__(v))
+    elif isinstance(v, _Records):  # of no json type, so only records come here
+        inner, sep = pad + "  ", "[" + pad + "  "
+        text = v.text(inner)
+        for item in v.items:
+            out.append(sep + text(item))
+            if len(out) >= _CHUNK:
+                write("".join(out))
+                out.clear()
+            sep = "," + inner
+        out.append(pad + "]" if v.items else "[]")
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+class _Records:
+    """A json list of items that write themselves: ``text(pad)`` is the
+    function that gives an item's text at pad, the indent of its first
+    line, as ``_json`` writes the item's document there."""
+
+    def __init__(self, items: list, text: Callable[[str], Callable[[Any], str]]):
+        self.items, self.text = items, text
 
 
 def _write_json(doc, out) -> None:
@@ -96,6 +117,23 @@ def _emit_json(out, command: str, params: dict, **body) -> None:
     """Write the json document of a verb to out: its results or report
     between params and versions."""
     _write_json({"command": command, "params": params, **body, "versions": {"sqsums": __version__}}, out)
+
+
+def _bound_text(pad: str) -> Callable[[bounds.BoundReport], str]:
+    """The text ``_json`` writes of a BoundReport's ``to_json()`` at pad, as
+    one template per pad filled from the report's fields."""
+    i, j, k = pad + "  ", pad + "    ", pad + "      "
+    point = (f'{{{i}"family": %s,{i}"n": %d,{i}"x": "{_FLOAT_TEXT}",{i}"s_value": "{_FLOAT_TEXT}",'
+             f'{i}"bounds": %s,{i}"min_margin": "{_FLOAT_TEXT}",{i}"notes": %s{pad}}}')
+    mark, sep, q = f'{{{k}"label": %s,{k}"value": "{_FLOAT_TEXT}"{j}}}', "," + j, encode_basestring_ascii
+
+    def text(r: bounds.BoundReport) -> str:
+        marks = sep.join([mark % (q(label), value) for label, value in r.bounds])
+        notes = sep.join(map(q, r.notes))
+        return point % (q(r.family.name), r.n, r.x, r.s_value, f"[{j}{marks}{i}]" if marks else "[]",
+                        r.min_margin, f"[{j}{notes}{i}]" if notes else "[]")
+
+    return text
 
 
 def _emit_csv(out, header: list[str], rows: list[list[str]]) -> None:
@@ -249,7 +287,7 @@ def _cmd_bounds(args, out) -> int:
     ok = worst.min_margin >= -1e-12
     if args.format == "json":
         _emit_json(out, "bounds", _params_doc(family, args.n), report={
-            "points": [r.to_json() for r in reports],
+            "points": _Records(reports, _bound_text),
             "min_margin": _fmt_float(worst.min_margin),
             "argmin": _fmt_float(worst.x),
         })

@@ -53,9 +53,13 @@ def _as_fraction(value: RationalLike, name: str) -> Fraction:
         raise ParameterError(f"{name} must be rational, got {value!r}") from exc
 
 
+# A float as every output writes it: 17 significant digits, which round-trip.
+_FLOAT_TEXT = "%.17g"
+
+
 def _fmt_float(v: float) -> str:
-    """A float as every output writes it: 17 significant digits, which round-trip."""
-    return f"{v:.17g}"
+    """A float as every output writes it (``_FLOAT_TEXT``)."""
+    return _FLOAT_TEXT % v
 
 
 def _fmt_rat(v: Fraction) -> str:
@@ -377,18 +381,21 @@ class _Rows(NamedTuple):
     steps: list[int]
     overflow: list[bool]  # a square overflowed at or before the stop
 
-    def outcomes(self, capped: str = "") -> list:
+    def outcomes(self, capped: str = "", overflow: str = "") -> list:
         """Per row (sum, tail, steps), or the exception the loop raised: the
-        OverflowError of a square, or ArithmeticError(capped) where the step
-        cap came before a stop."""
+        OverflowError of a square (``_overflow_error(overflow)``), or
+        ArithmeticError(capped) where the step cap came before a stop."""
         return [
-            _overflow_error() if over else ArithmeticError(capped) if tail is None else (total, tail, steps)
+            _overflow_error(overflow) if over else ArithmeticError(capped) if tail is None else (total, tail, steps)
             for total, tail, steps, over in zip(self.total, self.tail, self.steps, self.overflow)
         ]
 
 
-def _overflow_error() -> OverflowError:
-    """The error Python's float ``**`` raises on overflow."""
+def _overflow_error(what: str = "") -> OverflowError:
+    """The error Python's float ``**`` raises on overflow; where a route
+    names what overflowed, one that says it is past the double range."""
+    if what:
+        return OverflowError(f"{what} is past the double range")
     return OverflowError(34, "Numerical result out of range")
 
 
@@ -731,6 +738,16 @@ def _nb_peak(a: float, u: float) -> tuple[int, float]:
     )
 
 
+# The c < 0 sums take l + 1 terms: the series route's log-space sum builds
+# l + 1 logs, then as many per point, about 0.6 us a term at one point
+# (l = 2*10^5 took 0.12 s) and 32 bytes a term of memory, and
+# ``basis_sum`` calls ``basis`` l + 1 times (l = 10^6 took 1.6 s).  Past
+# this many terms both raise rather than fill the memory or the clock
+# (l = 10^300 at c = -1e-300, n = 1).  Every index the tests run is below
+# it, l = 8190 the largest.
+_NEG_C_TERMS = 10 ** 6
+
+
 def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]:
     """Certified truncation of sum_k p_k(x): (sum, number of terms).
 
@@ -738,10 +755,12 @@ def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]
     ``tol`` times the partial sum.  For c >= 0 the sum is walked out from
     its peak k0 (``_window_rows``), anchored at Loader's log of the weight
     there (``_poisson_peak``, ``_nb_peak``); the walk raises
-    ArithmeticError at the term cap, and where k0 reaches 2^53.  Every sum
-    is 1 up to rounding.  The walk's running product carries about one unit
-    per step from the peak: at k0 = 0 (a <= 1) it runs over the whole
-    weight, and n = 1, c = 2, x = 1e4 reads 1 - 1.6e-12.
+    ArithmeticError at the term cap, and where k0 reaches 2^53.  For c < 0
+    it sums the l + 1 terms, and raises ArithmeticError first where they are
+    more than ``_NEG_C_TERMS``.  Every sum is 1 up to rounding.  The walk's
+    running product carries about one unit per step from the peak: at
+    k0 = 0 (a <= 1) it runs over the whole weight, and n = 1, c = 2,
+    x = 1e4 reads 1 - 1.6e-12.
     """
     params.require_in_domain(x)
     n = params.n_float
@@ -752,6 +771,8 @@ def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]
 
     if c < 0:
         l = params.l
+        if l + 1 > _NEG_C_TERMS:
+            raise ArithmeticError(f"the c < 0 basis sum at l = {l} takes {l + 1} terms, past its cap of {_NEG_C_TERMS}")
         total = math.fsum(basis(params, k, xf) for k in range(l + 1))
         return total, l + 1
 

@@ -66,7 +66,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Params, _certified_rows, _finish, _nb_peak, _one, _poisson_peak, _sq, _window_rows
+from .core import _NEG_C_TERMS, Params, _certified_rows, _finish, _nb_peak, _one, _poisson_peak, _sq, _window_rows
 
 __all__ = [
     "EvalResult",
@@ -199,10 +199,11 @@ def _is_nonpositive_int(a: float) -> bool:
     return a <= 0.0 and float(a).is_integer()
 
 
-def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 * 10 ** 6) -> list:
+def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 * 10 ** 6, overflow: str = "") -> list:
     """Series value with a certified geometric tail bound and term count at
     each z: (value, tail, terms), or the exception raised there.  The
-    non-terminating series of all points are rows of one kernel call."""
+    non-terminating series of all points are rows of one kernel call; an
+    overflowing square names ``overflow`` where given (``_Rows.outcomes``)."""
     out: list = [None] * len(zs)
     rows = []
     for i, z in enumerate(zs):
@@ -237,7 +238,7 @@ def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 
         cert=lambda k, z: _sq((a + k + 1) / (k + 2.0)) * z,
         sup=z,
         args=(z,),
-    ).outcomes(f"series did not converge within {max_terms} terms")
+    ).outcomes(f"series did not converge within {max_terms} terms", overflow)
     _finish(out, rows, sums, lambda _, s: (s[0], s[1], s[2] + 1))
     return out
 
@@ -364,14 +365,6 @@ def bessel_i0e(z: float) -> float:
 # exception is kept, not raised, so the other points still run.  The scalar
 # routes are the one-point grids.
 # ---------------------------------------------------------------------------
-
-
-# The c < 0 series builds l + 1 logs, then as many per point, about 0.6 us
-# a term at one point (l = 2*10^5 took 0.12 s) and 32 bytes a term of
-# memory; past this many terms it raises rather than fill the memory
-# (l = 10^300 at c = -1e-300, n = 1).  Every index the tests run is below
-# it, l = 8190 the largest.
-_NEG_C_TERMS = 10 ** 6
 
 
 def _neg_c_log_sum(params: Params, xs: Sequence[float]) -> list:
@@ -617,7 +610,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
                 # in (x/(1+cx))^2; the term ratio tends to (cx/(1+cx))^2 < 1
                 u = c * xf
                 pref_log = -(2.0 * n / c) * math.log1p(u)
-                if two_a and u >= far_u:
+                if two_a and u >= far_u or u == math.inf:
                     if not math.isfinite(1.0 + u + u):
                         raise OverflowError("1 + 2cx is past the double range")
                     far.append((i, u))
@@ -668,7 +661,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             _POS_C_STEPS,
             sup=[p[2] for _, p in direct],
             args=([p[1] for _, p in direct],),
-        ).outcomes(_POS_C_CAPPED)
+        ).outcomes(_POS_C_CAPPED, "series route: ((n + kc)/(k + 1))^2 in the c > 0 term ratio")
 
         def pos_c(p, s):
             total, tail, steps = s
@@ -970,7 +963,8 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
         for (i, _), value in zip(legendre, _legendre(two_a, us, vs).tolist()):
             out[i] = EvalResult(value, Method.CLOSED_FORM, max(rounding * value, terms * 2.0 ** -1074), terms)
     if hyp:
-        _finish(out, hyp, _hyp2f1_rows(a, [z for _, (z, _) in hyp], rtol),
+        over = "closed-form route: ((a + k)/(k + 1))^2 in the term ratio of 2F1(a, a; 1; z)"
+        _finish(out, hyp, _hyp2f1_rows(a, [z for _, (z, _) in hyp], rtol, overflow=over),
                 lambda p, s: _hyp_result(Method.CLOSED_FORM, p[1], *s))
     if quad:
         # S's quadrature pair grid, from the node count S starts from

@@ -717,18 +717,16 @@ def _float_horner(cs: Sequence[float], t: float) -> float:
 def g_series_coeffs(n: int) -> RationalPoly:
     """Squared Baskakov-basis sum as an odd polynomial in u = 1/(1+2x).
 
-    The factorial weight carries the square of (n-k-1)!; the unsquared
-    variant fails the exact cross-check against the Meyer-Konig-Zeller
-    series under the u <-> w substitution (first at n = 3).
+    Its u^(2k+1) coefficient is C(2k, k) C(2n-2k-2, n-k-1) / 4^(n-1), the
+    w^(2k+1) coefficient of J_(n-1).  As factorials the weight carries the
+    square of (n-k-1)!; the unsquared variant fails the exact cross-check
+    against the Meyer-Konig-Zeller series under the u <-> w substitution
+    (first at n = 3).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     out = [0] * (2 * n)
-    for k in range(n):
-        out[2 * k + 1] = (
-            math.factorial(2 * k) * math.factorial(2 * n - 2 * k - 2)
-            // (math.factorial(k) ** 2 * math.factorial(n - k - 1) ** 2)
-        )
+    out[1::2] = _central_products(n - 1)
     return RationalPoly._from_ints(out, 4 ** (n - 1), "u")
 
 
@@ -758,8 +756,13 @@ def j_series_coeffs(n: int) -> RationalPoly:
 
 
 def _central_products(n: int) -> list[int]:
-    """C(2k, k) C(2n-2k, n-k) for k = 0..n."""
-    return [math.comb(2 * k, k) * math.comb(2 * (n - k), n - k) for k in range(n + 1)]
+    """C(2k, k) C(2n-2k, n-k) for k = 0..n.  By C(2j+2, j+1) = C(2j, j)
+    2(2j+1)/(j+1) on both factors, step k -> k+1 multiplies the product by
+    (2k+1)(n-k) / ((k+1)(2n-2k-1)), a small integer each way."""
+    out = [math.comb(2 * n, n)]
+    for k in range(n):
+        out.append(out[k] * ((2 * k + 1) * (n - k)) // ((k + 1) * (2 * n - 2 * k - 1)))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqsums
-from sqsums import analysis, cli, exactalg, families
+from sqsums import analysis, bounds, cli, exactalg, families
 from sqsums.cli import OUTPUT_SCHEMA, _parse, run
 from sqsums.core import FAMILY_NAMES, FamilyId, ParameterError, Params
 
@@ -576,6 +576,86 @@ def test_json_writer_streams_in_chunks(count):
     assert len(stream.writes) > 1
 
 
+def _json_text(value, pad):
+    """The text ``cli._json`` writes of value at pad, flushed chunks first."""
+    pending, written = [], []
+    cli._json(value, pad, pending, written.append)
+    return "".join(written + pending)
+
+
+_BOUND_FAMILIES = [FamilyId(name) for name in ("bernstein", "szasz", "baskakov", "bbh", "mkz")] + [
+    FamilyId("general", c) for c in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("family", _BOUND_FAMILIES, ids=lambda f: f"{f.name}{'' if f.c is None else f.c}")
+@pytest.mark.parametrize("n", [1, 3])
+def test_bound_point_text_is_the_json_of_its_record(family, n):
+    # every point of the standard grid (the domain's ends among them; at
+    # n = 1 bernstein's note), at the indent the bounds document puts it
+    reports = bounds.bound_reports(family, n, bounds.standard_grid(family))
+    for r in reports:
+        for pad in ("\n", "\n      "):
+            assert cli._bound_text(pad)(r) == _json_text(r.to_json(), pad)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_BOUND_FAMILIES), st.integers(0, 10 ** 30), _FLOATS, _FLOATS,
+    st.lists(st.tuples(_JSON_TEXT, _FLOATS), max_size=3), _FLOATS, st.lists(_JSON_TEXT, max_size=3),
+    st.integers(0, 5),
+)
+def test_bound_point_text_matches_the_writer_on_any_fields(family, n, x, s, marks, margin, notes, depth):
+    # labels and notes json must escape, floats it spells out, empty lists
+    r = bounds.BoundReport(family, n, x, s, tuple(marks), margin, tuple(notes))
+    pad = "\n" + "  " * depth
+    assert cli._bound_text(pad)(r) == _json_text(r.to_json(), pad)
+
+
+def test_records_stream_in_chunks():
+    # a list of records streams as any list does, a chunk of items at a time,
+    # and an empty one is "[]"
+    family = FamilyId("bernstein")
+    reports = bounds.bound_reports(family, 3, bounds.standard_grid(family) * 3)
+    stream = _RecordingStream()
+    cli._write_json({"points": cli._Records(reports, cli._bound_text)}, stream)
+    assert "".join(stream.writes) == json.dumps({"points": [r.to_json() for r in reports]}, indent=2) + "\n"
+    longest = max(len(cli._bound_text("\n    ")(r)) for r in reports) + 6
+    assert len(stream.writes) > 1 and max(map(len, stream.writes)) <= (cli._CHUNK + 2) * longest
+    assert _json_text({"points": cli._Records([], cli._bound_text)}, "\n") == json.dumps({"points": []}, indent=2)
+
+
+def _json_doc_cases():
+    yield "eval --family bernstein -n 2 -x 0.5"
+    yield "eval --family general -c -1/2 -n 3/2 -x 1"
+    yield "table --family szasz -n 3 --grid 0:10:11"
+    yield "verify --family baskakov --n-max 3"
+    yield "verify --family mkz --n-max 2"
+    yield "scan --family bernstein -n 5 --kind logconvexity --count 9"
+    yield "scan --family bernstein -n 4 --kind monotonicity --count 5"
+    yield "scan --family szasz -n 2 --kind ode --grid 1/2:3:8"
+    yield "scan --family general -c 1/3 -n 2 --kind logconvexity --grid 1/10:5:9"
+    yield "scan --family bernstein -n 3 --kind convexity --grid 0:1:9"
+    yield "info --family general -c -1/2 -n 3/2"
+    yield "info --family mkz"
+    ends = {"bernstein": ("0", "1"), "general -c -1": ("0", "1"), "mkz": ("0",)}
+    grids = {"bernstein": "0:1:5", "general -c -1": "0:1:5", "mkz": "0:1/2:5"}
+    for family in ("bernstein", "szasz", "baskakov", "bbh", "mkz", "general -c -1", "general -c 0", "general -c 1"):
+        for x in ends.get(family, ("0",)):
+            yield f"bounds --family {family} -n 1 -x {x}"
+        yield f"bounds --family {family} -n 1 --grid {grids.get(family, '0:20:5')}"
+
+
+@pytest.mark.parametrize("command", list(_json_doc_cases()))
+def test_every_json_document_is_json_dumps_of_itself(command):
+    # the writer's text, the bounds points' own text included, is what json
+    # writes of the document it parses to
+    _, out, err = invoke([*command.split(), "--format", "json"])
+    assert err == "" and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 # SHA-256 of the stdout of each command, recorded before the exact layer moved
 # from gcd-reduced Fraction coefficients to unreduced integer-coefficient
 # pairs.  The witnesses, the item verdicts and every printed margin must stay
@@ -1003,6 +1083,13 @@ def test_closed_stdout_exits_without_a_traceback():
     ("eval --family general -c 1 -n 4/3 -x 1e6", "series did not converge; use the quadrature route"),
     ("eval --family general -c 1 -n 1e200 -x 5",
      "peak index of a=1e+200, u=5.0 is past 2^53: the peak window cannot reach it"),
+    # the kernel's overflow names its route and what overflowed, where it
+    # read "(34, 'Numerical result out of range')"
+    ("eval --family general -c 1 -n 1e200 -x 1e-300",
+     "series route: ((n + kc)/(k + 1))^2 in the c > 0 term ratio is past the double range"),
+    # cx = inf away from whole 2a, where the peak read "cannot convert
+    # float infinity to integer"
+    ("eval --family general -c 1e200 -n 1/3 -x 1e200", "1 + 2cx is past the double range"),
 ])
 def test_a_route_that_cannot_finish_prints_one_error_line(argv, message, monkeypatch, capsys):
     # a route's ArithmeticError ended in a traceback (the last case, in the

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqsums import core
 from sqsums.core import (
     LOG_SPACE_THRESHOLD,
     DomainError,
@@ -318,3 +319,19 @@ class TestPartitionOfUnity:
         total, terms = basis_sum(Params(9, -1), 0.4)
         assert terms == 10
         assert total == pytest.approx(1.0, abs=1e-14)
+
+    def test_negative_c_past_its_cap_raises_before_summing(self, monkeypatch):
+        # l + 1 terms past _NEG_C_TERMS raise before a term is summed (l =
+        # 10^6 took 1.6 s, and l = 10^300 at c = -1e-300, n = 1, would not
+        # finish); x = 0 still reads 1, and below the cap the sum is unchanged
+        for l in (core._NEG_C_TERMS, core._NEG_C_TERMS + 1):
+            with pytest.raises(ArithmeticError, match=(
+                    rf"^the c < 0 basis sum at l = {l} takes {l + 1} terms, past its cap of {core._NEG_C_TERMS}$")):
+                basis_sum(Params(l, -1), 0.5)
+            assert basis_sum(Params(l, -1), 0.0) == (1.0, 1)
+        want = basis_sum(Params(9, -1), 0.4)
+        monkeypatch.setattr(core, "_NEG_C_TERMS", 10)
+        assert basis_sum(Params(9, -1), 0.4) == want
+        monkeypatch.setattr(core, "_NEG_C_TERMS", 9)
+        with pytest.raises(ArithmeticError, match="past its cap of 9"):
+            basis_sum(Params(9, -1), 0.4)

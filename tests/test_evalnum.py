@@ -1327,6 +1327,23 @@ def test_neg_c_series_past_its_cap_raises_before_building(monkeypatch):
         s_series(small, 0.25)
 
 
+def test_a_kernel_overflow_names_its_route():
+    # a square that overflows in the certified-series kernel reaches the
+    # route as an OverflowError naming the route and the square, where it
+    # read "(34, 'Numerical result out of range')"
+    with pytest.raises(OverflowError, match=(
+            r"^series route: \(\(n \+ kc\)/\(k \+ 1\)\)\^2 in the c > 0 term ratio is past the double range$")):
+        s_series(Params(10 ** 200, 1), 1e-300)
+    with pytest.raises(OverflowError, match=(
+            r"^closed-form route: \(\(a \+ k\)/\(k \+ 1\)\)\^2 in the term ratio of 2F1\(a, a; 1; z\) "
+            r"is past the double range$")):
+        s_closed(Params(10 ** 155, 3), 1e-154)
+    # cx = inf away from whole 2a, where the peak raised "cannot convert
+    # float infinity to integer"
+    with pytest.raises(OverflowError, match=r"^1 \+ 2cx is past the double range$"):
+        s_series(Params(Fraction(1, 3), 10 ** 200), 1e200)
+
+
 def test_szasz_closed_form_past_the_double_range_raises():
     # where 2nx (2n sqrt(x) sqrt(y) off the diagonal) overflows, the c = 0
     # closed form raises OverflowError, as c > 0 does where 1 + 2cx does,

@@ -18,6 +18,7 @@ from sqsums.exactalg import (
     OdeSpec,
     RationalFn,
     RationalPoly,
+    _central_products,
     _cleared_residual,
     _odd_part,
     _reduced,
@@ -556,6 +557,19 @@ class TestFaultInjection:
         u_from_f = RationalFn(f_poly_direct(n)).compose_mobius(1, 0, 1, 1)
         assert _perturbed(u_rational(n)) != u_from_f
         assert u_rational(n) != RationalFn(_perturbed(f_poly_direct(n))).compose_mobius(1, 0, 1, 1)
+
+
+def test_central_products_by_recurrence_are_the_binomial_products():
+    # the recurrence's products against math.comb, and g's odd coefficients
+    # against the factorial weights they replaced
+    for n in range(201):
+        assert _central_products(n) == [math.comb(2 * k, k) * math.comb(2 * (n - k), n - k) for k in range(n + 1)]
+    for n in range(1, 201):
+        g = g_series_coeffs(n)
+        assert g == RationalPoly([0 if i % 2 == 0 else Fraction(
+            math.factorial(i - 1) * math.factorial(2 * n - i - 1),
+            math.factorial((i - 1) // 2) ** 2 * math.factorial(n - (i + 1) // 2) ** 2 * 4 ** (n - 1),
+        ) for i in range(2 * n)], "u")
 
 
 class TestLargeIndex:
