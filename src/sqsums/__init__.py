@@ -42,6 +42,7 @@ from .exactalg import (
     ode_residual_poly,
     recurrence_check,
     u_rational,
+    x_form,
 )
 
 __all__ = [
@@ -75,5 +76,6 @@ __all__ = [
     "t_closed",
     "t_quad",
     "u_rational",
+    "x_form",
     "__version__",
 ]

@@ -7,16 +7,14 @@ and verifies their recurrences, differential equations and Heun-form
 solutions with exact zero residuals.
 
 Scope is deliberately small: ring operations, formal derivatives, Moebius
-substitutions and exact evaluation.  No factorization or general computer
-algebra.  Arithmetic is fraction-free: a polynomial is a tuple of integers
-over one common denominator, and a rational function keeps its numerator
-and denominator unreduced.  Equality is cross-multiplication, residuals
+substitutions and exact evaluation.  No factorization, polynomial gcd or
+division, or general computer algebra.  Arithmetic is fraction-free: a
+polynomial is a tuple of integers over one common denominator, residuals
 are cleared polynomial identities, and evaluation at p/q is homogeneous
 integer Horner with one Fraction built at the end, and points that share
 a denominator share one pre-scaled coefficient list (``RationalPoly.values``).
-A polynomial gcd runs only when the lowest-terms form is observed (``num``,
-``den``, hashing, ``repr``, serialization, float evaluation, or an exact
-evaluation where the stored denominator vanishes).
+The one rational function is the x-form of a series polynomial under a
+Moebius map (``x_form``), in lowest terms by construction.
 """
 
 from __future__ import annotations
@@ -63,6 +61,7 @@ __all__ = [
     "u_rational",
     "u_series_coeffs",
     "u_value",
+    "x_form",
 ]
 
 CoefLike = Union[int, Fraction]
@@ -344,228 +343,22 @@ class RationalPoly:
         return "RationalPoly(" + " + ".join(parts) + ")"
 
 
-def _divmod(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
-    """Quotient and remainder of polynomial division over the rationals."""
-    rem, bc = list(a.coeffs), b.coeffs
-    quo = [Fraction(0)] * max(0, len(rem) - len(bc) + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        q = quo[i] = rem[i + len(bc) - 1] / bc[-1]
-        for j, c in enumerate(bc):
-            rem[i + j] -= q * c
-    return RationalPoly(quo, a.var), RationalPoly(rem, a.var)
-
-
-def _coprime_mod_p(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True certifies that the integer polynomials a, b have no common factor.
-
-    Euclid in GF(p), p = 2^61 - 1.  When p divides neither leading
-    coefficient, a common factor over Q survives reduction mod p with its
-    degree, so a constant gcd mod p rules one out.  False is inconclusive.
-    """
-    p = (1 << 61) - 1
-    a, b = [c % p for c in a], [c % p for c in b]
-    if not (a[-1] and b[-1]):
-        return False
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q, shift = a[-1] * inv % p, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - q * c) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
-def _lowest_terms(num: RationalPoly, den: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
-    """Divide out gcd(num, den): a modular coprimality test, else Euclid.
-
-    Each Euclidean remainder is scaled to its primitive integer part, which
-    keeps the coefficients of the remainder sequence small.
-    """
-    if den.degree == 0 or _coprime_mod_p(num._ints, den._ints):
-        return num, den
-    g, r = num, den
-    while not r.is_zero:
-        ints = _divmod(g, r)[1]._ints
-        content = math.gcd(*ints)
-        g, r = r, RationalPoly._from_ints([c // content for c in ints], 1, num.var)
-    return _divmod(num, g)[0], _divmod(den, g)[0]
-
-
-def _scaled(num: RationalPoly, den: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
-    """Scale so den is a primitive integer polynomial with positive lead."""
-    if den.is_zero:
-        raise ZeroDivisionError("rational function with zero denominator")
-    if num.is_zero:
-        return RationalPoly.zero(den.var), RationalPoly.one(den.var)
-    content = math.gcd(*den._ints)
-    if den._ints[-1] < 0:
-        content = -content
-    var = num.var if den.degree == 0 else den.var
-    if content == 1 and den._den == 1 and var == den.var:
-        return num, den
-    return (
-        num * Fraction(den._den, content),
-        RationalPoly._from_ints([c // content for c in den._ints], 1, var),
-    )
-
-
+@dataclass(frozen=True)
 class RationalFn:
-    """Quotient N/D of RationalPoly values, kept unreduced.
+    """num/den, the x-form of a series polynomial (``x_form``).
 
-    The only normalization on construction is scalar: D is a primitive
-    integer polynomial with a positive leading coefficient (and D = 1 when
-    N = 0).  Arithmetic, equality (N1*D2 == N2*D1), derivatives and exact
-    evaluation take no polynomial gcd; ``pair`` is the stored (N, D).
-    ``num`` and ``den`` are the lowest-terms pair, computed by one gcd on
-    first use and cached; hashing, serialization, ``repr``,
-    ``is_polynomial`` and float evaluation use it.  It carries the x-level
-    residuals (``ode_residual_poly``, ``heun_residual``) and the rational
-    witnesses, the independent check of the series-variable path that
-    ``verify`` runs.
+    ``x_form`` builds the pair in lowest terms with den a primitive integer
+    polynomial with positive lead.  A function has one such pair, so two
+    x-forms are equal records iff they are equal functions.  It is the
+    witness ``verify --format json`` writes, and ``ode_residual_poly`` and
+    ``heun_residual`` take it.
     """
 
-    __slots__ = ("_n", "_d", "_reduced")
-
-    def __init__(
-        self,
-        num: Union[RationalPoly, CoefLike],
-        den: Union[RationalPoly, CoefLike, None] = None,
-    ) -> None:
-        if not isinstance(num, RationalPoly):
-            num = RationalPoly((num,))
-        if den is None:
-            den = RationalPoly.one(num.var)
-        elif not isinstance(den, RationalPoly):
-            den = RationalPoly((den,), num.var)
-        if num.degree > 0 and den.degree > 0 and num.var != den.var:
-            raise ValueError(f"mixed variables {num.var!r} and {den.var!r}")
-        num, den = _scaled(num, den)
-        object.__setattr__(self, "_n", num)
-        object.__setattr__(self, "_d", den)
-        object.__setattr__(self, "_reduced", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
-
-    def _lowest(self) -> tuple[RationalPoly, RationalPoly]:
-        if self._reduced is None:
-            object.__setattr__(self, "_reduced", _scaled(*_lowest_terms(self._n, self._d)))
-        return self._reduced
-
-    @property
-    def pair(self) -> tuple[RationalPoly, RationalPoly]:
-        """The stored, unreduced (N, D)."""
-        return self._n, self._d
-
-    @property
-    def num(self) -> RationalPoly:
-        """Numerator of the lowest-terms form."""
-        return self._lowest()[0]
-
-    @property
-    def den(self) -> RationalPoly:
-        """Denominator of the lowest-terms form: primitive, integer, positive lead."""
-        return self._lowest()[1]
-
-    @property
-    def is_zero(self) -> bool:
-        return self._n.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, RationalPoly)):
-            other = RationalFn(other)
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        if self._d == other._d:
-            return self._n == other._n
-        return self._n * other._d == other._n * self._d
-
-    def __hash__(self) -> int:
-        return hash(self._lowest())
-
-    @staticmethod
-    def _coerce(v) -> "RationalFn":
-        if isinstance(v, RationalFn):
-            return v
-        if isinstance(v, (int, Fraction, RationalPoly)):
-            return RationalFn(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} to RationalFn")
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self._n, self._d)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFn(self._n * other._d + other._n * self._d, self._d * other._d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFn(self._n * other._n, self._d * other._d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self._n * other._d, self._d * other._n)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def derivative(self) -> "RationalFn":
-        n, d = self._n, self._d
-        return RationalFn(n.derivative() * d - n * d.derivative(), d * d)
-
-    def __call__(self, v):
-        """Exact on rational input; float input uses the lowest-terms pair."""
-        if not isinstance(v, float):
-            v = Fraction(v)
-            point = ((v.numerator, v.denominator),)
-            (a, b), = self._n._at(point)
-            (c, d), = self._d._at(point)
-            if c:
-                return Fraction(a * d, b * c)
-        num, den = self._lowest()  # float input, or D(v) = 0
-        dv = den(v)
-        if dv == 0:
-            raise ZeroDivisionError(f"evaluation at a pole ({v})")
-        return num(v) / dv
-
-    def compose_mobius(self, a: CoefLike, b: CoefLike, c: CoefLike, d: CoefLike) -> "RationalFn":
-        """Substitute X -> (a*X + b)/(c*X + d)."""
-        if Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c) == 0:
-            raise ValueError("degenerate substitution")
-        # With P_c = (cX+d)^deg(P) P((aX+b)/(cX+d)), N/D becomes
-        # N_c (cX+d)^(deg D - deg N) / D_c: no surplus power of cX+d is formed.
-        num_c = _poly_compose_mobius(self._n, a, b, c, d)
-        den_c = _poly_compose_mobius(self._d, a, b, c, d)
-        shift = self._d.degree - self._n.degree
-        lin = RationalPoly((d, c), "x")
-        return RationalFn(num_c * lin ** max(shift, 0), den_c * lin ** max(-shift, 0))
+    num: RationalPoly
+    den: RationalPoly
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    def __repr__(self) -> str:
-        if self.is_polynomial:
-            return f"RationalFn({self.num!r})"
-        return f"RationalFn({self.num!r} / {self.den!r})"
 
 
 def _poly_compose_mobius(
@@ -639,6 +432,24 @@ def mobius_same(m1: Mobius, m2: Mobius) -> bool:
     return a * d != b * c and any(m2) and all(
         p * s == q * r for (p, q), (r, s) in combinations(zip(m1, m2), 2)
     )
+
+
+def x_form(y: RationalPoly, inner: Mobius = IDENTITY) -> RationalFn:
+    """x -> y(t(inner(x))), t = SERIES_MAPS[y.var], in lowest terms.
+
+    With (a, b, c, d) the composed map and m the degree of y, it is N over
+    (cx+d)^m, N = (cx+d)^m y((ax+b)/(cx+d)).  No gcd is needed: where
+    c != 0, N(-d/c) = y_m ((bc - ad)/c)^m != 0, so the two share no factor,
+    and where c = 0 the denominator is a constant.
+    """
+    a, b, c, d = mobius_compose(SERIES_MAPS[y.var], inner)
+    if a * d == b * c:
+        raise ValueError("degenerate substitution")
+    # cx+d over g is primitive with positive lead, and so is its power
+    g = math.gcd(c, d) * (1 if c > 0 or (c == 0 and d > 0) else -1)
+    m = max(y.degree, 0)
+    num = _poly_compose_mobius(y, a, b, c, d) * Fraction(1, g ** m)
+    return RationalFn(num, RationalPoly((d // g, c // g)) ** m)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +544,7 @@ def g_series_coeffs(n: int) -> RationalPoly:
 @lru_cache(maxsize=None)
 def g_rational(n: int) -> RationalFn:
     """G_n as a rational function of x (u-series with u = 1/(1+2x))."""
-    return RationalFn(g_series_coeffs(n)).compose_mobius(*SERIES_MAPS["u"])
+    return x_form(g_series_coeffs(n))
 
 
 def g_value(n: int, x):
@@ -768,7 +579,7 @@ def _central_products(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def j_rational(n: int) -> RationalFn:
     """J_n as a rational function of x (w-series with w = (1-x)/(1+x))."""
-    return RationalFn(j_series_coeffs(n)).compose_mobius(*SERIES_MAPS["w"])
+    return x_form(j_series_coeffs(n))
 
 
 def j_value(n: int, x):
@@ -801,11 +612,12 @@ def u_rational(n: int) -> RationalFn:
     """U_n as a rational function of x, built twice and cross-checked.
 
     Route one expands the even series in v = (x-1)/(x+1); route two
-    substitutes s = (x-1)/(2(x+1)) into the centered Bernstein coefficients.
-    The two constructions must agree exactly.
+    substitutes s = (x-1)/(2(x+1)), s at x/(1+x), into the centered
+    Bernstein coefficients.  Both are lowest-terms x-forms, so they agree
+    exactly iff they are equal records.
     """
-    route_one = RationalFn(u_series_coeffs(n)).compose_mobius(*SERIES_MAPS["v"])
-    route_two = RationalFn(f_poly_parseval(n)).compose_mobius(1, -1, 2, 2)
+    route_one = x_form(u_series_coeffs(n))
+    route_two = x_form(f_poly_parseval(n), (1, 0, 1, 1))
     if route_one != route_two:
         raise ArithmeticError(f"the two constructions of U_{n} disagree")
     return route_one
@@ -930,35 +742,32 @@ def eq_u(n: int) -> OdeSpec:
     return OdeSpec(f"U_{n}", a2, a1, a0)
 
 
-def _cleared_residual(f: RationalFn, op: OdeSpec) -> RationalFn:
-    """a2*y'' + a1*y' + a0*y for y = N/D, as a polynomial identity over D^3.
+def _as_pair(y: Union[RationalPoly, RationalFn]) -> tuple[RationalPoly, RationalPoly]:
+    """(num, den) of y; a polynomial is over 1."""
+    return (y.num, y.den) if isinstance(y, RationalFn) else (y, RationalPoly.one(y.var))
+
+
+def _cleared_residual(n: RationalPoly, d: RationalPoly, op: OdeSpec) -> RationalPoly:
+    """D^3 (a2*y'' + a1*y' + a0*y) for y = N/D, as a polynomial identity.
 
     With W = N'D - ND': y' = W/D^2 and y'' = ((N''D - ND'')D - 2D'W)/D^3.
-    A zero numerator needs no denominator, so D^3 is formed only otherwise;
-    a polynomial y (D = 1) needs neither.
     """
-    n, d = f._n, f._d
-    if d.degree == 0:
-        return RationalFn(op.apply(n))
     a2, a1, a0 = op.a2, op.a1, op.a0
     n1, d1 = n.derivative(), d.derivative()
     w = n1 * d - n * d1
-    r = a2 * ((n1.derivative() * d - n * d1.derivative()) * d - 2 * d1 * w) + (
-        a1 * w + a0 * n * d
-    ) * d
-    return RationalFn(r) if r.is_zero else RationalFn(r, d ** 3)
+    return a2 * ((n1.derivative() * d - n * d1.derivative()) * d - 2 * d1 * w) + (a1 * w + a0 * n * d) * d
 
 
-def ode_residual_poly(y: Union[RationalPoly, RationalFn], ode: OdeSpec) -> RationalFn:
-    """Exact residual of the named equation applied to y; zero iff y solves it.
+def ode_residual_poly(y: Union[RationalPoly, RationalFn], ode: OdeSpec) -> RationalPoly:
+    """Exact residual of the named equation applied to y, cleared of its
+    denominator (den^3 times it for y = num/den); zero iff y solves it.
 
     No verb runs it: ``verify`` moves each operator to the series variable
     (``moved_operators``).  It stays as the independent x-level witness of
     that path; ``test_criterion_04_ode_and_heun_solutions`` in
     ``tests/test_acceptance.py`` holds both at every n up to 30.
     """
-    f = y if isinstance(y, RationalFn) else RationalFn(y)
-    return _cleared_residual(f, ode)
+    return _cleared_residual(*_as_pair(y), ode)
 
 
 @dataclass(frozen=True)
@@ -1020,22 +829,23 @@ def heun_residual(
     y: Union[RationalPoly, RationalFn],
     hp: HeunParams,
     transform: str = "none",
-) -> RationalFn:
-    """Exact residual of the Heun operator applied to y (after the transform).
+) -> RationalPoly:
+    """Exact residual of the Heun operator, multiplied through by
+    x(x-1)(2x-1) (``HeunParams.operator``), applied to y after the
+    transform, and cleared of y's denominator as ``ode_residual_poly``'s is.
 
-    ``transform='negate'`` first substitutes X -> -X into y, matching the
-    reflected-argument solutions of the positive-c families.  The residual
-    is an exact rational function; it is the zero function iff y solves the
-    equation identically.  Like ``ode_residual_poly`` it is the x-level
+    ``transform='negate'`` first substitutes X -> -X into y's numerator and
+    denominator, matching the reflected-argument solutions of the
+    positive-c families.  The residual is the zero polynomial iff y solves
+    the equation identically.  Like ``ode_residual_poly`` it is the x-level
     witness of the series-variable path that ``verify`` runs.
     """
     if transform not in _TRANSFORMS:
         raise ValueError(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
-    f = y if isinstance(y, RationalFn) else RationalFn(y)
+    num, den = _as_pair(y)
     if transform == "negate":
-        f = f.compose_mobius(*NEGATE)
-    op = hp.operator()
-    return _cleared_residual(f, op) / op.a2
+        num, den = (_poly_compose_mobius(p, *NEGATE) for p in (num, den))
+    return _cleared_residual(num, den, hp.operator())
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import core, exactalg, legendre
@@ -36,6 +37,12 @@ def _bernstein_bounds(n: int, x: float) -> Bounds:
     return out, notes
 
 
+@lru_cache(maxsize=None)
+def _central_beta(m: int) -> float:
+    """C(2m, m)/4^m, correctly rounded: once per index, not per point."""
+    return math.comb(2 * m, m) / 4 ** m
+
+
 def _baskakov_bounds(n: int, x: float, w: Optional[float] = None) -> Bounds:
     # the central-binomial envelope C(2m, m) (1+x)^m / (1+2x)^(m+1), m = n - 1,
     # as beta_m (2 + 2w)^m w with beta_m = C(2m, m)/4^m <= 1 and w = 1/(1+2x) =
@@ -46,7 +53,7 @@ def _baskakov_bounds(n: int, x: float, w: Optional[float] = None) -> Bounds:
     m = n - 1
     if w is None:
         w = 0.5 / (0.5 + x)
-    beta = math.comb(2 * m, m) / 4 ** m
+    beta = _central_beta(m)
     try:
         envelope = beta * (2.0 + 2.0 * w) ** m * w
     except OverflowError:

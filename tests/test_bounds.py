@@ -59,6 +59,27 @@ class TestDocumentedMargins:
         assert dict(r.bounds)["inv_sqrt"] == 1.0
         assert r.min_margin == 0.0
 
+    def test_central_beta_is_one_comb_per_index(self, monkeypatch):
+        # the envelope's beta_m = C(2m, m)/4^m over a whole grid: one
+        # math.comb for baskakov at n and none more for mkz at n - 1, which
+        # reads baskakov's row at the same m, with the bits of the formula
+        from sqsums import families
+
+        real, calls = math.comb, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        families._central_beta.cache_clear()
+        monkeypatch.setattr(math, "comb", counting)
+        for family, n in ((BASKAKOV, 40), (MKZ, 39)):
+            for x in standard_grid(family):
+                FAMILIES[family.key].bounds(n, x)
+        assert calls == [(78, 39)]
+        for m in (0, 1, 39, 3000):
+            assert families._central_beta(m) == real(2 * m, m) / 4 ** m
+
     def test_equality_anchors_as_rational_functions(self):
         assert g_rational(1) == RationalFn(RationalPoly.one(), 2 * X + 1)
         assert j_rational(0) == RationalFn(1 - X, 1 + X)

@@ -266,19 +266,19 @@ class TestVerifySeriesRoute:
         code, out, _ = invoke(["verify", "--family", family, "--n-max", "4"])
         assert (code, out) == (1, "ode: OK\nsubstitution: FAIL\n")
 
-    def test_compose_mobius_runs_only_for_the_witness(self, monkeypatch):
+    def test_x_form_runs_only_for_the_witness(self, monkeypatch):
         calls = []
-        compose = exactalg.RationalFn.compose_mobius
+        x_form = exactalg.x_form
 
-        def counted(self, *abcd):
-            calls.append(abcd)
-            return compose(self, *abcd)
+        def counted(*args):
+            calls.append(args)
+            return x_form(*args)
 
         def clear():
             for build in (exactalg.g_rational, exactalg.j_rational, exactalg.u_rational):
                 build.cache_clear()
 
-        monkeypatch.setattr(exactalg.RationalFn, "compose_mobius", counted)
+        monkeypatch.setattr(exactalg, "x_form", counted)
         for family, row in families.FAMILIES.items():
             if row.witness is None:
                 continue

@@ -1,6 +1,7 @@
 """Tooling guards on the package source."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -181,10 +182,10 @@ def test_legendre_exports_only_what_the_package_runs():
     assert set(legendre.__all__) - exported == set()
 
 
-def _traced_names() -> set:
+def _traced_names(classes: bool = False) -> set:
     """(module, name) for each top-level name the benchmark's tracer
     (``perfbench/tracing.py`` TARGETS) looks up; a "Class.method" entry
-    looks up the class."""
+    looks up the class.  With ``classes``, only those classes."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     tree = ast.parse(path.read_text(), str(path))
     (targets,) = [
@@ -195,7 +196,21 @@ def _traced_names() -> set:
         (f"{module}.py", attr.split(".")[0])
         for _, module, attrs in ast.literal_eval(targets)
         for attr in attrs
+        if "." in attr or not classes
     }
+
+
+def test_every_traced_class_is_in_its_module():
+    # the tracer looks a "Class.method" entry's class up without a default,
+    # so a missing class would fail every traced operation (a missing
+    # method is skipped)
+    names = _traced_names(classes=True)
+    assert ("exactalg.py", "RationalFn") in names
+    missing = [
+        f"{module}:{name}" for module, name in sorted(names)
+        if not hasattr(importlib.import_module(f"sqsums.{module.removesuffix('.py')}"), name)
+    ]
+    assert missing == []
 
 
 def test_exact_layer_and_cli_functions_are_run_by_the_package():
