@@ -245,22 +245,18 @@ def monotonicity_check(n: int, grid: Sequence[Real]) -> ScanReport:
 
     Each point's margin is the drop toward the midpoint side: toward the
     next point left of 1/2, toward the previous point right of it, and
-    against the exact midpoint value for a straddling point.  Exact on
-    Fraction grids, where F_n is the even polynomial R(t) in t = (x - 1/2)^2
-    evaluated at all points and the midpoint in one batch: the points
-    i/(count-1) share a few denominators of t, and x and 1 - x share t.
+    against the exact midpoint value for a straddling point.  Exact: the
+    grid is taken as Fractions, and F_n is the even polynomial R(t) in
+    t = (x - 1/2)^2 evaluated at all points and the midpoint in one batch:
+    the points i/(count-1) share a few denominators of t, and x and 1 - x
+    share t.
     """
-    xs = list(grid)
+    xs = [Fraction(x) for x in grid]
     if any(xs[i] > xs[i + 1] for i in range(len(xs) - 1)):
         raise ValueError("grid must be sorted")
-    if all(isinstance(x, Fraction) for x in xs):
-        half = Fraction(1, 2)
-        r = _even_in_t(exactalg.f_poly_parseval(n))
-        *vals, mid = r.values(_t_pairs(exactalg.SERIES_MAPS["s"], [*xs, half]))
-    else:
-        half = 0.5
-        vals = [exactalg.f_value(n, float(x)) for x in xs]
-        mid = exactalg.f_value(n, half)
+    half = Fraction(1, 2)
+    r = _even_in_t(exactalg.f_poly_parseval(n))
+    *vals, mid = r.values(_t_pairs(exactalg.SERIES_MAPS["s"], [*xs, half]))
     margins = []
     for i, x in enumerate(xs):
         cand = []

@@ -55,7 +55,7 @@ class BoundReport:
         }
 
 
-def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real], rtol: float = 1e-12) -> list:
+def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real], rtol: float = evalnum.RTOL_DEFAULT) -> list:
     """The squared-basis sum of a family at every point of ``xs``, by its
     most accurate route: the value, or the exception raised there.
 

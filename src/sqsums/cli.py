@@ -189,11 +189,7 @@ def _cmd_eval(args, out) -> int:
     family.require_in_domain(x)
     params = family.base_params(n)
     xm = family.substitution(x)
-    results = [
-        evalnum.s_series(params, xm, args.rtol),
-        evalnum.s_closed(params, xm, args.rtol),
-        evalnum.s_quad(params, xm, rtol=args.rtol),
-    ]
+    results = [route(params, xm, args.rtol) for route in (evalnum.s_series, evalnum.s_closed, evalnum.s_quad)]
     if args.format == "json":
         params = _params_doc(family, n, x=_fmt_float(x), rtol=_fmt_float(args.rtol))
         _emit_json(out, "eval", params, results=[
@@ -226,11 +222,9 @@ def _cmd_table(args, out) -> int:
     grid = _parse_grid(args.grid, family)
     params = family.base_params(args.n)
     xms = [family.substitution(x) for x in grid]
-    routes = (
-        evalnum.s_series_grid(params, xms, args.rtol),
-        evalnum.s_closed_grid(params, xms, args.rtol),
-        evalnum.s_quad_grid(params, xms, rtol=args.rtol),
-    )
+    routes = [
+        route(params, xms, args.rtol) for route in (evalnum.s_series_grid, evalnum.s_closed_grid, evalnum.s_quad_grid)
+    ]
     # the error of the first point and route, as a point-by-point run raises it
     for result in (r for point in zip(*routes) for r in point):
         if isinstance(result, Exception):
@@ -440,7 +434,7 @@ _COMMON = (
 _FORMAT = _Opt("--format", "output layout", choices=("text", "csv", "json"), default="text")
 _TEXT_JSON = _FORMAT._replace(choices=("text", "json"))
 _N = _Opt("-n", "operator index, rational", _parameter, required=True)
-_RTOL = _Opt("--rtol", "relative tolerance", _positive(float), default=1e-12)
+_RTOL = _Opt("--rtol", "relative tolerance", _positive(float), default=evalnum.RTOL_DEFAULT)
 _GRID = _Opt("--grid", "a:b:count", required=True)
 _COUNT = _Opt("--count", "points for exact/rational scans", _positive(int))
 # scan kind: (handler, called with the family, its (n, c) parameters and

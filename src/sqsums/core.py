@@ -84,7 +84,7 @@ class _Interval(NamedTuple):
         return cls(-1 / c if c < 0 else None)
 
     def __contains__(self, x: Union[float, Fraction]) -> bool:
-        if x < 0:
+        if not x >= 0:  # NaN too
             return False
         sup = self.sup
         if sup is None:
@@ -748,11 +748,11 @@ def _nb_peak(a: float, u: float) -> tuple[int, float]:
 _NEG_C_TERMS = 10 ** 6
 
 
-def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]:
+def basis_sum(params: Params, x: float) -> tuple[float, int]:
     """Certified truncation of sum_k p_k(x): (sum, number of terms).
 
     Stops once the next term and its geometric tail bound drop below
-    ``tol`` times the partial sum.  For c >= 0 the sum is walked out from
+    1e-15 times the partial sum.  For c >= 0 the sum is walked out from
     its peak k0 (``_window_rows``), anchored at Loader's log of the weight
     there (``_poisson_peak``, ``_nb_peak``); the walk raises
     ArithmeticError at the term cap, and where k0 reaches 2^53.  For c < 0
@@ -778,10 +778,10 @@ def basis_sum(params: Params, x: float, tol: float = 1e-15) -> tuple[float, int]
 
     if c == 0.0:
         mu = n * xf
-        return _one(_window_rows([_poisson_peak(mu)], lambda k: mu / (k + 1.0), lambda k: k / mu, tol))
+        return _one(_window_rows([_poisson_peak(mu)], lambda k: mu / (k + 1.0), lambda k: k / mu, 1e-15))
 
     a = n / c
     u = c * xf
     r = u / (1.0 + u)
     up, down = (lambda k: (a + k) / (k + 1.0) * r), (lambda k: k / ((a + k - 1.0) * r))
-    return _one(_window_rows([_nb_peak(a, u)], up, down, tol, up_sup=[r]))
+    return _one(_window_rows([_nb_peak(a, u)], up, down, 1e-15, up_sup=[r]))

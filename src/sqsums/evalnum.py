@@ -71,7 +71,6 @@ from .core import _NEG_C_TERMS, Params, _certified_rows, _finish, _nb_peak, _one
 __all__ = [
     "EvalResult",
     "Method",
-    "RuleKind",
     "Z_SWITCH",
     "bessel_i0",
     "bessel_i0e",
@@ -93,6 +92,13 @@ __all__ = [
 Z_SWITCH = 0.995
 
 RTOL_DEFAULT = 1e-12
+
+
+def _require_rtol(rtol: float) -> None:
+    """The grid routes' one check of their tolerance, the rule of the CLI's
+    --rtol: finite and positive (NaN fails it)."""
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be finite and > 0, got {rtol}")
 
 # Adaptive quadrature ladder: node counts double from start to cap.
 LADDER_START = 16
@@ -122,11 +128,6 @@ class EvalResult:
     terms_or_nodes: int
 
 
-class RuleKind(enum.Enum):
-    CHEBYSHEV_01 = "chebyshev_01"
-    TANH_SINH = "tanh_sinh"
-
-
 class QuadratureRule:
     """Not exported and empty: quadrature keeps no rule objects.
 
@@ -135,16 +136,17 @@ class QuadratureRule:
     """
 
 
-def _chebyshev_nodes(ms: np.ndarray) -> np.ndarray:
+def _chebyshev_nodes(ms: np.ndarray) -> tuple:
     """The nodes of the m-node Gauss-Chebyshev rule on [0, 1] for each m in
-    ``ms``, one rule after the other in one array.
+    ``ms``, one rule after the other in one array, and None for its equal
+    weights.
 
     The rule integrates against 1/sqrt(t(1-t)) with equal weights pi/m and
     is exact for polynomials of degree 2m-1 times the weight.
     """
     m = np.repeat(ms, ms)
     j = np.arange(1, m.size + 1) - np.repeat(np.cumsum(ms) - ms, ms)
-    return (1.0 + np.cos((2 * j - 1) * np.pi / (2 * m))) / 2.0
+    return (1.0 + np.cos((2 * j - 1) * np.pi / (2 * m))) / 2.0, None
 
 
 # The tanh-sinh rule samples |tau| < _TS_EDGE; beyond it lie sigma and
@@ -174,7 +176,7 @@ def _tanh_sinh_level(m: int) -> tuple:
     """Nodes and weights of the m-node tanh-sinh rule.
 
     The rule integrates against 1/sqrt(sigma(1-sigma)) on [0, 1], as
-    CHEBYSHEV_01 does: with sigma = 1/(1 + exp(pi sinh tau)),
+    ``_chebyshev_nodes`` does: with sigma = 1/(1 + exp(pi sinh tau)),
 
         (1/pi) int f dsigma/sqrt(sigma(1-sigma)) = (1/2) int f cosh(tau)/cosh((pi/2) sinh tau) dtau,
 
@@ -243,15 +245,15 @@ def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 
     return out
 
 
-def hyp2f1_diag(a: float, z: float, rtol: float = 1e-15) -> float:
+def hyp2f1_diag(a: float, z: float) -> float:
     """Gauss series with equal upper parameters and unit lower parameter.
 
     Computes sum_k ((a)_k / k!)^2 z^k through the term-ratio recurrence
     term *= ((a+k)/(k+1))^2 z.  Terminates exactly after |a|+1 terms when a
     is a nonpositive integer; otherwise needs 0 <= z < 1 and stops once the
-    geometric tail certificate falls below rtol times the partial sum.
+    geometric tail certificate falls below 1e-15 times the partial sum.
     """
-    value, _, _ = _one(_hyp2f1_rows(float(a), [float(z)], rtol))
+    value, _, _ = _one(_hyp2f1_rows(float(a), [float(z)], 1e-15))
     return value
 
 
@@ -584,8 +586,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
     are rows of one certified-series kernel call, the peak windows of one
     ``core._window_rows`` call, and the points past the switch at whole 2a
     take ``_far_series`` one by one."""
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
+    _require_rtol(rtol)
     n = params.n_float
     c = params.c_float
     # stop well below the requested tolerance; the certificate is reported
@@ -674,13 +675,13 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
             deviation = math.sqrt(n / c * u * (1.0 + u))
             return EvalResult(s[0], Method.SERIES, s[0] * (rtol + _WINDOW_ROUNDING * (deviation + 2.0)), s[1])
 
-        _finish(out, window, _pos_c_window_rows(n, c, [x for _, x in window], min(rtol, 1e-16)), pos_c_window)
+        _finish(out, window, _pos_c_window_rows(n, c, [x for _, x in window], 1e-16), pos_c_window)
         # the claim of the half-integer Legendre recurrence, and at least
         # 2^-1074 per term below the normal range: on 2a from 1 to 601 and
         # 12 u per decade from the switch to 1e12 the expansion was within
         # 0.29 of it (at a = 1/2) against mpmath at 40 digits
         rounding = _ROUNDING_PER_A * (two_a / 2.0 + 1.0)
-        _finish(out, far, [_far_series(two_a, u, min(rtol, 1e-16)) for _, u in far],
+        _finish(out, far, [_far_series(two_a, u, 1e-16) for _, u in far],
                 lambda _, s: EvalResult(s[0], Method.SERIES, s[1] + max(rounding * s[0], s[2] * 2.0 ** -1074), s[2]))
     return out
 
@@ -967,8 +968,8 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
         _finish(out, hyp, _hyp2f1_rows(a, [z for _, (z, _) in hyp], rtol, overflow=over),
                 lambda p, s: _hyp_result(Method.CLOSED_FORM, p[1], *s))
     if quad:
-        # S's quadrature pair grid, from the node count S starts from
-        rows, quad_tails = _quad_grid(params, [xs[i] for i in quad], [ys[i] for i in quad], LADDER_START, qtol, two_a)
+        # S's quadrature pair grid
+        rows, quad_tails = _quad_grid(params, [xs[i] for i in quad], [ys[i] for i in quad], qtol, two_a)
         for i, row, tail in zip(quad, rows, quad_tails):
             out[i], tails[i] = row, tail
     return out, tails
@@ -977,6 +978,7 @@ def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol:
 def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
     """``s_closed`` at every point of ``xs``: the diagonal of T's pair grid
     (``_closed_rows``), so each kernel runs once over all its points."""
+    _require_rtol(rtol)
     return _closed_rows(params, xs, xs, rtol)[0]
 
 
@@ -1016,10 +1018,11 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
 _NODES_PER_CALL = 4096
 
 
-def _means(f, kind: RuleKind, ps: Sequence, ms: Sequence[int]) -> list[float]:
-    """Mean of f(t, p) over the nodes t of the m-node rule of a kind, for
-    each pair (p, m) of ``ps`` and ``ms``: the rule's value divided by pi
-    (on the tanh-sinh rule, the mean of f(t, p) times the node's weight).
+def _means(f, rule: Callable, ps: Sequence, ms: Sequence[int]) -> list[float]:
+    """Mean of f(t, p) over the nodes t of the m-node rule that ``rule``
+    builds (``_chebyshev_nodes`` or ``_tanh_sinh_rule``), for each pair
+    (p, m) of ``ps`` and ``ms``: the rule's value divided by pi (where the
+    rule has weights, the mean of f(t, p) times the node's weight).
 
     The nodes of all pairs go through the integrand as one concatenated
     array, and each mean is ``np.add.reduce`` over its own contiguous
@@ -1039,11 +1042,8 @@ def _means(f, kind: RuleKind, ps: Sequence, ms: Sequence[int]) -> list[float]:
     for chunk in chunks:
         sizes = np.array([ms[j] for j in chunk], dtype=np.int64)
         p = np.repeat([ps[j] for j in chunk], sizes)
-        if kind is RuleKind.TANH_SINH:
-            nodes, weights = _tanh_sinh_rule(sizes)
-            vals = f(nodes, p) * weights
-        else:
-            vals = f(_chebyshev_nodes(sizes), p)
+        nodes, weights = rule(sizes)
+        vals = f(nodes, p) if weights is None else f(nodes, p) * weights
         start = 0
         for mm, run in itertools.groupby(chunk, key=ms.__getitem__):
             run = list(run)
@@ -1054,20 +1054,20 @@ def _means(f, kind: RuleKind, ps: Sequence, ms: Sequence[int]) -> list[float]:
     return means
 
 
-def _ladder(f, kind: RuleKind, ps: Sequence, ms: Sequence[int], rtol: float, floor: float) -> tuple:
+def _ladder(f, rule: Callable, ps: Sequence, ms: Sequence[int], rtol: float, floor: float) -> tuple:
     """The quadrature ladder of each pair (p, m) of ``ps`` and ``ms``, one
     ``_means`` call per level: m doubles, capped at LADDER_MAX, until a mean
     is 0 or within max(floor, rtol*|mean|) of the level below.  Returns the
     last means, their differences from the level below (inf where the first
     level is at the cap) and the last node counts."""
     ms = list(ms)
-    values = _means(f, kind, ps, ms)
+    values = _means(f, rule, ps, ms)
     diffs = [math.inf] * len(ms)
     climbing = [j for j in range(len(ms)) if ms[j] < LADDER_MAX]
     while climbing:
         for j in climbing:
             ms[j] *= 2
-        for j, mean in zip(climbing, _means(f, kind, [ps[j] for j in climbing], [ms[j] for j in climbing])):
+        for j, mean in zip(climbing, _means(f, rule, [ps[j] for j in climbing], [ms[j] for j in climbing])):
             diffs[j] = abs(mean - values[j])
             values[j] = mean
         climbing = [
@@ -1083,14 +1083,15 @@ class _QuadPlan:
     integrand f(t, p) over the rule's interval (``t`` and ``p`` may be
     arrays of equal length, so the nodes of many points go in one call),
     the map from a pair (x, y) to p, the factor by which T(x, y) is the
-    integral at p and the relative rounding of that factor, the rule, the
-    first node count at p where x, y > 0, the absolute floor of the
-    ladder's stop, the relative rounding the claim covers at least, and the
-    bound on the mean the rule leaves out at p."""
+    integral at p and the relative rounding of that factor, the rule's
+    builder (``_chebyshev_nodes`` or ``_tanh_sinh_rule``), the first node
+    count at p where x, y > 0 (LADDER_START where x or y is 0), the
+    absolute floor of the ladder's stop, the relative rounding the claim
+    covers at least, and the bound on the mean the rule leaves out at p."""
 
     f: Callable
     pair: Callable[[float, float], tuple]
-    kind: RuleKind
+    rule: Callable[[np.ndarray], tuple]
     start: Callable[[float], int]
     floor: float
     rounding: float
@@ -1105,7 +1106,8 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     Gauss-Chebyshev nodes, every other one on the tanh-sinh rule.  For
     c < 0 the integrand is a degree-l polynomial and (l+2)/2 nodes are
     exact; so are (a+1)/2 nodes for the degree-(a-1) integrand of c > 0 at
-    integer a.  At c = 0 the tanh-sinh rule starts from 32 to 512 nodes by
+    integer a, and their ladders start there, from LADDER_START up to
+    LADDER_MAX.  At c = 0 the tanh-sinh rule starts from 32 to 512 nodes by
     n x (``_SZASZ_START_EDGES``).  At every other c > 0 it starts from 64:
     below that it can pass over the small share of S near sigma = s^2 on
     two levels alike (from 16 nodes, at a from 5/4 to 200 and x up to 1e8,
@@ -1149,7 +1151,7 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
             return -4.0 * n * (rx * ry), math.exp(-n * e), 2.0 ** -50 * n * e
 
         return _QuadPlan(
-            lambda sigma, p: np.exp(p * sigma), szasz, RuleKind.TANH_SINH,
+            lambda sigma, p: np.exp(p * sigma), szasz, _tanh_sinh_rule,
             lambda p: _TANH_SINH_START // 2 << bisect.bisect(_SZASZ_START_EDGES, -0.25 * p), 0.0, 1e-15,
             lambda p: _TS_TAIL,
         )
@@ -1159,7 +1161,7 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     # sums, on the sweep of ``_NEG_C_ROUNDING`` and on 2048 x at l up to 25)
     if c < 0:
         l = params.l
-        start = min(LADDER_MAX, max(2, (l + 2) // 2))
+        start = min(LADDER_MAX, max(LADDER_START, (l + 2) // 2))
 
         def neg_c(x, y):
             u, v = c * x, c * y
@@ -1170,7 +1172,7 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
             return ((b / g / g) ** 2, g ** (2 * l), 0.0) if g else (1.0, 0.0, 0.0)
 
         return _QuadPlan(
-            lambda t, p: (t + (1.0 - t) * p) ** l, neg_c, RuleKind.CHEBYSHEV_01,
+            lambda t, p: (t + (1.0 - t) * p) ** l, neg_c, _chebyshev_nodes,
             lambda p: start, 1e-13, _NEG_C_ROUNDING * l, lambda p: 0.0,
         )
     a = n / c
@@ -1189,10 +1191,10 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     if two_a and two_a % 2 == 0:
         # at integer a a polynomial of degree a-1 in t
         degree = two_a // 2 - 1
-        start = min(LADDER_MAX, max(2, (degree + 2) // 2))
+        start = min(LADDER_MAX, max(LADDER_START, (degree + 2) // 2))
         return _QuadPlan(
             lambda t, s: s * (1.0 - t + t * (s * s)) ** degree, pos_c,
-            RuleKind.CHEBYSHEV_01, lambda s: start, 1e-13, _ROUNDING_PER_A * (two_a // 2), lambda s: 0.0,
+            _chebyshev_nodes, lambda s: start, 1e-13, _ROUNDING_PER_A * (two_a // 2), lambda s: 0.0,
         )
     # elsewhere it changes sharply at 1 - t of about s^2, so the tanh-sinh
     # rule passes sigma = 1 - t itself.  S can be far below 1e-13 here, so
@@ -1202,23 +1204,21 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     # underflows)
     return _QuadPlan(
         lambda sigma, s: s * (sigma + (1.0 - sigma) * (s * s)) ** (a - 1.0), pos_c,
-        RuleKind.TANH_SINH, lambda s: _TANH_SINH_START, 0.0, _ROUNDING_PER_A * (a + 6.0),
+        _tanh_sinh_rule, lambda s: _TANH_SINH_START, 0.0, _ROUNDING_PER_A * (a + 6.0),
         lambda s: _TS_TAIL * max(s, s ** (2.0 * a - 1.0)) if s > 0.0 else math.inf,
     )
 
 
-def _quad_grid(params: Params, xs: Sequence, ys: Sequence, m: int, rtol: float, two_a: int | None = None) -> tuple:
+def _quad_grid(params: Params, xs: Sequence, ys: Sequence, rtol: float, two_a: int | None = None) -> tuple:
     """T(x, y) at each pair of ``xs`` and ``ys``, S(x) to the bit where
     x = y: the plan's integral at the pair's parameter times its factor
     (``_s_quad_plan``, at ``two_a`` where the caller has sorted a), one
-    ``_ladder`` from max(m, the plan's first node count) nodes, 2 where x
-    or y is 0.  Returns the EvalResult or the exception at each pair, each
-    claiming the last difference of levels, at least the plan's rounding,
-    plus the bound on the mean the rule leaves out, all times the factor,
-    plus the factor's rounding of the value; and that bound times the
-    factor (0 where it raised)."""
-    if m < 2:
-        raise ValueError("need m >= 2 quadrature nodes")
+    ``_ladder`` on the plan's rule from its first node count, LADDER_START
+    where x or y is 0.  Returns the EvalResult or the exception at each
+    pair, each claiming the last difference of levels, at least the plan's
+    rounding, plus the bound on the mean the rule leaves out, all times the
+    factor, plus the factor's rounding of the value; and that bound times
+    the factor (0 where it raised)."""
     plan = _s_quad_plan(params, _twice_a(params) if two_a is None else two_a)
     out: list = [None] * len(xs)
     tails = [0.0] * len(xs)
@@ -1230,12 +1230,12 @@ def _quad_grid(params: Params, xs: Sequence, ys: Sequence, m: int, rtol: float, 
                 params.require_in_domain(y)
             xf, yf = float(x), float(y)
             p, factor, spread = plan.pair(xf, yf)
-            rows.append((i, p, factor, spread, max(m, 2 if xf == 0.0 or yf == 0.0 else plan.start(p))))
+            rows.append((i, p, factor, spread, LADDER_START if xf == 0.0 or yf == 0.0 else plan.start(p)))
         except Exception as exc:
             out[i] = exc
     if rows:
         points, ps, factors, spreads, ms = zip(*rows)
-        ladder = _ladder(plan.f, plan.kind, ps, ms, rtol, plan.floor)
+        ladder = _ladder(plan.f, plan.rule, ps, ms, rtol, plan.floor)
         for i, p, factor, spread, v, d, nodes in zip(points, ps, factors, spreads, *ladder):
             tail = plan.tail(p)
             tails[i] = factor * tail
@@ -1246,32 +1246,32 @@ def _quad_grid(params: Params, xs: Sequence, ys: Sequence, m: int, rtol: float, 
     return out, tails
 
 
-def s_quad_grid(
-    params: Params, xs: Sequence[float], m: int = LADDER_START, rtol: float = RTOL_DEFAULT
-) -> list:
+def s_quad_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
     """``s_quad`` at every point of ``xs``: the diagonal of T's quadrature
     pair grid (``_quad_grid``), whose one ladder gives every point the
     bits of the one-point ladder."""
-    return _quad_grid(params, xs, xs, m, rtol)[0]
+    _require_rtol(rtol)
+    return _quad_grid(params, xs, xs, rtol)[0]
 
 
-def s_quad(params: Params, x: float, m: int = LADDER_START, rtol: float = RTOL_DEFAULT) -> EvalResult:
+def s_quad(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
     """S(x) from quadrature of its integral representation, on the plan of
     ``_s_quad_plan``.
 
-    Starts at m nodes (raised to the plan's first node count) and doubles, capped at
-    LADDER_MAX, until a level's mean is 0 or two levels agree within
-    max(floor, rtol*|value|) (``_ladder``); the error estimate is the last
-    difference of levels, at least the rounding of the integrand.  The
-    polynomial integrands, of c < 0 and of c > 0 at integer a = n/c, run on
-    Gauss-Chebyshev nodes, exact from (l+2)//2 or (a+1)//2 nodes, with a
-    floor of 1e-13 and at least 4*l units of 2^-53 (c < 0) or 1e-15*a
-    (c > 0) of the value.  Every other one, of
-    c = 0 and of c > 0 at non-integer a, runs on the tanh-sinh rule with a
-    purely relative stop, at least 1e-15 (c = 0) or 1e-15*(a+6) of the
-    value, plus the part of the integral beyond the rule's ends.
+    Starts at the plan's first node count (LADDER_START at x = 0) and
+    doubles, capped at LADDER_MAX, until a level's mean is 0 or two levels
+    agree within max(floor, rtol*|value|) (``_ladder``); the error estimate
+    is the last difference of levels, at least the rounding of the
+    integrand.  The polynomial integrands, of c < 0 and of c > 0 at integer
+    a = n/c, run on Gauss-Chebyshev nodes, exact from (l+2)//2 or (a+1)//2
+    nodes and started there (at least LADDER_START), with a floor of 1e-13
+    and at least 4*l units of 2^-53 (c < 0) or 1e-15*a (c > 0) of the
+    value.  Every other one, of c = 0 and of c > 0 at non-integer a, runs
+    on the tanh-sinh rule with a purely relative stop, at least 1e-15
+    (c = 0) or 1e-15*(a+6) of the value, plus the part of the integral
+    beyond the rule's ends.
     """
-    return _one(s_quad_grid(params, [x], m, rtol))
+    return _one(s_quad_grid(params, [x], rtol))
 
 
 # ---------------------------------------------------------------------------
@@ -1309,12 +1309,12 @@ def t_closed(params: Params, x: float, y: float) -> float:
     return _kernel_value(*_closed_rows(params, [x], [y], RTOL_DEFAULT))
 
 
-def t_quad(params: Params, x: float, y: float, m: int = LADDER_START) -> float:
+def t_quad(params: Params, x: float, y: float) -> float:
     """Kernel value from quadrature: the one-pair call of the pair grid
     (``_quad_grid``) whose diagonal is ``s_quad_grid``, so T(x, x) has the
-    bits of ``s_quad(params, x, m).value``.  m is the ladder's start, as in
-    ``s_quad``, and rtol RTOL_DEFAULT.  It raises ArithmeticError where the
-    part of the integral beyond the tanh-sinh rule's ends may exceed
-    RTOL_DEFAULT of the value, as ``t_closed`` does, and OverflowError off
-    the diagonal at c > 0 where 1 + cx + cy overflows."""
-    return _kernel_value(*_quad_grid(params, [x], [y], m, RTOL_DEFAULT))
+    bits of ``s_quad(params, x).value``, at rtol RTOL_DEFAULT.  It raises
+    ArithmeticError where the part of the integral beyond the tanh-sinh
+    rule's ends may exceed RTOL_DEFAULT of the value, as ``t_closed`` does,
+    and OverflowError off the diagonal at c > 0 where 1 + cx + cy
+    overflows."""
+    return _kernel_value(*_quad_grid(params, [x], [y], RTOL_DEFAULT))

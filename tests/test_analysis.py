@@ -173,6 +173,14 @@ class TestMonotonicityCheck:
         rep = monotonicity_check(3, [Fraction(i, 16) for i in range(17)])
         assert rep.margins == tuple(reversed(rep.margins))
 
+    def test_float_grid_is_its_exact_rationals(self):
+        # a float point is its exact binary rational, so the margins are
+        # the Fraction grid's, exact
+        grid = [i / 16 for i in range(17)]
+        rep = monotonicity_check(3, grid)
+        assert rep == monotonicity_check(3, [Fraction(x) for x in grid])
+        assert all(isinstance(m, Fraction) for m in rep.margins)
+
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             monotonicity_check(2, [Fraction(1, 2), Fraction(1, 4)])

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsums import evalnum
-from sqsums.core import DomainError, Params, basis_sum
+from sqsums.core import FAMILY_NAMES, DomainError, FamilyId, Params, basis, basis_sum
 from sqsums.evalnum import (
     LADDER_MAX,
     LADDER_START,
     RTOL_DEFAULT,
     Method,
-    RuleKind,
     Z_SWITCH,
     _EXP_GUARD,
     _TANH_SINH_START,
@@ -106,56 +105,61 @@ def _weight_moment_01(k: int) -> float:
 class TestQuadratureRules:
     def test_node_and_weight_formulas(self):
         m = 7
-        nodes = _chebyshev_nodes(np.array([m]))
+        nodes, weights = _chebyshev_nodes(np.array([m]))
+        assert weights is None
         for j in range(1, m + 1):
             expect = (1 + math.cos((2 * j - 1) * math.pi / (2 * m))) / 2
             assert nodes[j - 1] == pytest.approx(expect, rel=1e-15)
         # equal weights pi/m: the rule's value is pi times the mean
-        assert _means(lambda t, p: p * np.ones_like(t), RuleKind.CHEBYSHEV_01, [2.5], [m]) == [2.5]
+        assert _means(lambda t, p: p * np.ones_like(t), _chebyshev_nodes, [2.5], [m]) == [2.5]
 
     @pytest.mark.parametrize("m", [2, 5, 12])
     def test_exact_for_low_degree_moments(self, m):
         ks = list(range(2 * m))
-        got = _means(lambda t, k: t ** k, RuleKind.CHEBYSHEV_01, ks, [m] * len(ks))
+        got = _means(lambda t, k: t ** k, _chebyshev_nodes, ks, [m] * len(ks))
         for k, mean in zip(ks, got):
             assert math.pi * mean == pytest.approx(_weight_moment_01(k), rel=1e-13)
-
-    def test_too_few_nodes_rejected(self):
-        for m in (1, 0):
-            with pytest.raises(ValueError):
-                s_quad(Params(2, 1), 0.5, m=m)
-            with pytest.raises(ValueError):
-                t_quad(Params(2, 1), 0.5, 0.25, m=m)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300))
     def test_means_have_the_bits_of_np_mean(self, values):
         m = len(values)
-        got = _means(lambda t, p: np.array(values), RuleKind.CHEBYSHEV_01, [0.0], [m])
+        got = _means(lambda t, p: np.array(values), _chebyshev_nodes, [0.0], [m])
         assert got == [float(np.mean(np.array(values)))]
 
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.tuples(st.floats(-30.0, 30.0), st.integers(2, 300)), min_size=1, max_size=40),
-        st.sampled_from(list(RuleKind)),
+        st.sampled_from([_chebyshev_nodes, _tanh_sinh_rule]),
     )
-    def test_means_of_mixed_node_counts_have_the_bits_of_np_mean(self, pairs, kind):
+    def test_means_of_mixed_node_counts_have_the_bits_of_np_mean(self, pairs, rule):
         # several chunks of up to _NODES_PER_CALL nodes, sorted by node count
         def f(t, p):
             return np.exp(p * t) * np.sin(1e3 * t + p)
 
-        got = _means(f, kind, [p for p, _ in pairs], [m for _, m in pairs])
-        want = [float(np.mean(_rule_values(f, kind, m, p))) for p, m in pairs]
+        got = _means(f, rule, [p for p, _ in pairs], [m for _, m in pairs])
+        want = [float(np.mean(_rule_values(f, rule, m, p))) for p, m in pairs]
         assert got == want
 
 
-def _rule_values(f, kind, m, p):
-    """f at the nodes of the m-node rule of a kind on its own, times the
-    weights of the tanh-sinh rule."""
-    if kind is RuleKind.TANH_SINH:
-        nodes, weights = _tanh_sinh_rule(np.array([m]))
+def _rule_values(f, rule, m, p):
+    """f at the nodes of the m-node rule that ``rule`` builds on its own,
+    times the weights where the rule has them (the tanh-sinh rule)."""
+    nodes, weights = rule(np.array([m]))
+    if rule is _tanh_sinh_rule:
         return f(nodes, np.full(m, p)) * weights
-    return f(_chebyshev_nodes(np.array([m])), np.full(m, p))
+    assert weights is None
+    return f(nodes, np.full(m, p))
+
+
+def _ladder_from(params, x, y, m):
+    """T(x, y), S(x) where x = y, on S's quadrature plan with its ladder
+    started from m nodes: the plan's integral at the pair's parameter, by
+    ``_ladder`` on the plan's rule, times the pair's factor."""
+    plan = _plan(params)
+    p, factor, _ = plan.pair(x, y)
+    (value,), _, _ = evalnum._ladder(plan.f, plan.rule, [p], [m], RTOL_DEFAULT, plan.floor)
+    return factor * value
 
 
 def _brute_s(n: float, c: float, x: float, kmax: int = 4000) -> float:
@@ -193,10 +197,6 @@ class TestSeriesRoute:
     def test_against_brute_force(self):
         for n, c, x in [(2, -1, 0.8), (5, -1, 0.31), (3, 0, 1.7), (2, 1, 2.2), (3, 2, 0.9)]:
             assert s_series(Params(n, c), x).value == pytest.approx(_brute_s(n, c, x), rel=1e-12)
-
-    def test_rtol_validated(self):
-        with pytest.raises(ValueError):
-            s_series(Params(2, -1), 0.5, rtol=0.0)
 
 
 class TestClosedRoute:
@@ -238,11 +238,10 @@ class TestClosedRoute:
 
 class TestQuadratureRoute:
     def test_constant_integrand(self):
-        assert s_quad(Params(1, -1), 0.0, m=2).value == pytest.approx(1.0, rel=1e-15)
+        assert _ladder_from(Params(1, -1), 0.0, 0.0, 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_polynomial_integrand_is_exact(self):
-        r = s_quad(Params(2, -1), 0.5, m=3)
-        assert r.value == pytest.approx(0.375, rel=5e-15)
+        assert _ladder_from(Params(2, -1), 0.5, 0.5, 3) == pytest.approx(0.375, rel=5e-15)
 
     def test_documented_bessel_point(self):
         expect = math.exp(-0.5) * bessel_i0(0.5)
@@ -253,12 +252,8 @@ class TestQuadratureRoute:
             params = Params(n, -1)
             for x in (0.2, 0.5, 0.9):
                 a = s_series(params, x).value
-                q = s_quad(params, x, m=n + 1).value
+                q = _ladder_from(params, x, x, n + 1)
                 assert q == pytest.approx(a, rel=5e-15)
-
-    def test_minimum_nodes_enforced(self):
-        with pytest.raises(ValueError):
-            s_quad(Params(2, -1), 0.5, m=1)
 
     def test_ladder_is_capped(self):
         r = s_quad(Params(25, 2), 20.0)
@@ -407,15 +402,17 @@ class TestKernel:
         assert abs(t_closed(params, 1e160, 1e160 * (1.0 + 1e-80)) / want - 1) <= 2e-14
 
     def test_quadrature_constant_case(self):
-        assert t_quad(Params(1, 1), 0.0, 0.0, m=8) == pytest.approx(1.0, rel=1e-15)
+        assert _ladder_from(Params(1, 1), 0.0, 0.0, 8) == pytest.approx(1.0, rel=1e-15)
 
     def test_quadrature_matches_closed(self):
-        assert t_quad(Params(2, -1), 0.5, 0.5, m=16) == pytest.approx(0.375, abs=1e-12)
-        a = t_quad(Params(1, 0), 0.25, 0.25, m=64)
-        b = s_quad(Params(1, 0), 0.25, m=64).value
+        # the plan's first levels here are the 16 and 64 nodes these points ran from
+        assert _first(Params(2, -1), 0.5) == 16 and _first(Params(1, 0), 0.25) == 64
+        assert t_quad(Params(2, -1), 0.5, 0.5) == pytest.approx(0.375, abs=1e-12)
+        a = t_quad(Params(1, 0), 0.25, 0.25)
+        b = s_quad(Params(1, 0), 0.25).value
         assert a == pytest.approx(b, rel=1e-13)
         for n, c, x, y in [(3, -1, 0.2, 0.9), (2, 0, 0.4, 1.3), (2, 1, 0.6, 2.0)]:
-            got = t_quad(Params(n, c), x, y, m=256)
+            got = _ladder_from(Params(n, c), x, y, 256)
             assert got == pytest.approx(t_closed(Params(n, c), x, y), rel=1e-11)
 
     @pytest.mark.parametrize(
@@ -509,8 +506,7 @@ def test_grid_routes_are_the_point_routes(case):
     params, xs, rtol = case
     assert _grid_outcomes(s_series_grid(params, xs, rtol)) == _outcomes(s_series, params, xs, rtol)
     assert _grid_outcomes(s_closed_grid(params, xs, rtol)) == _outcomes(s_closed, params, xs, rtol)
-    quad = _outcomes(s_quad, params, xs, 16, rtol)
-    assert _grid_outcomes(s_quad_grid(params, xs, 16, rtol)) == quad
+    assert _grid_outcomes(s_quad_grid(params, xs, rtol)) == _outcomes(s_quad, params, xs, rtol)
 
 
 def test_grid_routes_keep_point_errors():
@@ -523,10 +519,51 @@ def test_grid_routes_keep_point_errors():
         assert got[2].value == pytest.approx(s_series(params, 0.25).value, rel=1e-14)
 
 
+@pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("route", [s_series, s_closed, s_quad, s_series_grid, s_closed_grid, s_quad_grid])
+def test_rtol_must_be_finite_and_positive(route, rtol):
+    # one check for the three grid routes, which the point routes call, by
+    # the rule of the CLI's --rtol: s_closed and s_quad took 0 and -1, NaN
+    # became 1e-16 in the series and inf stopped it after 2 terms
+    x = [0.5] if route.__name__.endswith("_grid") else 0.5
+    for params in (Params(2, -1), Params(2, 0), Params(Fraction(4, 3), 1)):
+        with pytest.raises(ValueError, match="rtol must be finite and > 0"):
+            route(params, x, rtol)
+
+
+@pytest.mark.parametrize("c", [Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1)])
+def test_nan_is_outside_every_domain(c):
+    # NaN fails every comparison, so a domain check of x < 0 let it through:
+    # at c = 0 s_quad and t_quad returned NaN, and the other routes raised
+    # errors about convergence, overflow or conversion
+    params, nan = Params(1 if c >= 0 else -c, c), math.nan
+    calls = [
+        lambda: s_series(params, nan),
+        lambda: s_closed(params, nan),
+        lambda: s_quad(params, nan),
+        lambda: t_closed(params, nan, 0.5),
+        lambda: t_closed(params, 0.5, nan),
+        lambda: t_quad(params, nan, 0.5),
+        lambda: t_quad(params, 0.5, nan),
+        lambda: basis(params, 0, nan),
+        lambda: basis_sum(params, nan),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="x=nan outside"):
+            call()
+    for route in (s_series_grid, s_closed_grid, s_quad_grid):
+        got = route(params, [0.5, nan])
+        assert isinstance(got[1], DomainError) and not isinstance(got[0], Exception)
+    assert not any(FamilyId(name, c if name == "general" else None).in_domain(nan) for name in FAMILY_NAMES)
+    for name in ("bbh", "mkz"):  # the families with a change of variable
+        with pytest.raises(DomainError, match="x=nan outside"):
+            FamilyId(name).substitution(nan)
+
+
 def test_chebyshev_nodes_have_the_bits_of_each_rule():
     # the nodes at each m, built on their own by the textbook expression
     ms = np.array([2, 3, 16, 17, 100, 4096, 16])
-    for m, m01 in zip(ms, np.split(_chebyshev_nodes(ms), np.cumsum(ms)[:-1])):
+    for m, m01 in zip(ms, np.split(_chebyshev_nodes(ms)[0], np.cumsum(ms)[:-1])):
         j = np.arange(1, m + 1)
         assert np.array_equal(m01, (1.0 + np.cos((2 * j - 1) * np.pi / (2 * m))) / 2.0)
 
@@ -572,11 +609,11 @@ def _t_reflected(params, x, y):
     c = params.c_float
     u, v = c * x, c * y
     plan = _plan(params)
-    f, kind = plan.f, plan.kind
+    f, rule = plan.f, plan.rule
     if x == y:
-        return f, kind, 1.0 / (1.0 + 2.0 * c * x), 1.0
+        return f, rule, 1.0 / (1.0 + 2.0 * c * x), 1.0
     g, b = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v), 1.0 + u + v
-    return f, kind, b / g / g, (g / b) ** (2.0 * params.n_float / c)
+    return f, rule, b / g / g, (g / b) ** (2.0 * params.n_float / c)
 
 
 def ref_t_closed_pos_c(params, x, y):
@@ -591,16 +628,16 @@ def ref_t_closed_pos_c(params, x, y):
         z = (c * c * x * y) / ((1.0 + c * x) * (1.0 + c * y))
     pref_log = -a * (math.log1p(c * x) + math.log1p(c * y))
     if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-        f, kind, s, scale = _t_reflected(params, x, y)
+        f, rule, s, scale = _t_reflected(params, x, y)
         m = _TANH_SINH_START
-        (value,) = _means(f, kind, [s], [m])
+        (value,) = _means(f, rule, [s], [m])
         while m < LADDER_MAX:
             m *= 2
-            old, (value,) = value, _means(f, kind, [s], [m])
+            old, (value,) = value, _means(f, rule, [s], [m])
             if value == 0.0 or abs(value - old) <= RTOL_DEFAULT * abs(value):
                 break
         return scale * value
-    return math.exp(pref_log) * hyp2f1_diag(a, z, 1e-15)
+    return math.exp(pref_log) * hyp2f1_diag(a, z)
 
 
 def _first_float(switched, lo, hi):
@@ -679,8 +716,8 @@ def test_t_closed_first_level_at_the_cap(monkeypatch):
     monkeypatch.setattr(evalnum, "LADDER_MAX", _TANH_SINH_START)
     for n, c, x, y in _hand_over_cases()[-2:]:
         params = Params(n, c)
-        f, kind, s, scale = _t_reflected(params, x, y)
-        assert t_closed(params, x, y) == scale * _means(f, kind, [s], [evalnum.LADDER_MAX])[0]
+        f, rule, s, scale = _t_reflected(params, x, y)
+        assert t_closed(params, x, y) == scale * _means(f, rule, [s], [evalnum.LADDER_MAX])[0]
 
 
 def test_s_quad_grid_first_level_at_the_cap():
@@ -698,7 +735,7 @@ def test_s_quad_grid_first_level_at_the_cap():
         assert factor == 1.0 and plan.start(p) == LADDER_MAX
         assert got[i] == s_quad(params, xs[i])
         assert (got[i].value, got[i].err_estimate, got[i].terms_or_nodes) == (
-            _means(plan.f, plan.kind, [p], [LADDER_MAX])[0],
+            _means(plan.f, plan.rule, [p], [LADDER_MAX])[0],
             math.inf,
             LADDER_MAX,
         )
@@ -833,10 +870,11 @@ def test_integer_a_kernel_against_mpmath():
 
 def test_integer_a_quadrature_starts_at_its_exact_node_count():
     # the degree-(a-1) integrand needs (a+1)//2 nodes, as c < 0's degree-l
-    # one needs (l+2)//2; two exact levels then agree at once
+    # one needs (l+2)//2, and starts there, from LADDER_START up; two exact
+    # levels then agree at once
     for a, c in [(1, Fraction(1, 3)), (2, Fraction(1)), (33, Fraction(2)), (300, Fraction(1, 2)), (9000, Fraction(1))]:
         params = Params(a * c, c)
-        assert _first(params, 1e6) == min(LADDER_MAX, max(2, (a + 1) // 2))
+        assert _first(params, 1e6) == min(LADDER_MAX, max(LADDER_START, (a + 1) // 2))
         if a < 9000:
             (r,) = s_quad_grid(params, [1e6])
             assert r.terms_or_nodes == 2 * max(LADDER_START, (a + 1) // 2)
@@ -1391,7 +1429,7 @@ def test_szasz_kernel_quadrature_against_mpmath():
             continue
         d = abs(math.sqrt(x) - math.sqrt(y))
         rounding = 1e-15 + 2.0 ** -50 * n * d * d
-        q = t_quad(Params(n, 0), x, y, m=1024)
+        q = _ladder_from(Params(n, 0), x, y, 1024)
         assert abs(q - want) <= rounding * want, (n, x, y, q)
         t = t_closed(Params(n, 0), x, y)
         assert abs(t - want) <= (rounding + 2e-14) * want, (n, x, y, t)
@@ -1518,7 +1556,7 @@ def test_szasz_pair_rows_claim_the_rounding_of_their_factor():
     params, x, y = Params(5, 0), 1000.0, 500.0
     want = _szasz_t(mpmath, 5, x, y)
     (closed,), _ = evalnum._closed_rows(params, [x], [y], RTOL_DEFAULT)
-    (quad,), _ = evalnum._quad_grid(params, [x], [y], LADDER_START, RTOL_DEFAULT)
+    (quad,), _ = evalnum._quad_grid(params, [x], [y], RTOL_DEFAULT)
     for name, row in (("closed", closed), ("quadrature", quad)):
         with mpmath.workdps(40):
             err = abs(mpmath.mpf(row.value) - want)

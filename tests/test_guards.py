@@ -2,12 +2,13 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
 
 import sqsums
-from sqsums import legendre
+from sqsums import evalnum, legendre
 from sqsums.core import FAMILY_NAMES
 
 # the family table and the family record are the two places that name families
@@ -76,7 +77,7 @@ def test_only_the_family_records_dispatch_on_family_names():
 
 def _functions_reading(tree, name: str) -> list:
     """The functions (by qualified name) whose own bodies load ``name``,
-    bare or as an attribute (``RuleKind.CHEBYSHEV_01``)."""
+    bare or as an attribute (``evalnum.LADDER_START``)."""
     found = []
 
     def visit(node, scope):
@@ -124,10 +125,32 @@ def test_quadrature_regime_is_decided_by_its_plan(name):
     assert set(_package_readers(name)) == {"evalnum.py:_s_quad_plan"}
 
 
-def test_only_the_quadrature_plan_picks_the_chebyshev_rule():
+@pytest.mark.parametrize("name", ["_chebyshev_nodes", "_tanh_sinh_rule"])
+def test_only_the_quadrature_plan_picks_a_rule(name):
     # T's quadrature is S's plan at a pair parameter: no second integrand
-    # of T chooses its own rule
-    assert set(_package_readers("CHEBYSHEV_01")) == {"evalnum.py:_s_quad_plan"}
+    # of T chooses its own rule, and the ladder runs the rule its plan carries
+    assert set(_package_readers(name)) == {"evalnum.py:_s_quad_plan"}
+
+
+def test_ladder_start_is_read_by_the_plan_and_the_pair_grid():
+    # a ladder's first level comes from its plan, or is LADDER_START at a
+    # zero coordinate; no caller passes a node count of its own
+    assert set(_package_readers("LADDER_START")) == {"evalnum.py:_s_quad_plan", "evalnum.py:_quad_grid"}
+
+
+@pytest.mark.parametrize(
+    "routes",
+    [
+        ("s_series_grid", "s_closed_grid", "s_quad_grid"),
+        ("s_series", "s_closed", "s_quad"),
+        ("t_closed", "t_quad"),
+    ],
+)
+def test_the_routes_of_one_value_share_one_signature(routes):
+    # the routes of S (grid or point) and of T take the same arguments, so
+    # a caller runs them through one tuple
+    signatures = {str(inspect.signature(getattr(evalnum, name))) for name in routes}
+    assert len(signatures) == 1, signatures
 
 
 def test_twice_a_is_read_once_per_route():
