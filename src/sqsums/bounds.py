@@ -55,7 +55,7 @@ class BoundReport:
         }
 
 
-def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real], rtol: float = evalnum.RTOL_DEFAULT) -> list:
+def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real]) -> list:
     """The squared-basis sum of a family at every point of ``xs``, by its
     most accurate route: the value, or the exception raised there.
 
@@ -63,30 +63,26 @@ def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real], rtol: float 
     series at natural n (fully exact on Fraction input); the Szasz family,
     general non-exact parameters and fractional indices go through the
     closed-form kernels, whose points are one ``evalnum.s_closed_grid``
-    call.
+    call at ``evalnum.RTOL_DEFAULT``; each point is sorted once
+    (``evalnum._sorted_rows``).
     """
     row = families.FAMILIES[family.key]
     exact = row.value is not None and int(n) == n
-    out: list = [None] * len(xs)
-    closed = []
-    for i, x in enumerate(xs):
+
+    def sort(x):
+        family.require_in_domain(x)
+        if not exact:
+            return "closed", float(x)
+        v = row.value(int(n), x)
+        return None, v if isinstance(x, Fraction) else float(v)
+
+    def closed(xs):
         try:
-            family.require_in_domain(x)
-            if exact:
-                v = row.value(int(n), x)
-                out[i] = v if isinstance(x, Fraction) else float(v)
-            else:
-                closed.append(i)
-        except Exception as exc:
-            out[i] = exc
-    if closed:
-        try:
-            results = evalnum.s_closed_grid(family.base_params(n), [float(xs[i]) for i in closed], rtol)
+            return evalnum.s_closed_grid(family.base_params(n), xs, evalnum.RTOL_DEFAULT)
         except Exception as exc:  # the same for every point
-            results = [exc] * len(closed)
-        for i, r in zip(closed, results):
-            out[i] = r if isinstance(r, Exception) else r.value
-    return out
+            return [exc] * len(xs)
+
+    return evalnum._sorted_rows(xs, sort, {"closed": (closed, lambda _, r: r.value)})
 
 
 def bound_reports(family: FamilyId, n: int, xs: Sequence[Real]) -> list[BoundReport]:

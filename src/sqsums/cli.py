@@ -186,9 +186,8 @@ def _params_doc(family: FamilyId, n: Optional[Fraction] = None, **extra) -> dict
 def _cmd_eval(args, out) -> int:
     family = _family_from_args(args)
     n, x = args.n, float(args.x)
-    family.require_in_domain(x)
+    xm = family.substitution(x)  # checks the domain first
     params = family.base_params(n)
-    xm = family.substitution(x)
     results = [route(params, xm, args.rtol) for route in (evalnum.s_series, evalnum.s_closed, evalnum.s_quad)]
     if args.format == "json":
         params = _params_doc(family, n, x=_fmt_float(x), rtol=_fmt_float(args.rtol))

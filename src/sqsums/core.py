@@ -273,12 +273,11 @@ class FamilyId(_OnDomain):
 
     def substitution(self, x: Real) -> Real:
         """Map a point of this family's domain into the base family's domain
-        by the row's Moebius map (exact on a Fraction)."""
-        to_base = self._row.to_base
-        if to_base is None:
-            return x
+        by the row's Moebius map (exact on a Fraction); DomainError outside
+        the family's domain, for every family."""
         self.require_in_domain(x)
-        return _mobius_at(to_base, x)
+        to_base = self._row.to_base
+        return x if to_base is None else _mobius_at(to_base, x)
 
     def _outside(self, x: Real) -> str:
         return f"x={x} outside the domain {self.domain_str()} of family {self.name!r}"
@@ -578,16 +577,6 @@ def _one(outcomes: list):
     return outcome
 
 
-def _finish(out: list, jobs: list, results: list, finish: Callable) -> None:
-    """For each job (point i, parameters p) and its result, set out[i] to
-    finish(p, result), or to the exception the result is or finish raises."""
-    for (i, p), r in zip(jobs, results):
-        try:
-            out[i] = r if isinstance(r, Exception) else finish(p, r)
-        except Exception as exc:
-            out[i] = exc
-
-
 # The peak-window walks sum at most this many terms.
 _WINDOW_TERMS = 10 ** 7
 
@@ -597,8 +586,7 @@ def _window_rows(
 ) -> list:
     """Per row, the sum of a positive unimodal sequence walked out from its
     peak times its peak term, and the number of terms; or the exception.
-    ``peaks[i]`` is row i's (peak index k0, log of the peak term t_k0), or
-    the exception raised finding them.
+    ``peaks[i]`` is row i's (peak index k0, log of the peak term t_k0).
 
     ``ratio_up(k)`` is t_{k+1}/t_k and ``ratio_down(k)`` is t_{k-1}/t_k,
     both vectorised over index arrays as in ``_certified_rows``, which also
@@ -613,30 +601,18 @@ def _window_rows(
     that reaches the term cap is short by an unknown amount and raises
     ArithmeticError."""
     cap = _WINDOW_TERMS
-    rows = [(i, peak) for i, peak in enumerate(peaks) if not isinstance(peak, Exception)]
-
-    def of_rows(v):
-        return v if v is None else [v[i] for i, _ in rows]
-
-    k0 = [float(peak[0]) for _, peak in rows]
-    args = tuple(map(of_rows, args))
-    up = _certified_rows(ratio_up, k0, tol, cap - 1, sup=of_rows(up_sup), args=args)
+    k0 = [float(k) for k, _ in peaks]
+    up = _certified_rows(ratio_up, k0, tol, cap - 1, sup=up_sup, args=args)
     terms = [1 + steps for steps in up.steps]
     down_cap = [0 if over else min(k, cap - t) for k, t, over in zip(k0, terms, up.overflow)]
     down = _certified_rows(ratio_down, k0, tol, down_cap, step=-1, total=up.total, args=args)
-    sums = [
-        _overflow_error() if over or over_down else (scaled, t + steps)
-        for scaled, t, steps, over, over_down in zip(down.total, terms, down.steps, up.overflow, down.overflow)
+    return [
+        _overflow_error() if over or over_down
+        else ArithmeticError(f"peak window did not converge within {cap} terms") if t + steps >= cap
+        else (math.exp(log_peak + math.log(scaled)), t + steps)
+        for (_, log_peak), scaled, t, steps, over, over_down
+        in zip(peaks, down.total, terms, down.steps, up.overflow, down.overflow)
     ]
-
-    def finish(peak, s):
-        if s[1] >= cap:
-            raise ArithmeticError(f"peak window did not converge within {cap} terms")
-        return math.exp(peak[1] + math.log(s[0])), s[1]
-
-    out = list(peaks)
-    _finish(out, rows, sums, finish)
-    return out
 
 
 # _stirlerr and _bd0 are the terms of Loader's saddle-point form of the

@@ -7,35 +7,40 @@ All three routes agree to near machine precision on the shared domain,
 which is the backbone of the verification suite.
 
 Each route of S evaluates a whole grid in one call (``s_series_grid``,
-``s_closed_grid``, ``s_quad_grid``); the scalar ``s_series``, ``s_closed``
-and ``s_quad`` are the one-point grids.  The series of all points are rows
-of one ``core._certified_rows`` call, which evaluates the term ratios and
-the geometric tail certificates of a block of indices for every row in
-numpy and reproduces each row's term-by-term loop bit for bit.  Every
-peak window (the c >= 0 series past its switch, and ``core.basis_sum``)
-is one ``core._window_rows`` call, which raises ArithmeticError where the
-walk reaches its 10^7-term cap.  The closed forms of S and T are one pair
-grid, ``_closed_rows``, which classifies each pair (x, y) once and runs
-each kernel over all its pairs: ``s_closed_grid`` is its diagonal and
-``t_closed`` its one-pair call, so T(x, x) has the bits of S(x).  So is
-the quadrature, ``_quad_grid``, by T(x, y) = a factor times S's integral
-at a pair parameter: ``s_quad_grid`` is its diagonal, ``t_quad`` its
-one-pair call, and the closed form's hand-over (at a = n/c neither whole
-nor half-integer) runs its pairs.  One ladder, ``_ladder``, climbs level
-by level for all pairs still short of agreement, with their nodes in one
-array.  One exact
-test (``_twice_a``), made once per route call, sorts a = n/c: where 2a is
-a whole number, at every c < 0 (a = -l) among them, the closed forms of S
-and T are one Legendre recurrence (``_legendre``, seeded by the AGM at
-half-integer a) and never hand over.  The quadrature decides its regime in
-one place, the plan ``_s_quad_plan``: the integrand, the map from a pair
-(x, y) to its parameter and factor, the rule, the node count the ladder
-starts from, the stop's floor and the claim's rounding and tail bound.
-For c > 0 it integrates a polynomial on Gauss-Chebyshev nodes at integer
-a and the same reflected integrand on a tanh-sinh rule at every other a;
-c = 0 runs on that rule too, within 1024 nodes up to n x = 1e9.
-The c < 0 series is a log-space sum (``_neg_c_log_sum``), which no other
-route reads, and raises ArithmeticError past 10^6 terms (``_NEG_C_TERMS``).
+``s_closed_grid``, ``s_quad_grid``); the scalar ``s_series``,
+``s_closed`` and ``s_quad`` are the one-point grids.  Every grid, of a
+route or of a kernel, is one ``_sorted_rows`` call: its ``sort`` names
+each point's regime once, or finishes the point, or raises, and that
+exception is the point's alone; each regime's kernel then runs once over
+all its points.  The series of all points are rows of one
+``core._certified_rows`` call, which reproduces each row's term-by-term
+loop bit for bit.  Every peak window (the c >= 0 series past its switch,
+and ``core.basis_sum``) is one ``core._window_rows`` call from the peaks
+its sort found, which raises ArithmeticError where the walk reaches its
+10^7-term cap.  The closed
+forms of S and T are one pair grid, ``_closed_rows``, whose regimes are
+``bessel``, ``legendre``, ``hyp`` and ``hand_over``: ``s_closed_grid`` is
+its diagonal and ``t_closed`` its one-pair call, so T(x, x) has the bits
+of S(x).  So is the quadrature, ``_quad_grid``, with its one regime
+``ladder``, by T(x, y) = a factor times S's integral at a pair parameter:
+``s_quad_grid`` is its diagonal, ``t_quad`` its one-pair call, and the
+closed form's hand-over (at a = n/c neither whole nor half-integer) runs
+its pairs; for T its rows raise where the rule leaves out more than
+RTOL_DEFAULT of the value.  One ladder, ``_ladder``, climbs level by
+level for all pairs still short of agreement, with their nodes in one
+array.  One exact test (``_twice_a``), made once per route call, sorts
+a = n/c: where 2a is a whole number, at every c < 0 (a = -l) among them,
+the closed forms of S and T are one Legendre recurrence (``_legendre``,
+seeded by the AGM at half-integer a) and never hand over.  The quadrature
+decides its regime in one place, the plan ``_s_quad_plan``: the
+integrand, the map from a pair (x, y) to its parameter and factor, the
+rule, the node count the ladder starts from, the stop's floor and the
+claim's rounding and tail bound.  For c > 0 it integrates a polynomial on
+Gauss-Chebyshev nodes at integer a and the same reflected integrand on a
+tanh-sinh rule at every other a; c = 0 runs on that rule too, within 1024
+nodes up to n x = 1e9.  The c < 0 series is a log-space sum
+(``_neg_c_log_sum``), which no other route reads, and raises
+ArithmeticError past 10^6 terms (``_NEG_C_TERMS``).
 
 Large arguments cost O(1) or O(sqrt(mu)) per point, never O(x):
 
@@ -66,7 +71,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import _NEG_C_TERMS, Params, _certified_rows, _finish, _nb_peak, _one, _poisson_peak, _sq, _window_rows
+from .core import _NEG_C_TERMS, Params, _certified_rows, _nb_peak, _one, _poisson_peak, _sq, _window_rows
 
 __all__ = [
     "EvalResult",
@@ -105,6 +110,38 @@ LADDER_START = 16
 LADDER_MAX = 4096
 
 _EXP_GUARD = 690.0  # log-magnitude beyond which double powers overflow
+
+
+def _sorted_rows(points: Sequence, sort: Callable, regimes: dict) -> list:
+    """The outcome at each of ``points``, or the exception raised there,
+    kept so that the other points still run.
+
+    ``sort(point)`` returns (regime, parameters): a name in ``regimes``, or
+    None with the point's finished outcome.  Each regime,
+    ``name -> (kernel, claim)``, runs its kernel once on the parameters of
+    all its points, in order; a point's outcome is the exception the kernel
+    returned there, or ``claim(parameters, result)``.
+    """
+    out: list = [None] * len(points)
+    jobs: dict = {name: [] for name in regimes}
+    for i, point in enumerate(points):
+        try:
+            name, p = sort(point)
+        except Exception as exc:
+            name, p = None, exc
+        if name is None:
+            out[i] = p
+        else:
+            jobs[name].append((i, p))
+    for name, (kernel, claim) in regimes.items():
+        if jobs[name]:
+            rows, ps = zip(*jobs[name])
+            for i, p, r in zip(rows, ps, kernel(list(ps))):
+                try:
+                    out[i] = r if isinstance(r, Exception) else claim(p, r)
+                except Exception as exc:
+                    out[i] = exc
+    return out
 
 
 class Method(enum.Enum):
@@ -197,61 +234,53 @@ def _tanh_sinh_level(m: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _is_nonpositive_int(a: float) -> bool:
-    return a <= 0.0 and float(a).is_integer()
-
-
 def _hyp2f1_rows(a: float, zs: Sequence[float], rtol: float, max_terms: int = 2 * 10 ** 6, overflow: str = "") -> list:
     """Series value with a certified geometric tail bound and term count at
     each z: (value, tail, terms), or the exception raised there.  The
     non-terminating series of all points are rows of one kernel call; an
-    overflowing square names ``overflow`` where given (``_Rows.outcomes``)."""
-    out: list = [None] * len(zs)
-    rows = []
-    for i, z in enumerate(zs):
-        try:
-            if z < 0.0:
-                raise ValueError(f"series argument must be nonnegative, got z={z}")
-            if z == 0.0:
-                out[i] = (1.0, 0.0, 1)
-            elif _is_nonpositive_int(a):
-                m = int(-a)
-                total = 1.0
-                term = 1.0
-                for k in range(m):
-                    term *= ((a + k) / (k + 1.0)) ** 2 * z
-                    total += term
-                out[i] = (total, 0.0, m + 1)
-            elif a < 0.0:
-                raise ValueError("negative non-integer parameter is outside the diagonal case")
-            elif z >= 1.0:
-                raise ValueError(f"series diverges for z >= 1 with positive parameter (z={z})")
-            else:
-                rows.append((i, z))
-        except Exception as exc:  # kept for this point; the others still run
-            out[i] = exc
-    z = [z for _, z in rows]
-    # ratios decrease toward z for a >= 1 and increase toward z below it
-    sums = _certified_rows(
-        lambda k, z: _sq((a + k) / (k + 1.0)) * z,
-        0.0,
-        rtol,
-        max_terms,
-        cert=lambda k, z: _sq((a + k + 1) / (k + 2.0)) * z,
-        sup=z,
-        args=(z,),
-    ).outcomes(f"series did not converge within {max_terms} terms", overflow)
-    _finish(out, rows, sums, lambda _, s: (s[0], s[1], s[2] + 1))
-    return out
+    overflowing square names ``overflow`` where given (``_Rows.outcomes``).
+    A NaN z, or a NaN or infinite a, raises ValueError before anything is
+    summed."""
+
+    def sort(z):
+        if not z >= 0.0:  # NaN too
+            raise ValueError(f"series argument must be nonnegative, got z={z}")
+        if z == 0.0:
+            return None, (1.0, 0.0, 1)
+        if not math.isfinite(a):
+            raise ValueError(f"series parameter must be finite, got a={a}")
+        if a <= 0.0 and float(a).is_integer():
+            m = int(-a)
+            total = term = 1.0
+            for k in range(m):
+                term *= ((a + k) / (k + 1.0)) ** 2 * z
+                total += term
+            return None, (total, 0.0, m + 1)
+        if a < 0.0:
+            raise ValueError("negative non-integer parameter is outside the diagonal case")
+        if z >= 1.0:
+            raise ValueError(f"series diverges for z >= 1 with positive parameter (z={z})")
+        return "series", z
+
+    def series(z):
+        # ratios decrease toward z for a >= 1 and increase toward z below it
+        return _certified_rows(
+            lambda k, z: _sq((a + k) / (k + 1.0)) * z, 0.0, rtol, max_terms,
+            cert=lambda k, z: _sq((a + k + 1) / (k + 2.0)) * z, sup=z, args=(z,),
+        ).outcomes(f"series did not converge within {max_terms} terms", overflow)
+
+    return _sorted_rows(zs, sort, {"series": (series, lambda _, s: (s[0], s[1], s[2] + 1))})
 
 
 def hyp2f1_diag(a: float, z: float) -> float:
     """Gauss series with equal upper parameters and unit lower parameter.
 
     Computes sum_k ((a)_k / k!)^2 z^k through the term-ratio recurrence
-    term *= ((a+k)/(k+1))^2 z.  Terminates exactly after |a|+1 terms when a
-    is a nonpositive integer; otherwise needs 0 <= z < 1 and stops once the
-    geometric tail certificate falls below 1e-15 times the partial sum.
+    term *= ((a+k)/(k+1))^2 z.  Needs z >= 0, and a finite a at z > 0, or
+    raises ValueError before summing (a NaN too).  Terminates exactly
+    after |a|+1 terms when a is a nonpositive integer; otherwise needs
+    z < 1 and stops once the geometric tail certificate falls below 1e-15
+    times the partial sum.
     """
     value, _, _ = _one(_hyp2f1_rows(float(a), [float(z)], 1e-15))
     return value
@@ -267,18 +296,13 @@ def _i0_rows(zs: Sequence[float], rtol: float = 1e-16) -> list:
     return [s if isinstance(s, Exception) else (s[0], s[2] + 1) for s in sums]
 
 
-def _scaled_poisson_rows(mus: Sequence[float], tol: float) -> list:
+def _scaled_poisson_rows(mus: Sequence[float], peaks: Sequence[tuple], tol: float) -> list:
     """exp(-2*mu) * sum_k (mu^k / k!)^2 at each mu, summed around its peak in
-    log space from Loader's anchor: (value, terms), or the exception raised
-    there (ArithmeticError where the window cannot reach the peak or finish)."""
-    peaks: list = []
-    for mu in mus:
-        try:
-            k0, log_pmf = _poisson_peak(mu)
-            peaks.append((k0, 2.0 * log_pmf))
-        except Exception as exc:
-            peaks.append(exc)
-    return _window_rows(peaks, lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), tol, args=(mus,))
+    log space from Loader's anchor, the peak of the Poisson weights at mu
+    (``core._poisson_peak``): (value, terms), or the exception raised there
+    (ArithmeticError where the window cannot finish)."""
+    return _window_rows([(k0, 2.0 * log_pmf) for k0, log_pmf in peaks],
+                        lambda k, mu: _sq(mu / (k + 1.0)), lambda k, mu: _sq(k / mu), tol, args=(mus,))
 
 
 # Past this argument, exp(-z) I0(z) is the Hankel expansion.
@@ -317,13 +341,11 @@ def _i0_scaled_rows(zs: Sequence[float]) -> list:
     and its terms up to _HANKEL_Z, and the Hankel expansion of exp(-z) I0(z)
     with scale z and terms 0 past it.  Every Bessel value reads this one
     split."""
-    out: list = [None] * len(zs)
-    series = [(i, z) for i, z in enumerate(zs) if z <= _HANKEL_Z]
-    _finish(out, series, _i0_rows([z for _, z in series]), lambda _, s: (0.0, *s))
-    for i, z in enumerate(zs):
-        if not z <= _HANKEL_Z:
-            out[i] = (z, _hankel_i0e(z), 0)
-    return out
+    return _sorted_rows(
+        zs,
+        lambda z: ("series", z) if z <= _HANKEL_Z else (None, (z, _hankel_i0e(z), 0)),
+        {"series": (_i0_rows, lambda _, s: (0.0, *s))},
+    )
 
 
 def bessel_i0(z: float) -> float:
@@ -347,9 +369,10 @@ def bessel_i0(z: float) -> float:
 
 def _bessel_i0e_rows(zs: Sequence[float]) -> list:
     """exp(-z) * I0(z) at each z >= 0 and the power series' terms (0 for the
-    Hankel value), or the exception raised there."""
+    Hankel value), or the exception raised there.  The Hankel value is
+    scaled already (exp(z - z) is NaN at z = inf, where the limit is 0)."""
     return [
-        r if isinstance(r, Exception) else (math.exp(r[0] - z) * r[1], r[2])
+        r if isinstance(r, Exception) else (r[1] if r[0] == z else math.exp(r[0] - z) * r[1], r[2])
         for z, r in zip(zs, _i0_scaled_rows(zs))
     ]
 
@@ -582,10 +605,10 @@ _WINDOW_ROUNDING = 4.5e-16
 
 
 def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
-    """``s_series`` at every point of ``xs``; the c >= 0 series of all points
-    are rows of one certified-series kernel call, the peak windows of one
-    ``core._window_rows`` call, and the points past the switch at whole 2a
-    take ``_far_series`` one by one."""
+    """``s_series`` at every point of ``xs``, each sorted once into its
+    regime (``_sorted_rows``): the c < 0 log-space sum, a direct sum or a
+    peak window at c >= 0 (each one kernel call over its points), and the
+    expansion past the switch at whole 2a, point by point."""
     _require_rtol(rtol)
     n = params.n_float
     c = params.c_float
@@ -593,97 +616,83 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
     rtol = max(1e-16, 1e-3 * rtol)
     two_a = _twice_a(params)
     far_u = max(_FAR_U, 2.0 * two_a)
-    out: list = [None] * len(xs)
-    log_sum, direct, window, far = [], [], [], []  # (point, parameters) of each sum
-    for i, x in enumerate(xs):
-        try:
-            params.require_in_domain(x)
-            xf = float(x)
-            if xf == 0.0:
-                out[i] = EvalResult(1.0, Method.SERIES, 0.0, 1)
-            elif c < 0:
-                log_sum.append((i, xf))
-            elif c == 0.0:
-                mu = n * xf
-                (direct if mu <= 300.0 else window).append((i, mu))
-            else:
-                # prefactor (1+cx)^(-2n/c) times the squared-coefficient series
-                # in (x/(1+cx))^2; the term ratio tends to (cx/(1+cx))^2 < 1
-                u = c * xf
-                pref_log = -(2.0 * n / c) * math.log1p(u)
-                if two_a and u >= far_u or u == math.inf:
-                    if not math.isfinite(1.0 + u + u):
-                        raise OverflowError("1 + 2cx is past the double range")
-                    far.append((i, u))
-                elif pref_log < -_EXP_GUARD:
-                    # the unscaled sum would overflow; sum around the peak in log space
-                    window.append((i, xf))
-                else:
-                    rr, zlim = (xf / (1.0 + u)) ** 2, (c * xf / (1.0 + u)) ** 2
-                    if _pos_c_capped(n, c, u, rr, zlim, pref_log, rtol):
-                        raise ArithmeticError(_POS_C_CAPPED)
-                    direct.append((i, (pref_log, rr, zlim)))
-        except Exception as exc:
-            out[i] = exc
 
-    if c < 0:
+    def sort(x):
+        params.require_in_domain(x)
+        xf = float(x)
+        if xf == 0.0:
+            return None, EvalResult(1.0, Method.SERIES, 0.0, 1)
+        if c < 0:
+            return "log_sum", xf
+        if c == 0.0:
+            mu = n * xf
+            # the peak window claims per deviation of the Poisson weights, sqrt(mu)
+            return ("poisson", mu) if mu <= 300.0 else ("poisson_window", (mu, _poisson_peak(mu), math.sqrt(mu)))
+        # prefactor (1+cx)^(-2n/c) times the squared-coefficient series in
+        # (x/(1+cx))^2; the term ratio tends to (cx/(1+cx))^2 < 1
+        u = c * xf
+        pref_log = -(2.0 * n / c) * math.log1p(u)
+        if two_a and u >= far_u or u == math.inf:
+            if not math.isfinite(1.0 + u + u):
+                raise OverflowError("1 + 2cx is past the double range")
+            return "far", u
+        if pref_log < -_EXP_GUARD:
+            # the unscaled sum would overflow; sum around the peak in log
+            # space.  The negative binomial weights' variance is a u (1+u)
+            return "nb_window", (xf, _nb_peak(n / c, u), math.sqrt(n / c * u * (1.0 + u)))
+        rr, zlim = (xf / (1.0 + u)) ** 2, (c * xf / (1.0 + u)) ** 2
+        if _pos_c_capped(n, c, u, rr, zlim, pref_log, rtol):
+            raise ArithmeticError(_POS_C_CAPPED)
+        return "nb", (pref_log, rr, zlim)
+
+    def poisson(mu, s):
+        # term k carries 4 units per step (mu/(k+1), its square and the
+        # running product) and the sum 1: at most 5 units per term, and 3
+        # more for the prefactor and mu = nx (at most 2.4 per term against
+        # mpmath at 40 digits, n from 1 to 100 and mu from 1e-3 to 300)
+        pref, terms = math.exp(-2.0 * mu), s[2] + 1
+        value = pref * s[0]
+        return EvalResult(value, Method.SERIES, pref * s[1] + _HYP_ROUNDING * (5 * terms + 3) * value, terms)
+
+    def window(p, s):  # (point, peak, deviation of the weights) and (value, terms)
+        return EvalResult(s[0], Method.SERIES, s[0] * (rtol + _WINDOW_ROUNDING * (p[2] + 2.0)), s[1])
+
+    def columns(ps):  # the points and the peaks of a window's rows
+        return [p[0] for p in ps], [p[1] for p in ps]
+
+    l = params.l
+    # the claim of the half-integer Legendre recurrence, and at least
+    # 2^-1074 per term below the normal range: on 2a from 1 to 601 and 12 u
+    # per decade from the switch to 1e12 the expansion was within 0.29 of it
+    # (at a = 1/2) against mpmath at 40 digits
+    far_rounding = _ROUNDING_PER_A * (two_a / 2.0 + 1.0)
+    return _sorted_rows(xs, sort, {
         # (l + 1)(8 + sqrt(l)) units: each of the l + 1 terms carries a few,
         # and the l roundings of log_coef, on partial sums up to about l in
         # size, add up like a walk of l sqrt(l).  On the sweep of
         # ``_NEG_C_ROUNDING`` it was within 0.68 of the claim
-        l = params.l
-        rounding = _HYP_ROUNDING * (l + 1) * (8.0 + math.sqrt(l))
-        _finish(out, log_sum, _neg_c_log_sum(params, [x for _, x in log_sum]),
-                lambda _, value: EvalResult(value, Method.SERIES, rounding * value, l + 1))
-    elif c == 0.0:
-        mu = [mu for _, mu in direct]
-        sums = _certified_rows(lambda k, mu: _sq(mu / (k + 1.0)), 0.0, rtol, args=(mu,)).outcomes()
-
-        def szasz(mu, s):
-            # term k carries 4 units per step (mu/(k+1), its square and the
-            # running product) and the sum 1: at most 5 units per term, and 3
-            # more for the prefactor and mu = nx (at most 2.4 per term against
-            # mpmath at 40 digits, n from 1 to 100 and mu from 1e-3 to 300)
-            pref, terms = math.exp(-2.0 * mu), s[2] + 1
-            value = pref * s[0]
-            return EvalResult(value, Method.SERIES, pref * s[1] + _HYP_ROUNDING * (5 * terms + 3) * value, terms)
-
-        _finish(out, direct, sums, szasz)
-
-        def szasz_window(mu, s):
-            return EvalResult(s[0], Method.SERIES, s[0] * (rtol + _WINDOW_ROUNDING * (math.sqrt(mu) + 2.0)), s[1])
-
-        _finish(out, window, _scaled_poisson_rows([mu for _, mu in window], tol=1e-16), szasz_window)
-    elif c > 0.0:
-        sums = _certified_rows(
-            lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr,
-            0.0,
-            rtol,
-            _POS_C_STEPS,
-            sup=[p[2] for _, p in direct],
-            args=([p[1] for _, p in direct],),
-        ).outcomes(_POS_C_CAPPED, "series route: ((n + kc)/(k + 1))^2 in the c > 0 term ratio")
-
-        def pos_c(p, s):
-            total, tail, steps = s
-            return _hyp_result(Method.SERIES, p[0], total, tail, steps + 1)
-
-        _finish(out, direct, sums, pos_c)
-
-        def pos_c_window(x, s):
-            u = c * x  # the negative binomial weights' variance is a u (1+u)
-            deviation = math.sqrt(n / c * u * (1.0 + u))
-            return EvalResult(s[0], Method.SERIES, s[0] * (rtol + _WINDOW_ROUNDING * (deviation + 2.0)), s[1])
-
-        _finish(out, window, _pos_c_window_rows(n, c, [x for _, x in window], 1e-16), pos_c_window)
-        # the claim of the half-integer Legendre recurrence, and at least
-        # 2^-1074 per term below the normal range: on 2a from 1 to 601 and
-        # 12 u per decade from the switch to 1e12 the expansion was within
-        # 0.29 of it (at a = 1/2) against mpmath at 40 digits
-        rounding = _ROUNDING_PER_A * (two_a / 2.0 + 1.0)
-        _finish(out, far, [_far_series(two_a, u, 1e-16) for _, u in far],
-                lambda _, s: EvalResult(s[0], Method.SERIES, s[1] + max(rounding * s[0], s[2] * 2.0 ** -1074), s[2]))
-    return out
+        "log_sum": (
+            lambda ps: _neg_c_log_sum(params, ps),
+            lambda _, v: EvalResult(v, Method.SERIES, _HYP_ROUNDING * (l + 1) * (8.0 + math.sqrt(l)) * v, l + 1),
+        ),
+        "poisson": (
+            lambda mus: _certified_rows(lambda k, mu: _sq(mu / (k + 1.0)), 0.0, rtol, args=(mus,)).outcomes(),
+            poisson,
+        ),
+        "poisson_window": (lambda ps: _scaled_poisson_rows(*columns(ps), 1e-16), window),
+        "nb": (
+            lambda ps: _certified_rows(
+                lambda k, rr: _sq((n + k * c) / (k + 1.0)) * rr, 0.0, rtol, _POS_C_STEPS,
+                sup=[p[2] for p in ps], args=([p[1] for p in ps],),
+            ).outcomes(_POS_C_CAPPED, "series route: ((n + kc)/(k + 1))^2 in the c > 0 term ratio"),
+            lambda p, s: _hyp_result(Method.SERIES, p[0], s[0], s[1], s[2] + 1),
+        ),
+        "nb_window": (lambda ps: _pos_c_window_rows(n, c, *columns(ps), 1e-16), window),
+        "far": (
+            lambda us: [_far_series(two_a, u, 1e-16) for u in us],
+            lambda _, s: EvalResult(s[0], Method.SERIES, s[1] + max(far_rounding * s[0], s[2] * 2.0 ** -1074), s[2]),
+        ),
+    })
 
 
 def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
@@ -706,26 +715,20 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     return _one(s_series_grid(params, [x], rtol))
 
 
-def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], tol: float) -> list:
+def _pos_c_window_rows(n: float, c: float, xs: Sequence[float], peaks: Sequence[tuple], tol: float) -> list:
     """Peak-anchored log-space sums of the c > 0 series with its prefactor
     at each x: (value, terms), or the exception raised there.
 
     Terms are t_k = ((n + (k-1)c)...(n)/k!)^2 rho^(2k) (1+cx)^(-2n/c) with
     rho = x/(1+cx), the squares of the negative binomial weights at a = n/c
     and u = cx, so the walk is anchored at twice Loader's log of the weight
-    at its peak (``core._nb_peak``); the term-ratio stream tends to
-    (c rho)^2 < 1 from above for n/c >= 1 and from below otherwise.
+    at its peak, which ``peaks`` holds (``core._nb_peak``); the term-ratio
+    stream tends to (c rho)^2 < 1 from above for n/c >= 1 and from below
+    otherwise.
     """
     rhos = [x / (1.0 + c * x) for x in xs]
-    peaks: list = []
-    for x in xs:
-        try:
-            k0, log_pmf = _nb_peak(n / c, c * x)
-            peaks.append((k0, 2.0 * log_pmf))
-        except Exception as exc:
-            peaks.append(exc)
     return _window_rows(
-        peaks,
+        [(k0, 2.0 * log_pmf) for k0, log_pmf in peaks],
         lambda k, rho: _sq((n + k * c) * rho / (k + 1.0)),
         lambda k, rho: _sq(k / ((n + (k - 1) * c) * rho)),
         tol,
@@ -881,105 +884,95 @@ def _legendre(two_a: int, ux, uy):
     return scale * q
 
 
-def _closed_rows(params: Params, xs: Sequence[float], ys: Sequence[float], rtol: float) -> tuple:
-    """The closed form of T at each pair of ``xs`` and ``ys`` (the EvalResult
-    or the exception raised there), and the bound on the part of each value
-    the hand-over's rule leaves out (0 elsewhere).  Each pair is classified
-    once and each kernel runs once over its pairs.  Where x = y every step
-    is S's own arithmetic."""
+def _closed_rows(params: Params, xs: Sequence, ys: Sequence, rtol: float, reach: float = math.inf) -> list:
+    """The closed form of T at each pair of ``xs`` and ``ys``: the EvalResult
+    or the exception raised there.  Each pair is sorted once
+    (``_sorted_rows``) into the prefactor alone at a zero coordinate, or the
+    regime of its kernel: ``bessel`` (c = 0), ``legendre`` (whole 2a),
+    ``hyp`` (the 2F1 series below Z_SWITCH) or ``hand_over`` (S's
+    quadrature pair grid, ``_quad_grid``, at ``reach``); each kernel runs
+    once over its pairs.  Where x = y every step is S's own arithmetic."""
     n = params.n_float
     c = params.c_float
     a = n / c if c else 0.0
     two_a = _twice_a(params)
     qtol = rtol
     rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
-    out: list = [None] * len(xs)
-    tails = [0.0] * len(xs)
-    bessel, legendre, hyp, quad = [], [], [], []  # (point, parameters) per kernel, and the hand-over's points
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        try:
-            params.require_in_domain(x)
-            if y is not x:  # S's points are checked once
-                params.require_in_domain(y)
-            xf, yf = float(x), float(y)
-            u, v = c * xf, c * yf
-            if xf == 0.0 or yf == 0.0:
-                # T(x, 0) = p_0(x) p_0(0), the prefactor alone: exactly 1 at
-                # x = y = 0, and 0 at the other end of a c < 0 domain
-                log_p = -n * (xf + yf) if c == 0.0 else -a * sum(
-                    math.log1p(t) if 1.0 + t > 0.0 else -math.inf for t in (u, v)
-                )
-                value = math.exp(log_p)
-                err = _HYP_ROUNDING * abs(log_p) * value if value else 0.0
-                out[i] = EvalResult(value, Method.CLOSED_FORM, err, 1)
-            elif c == 0.0:
-                # T = exp(-n (sqrt(x) - sqrt(y))^2) exp(-2mu) I0(2mu) at mu =
-                # n sqrt(x) sqrt(y), which does not overflow, and
-                # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
-                rx, ry = math.sqrt(xf), math.sqrt(yf)
-                z = 2.0 * n * (xf if xf == yf else rx * ry)
-                if not math.isfinite(z):
-                    raise OverflowError(f"{'2nx' if xf == yf else '2n sqrt(x) sqrt(y)'} is past the double range")
-                bessel.append((i, (z, ((xf - yf) / (rx + ry)) ** 2)))
-            elif two_a:
-                if abs(two_a) // 2 > _LEGENDRE_STEPS:
-                    raise ArithmeticError(f"|a| = |n/c| is past the {_LEGENDRE_STEPS} steps of the Legendre recurrence")
-                if not math.isfinite(1.0 + u + v):
-                    raise OverflowError(f"1 + {'2cx' if u == v else 'cx + cy'} is past the double range")
-                legendre.append((i, (u, v)))
-            else:
-                # c > 0: z = uv/((1+u)(1+v)), each quotient at most 1
-                z = (u / (1.0 + u)) ** 2 if u == v else (u / (1.0 + u)) * (v / (1.0 + v))
-                pref_log = -a * (math.log1p(u) + math.log1p(v))
-                if z > Z_SWITCH or pref_log < -_EXP_GUARD:
-                    quad.append(i)
-                else:
-                    hyp.append((i, (z, pref_log)))
-        except Exception as exc:
-            out[i] = exc
 
-    if bessel:
-        def szasz(p, s):
-            # the power series below _HANKEL_Z is the series route's sum
-            # (I0(2 mu) = sum (mu^k/k!)^2), with its rounding model and tail
-            # off the diagonal the factor's exponent rounds by a few units of
-            # its size: 2^-50 n e of the value, 0 on the diagonal
-            value, terms = s[0] * math.exp(-n * p[1]), s[1]
-            rel = 1e-16 + _HYP_ROUNDING * (5 * terms + 3) if terms else 1e-15
-            return EvalResult(value, Method.CLOSED_FORM, (rel + 2.0 ** -50 * n * p[1]) * value, 0)
+    def sort(pair):
+        x, y = pair
+        params.require_in_domain(x)
+        if y is not x:  # S's points are checked once
+            params.require_in_domain(y)
+        xf, yf = float(x), float(y)
+        u, v = c * xf, c * yf
+        if xf == 0.0 or yf == 0.0:
+            # T(x, 0) = p_0(x) p_0(0), the prefactor alone: exactly 1 at
+            # x = y = 0, and 0 at the other end of a c < 0 domain
+            log_p = -n * (xf + yf) if c == 0.0 else -a * sum(
+                math.log1p(t) if 1.0 + t > 0.0 else -math.inf for t in (u, v)
+            )
+            value = math.exp(log_p)
+            err = _HYP_ROUNDING * abs(log_p) * value if value else 0.0
+            return None, EvalResult(value, Method.CLOSED_FORM, err, 1)
+        if c == 0.0:
+            # T = exp(-n (sqrt(x) - sqrt(y))^2) exp(-2mu) I0(2mu) at mu =
+            # n sqrt(x) sqrt(y), which does not overflow, and
+            # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
+            rx, ry = math.sqrt(xf), math.sqrt(yf)
+            z = 2.0 * n * (xf if xf == yf else rx * ry)
+            if not math.isfinite(z):
+                raise OverflowError(f"{'2nx' if xf == yf else '2n sqrt(x) sqrt(y)'} is past the double range")
+            return "bessel", (z, ((xf - yf) / (rx + ry)) ** 2)
+        if two_a:
+            if abs(two_a) // 2 > _LEGENDRE_STEPS:
+                raise ArithmeticError(f"|a| = |n/c| is past the {_LEGENDRE_STEPS} steps of the Legendre recurrence")
+            if not math.isfinite(1.0 + u + v):
+                raise OverflowError(f"1 + {'2cx' if u == v else 'cx + cy'} is past the double range")
+            return "legendre", (u, v)
+        # c > 0: z = uv/((1+u)(1+v)), each quotient at most 1
+        z = (u / (1.0 + u)) ** 2 if u == v else (u / (1.0 + u)) * (v / (1.0 + v))
+        pref_log = -a * (math.log1p(u) + math.log1p(v))
+        if z > Z_SWITCH or pref_log < -_EXP_GUARD:
+            return "hand_over", pair
+        return "hyp", (z, pref_log)
 
-        _finish(out, bessel, _bessel_i0e_rows([z for _, (z, _) in bessel]), szasz)
-    if legendre:
-        us, vs = (np.array(col) for col in zip(*(p for _, p in legendre)))
-        # c > 0: 1e-15 a at integer a, 1e-15 (a + 1) at half-integer a; the
-        # terms count the degrees the recurrence passes, a + 1/2 at
-        # half-integer a, and below the normal range each rounds to the
-        # subnormal grid (on a up to 241/2 and x up to 1.7e308 within 0.6 of
-        # terms 2^-1074).  c < 0: ``_NEG_C_ROUNDING`` per step; the terms
-        # count the degrees 0 to l.
-        if c < 0:
-            rounding, terms = _NEG_C_ROUNDING * params.l, params.l + 1
-        else:
-            rounding, terms = _ROUNDING_PER_A * (two_a / 2 + two_a % 2), (two_a + 1) // 2
-        for (i, _), value in zip(legendre, _legendre(two_a, us, vs).tolist()):
-            out[i] = EvalResult(value, Method.CLOSED_FORM, max(rounding * value, terms * 2.0 ** -1074), terms)
-    if hyp:
-        over = "closed-form route: ((a + k)/(k + 1))^2 in the term ratio of 2F1(a, a; 1; z)"
-        _finish(out, hyp, _hyp2f1_rows(a, [z for _, (z, _) in hyp], rtol, overflow=over),
-                lambda p, s: _hyp_result(Method.CLOSED_FORM, p[1], *s))
-    if quad:
-        # S's quadrature pair grid
-        rows, quad_tails = _quad_grid(params, [xs[i] for i in quad], [ys[i] for i in quad], qtol, two_a)
-        for i, row, tail in zip(quad, rows, quad_tails):
-            out[i], tails[i] = row, tail
-    return out, tails
+    def bessel(p, s):
+        # the power series below _HANKEL_Z is the series route's sum
+        # (I0(2 mu) = sum (mu^k/k!)^2), with its rounding model and tail;
+        # off the diagonal the factor's exponent rounds by a few units of
+        # its size: 2^-50 n e of the value, 0 on the diagonal
+        value, terms = s[0] * math.exp(-n * p[1]), s[1]
+        rel = 1e-16 + _HYP_ROUNDING * (5 * terms + 3) if terms else 1e-15
+        return EvalResult(value, Method.CLOSED_FORM, (rel + 2.0 ** -50 * n * p[1]) * value, 0)
+
+    # c > 0: 1e-15 a at integer a, 1e-15 (a + 1) at half-integer a; the
+    # terms count the degrees the recurrence passes, a + 1/2 at half-integer
+    # a, and below the normal range each rounds to the subnormal grid (on a
+    # up to 241/2 and x up to 1.7e308 within 0.6 of terms 2^-1074).  c < 0:
+    # ``_NEG_C_ROUNDING`` per step; the terms count the degrees 0 to l.
+    rounding, terms = ((_NEG_C_ROUNDING * params.l, params.l + 1) if c < 0
+                       else (_ROUNDING_PER_A * (two_a / 2 + two_a % 2), (two_a + 1) // 2))
+    over = "closed-form route: ((a + k)/(k + 1))^2 in the term ratio of 2F1(a, a; 1; z)"
+    return _sorted_rows(list(zip(xs, ys)), sort, {
+        "bessel": (lambda ps: _bessel_i0e_rows([z for z, _ in ps]), bessel),
+        "legendre": (
+            lambda ps: _legendre(two_a, *map(np.array, zip(*ps))).tolist(),
+            lambda _, value: EvalResult(value, Method.CLOSED_FORM, max(rounding * value, terms * 2.0 ** -1074), terms),
+        ),
+        "hyp": (
+            lambda ps: _hyp2f1_rows(a, [z for z, _ in ps], rtol, overflow=over),
+            lambda p, s: _hyp_result(Method.CLOSED_FORM, p[1], *s),
+        ),
+        "hand_over": (lambda pairs: _quad_grid(params, *zip(*pairs), qtol, two_a, reach), lambda _, r: r),
+    })
 
 
 def s_closed_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
     """``s_closed`` at every point of ``xs``: the diagonal of T's pair grid
     (``_closed_rows``), so each kernel runs once over all its points."""
     _require_rtol(rtol)
-    return _closed_rows(params, xs, xs, rtol)[0]
+    return _closed_rows(params, xs, xs, rtol)
 
 
 def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
@@ -1147,6 +1140,8 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
             if x == y:
                 return -4.0 * n * x, 1.0, 0.0
             rx, ry = math.sqrt(x), math.sqrt(y)  # sqrt(x) - sqrt(y) = (x - y)/(rx + ry) does not cancel
+            if rx * ry == math.inf:  # the closed form's error, where e would be inf/inf
+                raise OverflowError("2n sqrt(x) sqrt(y) is past the double range")
             e = ((x - y) / (rx + ry)) ** 2
             return -4.0 * n * (rx * ry), math.exp(-n * e), 2.0 ** -50 * n * e
 
@@ -1209,41 +1204,49 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     )
 
 
-def _quad_grid(params: Params, xs: Sequence, ys: Sequence, rtol: float, two_a: int | None = None) -> tuple:
+def _quad_grid(params: Params, xs: Sequence, ys: Sequence, rtol: float, two_a: int | None = None,
+               reach: float = math.inf) -> list:
     """T(x, y) at each pair of ``xs`` and ``ys``, S(x) to the bit where
     x = y: the plan's integral at the pair's parameter times its factor
-    (``_s_quad_plan``, at ``two_a`` where the caller has sorted a), one
-    ``_ladder`` on the plan's rule from its first node count, LADDER_START
-    where x or y is 0.  Returns the EvalResult or the exception at each
-    pair, each claiming the last difference of levels, at least the plan's
-    rounding, plus the bound on the mean the rule leaves out, all times the
-    factor, plus the factor's rounding of the value; and that bound times
-    the factor (0 where it raised)."""
+    (``_s_quad_plan``, at ``two_a`` where the caller has sorted a).  Every
+    pair is in one regime, ``ladder``: one ``_ladder`` on the plan's rule
+    from its first node count, LADDER_START where x or y is 0.  Returns the
+    EvalResult or the exception at each pair, each claiming the last
+    difference of levels, at least the plan's rounding, plus the bound on
+    the mean the rule leaves out, all times the factor, plus the factor's
+    rounding of the value.  Where that bound on the part left out exceeds
+    ``reach`` of the value (inf for S, RTOL_DEFAULT for T) the pair raises
+    ArithmeticError."""
     plan = _s_quad_plan(params, _twice_a(params) if two_a is None else two_a)
-    out: list = [None] * len(xs)
-    tails = [0.0] * len(xs)
-    rows = []  # (pair, parameter, factor, its rounding, first node count)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        try:
-            params.require_in_domain(x)
-            if y is not x:  # S's points are checked once
-                params.require_in_domain(y)
-            xf, yf = float(x), float(y)
-            p, factor, spread = plan.pair(xf, yf)
-            rows.append((i, p, factor, spread, LADDER_START if xf == 0.0 or yf == 0.0 else plan.start(p)))
-        except Exception as exc:
-            out[i] = exc
-    if rows:
-        points, ps, factors, spreads, ms = zip(*rows)
-        ladder = _ladder(plan.f, plan.rule, ps, ms, rtol, plan.floor)
-        for i, p, factor, spread, v, d, nodes in zip(points, ps, factors, spreads, *ladder):
-            tail = plan.tail(p)
-            tails[i] = factor * tail
-            err = factor * (max(d, plan.rounding * abs(v)) + tail)
-            if spread:  # off the diagonal at c = 0 only (0 * inf would be NaN)
-                err += spread * abs(factor * v)
-            out[i] = EvalResult(factor * v, Method.QUADRATURE, err, nodes)
-    return out, tails
+
+    def sort(pair):
+        x, y = pair
+        params.require_in_domain(x)
+        if y is not x:  # S's points are checked once
+            params.require_in_domain(y)
+        xf, yf = float(x), float(y)
+        if math.inf in (xf, yf) and 0.0 in (xf, yf):
+            # T(x, 0) = p_0(x) p_0(0) is 0 at x = inf, as the closed form reads it
+            return None, EvalResult(0.0, Method.QUADRATURE, 0.0, 0)
+        p, factor, spread = plan.pair(xf, yf)
+        return "ladder", (p, factor, spread, LADDER_START if xf == 0.0 or yf == 0.0 else plan.start(p))
+
+    def ladder(rows):
+        ps, _, _, ms = zip(*rows)
+        return zip(*_ladder(plan.f, plan.rule, ps, ms, rtol, plan.floor))
+
+    def claim(row, level):
+        p, factor, spread, _ = row
+        v, d, nodes = level
+        tail = plan.tail(p)
+        if factor * tail > reach * (factor * v):
+            raise ArithmeticError("the kernel integrand peaks past the reach of the tanh-sinh rule")
+        err = factor * (max(d, plan.rounding * abs(v)) + tail)
+        if spread:  # off the diagonal at c = 0 only (0 * inf would be NaN)
+            err += spread * abs(factor * v)
+        return EvalResult(factor * v, Method.QUADRATURE, err, nodes)
+
+    return _sorted_rows(list(zip(xs, ys)), sort, {"ladder": (ladder, claim)})
 
 
 def s_quad_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT) -> list:
@@ -1251,7 +1254,7 @@ def s_quad_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAULT)
     pair grid (``_quad_grid``), whose one ladder gives every point the
     bits of the one-point ladder."""
     _require_rtol(rtol)
-    return _quad_grid(params, xs, xs, rtol)[0]
+    return _quad_grid(params, xs, xs, rtol)
 
 
 def s_quad(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
@@ -1279,17 +1282,6 @@ def s_quad(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_value(rows: list, tails: list) -> float:
-    """The value of a one-pair grid of T, or ArithmeticError where the part
-    of the integral beyond the tanh-sinh rule's ends may exceed RTOL_DEFAULT
-    of it (a < 1 with s^2 near or past the rule's 4.6e-62, x, y of 1e18 and
-    beyond; c = 0 where the integral underflows)."""
-    value = _one(rows).value
-    if tails[0] > RTOL_DEFAULT * value:
-        raise ArithmeticError("the kernel integrand peaks past the reach of the tanh-sinh rule")
-    return value
-
-
 def t_closed(params: Params, x: float, y: float) -> float:
     """Kernel value from the closed forms: the one-pair call of the pair
     grid (``_closed_rows``) whose diagonal is ``s_closed``, so T(x, x) has
@@ -1299,22 +1291,25 @@ def t_closed(params: Params, x: float, y: float) -> float:
     it is P_(a-1)(W)/B^a with B = 1 + cx + cy and W = 1 + 2c^2xy/B
     (``_legendre``; for c < 0 the polynomial B^l P_l(W)), and nothing hands
     over.  At any other a, past Z_SWITCH or with powers beyond the double
-    range, it climbs the tanh-sinh ladder of ``s_quad`` at T's pair
-    parameter (``_quad_grid``), and raises ArithmeticError where the part of
-    the integral beyond the rule's ends may exceed RTOL_DEFAULT of the
-    value.  Where B overflows it raises OverflowError at whole 2a, and off
-    the diagonal at every other c > 0; at c = 0 it does where
-    2n sqrt(x) sqrt(y) overflows.
+    range, it hands the pair over to the tanh-sinh ladder of ``s_quad`` at
+    T's pair parameter (``_quad_grid``), whose row raises ArithmeticError
+    where the part of the integral beyond the rule's ends may exceed
+    RTOL_DEFAULT of the value (its ``reach``).  Where B overflows it raises
+    OverflowError at whole 2a, and off the diagonal at every other c > 0;
+    at c = 0 it does where 2n sqrt(x) sqrt(y) overflows.  At a zero
+    coordinate it is the prefactor alone, 0 where the other is infinite.
     """
-    return _kernel_value(*_closed_rows(params, [x], [y], RTOL_DEFAULT))
+    return _one(_closed_rows(params, [x], [y], RTOL_DEFAULT, reach=RTOL_DEFAULT)).value
 
 
 def t_quad(params: Params, x: float, y: float) -> float:
     """Kernel value from quadrature: the one-pair call of the pair grid
     (``_quad_grid``) whose diagonal is ``s_quad_grid``, so T(x, x) has the
-    bits of ``s_quad(params, x).value``, at rtol RTOL_DEFAULT.  It raises
-    ArithmeticError where the part of the integral beyond the tanh-sinh
-    rule's ends may exceed RTOL_DEFAULT of the value, as ``t_closed`` does,
-    and OverflowError off the diagonal at c > 0 where 1 + cx + cy
-    overflows."""
-    return _kernel_value(*_quad_grid(params, [x], [y], RTOL_DEFAULT))
+    bits of ``s_quad(params, x).value``, at rtol RTOL_DEFAULT.  Its row
+    raises ArithmeticError where the part of the integral beyond the
+    tanh-sinh rule's ends may exceed RTOL_DEFAULT of the value (the grid's
+    ``reach``), as ``t_closed`` does.  Off the diagonal with one infinite
+    coordinate it reads what ``t_closed`` does: 0 where the other is 0, and
+    OverflowError elsewhere; it also raises OverflowError at c > 0 where
+    1 + cx + cy overflows."""
+    return _one(_quad_grid(params, [x], [y], RTOL_DEFAULT, reach=RTOL_DEFAULT)).value

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sqsums import core
 from sqsums.core import (
+    FAMILY_NAMES,
     LOG_SPACE_THRESHOLD,
     DomainError,
     FamilyId,
@@ -115,6 +116,14 @@ class TestFamilyId:
             FamilyId("bbh").substitution(-0.5)
         with pytest.raises(DomainError, match=r"^x=1 outside the domain \[0, 1\) of family 'mkz'$"):
             FamilyId("mkz").substitution(Fraction(1))
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_substitution_checks_the_domain_of_every_family(self, name):
+        # the families without a change of variable returned -1 and nan as they were
+        family = FamilyId(name, Fraction(1, 3) if name == "general" else None)
+        for x in (-1.0, math.nan):
+            with pytest.raises(DomainError, match=f"^x={x} outside the domain .* of family '{name}'$"):
+                family.substitution(x)
 
     def test_mkz_domain_is_half_open(self):
         mkz = FamilyId("mkz")

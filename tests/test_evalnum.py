@@ -64,6 +64,17 @@ class TestHyp2f1Diag:
         with pytest.raises(ValueError):
             hyp2f1_diag(-0.5, 0.3)  # negative non-integer is out of scope
 
+    @pytest.mark.parametrize("a, z, message", [
+        (0.5, math.nan, "got z=nan"), (math.nan, 0.5, "got a=nan"),
+        (math.inf, 0.5, "got a=inf"), (-math.inf, 0.5, "got a=-inf"),
+    ])
+    def test_nan_and_infinite_arguments_raise_before_summing(self, monkeypatch, a, z, message):
+        # they used to walk the whole 2*10^6-term cap and raise "series did
+        # not converge"; the series kernel is never reached now
+        monkeypatch.setattr(evalnum, "_certified_rows", _reached)
+        with pytest.raises(ValueError, match=message):
+            hyp2f1_diag(a, z)
+
 
 class TestBesselI0:
     def test_series_anchors(self):
@@ -85,6 +96,12 @@ class TestBesselI0:
     def test_overflow_saturates(self):
         assert bessel_i0(10000.0) == math.inf
         assert bessel_i0(math.inf) == math.inf
+
+    def test_scaled_limit_at_infinity(self):
+        # exp(-z) I0(z) ~ 1/sqrt(2 pi z) falls to 0; unscaling the Hankel
+        # value by exp(z - z) read nan there
+        assert bessel_i0e(math.inf) == 0.0 and bessel_i0e(-math.inf) == 0.0
+        assert bessel_i0e(1e308) == evalnum._hankel_i0e(1e308) > 0.0
 
     @given(st.floats(min_value=0, max_value=30))
     @settings(max_examples=50)
@@ -400,6 +417,22 @@ class TestKernel:
         assert math.isfinite(t) and t == s_closed(params, 1e160).value
         want = _szasz_t(mpmath, 3, 1e160, 1e160 * (1.0 + 1e-80))
         assert abs(t_closed(params, 1e160, 1e160 * (1.0 + 1e-80)) / want - 1) <= 2e-14
+
+    @pytest.mark.parametrize("n, c", [(1, 0), (7, 0), (1, 1), (Fraction(4, 3), 1), (Fraction(5, 2), 1), (2, 3)])
+    def test_quadrature_agrees_with_closed_at_an_infinite_coordinate(self, n, c):
+        # T(inf, 0) = p_0(inf) = 0, and every other pair with one infinite
+        # coordinate overflows, with the closed form's message; at c = 0 the
+        # pair map formed (x - y)/(sqrt(x) + sqrt(y)) as inf/inf and read nan
+        params = Params(n, c)
+        for x, y in [(math.inf, 0.0), (0.0, math.inf), (math.inf, 1.0), (5e-324, math.inf), (1e300, math.inf)]:
+            outcomes = []
+            for route in (t_closed, t_quad):
+                try:
+                    outcomes.append(repr(route(params, x, y)))
+                except OverflowError as exc:
+                    outcomes.append(f"OverflowError: {exc}")
+            assert outcomes[0] == outcomes[1], (x, y, outcomes)
+            assert (outcomes[0] == "0.0") if 0.0 in (x, y) else outcomes[0].startswith("OverflowError"), (x, y)
 
     def test_quadrature_constant_case(self):
         assert _ladder_from(Params(1, 1), 0.0, 0.0, 8) == pytest.approx(1.0, rel=1e-15)
@@ -1270,7 +1303,7 @@ def test_neg_c_kernel_claims_against_the_exact_sum(c):
         if c == -1:
             xs, ys = xs + [1.0e-4], ys + [0.9992]
         pairs = [(x, y) for x, y in zip(xs, ys) if max(Fraction(x), Fraction(y)) <= sup]
-        rows, _ = evalnum._closed_rows(Params(-c * l, c), *zip(*pairs), RTOL_DEFAULT)
+        rows = evalnum._closed_rows(Params(-c * l, c), *zip(*pairs), RTOL_DEFAULT)
         for (x, y), r in zip(pairs, rows):
             exact = _pair_sum(l, -Fraction(cf * x), -Fraction(cf * y))
             assert r.method is Method.CLOSED_FORM and _claim_holds(r, *exact), (l, x, y, r)
@@ -1534,7 +1567,7 @@ def test_kernel_routes_against_exact_and_mpmath():
         if want < 1e-300:
             continue
         spread = evalnum._s_quad_plan(params, evalnum._twice_a(params)).pair(x, y)[2]
-        (row,), _ = evalnum._closed_rows(params, [x], [y], RTOL_DEFAULT)
+        (row,) = evalnum._closed_rows(params, [x], [y], RTOL_DEFAULT)
         assert row.value == t_closed(params, x, y)
         bounds = [((abs(params.n / params.c) + 16) * 1e-15 if params.c else 1e-15) + spread,
                   row.err_estimate / row.value]
@@ -1555,8 +1588,8 @@ def test_szasz_pair_rows_claim_the_rounding_of_their_factor():
     mpmath = pytest.importorskip("mpmath")
     params, x, y = Params(5, 0), 1000.0, 500.0
     want = _szasz_t(mpmath, 5, x, y)
-    (closed,), _ = evalnum._closed_rows(params, [x], [y], RTOL_DEFAULT)
-    (quad,), _ = evalnum._quad_grid(params, [x], [y], RTOL_DEFAULT)
+    (closed,) = evalnum._closed_rows(params, [x], [y], RTOL_DEFAULT)
+    (quad,) = evalnum._quad_grid(params, [x], [y], RTOL_DEFAULT)
     for name, row in (("closed", closed), ("quadrature", quad)):
         with mpmath.workdps(40):
             err = abs(mpmath.mpf(row.value) - want)

@@ -134,8 +134,36 @@ def test_only_the_quadrature_plan_picks_a_rule(name):
 
 def test_ladder_start_is_read_by_the_plan_and_the_pair_grid():
     # a ladder's first level comes from its plan, or is LADDER_START at a
-    # zero coordinate; no caller passes a node count of its own
-    assert set(_package_readers("LADDER_START")) == {"evalnum.py:_s_quad_plan", "evalnum.py:_quad_grid"}
+    # zero coordinate, where the pair grid sorts its pairs; no caller
+    # passes a node count of its own
+    assert set(_package_readers("LADDER_START")) == {"evalnum.py:_s_quad_plan", "evalnum.py:_quad_grid.sort"}
+
+
+def _handlers(tree) -> list:
+    """The functions (by qualified name) whose own bodies catch Exception."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.ExceptHandler) and getattr(child.type, "id", None) == "Exception":
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_evalnum_keeps_a_point_exception_in_one_place():
+    # every float grid keeps a point's exception through the one sorter,
+    # which names each point's regime; no route hand-rolls the protocol,
+    # and T's tail check is a claim of the quadrature rows
+    path = pathlib.Path(evalnum.__file__)
+    assert set(_handlers(ast.parse(path.read_text(), str(path)))) == {"_sorted_rows"}
+    assert not hasattr(evalnum, "_kernel_value")
+    assert _handlers(ast.parse("def f():\n    try:\n        pass\n    except Exception:\n        pass")) == ["f"]
 
 
 @pytest.mark.parametrize(

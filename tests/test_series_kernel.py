@@ -316,9 +316,11 @@ def ref_basis_sum(n, c, x, tol):
 )
 def test_peak_windows_match_loops(c, n, x, tol):
     if c == 0.0:
-        assert evalnum._scaled_poisson_rows([n * x], tol) == [ref_scaled_poisson_sq(n * x, tol)]
+        peak = core._poisson_peak(n * x)
+        assert evalnum._scaled_poisson_rows([n * x], [peak], tol) == [ref_scaled_poisson_sq(n * x, tol)]
     else:
-        assert evalnum._pos_c_window_rows(n, c, [x], tol) == [ref_pos_c_series_window(n, c, x, tol)]
+        peak = core._nb_peak(n / c, c * x)
+        assert evalnum._pos_c_window_rows(n, c, [x], [peak], tol) == [ref_pos_c_series_window(n, c, x, tol)]
     assert basis_sum(Params(n, c), x) == ref_basis_sum(n, c, x, 1e-15)
 
 
@@ -501,9 +503,11 @@ def test_last_certificate_overflow_at_the_cap():
     # an inf or NaN that no square produced is summed on, as the loop did
     total, tail, steps = one_row(lambda k: np.where(k < 5, 2.0, np.inf), 0, 1e-16, 8)
     assert (total, tail, steps) == (math.inf, None, 8)
-    assert _outcome(_hyp2f1_tail, 0.5, math.nan, 1e-15, 50) == _outcome(
-        ref_hyp2f1_tail, 0.5, math.nan, 1e-15, 50
-    )
+    total, tail, steps = one_row(lambda k: np.where(k < 5, 2.0, np.nan), 0, 1e-16, 8)
+    assert math.isnan(total) and (tail, steps) == (None, 8)
+    # the diagonal series never sums a NaN argument: it raises first
+    with pytest.raises(ValueError, match="got z=nan"):
+        _hyp2f1_tail(0.5, math.nan, 1e-15, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +836,13 @@ def _rows_outcome(result):
     st.one_of(st.just(20000), st.integers(0, 300)),
 )
 def test_hyp2f1_rows_match_loop(a, zs, rtol, max_terms):
+    # a NaN z raises before anything is summed, where the loop walks its cap
     got = [_rows_outcome(r) for r in evalnum._hyp2f1_rows(a, zs, rtol, max_terms)]
-    expect = [_outcome(ref_hyp2f1_tail, a, z, rtol, max_terms) for z in zs]
+    expect = [
+        (ValueError, "series argument must be nonnegative, got z=nan") if math.isnan(z)
+        else _outcome(ref_hyp2f1_tail, a, z, rtol, max_terms)
+        for z in zs
+    ]
     assert repr(got) == repr(expect)
 
 
