@@ -10,8 +10,7 @@ family and its index-0 counterpart for Meyer-Konig-Zeller).
 import argparse
 
 from sqsums.bounds import bound_reports, standard_grid
-from sqsums.core import FamilyId
-from sqsums.families import FAMILIES, least_index
+from sqsums.families import FAMILIES, FamilyId
 
 
 def main() -> None:
@@ -23,7 +22,7 @@ def main() -> None:
     for name in (name for name, row in FAMILIES.items() if row.bounds is not None):
         family = FamilyId(name)
         grid = standard_grid(family, count=args.count)
-        for n in range(least_index(family), args.n_max + 1):
+        for n in range(family.least_index, args.n_max + 1):
             worst = min(bound_reports(family, n, grid), key=lambda r: r.min_margin)
             print(
                 f"{name:>9} n={n:2d}  min margin {worst.min_margin:+.3e} "

@@ -15,8 +15,7 @@ import time
 
 from sqsums.analysis import logconvexity_scan
 from sqsums.cli import _write_json
-from sqsums.core import FamilyId
-from sqsums.families import FAMILIES
+from sqsums.families import FAMILIES, FamilyId
 
 
 def main() -> None:

@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .core import (
     DomainError,
-    FamilyId,
     ParameterError,
     Params,
     basis,
@@ -44,6 +43,7 @@ from .exactalg import (
     u_rational,
     x_form,
 )
+from .families import FamilyId
 
 __all__ = [
     "DomainError",

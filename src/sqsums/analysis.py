@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .core import DomainError, FamilyId, Params, RationalLike, Real, _fmt_float, _fmt_rat, _one
+from .core import DomainError, Params, RationalLike, Real, _fmt_float, _fmt_rat, _one
 from .bounds import s_values
 from .evalnum import s_closed_grid
-from . import exactalg, families
+from .families import FamilyId
+from . import exactalg
 
 __all__ = [
     "ScanReport",
@@ -221,10 +222,10 @@ def convexity_scan(family: FamilyId, n: RationalLike, grid: Sequence[Real]) -> S
     family.base_params(n)  # rejects an index the family does not admit
     n = int(n) if Fraction(n).denominator == 1 else Fraction(n)  # the series builders need an int
     subject = {"family": family.name, "n": n if isinstance(n, int) else _fmt(n)}
-    if "convexity" in families.FAMILIES[family.key].scans:
-        _, _, d2, (a, b, c, d) = _x_derivatives(family, n)
+    if "convexity" in family.row.scans:
+        _, _, d2, mobius = _x_derivatives(family, n)
         xs = [x if isinstance(x, Fraction) else float(x) for x in grid]
-        margins = [d2((a * x + b) / (c * x + d)) for x in xs]
+        margins = [d2(exactalg._mobius_at(mobius, x)) for x in xs]
         return _report("convexity", subject, list(grid), margins, {"route": "exact"})
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points")
@@ -277,15 +278,14 @@ def monotonicity_check(n: int, grid: Sequence[Real]) -> ScanReport:
 
 def has_exact_q(params: Params) -> bool:
     """Whether Q has an exact form: natural n, and c's row (c = +-1) lists an exact log-convexity scan."""
-    row = families.FAMILIES[FamilyId.from_c(params.c).key]
-    return params.n.denominator == 1 and "logconvexity" in row.scans
+    return params.n.denominator == 1 and "logconvexity" in FamilyId.from_c(params.c).row.scans
 
 
 def _x_derivatives(family: FamilyId, n: int):
     """(S, S_x, S_xx) in the row's series variable y = (a x + b)/(c x + d), and
     (a, b, c, d): with phi = dy/dx = (a - c y)^2 / (a d - b c), S_x = phi S_y
     and S_xx = phi (phi S_yy + phi' S_y)."""
-    s = families.FAMILIES[family.key].series(n)
+    s = family.row.series(n)
     a, b, c, d = mobius = exactalg.SERIES_MAPS[s.var]
     phi = exactalg.RationalPoly((a * a, -2 * a * c, c * c), s.var) / (a * d - b * c)
     s1 = s.derivative()

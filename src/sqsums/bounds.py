@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FamilyId, ParameterError, RationalLike, Real, _fmt_float
-from . import evalnum, families
+from .core import ParameterError, RationalLike, Real, _fmt_float
+from .families import FamilyId
+from . import evalnum
 
 __all__ = [
     "BoundReport",
@@ -66,7 +67,7 @@ def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real]) -> list:
     call at ``evalnum.RTOL_DEFAULT``; each point is sorted once
     (``evalnum._sorted_rows``).
     """
-    row = families.FAMILIES[family.key]
+    row = family.row
     exact = row.value is not None and int(n) == n
 
     def sort(x):
@@ -88,10 +89,10 @@ def s_values(family: FamilyId, n: RationalLike, xs: Sequence[Real]) -> list:
 def bound_reports(family: FamilyId, n: int, xs: Sequence[Real]) -> list[BoundReport]:
     """``bound_values`` at every point of ``xs``, with the sums from one
     ``s_values`` call; raises the error of the first point that has one."""
-    row = families.FAMILIES[family.key]
+    row = family.row
     if row.bounds is None:
         raise ParameterError(f"no proven bounds for general c={family.c}")
-    if n < (least := families.least_index(family)):
+    if n < (least := family.least_index):
         raise ParameterError(f"family {family.key!r} bounds need n >= {least}, got n={n}")
     reports = []
     for x, value in zip(xs, s_values(family, n, xs)):

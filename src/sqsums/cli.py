@@ -21,8 +21,9 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
-from . import __version__, analysis, bounds, evalnum, families
-from .core import _FLOAT_TEXT, FAMILY_NAMES, FamilyId, ParameterError, _fmt_float, _fmt_rat
+from . import __version__, analysis, bounds, evalnum
+from .core import _FLOAT_TEXT, ParameterError, _fmt_float, _fmt_rat
+from .families import FAMILY_NAMES, FamilyId
 
 __all__ = ["main", "run", "OUTPUT_SCHEMA"]
 
@@ -244,13 +245,13 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     family = _family_from_args(args)
-    row = families.FAMILIES[family.key]
+    row = family.row
     if row.witness is None:
         raise ParameterError(
             f"family {family.name!r} has no exact identity suite; "
             "use 'scan --kind ode' for the numerical residual check"
         )
-    first, (label, build) = families.least_index(family), row.witness
+    first, (label, build) = family.least_index, row.witness
     if args.n_max < first:
         raise ParameterError(f"verify --n-max must be >= {first} for {family.name!r}, got {args.n_max}")
     ns = range(first, args.n_max + 1)
@@ -319,7 +320,7 @@ def _scan_logconvexity(family, params, args):
 
 
 def _scan_monotonicity(family, params, args):
-    if "monotonicity" not in families.FAMILIES[family.key].scans:
+    if "monotonicity" not in family.row.scans:
         raise ParameterError(f"scan --kind monotonicity covers the Bernstein family only, "
                              f"got family {family.name!r}")
     count = _scan_count(args, 2, 129)

@@ -1,11 +1,14 @@
-"""Operator-family parameters and fundamental basis functions.
+"""Operator parameters (n, c), their domains, the fundamental basis
+functions and the float kernels the routes share.
 
 The discrete families handled here are indexed by a real parameter ``c``:
 negative ``c`` gives finitely supported polynomial bases on ``[0, -1/c]``
 (Bernstein for ``c = -1``), ``c = 0`` the Poisson-weight basis on
 ``[0, inf)`` (Szasz-Mirakjan), and positive ``c`` the negative-binomial
 bases on ``[0, inf)`` (Baskakov for ``c = 1``).  Every basis is a partition
-of unity: the functions are nonnegative and sum to 1 pointwise.
+of unity: the functions are nonnegative and sum to 1 pointwise.  This
+module knows (n, c) alone: the named families, their substitutions and
+their tag ``FamilyId`` are the table of ``families``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "FAMILY_NAMES",
-    "FamilyId",
     "ParameterError",
     "Params",
     "RationalLike",
@@ -166,128 +167,18 @@ class Params(_OnDomain):
         return f"x={x} outside the domain I_c = {self.domain_str()}"
 
 
-# A Moebius map x -> (a*x + b)/(c*x + d) as the integer matrix (a, b, c, d).
-Mobius = tuple[int, int, int, int]
-
-
-def _mobius_at(m: Mobius, x: Real) -> Real:
-    """m at the point x: exact on a Fraction, and on a float the quotient of
-    the two rounded affine forms (a product by 1 or -1 and a sum with 0 add
-    no rounding)."""
-    a, b, c, d = m
-    return (a * x + b) / (c * x + d)
-
-
-class _Family(NamedTuple):
-    """One row of the family table, the one home of each fact it holds.
-
-    The squared-basis sum of a substitution family is that of the (n, c)
-    family ``base`` at index ``n + shift`` and point ``to_base(x)``, a
-    Moebius map (``_mobius_at``): ``FamilyId.substitution``, the family's
-    bounds and its ``verify`` substitution item all read it here.
-    ``domain`` is the family's own domain where it is not I_c.
-    """
-
-    base: str
-    c: Optional[Fraction]  # None: the tag carries its own c
-    n_min: Optional[int] = None  # least natural index; None: any positive rational
-    shift: int = 0
-    to_base: Optional[Mobius] = None
-    domain: Optional[_Interval] = None
-
-
-_FAMILIES = {
-    "bernstein": _Family("bernstein", Fraction(-1), 1),
-    "szasz": _Family("szasz", Fraction(0)),
-    "baskakov": _Family("baskakov", Fraction(1)),
-    "bbh": _Family("bernstein", Fraction(-1), 1, 0, (1, 0, 1, 1), _Interval(None)),  # x/(1+x)
-    "mkz": _Family("baskakov", Fraction(1), 0, 1, (1, 0, -1, 1), _Interval(Fraction(1), False)),  # x/(1-x)
-    "general": _Family("general", None),
-}
-FAMILY_NAMES = tuple(_FAMILIES)
-
-
-@dataclass(frozen=True)
-class FamilyId(_OnDomain):
-    """Tag for an operator family.
-
-    ``bernstein``/``szasz``/``baskakov`` are the canonical names of the
-    ``c = -1, 0, 1`` families; ``general`` carries an explicit ``c``.
-    ``bbh`` and ``mkz`` are substitution families: their squared-basis sums
-    are the Bernstein sum composed with ``x/(1+x)`` and the Baskakov sum of
-    index ``n+1`` composed with ``x/(1-x)`` respectively, by the map and
-    shift of their rows of ``_FAMILIES``.
-    """
-
-    name: str
-    c: Optional[Fraction] = None
-    _domain: _Interval = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.name not in _FAMILIES:
-            raise ParameterError(f"unknown family {self.name!r}")
-        if self.name == "general":
-            if self.c is None:
-                raise ParameterError("general family requires an explicit c")
-            object.__setattr__(self, "c", _as_fraction(self.c, "c"))
-        elif self.c is not None:
-            raise ParameterError(f"family {self.name!r} does not take a c parameter")
-        object.__setattr__(self, "_domain", self._row.domain or _Interval.of_c(self.base_c))
-
-    @classmethod
-    def from_c(cls, c: RationalLike) -> "FamilyId":
-        general = cls("general", c)
-        return general if general.key == "general" else cls(general.key)
-
-    @property
-    def _row(self) -> _Family:
-        return _FAMILIES[self.name]
-
-    @property
-    def key(self) -> str:
-        """The named family this tag denotes (``general`` with c in {-1, 0, 1}
-        resolves to bernstein, szasz or baskakov)."""
-        if self.c is not None:
-            for name, row in _FAMILIES.items():
-                if row.base == name and row.c == self.c:
-                    return name
-        return self.name
-
-    @property
-    def base_family(self) -> str:
-        """Name of the (n, c) family this family's sum is a substitution of."""
-        return _FAMILIES[self.key].base
-
-    @property
-    def base_c(self) -> Fraction:
-        """Family parameter of the underlying (n, c) family."""
-        return self.c if self.c is not None else self._row.c
-
-    def base_params(self, n: RationalLike) -> Params:
-        """Params of the underlying family (index shift n -> n+1 for mkz)."""
-        n = _as_fraction(n, "n")
-        n_min = self._row.n_min
-        if n_min is not None and (n.denominator != 1 or n < n_min):
-            raise ParameterError(f"family {self.name!r} needs a natural index, got n={n}")
-        return Params(n + self._row.shift, self.base_c)
-
-    def substitution(self, x: Real) -> Real:
-        """Map a point of this family's domain into the base family's domain
-        by the row's Moebius map (exact on a Fraction); DomainError outside
-        the family's domain, for every family."""
-        self.require_in_domain(x)
-        to_base = self._row.to_base
-        return x if to_base is None else _mobius_at(to_base, x)
-
-    def _outside(self, x: Real) -> str:
-        return f"x={x} outside the domain {self.domain_str()} of family {self.name!r}"
-
-
 def _log_rising_over_fact(a: float, k: int) -> float:
     """log of (a)_k / k! for a > 0 (the magnitude of C(-a, k))."""
     if k == 0:
         return 0.0
     return math.lgamma(a + k) - math.lgamma(a) - math.lgamma(k + 1)
+
+
+def _require_finite_scale(n: float, c: float, xf: float) -> None:
+    """OverflowError where the weights' scale, cx (c > 0) or nx (c = 0), is
+    past the double range, x = inf included, as the S routes raise."""
+    if c >= 0.0 and (c or n) * xf == math.inf:
+        raise _overflow_error("cx" if c else "nx")
 
 
 def basis(params: Params, k: int, x: float) -> float:
@@ -297,7 +188,8 @@ def basis(params: Params, k: int, x: float) -> float:
     evaluated directly while the intermediate magnitudes stay well inside
     the double exponent range; past half of LOG_SPACE_THRESHOLD everything
     moves to log space, where the result (itself in [0, 1]) is safe to
-    exponentiate.
+    exponentiate.  Raises OverflowError where cx (c > 0) or nx (c = 0)
+    is past the double range.
     """
     if k < 0:
         raise ValueError(f"k must be a natural number, got {k}")
@@ -305,6 +197,7 @@ def basis(params: Params, k: int, x: float) -> float:
     n = params.n_float
     c = params.c_float
     xf = float(x)
+    _require_finite_scale(n, c, xf)
     guard = LOG_SPACE_THRESHOLD / 2
     if c < 0 and k > params.l:
         return 0.0
@@ -736,12 +629,14 @@ def basis_sum(params: Params, x: float) -> tuple[float, int]:
     more than ``_NEG_C_TERMS``.  Every sum is 1 up to rounding.  The walk's
     running product carries about one unit per step from the peak: at
     k0 = 0 (a <= 1) it runs over the whole weight, and n = 1, c = 2,
-    x = 1e4 reads 1 - 1.6e-12.
+    x = 1e4 reads 1 - 1.6e-12.  Raises OverflowError first where cx
+    (c > 0) or nx (c = 0) is past the double range.
     """
     params.require_in_domain(x)
     n = params.n_float
     c = params.c_float
     xf = float(x)
+    _require_finite_scale(n, c, xf)
     if xf == 0.0:
         return 1.0, 1
 

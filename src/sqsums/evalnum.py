@@ -908,7 +908,10 @@ def _closed_rows(params: Params, xs: Sequence, ys: Sequence, rtol: float, reach:
         u, v = c * xf, c * yf
         if xf == 0.0 or yf == 0.0:
             # T(x, 0) = p_0(x) p_0(0), the prefactor alone: exactly 1 at
-            # x = y = 0, and 0 at the other end of a c < 0 domain
+            # x = y = 0, and 0 at the other end of a c < 0 domain; where cx
+            # overflows at a finite x, the quadrature route's error
+            if c > 0.0 and math.inf not in (xf, yf) and not math.isfinite(1.0 + u + v):
+                raise OverflowError("1 + cx + cy is past the double range")
             log_p = -n * (xf + yf) if c == 0.0 else -a * sum(
                 math.log1p(t) if 1.0 + t > 0.0 else -math.inf for t in (u, v)
             )
@@ -1175,7 +1178,10 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     def pos_c(x, y):
         u, v = c * x, c * y
         if u == v:
-            return 1.0 / (1.0 + 2.0 * u), 1.0, 0.0
+            s = 1.0 / (1.0 + 2.0 * u)
+            if not s and x < math.inf:  # the series and closed routes' error at a finite x
+                raise OverflowError("1 + 2cx is past the double range")
+            return s, 1.0, 0.0
         b = 1.0 + u + v
         if not math.isfinite(b):
             raise OverflowError("1 + cx + cy is past the double range")
@@ -1272,7 +1278,8 @@ def s_quad(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
     value.  Every other one, of c = 0 and of c > 0 at non-integer a, runs
     on the tanh-sinh rule with a purely relative stop, at least 1e-15
     (c = 0) or 1e-15*(a+6) of the value, plus the part of the integral
-    beyond the rule's ends.
+    beyond the rule's ends.  At c > 0 it raises OverflowError where
+    1 + 2cx overflows at a finite x, as the other routes do.
     """
     return _one(s_quad_grid(params, [x], rtol))
 
@@ -1297,7 +1304,8 @@ def t_closed(params: Params, x: float, y: float) -> float:
     RTOL_DEFAULT of the value (its ``reach``).  Where B overflows it raises
     OverflowError at whole 2a, and off the diagonal at every other c > 0;
     at c = 0 it does where 2n sqrt(x) sqrt(y) overflows.  At a zero
-    coordinate it is the prefactor alone, 0 where the other is infinite.
+    coordinate it is the prefactor alone, 0 where the other is infinite; at
+    c > 0 it raises OverflowError where the other's cx overflows.
     """
     return _one(_closed_rows(params, [x], [y], RTOL_DEFAULT, reach=RTOL_DEFAULT)).value
 
@@ -1311,5 +1319,5 @@ def t_quad(params: Params, x: float, y: float) -> float:
     ``reach``), as ``t_closed`` does.  Off the diagonal with one infinite
     coordinate it reads what ``t_closed`` does: 0 where the other is 0, and
     OverflowError elsewhere; it also raises OverflowError at c > 0 where
-    1 + cx + cy overflows."""
+    1 + cx + cy overflows, on the diagonal at a finite x only."""
     return _one(_quad_grid(params, [x], [y], RTOL_DEFAULT, reach=RTOL_DEFAULT)).value

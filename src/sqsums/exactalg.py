@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence, Union
 
-from .core import Mobius, ParameterError, RationalLike, _fmt_rat
+from .core import ParameterError, RationalLike, Real, _fmt_rat
 
 __all__ = [
     "IDENTITY",
@@ -399,8 +399,9 @@ def _times_linear(ints: list[int], lo: int, hi: int) -> list[int]:
     return out
 
 
-# A Moebius map (``core.Mobius``): composing maps multiplies matrices, and a
-# nonzero multiple is the same map.
+# A Moebius map x -> (a*x + b)/(c*x + d) as the integer matrix (a, b, c, d):
+# composing maps multiplies matrices, and a nonzero multiple is the same map.
+Mobius = tuple[int, int, int, int]
 IDENTITY: Mobius = (1, 0, 0, 1)
 NEGATE: Mobius = (-1, 0, 0, 1)
 # Each series variable as a map of x, keyed by the variable name of the
@@ -411,6 +412,14 @@ SERIES_MAPS: dict[str, Mobius] = {
     "v": (1, -1, 1, 1),  # v = (x-1)/(x+1), Bleimann-Butzer-Hahn
     "w": (-1, 1, 1, 1),  # w = (1-x)/(1+x), Meyer-Konig-Zeller
 }
+
+
+def _mobius_at(m: Mobius, x: Real) -> Real:
+    """m at the point x: exact on a Fraction, and on a float the quotient of
+    the two rounded affine forms (a product by 1 or -1 and a sum with 0 add
+    no rounding)."""
+    a, b, c, d = m
+    return (a * x + b) / (c * x + d)
 
 
 def mobius_compose(outer: Mobius, inner: Mobius) -> Mobius:

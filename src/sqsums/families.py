@@ -1,24 +1,27 @@
-"""One row per operator family, keyed by ``FamilyId.key``: what is exact or
-proven about its sum (``core`` keeps its structure).  Rows look builders up
-in ``exactalg`` and ``legendre`` at call time, so a patched module attribute
-is the one that runs, and nothing they build outlives the call; Bernstein's
-``legendre`` item hands the centred F_n to the polynomial bridge.  A
-substitution family's bounds and ``substitution`` item read its change of
-variable and index shift from its row of ``core._FAMILIES`` at call time,
-so the map the float routes run is the one ``verify`` proves.
+"""The family table: one row per named operator family, with its structure
+and what is exact or proven about its sum, and ``FamilyId``, the tag that
+reads it.  Rows look builders up in ``exactalg`` and ``legendre`` at call
+time, so a patched module attribute is the one that runs, and nothing they
+build outlives the call; Bernstein's ``legendre`` item hands the centred
+F_n to the polynomial bridge.  A substitution family's bounds and
+``substitution`` item read its change of variable and index shift from its
+row at call time, so the map the float routes run is the one ``verify``
+proves.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional
 
-from . import core, exactalg, legendre
-from .core import Real
+from . import exactalg, legendre
+from .core import ParameterError, Params, RationalLike, Real, _as_fraction, _Interval, _OnDomain
+from .exactalg import Mobius, _mobius_at
 
-__all__ = ["FAMILIES", "Family", "least_index"]
+__all__ = ["FAMILIES", "FAMILY_NAMES", "Family", "FamilyId"]
 
 # (label, value) per bound, and notes on the bounds left out.
 Bounds = tuple[list[tuple[str, float]], list[str]]
@@ -63,29 +66,29 @@ def _baskakov_bounds(n: int, x: float, w: Optional[float] = None) -> Bounds:
     return [("refined_power", base ** (-n / (2.0 * (n + 1)))), ("central_binomial", envelope)], []
 
 
-def _base_bounds(key: str, series_map: Optional[exactalg.Mobius] = None) -> Callable[[int, float], Bounds]:
+def _base_bounds(key: str, series_map: Optional[Mobius] = None) -> Callable[[int, float], Bounds]:
     """A substitution family's bounds: its base row's at the base index and
-    point, by the family's row of ``core._FAMILIES``.  Where the
+    point, by the family's own row.  Where the
     substitution keeps the base row's series variable, ``series_map`` forms
     it from the family's own point as the family's sum does, so the
     rounding of the base point never enters it (mkz's index-0 envelope is
     then its sum to the bit)."""
     def bounds(n, x):
-        sub = core._FAMILIES[key]
-        point = () if series_map is None else (core._mobius_at(series_map, x),)
-        return FAMILIES[sub.base].bounds(n + sub.shift, core._mobius_at(sub.to_base, x), *point)
+        sub = FAMILIES[key]
+        point = () if series_map is None else (_mobius_at(series_map, x),)
+        return FAMILIES[sub.base].bounds(n + sub.shift, _mobius_at(sub.to_base, x), *point)
     return bounds
 
 
 def _substitution_item(key: str, scale: int = 1) -> tuple[str, Callable[[range], bool]]:
     """A substitution family's ``verify`` item: its series at n is its base
-    row's at n + shift under the map of its row of ``core._FAMILIES``, read
-    at call time, so a patched row is the one checked; ``scale`` relates the
-    two series variables (``exactalg.substitution_identity``)."""
+    row's at n + shift under the map of its own row, read at call time, so a
+    patched row is the one checked; ``scale`` relates the two series
+    variables (``exactalg.substitution_identity``)."""
     def check(n):
-        sub = core._FAMILIES[key]
+        sub = FAMILIES[key]
         return exactalg.substitution_identity(
-            FAMILIES[sub.base].series(n + sub.shift), sub.to_base, FAMILIES[key].series(n), scale)
+            FAMILIES[sub.base].series(n + sub.shift), sub.to_base, sub.series(n), scale)
     return "substitution", _each(check)
 
 
@@ -110,13 +113,22 @@ def _solves(spec, series, inner=exactalg.IDENTITY) -> Callable[[range], bool]:
 
 
 class Family(NamedTuple):
-    """What is exact or proven about one family, at natural n: S in its series
-    variable (whose ``var`` names its map in ``exactalg.SERIES_MAPS``) and S
-    itself (None: the closed form only), the proven bounds at a point, the
-    witness (label, build) that ``verify --format json`` builds at the least
-    index, the ``verify`` items (name, check), where check(ns) holds at every
-    index of ns, and the scan kinds with an exact route."""
+    """One named family, the one home of each fact it holds: its structure
+    (the sum of a substitution family is that of the (n, c) family ``base``
+    at index ``n + shift`` and point ``to_base(x)``, a Moebius map, and
+    ``domain`` is its own where it is not I_c) and, at natural n, S in its
+    series variable (whose ``var`` names its map in ``exactalg.SERIES_MAPS``)
+    and S itself (None: the closed form only), the proven bounds at a point,
+    the witness (label, build) that ``verify --format json`` builds at the
+    least index, the ``verify`` items (name, check), where check(ns) holds at
+    every index of ns, and the scan kinds with an exact route."""
 
+    base: str
+    c: Optional[Fraction]  # None: the tag carries its own c
+    n_min: Optional[int] = None  # least natural index; None: any positive rational
+    shift: int = 0
+    to_base: Optional[Mobius] = None
+    domain: Optional[_Interval] = None
     series: Optional[Callable[[int], exactalg.RationalPoly]] = None
     value: Optional[Callable[[int, Real], Real]] = None
     bounds: Optional[Callable[[int, float], Bounds]] = None
@@ -126,8 +138,9 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "bernstein": Family(lambda n: exactalg.f_poly_parseval(n), lambda n, x: exactalg.f_value(n, x),
-        _bernstein_bounds, ("f_poly", lambda n: exactalg.f_poly_direct(n)), (
+    "bernstein": Family("bernstein", Fraction(-1), 1, series=lambda n: exactalg.f_poly_parseval(n),
+        value=lambda n, x: exactalg.f_value(n, x), bounds=_bernstein_bounds,
+        witness=("f_poly", lambda n: exactalg.f_poly_direct(n)), items=(
         ("parseval", _each(lambda n: exactalg.f_poly_parseval(n).compose_linear(1, Fraction(-1, 2))
             == exactalg.f_poly_direct(n))),
         ("recurrences", _each(lambda n: exactalg.recurrence_check(n))),
@@ -136,31 +149,114 @@ FAMILIES = {
             lambda n: exactalg.f_poly_parseval(n))),
         ("legendre", lambda ns: legendre.bridge_check(ns, exactalg.f_poly_parseval)  # F_n = (1-2x)^n P_n(t)
             and all(legendre.derivative_relations_check(n, Fraction(3, 2)) for n in ns if n <= 8)),
-    ), ("convexity", "logconvexity", "monotonicity")),
-    "bbh": Family(lambda n: exactalg.u_series_coeffs(n), lambda n, x: exactalg.u_value(n, x),
-        _base_bounds("bbh"), ("u_rational", lambda n: exactalg.u_rational(n)), (
-        ("ode", _solves(lambda n: exactalg.eq_u(n), lambda n: exactalg.u_series_coeffs(n))),
-        _substitution_item("bbh", 2),  # U_n = F_n(x/(1+x)), s = v/2
-    )),
-    "baskakov": Family(lambda n: exactalg.g_series_coeffs(n), lambda n, x: exactalg.g_value(n, x),
-        _baskakov_bounds, ("g_rational", lambda n: exactalg.g_rational(n)), (
+    ), scans=("convexity", "logconvexity", "monotonicity")),
+    "szasz": Family("szasz", Fraction(0), bounds=_szasz_bounds),
+    "baskakov": Family("baskakov", Fraction(1), series=lambda n: exactalg.g_series_coeffs(n),
+        value=lambda n, x: exactalg.g_value(n, x), bounds=_baskakov_bounds,
+        witness=("g_rational", lambda n: exactalg.g_rational(n)), items=(
         ("ode", _solves(lambda n: exactalg.eq_g(n), lambda n: exactalg.g_series_coeffs(n))),
         ("heun", _solves(lambda n: exactalg.HeunParams.rational_case(n).operator(),
             lambda n: exactalg.g_series_coeffs(n), exactalg.NEGATE)),
         ("substitution", _each(lambda n: exactalg.substitution_identity(  # G_n = J_(n-1)(x/(1+x))
             exactalg.j_series_coeffs(n - 1), (1, 0, 1, 1), exactalg.g_series_coeffs(n)))),
-    ), ("logconvexity",)),
-    "mkz": Family(lambda n: exactalg.j_series_coeffs(n), lambda n, x: exactalg.j_value(n, x),
-        _base_bounds("mkz", exactalg.SERIES_MAPS["w"]), ("j_rational", lambda n: exactalg.j_rational(n)), (
+    ), scans=("logconvexity",)),
+    "bbh": Family("bernstein", Fraction(-1), 1, 0, (1, 0, 1, 1), _Interval(None),  # x/(1+x)
+        series=lambda n: exactalg.u_series_coeffs(n), value=lambda n, x: exactalg.u_value(n, x),
+        bounds=_base_bounds("bbh"), witness=("u_rational", lambda n: exactalg.u_rational(n)), items=(
+        ("ode", _solves(lambda n: exactalg.eq_u(n), lambda n: exactalg.u_series_coeffs(n))),
+        _substitution_item("bbh", 2),  # U_n = F_n(x/(1+x)), s = v/2
+    )),
+    "mkz": Family("baskakov", Fraction(1), 0, 1, (1, 0, -1, 1), _Interval(Fraction(1), False),  # x/(1-x)
+        series=lambda n: exactalg.j_series_coeffs(n), value=lambda n, x: exactalg.j_value(n, x),
+        bounds=_base_bounds("mkz", exactalg.SERIES_MAPS["w"]),
+        witness=("j_rational", lambda n: exactalg.j_rational(n)), items=(
         ("ode", _solves(lambda n: exactalg.eq_j(n), lambda n: exactalg.j_series_coeffs(n))),
         _substitution_item("mkz"),  # J_n = G_(n+1)(x/(1-x))
     )),
-    "szasz": Family(bounds=_szasz_bounds),
-    "general": Family(),  # nothing exact or proven at a general c
+    "general": Family("general", None),  # nothing exact or proven at a general c
 }
+FAMILY_NAMES = tuple(FAMILIES)
 
 
-def least_index(family: core.FamilyId) -> int:
-    """The least natural index of the family's bounds and identity suite (core's; 1 where that is None)."""
-    n_min = core._FAMILIES[family.key].n_min
-    return 1 if n_min is None else n_min
+@dataclass(frozen=True)
+class FamilyId(_OnDomain):
+    """Tag for an operator family.
+
+    ``bernstein``/``szasz``/``baskakov`` are the canonical names of the
+    ``c = -1, 0, 1`` families; ``general`` carries an explicit ``c``.
+    ``bbh`` and ``mkz`` are substitution families: their squared-basis sums
+    are the Bernstein sum composed with ``x/(1+x)`` and the Baskakov sum of
+    index ``n+1`` composed with ``x/(1-x)`` respectively, by the map and
+    shift of their rows.  Its index rule, shift, domain and map come from
+    the row of its ``name``; what is exact or proven about its sum from
+    ``row``, the row of its ``key``.
+    """
+
+    name: str
+    c: Optional[Fraction] = None
+    _domain: _Interval = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.name not in FAMILIES:
+            raise ParameterError(f"unknown family {self.name!r}")
+        if self.name == "general":
+            if self.c is None:
+                raise ParameterError("general family requires an explicit c")
+            object.__setattr__(self, "c", _as_fraction(self.c, "c"))
+        elif self.c is not None:
+            raise ParameterError(f"family {self.name!r} does not take a c parameter")
+        object.__setattr__(self, "_domain", FAMILIES[self.name].domain or _Interval.of_c(self.base_c))
+
+    @classmethod
+    def from_c(cls, c: RationalLike) -> "FamilyId":
+        general = cls("general", c)
+        return general if general.key == "general" else cls(general.key)
+
+    @property
+    def key(self) -> str:
+        """The named family this tag denotes (``general`` with c in {-1, 0, 1}
+        resolves to bernstein, szasz or baskakov)."""
+        if self.c is not None:
+            for name, row in FAMILIES.items():
+                if row.base == name and row.c == self.c:
+                    return name
+        return self.name
+
+    @property
+    def row(self) -> Family:
+        """The row of ``key``: what is exact or proven about this family's sum."""
+        return FAMILIES[self.key]
+
+    @property
+    def least_index(self) -> int:
+        """The least natural index of the family's bounds and identity suite (``row``'s; 1 where that is None)."""
+        return 1 if (n_min := self.row.n_min) is None else n_min
+
+    @property
+    def base_family(self) -> str:
+        """Name of the (n, c) family this family's sum is a substitution of."""
+        return self.row.base
+
+    @property
+    def base_c(self) -> Fraction:
+        """Family parameter of the underlying (n, c) family."""
+        return self.c if self.c is not None else FAMILIES[self.name].c
+
+    def base_params(self, n: RationalLike) -> Params:
+        """Params of the underlying family (index shift n -> n+1 for mkz)."""
+        n = _as_fraction(n, "n")
+        own = FAMILIES[self.name]
+        if own.n_min is not None and (n.denominator != 1 or n < own.n_min):
+            raise ParameterError(f"family {self.name!r} needs a natural index, got n={n}")
+        return Params(n + own.shift, self.base_c)
+
+    def substitution(self, x: Real) -> Real:
+        """Map a point of this family's domain into the base family's domain
+        by its own row's Moebius map (exact on a Fraction); DomainError outside
+        the family's domain, for every family."""
+        self.require_in_domain(x)
+        to_base = FAMILIES[self.name].to_base
+        return x if to_base is None else _mobius_at(to_base, x)
+
+    def _outside(self, x: Real) -> str:
+        return f"x={x} outside the domain {self.domain_str()} of family {self.name!r}"

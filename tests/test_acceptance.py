@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 from sqsums import families
-from sqsums.core import FamilyId, Params
+from sqsums.core import Params
 from sqsums.analysis import logconvexity_scan, ode_residual_scan
 from sqsums.bounds import bound_values, standard_grid
 from sqsums.evalnum import s_closed, s_closed_grid, s_quad, s_series
@@ -34,6 +34,7 @@ from sqsums.exactalg import (
     recurrence_check,
     u_rational,
 )
+from sqsums.families import FamilyId
 from sqsums.legendre import bridge_check
 
 

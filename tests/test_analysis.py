@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqsums import analysis, evalnum, exactalg
-from sqsums.core import DomainError, FamilyId, Params
+from sqsums.core import DomainError, Params
 from sqsums.analysis import (
     ScanReport,
     conjecture_grid,
@@ -19,6 +19,7 @@ from sqsums.analysis import (
 )
 from sqsums.evalnum import s_closed
 from sqsums.exactalg import RationalPoly, f_poly_direct, g_rational
+from sqsums.families import FamilyId
 
 
 X = RationalPoly.x()

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from sqsums.core import FamilyId, ParameterError
+from sqsums.core import ParameterError
 from sqsums.bounds import bound_reports, bound_values, s_values, standard_grid
 from sqsums.exactalg import RationalFn, RationalPoly, g_rational, j_rational
-from sqsums.families import FAMILIES
+from sqsums.families import FAMILIES, FamilyId
 
 
 BERNSTEIN = FamilyId("bernstein")

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import sqsums
 from sqsums import analysis, bounds, cli, exactalg, families
 from sqsums.cli import OUTPUT_SCHEMA, _parse, run
-from sqsums.core import FAMILY_NAMES, FamilyId, ParameterError, Params
+from sqsums.core import ParameterError, Params
+from sqsums.families import FAMILY_NAMES, FamilyId
 
 
 def invoke(argv):
@@ -259,10 +260,8 @@ class TestVerifySeriesRoute:
     ])
     def test_a_wrong_row_fails_the_substitution(self, family, change, monkeypatch):
         # the item proves the map and shift of the family's row of
-        # core._FAMILIES, the ones the float routes run
-        from sqsums import core
-
-        monkeypatch.setitem(core._FAMILIES, family, core._FAMILIES[family]._replace(**change))
+        # families.FAMILIES, the ones the float routes run
+        monkeypatch.setitem(families.FAMILIES, family, families.FAMILIES[family]._replace(**change))
         code, out, _ = invoke(["verify", "--family", family, "--n-max", "4"])
         assert (code, out) == (1, "ode: OK\nsubstitution: FAIL\n")
 
@@ -282,7 +281,7 @@ class TestVerifySeriesRoute:
         for family, row in families.FAMILIES.items():
             if row.witness is None:
                 continue
-            first, (_, build) = families.least_index(FamilyId(family)), row.witness
+            first, (_, build) = FamilyId(family).least_index, row.witness
             clear()
             assert invoke(["verify", "--family", family, "--n-max", "13"])[0] == 0
             assert calls == []

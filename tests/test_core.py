@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from sqsums import core
 from sqsums.core import (
-    FAMILY_NAMES,
     LOG_SPACE_THRESHOLD,
     DomainError,
-    FamilyId,
     ParameterError,
     Params,
     _log_rising_over_fact,
     basis,
     basis_sum,
 )
+from sqsums.families import FAMILIES, FAMILY_NAMES, FamilyId
 
 
 class TestParams:
@@ -142,6 +141,19 @@ class TestFamilyId:
         with pytest.raises(ParameterError):
             FamilyId("bernstein").base_params(Fraction(3, 2))
 
+    def test_structure_comes_from_the_tags_own_row(self):
+        # the index rule and shift are those of the row of the tag's name:
+        # general at c = -1 keeps Params' rule and its message, though its
+        # facts are those of its key's row, Bernstein's
+        general = FamilyId("general", -1)
+        assert general.row is FAMILIES["bernstein"] and general.least_index == 1
+        with pytest.raises(ParameterError, match=(
+                r"^need n = -c\*l with natural l, got n=3/2, c=-1 \(l would be 3/2\)$")):
+            general.base_params(Fraction(3, 2))
+        with pytest.raises(ParameterError, match=r"^family 'bbh' needs a natural index, got n=3/2$"):
+            FamilyId("bbh").base_params(Fraction(3, 2))
+        assert FamilyId("mkz").base_params(0) == Params(1, 1)
+
     @pytest.mark.parametrize(
         "name,c,key,base",
         [
@@ -242,6 +254,32 @@ class TestBasis:
             basis(Params(2, -1), 0, 1.5)
         with pytest.raises(DomainError):
             basis(Params(2, 0), 0, -0.5)
+
+    @pytest.mark.parametrize("params, x, scale", [
+        (Params(1, 2), 1e308, "cx"),
+        (Params(Fraction(1, 2), 3), 1e308, "cx"),
+        (Params(1, 1), math.inf, "cx"),
+        (Params(1, 0), math.inf, "nx"),
+    ])
+    def test_overflow_of_the_scale_raises(self, params, x, scale):
+        # p_0 = (1 + cx)^(-n/c) is about 7.07e-155 at c = 2, x = 1e308, where
+        # basis read 0.0 at k = 0 and nan at k = 1 and 3; basis_sum leaked
+        # "cannot convert float infinity (NaN) to integer" from the peak
+        message = rf"^{scale} is past the double range$"
+        for k in (0, 1, 3):
+            with pytest.raises(OverflowError, match=message):
+                basis(params, k, x)
+        with pytest.raises(OverflowError, match=message):
+            basis_sum(params, x)
+
+    def test_values_next_to_the_overflow_of_the_scale(self):
+        # the largest x whose cx is finite keeps its value: p_0 = (1 + 2x)^(-1/2),
+        # about 7.46e-155 here, by mpmath
+        mpmath = pytest.importorskip("mpmath")
+        x = math.nextafter(sys.float_info.max / 2, 0.0)
+        want = float((1 + 2 * mpmath.mpf(x)) ** -0.5)
+        assert basis(Params(1, 2), 0, x) == pytest.approx(want, rel=1e-14)
+        assert basis(Params(1, 0), 0, sys.float_info.max) == 0.0  # e^-nx underflows
 
 
 _GUARD = LOG_SPACE_THRESHOLD / 2

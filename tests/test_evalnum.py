@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsums import evalnum
-from sqsums.core import FAMILY_NAMES, DomainError, FamilyId, Params, basis, basis_sum
+from sqsums.core import DomainError, Params, basis, basis_sum
 from sqsums.evalnum import (
     LADDER_MAX,
     LADDER_START,
@@ -37,6 +37,7 @@ from sqsums.evalnum import (
     t_quad,
 )
 from sqsums.exactalg import f_value, g_value
+from sqsums.families import FAMILY_NAMES, FamilyId
 
 
 class TestHyp2f1Diag:
@@ -433,6 +434,29 @@ class TestKernel:
                     outcomes.append(f"OverflowError: {exc}")
             assert outcomes[0] == outcomes[1], (x, y, outcomes)
             assert (outcomes[0] == "0.0") if 0.0 in (x, y) else outcomes[0].startswith("OverflowError"), (x, y)
+
+    @pytest.mark.parametrize("n, c", [(1, 1), (1, 2), (Fraction(5, 2), 1), (2, 3), (7, 5)])
+    def test_routes_agree_where_cx_overflows_at_a_finite_point(self, n, c):
+        # where 1 + 2cx overflows at a finite x every route raises the
+        # series route's error: S's quadrature read 0.0 claiming 0 at c = 1
+        # (S(1e308) is about 5e-309) and T's pair map on the diagonal read 0;
+        # where cx itself does, T(x, 0) = p_0(x) raises the quadrature
+        # route's error, where the closed form read 0.0 claiming 0 (about
+        # 7.07e-155 at n = 1, c = 2)
+        params = Params(n, c)
+        x = 1e308
+        for route in (s_series, s_closed, s_quad):
+            with pytest.raises(OverflowError, match=r"^1 \+ 2cx is past the double range$"):
+                route(params, x)
+        for route in (t_closed, t_quad):
+            with pytest.raises(OverflowError, match=r"^1 \+ 2cx is past the double range$"):
+                route(params, x, x)
+            for pair in ((x, 0.0), (0.0, x)):
+                if c * x < math.inf:  # p_0(x) is formed
+                    assert math.isfinite(route(params, *pair))
+                else:
+                    with pytest.raises(OverflowError, match=r"^1 \+ cx \+ cy is past the double range$"):
+                        route(params, *pair)
 
     def test_quadrature_constant_case(self):
         assert _ladder_from(Params(1, 1), 0.0, 0.0, 8) == pytest.approx(1.0, rel=1e-15)

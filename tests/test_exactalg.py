@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqsums import core
+from sqsums import families
 from sqsums.bounds import standard_grid
-from sqsums.core import FamilyId, Params
+from sqsums.core import Params
 from sqsums.evalnum import s_closed
 from sqsums.exactalg import (
     IDENTITY,
@@ -51,6 +51,7 @@ from sqsums.exactalg import (
     u_value,
     x_form,
 )
+from sqsums.families import FamilyId
 
 X = RationalPoly.x()
 
@@ -251,7 +252,7 @@ def _lemma_holds(r: RationalFn, mobius) -> bool:
 def _x_forms(n: int):
     """(x-form, its composed map) for each rational witness at n and each
     x_form with an inner map that the tests build."""
-    bbh = core._FAMILIES["bbh"].to_base
+    bbh = families.FAMILIES["bbh"].to_base
     return [
         (g_rational(n), SERIES_MAPS["u"]),
         (j_rational(n), SERIES_MAPS["w"]),
@@ -540,7 +541,7 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_substitutions_detect_a_tiny_coefficient_fault(self, n):
-        bbh = core._FAMILIES["bbh"].to_base
+        bbh = families.FAMILIES["bbh"].to_base
         assert _perturbed(g_rational(n)) != x_form(j_series_coeffs(n - 1), (1, 0, 1, 1))
         assert g_rational(n) != x_form(_perturbed(j_series_coeffs(n - 1)), (1, 0, 1, 1))
         assert _perturbed(u_rational(n)) != x_form(f_poly_parseval(n), bbh)
@@ -805,7 +806,7 @@ class TestSeriesRoute:
         # what the series route proves, read at the x level through x_form
         assert g_rational(n) == x_form(j_series_coeffs(n - 1), (1, 0, 1, 1))
         assert j_rational(n) == x_form(g_series_coeffs(n + 1), (1, 0, -1, 1))
-        assert u_rational(n) == x_form(f_poly_parseval(n), core._FAMILIES["bbh"].to_base)
+        assert u_rational(n) == x_form(f_poly_parseval(n), families.FAMILIES["bbh"].to_base)
 
     @pytest.mark.parametrize("n", [1, 4, 9, 30])
     def test_x_level_residuals_agree(self, n):

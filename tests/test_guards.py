@@ -9,10 +9,10 @@ import pytest
 
 import sqsums
 from sqsums import evalnum, legendre
-from sqsums.core import FAMILY_NAMES
+from sqsums.families import FAMILY_NAMES
 
-# the family table and the family record are the two places that name families
-_RECORDS = {"core.py", "families.py"}
+# the family table is the one place that names families
+_RECORDS = {"families.py"}
 
 
 def _names(node) -> list:
@@ -52,7 +52,7 @@ def test_the_guard_sees_each_form_of_dispatch():
         '{"baskakov": 1}',
         'dict(bernstein=1)',
         'FAMILIES["bbh"].bounds',
-        'core._FAMILIES["mkz"].to_base',
+        'families.FAMILIES["mkz"].to_base',
         'FamilyId("mkz")',
         'core.FamilyId(name="bbh")',
     ]
@@ -62,9 +62,9 @@ def test_the_guard_sees_each_form_of_dispatch():
 
 
 def test_only_the_family_records_dispatch_on_family_names():
-    # a decision per family belongs in a row of core._FAMILIES or
-    # families.FAMILIES, not in a comparison, a table keyed by name, a
-    # lookup by a name or a family built from one elsewhere
+    # a decision per family belongs in a row of families.FAMILIES, not in
+    # a comparison, a table keyed by name, a lookup by a name or a family
+    # built from one elsewhere
     src = pathlib.Path(sqsums.__file__).parent
     found = {
         path.name: hits
