@@ -176,7 +176,8 @@ def _log_rising_over_fact(a: float, k: int) -> float:
 
 def _require_finite_scale(n: float, c: float, xf: float) -> None:
     """OverflowError where the weights' scale, cx (c > 0) or nx (c = 0), is
-    past the double range, x = inf included, as the S routes raise."""
+    past the double range, x = inf included.  The S routes raise from about
+    half that x on, where 1 + 2cx or 2nx does (``evalnum._pair_floats``)."""
     if c >= 0.0 and (c or n) * xf == math.inf:
         raise _overflow_error("cx" if c else "nx")
 

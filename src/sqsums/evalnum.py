@@ -12,12 +12,14 @@ Each route of S evaluates a whole grid in one call (``s_series_grid``,
 route or of a kernel, is one ``_sorted_rows`` call: its ``sort`` names
 each point's regime once, or finishes the point, or raises, and that
 exception is the point's alone; each regime's kernel then runs once over
-all its points.  The series of all points are rows of one
-``core._certified_rows`` call, which reproduces each row's term-by-term
-loop bit for bit.  Every peak window (the c >= 0 series past its switch,
-and ``core.basis_sum``) is one ``core._window_rows`` call from the peaks
-its sort found, which raises ArithmeticError where the walk reaches its
-10^7-term cap.  The closed
+all its points.  Every route's sort reads its point through
+``_pair_floats``, the one check of the domain and the one rule past the
+double range, so the routes raise one OverflowError there.  The series of
+all points are rows of one ``core._certified_rows`` call, which
+reproduces each row's term-by-term loop bit for bit.  Every peak window
+(the c >= 0 series past its switch, and ``core.basis_sum``) is one
+``core._window_rows`` call from the peaks its sort found, which raises
+ArithmeticError where the walk reaches its 10^7-term cap.  The closed
 forms of S and T are one pair grid, ``_closed_rows``, whose regimes are
 ``bessel``, ``legendre``, ``hyp`` and ``hand_over``: ``s_closed_grid`` is
 its diagonal and ``t_closed`` its one-pair call, so T(x, x) has the bits
@@ -104,6 +106,28 @@ def _require_rtol(rtol: float) -> None:
     --rtol: finite and positive (NaN fails it)."""
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be finite and > 0, got {rtol}")
+
+
+def _pair_floats(params: Params, x, y) -> tuple[float, float]:
+    """The floats of a point (x, y) of T, or of S where y is x, after every
+    float route's one check of a point: its domain, and one OverflowError
+    past the double range.  At c > 0 that is where 1 + cx + cy ("1 + 2cx"
+    on the diagonal) is not finite, save a pair of 0 and inf, T's limit 0;
+    at c = 0 where neither coordinate is 0 and 2nx (2n sqrt(x) sqrt(y) off
+    the diagonal) is not finite."""
+    params.require_in_domain(x)
+    if y is not x:  # S's points are checked once
+        params.require_in_domain(y)
+    xf, yf = float(x), float(y)
+    c = params.c_float
+    if c > 0.0:
+        if not math.isfinite(1.0 + c * xf + c * yf) and not (0.0 in (xf, yf) and math.inf in (xf, yf)):
+            raise OverflowError(f"1 + {'2cx' if xf == yf else 'cx + cy'} is past the double range")
+    elif c == 0.0 and xf and yf:
+        if not math.isfinite(2.0 * params.n_float * (xf if xf == yf else math.sqrt(xf) * math.sqrt(yf))):
+            raise OverflowError(f"{'2nx' if xf == yf else '2n sqrt(x) sqrt(y)'} is past the double range")
+    return xf, yf
+
 
 # Adaptive quadrature ladder: node counts double from start to cap.
 LADDER_START = 16
@@ -618,8 +642,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
     far_u = max(_FAR_U, 2.0 * two_a)
 
     def sort(x):
-        params.require_in_domain(x)
-        xf = float(x)
+        xf, _ = _pair_floats(params, x, x)
         if xf == 0.0:
             return None, EvalResult(1.0, Method.SERIES, 0.0, 1)
         if c < 0:
@@ -632,9 +655,7 @@ def s_series_grid(params: Params, xs: Sequence[float], rtol: float = RTOL_DEFAUL
         # (x/(1+cx))^2; the term ratio tends to (cx/(1+cx))^2 < 1
         u = c * xf
         pref_log = -(2.0 * n / c) * math.log1p(u)
-        if two_a and u >= far_u or u == math.inf:
-            if not math.isfinite(1.0 + u + u):
-                raise OverflowError("1 + 2cx is past the double range")
+        if two_a and u >= far_u:
             return "far", u
         if pref_log < -_EXP_GUARD:
             # the unscaled sum would overflow; sum around the peak in log
@@ -708,9 +729,9 @@ def s_series(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     the peak windows.  For c > 0 at whole
     2a = 2n/c, from u = cx = max(64, 4a) on, the series is instead the
     expansion of 2F1(a, a; 1; z) about z = 1 (``_far_series``), O(1) terms
-    per point, with a claim of its tail plus 1e-15*(a+1) of the value, and
-    OverflowError where 1 + 2cx overflows; at other a the walk raises
-    ArithmeticError past its 2*10^6-step cap.
+    per point, with a claim of its tail plus 1e-15*(a+1) of the value; at
+    other a the walk raises ArithmeticError past its 2*10^6-step cap.  Past
+    the double range it raises the OverflowError of ``_pair_floats``.
     """
     return _one(s_series_grid(params, [x], rtol))
 
@@ -900,18 +921,11 @@ def _closed_rows(params: Params, xs: Sequence, ys: Sequence, rtol: float, reach:
     rtol = max(1e-16, 1e-3 * rtol)  # kernel target below the public promise
 
     def sort(pair):
-        x, y = pair
-        params.require_in_domain(x)
-        if y is not x:  # S's points are checked once
-            params.require_in_domain(y)
-        xf, yf = float(x), float(y)
+        xf, yf = _pair_floats(params, *pair)
         u, v = c * xf, c * yf
         if xf == 0.0 or yf == 0.0:
             # T(x, 0) = p_0(x) p_0(0), the prefactor alone: exactly 1 at
-            # x = y = 0, and 0 at the other end of a c < 0 domain; where cx
-            # overflows at a finite x, the quadrature route's error
-            if c > 0.0 and math.inf not in (xf, yf) and not math.isfinite(1.0 + u + v):
-                raise OverflowError("1 + cx + cy is past the double range")
+            # x = y = 0, and 0 at the other end of a c < 0 domain
             log_p = -n * (xf + yf) if c == 0.0 else -a * sum(
                 math.log1p(t) if 1.0 + t > 0.0 else -math.inf for t in (u, v)
             )
@@ -923,15 +937,10 @@ def _closed_rows(params: Params, xs: Sequence, ys: Sequence, rtol: float, reach:
             # n sqrt(x) sqrt(y), which does not overflow, and
             # sqrt(x) - sqrt(y) = (x - y)/(sqrt(x) + sqrt(y)) does not cancel
             rx, ry = math.sqrt(xf), math.sqrt(yf)
-            z = 2.0 * n * (xf if xf == yf else rx * ry)
-            if not math.isfinite(z):
-                raise OverflowError(f"{'2nx' if xf == yf else '2n sqrt(x) sqrt(y)'} is past the double range")
-            return "bessel", (z, ((xf - yf) / (rx + ry)) ** 2)
+            return "bessel", (2.0 * n * (xf if xf == yf else rx * ry), ((xf - yf) / (rx + ry)) ** 2)
         if two_a:
             if abs(two_a) // 2 > _LEGENDRE_STEPS:
                 raise ArithmeticError(f"|a| = |n/c| is past the {_LEGENDRE_STEPS} steps of the Legendre recurrence")
-            if not math.isfinite(1.0 + u + v):
-                raise OverflowError(f"1 + {'2cx' if u == v else 'cx + cy'} is past the double range")
             return "legendre", (u, v)
         # c > 0: z = uv/((1+u)(1+v)), each quotient at most 1
         z = (u / (1.0 + u)) ** 2 if u == v else (u / (1.0 + u)) * (v / (1.0 + v))
@@ -983,23 +992,21 @@ def s_closed(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult
     (``_closed_rows``).
 
     ``(1+cx)^(-2n/c) * hyp2f1_diag(n/c, (cx/(1+cx))^2)`` for c > 0 and the
-    scaled Bessel value ``exp(-2nx) I0(2nx)`` for c = 0, which raises
-    OverflowError where 2nx overflows.  Powers go through exp/log1p so the
-    anchor S(0) = 1 keeps full relative accuracy; for c > 0 the claimed
-    error covers the series' rounding, about 8 units per term.  For c < 0 it
-    is the polynomial (1+2cx)^l P_l(w), l = -n/c, by the same Legendre
-    recurrence (``_legendre``), with a claimed error of 4*l units of 2^-53
-    of the value and a terms count of l + 1.  For c > 0
-    with a whole or half-integer a = n/c it is instead P_(a-1)(w)/(1+2cx)^a,
+    scaled Bessel value ``exp(-2nx) I0(2nx)`` for c = 0.  Powers go through
+    exp/log1p so the anchor S(0) = 1 keeps full relative accuracy; for c > 0
+    the claimed error covers the series' rounding, about 8 units per term.
+    For c < 0 it is the polynomial (1+2cx)^l P_l(w), l = -n/c, by the same
+    Legendre recurrence (``_legendre``), with a claimed error of 4*l units
+    of 2^-53 of the value and a terms count of l + 1.  For c > 0 with a
+    whole or half-integer a = n/c it is instead P_(a-1)(w)/(1+2cx)^a,
     w = 1 + 2(cx)^2/(1+2cx), from the Legendre recurrence (``_legendre``,
     seeded by the AGM at half-integer a) at every x, with a claimed error
     of 1e-15*a of the value at integer a and 1e-15*(a+1) at half-integer
     a, and a terms count of a (a + 1/2), and at least 2^-1074 per term
-    below the normal range; where 1 + 2cx overflows it raises
-    OverflowError.  For c > 0 at any other a, with
-    series argument beyond Z_SWITCH (or powers beyond the double range),
-    it climbs the tanh-sinh ladder of the quadrature route, with that
-    route's claim.
+    below the normal range.  For c > 0 at any other a, with series argument
+    beyond Z_SWITCH (or powers beyond the double range), it climbs the
+    tanh-sinh ladder of the quadrature route, with that route's claim.
+    Past the double range it raises the OverflowError of ``_pair_floats``.
     """
     return _one(s_closed_grid(params, [x], rtol))
 
@@ -1143,8 +1150,6 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
             if x == y:
                 return -4.0 * n * x, 1.0, 0.0
             rx, ry = math.sqrt(x), math.sqrt(y)  # sqrt(x) - sqrt(y) = (x - y)/(rx + ry) does not cancel
-            if rx * ry == math.inf:  # the closed form's error, where e would be inf/inf
-                raise OverflowError("2n sqrt(x) sqrt(y) is past the double range")
             e = ((x - y) / (rx + ry)) ** 2
             return -4.0 * n * (rx * ry), math.exp(-n * e), 2.0 ** -50 * n * e
 
@@ -1178,13 +1183,8 @@ def _s_quad_plan(params: Params, two_a: int) -> _QuadPlan:
     def pos_c(x, y):
         u, v = c * x, c * y
         if u == v:
-            s = 1.0 / (1.0 + 2.0 * u)
-            if not s and x < math.inf:  # the series and closed routes' error at a finite x
-                raise OverflowError("1 + 2cx is past the double range")
-            return s, 1.0, 0.0
+            return 1.0 / (1.0 + 2.0 * u), 1.0, 0.0
         b = 1.0 + u + v
-        if not math.isfinite(b):
-            raise OverflowError("1 + cx + cy is past the double range")
         g = math.sqrt(u) * math.sqrt(v) + math.sqrt(1.0 + u) * math.sqrt(1.0 + v)
         return b / g / g, (g / b) ** (2.0 * a), 0.0
 
@@ -1226,11 +1226,7 @@ def _quad_grid(params: Params, xs: Sequence, ys: Sequence, rtol: float, two_a: i
     plan = _s_quad_plan(params, _twice_a(params) if two_a is None else two_a)
 
     def sort(pair):
-        x, y = pair
-        params.require_in_domain(x)
-        if y is not x:  # S's points are checked once
-            params.require_in_domain(y)
-        xf, yf = float(x), float(y)
+        xf, yf = _pair_floats(params, *pair)
         if math.inf in (xf, yf) and 0.0 in (xf, yf):
             # T(x, 0) = p_0(x) p_0(0) is 0 at x = inf, as the closed form reads it
             return None, EvalResult(0.0, Method.QUADRATURE, 0.0, 0)
@@ -1278,8 +1274,8 @@ def s_quad(params: Params, x: float, rtol: float = RTOL_DEFAULT) -> EvalResult:
     value.  Every other one, of c = 0 and of c > 0 at non-integer a, runs
     on the tanh-sinh rule with a purely relative stop, at least 1e-15
     (c = 0) or 1e-15*(a+6) of the value, plus the part of the integral
-    beyond the rule's ends.  At c > 0 it raises OverflowError where
-    1 + 2cx overflows at a finite x, as the other routes do.
+    beyond the rule's ends.  Past the double range it raises the
+    OverflowError of ``_pair_floats``, as the other routes do.
     """
     return _one(s_quad_grid(params, [x], rtol))
 
@@ -1301,11 +1297,9 @@ def t_closed(params: Params, x: float, y: float) -> float:
     range, it hands the pair over to the tanh-sinh ladder of ``s_quad`` at
     T's pair parameter (``_quad_grid``), whose row raises ArithmeticError
     where the part of the integral beyond the rule's ends may exceed
-    RTOL_DEFAULT of the value (its ``reach``).  Where B overflows it raises
-    OverflowError at whole 2a, and off the diagonal at every other c > 0;
-    at c = 0 it does where 2n sqrt(x) sqrt(y) overflows.  At a zero
-    coordinate it is the prefactor alone, 0 where the other is infinite; at
-    c > 0 it raises OverflowError where the other's cx overflows.
+    RTOL_DEFAULT of the value (its ``reach``).  At a zero coordinate it is
+    the prefactor alone, 0 where the other is infinite.  Past the double
+    range it raises the OverflowError of ``_pair_floats``.
     """
     return _one(_closed_rows(params, [x], [y], RTOL_DEFAULT, reach=RTOL_DEFAULT)).value
 
@@ -1316,8 +1310,7 @@ def t_quad(params: Params, x: float, y: float) -> float:
     bits of ``s_quad(params, x).value``, at rtol RTOL_DEFAULT.  Its row
     raises ArithmeticError where the part of the integral beyond the
     tanh-sinh rule's ends may exceed RTOL_DEFAULT of the value (the grid's
-    ``reach``), as ``t_closed`` does.  Off the diagonal with one infinite
-    coordinate it reads what ``t_closed`` does: 0 where the other is 0, and
-    OverflowError elsewhere; it also raises OverflowError at c > 0 where
-    1 + cx + cy overflows, on the diagonal at a finite x only."""
+    ``reach``), as ``t_closed`` does.  At a pair of 0 and inf it is T's
+    limit 0, and past the double range it raises the OverflowError of
+    ``_pair_floats``, as ``t_closed`` does."""
     return _one(_quad_grid(params, [x], [y], RTOL_DEFAULT, reach=RTOL_DEFAULT)).value

@@ -1089,6 +1089,10 @@ def test_closed_stdout_exits_without_a_traceback():
     # cx = inf away from whole 2a, where the peak read "cannot convert
     # float infinity to integer"
     ("eval --family general -c 1e200 -n 1/3 -x 1e200", "1 + 2cx is past the double range"),
+    # past the double range every route raises one error, where the series
+    # read "peak index of mu=1e+308 ..." and "peak index of a=1.33..., u=1e+308 ..."
+    ("eval --family szasz -n 1 -x 1e308", "2nx is past the double range"),
+    ("eval --family general -c 1 -n 4/3 -x 1e308", "1 + 2cx is past the double range"),
 ])
 def test_a_route_that_cannot_finish_prints_one_error_line(argv, message, monkeypatch, capsys):
     # a route's ArithmeticError ended in a traceback (the last case, in the

@@ -435,28 +435,56 @@ class TestKernel:
             assert outcomes[0] == outcomes[1], (x, y, outcomes)
             assert (outcomes[0] == "0.0") if 0.0 in (x, y) else outcomes[0].startswith("OverflowError"), (x, y)
 
-    @pytest.mark.parametrize("n, c", [(1, 1), (1, 2), (Fraction(5, 2), 1), (2, 3), (7, 5)])
+    @pytest.mark.parametrize(
+        "n, c", [(1, 1), (1, 2), (Fraction(5, 2), 1), (2, 3), (7, 5), (Fraction(4, 3), 1), (1, 0), (3, 0)]
+    )
     def test_routes_agree_where_cx_overflows_at_a_finite_point(self, n, c):
-        # where 1 + 2cx overflows at a finite x every route raises the
-        # series route's error: S's quadrature read 0.0 claiming 0 at c = 1
-        # (S(1e308) is about 5e-309) and T's pair map on the diagonal read 0;
-        # where cx itself does, T(x, 0) = p_0(x) raises the quadrature
-        # route's error, where the closed form read 0.0 claiming 0 (about
+        # past the double range every route raises one error
+        # (``evalnum._pair_floats``): where 1 + 2cx (c > 0) or 2nx (c = 0)
+        # overflows, x = inf included, and off the diagonal where 1 + cx + cy
+        # or 2n sqrt(x) sqrt(y) does; one float below each edge none raises
+        # it.  S's quadrature read 0.0 claiming 0 at c = 1 (S(1e308) is about
+        # 5e-309), and 0.0 at x = inf and at c = 0; the series raised its
+        # peak's ArithmeticError at (4/3, 1), where u is finite and 2a not
+        # whole, and at c = 0.  Where cx itself overflows, T(x, 0) = p_0(x)
+        # raises too, where the closed form read 0.0 claiming 0 (about
         # 7.07e-155 at n = 1, c = 2)
-        params = Params(n, c)
-        x = 1e308
-        for route in (s_series, s_closed, s_quad):
-            with pytest.raises(OverflowError, match=r"^1 \+ 2cx is past the double range$"):
-                route(params, x)
+        params, nf, cf = Params(n, c), float(n), float(c)
+        if c:
+            diag, off = r"^1 \+ 2cx is past the double range$", r"^1 \+ cx \+ cy is past the double range$"
+            def scale(x, y):
+                return 1.0 + cf * x + cf * y
+        else:
+            diag, off = r"^2nx is past the double range$", r"^2n sqrt\(x\) sqrt\(y\) is past the double range$"
+            def scale(x, y):
+                return 2.0 * nf * (x if x == y else math.sqrt(x) * math.sqrt(y))
+        below, above = _switch_sides(lambda x: not math.isfinite(scale(x, x)), 0.0, sys.float_info.max)
+        # off the diagonal at x = 3/4 of the diagonal's edge: its edge in y lies
+        # past the diagonal's and below the largest float
+        side = 0.75 * below
+        off_below, off_above = _switch_sides(lambda y: not math.isfinite(scale(side, y)), 0.0, sys.float_info.max)
+        for x in (above, 1e308, math.inf):
+            for route in (s_series, s_closed, s_quad):
+                with pytest.raises(OverflowError, match=diag):
+                    route(params, x)
+            for route in (t_closed, t_quad):
+                with pytest.raises(OverflowError, match=diag):
+                    route(params, x, x)
         for route in (t_closed, t_quad):
-            with pytest.raises(OverflowError, match=r"^1 \+ 2cx is past the double range$"):
-                route(params, x, x)
-            for pair in ((x, 0.0), (0.0, x)):
-                if c * x < math.inf:  # p_0(x) is formed
+            for pair in ((side, off_above), (off_above, side)):
+                with pytest.raises(OverflowError, match=off):
+                    route(params, *pair)
+            for pair in ((1e308, 0.0), (0.0, 1e308)):
+                if cf * 1e308 < math.inf:  # p_0(x) is formed
                     assert math.isfinite(route(params, *pair))
                 else:
-                    with pytest.raises(OverflowError, match=r"^1 \+ cx \+ cy is past the double range$"):
+                    with pytest.raises(OverflowError, match=off):
                         route(params, *pair)
+        below_edges = [(s_series, below), (s_closed, below), (s_quad, below)]
+        below_edges += [(route, *pair) for route in (t_closed, t_quad) for pair in ((below, below), (side, off_below))]
+        for route, *point in below_edges:
+            outcome = _outcome_of(route, params, *point)
+            assert not isinstance(outcome, OverflowError), (route.__name__, point, outcome)
 
     def test_quadrature_constant_case(self):
         assert _ladder_from(Params(1, 1), 0.0, 0.0, 8) == pytest.approx(1.0, rel=1e-15)
@@ -1760,13 +1788,21 @@ def _outcome_of(f, *args):
 # re-recorded when T's quadrature became S's plan at a pair parameter
 # (5c8c5144... before): 4589 of its 5148 outcomes moved, and its worst
 # |t_quad/t_closed - 1| fell from 1.0 to 2.2e-12 (l = 8190); at c = 0,
-# x = y = 1e307 and 1e308 it now raises ArithmeticError where it returned 0
+# x = y = 1e307 and 1e308 it now raises ArithmeticError where it returned 0.
+# s_series_grid (f4ddf3ee... before), s_quad_grid (7ee04deb...) and t_quad
+# (7ef4ec94...) were re-recorded when every route took one rule for points
+# past the double range (``evalnum._pair_floats``): of the 18096 outcomes
+# exactly three moved, all at Params(1, 0), x = 1e308, where 2nx overflows:
+# the series' ArithmeticError('peak index of mu=1e+308 is past 2^53 ...'),
+# the quadrature's 0.0 claiming 2.5e-31 and t_quad(1e308, 1e308)'s
+# ArithmeticError('the kernel integrand peaks past the reach ...') each
+# became OverflowError('2nx is past the double range')
 FLOAT_ROUTE_BITS = {
-    "s_series_grid": "f4ddf3ee1c4f23295fd4a7513186ded71a8068493bc9d64dd8e424bd788fa980",
+    "s_series_grid": "f6d53157f1d5685c3830c13440ed8f229a36f02d4e688a45d82add30ae743c10",
     "s_closed_grid": "84ad1b78bff3a8933d28489a2e1129a1acf7056f744b2e16522652e9fa0f0a3e",
-    "s_quad_grid": "7ee04deb7d00bcf9f9dfad4bdcc8201f71d595691017902aa30329e9e9994a4e",
+    "s_quad_grid": "6f1f3fc1452654fb14611dc6c8d6401bd01ce6d0ad0d2a4aceca2f6f392edebe",
     "t_closed": "2e042ea7cb370f66b70d78581546d1e40c83771dc0574a4d687c6ec2d6057752",
-    "t_quad": "7ef4ec94e3592c07e2df74f6083b66b6262dcaac242aa82c15fecd63bdfe8f8b",
+    "t_quad": "7c6614d2a86a943cce199c6ffe681ccc75b1ab24e966c2ed216b17915306e0c8",
 }
 
 

@@ -75,22 +75,29 @@ def test_only_the_family_records_dispatch_on_family_names():
     assert found == {}
 
 
-def _functions_reading(tree, name: str) -> list:
-    """The functions (by qualified name) whose own bodies load ``name``,
-    bare or as an attribute (``evalnum.LADDER_START``)."""
+def _scopes(tree, hit) -> list:
+    """The functions (by qualified name, "<module>" outside any) whose own
+    bodies hold a node for which ``hit(node)`` holds, once per node."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, (*scope, child.name))
-            elif getattr(child, "id", getattr(child, "attr", None)) == name and isinstance(child.ctx, ast.Load):
+                continue
+            if hit(child):
                 found.append(".".join(scope) or "<module>")
-            else:
-                visit(child, scope)
+            visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def _functions_reading(tree, name: str) -> list:
+    """The functions (by qualified name) whose own bodies load ``name``,
+    bare or as an attribute (``evalnum.LADDER_START``)."""
+    return _scopes(tree, lambda node: getattr(node, "id", getattr(node, "attr", None)) == name
+                   and isinstance(node.ctx, ast.Load))
 
 
 def _package_readers(name: str) -> list:
@@ -141,19 +148,15 @@ def test_ladder_start_is_read_by_the_plan_and_the_pair_grid():
 
 def _handlers(tree) -> list:
     """The functions (by qualified name) whose own bodies catch Exception."""
-    found = []
+    return _scopes(tree, lambda node: isinstance(node, ast.ExceptHandler)
+                   and getattr(node.type, "id", None) == "Exception")
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, (*scope, child.name))
-                continue
-            if isinstance(child, ast.ExceptHandler) and getattr(child.type, "id", None) == "Exception":
-                found.append(".".join(scope) or "<module>")
-            visit(child, scope)
 
-    visit(tree, ())
-    return found
+def _raisers(tree, name: str) -> list:
+    """The functions (by qualified name) whose own bodies raise ``name``,
+    bare or called."""
+    return _scopes(tree, lambda node: isinstance(node, ast.Raise)
+                   and getattr(getattr(node.exc, "func", node.exc), "id", None) == name)
 
 
 def test_evalnum_keeps_a_point_exception_in_one_place():
@@ -164,6 +167,18 @@ def test_evalnum_keeps_a_point_exception_in_one_place():
     assert set(_handlers(ast.parse(path.read_text(), str(path)))) == {"_sorted_rows"}
     assert not hasattr(evalnum, "_kernel_value")
     assert _handlers(ast.parse("def f():\n    try:\n        pass\n    except Exception:\n        pass")) == ["f"]
+
+
+def test_evalnum_checks_a_point_in_one_place():
+    # every float route of S and T checks a point's domain and its double
+    # range in one function, so the routes raise one error past it
+    path = pathlib.Path(evalnum.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    assert set(_functions_reading(tree, "require_in_domain")) == {"_pair_floats"}
+    assert set(_raisers(tree, "OverflowError")) == {"_pair_floats"}
+    assert _raisers(tree, "_overflow_error") == []
+    assert _raisers(ast.parse("def f():\n    raise OverflowError\n\ndef g():\n    raise OverflowError('x')"),
+                    "OverflowError") == ["f", "g"]
 
 
 @pytest.mark.parametrize(
